@@ -54,12 +54,7 @@ TENSOR_KINDS = ("chi", "eta", "zeta", "zeta_limited", "zeta_limited_rescaled", "
 # model adapters
 # ---------------------------------------------------------------------------
 
-def _parse_value(name: str, raw: str):
-    if name in ("L",):
-        return int(raw)
-    if name in ("weak_coupling",):
-        return raw.lower() in ("1", "true", "yes")
-    return float(raw)
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class SSHAdapter:
@@ -79,7 +74,7 @@ class SSHAdapter:
             if kind == "zeta":
                 out[kind] = zeta_finite_sum(p).values
             elif kind in ("eta", "zeta_limited", "zeta_limited_rescaled"):
-                n = 0 if state in (None, "ness") else int(state)
+                n = _state_index(state)
                 total = np.zeros((2, 2), dtype=complex)
                 for k in p.k_grid:
                     fam = bloch_family(p, k)
@@ -279,7 +274,7 @@ class MatrixFamilyAdapter:
             raise click.UsageError("tensor evaluation needs at least one --param-file")
         fam = self.family()
         lam = np.zeros(len(self.dK))
-        n = 0 if state in (None, "ness") else int(state)
+        n = _state_index(state)
         out = {}
         for kind in kinds:
             if kind == "chi":
@@ -327,14 +322,43 @@ def _load_bath(path):
     return matrix_from_json(obj), None
 
 
-def _parse_sets(sets) -> dict:
+def _parse_sets(sets, defaults: dict) -> dict:
+    """``--set name=value`` items; names and value types follow the model's defaults."""
     out = {}
     for item in sets:
-        if "=" not in item:
+        name, eq, raw = (part.strip() for part in item.partition("="))
+        if not eq:
             raise click.UsageError(f"--set expects name=value, got {item!r}")
-        name, raw = item.split("=", 1)
-        out[name.strip()] = _parse_value(name.strip(), raw.strip())
+        if name not in defaults:
+            raise click.UsageError(
+                f"unknown parameter {name!r}; known: {', '.join(defaults) or 'none'}"
+            )
+        kind = type(defaults[name])
+        try:
+            out[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise click.UsageError(f"--set {name}={raw}: expected {kind.__name__}") from None
     return out
+
+
+def _parse_kinds(tensors) -> list:
+    """Tensor kinds from a comma-separated string or a list of names."""
+    names = tensors.split(",") if isinstance(tensors, str) else tensors
+    kinds = [str(k).strip() for k in names if str(k).strip()]
+    for k in kinds:
+        if k not in TENSOR_KINDS:
+            raise click.UsageError(f"unknown tensor kind {k!r}")
+    return kinds
+
+
+def _state_index(state) -> int:
+    """Eigenstate index of ``--state``; 0 when unset or 'ness'."""
+    try:
+        return 0 if state in (None, "ness") else int(state)
+    except (TypeError, ValueError):
+        raise click.UsageError(
+            f"--state expects an eigenstate index or 'ness', got {state!r}"
+        ) from None
 
 
 def _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files):
@@ -386,11 +410,9 @@ def cmd_tensor(model, sets, tensors, state, mu_reg, matrix_file, param_files,
                hmat_file, bath_file, dhmat_files):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
     adapter = _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files)
-    kinds = [k.strip() for k in tensors.split(",") if k.strip()]
-    for k in kinds:
-        if k not in TENSOR_KINDS:
-            raise click.UsageError(f"unknown tensor kind {k!r}")
-    values = _parse_sets(sets)
+    kinds = _parse_kinds(tensors)
+    values = _parse_sets(sets, adapter.defaults)
+    _state_index(state)
     try:
         mats = adapter.tensors(values, kinds, state, mu_reg)
         spec = adapter.spectrum(values)
@@ -420,7 +442,7 @@ def cmd_spectrum(model, sets, matrix_file, param_files, hmat_file, bath_file, dh
     """Eigenvalue / relaxation-rate summary; JSON to stdout."""
     adapter = _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files)
     try:
-        spec = adapter.spectrum(_parse_sets(sets))
+        spec = adapter.spectrum(_parse_sets(sets, adapter.defaults))
     except NhgeoError as exc:
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
@@ -463,7 +485,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         raise click.UsageError("sweep supports models: " + ", ".join(MODELS))
     adapter = MODELS[model]()
     fixed = dict(spec.get("params", {}))
-    fixed.update(_parse_sets(sets))
+    fixed.update(_parse_sets(sets, adapter.defaults))
     axes = list(spec.get("axes", []))
     for a in axes_opt:
         parts = a.split(":")
@@ -478,13 +500,9 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {a['name']!r} not sweepable for {model}")
         if a["name"] in fixed:
             raise click.UsageError(f"axis {a['name']!r} also set as fixed parameter")
-    kinds = [k.strip() for k in (tensors or spec.get("tensors", "zeta")
-                                 if isinstance(spec.get("tensors", "zeta"), str)
-                                 else ",".join(spec.get("tensors"))).split(",") if k.strip()]
-    for k in kinds:
-        if k not in TENSOR_KINDS:
-            raise click.UsageError(f"unknown tensor kind {k!r}")
+    kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"))
     state = state if state is not None else spec.get("state")
+    _state_index(state)  # a malformed state fails once here, not on every point
     mu_reg = mu_reg if mu_reg is not None else float(spec.get("mu_reg", 0.0))
     output = output or spec.get("output")
     if output is None:

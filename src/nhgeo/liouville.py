@@ -35,9 +35,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import as_square, eig_general, solve_sylvester, solve_sylvester_pair
-from .tensors import GeoTensor
-
-_EPS_THIRD = float(np.finfo(float).eps) ** (1.0 / 3.0)
+from .tensors import GeoTensor, _params, central_difference
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,17 @@ def steady_state_gamma(liou: QuadraticLiouvillian) -> MajoranaCorrelation:
         If min Re(x_j) is not strictly positive (kernel not one-dimensional).
     """
     x, _ = rapidities(liou)
+    return MajoranaCorrelation(_ness_gamma(liou, x))
+
+
+def _ness_gamma(liou: QuadraticLiouvillian, x) -> np.ndarray:
+    """Steady-state Gamma, given the rapidities ``x`` of ``liou``."""
     tol = 1e-12 * max(1.0, np.linalg.norm(liou.X, 2))
     if x.real.min() <= tol:
         raise NonUniqueSteadyState(
             f"min Re(rapidity) = {x.real.min():.3e}: steady state not unique"
         )
-    return MajoranaCorrelation(solve_sylvester(liou.X, liou.Y))
+    return solve_sylvester(liou.X, liou.Y)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +163,18 @@ class LiouvillianFamily:
     name: str = ""
 
     def __call__(self, lam) -> QuadraticLiouvillian:
-        return self.func(self._lam(lam))
-
-    def _lam(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (self.num_params,):
-            raise ShapeMismatch(f"expected {self.num_params} parameters")
-        return lam
+        return self.func(_params(lam, self.num_params))
 
     def dxy(self, mu: int, lam):
-        lam = self._lam(lam)
+        lam = _params(lam, self.num_params)
         if self.deriv_func is not None:
             return self.deriv_func(mu, lam)
-        h = _EPS_THIRD * max(1.0, abs(lam[mu]))
-        e = np.zeros(self.num_params)
-        e[mu] = h
-        lp, lm = self(lam + e), self(lam - e)
-        return (lp.X - lm.X) / (2 * h), (lp.Y - lm.Y) / (2 * h)
+
+        def xy(l):  # one family evaluation per stencil point
+            liou = self(l)
+            return np.vstack([liou.X, liou.Y])
+
+        return tuple(np.split(central_difference(xy, lam, mu), 2))
 
 
 def _offdiag_generator(x, U, dX, *, gap_rtol=1e-8):
@@ -189,23 +187,35 @@ def _offdiag_generator(x, U, dX, *, gap_rtol=1e-8):
     Ui = np.linalg.inv(U)
     num = Ui @ dX @ U
     gaps = x[None, :] - x[:, None]
-    scale = max(np.abs(x).max(), 1.0)
-    cscale = max(np.abs(num).max(), 1.0)
-    A = np.zeros_like(num)
-    m = len(x)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if abs(gaps[i, j]) < gap_rtol * scale:
-                if abs(num[i, j]) > gap_rtol * cscale:
-                    raise DegenerateRapidities(
-                        f"rapidities {i},{j} degenerate with coupling "
-                        f"{abs(num[i, j]):.3e}"
-                    )
-                continue
-            A[i, j] = -num[i, j] / gaps[i, j]
-    return A
+    degenerate = np.abs(gaps) < gap_rtol * max(np.abs(x).max(), 1.0)
+    if degenerate.sum() > len(x):  # beyond the diagonal
+        coupled = degenerate & (np.abs(num) > gap_rtol * max(np.abs(num).max(), 1.0))
+        np.fill_diagonal(coupled, False)
+        if coupled.any():
+            i, j = np.argwhere(coupled)[0]
+            raise DegenerateRapidities(
+                f"rapidities {i},{j} degenerate with coupling {abs(num[i, j]):.3e}"
+            )
+    # adding the mask leaves every nondegenerate gap unchanged
+    return np.where(degenerate, 0.0, -num / (gaps + degenerate))
+
+
+def _xcal(x, U, dX) -> np.ndarray:
+    """Transport generator ``Xcal = U A U^-1`` along one direction, ``A`` from
+    :func:`_offdiag_generator`."""
+    return U @ _offdiag_generator(x, U, dX) @ np.linalg.inv(U)
+
+
+def _ness_tensor(dG, Xcal, Gamma) -> np.ndarray:
+    """``1/2 Tr(dG_mu dG_nu) + Tr(Xcal_mu Gamma dG_nu)`` for all direction pairs."""
+    d = len(dG)
+    vals = np.empty((d, d), dtype=complex)
+    for mu in range(d):
+        for nu in range(d):
+            vals[mu, nu] = 0.5 * np.trace(dG[mu] @ dG[nu]) + np.trace(
+                Xcal[mu] @ Gamma @ dG[nu]
+            )
+    return vals
 
 
 def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -> np.ndarray:
@@ -223,13 +233,12 @@ def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -
 
 def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
     """Quadratic-form transport generator (Xcal, Ycal) along one direction."""
-    lam = fam._lam(lam)
+    lam = _params(lam, fam.num_params)
     liou = fam(lam)
     x, U = rapidities(liou)
     dX, dY = fam.dxy(mu_dir, lam)
-    A = _offdiag_generator(x, U, dX)
-    Xcal = U @ A @ np.linalg.inv(U)
-    Gamma = steady_state_gamma(liou).Gamma
+    Xcal = _xcal(x, U, dX)
+    Gamma = _ness_gamma(liou, x)
     dG = steady_state_dgamma(liou, Gamma, dX, dY)
     Ycal = dG + Xcal @ Gamma + Gamma @ Xcal.T
     return AGPQuadratic(mu_dir, Xcal, Ycal)
@@ -237,26 +246,16 @@ def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
 
 def zeta_ness(fam: LiouvillianFamily, lam) -> GeoTensor:
     """Steady-state mixed tensor over all parameter directions."""
-    lam = fam._lam(lam)
+    lam = _params(lam, fam.num_params)
     liou = fam(lam)
     x, U = rapidities(liou)
-    tol = 1e-12 * max(1.0, np.linalg.norm(liou.X, 2))
-    if x.real.min() <= tol:
-        raise NonUniqueSteadyState("steady state not unique in this neighborhood")
-    Gamma = solve_sylvester(liou.X, liou.Y)
-    d = fam.num_params
+    Gamma = _ness_gamma(liou, x)
     dG, Xcal = [], []
-    for mu in range(d):
+    for mu in range(fam.num_params):
         dX, dY = fam.dxy(mu, lam)
         dG.append(steady_state_dgamma(liou, Gamma, dX, dY))
-        Xcal.append(U @ _offdiag_generator(x, U, dX) @ np.linalg.inv(U))
-    vals = np.empty((d, d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            vals[mu, nu] = 0.5 * np.trace(dG[mu] @ dG[nu]) + np.trace(
-                Xcal[mu] @ Gamma @ dG[nu]
-            )
-    return GeoTensor("zeta", "ness", vals, lam, {"n": fam.n})
+        Xcal.append(_xcal(x, U, dX))
+    return GeoTensor("zeta", "ness", _ness_tensor(dG, Xcal, Gamma), lam, {"n": fam.n})
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +297,15 @@ class TranslationInvariantModel:
         dm = self.dm_block(mu, k, lam)
         dmT = self.dm_block(mu, -k, lam)
         if dh is None or dm is None or dmT is None:
-            return _fd_block(lambda l: self.x_block(k, l), mu, lam)
+            return central_difference(lambda l: self.x_block(k, l), lam, mu)
         return 4j * dh + dm + dmT.T
 
     def dy_block(self, mu: int, k: float, lam) -> np.ndarray:
         dm = self.dm_block(mu, k, lam)
         dmT = self.dm_block(mu, -k, lam)
         if dm is None or dmT is None:
-            return _fd_block(lambda l: self.y_block(k, l), mu, lam)
+            return central_difference(lambda l: self.y_block(k, l), lam, mu)
         return -2.0 * (dm - dmT.T)
-
-
-def _fd_block(f, mu, lam):
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    h = _EPS_THIRD * max(1.0, abs(lam[mu]))
-    e = np.zeros(lam.shape)
-    e[mu] = h
-    return (f(lam + e) - f(lam - e)) / (2 * h)
 
 
 def kspace_blocks(model: TranslationInvariantModel, k: float, lam):
@@ -346,20 +337,13 @@ def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
     vals = np.zeros((d, d), dtype=complex)
     for m in range(L):
         k = 2.0 * np.pi * m / L
-        x = model.x_block(k, lam)
-        dec = eig_general(x)
-        xe, U = dec.eigenvalues, dec.right_vectors
+        dec = eig_general(model.x_block(k, lam))
         gk = gamma_k(model, k, lam)
         dgs, xcals = [], []
         for mu in range(d):
             dgs.append(_dgamma_k(model, k, lam, mu, gk))
-            A = _offdiag_generator(xe, U, model.dx_block(mu, k, lam))
-            xcals.append(U @ A @ np.linalg.inv(U))
-        for mu in range(d):
-            for nu in range(d):
-                vals[mu, nu] += 0.5 * np.trace(dgs[mu] @ dgs[nu]) + np.trace(
-                    xcals[mu] @ gk @ dgs[nu]
-                )
+            xcals.append(_xcal(dec.eigenvalues, dec.right_vectors, model.dx_block(mu, k, lam)))
+        vals += _ness_tensor(dgs, xcals, gk)
     return GeoTensor("zeta", "ness", vals, lam, {"L": L, "route": "kspace"})
 
 
@@ -405,13 +389,15 @@ def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFa
 # Gaussian-state closed forms
 # ---------------------------------------------------------------------------
 
-def _gamma_eigenbasis(Gamma):
+def _gamma_eigenbasis(Gamma, *dGammas):
+    """Eigenvalues ``g`` and eigenvectors ``V`` of Gamma, and each of
+    ``dGammas`` in that eigenbasis."""
     Gamma = as_square(Gamma, "Gamma")
     herm_defect = np.abs(Gamma - Gamma.conj().T).max()
     if herm_defect > 1e-8 * max(1.0, np.abs(Gamma).max()):
         raise ShapeMismatch("Gamma must be Hermitian (imaginary antisymmetric)")
     g, V = np.linalg.eigh(Gamma)
-    return g, V
+    return g, V, [V.conj().T @ np.asarray(d, dtype=complex) @ V for d in dGammas]
 
 
 def log_derivative(Gamma, dGamma) -> np.ndarray:
@@ -425,11 +411,10 @@ def log_derivative(Gamma, dGamma) -> np.ndarray:
     PureStateSingular
         If some eigenvalue product g_j g_k reaches 1 (pure-state direction).
     """
-    g, V = _gamma_eigenbasis(Gamma)
+    g, V, (dG,) = _gamma_eigenbasis(Gamma, dGamma)
     den = g[:, None] * g[None, :] - 1.0
     if np.abs(den).min() < 1e-10:
         raise PureStateSingular("correlation spectrum touches a pure-state direction")
-    dG = V.conj().T @ np.asarray(dGamma, dtype=complex) @ V
     return V @ (dG / den) @ V.conj().T
 
 
@@ -439,12 +424,10 @@ def bures_metric(Gamma, dGamma_mu, dGamma_nu) -> float:
     ``(1/8) sum_{jk} (dG_mu)_{jk} (dG_nu)_{kj} / (1 - g_j g_k)`` in the
     eigenbasis of Gamma.
     """
-    g, V = _gamma_eigenbasis(Gamma)
+    g, _, (dGm, dGn) = _gamma_eigenbasis(Gamma, dGamma_mu, dGamma_nu)
     den = 1.0 - g[:, None] * g[None, :]
     if np.abs(den).min() < 1e-10:
         raise PureStateSingular("correlation spectrum touches a pure-state direction")
-    dGm = V.conj().T @ np.asarray(dGamma_mu, dtype=complex) @ V
-    dGn = V.conj().T @ np.asarray(dGamma_nu, dtype=complex) @ V
     return float((0.125 * np.sum(dGm * dGn.T / den)).real)
 
 
@@ -456,10 +439,8 @@ def zeta_tilde_gaussian(Gamma, dGamma_mu, dGamma_nu) -> float:
     This is the printed closed form; see :func:`zeta_tilde_ness_from_gamma`
     for the variant that reproduces ``2^n Tr(d_mu rho d_nu rho)`` exactly.
     """
-    g, V = _gamma_eigenbasis(Gamma)
+    g, _, (dGm, dGn) = _gamma_eigenbasis(Gamma, dGamma_mu, dGamma_nu)
     den = (1.0 + g[:, None] ** 2) * (1.0 + g[None, :] ** 2)
-    dGm = V.conj().T @ np.asarray(dGamma_mu, dtype=complex) @ V
-    dGn = V.conj().T @ np.asarray(dGamma_nu, dtype=complex) @ V
     return float((0.5 * np.sum(dGm * dGn.T / den)).real)
 
 

@@ -49,19 +49,18 @@ from .oracle import (
     third_quant_superops,
 )
 from .ssh import SSHParams, bloch_family, zeta_finite_sum, zeta_summand, zeta_thermodynamic
-from .tensors import OperatorFamily, chi_hermitian, eta_tensor, zeta_limited, zeta_tensor
+from .tensors import (
+    OperatorFamily,
+    central_difference,
+    chi_hermitian,
+    eta_tensor,
+    zeta_limited,
+    zeta_tensor,
+)
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _agree(a, b, tol):
-    """Max deviation scaled against max(1, magnitudes)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    scale = max(1.0, np.abs(a).max(), np.abs(b).max())
-    return float(np.abs(a - b).max() / scale) <= tol, float(np.abs(a - b).max() / scale)
-
 
 def random_hermitian_family(rng, N=8, d=2, gap=4.0, coupling=1.0):
     """Well-gapped Hermitian family, linear in d parameters (analytic derivs)."""
@@ -147,14 +146,6 @@ def brute_ness_rho(fock, famL, baths, lam):
     sup = build_superop(fock, famL(lam).H_mat, baths)
     rho, corr = ness_from_kernel(fock, sup)
     return rho, corr
-
-
-def _fd_rho(fock, famL, baths, lam, mu, h=1e-5):
-    e = np.zeros(len(lam))
-    e[mu] = h
-    rp, _ = brute_ness_rho(fock, famL, baths, np.asarray(lam) + e)
-    rm, _ = brute_ness_rho(fock, famL, baths, np.asarray(lam) - e)
-    return (rp - rm) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +509,15 @@ def check_gaussian_forms(full: bool = True):
             dG.append(steady_state_dgamma(liou, G, dX, dY))
 
         rho, corr = brute_ness_rho(fock, fam, baths, lam)
-        drho = [_fd_rho(fock, fam, baths, lam, mu) for mu in range(2)]
-        dG_brute = []
-        h = 1e-5
-        for mu in range(2):
-            e = np.zeros(2)
-            e[mu] = h
-            _, cp = brute_ness_rho(fock, fam, baths, lam + e)
-            _, cm = brute_ness_rho(fock, fam, baths, lam - e)
-            dG_brute.append((cp.Gamma - cm.Gamma) / (2 * h))
+
+        def rho_at(l):
+            return brute_ness_rho(fock, fam, baths, l)[0]
+
+        def gamma_at(l):
+            return brute_ness_rho(fock, fam, baths, l)[1].Gamma
+
+        drho = [central_difference(rho_at, lam, mu, h=1e-5) for mu in range(2)]
+        dG_brute = [central_difference(gamma_at, lam, mu, h=1e-5) for mu in range(2)]
 
         # density-matrix side: symmetric logarithmic derivative kernels
         p, V = np.linalg.eigh(rho)

@@ -76,6 +76,35 @@ class TestTensorCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--model", "nh-ssh", "--set", "L=abc"],
+        ["--model", "nh-ssh", "--set", "L=64.0"],
+        ["--model", "nh-ssh", "--set", "t=abc"],
+        ["--model", "nh-ssh", "--set", "detla=0.5"],
+        ["--model", "kitaev-dissipative", "--set", "weak_coupling=on"],
+        ["--model", "nh-ssh", "--state", "abc"],
+    ])
+    def test_malformed_set_or_state_exit_2(self, runner, args):
+        result = runner.invoke(main, ["tensor", *args, "--tensors", "zeta"])
+        assert result.exit_code == 2, result.output
+
+    def test_matrix_file_rejects_any_set(self, runner, tmp_path):
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.eye(2))
+        result = runner.invoke(main, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--set", "t=1"])
+        assert result.exit_code == 2
+
+    def test_state_out_of_range_exit_3(self, runner, tmp_path):
+        save_matrix(tmp_path / "K.json", np.diag([0.0, 1.0, 2.0, 3.0]))
+        save_matrix(tmp_path / "d.json", np.ones((4, 4)))
+        result = runner.invoke(main, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--tensors", "chi", "--state", "9"])
+        assert result.exit_code == 3
+        assert "ShapeMismatch" in result.output
+
     def test_numerical_failure_exit_3(self, runner):
         result = runner.invoke(
             main,
@@ -190,6 +219,12 @@ class TestSweepCommand:
         payload = json.loads((tmp_path / "scan.json").read_text())
         assert payload["columns"][0] == "t"
         assert len(payload["rows"]) == 9
+        assert payload["meta"]["tensors"] == ["zeta"]
+        # the flag overrides the config's tensor list
+        run_ok(runner, ["sweep", "--config", str(tmp_path / "cfg.json"), "--tensors", "eta"])
+        payload = json.loads((tmp_path / "scan.json").read_text())
+        assert payload["meta"]["tensors"] == ["eta"]
+        assert payload["columns"][1] == "eta_tt_re"
 
     def test_cli_set_overrides_config(self, runner, tmp_path):
         cfg = {

@@ -153,6 +153,20 @@ class TestAgpQuadratic:
         with pytest.raises(DegenerateRapidities):
             agp_quadratic(fam, [0.0], 0)
 
+    def test_uncoupled_degenerate_pair_tolerated(self, rng):
+        # rapidities 0 and 1 coincide but dX does not couple them: their
+        # entries are zero, the rest equal the spectral formula entry by entry
+        x = np.array([1.0, 1.0, 2.5, 0.5 + 1j])
+        dX = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        dX[0, 1] = dX[1, 0] = 0.0
+        A = liouville_mod._offdiag_generator(x, np.eye(4, dtype=complex), dX)
+        ref = np.zeros((4, 4), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                if x[i] != x[j]:
+                    ref[i, j] = -dX[i, j] / (x[j] - x[i])
+        assert np.array_equal(A, ref)
+
 
 class TestZetaNess:
     def test_constant_correlation_zero(self):

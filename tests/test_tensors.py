@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from nhgeo.errors import ContinuationAmbiguous, DegenerateSpectrum, NotHermitian
+from nhgeo.errors import ContinuationAmbiguous, DegenerateSpectrum, NotHermitian, ShapeMismatch
 from nhgeo.tensors import (
     OperatorFamily,
+    _match,
     agp_elements,
     agp_residual,
     berry_connection,
+    central_difference,
     chi_hermitian,
     eta_tensor,
     projector_deformation,
@@ -45,6 +47,30 @@ class TestOperatorFamily:
         bare = OperatorFamily(2, 1, qubit.func)
         lam = np.array([0.4])
         assert maxdev(bare.derivative(0, lam), qubit.derivative(0, lam)) < 1e-9
+
+
+class TestCentralDifference:
+    @pytest.mark.parametrize("lam_mu", [0.3, -40.0])
+    def test_default_step(self, lam_mu):
+        points = []
+
+        def f(lam):
+            points.append(lam)
+            return lam
+
+        lam = np.array([7.0, lam_mu])
+        central_difference(f, lam, 1)
+        h = np.finfo(float).eps ** (1 / 3) * max(1.0, abs(lam_mu))
+        assert points[0][1] - lam_mu == pytest.approx(h, rel=1e-9)
+        assert points[1][1] - lam_mu == pytest.approx(-h, rel=1e-9)
+        assert points[0][0] == points[1][0] == 7.0
+
+    def test_richardson_lowers_error(self):
+        lam = np.array([0.8])
+        exact = np.cos(0.8)
+        plain = central_difference(np.sin, lam, 0, h=1e-2)
+        refined = central_difference(np.sin, lam, 0, h=1e-2, richardson=True)
+        assert abs(refined - exact) < 1e-3 * abs(plain - exact)
 
 
 class TestChiHermitian:
@@ -172,8 +198,11 @@ class TestZetaRoutes:
         assert maxdev(z_ov, z_pr) <= 1e-8 * np.abs(z_ov).max()
 
     def test_unknown_route_rejected(self, nh6):
+        calls = []
+        fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l))
         with pytest.raises(ValueError):
-            zeta_tensor(nh6, [0.0, 0.0], 0, route="nope")
+            zeta_tensor(fam, [0.0, 0.0], 0, route="nope")
+        assert calls == []  # rejected before any family evaluation
 
     def test_sum_rule_generator_norm(self, rng):
         from nhgeo.biortho import build_biortho
@@ -262,14 +291,20 @@ class TestContinuation:
         # stencil eigenbasis equally mixes all center states: no overlap
         # reaches the matching threshold
         from nhgeo.biortho import build_biortho
-        from nhgeo.tensors import _matched_system
 
         d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
         sys0 = build_biortho(d, warn_degenerate=False)
         F = np.fft.fft(np.eye(5)) / np.sqrt(5)
         sysp = build_biortho(F @ d @ F.conj().T, warn_degenerate=False)
-        with pytest.raises(ContinuationAmbiguous):
-            _matched_system(sys0, sysp, [0, 1, 2, 3, 4], None)
+        with pytest.raises(ContinuationAmbiguous, match="below"):
+            _match(sys0.left, sysp.right, [0, 1, 2, 3, 4])
+
+    def test_two_states_one_column_detected(self):
+        # states 0 and 1 both overlap column 0 by 1/sqrt(2), above threshold
+        right = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], dtype=complex)
+        right /= np.linalg.norm(right, axis=0)
+        with pytest.raises(ContinuationAmbiguous, match="states 0 and 1 both match"):
+            _match(np.eye(3, dtype=complex), right, [0, 1, 2])
 
     def test_richardson_refinement_improves(self, qubit):
         coarse = chi_hermitian(qubit, [0.3], 0, h=1e-3)
@@ -277,3 +312,28 @@ class TestContinuation:
         err_c = abs(coarse.values[0, 0] - 0.25)
         err_f = abs(fine.values[0, 0] - 0.25)
         assert err_f < err_c
+
+
+def _bad_state_calls():
+    """(name, call(fam, n)) for every entry point that takes a state index."""
+    lam = [0.01, -0.02]
+    return [
+        ("chi", lambda f, n: chi_hermitian(f, lam, n)),
+        ("eta", lambda f, n: eta_tensor(f, lam, n)),
+        ("zeta-overlap", lambda f, n: zeta_tensor(f, lam, n)),
+        ("zeta-projector", lambda f, n: zeta_tensor(f, lam, n, route="projector")),
+        ("zeta-agp", lambda f, n: zeta_tensor(f, lam, n, route="agp")),
+        ("zeta_limited", lambda f, n: zeta_limited(f, lam, n)),
+        ("berry", lambda f, n: berry_connection(f, lam, n, 0)),
+        ("projector", lambda f, n: projector_deformation(f, lam, n, 0)),
+        ("projector_fd", lambda f, n: projector_fd(f, lam, n, 0)),
+    ]
+
+
+@pytest.mark.parametrize("n", [-1, 4])
+@pytest.mark.parametrize("call", [c for _, c in _bad_state_calls()],
+                         ids=[name for name, _ in _bad_state_calls()])
+def test_state_index_out_of_range(rng, n, call):
+    fam = random_hermitian_family(rng, N=4)
+    with pytest.raises(ShapeMismatch, match="state index"):
+        call(fam, n)
