@@ -65,7 +65,7 @@ class SSHAdapter:
 
     def params(self, values: dict) -> SSHParams:
         p = {**self.defaults, **values}
-        return SSHParams(float(p["t"]), float(p["delta"]), int(p["L"]))
+        return _checked(lambda: SSHParams(float(p["t"]), float(p["delta"]), int(p["L"])))
 
     def tensors(self, values, kinds, state, mu_reg) -> dict:
         p = self.params(values)
@@ -114,11 +114,11 @@ class KitaevAdapter:
 
     def params(self, values: dict) -> KitaevParams:
         p = {**self.defaults, **values}
-        return KitaevParams(
+        return _checked(lambda: KitaevParams(
             float(p["h"]), float(p["gamma"]), float(p["g"]),
             float(p["mu_plus"]), float(p["mu_minus"]), int(p["L"]),
             bool(p["weak_coupling"]),
-        )
+        ))
 
     def tensors(self, values, kinds, state, mu_reg) -> dict:
         p = self.params(values)
@@ -306,6 +306,27 @@ class MatrixFamilyAdapter:
 MODELS = {"nh-ssh": SSHAdapter, "kitaev-dissipative": KitaevAdapter}
 
 
+def _checked(make):
+    """``make()``, reporting an invalid parameter value as a usage error (exit 2)."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid parameters: {exc}") from None
+
+
+def _thread_count(threads) -> int:
+    """``--threads``, else ``NHGEO_THREADS``, else 1 (serial); each must be >= 1."""
+    if threads is None:
+        raw = os.environ.get("NHGEO_THREADS", "").strip() or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise click.UsageError(f"NHGEO_THREADS={raw!r} is not an integer") from None
+    if threads < 1:
+        raise click.UsageError(f"thread count must be >= 1, got {threads}")
+    return threads
+
+
 def _c(z) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -473,7 +494,7 @@ def _fmt(x: float) -> str:
 @click.option("--output", default=None, type=click.Path())
 @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]))
 @click.option("--threads", default=None, type=int,
-              help="worker threads (default NHGEO_THREADS or core count)")
+              help="worker threads (default NHGEO_THREADS, else 1: serial)")
 def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt, threads):
     """Grid sweep over one or two named parameters; deterministic CSV/JSON."""
     spec = {}
@@ -508,6 +529,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     if output is None:
         raise click.UsageError("sweep needs --output (or 'output' in the config)")
     fmt = fmt or spec.get("format", "csv")
+    nthreads = _thread_count(threads)
 
     grids = [_axis_points(a) for a in axes]
     names = [a["name"] for a in axes]
@@ -525,10 +547,17 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
                 columns.append(f"{kind}_{a}{b}_im")
     columns.append("status")
 
-    def evaluate(idx):
+    def point_values(idx):
         values = dict(fixed)
         for name, grid, i in zip(names, grids, idx):
             values[name] = float(grid[i])
+        return values
+
+    for idx in points:  # an invalid grid point fails once here, before any evaluation
+        adapter.params(point_values(idx))
+
+    def evaluate(idx):
+        values = point_values(idx)
         row = [float(grid[i]) for grid, i in zip(grids, idx)]
         try:
             mats = adapter.tensors(values, kinds, state, mu_reg)
@@ -543,7 +572,6 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             row.append(type(exc).__name__)
         return row
 
-    nthreads = threads or int(os.environ.get("NHGEO_THREADS", "0")) or (os.cpu_count() or 1)
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             rows = list(pool.map(evaluate, points))

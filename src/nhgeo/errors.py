@@ -7,7 +7,13 @@ instead of aborting.
 
 
 class NhgeoError(Exception):
-    """Base class for all numerical / model errors raised by this package."""
+    """Base class for all numerical / model errors raised by this package.
+
+    ``block`` is the flat index of the first failing block when the error
+    comes from a blockwise check on a stack of matrices, else None.
+    """
+
+    block = None
 
 
 class NonConvergence(NhgeoError):

@@ -110,29 +110,85 @@ def inverse(A) -> np.ndarray:
         raise SingularMatrix(str(exc)) from exc
 
 
-def _eig_2x2(A: np.ndarray):
-    """Closed-form eigendecomposition of a 2x2 matrix with distinct eigenvalues.
+def _raise_first(bad, exc_type, message):
+    """Raise ``exc_type`` for the first block flagged in the mask ``bad``.
 
-    Eigenvalues come from the trace/determinant quadratic, which avoids the
-    catastrophic cancellation the iterative solver introduces in nearly
-    trace-degenerate pencil sums.
+    ``bad`` has one entry per block of a stack (shape ``()`` for a single
+    matrix); ``message(i)`` describes the block of flat index ``i``.  For a
+    stack the error names that block and carries its index as ``exc.block``.
     """
-    tr = A[0, 0] + A[1, 1]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = exc_type(message(i) if bad.ndim == 0 else f"block {i}: {message(i)}")
+        exc.block = i
+        raise exc
+
+
+def _norm2_2x2(A) -> np.ndarray:
+    """Spectral norm of each 2x2 block of ``A (..., 2, 2)``, in closed form.
+
+    With ``f = s1^2 + s2^2`` (Frobenius) and ``d = s1 s2 = |det A|``:
+    ``s1 = (sqrt(f + 2d) + sqrt(f - 2d)) / 2``.
+    """
+    f = (A.real ** 2 + A.imag ** 2).sum(axis=(-2, -1))
+    d = np.abs(A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0])
+    return (np.sqrt(f + 2 * d) + np.sqrt(np.maximum(f - 2 * d, 0.0))) / 2
+
+
+def _eig_2x2(A: np.ndarray):
+    """Closed-form eigendecomposition of 2x2 matrices with distinct eigenvalues.
+
+    ``A`` is one 2x2 matrix or a stack of shape ``(..., 2, 2)``; every test
+    below is made per block.  Eigenvalues come from the trace/determinant
+    quadratic, which avoids the catastrophic cancellation the iterative
+    solver introduces in nearly trace-degenerate pencil sums.  The pairs
+    keep the contract of :func:`eig_general`: non-finite blocks raise
+    ``ShapeMismatch`` and a residual above ``1e-10 * ||A||`` raises
+    ``NonConvergence``.
+    """
+    A = np.asarray(A, dtype=complex)
+    stack = A.shape[:-2]
+    A = A.reshape(-1, 2, 2)  # one code path: a single block is a stack of one
+
+    def check(bad, exc_type, message):
+        _raise_first(bad.reshape(stack), exc_type, message)
+
+    check(~np.isfinite(A).all(axis=(-2, -1)), ShapeMismatch,
+          lambda i: "2x2 block has non-finite entries")
+    tr = A[:, 0, 0] + A[:, 1, 1]
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
     disc = np.sqrt(tr * tr - 4 * det)
     a1 = (tr - disc) / 2
     a2 = (tr + disc) / 2
-    if abs(a1 - a2) < 1e-14 * max(1.0, abs(a1) + abs(a2)):
-        raise SingularPencil("2x2 block has (near-)degenerate eigenvalues")
-    vecs = []
-    for lam_other in (a2, a1):
-        B = A - lam_other * np.eye(2)
-        # a nonzero column of (A - other*I) spans the eigenvector
-        c0, c1 = B[:, 0], B[:, 1]
-        v = c0 if np.linalg.norm(c0) >= np.linalg.norm(c1) else c1
-        vecs.append(v / np.linalg.norm(v))
-    U = np.column_stack(vecs)
-    return np.array([a1, a2]), U
+    check(np.abs(a1 - a2) < 1e-14 * np.maximum(1.0, np.abs(a1) + np.abs(a2)),
+          SingularPencil, lambda i: "2x2 block has (near-)degenerate eigenvalues")
+    w = np.stack([a1, a2], axis=-1)
+    # a nonzero column of (A - other*I) spans each eigenvector
+    B = A[:, None] - w[:, ::-1, None, None] * np.eye(2)
+    n = np.linalg.norm(B, axis=-2)
+    U = np.where(n[..., :1] >= n[..., 1:], B[..., :, 0], B[..., :, 1])
+    U = np.swapaxes(U / np.maximum(n[..., :1], n[..., 1:]), -1, -2)
+    scale = _norm2_2x2(A)
+    resid = np.linalg.norm(A @ U - U * w[:, None, :], axis=-2).max(axis=-1)
+    # written so that a NaN residual (overflow in the quadratic) fails too
+    check(~(resid <= 1e-10 * scale), NonConvergence,
+          lambda i: f"eigenpair residual {resid[i]:.3e} exceeds 1e-10*||A||")
+    return w.reshape(stack + (2,)), U.reshape(stack + (2, 2))
+
+
+def _pencil(a, Ua, Uai, b, Ub, Ubi, tol):
+    """Solver of ``A G + G B = Y`` from ``A = Ua diag(a) Uai``, ``B = Ub diag(b) Ubi``.
+
+    Stacks of decompositions solve blockwise.  The pencil ``a_i + b_j`` is
+    checked once, per block against ``tol``; the returned function then maps
+    any right-hand side (stack) to its solution.
+    """
+    denom = a[..., :, None] + b[..., None, :]
+    small = np.abs(denom).min(axis=(-2, -1))
+    _raise_first(small < tol, SingularPencil,
+                 lambda i: f"min |a_i + b_j| = {np.ravel(small)[i]:.3e} below tolerance")
+    return lambda Y: Ua @ ((Uai @ Y @ Ub) / denom) @ Ubi
 
 
 def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
@@ -163,16 +219,8 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
             raise NearDefective("coefficient matrix near defective")
         a, Ua = da.eigenvalues, da.right_vectors
         b, Ub = db.eigenvalues, db.right_vectors
-    denom = a[:, None] + b[None, :]
     scale = max(np.linalg.norm(A, 2), np.linalg.norm(B, 2), 1.0)
-    if np.abs(denom).min() < pencil_tol * scale:
-        raise SingularPencil(
-            f"min |a_i + b_j| = {np.abs(denom).min():.3e} below tolerance"
-        )
-    Uai = np.linalg.inv(Ua)
-    Ubi = np.linalg.inv(Ub)
-    G = (Uai @ Y @ Ub) / denom
-    return Ua @ G @ Ubi
+    return _pencil(a, Ua, np.linalg.inv(Ua), b, Ub, np.linalg.inv(Ub), pencil_tol * scale)(Y)
 
 
 def solve_sylvester(X, Y) -> np.ndarray:

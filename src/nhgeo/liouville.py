@@ -30,11 +30,21 @@ from .errors import (
     BadBath,
     BadHamiltonian,
     DegenerateRapidities,
+    NhgeoError,
     NonUniqueSteadyState,
     PureStateSingular,
     ShapeMismatch,
 )
-from .linalg import as_square, eig_general, solve_sylvester, solve_sylvester_pair
+from .linalg import (
+    _eig_2x2,
+    _norm2_2x2,
+    _pencil,
+    _raise_first,
+    as_square,
+    eig_general,
+    solve_sylvester,
+    solve_sylvester_pair,
+)
 from .tensors import GeoTensor, _params, central_difference
 
 
@@ -177,45 +187,54 @@ class LiouvillianFamily:
         return tuple(np.split(central_difference(xy, lam, mu), 2))
 
 
-def _offdiag_generator(x, U, dX, *, gap_rtol=1e-8):
+def _offdiag_generator(x, U, dX, *, gap_rtol=1e-8, Ui=None):
     """Off-diagonal part of (dU^-1) U from the spectral formula.
 
     Entry (i, j) is ``-(U^-1 dX U)_{ij} / (x_j - x_i)``.  Degenerate pairs
     are tolerated when the coupling element vanishes (symmetry-decoupled
-    sectors); a coupled degenerate pair raises.
+    sectors); a coupled degenerate pair raises.  Stacks ``x (..., n)``,
+    ``U, dX (..., n, n)`` are handled blockwise: the gap tolerance scales
+    with ``max(|x|, 1)`` and the coupling tolerance with ``max(|num|, 1)`` of
+    each block.  ``Ui`` is ``U^-1`` when the caller has it.
     """
-    Ui = np.linalg.inv(U)
-    num = Ui @ dX @ U
-    gaps = x[None, :] - x[:, None]
-    degenerate = np.abs(gaps) < gap_rtol * max(np.abs(x).max(), 1.0)
-    if degenerate.sum() > len(x):  # beyond the diagonal
-        coupled = degenerate & (np.abs(num) > gap_rtol * max(np.abs(num).max(), 1.0))
-        np.fill_diagonal(coupled, False)
-        if coupled.any():
-            i, j = np.argwhere(coupled)[0]
-            raise DegenerateRapidities(
-                f"rapidities {i},{j} degenerate with coupling {abs(num[i, j]):.3e}"
-            )
+    n = x.shape[-1]
+    num = (np.linalg.inv(U) if Ui is None else Ui) @ dX @ U
+    gaps = x[..., None, :] - x[..., :, None]
+    degenerate = np.abs(gaps) < gap_rtol * np.maximum(
+        np.abs(x).max(axis=-1), 1.0)[..., None, None]
+    off = degenerate & ~np.eye(n, dtype=bool)
+    if off.any():
+        scale = np.maximum(np.abs(num).max(axis=(-2, -1)), 1.0)[..., None, None]
+        coupled = off & (np.abs(num) > gap_rtol * scale)
+        blocks_c, blocks_n = coupled.reshape(-1, n, n), num.reshape(-1, n, n)
+
+        def message(b):
+            i, j = np.argwhere(blocks_c[b])[0]
+            return f"rapidities {i},{j} degenerate with coupling {abs(blocks_n[b, i, j]):.3e}"
+
+        _raise_first(coupled.any(axis=(-2, -1)), DegenerateRapidities, message)
     # adding the mask leaves every nondegenerate gap unchanged
     return np.where(degenerate, 0.0, -num / (gaps + degenerate))
 
 
-def _xcal(x, U, dX) -> np.ndarray:
+def _xcal(x, U, dX, Ui=None) -> np.ndarray:
     """Transport generator ``Xcal = U A U^-1`` along one direction, ``A`` from
-    :func:`_offdiag_generator`."""
-    return U @ _offdiag_generator(x, U, dX) @ np.linalg.inv(U)
+    :func:`_offdiag_generator`; blockwise on stacks."""
+    Ui = np.linalg.inv(U) if Ui is None else Ui
+    return U @ _offdiag_generator(x, U, dX, Ui=Ui) @ Ui
 
 
 def _ness_tensor(dG, Xcal, Gamma) -> np.ndarray:
-    """``1/2 Tr(dG_mu dG_nu) + Tr(Xcal_mu Gamma dG_nu)`` for all direction pairs."""
-    d = len(dG)
-    vals = np.empty((d, d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            vals[mu, nu] = 0.5 * np.trace(dG[mu] @ dG[nu]) + np.trace(
-                Xcal[mu] @ Gamma @ dG[nu]
-            )
-    return vals
+    """``1/2 Tr(dG_mu dG_nu) + Tr(Xcal_mu Gamma dG_nu)`` for all direction pairs.
+
+    ``dG[mu]``, ``Xcal[mu]`` and ``Gamma`` may be stacks ``(..., n, n)``; the
+    traces are then summed over all blocks.
+    """
+    n = Gamma.shape[-1]
+    shape = (len(dG), Gamma.size // (n * n), n, n)
+    dG = np.reshape(dG, shape)
+    XG = np.reshape(Xcal, shape) @ np.reshape(Gamma, shape[1:])
+    return np.einsum("akij,bkji->ab", 0.5 * dG + XG, dG)
 
 
 def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -> np.ndarray:
@@ -262,11 +281,28 @@ def zeta_ness(fam: LiouvillianFamily, lam) -> GeoTensor:
 # translation-invariant (momentum block) variant
 # ---------------------------------------------------------------------------
 
+def _chain_length(L) -> int:
+    """``L`` as a number of unit cells: an integer >= 1, else ShapeMismatch."""
+    if isinstance(L, (bool, np.bool_)) or not isinstance(L, (int, np.integer)) or L < 1:
+        raise ShapeMismatch(f"L must be an integer >= 1, got {L!r}")
+    return int(L)
+
+
+def _over_k(k, block) -> np.ndarray:
+    """``block`` broadcast over the stack axes of ``k``: an ``(L, 1, 1)``
+    column gives ``(L, b, b)``, a scalar ``k`` leaves a single block."""
+    shape = np.shape(k)[:-2] + np.shape(block)[-2:]
+    return block if np.shape(block) == shape else np.broadcast_to(block, shape).copy()
+
+
 class TranslationInvariantModel:
     """Two-band translation-invariant model defined by momentum blocks.
 
     Subclasses / instances provide ``h_block(k, lam)`` and ``m_block(k, lam)``
     (2x2) plus optional analytic derivatives ``dh_block`` and ``dm_block``.
+    Block methods must broadcast over ``k``: given a column of momenta of
+    shape ``(L, 1, 1)`` they return an ``(L, 2, 2)`` stack or, for a block
+    that does not depend on ``k``, a single 2x2 block.
     """
 
     num_params = 0
@@ -284,28 +320,30 @@ class TranslationInvariantModel:
     def dm_block(self, mu: int, k: float, lam):
         return None
 
-    # -- derived quantities ------------------------------------------------
+    # -- derived quantities (one block, or a stack over a k column) ----------
 
-    def x_block(self, k: float, lam) -> np.ndarray:
-        return 4j * self.h_block(k, lam) + self.m_block(k, lam) + self.m_block(-k, lam).T
+    def x_block(self, k, lam) -> np.ndarray:
+        mT = np.swapaxes(self.m_block(-k, lam), -1, -2)
+        return _over_k(k, 4j * self.h_block(k, lam) + self.m_block(k, lam) + mT)
 
-    def y_block(self, k: float, lam) -> np.ndarray:
-        return -2.0 * (self.m_block(k, lam) - self.m_block(-k, lam).T)
+    def y_block(self, k, lam) -> np.ndarray:
+        mT = np.swapaxes(self.m_block(-k, lam), -1, -2)
+        return _over_k(k, -2.0 * (self.m_block(k, lam) - mT))
 
-    def dx_block(self, mu: int, k: float, lam) -> np.ndarray:
+    def dx_block(self, mu: int, k, lam) -> np.ndarray:
         dh = self.dh_block(mu, k, lam)
         dm = self.dm_block(mu, k, lam)
         dmT = self.dm_block(mu, -k, lam)
         if dh is None or dm is None or dmT is None:
             return central_difference(lambda l: self.x_block(k, l), lam, mu)
-        return 4j * dh + dm + dmT.T
+        return _over_k(k, 4j * dh + dm + np.swapaxes(dmT, -1, -2))
 
-    def dy_block(self, mu: int, k: float, lam) -> np.ndarray:
+    def dy_block(self, mu: int, k, lam) -> np.ndarray:
         dm = self.dm_block(mu, k, lam)
         dmT = self.dm_block(mu, -k, lam)
         if dm is None or dmT is None:
             return central_difference(lambda l: self.y_block(k, l), lam, mu)
-        return -2.0 * (dm - dmT.T)
+        return _over_k(k, -2.0 * (dm - np.swapaxes(dmT, -1, -2)))
 
 
 def kspace_blocks(model: TranslationInvariantModel, k: float, lam):
@@ -316,58 +354,75 @@ def kspace_blocks(model: TranslationInvariantModel, k: float, lam):
 def gamma_k(model: TranslationInvariantModel, k: float, lam) -> np.ndarray:
     """Momentum-block correlation: solves x(k) g + g x(-k)^T = y(k)."""
     x = model.x_block(k, lam)
-    xmT = model.x_block(-k, lam).T
+    xmT = np.swapaxes(model.x_block(-k, lam), -1, -2)
     return solve_sylvester_pair(x, xmT, model.y_block(k, lam))
 
 
-def _dgamma_k(model, k, lam, mu, gk):
-    dx = model.dx_block(mu, k, lam)
-    dxmT = model.dx_block(mu, -k, lam).T
-    dy = model.dy_block(mu, k, lam)
-    rhs = dy - dx @ gk - gk @ dxmT
-    return solve_sylvester_pair(
-        model.x_block(k, lam), model.x_block(-k, lam).T, rhs
-    )
-
-
 def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
-    """Steady-state tensor as a Brillouin-zone sum of per-block traces."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    d = model.num_params
-    vals = np.zeros((d, d), dtype=complex)
-    for m in range(L):
-        k = 2.0 * np.pi * m / L
-        dec = eig_general(model.x_block(k, lam))
-        gk = gamma_k(model, k, lam)
-        dgs, xcals = [], []
-        for mu in range(d):
-            dgs.append(_dgamma_k(model, k, lam, mu, gk))
-            xcals.append(_xcal(dec.eigenvalues, dec.right_vectors, model.dx_block(mu, k, lam)))
-        vals += _ness_tensor(dgs, xcals, gk)
+    """Steady-state tensor as a Brillouin-zone sum of per-block traces.
+
+    All L momentum blocks are evaluated and solved as one ``(L, 2, 2)``
+    stack; see :func:`_ness_k_sum`.
+    """
+    lam = _params(lam, model.num_params)
+    L = _chain_length(L)
+    vals = _ness_k_sum(model, lam, 2.0 * np.pi * np.arange(L) / L)
     return GeoTensor("zeta", "ness", vals, lam, {"L": L, "route": "kspace"})
+
+
+def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
+    """Sum over the momenta ``ks`` of the per-block steady-state tensor.
+
+    x(k) and x(-k)^T are decomposed once, in closed form; the pairs serve
+    the pencil solves for Gamma(k) and every dGamma_mu(k) as well as every
+    Xcal_mu(k).  Each check is made per block.  When blocks fail, the error
+    is that of the lowest failing k in the order a loop over k would check
+    them: a failure at block ``b`` is raised only after the blocks before
+    ``b`` have passed every check.
+    """
+    kc = ks[:, None, None]
+    try:
+        x = model.x_block(kc, lam)
+        xmT = np.swapaxes(model.x_block(-kc, lam), -1, -2)
+        a, Ua = _eig_2x2(x)
+        b, Ub = _eig_2x2(xmT)
+        Uai = np.linalg.inv(Ua)
+        scale = np.maximum(np.maximum(_norm2_2x2(x), _norm2_2x2(xmT)), 1.0)
+        solve = _pencil(a, Ua, Uai, b, Ub, np.linalg.inv(Ub), 1e-12 * scale)
+        gk = solve(model.y_block(kc, lam))
+        dgs, xcals = [], []
+        for mu in range(model.num_params):
+            dx = model.dx_block(mu, kc, lam)
+            dxmT = np.swapaxes(model.dx_block(mu, -kc, lam), -1, -2)
+            dgs.append(solve(model.dy_block(mu, kc, lam) - dx @ gk - gk @ dxmT))
+            xcals.append(_xcal(a, Ua, dx, Uai))
+    except NhgeoError as exc:
+        if exc.block:  # the blocks before it may fail a later check
+            _ness_k_sum(model, lam, ks[:exc.block])
+        raise
+    return _ness_tensor(dgs, xcals, gk)
 
 
 def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> QuadraticLiouvillian:
     """Build the length-L real-space Liouvillian from the momentum blocks.
 
     Blocks are Fourier-assembled site-major:
-    ``A[(j, a), (r, b)] = (1/L) sum_k e^{i k (j - r)} block(k)_{ab}``.
+    ``A[(j, a), (r, b)] = (1/L) sum_k e^{i k (j - r)} block(k)_{ab}``,
+    that is, one inverse FFT over k gives ``c[n]`` and the circulant
+    ``A[j, r] = c[(j - r) mod L]``.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    b = model.bands
-    dim = b * L
-    H = np.zeros((dim, dim), dtype=complex)
-    M = np.zeros((dim, dim), dtype=complex)
-    ks = 2.0 * np.pi * np.arange(L) / L
-    hks = [model.h_block(k, lam) for k in ks]
-    mks = [model.m_block(k, lam) for k in ks]
-    for j in range(L):
-        for r in range(L):
-            ph = np.exp(1j * ks * (j - r))
-            hjr = sum(p * blk for p, blk in zip(ph, hks)) / L
-            mjr = sum(p * blk for p, blk in zip(ph, mks)) / L
-            H[b * j : b * j + b, b * r : b * r + b] = hjr
-            M[b * j : b * j + b, b * r : b * r + b] = mjr
+    lam = _params(lam, model.num_params)
+    L = _chain_length(L)
+    dim = model.bands * L
+    kc = (2.0 * np.pi * np.arange(L) / L)[:, None, None]
+    shift = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
+
+    def real_space(block):
+        c = np.fft.ifft(_over_k(kc, block), axis=0)
+        return c[shift].transpose(0, 2, 1, 3).reshape(dim, dim)
+
+    H = real_space(model.h_block(kc, lam))
+    M = real_space(model.m_block(kc, lam))
     # project out Fourier round-off so validation sees clean structure
     H = (H - H.T) / 2
     H = (H + H.conj().T) / 2
@@ -377,6 +432,7 @@ def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> Quadra
 
 def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFamily:
     """Real-space LiouvillianFamily wrapping :func:`assemble_real_space`."""
+    L = _chain_length(L)
     return LiouvillianFamily(
         n=model.bands * L // 2,
         num_params=model.num_params,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nhgeo.cli as cli_mod
 from nhgeo.cli import main
 from nhgeo.linalg import save_matrix
 
@@ -87,6 +88,16 @@ class TestTensorCommand:
     def test_malformed_set_or_state_exit_2(self, runner, args):
         result = runner.invoke(main, ["tensor", *args, "--tensors", "zeta"])
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "nh-ssh", "--set", "L=0"],
+        ["--model", "kitaev-dissipative", "--set", "mu_plus=-1"],
+        ["--model", "kitaev-dissipative", "--set", "L=0"],
+    ])
+    def test_invalid_parameter_value_exit_2(self, runner, args):
+        result = runner.invoke(main, ["tensor", *args, "--tensors", "zeta"])
+        assert result.exit_code == 2, result.output
+        assert "invalid parameters" in result.output
 
     def test_matrix_file_rejects_any_set(self, runner, tmp_path):
         save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
@@ -248,6 +259,52 @@ class TestSweepCommand:
         monkeypatch.delenv("NHGEO_THREADS")
         run_ok(runner, base + ["--output", str(b), "--threads", "1"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_serial_by_default(self, runner, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(cli_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.delenv("NHGEO_THREADS", raising=False)
+        base = ["sweep", "--model", "nh-ssh", "--set", "delta=0.3", "--set", "L=16",
+                "--axis", "t:0:1:4", "--tensors", "zeta"]
+        run_ok(runner, base + ["--output", str(tmp_path / "serial.csv")])
+        assert pools == []
+        run_ok(runner, base + ["--output", str(tmp_path / "pool.csv"), "--threads", "2"])
+        assert pools == [2]
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+
+    @pytest.mark.parametrize("env, flag", [
+        ("abc", []), ("0", []), (None, ["--threads", "-4"]), (None, ["--threads", "0"]),
+    ])
+    def test_invalid_thread_count_exit_2(self, runner, tmp_path, monkeypatch, env, flag):
+        if env is None:
+            monkeypatch.delenv("NHGEO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NHGEO_THREADS", env)
+        result = runner.invoke(main, [
+            "sweep", "--model", "nh-ssh", "--set", "L=16", "--axis", "t:0:1:3",
+            "--output", str(tmp_path / "x.csv"), *flag])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_axis_into_invalid_region_exit_2(self, runner, tmp_path, monkeypatch):
+        # the last grid point has mu_minus < 0: rejected before any evaluation
+        calls = []
+        monkeypatch.setattr(cli_mod.KitaevAdapter, "tensors",
+                            lambda self, *args: calls.append(args))
+        result = runner.invoke(main, [
+            "sweep", "--model", "kitaev-dissipative", "--set", "L=8",
+            "--axis", "mu_minus:1:-0.5:4", "--threads", "2",
+            "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert "bath amplitudes" in result.output
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
 
     def test_zero_step_axis_exit_2(self, runner, tmp_path):
         result = runner.invoke(

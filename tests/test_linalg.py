@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhgeo.errors import ShapeMismatch, SingularMatrix, SingularPencil
+from nhgeo.errors import NonConvergence, ShapeMismatch, SingularMatrix, SingularPencil
 from nhgeo.linalg import (
+    _eig_2x2,
+    _pencil,
     eig_general,
     inverse,
     matrix_from_json,
@@ -136,6 +138,91 @@ class TestSylvester:
         Y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         G = solve_sylvester_pair(A, B, Y)
         assert np.linalg.norm(A @ G + G @ B - Y) <= 1e-12 * np.linalg.norm(Y)
+
+
+def mixed_stack(rng):
+    """A block of norm ~1e10 beside small blocks, one with eigenvalues 1 and
+    1 + 1e-6: distinct at its own scale (tolerance 2e-14), degenerate at the
+    big block's (tolerance ~1e-4)."""
+    big = 1e10 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    near = np.array([[1.0, 0.5], [0.0, 1.0 + 1e-6]])
+    small = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return np.stack([big, near, small])
+
+
+class TestStackedEig2x2:
+    def test_stack_equals_single_blocks(self, rng):
+        stack = np.concatenate([mixed_stack(rng), rng.normal(size=(5, 2, 2))])
+        w, U = _eig_2x2(stack)
+        for A, wi, Ui in zip(stack, w, U):
+            ws, Us = _eig_2x2(A)
+            assert np.array_equal(wi, ws) and np.array_equal(Ui, Us)
+            assert maxdev(A @ Ui, Ui * wi[None, :]) <= 1e-10 * np.linalg.norm(A, 2)
+
+    def test_matches_eig_general(self, rng):
+        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        w, U = _eig_2x2(A)
+        dec = eig_general(A)
+        order = np.lexsort((w.imag, w.real))
+        assert maxdev(w[order], dec.eigenvalues) < 1e-13
+        # the same unit vectors up to a phase
+        overlaps = np.sum(U[:, order].conj() * dec.right_vectors, axis=0)
+        assert maxdev(np.abs(overlaps), [1.0, 1.0]) < 1e-12
+
+    def test_nested_stack_shape(self, rng):
+        stack = rng.normal(size=(3, 4, 2, 2))
+        w, U = _eig_2x2(stack)
+        assert w.shape == (3, 4, 2) and U.shape == (3, 4, 2, 2)
+        assert np.array_equal(U[2, 1], _eig_2x2(stack[2, 1])[1])
+
+    def test_degenerate_block_located(self, rng):
+        stack = rng.normal(size=(4, 2, 2))
+        stack[2] = 3.0 * np.eye(2)
+        with pytest.raises(SingularPencil) as info:
+            _eig_2x2(stack)
+        assert info.value.block == 2
+        with pytest.raises(SingularPencil):
+            _eig_2x2(stack[2])
+
+    def test_nonfinite_block_rejected(self, rng):
+        stack = rng.normal(size=(3, 2, 2))
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(ShapeMismatch) as info:
+            _eig_2x2(stack)
+        assert info.value.block == 1
+
+    def test_residual_contract(self, rng):
+        # finite entries whose trace/determinant quadratic overflows: the
+        # pairs come out NaN and must fail the residual test, not pass it
+        stack = rng.normal(size=(3, 2, 2))
+        stack[1] = [[1e200, 1.0], [0.0, 2e200]]
+        with pytest.raises(NonConvergence) as info, np.errstate(all="ignore"):
+            _eig_2x2(stack)
+        assert info.value.block == 1
+
+
+class TestStackedPencil:
+    def test_tolerance_per_block(self, rng):
+        # pencil minimum 1e-10 in a unit-norm block passes its own test, though
+        # it is below 1e-12 times the norm of the big block beside it
+        A = mixed_stack(rng)
+        A[1] = np.diag([1.0, 2.0])
+        B = np.stack([A[0].T + 1e6 * np.eye(2), np.diag([-1.0 + 1e-10, 0.5]), A[2] + 5 * np.eye(2)])
+        Y = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        (a, Ua), (b, Ub) = _eig_2x2(A), _eig_2x2(B)
+        scale = np.maximum(np.linalg.norm(A, 2, axis=(-2, -1)), np.linalg.norm(B, 2, axis=(-2, -1)))
+        G = _pencil(a, Ua, np.linalg.inv(Ua), b, Ub, np.linalg.inv(Ub),
+                    1e-12 * np.maximum(scale, 1.0))(Y)
+        for Ai, Bi, Yi, Gi in zip(A, B, Y, G):
+            assert maxdev(Gi, solve_sylvester_pair(Ai, Bi, Yi)) <= 1e-12 * np.abs(Gi).max()
+
+    def test_singular_block_located(self, rng):
+        a = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]])
+        b = np.array([[0.5, 1.0], [-3.0, 2.0], [0.5, 0.5]])
+        U = np.broadcast_to(np.eye(2), (3, 2, 2))
+        with pytest.raises(SingularPencil) as info:
+            _pencil(a, U, U, b, U, U, np.full(3, 1e-12))
+        assert info.value.block == 1
 
 
 class TestMatrixJson:

@@ -8,6 +8,8 @@ from nhgeo.errors import (
     DegenerateRapidities,
     NonUniqueSteadyState,
     PureStateSingular,
+    ShapeMismatch,
+    SingularPencil,
 )
 from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams, gamma_k_weak
 from nhgeo.liouville import (
@@ -27,11 +29,59 @@ from nhgeo.liouville import (
     zeta_ness_k,
     zeta_tilde_gaussian,
 )
+from nhgeo.linalg import eig_general, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
 from conftest import maxdev
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+S0 = np.eye(2, dtype=complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
+
+
+class SymmetricBathModel(TranslationInvariantModel):
+    """No parameters, k-independent bath: y(k) vanishes."""
+
+    def h_block(self, k, lam):
+        return 0.5 * np.sin(k) * SX
+
+    def m_block(self, k, lam):
+        return 0.7 * S0
+
+
+class ZeroRhsModel(TranslationInvariantModel):
+    """No parameters, k-independent bath: Gamma(k) vanishes."""
+
+    def h_block(self, k, lam):
+        return 0.5 * (1.2 - np.cos(k)) * SY
+
+    def m_block(self, k, lam):
+        return 0.3 * S0
+
+
+class DrivenBathModel(TranslationInvariantModel):
+    """Two parameters, a k-dependent bath and no analytic derivatives, so
+    dx/dy fall back to central differences.  The Hermitian part of x(k) is
+    at least 0.8, which keeps the steady state unique."""
+
+    num_params = 2
+
+    def h_block(self, k, lam):
+        t, d = lam
+        return 0.5 * t * np.sin(k) * SX + 0.5 * (d - np.cos(k)) * SY
+
+    def m_block(self, k, lam):
+        t, d = lam
+        return 0.6 * S0 + 0.2 * np.cos(k) * SX + 0.25 * d * SY
+
+
+BLOCK_MODELS = [
+    (DissipativeKitaevModel(0.3, 1.0, 0.6), [0.7, 0.9]),
+    (SymmetricBathModel(), []),
+    (ZeroRhsModel(), []),
+    (DrivenBathModel(), [0.8, 0.4]),
+]
 
 
 def single_mode_baths(g, mup, mum):
@@ -153,6 +203,27 @@ class TestAgpQuadratic:
         with pytest.raises(DegenerateRapidities):
             agp_quadratic(fam, [0.0], 0)
 
+    def test_stacked_generator_equals_per_block(self, rng):
+        # tolerances scale per block: beside a block of norm 1e6, a gap of
+        # 1e-6 is still resolved and a coupling of 1e-5 still counts
+        big = 1e6 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        xb = np.linalg.eigvals(big)
+        xs = np.array([xb, [1.0, 1.0 + 1e-6], [2.0, 3.0 + 1j]])
+        Us = np.stack([np.eye(2), [[1.0, 0.3], [0.0, 1.0]], [[1.0, 1.0], [1j, -1j]]])
+        dXs = np.stack([big, rng.normal(size=(2, 2)), rng.normal(size=(2, 2))])
+        A = liouville_mod._offdiag_generator(xs, Us, dXs)
+        for x, U, dX, a in zip(xs, Us, dXs, A):
+            assert np.array_equal(a, liouville_mod._offdiag_generator(x, U, dX))
+        assert np.abs(A[1]).max() > 1e-3  # the small gap is resolved, not zeroed
+
+        xs[1] = [1.0, 1.0 + 1e-10]  # degenerate, with coupling 1e-5
+        dXs[1] = [[0.0, 1e-5], [0.0, 0.0]]
+        with pytest.raises(DegenerateRapidities):
+            liouville_mod._offdiag_generator(xs[1], Us[1], dXs[1])
+        with pytest.raises(DegenerateRapidities) as info:
+            liouville_mod._offdiag_generator(xs, Us, dXs)
+        assert info.value.block == 1
+
     def test_uncoupled_degenerate_pair_tolerated(self, rng):
         # rapidities 0 and 1 coincide but dX does not couple them: their
         # entries are zero, the rest equal the spectral formula entry by entry
@@ -185,26 +256,18 @@ class TestZetaNess:
         assert np.abs(z.values.imag).max() <= 1e-9
 
     def test_matches_kspace_routes(self):
-        model = DissipativeKitaevModel(0.4, 1.0, 0.6)
-        for L in (2, 3):
-            lam = np.array([0.7, 0.9])
-            zr = zeta_ness(real_space_family(model, L), lam)
-            zk = zeta_ness_k(model, lam, L)
-            assert maxdev(zr.values, zk.values) <= 1e-8
+        kitaev = DissipativeKitaevModel(0.4, 1.0, 0.6)
+        cases = [(kitaev, [0.7, 0.9]), (kitaev, [1.4, 0.5]), (DrivenBathModel(), [0.8, 0.4])]
+        for model, lam in cases:
+            for L in (2, 3, 5, 8):
+                zr = zeta_ness(real_space_family(model, L), lam)
+                zk = zeta_ness_k(model, lam, L)
+                assert maxdev(zr.values, zk.values) <= 1e-8, (lam, L)
 
 
 class TestKspace:
     def test_symmetric_bath_no_drive(self):
-        class M(TranslationInvariantModel):
-            num_params = 0
-
-            def h_block(self, k, lam):
-                return 0.5 * np.sin(k) * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-            def m_block(self, k, lam):
-                return 0.7 * np.eye(2, dtype=complex)
-
-        x, y = kspace_blocks(M(), 1.1, [])
+        x, y = kspace_blocks(SymmetricBathModel(), 1.1, [])
         assert np.abs(y).max() == 0.0
 
     def test_kitaev_blocks_match_definitions(self):
@@ -223,17 +286,21 @@ class TestKspace:
         assert maxdev(y, expect_y) < 1e-14
 
     def test_fourier_assembly_consistency(self):
-        model = DissipativeKitaevModel(0.3, 1.0, 0.6)
-        lam = [0.7, 0.9]
-        L = 4
-        liou = assemble_real_space(model, lam, L)
-        ks = 2 * np.pi * np.arange(L) / L
-        for j in range(L):
-            for r in range(L):
-                xa = sum(
-                    np.exp(1j * k * (j - r)) * model.x_block(k, lam) for k in ks
-                ) / L
-                assert maxdev(liou.X[2 * j : 2 * j + 2, 2 * r : 2 * r + 2], xa) < 1e-10
+        # the inverse-FFT assembly equals the direct Fourier sum of the
+        # blocks, at odd and even L
+        cases = [(DissipativeKitaevModel(0.3, 1.0, 0.6), [0.7, 0.9]), (DrivenBathModel(), [0.8, 0.4])]
+        for model, lam in cases:
+            for L in (1, 4, 5, 8, 9):
+                liou = assemble_real_space(model, lam, L)
+                ks = 2 * np.pi * np.arange(L) / L
+                for j in range(L):
+                    for r in range(L):
+                        ph = np.exp(1j * ks * (j - r))
+                        xa = sum(p * model.x_block(k, lam) for p, k in zip(ph, ks)) / L
+                        ya = sum(p * model.y_block(k, lam) for p, k in zip(ph, ks)) / L
+                        blk = np.s_[2 * j : 2 * j + 2, 2 * r : 2 * r + 2]
+                        assert maxdev(liou.X[blk], xa) < 1e-13, (L, j, r)
+                        assert maxdev(liou.Y[blk], ya) < 1e-13, (L, j, r)
 
     def test_gamma_k_weak_coupling_limit(self):
         par = KitaevParams(0.5, 0.8, 1e-3, 1.0, 0.6, 4)
@@ -242,16 +309,7 @@ class TestKspace:
         assert maxdev(gamma_k(model, k, [0.5, 0.8]), gamma_k_weak(par, k)) <= 1e-6
 
     def test_gamma_k_zero_rhs(self):
-        class M(TranslationInvariantModel):
-            num_params = 0
-
-            def h_block(self, k, lam):
-                return 0.5 * (1.2 - np.cos(k)) * np.array([[0, -1j], [1j, 0]])
-
-            def m_block(self, k, lam):
-                return 0.3 * np.eye(2, dtype=complex)
-
-        assert np.abs(gamma_k(M(), 0.9, [])).max() < 1e-14
+        assert np.abs(gamma_k(ZeroRhsModel(), 0.9, [])).max() < 1e-14
 
     def test_gamma_k_residual(self):
         model = DissipativeKitaevModel(0.5, 1.0, 0.3)
@@ -262,6 +320,105 @@ class TestKspace:
         xmT = model.x_block(-k, lam).T
         y = model.y_block(k, lam)
         assert np.linalg.norm(x @ g + g @ xmT - y) <= 1e-10 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("model, lam", [
+        (DissipativeKitaevModel(0.4, 1.0, 0.6), [0.7, 0.9]),
+        (DissipativeKitaevModel(0.1, 1.0, 0.6), [1.6, 0.3]),
+        (DrivenBathModel(), [0.8, 0.4]),
+    ])
+    def test_matches_per_k_loop(self, model, lam):
+        # reference: one k at a time, LAPACK eigenvectors in Xcal and a fresh
+        # pencil solve per right-hand side; the stacked pipeline reorders the
+        # arithmetic, so agreement is to a tolerance, not bit for bit
+        L, d = 12, model.num_params
+        ref = np.zeros((d, d), dtype=complex)
+        for k in 2 * np.pi * np.arange(L) / L:
+            x, xmT = model.x_block(k, lam), model.x_block(-k, lam).T
+            dec = eig_general(x)
+            gk = gamma_k(model, k, lam)
+            dgs, xcals = [], []
+            for mu in range(d):
+                dx = model.dx_block(mu, k, lam)
+                rhs = model.dy_block(mu, k, lam) - dx @ gk - gk @ model.dx_block(mu, -k, lam).T
+                dgs.append(solve_sylvester_pair(x, xmT, rhs))
+                xcals.append(liouville_mod._xcal(dec.eigenvalues, dec.right_vectors, dx))
+            for mu in range(d):
+                for nu in range(d):
+                    ref[mu, nu] += 0.5 * np.trace(dgs[mu] @ dgs[nu]) + np.trace(
+                        xcals[mu] @ gk @ dgs[nu])
+        got = zeta_ness_k(model, lam, L).values
+        assert maxdev(got, ref) <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("model, lam", BLOCK_MODELS)
+    def test_stacked_blocks_equal_per_k_blocks(self, model, lam):
+        # a (L, 1, 1) column of momenta gives the stack of the single blocks,
+        # bit for bit; constant blocks are broadcast to (L, 2, 2)
+        ks = np.concatenate([2 * np.pi * np.arange(7) / 7, -1.3 * np.arange(1, 4)])
+        kc = ks[:, None, None]
+        for name in ("x_block", "y_block"):
+            got = getattr(model, name)(kc, lam)
+            assert got.shape == (len(ks), 2, 2)
+            assert np.array_equal(got, np.stack([getattr(model, name)(k, lam) for k in ks]))
+        for mu in range(model.num_params):
+            for name in ("dx_block", "dy_block"):
+                got = getattr(model, name)(mu, kc, lam)
+                want = np.stack([getattr(model, name)(mu, k, lam) for k in ks])
+                assert got.shape == (len(ks), 2, 2)
+                assert np.array_equal(got, want)
+
+    def test_gap_closing_k_point_raises(self):
+        # h = 1, gamma = 1 closes the gap at k = 0: x(0) is a multiple of 1
+        model = DissipativeKitaevModel(0.4, 1.0, 0.6)
+        with pytest.raises(SingularPencil):
+            zeta_ness_k(model, [1.0, 1.0], 8)
+
+    def test_nonfinite_parameter_raises(self):
+        model = DissipativeKitaevModel(0.4, 1.0, 0.6)
+        with pytest.raises(ShapeMismatch):
+            zeta_ness_k(model, [np.nan, 0.9], 4)
+
+    @pytest.mark.parametrize("L", [0, -3, 2.5, "4", True])
+    def test_invalid_length_rejected(self, L):
+        model = DissipativeKitaevModel(0.4, 1.0, 0.6)
+        with pytest.raises(ShapeMismatch):
+            zeta_ness_k(model, [0.7, 0.9], L)
+        with pytest.raises(ShapeMismatch):
+            assemble_real_space(model, [0.7, 0.9], L)
+        with pytest.raises(ShapeMismatch):
+            real_space_family(model, L)
+
+    def test_wrong_parameter_count_rejected(self):
+        model = DissipativeKitaevModel(0.4, 1.0, 0.6)
+        with pytest.raises(ShapeMismatch):
+            zeta_ness_k(model, [0.7], 4)
+        with pytest.raises(ShapeMismatch):
+            assemble_real_space(model, [0.7], 3)
+        with pytest.raises(ShapeMismatch):
+            real_space_family(model, 3)([0.7, 0.9, 0.1])
+
+    @pytest.mark.parametrize("degenerate, nonfinite, expected", [
+        (1, 2, SingularPencil),
+        (2, 1, ShapeMismatch),
+    ])
+    def test_lowest_failing_k_wins(self, degenerate, nonfinite, expected):
+        # a loop over k stops at the first failing k, whichever check fails
+        # there; the stacked evaluation reports the same error
+        ks = 2 * np.pi * np.arange(4) / 4
+
+        class Faulty(TranslationInvariantModel):
+            num_params = 1
+
+            def h_block(self, k, lam):
+                flat = np.isclose(k, ks[degenerate])  # x(k) = 1 there
+                return np.where(flat, 0.0, 0.5 + 0.1 * lam[0]) * SY
+
+            def m_block(self, k, lam):
+                bad = np.isclose(k, ks[nonfinite])
+                return (0.5 + np.where(bad, np.nan, 0.0)) * S0
+
+        with pytest.raises(expected) as info:
+            zeta_ness_k(Faulty(), [0.3], 4)
+        assert info.value.block == min(degenerate, nonfinite)
 
     def test_zeta_ness_k_balanced_bath_zero(self):
         model = DissipativeKitaevModel(0.4, 0.8, 0.8)  # Lambda = 0
