@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import NhgeoError
+from .errors import NhgeoError, ShapeMismatch
 from .kitaev import (
     DissipativeKitaevModel,
     KitaevParams,
@@ -26,7 +26,7 @@ from .kitaev import (
     zeta_kitaev_sum,
     zeta_tilde_kitaev_sum,
 )
-from .linalg import load_matrix
+from .linalg import as_square, complex_pairs, load_json, load_matrix, matrix_from_json
 from .liouville import (
     LiouvillianFamily,
     build_liouvillian,
@@ -40,11 +40,12 @@ from .liouville import (
 )
 from .ssh import SSHParams, bloch_family, eps, zeta_finite_sum
 from .tensors import (
+    SOS_KINDS,
     OperatorFamily,
     chi_hermitian,
     eta_tensor,
+    sum_over_states,
     zeta_limited,
-    zeta_tensor,
 )
 
 TENSOR_KINDS = ("chi", "eta", "zeta", "zeta_limited", "zeta_limited_rescaled", "bures")
@@ -254,8 +255,8 @@ class MatrixFamilyAdapter:
     sweepable = ()
 
     def __init__(self, matrix_file, param_files):
-        self.K0 = load_matrix(matrix_file)
-        self.dK = [load_matrix(f) for f in param_files]
+        self.K0 = as_square(load_matrix(matrix_file), matrix_file)
+        self.dK = [as_square(load_matrix(f), f) for f in param_files]
         for m in self.dK:
             if m.shape != self.K0.shape:
                 raise click.UsageError("direction matrices must match the base shape")
@@ -272,25 +273,20 @@ class MatrixFamilyAdapter:
     def tensors(self, values, kinds, state, mu_reg) -> dict:
         if not self.dK:
             raise click.UsageError("tensor evaluation needs at least one --param-file")
+        sos_kinds = [k for k in kinds if k != "chi"]
+        for kind in sos_kinds:
+            if kind not in SOS_KINDS:
+                raise click.UsageError(f"matrix families do not provide tensor {kind!r}")
         fam = self.family()
         lam = np.zeros(len(self.dK))
         n = _state_index(state)
         out = {}
-        for kind in kinds:
-            if kind == "chi":
-                out[kind] = chi_hermitian(fam, lam, n).values
-            elif kind == "eta":
-                out[kind] = eta_tensor(fam, lam, n).values
-            elif kind == "zeta":
-                out[kind] = zeta_tensor(fam, lam, n, mu_reg=mu_reg or 0.0,
-                                        route="agp" if mu_reg else "overlap").values
-            elif kind == "zeta_limited":
-                out[kind] = zeta_limited(fam, lam, n).values
-            elif kind == "zeta_limited_rescaled":
-                out[kind] = zeta_limited(fam, lam, n, rescaled=True).values
-            else:
-                raise click.UsageError(f"matrix families do not provide tensor {kind!r}")
-        return out
+        if sos_kinds:  # one eigensolve serves every non-Hermitian kind
+            sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg or 0.0)
+            out = {kind: t.values for kind, t in sos.items()}
+        if "chi" in kinds:
+            out["chi"] = chi_hermitian(fam, lam, n).values
+        return {kind: out[kind] for kind in kinds}
 
     def spectrum(self, values) -> dict:
         from .linalg import eig_general
@@ -333,13 +329,12 @@ def _c(z) -> dict:
 
 
 def _load_bath(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if "vectors" in obj:
-        vecs = [np.array([complex(re, im) for re, im in v]) for v in obj["vectors"]]
-        return None, vecs
-    from .linalg import matrix_from_json
-
+    """A bath matrix, or jump vectors ``{"vectors": [[[re, im], ...], ...]}``."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and "vectors" in obj:
+        if not isinstance(obj["vectors"], list):
+            raise ShapeMismatch("bath vectors must be a list of vectors")
+        return None, [complex_pairs(v, "bath vector") for v in obj["vectors"]]
     return matrix_from_json(obj), None
 
 
@@ -383,12 +378,16 @@ def _state_index(state) -> int:
 
 
 def _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files):
-    if matrix_file is not None:
-        return MatrixFamilyAdapter(matrix_file, list(param_files))
+    """The model's adapter; an unreadable or malformed input file exits 2."""
+    try:
+        if matrix_file is not None:
+            return MatrixFamilyAdapter(matrix_file, list(param_files))
+        if model == "quad-liouville":
+            return QuadLiouvilleAdapter(hmat_file, bath_file, list(dhmat_files))
+    except (NhgeoError, OSError) as exc:
+        raise click.UsageError(f"{type(exc).__name__}: {exc}") from None
     if model is None:
         raise click.UsageError("pass --model or --matrix-file")
-    if model == "quad-liouville":
-        return QuadLiouvilleAdapter(hmat_file, bath_file, list(dhmat_files))
     if model not in MODELS:
         raise click.UsageError(
             f"unknown model {model!r}; available: {', '.join([*MODELS, 'quad-liouville'])}"
@@ -421,7 +420,8 @@ def main():
 @click.option("--set", "sets", multiple=True, help="parameter assignment name=value")
 @click.option("--tensors", default="zeta", help="comma-separated tensor kinds")
 @click.option("--state", default=None, help="eigenstate index or 'ness'")
-@click.option("--mu-reg", type=float, default=0.0, help="regularization cutoff")
+@click.option("--mu-reg", type=click.FloatRange(min=0.0), default=0.0,
+              help="regularization cutoff of zeta (>= 0)")
 @click.option("--matrix-file", default=None, type=click.Path(exists=True))
 @click.option("--param-files", multiple=True, type=click.Path(exists=True))
 @click.option("--hmat-file", default=None, type=click.Path(exists=True))

@@ -142,7 +142,9 @@ def _eig_2x2(A: np.ndarray):
     ``A`` is one 2x2 matrix or a stack of shape ``(..., 2, 2)``; every test
     below is made per block.  Eigenvalues come from the trace/determinant
     quadratic, which avoids the catastrophic cancellation the iterative
-    solver introduces in nearly trace-degenerate pencil sums.  The pairs
+    solver introduces in nearly trace-degenerate pencil sums; its
+    discriminant is formed as ``(a00 - a11)^2 + 4 a01 a10``, since
+    ``tr^2 - 4 det`` cancels for nearly equal diagonals.  The pairs
     keep the contract of :func:`eig_general`: non-finite blocks raise
     ``ShapeMismatch`` and a residual above ``1e-10 * ||A||`` raises
     ``NonConvergence``.
@@ -157,8 +159,7 @@ def _eig_2x2(A: np.ndarray):
     check(~np.isfinite(A).all(axis=(-2, -1)), ShapeMismatch,
           lambda i: "2x2 block has non-finite entries")
     tr = A[:, 0, 0] + A[:, 1, 1]
-    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    disc = np.sqrt(tr * tr - 4 * det)
+    disc = np.sqrt((A[:, 0, 0] - A[:, 1, 1]) ** 2 + 4 * A[:, 0, 1] * A[:, 1, 0])
     a1 = (tr - disc) / 2
     a2 = (tr + disc) / 2
     check(np.abs(a1 - a2) < 1e-14 * np.maximum(1.0, np.abs(a1) + np.abs(a2)),
@@ -270,16 +271,36 @@ def matrix_to_json(A) -> dict:
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
 
 
+def complex_pairs(data, what: str = "data") -> np.ndarray:
+    """A list of ``[re, im]`` pairs as a complex vector, else ShapeMismatch.
+
+    Each parsed ``[re, im]`` row is one complex128 in memory, so the view
+    is bit-exact.  Entries must be JSON numbers: strings and booleans are
+    rejected, not converted.
+    """
+    try:
+        raw = np.asarray(data)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ShapeMismatch(f"{what} is not a list of [re, im] pairs: {exc}") from exc
+    if raw.dtype.kind not in "iuf":
+        raise ShapeMismatch(f"{what} entries are not numbers (dtype {raw.dtype})")
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise ShapeMismatch(f"{what} is not a list of [re, im] pairs (shape {raw.shape})")
+    return np.ascontiguousarray(raw, dtype=float).view(complex)[:, 0]
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols)):
+        raise ShapeMismatch(f"matrix rows/cols must be integers, got {rows!r}, {cols!r}")
+    flat = complex_pairs(data, "matrix data")
+    if rows < 0 or cols < 0 or len(flat) != rows * cols:
         raise ShapeMismatch(
-            f"matrix object declares {rows}x{cols} but carries {len(data)} entries"
+            f"matrix object declares {rows}x{cols} but carries {len(flat)} entries"
         )
-    flat = np.array([complex(re, im) for re, im in data])
     return flat.reshape(rows, cols)
 
 
@@ -288,6 +309,14 @@ def save_matrix(path, A) -> None:
         json.dump(matrix_to_json(A), fh)
 
 
-def load_matrix(path) -> np.ndarray:
+def load_json(path):
+    """The JSON value stored in ``path``; ShapeMismatch if it is not JSON."""
     with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ShapeMismatch(f"{path} is not a JSON file: {exc}") from exc
+
+
+def load_matrix(path) -> np.ndarray:
+    return matrix_from_json(load_json(path))

@@ -1,8 +1,17 @@
 """Geometric tensors of parameterized (non-Hermitian) operator families.
 
-Everything here is built on one primitive: differentiating the biorthogonal
-eigensystem of ``K(lambda)`` along parameter directions.  Eigenvectors at
-stencil points carry an arbitrary solver gauge, so each stencil system is
+Two derivative engines differentiate the biorthogonal eigensystem of
+``K(lambda)`` along parameter directions.
+
+:func:`sum_over_states` is the production engine.  One eigensolve gives the
+transport-generator matrix elements ``<m_L|d_mu K|n_R> / (w_n - w_m)``
+(:func:`agp_elements`), and with them every eigenvector derivative in the
+parallel-transport gauge; ``eta``, ``zeta`` and ``zeta_limited`` are then
+matrix contractions.
+
+The finite-difference stencil (:func:`_stencil`) is the independent oracle.
+Eigenvectors at stencil points carry an arbitrary solver gauge, so each
+stencil system is
 
 1. matched state-by-state to the center point by largest left-right overlap,
 2. phase-fixed so the overlap with the center left vector is real positive
@@ -25,8 +34,9 @@ Tensor kinds
 ``zeta``
     The gauge-invariant mixed tensor, available through three routes that
     must agree: ``projector`` (Gram-weighted projector counterterms),
-    ``agp`` (matrix elements of the adiabatic transport generator), and
-    ``overlap`` (Gram-weighted covariant-derivative overlaps; default).
+    ``agp`` (matrix elements of the adiabatic transport generator, i.e.
+    :func:`sum_over_states`), and ``overlap`` (Gram-weighted
+    covariant-derivative overlaps; default).
 ``zeta_limited`` / ``zeta_limited_rescaled``
     The single-state Hermitian positive-semidefinite member of the overlap
     sum, optionally divided by <n_L|n_L><n_R|n_R>.
@@ -295,6 +305,27 @@ def _stencil(
 # transport-generator matrix elements
 # ---------------------------------------------------------------------------
 
+def _generator(num: np.ndarray, w: np.ndarray, mu_reg: float, scale: float) -> np.ndarray:
+    """Generator elements ``num[..., m, n] / (w_n - w_m)`` with a zero diagonal.
+
+    ``num`` holds ``<m_L|dK|n_R>`` (one matrix or a stack over directions).
+    ``mu_reg > 0`` selects the kernel ``conj(w_n - w_m) / (|w_n - w_m|^2 +
+    mu_reg^2)``; the exact kernel raises DegenerateSpectrum if any gap is
+    below ``1e-10 * scale``.
+    """
+    diff = w[None, :] - w[:, None]  # (m, n) -> w_n - w_m
+    off = ~np.eye(len(w), dtype=bool)
+    if mu_reg == 0.0:
+        if (np.abs(diff[off]) < 1e-10 * scale).any():
+            raise DegenerateSpectrum(
+                "spectrum degenerate within 1e-10*||K||; pass mu_reg > 0"
+            )
+        elements = num / np.where(off, diff, 1.0)
+    else:
+        elements = np.conj(diff) * num / (np.abs(diff) ** 2 + mu_reg ** 2)
+    return np.where(off, elements, 0.0)
+
+
 def agp_elements(
     fam: OperatorFamily,
     lam,
@@ -323,20 +354,100 @@ def agp_elements(
         sys = build_biortho(K, warn_degenerate=False)
     dK = fam.derivative(mu_dir, lam)
     num = sys.left.conj().T @ dK @ sys.right
-    w = sys.eigenvalues
-    diff = w[None, :] - w[:, None]  # (m, n) -> w_n - w_m
     scale = max(np.linalg.norm(K, 2), 1.0)
-    if mu_reg == 0.0:
-        off = ~np.eye(len(w), dtype=bool)
-        if np.abs(diff[off]).min() < 1e-10 * scale:
+    return AGPMatrix(mu_dir, _generator(num, sys.eigenvalues, mu_reg, scale), mu_reg)
+
+
+#: tensor kinds that :func:`sum_over_states` contracts
+SOS_KINDS = ("eta", "zeta", "zeta_limited", "zeta_limited_rescaled")
+
+
+def sum_over_states(
+    fam: OperatorFamily,
+    lam,
+    n: int,
+    kinds: Sequence[str],
+    *,
+    mu_reg: float = 0.0,
+) -> dict[str, GeoTensor]:
+    """The tensors ``kinds`` of eigenstate ``n`` from one eigensystem.
+
+    In the parallel-transport gauge the generator matrices ``A_mu`` of
+    :func:`agp_elements` give every eigenvector derivative:
+    ``|d_mu n_R> = sum_m |m_R> A_mu[m, n]`` and
+    ``<d_mu n_L| = -sum_m A_mu[n, m] <m_L|``.  With the Gram matrices
+    ``C = <m_R|n_R>`` and ``Cinv = <m_L|n_L>`` each kind is a contraction:
+
+    - ``eta = -A_mu[n, :] A_nu[:, n]``;
+    - ``zeta = Cinv[:, n]^H A_mu^H C A_nu[:, n]``;
+    - ``zeta_limited = Cinv[n, n] A_mu[:, n]^H C A_nu[:, n]``, divided by
+      ``Cinv[n, n] <n_R|n_R>`` for ``zeta_limited_rescaled``.
+
+    ``K``, its norm, the eigensystem and ``<m_L|d_mu K|n_R>`` are computed
+    once for all kinds.  ``zeta`` uses the whole generator, so ``mu_reg``
+    regularizes it and its exact kernel needs every gap.  ``eta`` and
+    ``zeta_limited`` use only row and column ``n`` of the exact kernel, so
+    only the gaps ``w_m - w_n`` must be open: a degenerate pair of other
+    states does not change them.
+
+    Raises
+    ------
+    ShapeMismatch
+        If ``n`` is not a state index.
+    NearDefective
+        If the eigenvector matrix is too ill-conditioned.
+    DegenerateSpectrum
+        If a gap is below ``1e-10 * ||K||`` where a kind needs the exact
+        kernel: a gap at ``n`` for ``eta`` and ``zeta_limited``, any gap
+        for ``zeta`` with ``mu_reg == 0``.
+    """
+    kinds = list(kinds)
+    unknown = [k for k in kinds if k not in SOS_KINDS]
+    if unknown:
+        raise ValueError(f"sum over states does not provide {unknown}")
+    if mu_reg < 0:
+        raise ValueError("mu_reg must be >= 0")
+    lam = _checked(fam, lam, n)
+    K = fam(lam)
+    scale = max(np.linalg.norm(K, 2), 1.0)
+    sys = build_biortho(K, warn_degenerate=False)
+    w = sys.eigenvalues
+    C = sys.gram_right
+    Cinv = sys.gram_left
+    num = np.stack([
+        sys.left.conj().T @ fam.derivative(mu, lam) @ sys.right
+        for mu in range(fam.num_params)
+    ])
+
+    col = row = None
+    if any(k != "zeta" for k in kinds):
+        gap = w[n] - w  # w_n - w_m
+        others = np.arange(len(w)) != n
+        if (np.abs(gap[others]) < 1e-10 * scale).any():
             raise DegenerateSpectrum(
-                "spectrum degenerate within 1e-10*||K||; pass mu_reg > 0"
+                f"eigenvalue {n} degenerate within 1e-10*||K||"
             )
-        elements = num / np.where(off, diff, 1.0)
-    else:
-        elements = np.conj(diff) * num / (np.abs(diff) ** 2 + mu_reg ** 2)
-    np.fill_diagonal(elements, 0.0)
-    return AGPMatrix(mu_dir, elements, mu_reg)
+        gap[n] = 1.0
+        col = np.where(others, num[:, :, n] / gap, 0.0)   # A_mu[:, n]
+        row = np.where(others, num[:, n, :] / -gap, 0.0)  # A_mu[n, :]
+
+    out = {}
+    for kind in kinds:
+        if kind == "zeta":
+            A = _generator(num, w, mu_reg, scale)
+            vals = (A @ Cinv[:, n]).conj() @ C @ A[:, :, n].T
+            meta = {"route": "agp", "mu_reg": mu_reg}
+        else:
+            if kind == "eta":
+                vals = -(row @ col.T)
+            else:
+                lnln = Cinv[n, n].real
+                vals = lnln * (col.conj() @ C @ col.T)
+                if kind == "zeta_limited_rescaled":
+                    vals = vals / (lnln * C[n, n].real)
+            meta = {"route": "agp", "mu_reg": 0.0}
+        out[kind] = GeoTensor(kind, n, vals, lam, meta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +540,17 @@ def zeta_tensor(
 
     ``route='overlap'`` (default) sums Gram-weighted covariant-derivative
     overlaps; ``route='projector'`` evaluates the explicit counterterm form;
-    ``route='agp'`` contracts transport-generator matrix elements and needs
-    no stencil (``mu_reg`` applies only there).  All routes agree on
+    ``route='agp'`` is the ``zeta`` of :func:`sum_over_states`: it needs no
+    stencil, and ``mu_reg`` applies only there.  All routes agree on
     nondegenerate input.
     """
     if route not in ("overlap", "projector", "agp"):
         raise ValueError(f"unknown route {route!r}")
+    if route == "agp":
+        return sum_over_states(fam, lam, n, ["zeta"], mu_reg=mu_reg)["zeta"]
     lam = _checked(fam, lam, n)
     d = fam.num_params
     vals = np.empty((d, d), dtype=complex)
-
-    if route == "agp":
-        sys0 = build_biortho(fam(lam), warn_degenerate=False)
-        mats = [
-            agp_elements(fam, lam, mu, mu_reg, sys=sys0).elements for mu in range(d)
-        ]
-        C = sys0.gram_right
-        Cinv = sys0.gram_left
-        for mu in range(d):
-            for nu in range(d):
-                vals[mu, nu] = Cinv[:, n].conj() @ mats[mu].conj().T @ C @ mats[nu][:, n]
-        meta = {"route": route, "mu_reg": mu_reg}
-        return GeoTensor("zeta", n, vals, lam, meta)
 
     st = _stencil(
         fam, lam, range(fam.dim), h=h, gauge=gauge, richardson=richardson

@@ -54,6 +54,7 @@ from .tensors import (
     central_difference,
     chi_hermitian,
     eta_tensor,
+    sum_over_states,
     zeta_limited,
     zeta_tensor,
 )
@@ -196,7 +197,8 @@ def check_gauge_invariance(full: bool = True):
 
 
 def check_zeta_routes(full: bool = True):
-    """Projector, generator and overlap routes agree."""
+    """Projector, generator and overlap routes agree, and the sum-over-states
+    eta and zeta_limited agree with their stencil routes."""
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(50 if full else 10):
@@ -213,6 +215,11 @@ def check_zeta_routes(full: bool = True):
             float(np.abs(z_ov - z_ag).max() / scale),
             float(np.abs(z_pr - z_ag).max() / scale),
         )
+        sos = sum_over_states(fam, lam, n, ("eta", "zeta_limited"))
+        for kind, stencil in (("eta", eta_tensor), ("zeta_limited", zeta_limited)):
+            ref = stencil(fam, lam, n).values
+            dev = np.abs(sos[kind].values - ref).max() / max(np.abs(ref).max(), 1e-12)
+            worst = max(worst, float(dev))
     return worst <= 1e-8, f"max relative route disagreement {worst:.2e}"
 
 

@@ -116,6 +116,103 @@ class TestTensorCommand:
         assert result.exit_code == 3
         assert "ShapeMismatch" in result.output
 
+    def test_matrix_file_tensors_from_one_eigensolve(self, runner, tmp_path, monkeypatch):
+        import nhgeo.biortho as biortho_mod
+        import nhgeo.linalg as linalg_mod
+        import nhgeo.tensors as tensors_mod
+        from nhgeo.tensors import eta_tensor, zeta_limited, zeta_tensor
+        from nhgeo.verify import random_family
+
+        fam = random_family(np.random.default_rng(5), N=5)
+        lam = np.zeros(2)
+        files = [tmp_path / f for f in ("K.json", "d0.json", "d1.json")]
+        for path, A in zip(files, [fam(lam), fam.derivative(0, lam), fam.derivative(1, lam)]):
+            save_matrix(path, A)
+        counts = {"build_biortho": 0, "eig_general": 0}
+
+        def counting(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counting(tensors_mod, "build_biortho")
+        counting(biortho_mod, "eig_general")
+        counting(linalg_mod, "eig_general")  # the eigenvalue summary's own solve
+        kinds = ["eta", "zeta", "zeta_limited", "zeta_limited_rescaled"]
+        result = run_ok(runner, [
+            "tensor", "--matrix-file", str(files[0]), "--param-files", str(files[1]),
+            "--param-files", str(files[2]), "--tensors", ",".join(kinds), "--state", "3"])
+        assert counts == {"build_biortho": 1, "eig_general": 2}
+        monkeypatch.undo()
+        tensors = json.loads(result.output)["tensors"]
+        assert list(tensors) == kinds
+        refs = {
+            "eta": eta_tensor(fam, lam, 3).values,
+            "zeta": zeta_tensor(fam, lam, 3).values,
+            "zeta_limited": zeta_limited(fam, lam, 3).values,
+            "zeta_limited_rescaled": zeta_limited(fam, lam, 3, rescaled=True).values,
+        }
+        for kind, ref in refs.items():
+            got = np.array([[complex(c["re"], c["im"]) for c in row]
+                            for row in tensors[kind]["components"]])
+            assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max(), kind
+
+    def test_matrix_file_degenerate_pair_away_from_state(self, runner, tmp_path):
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.array([[0.0, 0.3, 1.0], [0.3, 0.0, 0.5],
+                                                    [1.0, 0.5, 0.0]]))
+        args = ["tensor", "--matrix-file", str(tmp_path / "K.json"),
+                "--param-files", str(tmp_path / "d.json"), "--state", "2"]
+        eta = json.loads(run_ok(runner, args + ["--tensors", "eta"]).output)["tensors"]["eta"]
+        assert eta["components"][0][0]["re"] > 0
+        result = runner.invoke(main, args + ["--tensors", "zeta"])
+        assert result.exit_code == 3 and "DegenerateSpectrum" in result.output
+
+    @pytest.mark.parametrize("command", ["tensor", "spectrum"])
+    @pytest.mark.parametrize("bad", ["K", "d"])
+    @pytest.mark.parametrize("content", [
+        '{"rows": 2, "cols": 2, "data": [1, 2, 3, 4]}',
+        '{"rows": 2, "cols": 2, "data": [[1.0, 0.0]]}',
+        '{"rows": 1, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]}',
+        '{"rows": 2, "cols": 2}',
+        "[1, 2]",
+        "{not json",
+    ])
+    def test_malformed_matrix_file_exit_2(self, runner, tmp_path, command, bad, content):
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.eye(2))
+        (tmp_path / f"{bad}.json").write_text(content)
+        result = runner.invoke(main, [
+            command, "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json")])
+        assert result.exit_code == 2, result.output
+        assert "ShapeMismatch" in result.output
+
+    @pytest.mark.parametrize("content", [
+        '{"vectors": [[[1.0, 0.0], [2.0]]]}',
+        '{"vectors": 5}',
+        '{"rows": 2, "cols": 2, "data": [[1.0, 0.0]]}',
+    ])
+    def test_malformed_bath_file_exit_2(self, runner, tmp_path, content):
+        save_matrix(tmp_path / "H.json", np.zeros((2, 2)))
+        (tmp_path / "bath.json").write_text(content)
+        result = runner.invoke(main, [
+            "spectrum", "--model", "quad-liouville", "--hmat-file", str(tmp_path / "H.json"),
+            "--bath-file", str(tmp_path / "bath.json")])
+        assert result.exit_code == 2, result.output
+        assert "ShapeMismatch" in result.output
+
+    def test_negative_mu_reg_exit_2(self, runner, tmp_path):
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.eye(2))
+        result = runner.invoke(main, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--mu-reg", "-1"])
+        assert result.exit_code == 2, result.output
+
     def test_numerical_failure_exit_3(self, runner):
         result = runner.invoke(
             main,

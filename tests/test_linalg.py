@@ -11,6 +11,7 @@ from nhgeo.linalg import (
     _pencil,
     eig_general,
     inverse,
+    load_matrix,
     matrix_from_json,
     matrix_to_json,
     solve_sylvester,
@@ -184,6 +185,15 @@ class TestStackedEig2x2:
         with pytest.raises(SingularPencil):
             _eig_2x2(stack[2])
 
+    def test_near_degenerate_block_decomposes(self):
+        # gap 1e-10, far above the 1e-14 test; tr^2 - 4 det cancels to 0 here
+        A = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]])
+        w, U = _eig_2x2(A)
+        assert abs((w[1] - w[0]) - 1e-10) <= 1e-16
+        assert maxdev(A @ U, U * w[None, :]) <= 1e-15
+        with pytest.raises(SingularPencil):
+            _eig_2x2(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
     def test_nonfinite_block_rejected(self, rng):
         stack = rng.normal(size=(3, 2, 2))
         stack[1, 0, 1] = np.inf
@@ -236,6 +246,34 @@ class TestMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ShapeMismatch):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("obj", [
+        {"rows": 1, "cols": 1, "data": [1]},
+        {"rows": 1, "cols": 1, "data": [[1.0]]},
+        {"rows": 1, "cols": 1, "data": [[1.0, 0.0, 2.0]]},
+        {"rows": 2, "cols": 1, "data": [[1.0, 0.0], [2.0]]},
+        {"rows": 1, "cols": 1, "data": [["a", 0.0]]},
+        {"rows": 1, "cols": 1, "data": {"re": 1.0}},
+        {"rows": 1, "cols": 1, "data": [["1.5", "0"]]},
+        {"rows": 1, "cols": 1, "data": [[True, False]]},
+        {"rows": 1, "cols": 1, "data": [[1.0, None]]},
+        {"rows": "two", "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": 1.5, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]},
+        {"rows": True, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]},
+        {"rows": "1", "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": -1, "cols": -1, "data": [[1.0, 0.0]]},
+        {"cols": 1, "data": [[1.0, 0.0]]},
+        [[1.0, 0.0]],
+    ])
+    def test_malformed_data_rejected(self, obj):
+        with pytest.raises(ShapeMismatch):
+            matrix_from_json(obj)
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "K.json"
+        path.write_text("{not json")
+        with pytest.raises(ShapeMismatch, match="not a JSON file"):
+            load_matrix(path)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(0, 2 ** 31 - 1))

@@ -372,6 +372,12 @@ class TestKspace:
         with pytest.raises(SingularPencil):
             zeta_ness_k(model, [1.0, 1.0], 8)
 
+    def test_benchmark_sweep_gap_closing_row_raises(self):
+        # the h = 1 row of the strong-coupling Kitaev sweep (g = 0.1, L = 128)
+        model = DissipativeKitaevModel(0.1, 1.0, 0.6)
+        with pytest.raises(SingularPencil):
+            zeta_ness_k(model, [1.0, 1.0], 128)
+
     def test_nonfinite_parameter_raises(self):
         model = DissipativeKitaevModel(0.4, 1.0, 0.6)
         with pytest.raises(ShapeMismatch):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from nhgeo.errors import ContinuationAmbiguous, DegenerateSpectrum, NotHermitian, ShapeMismatch
+from nhgeo.errors import (
+    ContinuationAmbiguous,
+    DegenerateSpectrum,
+    NearDefective,
+    NotHermitian,
+    ShapeMismatch,
+)
 from nhgeo.tensors import (
+    SOS_KINDS,
     OperatorFamily,
     _match,
     agp_elements,
@@ -13,6 +20,7 @@ from nhgeo.tensors import (
     eta_tensor,
     projector_deformation,
     projector_fd,
+    sum_over_states,
     zeta_limited,
     zeta_tensor,
 )
@@ -232,6 +240,107 @@ class TestZetaLimited:
         assert zt.min_eigenvalue() >= -1e-10
 
 
+def _stencil_tensors(fam, lam, n):
+    return {
+        "eta": eta_tensor(fam, lam, n).values,
+        "zeta": zeta_tensor(fam, lam, n).values,
+        "zeta_limited": zeta_limited(fam, lam, n).values,
+        "zeta_limited_rescaled": zeta_limited(fam, lam, n, rescaled=True).values,
+    }
+
+
+class TestSumOverStates:
+    @pytest.mark.parametrize("N", [2, 3, 6])
+    def test_matches_stencil(self, rng, N):
+        for _ in range(3):
+            fam = random_family(rng, N=N)
+            lam = rng.uniform(-0.1, 0.1, size=2)
+            for n in range(N):
+                sos = sum_over_states(fam, lam, n, SOS_KINDS)
+                for kind, ref in _stencil_tensors(fam, lam, n).items():
+                    assert sos[kind].kind == kind and sos[kind].state_index == n
+                    assert maxdev(sos[kind].values, ref) <= 1e-8 * np.abs(ref).max(), kind
+
+    def test_hermitian_collapse(self, rng):
+        fam = random_hermitian_family(rng, N=6)
+        lam = np.array([0.03, -0.01])
+        chi = chi_hermitian(fam, lam, 2).values
+        for kind, T in sum_over_states(fam, lam, 2, ["eta", "zeta", "zeta_limited"]).items():
+            assert maxdev(T.values, chi) <= 1e-9, kind
+
+    def test_agp_route_is_engine_zeta(self, nh6, rng):
+        lam = rng.uniform(-0.1, 0.1, size=2)
+        for mu_reg in (0.0, 0.3):
+            route = zeta_tensor(nh6, lam, 4, route="agp", mu_reg=mu_reg).values
+            engine = sum_over_states(nh6, lam, 4, SOS_KINDS, mu_reg=mu_reg)["zeta"].values
+            assert np.array_equal(route, engine)
+
+    def test_one_eigensolve(self, nh6, monkeypatch):
+        import nhgeo.tensors as tensors_mod
+
+        calls = []
+        real = tensors_mod.build_biortho
+        monkeypatch.setattr(tensors_mod, "build_biortho",
+                            lambda K, **kw: calls.append(K) or real(K, **kw))
+        sum_over_states(nh6, [0.02, 0.01], 1, SOS_KINDS, mu_reg=0.1)
+        assert len(calls) == 1
+
+    def test_kinds_in_requested_order(self, nh6):
+        out = sum_over_states(nh6, [0.0, 0.0], 0, ["zeta_limited", "eta"])
+        assert list(out) == ["zeta_limited", "eta"]
+
+    def test_degenerate_spectrum_raises(self):
+        fam = OperatorFamily(
+            2, 1,
+            lambda l: np.array([[1.0, l[0]], [l[0], 1.0]], dtype=complex),
+            lambda mu, l: SX,
+        )
+        for kinds in (["zeta"], ["eta"], ["zeta_limited"]):
+            with pytest.raises(DegenerateSpectrum):
+                sum_over_states(fam, [0.0], 0, kinds)
+        # mu_reg regularizes zeta only
+        zeta = sum_over_states(fam, [0.0], 0, ["zeta"], mu_reg=1e-6)["zeta"]
+        assert np.all(np.isfinite(zeta.values))
+        for kind in ("eta", "zeta_limited_rescaled"):
+            with pytest.raises(DegenerateSpectrum):
+                sum_over_states(fam, [0.0], 0, ["zeta", kind], mu_reg=1e-6)
+
+    def test_degenerate_pair_away_from_state(self, rng):
+        D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        fam = OperatorFamily(3, 1, lambda l: np.diag([1.0, 1.0, 2.0]) + l[0] * D,
+                             lambda mu, l: D)
+        n = int(np.argmax(np.linalg.eigvals(fam([0.0])).real))
+        sos = sum_over_states(fam, [0.0], n, ["eta", "zeta_limited", "zeta_limited_rescaled"])
+        refs = {
+            "eta": eta_tensor(fam, [0.0], n).values,
+            "zeta_limited": zeta_limited(fam, [0.0], n).values,
+            "zeta_limited_rescaled": zeta_limited(fam, [0.0], n, rescaled=True).values,
+        }
+        for kind, ref in refs.items():
+            assert maxdev(sos[kind].values, ref) <= 1e-8 * np.abs(ref).max(), kind
+        # zeta sums over every state, so its exact kernel needs every gap
+        with pytest.raises(DegenerateSpectrum):
+            sum_over_states(fam, [0.0], n, ["zeta"])
+        with pytest.raises(DegenerateSpectrum):
+            sum_over_states(fam, [0.0], 1 - (n == 1), ["eta"])
+
+    @pytest.mark.parametrize("eps", [1e-26, 1e-30, 0.0])
+    def test_near_defective_raises(self, eps):
+        fam = OperatorFamily(
+            2, 1,
+            lambda l: np.array([[0.0, 1.0], [eps, 0.0]], dtype=complex) + l[0] * SZ,
+            lambda mu, l: SZ,
+        )
+        with pytest.raises(NearDefective):
+            sum_over_states(fam, [0.0], 0, SOS_KINDS)
+
+    def test_invalid_arguments_rejected(self, nh6):
+        with pytest.raises(ValueError, match="does not provide"):
+            sum_over_states(nh6, [0.0, 0.0], 0, ["chi"])
+        with pytest.raises(ValueError, match="mu_reg"):
+            sum_over_states(nh6, [0.0, 0.0], 0, ["eta"], mu_reg=-1.0)
+
+
 class TestBerryConnection:
     def test_parameter_independent_zero(self):
         fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.4j * np.eye(3))
@@ -323,6 +432,7 @@ def _bad_state_calls():
         ("zeta-overlap", lambda f, n: zeta_tensor(f, lam, n)),
         ("zeta-projector", lambda f, n: zeta_tensor(f, lam, n, route="projector")),
         ("zeta-agp", lambda f, n: zeta_tensor(f, lam, n, route="agp")),
+        ("sum-over-states", lambda f, n: sum_over_states(f, lam, n, SOS_KINDS)),
         ("zeta_limited", lambda f, n: zeta_limited(f, lam, n)),
         ("berry", lambda f, n: berry_connection(f, lam, n, 0)),
         ("projector", lambda f, n: projector_deformation(f, lam, n, 0)),
