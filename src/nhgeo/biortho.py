@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumWarning, NearDefective
-from .linalg import as_square, eig_general
+from .linalg import eig_general, norm2
 
 #: relative eigenvalue gap under which a DegenerateSpectrumWarning is emitted
 DEGENERACY_RTOL = 1e-10
@@ -31,12 +31,15 @@ class BiorthogonalSystem:
     ``right[:, n]`` and ``left[:, n]`` satisfy ``left^+ right = I``.
     ``gram_right`` is the right-vector Gram matrix ``C_{mn} = <m_R|n_R>``;
     the left Gram matrix equals its inverse and is exposed as a property.
+    ``condition`` is the 2-norm condition number of the unit-column right
+    eigenvector matrix the eigensolve returned (gauge independent).
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     gram_right: np.ndarray
+    condition: float
 
     @property
     def dim(self) -> int:
@@ -63,7 +66,6 @@ def build_biortho(K, *, warn_degenerate: bool = True) -> BiorthogonalSystem:
     NearDefective
         If the right eigenvector matrix has condition number above 1e12.
     """
-    K = as_square(K, "K")
     dec = eig_general(K)
     if not dec.is_diagonalizable_estimate:
         raise NearDefective(
@@ -71,10 +73,10 @@ def build_biortho(K, *, warn_degenerate: bool = True) -> BiorthogonalSystem:
             "matrix too close to defective for a biorthogonal system"
         )
     R = dec.right_vectors
-    L = np.linalg.inv(R).conj().T
-    sys = BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R)
+    L = dec.right_inverse.conj().T
+    sys = BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R, dec.condition)
     if warn_degenerate:
-        scale = max(np.linalg.norm(K, 2), 1.0)
+        scale = max(norm2(K), 1.0)
         if sys.min_gap() < DEGENERACY_RTOL * scale:
             warnings.warn(
                 f"eigenvalue gap {sys.min_gap():.3e} below {DEGENERACY_RTOL:.0e}*||K||",
@@ -96,4 +98,4 @@ def gauge_rescale(sys: BiorthogonalSystem, r) -> BiorthogonalSystem:
     f = np.exp(r)
     R = sys.right * f[None, :]
     L = sys.left * np.conj(1.0 / f)[None, :]
-    return BiorthogonalSystem(sys.eigenvalues, R, L, R.conj().T @ R)
+    return BiorthogonalSystem(sys.eigenvalues, R, L, R.conj().T @ R, sys.condition)

@@ -26,7 +26,16 @@ from .kitaev import (
     zeta_kitaev_sum,
     zeta_tilde_kitaev_sum,
 )
-from .linalg import as_square, complex_pairs, load_json, load_matrix, matrix_from_json
+from .biortho import build_biortho
+from .linalg import (
+    DEFECTIVE_COND,
+    as_square,
+    complex_pairs,
+    eig_general,
+    load_json,
+    load_matrix,
+    matrix_from_json,
+)
 from .liouville import (
     LiouvillianFamily,
     build_liouvillian,
@@ -261,6 +270,7 @@ class MatrixFamilyAdapter:
             if m.shape != self.K0.shape:
                 raise click.UsageError("direction matrices must match the base shape")
         self.directions = tuple(f"lam{i}" for i in range(len(self.dK)))
+        self.sys = None  # the eigensystem of K0 once tensors() has built it
 
     def family(self) -> OperatorFamily:
         return OperatorFamily(
@@ -281,21 +291,22 @@ class MatrixFamilyAdapter:
         lam = np.zeros(len(self.dK))
         n = _state_index(state)
         out = {}
-        if sos_kinds:  # one eigensolve serves every non-Hermitian kind
-            sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg or 0.0)
+        if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
+            # an out-of-range state must raise ShapeMismatch before any eigensolve
+            if 0 <= n < fam.dim:
+                self.sys = build_biortho(fam(lam), warn_degenerate=False)
+            sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg or 0.0, sys=self.sys)
             out = {kind: t.values for kind, t in sos.items()}
         if "chi" in kinds:
             out["chi"] = chi_hermitian(fam, lam, n).values
         return {kind: out[kind] for kind in kinds}
 
     def spectrum(self, values) -> dict:
-        from .linalg import eig_general
-
-        dec = eig_general(self.K0)
+        dec = self.sys or eig_general(self.K0)
         return {
             "eigenvalues": [_c(z) for z in dec.eigenvalues],
             "condition": dec.condition,
-            "diagonalizable": dec.is_diagonalizable_estimate,
+            "diagonalizable": dec.condition <= DEFECTIVE_COND,
         }
 
 

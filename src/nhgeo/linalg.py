@@ -8,6 +8,7 @@ used by the command line tools.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"{name} must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ShapeMismatch(f"{name} has non-finite entries")
     return A
 
@@ -46,9 +47,8 @@ def canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
     to that resolution are ties; the stable sort then keeps input order,
     which makes the ordering reproducible run to run.
     """
-    re = np.round(eigenvalues.real / ORDER_TIE_RESOLUTION) * ORDER_TIE_RESOLUTION
-    im = np.round(eigenvalues.imag / ORDER_TIE_RESOLUTION) * ORDER_TIE_RESOLUTION
-    return np.lexsort((im, re))
+    keys = np.array([eigenvalues.imag, eigenvalues.real])
+    return np.lexsort(np.rint(keys / ORDER_TIE_RESOLUTION) * ORDER_TIE_RESOLUTION)
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,149 @@ class EigDecomposition:
     ``right_vectors[:, n]`` is the unit-norm right eigenvector of
     ``eigenvalues[n]``.  ``condition`` is the 2-norm condition number of the
     eigenvector matrix; ``is_diagonalizable_estimate`` is False when it
-    exceeds ``DEFECTIVE_COND`` (reported, not fatal).
+    exceeds ``DEFECTIVE_COND`` (reported, not fatal).  ``right_inverse`` is
+    the inverse of ``right_vectors``, or None when ``condition`` exceeds
+    ``DEFECTIVE_COND``.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     condition: float
     is_diagonalizable_estimate: bool
+    right_inverse: np.ndarray | None
+
+
+def _pow2(m: float) -> float:
+    """Power of two ``s`` with ``m * s`` in [0.5, 1) (1 for ``m = 0``).
+
+    ``m`` is the largest |Re| or |Im| entry of a matrix; scaling the matrix
+    by ``s`` is exact and keeps its products clear of overflow and underflow.
+    """
+    return math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
+
+
+def _scaled_2x2(A):
+    """The entries ``a, b, c, d`` of the 2x2 ``A`` as Python scalars scaled by
+    the power of two ``s`` of :func:`_pow2`, and ``s``.  This is the per-call
+    path of the 2x2 closed forms: scalar arithmetic costs a few microseconds
+    where numpy's per-call overhead costs tens."""
+    (a, b), (c, d) = A.tolist()
+    s = _pow2(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
+                  abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
+    return (a * s, b * s, c * s, d * s), s
+
+
+def _s1_squared(a, b, c, d):
+    """``||A||_2^2`` for ``A = [[a, b], [c, d]]``.
+
+    The entries are scalars, or arrays holding one block per element.  It
+    is the larger eigenvalue of ``A^H A = [[p, q], [conj(q), r]]``,
+    ``(p + r)/2 + sqrt(((p - r)/2)^2 + |q|^2)``: a sum of nonnegative terms,
+    so exact to rounding even when ``s1 ~ s2``, where the form
+    ``sqrt(f - 2|det A|)`` (``f`` the squared Frobenius norm) loses half the
+    digits.  Fourth powers of the entries appear, so the entries should be
+    of magnitude near 1 (see :func:`_scaled_2x2`).
+    """
+    p = abs(a) ** 2 + abs(c) ** 2
+    r = abs(b) ** 2 + abs(d) ** 2
+    q = abs(a.conjugate() * b + c.conjugate() * d)
+    return (p + r) / 2 + ((p - r) ** 2 / 4 + q * q) ** 0.5
+
+
+def _norm2_2x2(A) -> np.ndarray:
+    """Spectral norm of each 2x2 block of ``A (..., 2, 2)``, by
+    :func:`_s1_squared`.  Blocks whose squared norm leaves [1e-140, 1e140],
+    where a fourth power of an entry may have overflowed or underflowed,
+    are computed again after scaling each by its power of two (exact)."""
+    def squared(B):
+        return _s1_squared(B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1])
+
+    with np.errstate(all="ignore"):  # the blocks that over- or underflow are redone
+        sq = squared(A)
+    out = np.sqrt(sq)
+    redo = ~((sq >= 1e-140) & (sq <= 1e140))
+    if redo.any():
+        B = A[redo]
+        m = np.maximum(np.abs(B.real), np.abs(B.imag)).max(axis=(-2, -1))
+        s = np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
+        out[redo] = np.sqrt(squared(B * s[:, None, None])) / s
+    return out
+
+
+def norm2(A):
+    """Spectral norm ``||A||_2`` of a matrix, or of each block of a stack
+    ``(..., 2, 2)``.
+
+    2x2 matrices and blocks use the closed form of :func:`_s1_squared` on
+    entries scaled by a power of two (exact; in a stack only the blocks
+    whose magnitude needs it), any other matrix the SVD, which LAPACK
+    scales itself: no intermediate overflows or underflows.
+    """
+    A = np.asarray(A)
+    if A.ndim > 2:
+        return _norm2_2x2(A)
+    if A.shape == (2, 2):
+        vals, s = _scaled_2x2(A)
+        return _s1_squared(*vals) ** 0.5 / s
+    return float(np.linalg.norm(A, 2))
+
+
+def _residuals(K, w, R):
+    """Eigenpair residuals ``||K r_j - w_j r_j||`` and the bound
+    ``1e-10 * ||K||_2``, both times the power of two of :func:`_pow2`
+    (exact), so that no norm overflows or underflows.  2x2 scales the
+    entries, in scalar arithmetic; larger ``K`` scales ``K R - R diag(w)``,
+    whose entries stay below ``N max|K|``."""
+    if K.shape == (2, 2):
+        (a, b, c, d), s = _scaled_2x2(K)
+        (r00, r01), (r10, r11) = R.tolist()
+        w0, w1 = w.tolist()
+        resid = []
+        for x, y, v in ((r00, r10, w0 * s), (r01, r11, w1 * s)):
+            e0, e1 = (a - v) * x + b * y, c * x + (d - v) * y
+            resid.append(math.hypot(e0.real, e0.imag, e1.real, e1.imag))
+        return resid, 1e-10 * _s1_squared(a, b, c, d) ** 0.5
+    s = _pow2(float(max(K.real.max(), -K.real.min(), K.imag.max(), -K.imag.min())))
+    E = K @ R
+    E -= R * w
+    E *= s
+    return np.linalg.norm(E, axis=0), 1e-10 * norm2(K) * s
+
+
+def _cond_inverse(A):
+    """``(cond_2(A), A^-1)``, the inverse None when the condition number
+    exceeds ``DEFECTIVE_COND`` or is not finite (so a singular ``A`` raises
+    no LinAlgError).
+
+    2x2: ``cond = s1^2 / |det A|`` (as ``s1 s2 = |det A|``) with ``s1^2``
+    from :func:`_s1_squared`, and the inverse from the adjugate, both on the
+    entries scaled by a power of two.  Larger matrices: the SVD, then an LU
+    inverse.
+    """
+    if A.shape == (2, 2):
+        (a, b, c, d), s = _scaled_2x2(A)
+        det = a * d - b * c
+        cond = _s1_squared(a, b, c, d) / abs(det) if det else math.inf
+        if not cond <= DEFECTIVE_COND:
+            return cond, None
+        f = s / det
+        return cond, np.array([[d * f, -b * f], [-c * f, a * f]])
+    cond = float(np.linalg.cond(A, 2))
+    return cond, np.linalg.inv(A) if cond <= DEFECTIVE_COND else None
 
 
 def eig_general(K) -> EigDecomposition:
     """Eigendecomposition of a general complex square matrix.
 
+    The residual test is scale-free (:func:`_residuals`): no norm overflows
+    or underflows at any magnitude of ``K``.  ``R^-1`` is computed here,
+    once, for the callers that need it.
+
     Raises
     ------
     NonConvergence
         If the underlying QR iteration fails or the per-pair residual
-        ``||K v - w v||`` exceeds ``1e-10 * ||K||``.
+        ``||K v - w v||`` exceeds ``1e-10 * ||K||`` (or is NaN).
     """
     K = as_square(K, "K")
     try:
@@ -85,29 +211,22 @@ def eig_general(K) -> EigDecomposition:
     w, R = w[order], R[:, order]
     R = R / np.linalg.norm(R, axis=0)
 
-    scale = np.linalg.norm(K, 2)
-    resid = np.linalg.norm(K @ R - R * w[None, :], axis=0)
-    if scale > 0 and np.any(resid > 1e-10 * scale):
+    resid, tol = _residuals(K, w, R)
+    # written so that a NaN residual fails too
+    if tol > 0 and not all(r <= tol for r in resid):
         raise NonConvergence(
-            f"eigenpair residual {resid.max():.3e} exceeds 1e-10*||K||"
+            f"eigenpair residual {1e-10 * np.max(resid) / tol:.3e}*||K|| exceeds 1e-10*||K||"
         )
-    cond = float(np.linalg.cond(R, 2))
-    return EigDecomposition(w, R, cond, cond <= DEFECTIVE_COND)
+    cond, Rinv = _cond_inverse(R)
+    return EigDecomposition(w, R, cond, cond <= DEFECTIVE_COND, Rinv)
 
 
 def inverse(A) -> np.ndarray:
     """Matrix inverse, guarded by a condition-number bound of 1e12."""
-    A = as_square(A, "A")
-    try:
-        cond = np.linalg.cond(A, 2)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularMatrix(str(exc)) from exc
-    if not np.isfinite(cond) or cond > DEFECTIVE_COND:
+    cond, Ai = _cond_inverse(as_square(A, "A"))
+    if Ai is None:
         raise SingularMatrix(f"condition number {cond:.3e} above 1e12")
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
+    return Ai
 
 
 def _raise_first(bad, exc_type, message):
@@ -123,17 +242,6 @@ def _raise_first(bad, exc_type, message):
         exc = exc_type(message(i) if bad.ndim == 0 else f"block {i}: {message(i)}")
         exc.block = i
         raise exc
-
-
-def _norm2_2x2(A) -> np.ndarray:
-    """Spectral norm of each 2x2 block of ``A (..., 2, 2)``, in closed form.
-
-    With ``f = s1^2 + s2^2`` (Frobenius) and ``d = s1 s2 = |det A|``:
-    ``s1 = (sqrt(f + 2d) + sqrt(f - 2d)) / 2``.
-    """
-    f = (A.real ** 2 + A.imag ** 2).sum(axis=(-2, -1))
-    d = np.abs(A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0])
-    return (np.sqrt(f + 2 * d) + np.sqrt(np.maximum(f - 2 * d, 0.0))) / 2
 
 
 def _eig_2x2(A: np.ndarray):
@@ -213,15 +321,16 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
     if A.shape[0] == 2 and B.shape[0] == 2:
         a, Ua = _eig_2x2(A)
         b, Ub = _eig_2x2(B)
+        Uai, Ubi = np.linalg.inv(Ua), np.linalg.inv(Ub)
     else:
         da = eig_general(A)
         db = eig_general(B)
         if not (da.is_diagonalizable_estimate and db.is_diagonalizable_estimate):
             raise NearDefective("coefficient matrix near defective")
-        a, Ua = da.eigenvalues, da.right_vectors
-        b, Ub = db.eigenvalues, db.right_vectors
-    scale = max(np.linalg.norm(A, 2), np.linalg.norm(B, 2), 1.0)
-    return _pencil(a, Ua, np.linalg.inv(Ua), b, Ub, np.linalg.inv(Ub), pencil_tol * scale)(Y)
+        a, Ua, Uai = da.eigenvalues, da.right_vectors, da.right_inverse
+        b, Ub, Ubi = db.eigenvalues, db.right_vectors, db.right_inverse
+    scale = max(norm2(A), norm2(B), 1.0)
+    return _pencil(a, Ua, Uai, b, Ub, Ubi, pencil_tol * scale)(Y)
 
 
 def solve_sylvester(X, Y) -> np.ndarray:
@@ -242,12 +351,12 @@ def solve_sylvester(X, Y) -> np.ndarray:
         )
     x, U = dec.eigenvalues, dec.right_vectors
     denom = x[:, None] + x[None, :]
-    scale = max(np.linalg.norm(X, 2), 1.0)
+    scale = max(norm2(X), 1.0)
     if np.abs(denom).min() < 1e-12 * scale:
         raise SingularPencil(
             f"min |x_i + x_j| = {np.abs(denom).min():.3e} below 1e-12*||X||"
         )
-    Ui = np.linalg.inv(U)
+    Ui = dec.right_inverse
     G = (Ui @ Y @ Ui.T) / denom
     out = U @ G @ U.T
     ynorm = np.linalg.norm(Y)

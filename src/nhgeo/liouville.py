@@ -37,11 +37,11 @@ from .errors import (
 )
 from .linalg import (
     _eig_2x2,
-    _norm2_2x2,
     _pencil,
     _raise_first,
     as_square,
     eig_general,
+    norm2,
     solve_sylvester,
     solve_sylvester_pair,
 )
@@ -146,7 +146,7 @@ def steady_state_gamma(liou: QuadraticLiouvillian) -> MajoranaCorrelation:
 
 def _ness_gamma(liou: QuadraticLiouvillian, x) -> np.ndarray:
     """Steady-state Gamma, given the rapidities ``x`` of ``liou``."""
-    tol = 1e-12 * max(1.0, np.linalg.norm(liou.X, 2))
+    tol = 1e-12 * max(1.0, norm2(liou.X))
     if x.real.min() <= tol:
         raise NonUniqueSteadyState(
             f"min Re(rapidity) = {x.real.min():.3e}: steady state not unique"
@@ -195,7 +195,8 @@ def _offdiag_generator(x, U, dX, *, gap_rtol=1e-8, Ui=None):
     sectors); a coupled degenerate pair raises.  Stacks ``x (..., n)``,
     ``U, dX (..., n, n)`` are handled blockwise: the gap tolerance scales
     with ``max(|x|, 1)`` and the coupling tolerance with ``max(|num|, 1)`` of
-    each block.  ``Ui`` is ``U^-1`` when the caller has it.
+    each block.  ``Ui`` is ``U^-1`` when the caller has it (as
+    ``EigDecomposition.right_inverse``, or from one inverse of a stack).
     """
     n = x.shape[-1]
     num = (np.linalg.inv(U) if Ui is None else Ui) @ dX @ U
@@ -254,10 +255,10 @@ def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
     """Quadratic-form transport generator (Xcal, Ycal) along one direction."""
     lam = _params(lam, fam.num_params)
     liou = fam(lam)
-    x, U = rapidities(liou)
+    dec = eig_general(liou.X)
     dX, dY = fam.dxy(mu_dir, lam)
-    Xcal = _xcal(x, U, dX)
-    Gamma = _ness_gamma(liou, x)
+    Xcal = _xcal(dec.eigenvalues, dec.right_vectors, dX, dec.right_inverse)
+    Gamma = _ness_gamma(liou, dec.eigenvalues)
     dG = steady_state_dgamma(liou, Gamma, dX, dY)
     Ycal = dG + Xcal @ Gamma + Gamma @ Xcal.T
     return AGPQuadratic(mu_dir, Xcal, Ycal)
@@ -267,13 +268,13 @@ def zeta_ness(fam: LiouvillianFamily, lam) -> GeoTensor:
     """Steady-state mixed tensor over all parameter directions."""
     lam = _params(lam, fam.num_params)
     liou = fam(lam)
-    x, U = rapidities(liou)
-    Gamma = _ness_gamma(liou, x)
+    dec = eig_general(liou.X)
+    Gamma = _ness_gamma(liou, dec.eigenvalues)
     dG, Xcal = [], []
     for mu in range(fam.num_params):
         dX, dY = fam.dxy(mu, lam)
         dG.append(steady_state_dgamma(liou, Gamma, dX, dY))
-        Xcal.append(_xcal(x, U, dX))
+        Xcal.append(_xcal(dec.eigenvalues, dec.right_vectors, dX, dec.right_inverse))
     return GeoTensor("zeta", "ness", _ness_tensor(dG, Xcal, Gamma), lam, {"n": fam.n})
 
 
@@ -387,7 +388,7 @@ def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
         a, Ua = _eig_2x2(x)
         b, Ub = _eig_2x2(xmT)
         Uai = np.linalg.inv(Ua)
-        scale = np.maximum(np.maximum(_norm2_2x2(x), _norm2_2x2(xmT)), 1.0)
+        scale = np.maximum(np.maximum(norm2(x), norm2(xmT)), 1.0)
         solve = _pencil(a, Ua, Uai, b, Ub, np.linalg.inv(Ub), 1e-12 * scale)
         gk = solve(model.y_block(kc, lam))
         dgs, xcals = [], []

@@ -55,7 +55,7 @@ from .errors import (
     NotHermitian,
     ShapeMismatch,
 )
-from .linalg import as_square
+from .linalg import as_square, norm2
 
 _EPS_THIRD = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -253,6 +253,16 @@ def _checked(fam: OperatorFamily, lam, n: int) -> np.ndarray:
     return _params(lam, fam.num_params)
 
 
+def _require_gaps(w, states, scale: float) -> None:
+    """DegenerateSpectrum unless every gap ``|w_m - w_n|`` of a state ``n`` in
+    ``states`` is at least ``1e-10 * scale``."""
+    for n in states:
+        gap = np.abs(w - w[n])
+        gap[n] = np.inf
+        if gap.min() < 1e-10 * scale:
+            raise DegenerateSpectrum(f"eigenvalue {n} degenerate within 1e-10*||K||")
+
+
 def _stencil(
     fam: OperatorFamily,
     lam,
@@ -261,12 +271,18 @@ def _stencil(
     h: float | None = None,
     gauge: GaugeFunc | None = None,
     richardson: bool = False,
-    sys0: BiorthogonalSystem | None = None,
 ) -> _Stencil:
+    """Derivatives of the states ``needed`` at ``lam``.
+
+    Raises DegenerateSpectrum, as :func:`sum_over_states` does, if a needed
+    state has a gap below ``1e-10 * max(||K||, 1)``: there the derivative
+    depends on the solver's choice of basis in the degenerate space.
+    """
     lam = _params(lam, fam.num_params)
-    if sys0 is None:
-        sys0 = build_biortho(fam(lam), warn_degenerate=False)
+    K0 = fam(lam)
+    sys0 = build_biortho(K0, warn_degenerate=False)
     needed = sorted(set(int(n) for n in needed))
+    _require_gaps(sys0.eigenvalues, needed, max(norm2(K0), 1.0))
     d = fam.num_params
     N, K = sys0.dim, len(needed)
     dR = np.empty((d, N, K), dtype=complex)
@@ -354,7 +370,7 @@ def agp_elements(
         sys = build_biortho(K, warn_degenerate=False)
     dK = fam.derivative(mu_dir, lam)
     num = sys.left.conj().T @ dK @ sys.right
-    scale = max(np.linalg.norm(K, 2), 1.0)
+    scale = max(norm2(K), 1.0)
     return AGPMatrix(mu_dir, _generator(num, sys.eigenvalues, mu_reg, scale), mu_reg)
 
 
@@ -369,6 +385,7 @@ def sum_over_states(
     kinds: Sequence[str],
     *,
     mu_reg: float = 0.0,
+    sys: BiorthogonalSystem | None = None,
 ) -> dict[str, GeoTensor]:
     """The tensors ``kinds`` of eigenstate ``n`` from one eigensystem.
 
@@ -384,7 +401,8 @@ def sum_over_states(
       ``Cinv[n, n] <n_R|n_R>`` for ``zeta_limited_rescaled``.
 
     ``K``, its norm, the eigensystem and ``<m_L|d_mu K|n_R>`` are computed
-    once for all kinds.  ``zeta`` uses the whole generator, so ``mu_reg``
+    once for all kinds; ``sys`` is the eigensystem of ``fam(lam)`` when the
+    caller has built it.  ``zeta`` uses the whole generator, so ``mu_reg``
     regularizes it and its exact kernel needs every gap.  ``eta`` and
     ``zeta_limited`` use only row and column ``n`` of the exact kernel, so
     only the gaps ``w_m - w_n`` must be open: a degenerate pair of other
@@ -409,8 +427,9 @@ def sum_over_states(
         raise ValueError("mu_reg must be >= 0")
     lam = _checked(fam, lam, n)
     K = fam(lam)
-    scale = max(np.linalg.norm(K, 2), 1.0)
-    sys = build_biortho(K, warn_degenerate=False)
+    scale = max(norm2(K), 1.0)
+    if sys is None:
+        sys = build_biortho(K, warn_degenerate=False)
     w = sys.eigenvalues
     C = sys.gram_right
     Cinv = sys.gram_left
@@ -421,12 +440,9 @@ def sum_over_states(
 
     col = row = None
     if any(k != "zeta" for k in kinds):
+        _require_gaps(w, [n], scale)
         gap = w[n] - w  # w_n - w_m
         others = np.arange(len(w)) != n
-        if (np.abs(gap[others]) < 1e-10 * scale).any():
-            raise DegenerateSpectrum(
-                f"eigenvalue {n} degenerate within 1e-10*||K||"
-            )
         gap[n] = 1.0
         col = np.where(others, num[:, :, n] / gap, 0.0)   # A_mu[:, n]
         row = np.where(others, num[:, n, :] / -gap, 0.0)  # A_mu[n, :]
@@ -471,7 +487,7 @@ def chi_hermitian(
     """
     lam = _checked(fam, lam, n)
     K = fam(lam)
-    scale = max(np.linalg.norm(K, 2), 1.0)
+    scale = max(norm2(K), 1.0)
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("family is not Hermitian at this parameter point")
     d = fam.num_params

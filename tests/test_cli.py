@@ -118,8 +118,9 @@ class TestTensorCommand:
 
     def test_matrix_file_tensors_from_one_eigensolve(self, runner, tmp_path, monkeypatch):
         import nhgeo.biortho as biortho_mod
-        import nhgeo.linalg as linalg_mod
+        import nhgeo.cli as cli_mod
         import nhgeo.tensors as tensors_mod
+        from nhgeo.linalg import eig_general
         from nhgeo.tensors import eta_tensor, zeta_limited, zeta_tensor
         from nhgeo.verify import random_family
 
@@ -138,16 +139,24 @@ class TestTensorCommand:
                 return real(*args, **kwargs)
             monkeypatch.setattr(mod, name, wrapper)
 
+        counting(cli_mod, "build_biortho")
         counting(tensors_mod, "build_biortho")
         counting(biortho_mod, "eig_general")
-        counting(linalg_mod, "eig_general")  # the eigenvalue summary's own solve
+        counting(cli_mod, "eig_general")  # an eigenvalue summary of its own
         kinds = ["eta", "zeta", "zeta_limited", "zeta_limited_rescaled"]
         result = run_ok(runner, [
             "tensor", "--matrix-file", str(files[0]), "--param-files", str(files[1]),
             "--param-files", str(files[2]), "--tensors", ",".join(kinds), "--state", "3"])
-        assert counts == {"build_biortho": 1, "eig_general": 2}
+        assert counts == {"build_biortho": 1, "eig_general": 1}
         monkeypatch.undo()
-        tensors = json.loads(result.output)["tensors"]
+        payload = json.loads(result.output)
+        dec = eig_general(fam(lam))
+        assert payload["eigenvalue_summary"] == {
+            "eigenvalues": [{"re": z.real, "im": z.imag} for z in dec.eigenvalues.tolist()],
+            "condition": dec.condition,
+            "diagonalizable": True,
+        }
+        tensors = payload["tensors"]
         assert list(tensors) == kinds
         refs = {
             "eta": eta_tensor(fam, lam, 3).values,

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhgeo.errors import NonConvergence, ShapeMismatch, SingularMatrix, SingularPencil
+from nhgeo.biortho import build_biortho
+from nhgeo.errors import (
+    NearDefective,
+    NonConvergence,
+    ShapeMismatch,
+    SingularMatrix,
+    SingularPencil,
+)
 from nhgeo.linalg import (
+    DEFECTIVE_COND,
+    _cond_inverse,
     _eig_2x2,
     _pencil,
     eig_general,
@@ -14,6 +23,7 @@ from nhgeo.linalg import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
+    norm2,
     solve_sylvester,
     solve_sylvester_pair,
 )
@@ -75,6 +85,47 @@ class TestEigGeneral:
         with pytest.raises(ShapeMismatch):
             eig_general(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes_decompose(self, scale, rng):
+        # the residual column norms of K would overflow (underflow) unscaled
+        dec = eig_general(np.array([[0.0, scale], [scale, 0.0]]))
+        assert np.array_equal(np.sort(dec.eigenvalues.real), [-scale, scale])
+        assert abs(dec.condition - 1.0) <= 1e-15 and dec.is_diagonalizable_estimate
+        K = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        dec = eig_general(K)
+        R = dec.right_vectors
+        assert maxdev(K @ R / scale, R * dec.eigenvalues / scale) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_residual_checked_at_extreme_magnitudes(self, scale, monkeypatch):
+        # wrong eigenvalues must fail the residual test at any magnitude
+        # (unscaled, the residuals underflow to 0 at 1e-200)
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda K: (1.5 * real_eig(K)[0], real_eig(K)[1]))
+        for K in (np.array([[0.0, scale], [scale, 0.0]]), scale * np.diag([1.0, 2.0, 3.0])):
+            with pytest.raises(NonConvergence):
+                eig_general(K)
+
+    def test_nan_residual_raises(self, monkeypatch):
+        real_eig = np.linalg.eig
+
+        def nan_pair(K):
+            w, R = real_eig(K)
+            w[0] = np.nan
+            return w, R
+
+        monkeypatch.setattr(np.linalg, "eig", nan_pair)
+        for K in (np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0])):
+            with pytest.raises(NonConvergence):
+                eig_general(K)
+
+    def test_right_inverse(self, rng):
+        for N in (2, 5):
+            dec = eig_general(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+            assert maxdev(dec.right_inverse @ dec.right_vectors, np.eye(N)) <= 1e-12
+        dec = eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert dec.right_inverse is None and dec.condition > DEFECTIVE_COND
+
 
 class TestInverse:
     def test_identity(self):
@@ -90,6 +141,96 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def block(seed, kind):
+    """A 2x2 test block: random, mixed-scale (entries 1e-8..1e8), near
+    unitary (s1 ~ s2, where sqrt(f - 2|det|) loses half the digits), or a
+    random block scaled by 1e200 or 1e-200."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if kind == "mixed":
+        return A * 10.0 ** rng.uniform(-8, 8, size=(2, 2))
+    if kind == "unitary":
+        return np.linalg.qr(A)[0] * np.exp(rng.normal())
+    return A * {"random": 1.0, "1e200": 1e200, "1e-200": 1e-200}[kind]
+
+
+BLOCK_KINDS = st.sampled_from(["random", "mixed", "unitary", "1e200", "1e-200"])
+
+
+class TestClosedForms2x2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), BLOCK_KINDS)
+    def test_norm2_matches_svd(self, seed, kind):
+        A = block(seed, kind)
+        ref = np.linalg.norm(A, 2)
+        assert abs(norm2(A) - ref) <= 1e-12 * ref
+        assert abs(norm2(A.real) - np.linalg.norm(A.real, 2)) <= 1e-12 * ref
+        stack = norm2(np.stack([A, 2 * A, A.T, 0 * A]))
+        assert maxdev(stack / ref, [1.0, 2.0, 1.0, 0.0]) <= 1e-12
+
+    def test_norm2_stack_of_mixed_magnitudes(self, rng):
+        # each block at its own scale, 1e-200 to 1e200, side by side
+        scales = 10.0 ** np.arange(-200, 201, 25)
+        stack = scales[:, None, None] * (rng.normal(size=(len(scales), 2, 2))
+                                         + 1j * rng.normal(size=(len(scales), 2, 2)))
+        for got, B in zip(norm2(stack), stack):
+            ref = np.linalg.norm(B, 2)
+            assert abs(got - ref) <= 1e-12 * ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), BLOCK_KINDS)
+    def test_condition_matches_svd(self, seed, kind):
+        A = block(seed, kind)
+        unit = A / np.abs(A).max()
+        unit /= np.linalg.norm(unit, axis=0)  # as the eigenvector matrices are
+        for A in (A, unit):
+            ref = np.linalg.cond(A, 2)
+            cond, Ai = _cond_inverse(A)
+            # beyond 1e3 both routes carry the forward error eps * cond
+            assert abs(cond - ref) <= (1e-12 + 1e-15 * ref) * ref
+            if cond <= DEFECTIVE_COND:
+                assert maxdev(Ai @ A, np.eye(2)) <= 1e-12 * cond
+
+    def test_norm2_larger_matrices_use_svd(self, rng):
+        for scale in (1.0, 1e200, 1e-200):
+            A = scale * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            ref = np.linalg.norm(A, 2)
+            assert abs(norm2(A) - ref) <= 1e-12 * ref
+        assert norm2(np.zeros((2, 2))) == 0.0 and norm2(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("eps, diagonalizable", [
+        (1e-20, True), (1e-22, True), (1e-26, False), (1e-28, False), (0.0, False),
+    ])
+    def test_near_defective_verdicts(self, eps, diagonalizable):
+        # eigenvector condition ~ eps^(-1/2) against the 1e12 bound
+        K = np.array([[0.0, 1.0], [eps, 0.0]])
+        dec = eig_general(K)
+        assert dec.is_diagonalizable_estimate is diagonalizable
+        assert bool(np.linalg.cond(dec.right_vectors, 2) <= DEFECTIVE_COND) is diagonalizable
+        assert (dec.right_inverse is not None) is diagonalizable
+        if diagonalizable:
+            assert abs(dec.condition * np.sqrt(eps) - 1.0) <= 1e-6
+            build_biortho(K, warn_degenerate=False)
+        else:
+            with pytest.raises(NearDefective):
+                build_biortho(K, warn_degenerate=False)
+
+    def test_biortho_2x2_runs_no_svd_cond_or_inverse(self, rng, monkeypatch):
+        npla = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / 1
+
+        calls = []
+        for name in ("svd", "cond", "inv"):
+            for mod in (np.linalg, npla):
+                real = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name, **k:
+                                    calls.append(_n) or _f(*a, **k))
+        sys = build_biortho(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        assert calls == []
+        assert maxdev(sys.left.conj().T @ sys.right, np.eye(2)) <= 1e-12
+        build_biortho(rng.normal(size=(3, 3)))  # the counters do see larger matrices
+        assert set(calls) == {"svd", "cond", "inv"}
 
 
 def random_stable(rng, N):

@@ -341,6 +341,65 @@ class TestSumOverStates:
             sum_over_states(nh6, [0.0, 0.0], 0, ["eta"], mu_reg=-1.0)
 
 
+class TestStencilAtDegeneracy:
+    """The stencil raises DegenerateSpectrum where :func:`sum_over_states`
+    does: the derivative of a state inside a degenerate pair depends on the
+    solver's choice of basis, so no finite value is trustworthy."""
+
+    @pytest.fixture
+    def pair(self, rng):
+        # states 0 and 1 degenerate at lam = 0, state 2 isolated
+        D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return OperatorFamily(3, 1, lambda l: np.diag([1.0, 1.0, 2.0]) + l[0] * D,
+                              lambda mu, l: D)
+
+    ROUTES = {
+        "eta": lambda f, n: eta_tensor(f, [0.0], n),
+        "zeta_limited": lambda f, n: zeta_limited(f, [0.0], n),
+        "zeta_limited_rescaled": lambda f, n: zeta_limited(f, [0.0], n, rescaled=True),
+        "zeta-overlap": lambda f, n: zeta_tensor(f, [0.0], n),
+        "zeta-projector": lambda f, n: zeta_tensor(f, [0.0], n, route="projector"),
+        "berry": lambda f, n: berry_connection(f, [0.0], n, 0),
+        "projector": lambda f, n: projector_deformation(f, [0.0], n, 0),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_degenerate_state_raises(self, pair, route):
+        with pytest.raises(DegenerateSpectrum, match="eigenvalue 0"):
+            self.ROUTES[route](pair, 0)
+        with pytest.raises(DegenerateSpectrum):
+            sum_over_states(pair, [0.0], 0, ["eta"])
+
+    def test_isolated_state_matches_engine(self, pair):
+        sos = sum_over_states(pair, [0.0], 2, ["eta", "zeta_limited", "zeta_limited_rescaled"])
+        for kind, T in sos.items():
+            ref = self.ROUTES[kind](pair, 2).values
+            assert maxdev(T.values, ref) <= 1e-8 * np.abs(ref).max(), kind
+        assert np.isfinite(self.ROUTES["berry"](pair, 2))
+        assert np.isfinite(self.ROUTES["projector"](pair, 2))
+        # zeta differentiates every state, the degenerate pair included
+        for route in ("zeta-overlap", "zeta-projector"):
+            with pytest.raises(DegenerateSpectrum, match="eigenvalue 0"):
+                self.ROUTES[route](pair, 2)
+
+    def test_gap_tested_against_the_norm(self):
+        # a 1e-6 gap at state 0 is open at ||K|| = 2, closed at ||K|| = 1e5
+        for top, closed in ((2.0, False), (1e5, True)):
+            fam = OperatorFamily(
+                3, 1,
+                lambda l, t=top: np.diag([1.0, 1.0 + 1e-6, t]) + l[0] * SX3,
+                lambda mu, l: SX3,
+            )
+            if closed:
+                with pytest.raises(DegenerateSpectrum):
+                    eta_tensor(fam, [0.0], 0, h=1e-9)
+            else:
+                assert np.isfinite(eta_tensor(fam, [0.0], 0, h=1e-9).values).all()
+
+
+SX3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
+
+
 class TestBerryConnection:
     def test_parameter_independent_zero(self):
         fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.4j * np.eye(3))
