@@ -37,15 +37,12 @@ from .linalg import (
     matrix_from_json,
 )
 from .liouville import (
+    NESS_KINDS,
     LiouvillianFamily,
     build_liouvillian,
     bures_metric,
-    rapidities,
-    zeta_ness,
+    ness_tensors,
     zeta_ness_k,
-    zeta_tilde_gaussian,
-    steady_state_dgamma,
-    steady_state_gamma,
 )
 from .ssh import SSHParams, bloch_family, eps, zeta_finite_sum
 from .tensors import (
@@ -102,14 +99,11 @@ class SSHAdapter:
 
     def spectrum(self, values) -> dict:
         p = self.params(values)
-        bands = []
-        for k in p.k_grid:
-            se = np.sqrt(eps(p.t, p.delta, k))
-            bands.append({"k": float(k), "values": [_c(se), _c(-se)]})
-        flat = sorted(
-            (complex(v["values"][i]["re"], v["values"][i]["im"]) for v in bands for i in (0, 1)),
-            key=lambda z: (z.real, z.imag),
-        )
+        se = np.sqrt(eps(p.t, p.delta, p.k_grid))
+        pairs = np.stack([se, -se], axis=-1).tolist()  # (+sqrt(eps), -sqrt(eps)) per k
+        bands = [{"k": float(k), "values": [_c(z) for z in pair]}
+                 for k, pair in zip(p.k_grid, pairs)]
+        flat = sorted((z for pair in pairs for z in pair), key=lambda z: (z.real, z.imag))
         return {"per_k": bands, "sorted": [_c(z) for z in flat]}
 
 
@@ -168,16 +162,8 @@ class KitaevAdapter:
     def spectrum(self, values) -> dict:
         p = self.params(values)
         model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-        xs = []
-        for k in p.k_grid:
-            xs.extend(np.linalg.eigvals(model.x_block(k, [p.h, p.gamma])))
-        xs = sorted(xs, key=lambda z: (z.real, z.imag))
-        min_re = min(z.real for z in xs) if xs else 0.0
-        return {
-            "rapidities": [_c(z) for z in xs],
-            "min_re": float(min_re),
-            "unique_steady_state": bool(min_re > 1e-12),
-        }
+        xs = np.linalg.eigvals(model.x_block(p.k_grid[:, None, None], [p.h, p.gamma]))
+        return _rapidity_summary(sorted(xs.ravel().tolist(), key=lambda z: (z.real, z.imag)))
 
 
 class QuadLiouvilleAdapter:
@@ -199,13 +185,12 @@ class QuadLiouvilleAdapter:
             raise click.UsageError("H matrix dimension must be even (2n)")
         self.n = self.H0.shape[0] // 2
         self.directions = tuple(f"lam{i}" for i in range(len(self.dH)))
+        self.dec = None  # the decomposition of X once tensors() has built it
 
     def family(self) -> LiouvillianFamily:
         def make(lam):
             H = self.H0 + sum(lam[m] * self.dH[m] for m in range(len(self.dH)))
-            if self.M is not None:
-                return build_liouvillian(self.n, H, M=self.M)
-            return build_liouvillian(self.n, H, self.bath_vectors)
+            return build_liouvillian(self.n, H, self.bath_vectors, M=self.M)  # one is None
 
         return LiouvillianFamily(self.n, len(self.dH), make, name="quad-liouville")
 
@@ -214,46 +199,18 @@ class QuadLiouvilleAdapter:
             raise click.UsageError(
                 "tensor evaluation needs at least one --dhmat-file direction"
             )
+        for kind in kinds:
+            if kind not in NESS_KINDS:
+                raise click.UsageError(f"model quad-liouville does not provide tensor {kind!r}")
         fam = self.family()
         lam = np.zeros(len(self.dH))
-        out = {}
-        need_gamma = {"zeta_limited", "bures"} & set(kinds)
-        if need_gamma:
-            liou = fam(lam)
-            G = steady_state_gamma(liou).Gamma
-            dG = []
-            for mu in range(fam.num_params):
-                dX, dY = fam.dxy(mu, lam)
-                dG.append(steady_state_dgamma(liou, G, dX, dY))
-        for kind in kinds:
-            if kind == "zeta":
-                out[kind] = zeta_ness(fam, lam).values
-            elif kind == "zeta_limited":
-                d = fam.num_params
-                out[kind] = np.array(
-                    [[zeta_tilde_gaussian(G, dG[a], dG[b]) for b in range(d)] for a in range(d)],
-                    dtype=complex,
-                )
-            elif kind == "bures":
-                d = fam.num_params
-                out[kind] = np.array(
-                    [[bures_metric(G, dG[a], dG[b]) for b in range(d)] for a in range(d)],
-                    dtype=complex,
-                )
-            else:
-                raise click.UsageError(
-                    f"model quad-liouville does not provide tensor {kind!r}"
-                )
-        return out
+        # one eigensolve serves every kind and the spectrum
+        self.dec = eig_general(fam(lam).X)
+        return {kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=self.dec).items()}
 
     def spectrum(self, values) -> dict:
-        liou = self.family()(np.zeros(len(self.dH)))
-        x, _ = rapidities(liou)
-        return {
-            "rapidities": [_c(z) for z in x],
-            "min_re": float(x.real.min()),
-            "unique_steady_state": bool(x.real.min() > 1e-12),
-        }
+        dec = self.dec or eig_general(self.family()(np.zeros(len(self.dH))).X)
+        return _rapidity_summary(dec.eigenvalues)
 
 
 class MatrixFamilyAdapter:
@@ -337,6 +294,13 @@ def _thread_count(threads) -> int:
 def _c(z) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
+
+
+def _rapidity_summary(xs) -> dict:
+    """The rapidities ``xs``, their smallest real part and whether it exceeds 1e-12."""
+    min_re = float(min(z.real for z in xs))
+    return {"rapidities": [_c(z) for z in xs], "min_re": min_re,
+            "unique_steady_state": min_re > 1e-12}
 
 
 def _load_bath(path):

@@ -31,10 +31,11 @@ ORDER_TIE_RESOLUTION = 1e-12
 
 
 def as_square(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``M`` as a square complex ndarray with finite entries."""
+    """Validate and return ``M`` as a nonempty square complex ndarray with
+    finite entries."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ShapeMismatch(f"{name} must be nonempty and square, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ShapeMismatch(f"{name} has non-finite entries")
     return A
@@ -333,39 +334,42 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
     return _pencil(a, Ua, Uai, b, Ub, Ubi, pencil_tol * scale)(Y)
 
 
-def solve_sylvester(X, Y) -> np.ndarray:
-    """Solve ``X G + G X^T = Y`` (spectral method).
+def _sylvester_solver(X, dec: EigDecomposition):
+    """Checked solver of ``X G + G X^T = Y`` on the decomposition ``dec`` of ``X``.
 
-    The eigendecomposition of ``X`` is reused for the transposed factor:
-    ``G = U [ (U^-1 Y U^-T)_{ij} / (x_i + x_j) ] U^T``.  The residual
-    ``||X G + G X^T - Y||`` is checked against ``1e-9 * ||Y||``.
+    ``X^T = U^-T diag(x) U^T``, so it is :func:`_pencil` on ``(x, U, U^-1)``
+    and ``(x, U^-T, U^T)``.  Raises NearDefective if ``dec`` is too
+    ill-conditioned, SingularPencil if some ``|x_i + x_j|`` is below
+    ``1e-12 * max(||X||, 1)`` or a solve's residual exceeds ``1e-9 * ||Y||``.
     """
-    X = as_square(X, "X")
-    Y = as_square(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeMismatch("X and Y must have equal shapes")
-    dec = eig_general(X)
     if not dec.is_diagonalizable_estimate:
         raise NearDefective(
             f"eigenvector condition {dec.condition:.3e} above {DEFECTIVE_COND:.0e}"
         )
-    x, U = dec.eigenvalues, dec.right_vectors
-    denom = x[:, None] + x[None, :]
-    scale = max(norm2(X), 1.0)
-    if np.abs(denom).min() < 1e-12 * scale:
-        raise SingularPencil(
-            f"min |x_i + x_j| = {np.abs(denom).min():.3e} below 1e-12*||X||"
-        )
-    Ui = dec.right_inverse
-    G = (Ui @ Y @ Ui.T) / denom
-    out = U @ G @ U.T
-    ynorm = np.linalg.norm(Y)
-    resid = np.linalg.norm(X @ out + out @ X.T - Y)
-    if ynorm > 0 and resid > 1e-9 * ynorm:
-        raise SingularPencil(
-            f"solution residual {resid:.3e} exceeds 1e-9*||Y|| (ill-conditioned pencil)"
-        )
-    return out
+    x, U, Ui = dec.eigenvalues, dec.right_vectors, dec.right_inverse
+    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, 1e-12 * max(norm2(X), 1.0))
+
+    def solve(Y):
+        Y = as_square(Y, "Y")
+        if X.shape != Y.shape:
+            raise ShapeMismatch("X and Y must have equal shapes")
+        G = pencil(Y)
+        ynorm = np.linalg.norm(Y)
+        resid = np.linalg.norm(X @ G + G @ X.T - Y)
+        if ynorm > 0 and resid > 1e-9 * ynorm:
+            raise SingularPencil(
+                f"solution residual {resid:.3e} exceeds 1e-9*||Y|| (ill-conditioned pencil)"
+            )
+        return G
+
+    return solve
+
+
+def solve_sylvester(X, Y) -> np.ndarray:
+    """Solve ``X G + G X^T = Y`` by the spectral method of
+    :func:`_sylvester_solver` on one eigendecomposition of ``X``."""
+    X = as_square(X, "X")
+    return _sylvester_solver(X, eig_general(X))(Y)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .linalg import (
     _eig_2x2,
     _pencil,
     _raise_first,
+    _sylvester_solver,
     as_square,
     eig_general,
     norm2,
@@ -140,18 +141,20 @@ def steady_state_gamma(liou: QuadraticLiouvillian) -> MajoranaCorrelation:
     NonUniqueSteadyState
         If min Re(x_j) is not strictly positive (kernel not one-dimensional).
     """
-    x, _ = rapidities(liou)
-    return MajoranaCorrelation(_ness_gamma(liou, x))
+    return MajoranaCorrelation(_steady_state(liou)[2])
 
 
-def _ness_gamma(liou: QuadraticLiouvillian, x) -> np.ndarray:
-    """Steady-state Gamma, given the rapidities ``x`` of ``liou``."""
-    tol = 1e-12 * max(1.0, norm2(liou.X))
-    if x.real.min() <= tol:
+def _steady_state(liou: QuadraticLiouvillian, dec=None):
+    """``(dec, solve, Gamma)``: the decomposition of X (``dec`` when the caller
+    has it), the checked solver of ``X G + G X^T = Y`` on it, and Gamma."""
+    dec = dec or eig_general(liou.X)
+    x = dec.eigenvalues
+    if x.real.min() <= 1e-12 * max(1.0, norm2(liou.X)):
         raise NonUniqueSteadyState(
             f"min Re(rapidity) = {x.real.min():.3e}: steady state not unique"
         )
-    return solve_sylvester(liou.X, liou.Y)
+    solve = _sylvester_solver(liou.X, dec)
+    return dec, solve, solve(liou.Y)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,12 @@ def _ness_tensor(dG, Xcal, Gamma) -> np.ndarray:
     return np.einsum("akij,bkji->ab", 0.5 * dG + XG, dG)
 
 
+def _dgamma(solve, Gamma, dX, dY) -> np.ndarray:
+    """``dGamma`` from ``X dGamma + dGamma X^T = dY - dX Gamma - Gamma dX^T``,
+    with ``solve`` a solver of ``X G + G X^T = Y``."""
+    return solve(dY - dX @ Gamma - Gamma @ dX.T)
+
+
 def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -> np.ndarray:
     """Derivative of the steady-state correlation matrix.
 
@@ -247,35 +256,57 @@ def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -
     a finite-difference fallback remains available through the family object
     for validation.
     """
-    rhs = dY - dX @ Gamma - Gamma @ dX.T
-    return solve_sylvester(liou.X, rhs)
+    return _dgamma(lambda Y: solve_sylvester(liou.X, Y), Gamma, dX, dY)
 
 
 def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
     """Quadratic-form transport generator (Xcal, Ycal) along one direction."""
     lam = _params(lam, fam.num_params)
-    liou = fam(lam)
-    dec = eig_general(liou.X)
+    dec, solve, Gamma = _steady_state(fam(lam))
     dX, dY = fam.dxy(mu_dir, lam)
     Xcal = _xcal(dec.eigenvalues, dec.right_vectors, dX, dec.right_inverse)
-    Gamma = _ness_gamma(liou, dec.eigenvalues)
-    dG = steady_state_dgamma(liou, Gamma, dX, dY)
+    dG = _dgamma(solve, Gamma, dX, dY)
     Ycal = dG + Xcal @ Gamma + Gamma @ Xcal.T
     return AGPQuadratic(mu_dir, Xcal, Ycal)
 
 
+#: tensor kinds that :func:`ness_tensors` contracts
+NESS_KINDS = ("zeta", "zeta_limited", "bures")
+
+
+def ness_tensors(fam: LiouvillianFamily, lam, kinds: Sequence[str], *,
+                 dec=None) -> dict[str, GeoTensor]:
+    """The steady-state tensors ``kinds`` over all parameter directions; the
+    Liouvillian counterpart of :func:`nhgeo.tensors.sum_over_states`.
+
+    One decomposition of X (``dec`` when the caller has it) gives Gamma, every
+    ``dGamma_mu`` and, for ``zeta`` only (so only ``zeta`` raises
+    DegenerateRapidities), every ``Xcal_mu``.  ``zeta_limited`` and ``bures``
+    are :func:`zeta_tilde_gaussian` and :func:`bures_metric` of Gamma, dGamma.
+    """
+    kinds = list(kinds)
+    unknown = [k for k in kinds if k not in NESS_KINDS]
+    if unknown:
+        raise ValueError(f"steady-state tensors do not include {unknown}")
+    lam = _params(lam, fam.num_params)
+    dec, solve, Gamma = _steady_state(fam(lam), dec)
+    dxy = [fam.dxy(mu, lam) for mu in range(fam.num_params)]
+    dG = [_dgamma(solve, Gamma, dX, dY) for dX, dY in dxy]
+    out = {}
+    for kind in kinds:
+        if kind == "zeta":
+            x, U, Ui = dec.eigenvalues, dec.right_vectors, dec.right_inverse
+            vals = _ness_tensor(dG, [_xcal(x, U, dX, Ui) for dX, _ in dxy], Gamma)
+        else:
+            form = zeta_tilde_gaussian if kind == "zeta_limited" else bures_metric
+            vals = np.array([[form(Gamma, a, b) for b in dG] for a in dG], dtype=complex)
+        out[kind] = GeoTensor(kind, "ness", vals, lam, {"n": fam.n})
+    return out
+
+
 def zeta_ness(fam: LiouvillianFamily, lam) -> GeoTensor:
     """Steady-state mixed tensor over all parameter directions."""
-    lam = _params(lam, fam.num_params)
-    liou = fam(lam)
-    dec = eig_general(liou.X)
-    Gamma = _ness_gamma(liou, dec.eigenvalues)
-    dG, Xcal = [], []
-    for mu in range(fam.num_params):
-        dX, dY = fam.dxy(mu, lam)
-        dG.append(steady_state_dgamma(liou, Gamma, dX, dY))
-        Xcal.append(_xcal(dec.eigenvalues, dec.right_vectors, dX, dec.right_inverse))
-    return GeoTensor("zeta", "ness", _ness_tensor(dG, Xcal, Gamma), lam, {"n": fam.n})
+    return ness_tensors(fam, lam, ["zeta"])["zeta"]
 
 
 # ---------------------------------------------------------------------------

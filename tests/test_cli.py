@@ -6,7 +6,9 @@ from click.testing import CliRunner
 
 import nhgeo.cli as cli_mod
 from nhgeo.cli import main
+from nhgeo.kitaev import DissipativeKitaevModel
 from nhgeo.linalg import save_matrix
+from nhgeo.ssh import eps
 
 
 @pytest.fixture
@@ -169,6 +171,63 @@ class TestTensorCommand:
                             for row in tensors[kind]["components"]])
             assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max(), kind
 
+    def test_quad_liouville_tensors_from_one_eigensolve(self, runner, tmp_path, monkeypatch):
+        import nhgeo.linalg as linalg_mod
+        import nhgeo.liouville as liouville_mod
+        from nhgeo.liouville import (
+            bures_metric,
+            rapidities,
+            steady_state_dgamma,
+            steady_state_gamma,
+            zeta_ness,
+            zeta_tilde_gaussian,
+        )
+        from nhgeo.verify import random_bath, random_hmat
+
+        rng = np.random.default_rng(9)
+        H, D0, D1 = (random_hmat(rng, 3) for _ in range(3))
+        B = sum(np.outer(v, v.conj()) for v in random_bath(rng, 3))
+        files = [str(tmp_path / f) for f in ("H.json", "d0.json", "d1.json", "bath.json")]
+        for path, A in zip(files, [H, D0, D1, B]):
+            save_matrix(path, A)
+        real = linalg_mod.eig_general
+        calls = []
+
+        def counting(K):
+            calls.append(K)
+            return real(K)
+
+        for mod in (linalg_mod, liouville_mod, cli_mod):
+            monkeypatch.setattr(mod, "eig_general", counting)
+        kinds = ["zeta", "zeta_limited", "bures"]
+        args = ["tensor", "--model", "quad-liouville", "--hmat-file", files[0],
+                "--dhmat-files", files[1], "--dhmat-files", files[2], "--bath-file", files[3]]
+        payload = json.loads(run_ok(runner, args + ["--tensors", ",".join(kinds)]).output)
+        assert len(calls) == 1
+        result = runner.invoke(main, args + ["--tensors", "zeta,eta"])
+        assert result.exit_code == 2 and "'eta'" in result.output
+        assert len(calls) == 1  # an unknown kind is rejected before any eigensolve
+        monkeypatch.undo()
+
+        fam = cli_mod.QuadLiouvilleAdapter(files[0], files[3], files[1:3]).family()
+        lam = np.zeros(2)
+        liou = fam(lam)
+        G = steady_state_gamma(liou).Gamma
+        dG = [steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
+        refs = {
+            "zeta": zeta_ness(fam, lam).values,
+            "zeta_limited": [[zeta_tilde_gaussian(G, a, b) for b in dG] for a in dG],
+            "bures": [[bures_metric(G, a, b) for b in dG] for a in dG],
+        }
+        tensors = payload["tensors"]
+        assert list(tensors) == kinds
+        for kind, ref in refs.items():
+            got = [[complex(c["re"], c["im"]) for c in row] for row in tensors[kind]["components"]]
+            assert np.array_equal(got, ref), kind
+        x, _ = rapidities(liou)
+        assert payload["eigenvalue_summary"]["rapidities"] == [
+            {"re": z.real, "im": z.imag} for z in x.tolist()]
+
     def test_matrix_file_degenerate_pair_away_from_state(self, runner, tmp_path):
         save_matrix(tmp_path / "K.json", np.diag([1.0, 1.0, 2.0]))
         save_matrix(tmp_path / "d.json", np.array([[0.0, 0.3, 1.0], [0.3, 0.0, 0.5],
@@ -250,17 +309,34 @@ class TestSpectrumCommand:
             }
             for z in got:
                 assert min(abs(z - se), abs(z + se)) < 1e-10
+        # bit for bit the per-k loop
+        loop = []
+        for entry in per_k:
+            se = np.sqrt(eps(0.5, 0.3, entry["k"]))
+            assert entry["values"] == [cli_mod._c(se), cli_mod._c(-se)]
+            loop += [complex(se), complex(-se)]
+        loop.sort(key=lambda z: (z.real, z.imag))
+        assert payload["spectrum"]["sorted"] == [cli_mod._c(z) for z in loop]
 
     def test_kitaev_rapidity_positivity(self, runner):
-        result = run_ok(
-            runner,
-            ["spectrum", "--model", "kitaev-dissipative", "--set", "L=6",
-             "--set", "g=0.3"],
-        )
-        payload = json.loads(result.output)
-        assert payload["spectrum"]["min_re"] > 0
-        assert payload["spectrum"]["unique_steady_state"] is True
-        assert len(payload["spectrum"]["rapidities"]) == 12
+        model = DissipativeKitaevModel(0.3, 1.0, 0.6)
+        for L in (6, 129):
+            result = run_ok(
+                runner,
+                ["spectrum", "--model", "kitaev-dissipative", "--set", f"L={L}",
+                 "--set", "g=0.3"],
+            )
+            spec = json.loads(result.output)["spectrum"]
+            assert spec["min_re"] > 0
+            assert spec["unique_steady_state"] is True
+            assert len(spec["rapidities"]) == 2 * L
+            # bit for bit the per-k loop
+            loop = []
+            for k in 2.0 * np.pi * np.arange(L) / L:
+                loop.extend(np.linalg.eigvals(model.x_block(k, [0.0, 1.0])))
+            loop.sort(key=lambda z: (z.real, z.imag))
+            assert spec["rapidities"] == [cli_mod._c(z) for z in loop]
+            assert spec["min_re"] == min(z.real for z in loop)
 
     def test_no_bath_non_unique(self, runner, tmp_path):
         save_matrix(tmp_path / "H.json", np.zeros((2, 2)))

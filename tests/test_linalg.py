@@ -85,6 +85,17 @@ class TestEigGeneral:
         with pytest.raises(ShapeMismatch):
             eig_general(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("call", [
+        eig_general,
+        build_biortho,
+        inverse,
+        lambda E: solve_sylvester(E, E),
+        lambda E: solve_sylvester(np.eye(2), E),
+    ], ids=["eig_general", "build_biortho", "inverse", "sylvester_X", "sylvester_Y"])
+    def test_rejects_empty(self, call):
+        with pytest.raises(ShapeMismatch, match="nonempty"):
+            call(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_magnitudes_decompose(self, scale, rng):
         # the residual column norms of K would overflow (underflow) unscaled

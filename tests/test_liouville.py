@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nhgeo.linalg as linalg_mod
 import nhgeo.liouville as liouville_mod
 from nhgeo.errors import (
     BadBath,
@@ -29,7 +30,7 @@ from nhgeo.liouville import (
     zeta_ness_k,
     zeta_tilde_gaussian,
 )
-from nhgeo.linalg import eig_general, solve_sylvester_pair
+from nhgeo.linalg import eig_general, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
 from conftest import maxdev
@@ -263,6 +264,45 @@ class TestZetaNess:
                 zr = zeta_ness(real_space_family(model, L), lam)
                 zk = zeta_ness_k(model, lam, L)
                 assert maxdev(zr.values, zk.values) <= 1e-8, (lam, L)
+
+    @pytest.mark.parametrize("L", [2, 3, 8, None])  # None: a random family
+    def test_equals_one_solve_per_quantity(self, L, rng):
+        # reference: Gamma and each dGamma_mu by their own solve_sylvester,
+        # each of which decomposes X again
+        if L is None:
+            fam, _ = random_liouvillian_family(rng, n=2)
+            lam = [0.12, -0.07]
+        else:
+            fam = real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), L)
+            lam = [0.7, 0.9]
+        liou = fam(lam)
+        dec = eig_general(liou.X)
+        Gamma = solve_sylvester(liou.X, liou.Y)
+        dG, Xcal = [], []
+        for mu in range(fam.num_params):
+            dX, dY = fam.dxy(mu, lam)
+            dG.append(solve_sylvester(liou.X, dY - dX @ Gamma - Gamma @ dX.T))
+            Xcal.append(liouville_mod._xcal(dec.eigenvalues, dec.right_vectors, dX,
+                                            dec.right_inverse))
+        ref = liouville_mod._ness_tensor(dG, Xcal, Gamma)
+        assert np.array_equal(zeta_ness(fam, lam).values, ref)
+
+    @pytest.mark.parametrize("call", [
+        zeta_ness,
+        lambda fam, lam: agp_quadratic(fam, lam, 1),
+        lambda fam, lam: steady_state_gamma(fam(lam)),
+    ], ids=["zeta_ness", "agp_quadratic", "steady_state_gamma"])
+    def test_one_eigensolve_per_call(self, call, monkeypatch):
+        calls = []
+
+        def counting(K):
+            calls.append(K)
+            return eig_general(K)
+
+        monkeypatch.setattr(linalg_mod, "eig_general", counting)
+        monkeypatch.setattr(liouville_mod, "eig_general", counting)
+        call(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
+        assert len(calls) == 1
 
 
 class TestKspace:
