@@ -51,6 +51,7 @@ from .liouville import (
     build_liouvillian,
     bures_metric,
     gamma_k,
+    gaussian_tensors,
     kspace_blocks,
     log_derivative,
     rapidities,
@@ -68,6 +69,7 @@ from .kitaev import (
     dphi,
     gamma_k_weak,
     phi_k,
+    weak_coupling_tensors,
     zeta_kitaev_sum,
     zeta_kitaev_thermo,
     zeta_tilde_kitaev_sum,

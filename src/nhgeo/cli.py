@@ -8,6 +8,7 @@ a sweep is looking for.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -18,14 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NhgeoError, ShapeMismatch
-from .kitaev import (
-    DissipativeKitaevModel,
-    KitaevParams,
-    dgamma_k_weak,
-    gamma_k_weak,
-    zeta_kitaev_sum,
-    zeta_tilde_kitaev_sum,
-)
+from .kitaev import WEAK_KINDS, DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
 from .biortho import build_biortho
 from .linalg import (
     DEFECTIVE_COND,
@@ -40,7 +34,6 @@ from .liouville import (
     NESS_KINDS,
     LiouvillianFamily,
     build_liouvillian,
-    bures_metric,
     ness_tensors,
     zeta_ness_k,
 )
@@ -54,9 +47,6 @@ from .tensors import (
     zeta_limited,
 )
 
-TENSOR_KINDS = ("chi", "eta", "zeta", "zeta_limited", "zeta_limited_rescaled", "bures")
-
-
 # ---------------------------------------------------------------------------
 # model adapters
 # ---------------------------------------------------------------------------
@@ -69,6 +59,7 @@ class SSHAdapter:
     directions = ("t", "delta")
     defaults = {"t": 0.0, "delta": 0.0, "L": 64}
     sweepable = ("t", "delta")
+    kinds = ("zeta", "eta", "zeta_limited", "zeta_limited_rescaled")
 
     def params(self, values: dict) -> SSHParams:
         p = {**self.defaults, **values}
@@ -80,21 +71,14 @@ class SSHAdapter:
         for kind in kinds:
             if kind == "zeta":
                 out[kind] = zeta_finite_sum(p).values
-            elif kind in ("eta", "zeta_limited", "zeta_limited_rescaled"):
-                n = _state_index(state)
+            else:
+                n, rescaled = _state_index(state), kind == "zeta_limited_rescaled"
                 total = np.zeros((2, 2), dtype=complex)
                 for k in p.k_grid:
                     fam = bloch_family(p, k)
-                    if kind == "eta":
-                        total += eta_tensor(fam, [p.t, p.delta], n).values
-                    else:
-                        total += zeta_limited(
-                            fam, [p.t, p.delta], n,
-                            rescaled=(kind == "zeta_limited_rescaled"),
-                        ).values
+                    total += (eta_tensor(fam, [p.t, p.delta], n) if kind == "eta" else
+                              zeta_limited(fam, [p.t, p.delta], n, rescaled=rescaled)).values
                 out[kind] = total
-            else:
-                raise click.UsageError(f"model nh-ssh does not provide tensor {kind!r}")
         return out
 
     def spectrum(self, values) -> dict:
@@ -115,6 +99,7 @@ class KitaevAdapter:
         "L": 64, "weak_coupling": True,
     }
     sweepable = ("h", "gamma", "g", "mu_plus", "mu_minus")
+    kinds = WEAK_KINDS
 
     def params(self, values: dict) -> KitaevParams:
         p = {**self.defaults, **values}
@@ -126,38 +111,13 @@ class KitaevAdapter:
 
     def tensors(self, values, kinds, state, mu_reg) -> dict:
         p = self.params(values)
-        out = {}
-        for kind in kinds:
-            if kind == "zeta":
-                if p.weak_coupling:
-                    out[kind] = zeta_kitaev_sum(p).values
-                else:
-                    model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-                    out[kind] = zeta_ness_k(model, [p.h, p.gamma], p.L).values
-            elif kind == "zeta_limited":
-                if not p.weak_coupling:
-                    raise click.UsageError(
-                        "zeta_limited for kitaev-dissipative requires weak_coupling"
-                    )
-                out[kind] = zeta_tilde_kitaev_sum(p).values
-            elif kind == "bures":
-                if not p.weak_coupling:
-                    raise click.UsageError(
-                        "bures for kitaev-dissipative requires weak_coupling"
-                    )
-                vals = np.zeros((2, 2), dtype=complex)
-                for k in p.k_grid:
-                    gk = gamma_k_weak(p, k)
-                    dgs = [dgamma_k_weak(p, k, mu) for mu in range(2)]
-                    for mu in range(2):
-                        for nu in range(2):
-                            vals[mu, nu] += bures_metric(gk, dgs[mu], dgs[nu])
-                out[kind] = vals
-            else:
-                raise click.UsageError(
-                    f"model kitaev-dissipative does not provide tensor {kind!r}"
-                )
-        return out
+        if p.weak_coupling:
+            return weak_coupling_tensors(p, kinds)
+        if set(kinds) - {"zeta"}:  # checked before any evaluation
+            raise click.UsageError(
+                "kitaev-dissipative provides only zeta without weak_coupling")
+        model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
+        return {kind: zeta_ness_k(model, [p.h, p.gamma], p.L).values for kind in kinds}
 
     def spectrum(self, values) -> dict:
         p = self.params(values)
@@ -172,6 +132,7 @@ class QuadLiouvilleAdapter:
     name = "quad-liouville"
     defaults: dict = {}
     sweepable = ()
+    kinds = NESS_KINDS
 
     def __init__(self, hmat_file, bath_file, dhmat_files):
         if hmat_file is None or bath_file is None:
@@ -199,9 +160,6 @@ class QuadLiouvilleAdapter:
             raise click.UsageError(
                 "tensor evaluation needs at least one --dhmat-file direction"
             )
-        for kind in kinds:
-            if kind not in NESS_KINDS:
-                raise click.UsageError(f"model quad-liouville does not provide tensor {kind!r}")
         fam = self.family()
         lam = np.zeros(len(self.dH))
         # one eigensolve serves every kind and the spectrum
@@ -219,6 +177,7 @@ class MatrixFamilyAdapter:
     name = "matrix-file"
     defaults: dict = {}
     sweepable = ()
+    kinds = ("chi", *SOS_KINDS)
 
     def __init__(self, matrix_file, param_files):
         self.K0 = as_square(load_matrix(matrix_file), matrix_file)
@@ -241,9 +200,6 @@ class MatrixFamilyAdapter:
         if not self.dK:
             raise click.UsageError("tensor evaluation needs at least one --param-file")
         sos_kinds = [k for k in kinds if k != "chi"]
-        for kind in sos_kinds:
-            if kind not in SOS_KINDS:
-                raise click.UsageError(f"matrix families do not provide tensor {kind!r}")
         fam = self.family()
         lam = np.zeros(len(self.dK))
         n = _state_index(state)
@@ -332,13 +288,19 @@ def _parse_sets(sets, defaults: dict) -> dict:
     return out
 
 
-def _parse_kinds(tensors) -> list:
-    """Tensor kinds from a comma-separated string or a list of names."""
+def _parse_kinds(tensors, adapter) -> list:
+    """Tensor kinds from a comma-separated string or a list of names; each one
+    must be among ``adapter.kinds`` and none may repeat."""
+    if not isinstance(tensors, (str, list)):
+        raise click.UsageError("tensors must be a comma-separated string or a list")
     names = tensors.split(",") if isinstance(tensors, str) else tensors
     kinds = [str(k).strip() for k in names if str(k).strip()]
-    for k in kinds:
-        if k not in TENSOR_KINDS:
-            raise click.UsageError(f"unknown tensor kind {k!r}")
+    for i, k in enumerate(kinds):
+        if k not in adapter.kinds:
+            raise click.UsageError(f"model {adapter.name} does not provide tensor {k!r}; "
+                                   f"available: {', '.join(adapter.kinds)}")
+        if k in kinds[:i]:
+            raise click.UsageError(f"tensor kind {k!r} requested twice")
     return kinds
 
 
@@ -371,13 +333,9 @@ def _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_f
 
 
 def _tensor_payload(values: dict, directions) -> dict:
-    out = {}
-    for kind, mat in values.items():
-        out[kind] = {
-            "directions": list(directions),
-            "components": [[_c(mat[a, b]) for b in range(mat.shape[1])] for a in range(mat.shape[0])],
-        }
-    return out
+    return {kind: {"directions": list(directions),
+                   "components": [[_c(z) for z in row] for row in mat]}
+            for kind, mat in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +364,7 @@ def cmd_tensor(model, sets, tensors, state, mu_reg, matrix_file, param_files,
                hmat_file, bath_file, dhmat_files):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
     adapter = _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files)
-    kinds = _parse_kinds(tensors)
+    kinds = _parse_kinds(tensors, adapter)
     values = _parse_sets(sets, adapter.defaults)
     _state_index(state)
     try:
@@ -445,15 +403,42 @@ def cmd_spectrum(model, sets, matrix_file, param_files, hmat_file, bath_file, dh
     click.echo(json.dumps({"model": adapter.name, "spectrum": spec}, indent=2))
 
 
-def _axis_points(axis: dict) -> np.ndarray:
-    steps = int(axis["steps"])
+def _load_config(path) -> dict:
+    """The ``--config`` scan specification: a JSON object whose ``params``
+    (when given) is an object and ``axes`` a list; anything else exits 2."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except ValueError as exc:
+        raise click.UsageError(f"config {path} is not JSON: {exc}") from None
+    if not (isinstance(spec, dict) and isinstance(spec.get("params", {}), dict)
+            and isinstance(spec.get("axes", []), list)):
+        raise click.UsageError(f"config {path} is not an object with object 'params', list 'axes'")
+    return spec
+
+
+def _axis_flag(text: str) -> dict:
+    """``--axis name:min:max:steps`` as an axis specification."""
+    try:
+        name, lo, hi, steps = text.split(":")
+        return {"name": name, "min": float(lo), "max": float(hi), "steps": int(steps)}
+    except ValueError:
+        raise click.UsageError(f"--axis expects name:min:max:steps, got {text!r}") from None
+
+
+def _axis_points(axis) -> np.ndarray:
+    """The grid of an axis ``{"name", "min", "max", "steps"}``; a malformed one exits 2."""
+    try:
+        steps = int(axis["steps"])
+        if steps != float(axis["steps"]) or "name" not in axis:
+            raise ValueError
+        lo, hi = float(axis["min"]), float(axis["max"])
+    except (KeyError, TypeError, ValueError):
+        raise click.UsageError(
+            f"axis {axis!r} needs a name, numbers min and max and an integer steps") from None
     if steps < 2:
         raise click.UsageError("axis steps must be >= 2")
-    return np.linspace(float(axis["min"]), float(axis["max"]), steps)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return np.linspace(lo, hi, steps)
 
 
 @main.command("sweep")
@@ -472,10 +457,7 @@ def _fmt(x: float) -> str:
               help="worker threads (default NHGEO_THREADS, else 1: serial)")
 def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt, threads):
     """Grid sweep over one or two named parameters; deterministic CSV/JSON."""
-    spec = {}
-    if config:
-        with open(config) as fh:
-            spec = json.load(fh)
+    spec = _load_config(config) if config else {}
     model = model or spec.get("model")
     if model not in MODELS:
         raise click.UsageError("sweep supports models: " + ", ".join(MODELS))
@@ -483,20 +465,16 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     fixed = dict(spec.get("params", {}))
     fixed.update(_parse_sets(sets, adapter.defaults))
     axes = list(spec.get("axes", []))
-    for a in axes_opt:
-        parts = a.split(":")
-        if len(parts) != 4:
-            raise click.UsageError("--axis expects name:min:max:steps")
-        axes.append({"name": parts[0], "min": float(parts[1]),
-                     "max": float(parts[2]), "steps": int(parts[3])})
+    axes += [_axis_flag(a) for a in axes_opt]
     if not 1 <= len(axes) <= 2:
         raise click.UsageError("need one or two axes")
+    grids = [_axis_points(a) for a in axes]
     for a in axes:
         if a["name"] not in adapter.sweepable:
             raise click.UsageError(f"axis {a['name']!r} not sweepable for {model}")
         if a["name"] in fixed:
             raise click.UsageError(f"axis {a['name']!r} also set as fixed parameter")
-    kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"))
+    kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
     state = state if state is not None else spec.get("state")
     _state_index(state)  # a malformed state fails once here, not on every point
     mu_reg = mu_reg if mu_reg is not None else float(spec.get("mu_reg", 0.0))
@@ -506,27 +484,14 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     fmt = fmt or spec.get("format", "csv")
     nthreads = _thread_count(threads)
 
-    grids = [_axis_points(a) for a in axes]
     names = [a["name"] for a in axes]
-    if len(grids) == 1:
-        points = [(i,) for i in range(len(grids[0]))]
-    else:
-        points = [(i, j) for i in range(len(grids[0])) for j in range(len(grids[1]))]
-
+    points = list(itertools.product(*(range(len(grid)) for grid in grids)))
     dirs = adapter.directions
-    columns = list(names)
-    for kind in kinds:
-        for a in dirs:
-            for b in dirs:
-                columns.append(f"{kind}_{a}{b}_re")
-                columns.append(f"{kind}_{a}{b}_im")
-    columns.append("status")
+    columns = [*names, *(f"{kind}_{a}{b}_{part}" for kind in kinds for a in dirs
+                         for b in dirs for part in ("re", "im")), "status"]
 
     def point_values(idx):
-        values = dict(fixed)
-        for name, grid, i in zip(names, grids, idx):
-            values[name] = float(grid[i])
-        return values
+        return {**fixed, **{name: float(grid[i]) for name, grid, i in zip(names, grids, idx)}}
 
     for idx in points:  # an invalid grid point fails once here, before any evaluation
         adapter.params(point_values(idx))
@@ -537,10 +502,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         try:
             mats = adapter.tensors(values, kinds, state, mu_reg)
             for kind in kinds:
-                m = mats[kind]
-                for a in range(len(dirs)):
-                    for b in range(len(dirs)):
-                        row.extend([m[a, b].real, m[a, b].imag])
+                for z in mats[kind].ravel():  # row-major: (a, b) as in the columns
+                    row += [z.real, z.imag]
             row.append("ok")
         except (NhgeoError, FloatingPointError) as exc:
             row.extend([np.nan] * (2 * len(kinds) * len(dirs) ** 2))
@@ -562,7 +525,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     if fmt == "csv":
         lines = [header, ",".join(columns)]
         for row in rows:
-            cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
+            cells = [format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
             lines.append(",".join(cells))
         with open(output, "w") as fh:
             fh.write("\n".join(lines) + "\n")

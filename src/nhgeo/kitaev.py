@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchDomainError, CriticalKPoint, OnCriticalLine, UndefinedAngle
-from .liouville import TranslationInvariantModel
+from .liouville import TranslationInvariantModel, gaussian_tensors
 from .tensors import GeoTensor
 
 _S0 = np.eye(2, dtype=complex)
@@ -124,42 +124,58 @@ def _check_grid(params: KitaevParams):
     return ks, s, c, D
 
 
-def zeta_kitaev_sum(params: KitaevParams) -> GeoTensor:
-    """Steady-state tensor over (h, gamma):
-    ``Lambda^2 sum_k sin^2(phi_k) d_mu phi_k d_nu phi_k``."""
+#: tensor kinds that :func:`weak_coupling_tensors` evaluates
+WEAK_KINDS = ("zeta", "zeta_limited", "bures")
+
+
+def weak_coupling_tensors(params: KitaevParams, kinds) -> dict[str, np.ndarray]:
+    """Weak-coupling Brillouin-zone sums ``kinds`` over (h, gamma), from one
+    grid check and one set of phi derivatives.
+
+    ``zeta`` and ``zeta_limited`` are the closed forms of
+    :func:`zeta_kitaev_sum` and :func:`zeta_tilde_kitaev_sum`; ``bures`` is
+    :func:`nhgeo.liouville.gaussian_tensors` of :func:`gamma_k_weak` and
+    :func:`dgamma_k_weak` on the ``(L, 2, 2)`` stack of momentum blocks.
+    """
+    unknown = [k for k in kinds if k not in WEAK_KINDS]
+    if unknown:
+        raise ValueError(f"weak-coupling tensors do not include {unknown}")
     ks, s, c, D = _check_grid(params)
     h, gam = params.h, params.gamma
-    sin2phi = gam ** 2 * s ** 2 / D
     dh = -gam * s / D
     dg = s * (h - c) / D
     lam2 = params.Lambda ** 2
-    zhh = lam2 * float(np.sum(sin2phi * dh * dh))
-    zgg = lam2 * float(np.sum(sin2phi * dg * dg))
-    zgh = lam2 * float(np.sum(sin2phi * dg * dh))
-    vals = np.array([[zhh, zgh], [zgh, zgg]], dtype=complex)
+    out = {}
+    for kind in kinds:
+        if kind == "bures":
+            kc = ks[:, None, None]
+            dG = [dgamma_k_weak(params, kc, mu) for mu in range(2)]
+            out[kind] = gaussian_tensors(gamma_k_weak(params, kc), dG, [kind])[kind] + 0j
+            continue
+        w = (gam ** 2 * s ** 2 / D if kind == "zeta"  # sin^2 phi
+             else 1.0 / (1.0 + lam2 * ((h - c) ** 2 / D)) ** 2)
+        zhh, zgh, zgg = (lam2 * float(np.sum(w * a * b)) for a, b in ((dh, dh), (dg, dh), (dg, dg)))
+        out[kind] = np.array([[zhh, zgh], [zgh, zgg]], dtype=complex)
+    return out
+
+
+def _weak_tensor(params: KitaevParams, kind: str) -> GeoTensor:
     return GeoTensor(
-        "zeta", "ness", vals, np.array([h, gam]), {"L": params.L, "Lambda": params.Lambda}
+        kind, "ness", weak_coupling_tensors(params, [kind])[kind],
+        np.array([params.h, params.gamma]), {"L": params.L, "Lambda": params.Lambda},
     )
+
+
+def zeta_kitaev_sum(params: KitaevParams) -> GeoTensor:
+    """Steady-state tensor over (h, gamma):
+    ``Lambda^2 sum_k sin^2(phi_k) d_mu phi_k d_nu phi_k``."""
+    return _weak_tensor(params, "zeta")
 
 
 def zeta_tilde_kitaev_sum(params: KitaevParams) -> GeoTensor:
     """Purity-weighted single-state tensor:
     ``Lambda^2 sum_k d_mu phi d_nu phi / (1 + Lambda^2 cos^2 phi)^2``."""
-    ks, s, c, D = _check_grid(params)
-    h, gam = params.h, params.gamma
-    cos2phi = (h - c) ** 2 / D
-    dh = -gam * s / D
-    dg = s * (h - c) / D
-    lam2 = params.Lambda ** 2
-    w = 1.0 / (1.0 + lam2 * cos2phi) ** 2
-    zhh = lam2 * float(np.sum(w * dh * dh))
-    zgg = lam2 * float(np.sum(w * dg * dg))
-    zgh = lam2 * float(np.sum(w * dg * dh))
-    vals = np.array([[zhh, zgh], [zgh, zgg]], dtype=complex)
-    return GeoTensor(
-        "zeta_limited", "ness", vals, np.array([h, gam]),
-        {"L": params.L, "Lambda": params.Lambda},
-    )
+    return _weak_tensor(params, "zeta_limited")
 
 
 def _thermo_gg_outer(ah: float, g: float) -> float:

@@ -30,11 +30,11 @@ DEFECTIVE_COND = 1e12
 ORDER_TIE_RESOLUTION = 1e-12
 
 
-def as_square(M, name: str = "matrix") -> np.ndarray:
+def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     """Validate and return ``M`` as a nonempty square complex ndarray with
-    finite entries."""
+    finite entries; with ``stack``, a stack ``(..., n, n)`` of them."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+    if (A.ndim < 2 or A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2] or not A.size:
         raise ShapeMismatch(f"{name} must be nonempty and square, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ShapeMismatch(f"{name} has non-finite entries")

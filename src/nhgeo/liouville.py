@@ -282,7 +282,7 @@ def ness_tensors(fam: LiouvillianFamily, lam, kinds: Sequence[str], *,
     One decomposition of X (``dec`` when the caller has it) gives Gamma, every
     ``dGamma_mu`` and, for ``zeta`` only (so only ``zeta`` raises
     DegenerateRapidities), every ``Xcal_mu``.  ``zeta_limited`` and ``bures``
-    are :func:`zeta_tilde_gaussian` and :func:`bures_metric` of Gamma, dGamma.
+    come from one :func:`gaussian_tensors` call on Gamma and the dGammas.
     """
     kinds = list(kinds)
     unknown = [k for k in kinds if k not in NESS_KINDS]
@@ -293,15 +293,14 @@ def ness_tensors(fam: LiouvillianFamily, lam, kinds: Sequence[str], *,
     dxy = [fam.dxy(mu, lam) for mu in range(fam.num_params)]
     dG = [_dgamma(solve, Gamma, dX, dY) for dX, dY in dxy]
     out = {}
-    for kind in kinds:
+    for kind in kinds:  # each check is made at the first kind that needs it
         if kind == "zeta":
             x, U, Ui = dec.eigenvalues, dec.right_vectors, dec.right_inverse
-            vals = _ness_tensor(dG, [_xcal(x, U, dX, Ui) for dX, _ in dxy], Gamma)
-        else:
-            form = zeta_tilde_gaussian if kind == "zeta_limited" else bures_metric
-            vals = np.array([[form(Gamma, a, b) for b in dG] for a in dG], dtype=complex)
-        out[kind] = GeoTensor(kind, "ness", vals, lam, {"n": fam.n})
-    return out
+            out[kind] = _ness_tensor(dG, [_xcal(x, U, dX, Ui) for dX, _ in dxy], Gamma)
+        elif kind not in out:
+            out.update(gaussian_tensors(Gamma, dG, [k for k in kinds if k != "zeta"]))
+    return {kind: GeoTensor(kind, "ness", np.asarray(out[kind], dtype=complex), lam,
+                            {"n": fam.n}) for kind in kinds}
 
 
 def zeta_ness(fam: LiouvillianFamily, lam) -> GeoTensor:
@@ -477,15 +476,28 @@ def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFa
 # Gaussian-state closed forms
 # ---------------------------------------------------------------------------
 
-def _gamma_eigenbasis(Gamma, *dGammas):
-    """Eigenvalues ``g`` and eigenvectors ``V`` of Gamma, and each of
-    ``dGammas`` in that eigenbasis."""
-    Gamma = as_square(Gamma, "Gamma")
-    herm_defect = np.abs(Gamma - Gamma.conj().T).max()
-    if herm_defect > 1e-8 * max(1.0, np.abs(Gamma).max()):
-        raise ShapeMismatch("Gamma must be Hermitian (imaginary antisymmetric)")
+def _gamma_eigenbasis(Gamma, *dGammas, pure: bool = False):
+    """Eigenvalues ``g`` and eigenvectors ``V`` of Gamma (one matrix or a stack
+    ``(..., n, n)``) from one ``eigh``, and each of ``dGammas`` in that basis.
+
+    Each block must be Hermitian (ShapeMismatch) and, with ``pure``, have no
+    eigenvalue product ``g_j g_k`` within 1e-10 of 1 (PureStateSingular); the
+    error is that of the lowest failing block, as a loop over blocks finds it.
+    """
+    Gamma = as_square(Gamma, "Gamma", stack=True)
+    herm_defect = np.abs(Gamma - np.swapaxes(Gamma.conj(), -1, -2)).max(axis=(-2, -1))
+    not_herm = herm_defect > 1e-8 * np.maximum(np.abs(Gamma).max(axis=(-2, -1)), 1.0)
     g, V = np.linalg.eigh(Gamma)
-    return g, V, [V.conj().T @ np.asarray(d, dtype=complex) @ V for d in dGammas]
+    at_pure = np.zeros_like(not_herm)
+    if pure:
+        at_pure = np.abs(1.0 - g[..., :, None] * g[..., None, :]).min(axis=(-2, -1)) < 1e-10
+    pure_before = (np.cumsum(at_pure.ravel()) > at_pure.ravel()).reshape(at_pure.shape)
+    _raise_first(not_herm & ~pure_before, ShapeMismatch,
+                 lambda b: "Gamma must be Hermitian (imaginary antisymmetric)")
+    _raise_first(at_pure, PureStateSingular,
+                 lambda b: "correlation spectrum touches a pure-state direction")
+    Vh = np.swapaxes(V.conj(), -1, -2)
+    return g, V, [Vh @ np.asarray(d, dtype=complex) @ V for d in dGammas]
 
 
 def log_derivative(Gamma, dGamma) -> np.ndarray:
@@ -499,37 +511,53 @@ def log_derivative(Gamma, dGamma) -> np.ndarray:
     PureStateSingular
         If some eigenvalue product g_j g_k reaches 1 (pure-state direction).
     """
-    g, V, (dG,) = _gamma_eigenbasis(Gamma, dGamma)
-    den = g[:, None] * g[None, :] - 1.0
-    if np.abs(den).min() < 1e-10:
-        raise PureStateSingular("correlation spectrum touches a pure-state direction")
-    return V @ (dG / den) @ V.conj().T
+    g, V, (dG,) = _gamma_eigenbasis(Gamma, dGamma, pure=True)
+    den = g[..., :, None] * g[..., None, :] - 1.0
+    return V @ (dG / den) @ np.swapaxes(V.conj(), -1, -2)
+
+
+#: tensor kinds that :func:`gaussian_tensors` contracts
+GAUSSIAN_KINDS = ("zeta_limited", "bures")
+
+
+def gaussian_tensors(Gamma, dGammas, kinds: Sequence[str]) -> dict[str, np.ndarray]:
+    """Real ``d x d`` Gaussian-state tensors ``kinds`` from one eigendecomposition
+    of Gamma, ``w sum_{jk} (dG_mu)_{jk} (dG_nu)_{kj} / den_{jk}`` in its eigenbasis:
+
+    - ``bures``, the Bures metric: ``w = 1/8``, ``den = 1 - g_j g_k``
+      (PureStateSingular where it vanishes);
+    - ``zeta_limited``, the purity-weighted response
+      ``(1/2) Tr[(1+Gamma^2)^-1 dG_mu (1+Gamma^2)^-1 dG_nu]``: ``w = 1/2``,
+      ``den = (1 + g_j^2)(1 + g_k^2)``.
+
+    On a stack ``(..., n, n)`` (each ``dGammas[mu]`` of the same shape) the
+    traces are summed over the blocks; see :func:`_gamma_eigenbasis`.
+    """
+    unknown = [k for k in kinds if k not in GAUSSIAN_KINDS]
+    if unknown:
+        raise ValueError(f"Gaussian-state tensors do not include {unknown}")
+    g, _, dG = _gamma_eigenbasis(Gamma, *dGammas, pure="bures" in kinds)
+    gj, gk = g[..., :, None], g[..., None, :]
+    out = {}
+    for kind in kinds:
+        w, den = (0.125, 1.0 - gj * gk) if kind == "bures" else (
+            0.5, (1.0 + gj ** 2) * (1.0 + gk ** 2))
+        out[kind] = np.array([[(w * np.sum(a * np.swapaxes(b, -1, -2) / den)).real
+                               for b in dG] for a in dG])
+    return out
 
 
 def bures_metric(Gamma, dGamma_mu, dGamma_nu) -> float:
-    """Bures metric component of a Gaussian state from correlation data.
-
-    ``(1/8) sum_{jk} (dG_mu)_{jk} (dG_nu)_{kj} / (1 - g_j g_k)`` in the
-    eigenbasis of Gamma.
-    """
-    g, _, (dGm, dGn) = _gamma_eigenbasis(Gamma, dGamma_mu, dGamma_nu)
-    den = 1.0 - g[:, None] * g[None, :]
-    if np.abs(den).min() < 1e-10:
-        raise PureStateSingular("correlation spectrum touches a pure-state direction")
-    return float((0.125 * np.sum(dGm * dGn.T / den)).real)
+    """One component of the Gaussian-state Bures metric (:func:`gaussian_tensors`)."""
+    return float(gaussian_tensors(Gamma, [dGamma_mu, dGamma_nu], ["bures"])["bures"][0, 1])
 
 
 def zeta_tilde_gaussian(Gamma, dGamma_mu, dGamma_nu) -> float:
-    """Purity-weighted response form
-    ``(1/2) sum_{jk} (dG_mu)_{jk} (dG_nu)_{kj} / ((1+g_j^2)(1+g_k^2))``.
-
-    Equivalently ``(1/2) Tr[(1+Gamma^2)^-1 dG_mu (1+Gamma^2)^-1 dG_nu]``.
-    This is the printed closed form; see :func:`zeta_tilde_ness_from_gamma`
-    for the variant that reproduces ``2^n Tr(d_mu rho d_nu rho)`` exactly.
-    """
-    g, _, (dGm, dGn) = _gamma_eigenbasis(Gamma, dGamma_mu, dGamma_nu)
-    den = (1.0 + g[:, None] ** 2) * (1.0 + g[None, :] ** 2)
-    return float((0.5 * np.sum(dGm * dGn.T / den)).real)
+    """One component of the printed purity-weighted form ``zeta_limited`` of
+    :func:`gaussian_tensors`; :func:`zeta_tilde_ness_from_gamma` is the variant
+    that reproduces ``2^n Tr(d_mu rho d_nu rho)`` exactly."""
+    pair = [dGamma_mu, dGamma_nu]
+    return float(gaussian_tensors(Gamma, pair, ["zeta_limited"])["zeta_limited"][0, 1])
 
 
 def zeta_tilde_ness_from_gamma(Gamma, dGamma_mu, dGamma_nu) -> float:

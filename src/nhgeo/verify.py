@@ -29,14 +29,13 @@ from .kitaev import (
 from .liouville import (
     LiouvillianFamily,
     build_liouvillian,
-    bures_metric,
     gamma_k,
+    gaussian_tensors,
     real_space_family,
     steady_state_dgamma,
     steady_state_gamma,
     zeta_ness,
     zeta_ness_k,
-    zeta_tilde_gaussian,
     zeta_tilde_ness_from_gamma,
 )
 from .oracle import (
@@ -63,35 +62,26 @@ from .tensors import (
 # helpers
 # ---------------------------------------------------------------------------
 
-def random_hermitian_family(rng, N=8, d=2, gap=4.0, coupling=1.0):
-    """Well-gapped Hermitian family, linear in d parameters (analytic derivs)."""
-    def herm(scale):
+def random_family(rng, N=6, d=2, gap=4.0, coupling=1.0, *, hermitian=False):
+    """Well-gapped diagonalizable family, linear in d parameters (analytic
+    derivatives); non-Hermitian, or Hermitian with ``hermitian``."""
+    def draw(scale):
         B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        return scale * (B + B.conj().T) / 2
+        return scale * (B + B.conj().T) / 2 if hermitian else scale * B
 
-    A0 = herm(1.0) + np.diag(gap * np.arange(N))
-    parts = [herm(coupling) for _ in range(d)]
+    A0 = draw(1.0) + np.diag(gap * np.arange(N))
+    parts = [draw(coupling) for _ in range(d)]
     return OperatorFamily(
         N, d,
         lambda lam: A0 + sum(lam[m] * parts[m] for m in range(d)),
         lambda mu, lam: parts[mu],
-        name="random-hermitian",
+        name="random-hermitian" if hermitian else "random-nonhermitian",
     )
 
 
-def random_family(rng, N=6, d=2, gap=4.0, coupling=1.0):
-    """Well-gapped diagonalizable non-Hermitian family, linear in parameters."""
-    def dense(scale):
-        return scale * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
-
-    A0 = dense(1.0) + np.diag(gap * np.arange(N))
-    parts = [dense(coupling) for _ in range(d)]
-    return OperatorFamily(
-        N, d,
-        lambda lam: A0 + sum(lam[m] * parts[m] for m in range(d)),
-        lambda mu, lam: parts[mu],
-        name="random-nonhermitian",
-    )
+def random_hermitian_family(rng, N=8, d=2, gap=4.0, coupling=1.0):
+    """Well-gapped Hermitian family: :func:`random_family` with ``hermitian``."""
+    return random_family(rng, N, d, gap, coupling, hermitian=True)
 
 
 def random_gauge(rng, N, lam0, scale=0.1):
@@ -534,18 +524,18 @@ def check_gaussian_forms(full: bool = True):
 
         Gs = [sld(d) for d in drho]
         D = fock.dim
+        forms = gaussian_tensors(G, dG, ["bures", "zeta_limited"])
+        printed = gaussian_tensors(corr.Gamma, dG_brute, ["zeta_limited"])["zeta_limited"]
         for mu in range(2):
             for nu in range(2):
                 b_rho = 0.5 * np.trace(rho @ (Gs[mu] @ Gs[nu] + Gs[nu] @ Gs[mu])).real
-                b_gam = bures_metric(G, dG[mu], dG[nu])
-                worst_bures = max(worst_bures, abs(b_rho - b_gam))
+                worst_bures = max(worst_bures, abs(b_rho - forms["bures"][mu, nu]))
                 zt_rho = float(D * np.trace(drho[mu] @ drho[nu]).real)
                 zt_gam = zeta_tilde_ness_from_gamma(G, dG[mu], dG[nu])
                 worst_zt = max(worst_zt, abs(zt_rho - zt_gam))
                 # printed closed form: route consistency sylvester vs kernel inputs
-                zp1 = zeta_tilde_gaussian(G, dG[mu], dG[nu])
-                zp2 = zeta_tilde_gaussian(corr.Gamma, dG_brute[mu], dG_brute[nu])
-                worst_zt_printed = max(worst_zt_printed, abs(zp1 - zp2))
+                zp = forms["zeta_limited"][mu, nu] - printed[mu, nu]
+                worst_zt_printed = max(worst_zt_printed, abs(zp))
     ok = worst_bures <= 1e-8 and worst_zt <= 1e-8 and worst_zt_printed <= 1e-8
     return bool(ok), (
         f"bures {worst_bures:.2e}; purity-weighted exact form {worst_zt:.2e}; "

@@ -514,3 +514,172 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 0, result.output
         assert result.output.count("PASS") == 3
+
+
+def _components(payload, kind):
+    return np.array([[complex(c["re"], c["im"]) for c in row]
+                     for row in payload["tensors"][kind]["components"]])
+
+
+class TestKitaevBures:
+    @staticmethod
+    def per_k_loop(p):
+        from nhgeo.kitaev import dgamma_k_weak, gamma_k_weak
+        from nhgeo.liouville import bures_metric
+
+        vals = np.zeros((2, 2))
+        for k in p.k_grid:
+            gk = gamma_k_weak(p, k)
+            dgs = [dgamma_k_weak(p, k, mu) for mu in range(2)]
+            for mu in range(2):
+                for nu in range(2):
+                    vals[mu, nu] += bures_metric(gk, dgs[mu], dgs[nu])
+        return vals
+
+    @pytest.mark.parametrize("L", [4, 9, 128])
+    def test_matches_per_k_loop(self, runner, L):
+        from nhgeo.kitaev import KitaevParams
+
+        payload = json.loads(run_ok(runner, [
+            "tensor", "--model", "kitaev-dissipative", "--set", "h=0.4", "--set", "gamma=0.8",
+            "--set", f"L={L}", "--tensors", "bures"]).output)
+        got = _components(payload, "bures")
+        ref = self.per_k_loop(KitaevParams(0.4, 0.8, 0.1, 1.0, 0.6, L))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert not got.imag.any()
+
+    def test_matches_closed_form(self):
+        from nhgeo.kitaev import KitaevParams, weak_coupling_tensors
+
+        worst = 0.0
+        for h in np.linspace(0.0, 2.0, 21):
+            if h == 1.0:
+                continue
+            for gam in (0.3, 1.0, 1.7):
+                p = KitaevParams(h, gam, 0.1, 1.0, 0.6, 128)
+                s, c = np.sin(p.k_grid), np.cos(p.k_grid)
+                D = (h - c) ** 2 + gam ** 2 * s ** 2
+                dphis = (-gam * s / D, s * (h - c) / D)
+                cos2 = np.cos(np.arctan2(gam * s, h - c)) ** 2
+                lam2 = p.Lambda ** 2
+                w = (1.0 - cos2) / (1.0 - lam2 * cos2) + cos2 / (1.0 + lam2 * cos2)
+                ref = lam2 / 4 * np.array([[np.sum(w * a * b) for b in dphis] for a in dphis])
+                got = weak_coupling_tensors(p, ["bures"])["bures"]
+                worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
+        assert worst <= 1e-12
+
+    def test_one_batched_eigh_per_point(self, monkeypatch):
+        real, shapes = np.linalg.eigh, []
+
+        def counting(A, *args, **kwargs):
+            shapes.append(np.shape(A))
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cli_mod.KitaevAdapter().tensors(
+            {"L": 128, "h": 0.4}, ["zeta", "zeta_limited", "bures"], None, 0.0)
+        assert shapes == [(128, 2, 2)]
+
+    def test_pure_state_exit_3(self, runner):
+        result = runner.invoke(main, [
+            "tensor", "--model", "kitaev-dissipative", "--set", "mu_minus=0", "--tensors", "bures"])
+        assert result.exit_code == 3
+        assert "PureStateSingular: block 0:" in result.output
+
+    def test_gap_closing_k_exit_3(self, runner):
+        result = runner.invoke(main, [
+            "tensor", "--model", "kitaev-dissipative", "--set", "h=1", "--tensors", "bures"])
+        assert result.exit_code == 3
+        assert "CriticalKPoint" in result.output
+
+    @pytest.mark.parametrize("kinds", ["bures", "zeta,bures", "zeta,zeta_limited"])
+    def test_strong_coupling_exit_2_before_evaluation(self, runner, tmp_path, monkeypatch, kinds):
+        calls = []
+        monkeypatch.setattr(cli_mod, "zeta_ness_k", lambda *args: calls.append(args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
+        result = runner.invoke(main, [
+            "tensor", "--model", "kitaev-dissipative", "--set", "weak_coupling=0",
+            "--tensors", kinds])
+        assert result.exit_code == 2 and "weak_coupling" in result.output
+        result = runner.invoke(main, [
+            "sweep", "--model", "kitaev-dissipative", "--set", "weak_coupling=0",
+            "--axis", "h:0:2:5", "--tensors", kinds, "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2 and "weak_coupling" in result.output
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestTensorKinds:
+    @pytest.mark.parametrize("args, kind", [
+        (["--model", "nh-ssh"], "bures"),
+        (["--model", "kitaev-dissipative"], "eta"),
+        (["--model", "kitaev-dissipative"], "chi"),
+    ])
+    def test_kind_the_model_lacks_exit_2(self, runner, args, kind):
+        result = runner.invoke(main, ["tensor", *args, "--tensors", f"zeta,{kind}"])
+        assert result.exit_code == 2
+        assert f"does not provide tensor {kind!r}" in result.output
+
+    def test_matrix_file_rejects_bures_before_eigensolve(self, runner, tmp_path, monkeypatch):
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.eye(2))
+        calls = []
+        monkeypatch.setattr(cli_mod, "build_biortho", lambda *args, **kw: calls.append(args))
+        result = runner.invoke(main, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--tensors", "eta,bures"])
+        assert result.exit_code == 2 and "'bures'" in result.output
+        assert calls == []
+
+    @pytest.mark.parametrize("tensors", ["zeta,zeta", "zeta, eta,zeta"])
+    def test_repeated_kind_exit_2(self, runner, tmp_path, tensors):
+        result = runner.invoke(main, ["tensor", "--model", "nh-ssh", "--tensors", tensors])
+        assert result.exit_code == 2 and "requested twice" in result.output
+        result = runner.invoke(main, [
+            "sweep", "--model", "nh-ssh", "--set", "L=8", "--axis", "t:0:1:3",
+            "--tensors", tensors, "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2 and "requested twice" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestMalformedSweepInput:
+    @pytest.mark.parametrize("axis", ["t:0:1:3.5", "t:x:1:3", "t:0:1", "t:0:1:3:4"])
+    def test_axis_flag_exit_2(self, runner, tmp_path, axis):
+        result = runner.invoke(main, [
+            "sweep", "--model", "nh-ssh", "--axis", axis, "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert "--axis expects" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ("{not json", "is not JSON"),
+        ("", "is not JSON"),
+        ("[1, 2]", "is not an object"),
+        ('"nh-ssh"', "is not an object"),
+        ('{"model": "nh-ssh", "params": [1]}', "is not an object"),
+        ('{"model": "nh-ssh", "axes": {"name": "t"}}', "is not an object"),
+        ('{"model": "nh-ssh", "axes": [{"name": "t", "max": 1, "steps": 3}]}', "needs a name"),
+        ('{"model": "nh-ssh", "axes": [{"name": "t", "min": 0, "steps": 3}]}', "needs a name"),
+        ('{"model": "nh-ssh", "axes": [{"name": "t", "min": 0, "max": 1}]}', "needs a name"),
+        ('{"model": "nh-ssh", "axes": [{"min": 0, "max": 1, "steps": 3}]}', "needs a name"),
+        ('{"model": "nh-ssh", "axes": [{"name": "t", "min": 0, "max": 1, "steps": 3.5}]}',
+         "needs a name"),
+        ('{"model": "nh-ssh", "axes": [{"name": "t", "min": "x", "max": 1, "steps": 3}]}',
+         "needs a name"),
+        ('{"model": "nh-ssh", "axes": ["t:0:1:3"]}', "needs a name"),
+    ])
+    def test_config_exit_2(self, runner, tmp_path, content, message):
+        (tmp_path / "cfg.json").write_text(content)
+        result = runner.invoke(main, [
+            "sweep", "--config", str(tmp_path / "cfg.json"), "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_axis_with_integer_bounds_keeps_its_header(self, runner, tmp_path):
+        cfg = {"model": "nh-ssh", "params": {"L": 8},
+               "axes": [{"name": "t", "min": 0, "max": 1, "steps": 3}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        run_ok(runner, ["sweep", "--config", str(tmp_path / "cfg.json"),
+                        "--output", str(tmp_path / "x.csv")])
+        assert " axis=t:0:1:3 " in (tmp_path / "x.csv").read_text().splitlines()[0]

@@ -565,3 +565,121 @@ class TestMutationSensitivity:
         monkeypatch.setattr(liouville_mod, "_offdiag_generator", corrupted)
         mutated = zeta_ness(fam, lam).values
         assert maxdev(healthy, mutated) > 1e-3
+
+
+def _pair_form(G, dGm, dGn, kind):
+    """One component of a Gaussian form from its own eigendecomposition."""
+    g, V = np.linalg.eigh(G)
+    A, B = (V.conj().T @ np.asarray(d, dtype=complex) @ V for d in (dGm, dGn))
+    if kind == "bures":
+        return float((0.125 * np.sum(A * B.T / (1.0 - g[:, None] * g[None, :]))).real)
+    den = (1.0 + g[:, None] ** 2) * (1.0 + g[None, :] ** 2)
+    return float((0.5 * np.sum(A * B.T / den)).real)
+
+
+class TestGaussianTensors:
+    KINDS = ["zeta_limited", "bures"]
+
+    @staticmethod
+    def gamma_family(rng):
+        fam, _ = random_liouvillian_family(rng, n=2)
+        lam = [0.07, -0.03]
+        liou = fam(lam)
+        G = steady_state_gamma(liou).Gamma
+        dG = [liouville_mod.steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
+        return G, dG
+
+    @pytest.mark.parametrize("L", [2, 3, 8])
+    def test_ness_tensors_one_eigh_and_pairwise_values(self, L, monkeypatch):
+        fam = real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), L)
+        lam = np.array([0.7, 0.9])
+        real, shapes = np.linalg.eigh, []
+
+        def counting(A, *args, **kwargs):
+            shapes.append(np.shape(A))
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        got = liouville_mod.ness_tensors(fam, lam, self.KINDS)
+        monkeypatch.undo()
+        assert shapes == [(2 * L, 2 * L)]  # one eigh of Gamma for both kinds
+        liou = fam(lam)
+        G = steady_state_gamma(liou).Gamma
+        dG = [liouville_mod.steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
+        for kind in self.KINDS:
+            ref = np.array([[_pair_form(G, a, b, kind) for b in dG] for a in dG], dtype=complex)
+            assert np.array_equal(got[kind].values, ref), kind
+
+    def test_one_pair_calls_are_components(self, rng):
+        G, dG = self.gamma_family(rng)
+        forms = liouville_mod.gaussian_tensors(G, dG, self.KINDS)
+        for mu in range(2):
+            for nu in range(2):
+                assert bures_metric(G, dG[mu], dG[nu]) == forms["bures"][mu, nu]
+                assert zeta_tilde_gaussian(G, dG[mu], dG[nu]) == forms["zeta_limited"][mu, nu]
+
+    def test_single_matrix_is_a_stack_of_one(self, rng):
+        G, dG = self.gamma_family(rng)
+        one = liouville_mod.gaussian_tensors(G, dG, self.KINDS)
+        stack = liouville_mod.gaussian_tensors(G[None], [d[None] for d in dG], self.KINDS)
+        for kind in self.KINDS:
+            assert np.array_equal(one[kind], stack[kind]), kind
+
+    @pytest.mark.parametrize("gap, finite", [
+        (1e-3, True), (1e-9, True), (2e-10, True), (5e-11, False), (1e-13, False), (0.0, False),
+    ])
+    def test_eigenvalues_near_plus_minus_one(self, rng, gap, finite):
+        # Gamma has eigenvalues +-g (and +-0.3), with 1 - g^2 = gap
+        G = np.kron(np.diag([np.sqrt(1.0 - gap), 0.3]), SY)
+        B = rng.normal(size=(4, 4))
+        dG = [1j * (B - B.T)]
+        zl = liouville_mod.gaussian_tensors(G, dG, ["zeta_limited"])["zeta_limited"]
+        assert np.isfinite(zl).all()  # finite up to and at a pure state
+        if finite:
+            assert np.isfinite(liouville_mod.gaussian_tensors(G, dG, ["bures"])["bures"]).all()
+        else:
+            with pytest.raises(PureStateSingular) as info:
+                liouville_mod.gaussian_tensors(G, dG, ["bures"])
+            assert info.value.block == 0 and "block" not in str(info.value)
+
+    @staticmethod
+    def blocks(rng):
+        B = rng.normal(size=(4, 4))
+        base = 1j * (B - B.T)  # Hermitian, imaginary antisymmetric
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 1.0
+        return {
+            "big": 1e6 * base + 1e-3 * skew,  # defect 1e-9 of its own scale: Hermitian
+            "defect": 0.1 * base + 1e-6 * skew,  # 1e-6 of a unit scale: not Hermitian
+            "pure": np.kron(np.eye(2), SY),  # eigenvalues exactly +-1
+        }
+
+    @pytest.mark.parametrize("order, kinds, error, block", [
+        (("big", "defect", "pure"), ["bures"], ShapeMismatch, 1),
+        (("big", "pure", "defect"), ["bures"], PureStateSingular, 1),
+        (("big", "pure", "defect"), ["zeta_limited"], ShapeMismatch, 2),
+        (("pure", "defect"), ["zeta_limited", "bures"], PureStateSingular, 0),
+        (("defect", "pure"), ["bures", "zeta_limited"], ShapeMismatch, 0),
+        (("big", "big", "pure"), ["bures"], PureStateSingular, 2),
+    ])
+    def test_stack_checks_per_block(self, rng, order, kinds, error, block):
+        blocks = self.blocks(rng)
+        G = np.stack([blocks[name] for name in order])
+        dG = [np.stack([blocks["defect"]] * len(order))]
+        with pytest.raises(error) as info:
+            liouville_mod.gaussian_tensors(G, dG, kinds)
+        assert info.value.block == block
+        assert str(info.value).startswith(f"block {block}: ")
+
+    def test_stack_sums_blocks(self, rng):
+        blocks = self.blocks(rng)
+        B = rng.normal(size=(2, 4, 4))
+        dG = [1j * (b - b.T) for b in B]
+        G = np.stack([blocks["big"], blocks["pure"]])
+        got = liouville_mod.gaussian_tensors(G, [np.stack([d, -d]) for d in dG], ["zeta_limited"])
+        parts = [liouville_mod.gaussian_tensors(Gb, [s * d for d in dG], ["zeta_limited"])
+                 for Gb, s in zip(G, (1, -1))]
+        ref = sum(p["zeta_limited"] for p in parts)
+        assert np.abs(got["zeta_limited"] - ref).max() <= 1e-12 * np.abs(ref).max()
+        big = liouville_mod.gaussian_tensors(blocks["big"], dG, ["bures"])["bures"]
+        assert np.isfinite(big).all()  # the 1e6-scale block passes on its own
