@@ -34,6 +34,7 @@ from .ssh import (
     SSHPhase,
     bloch,
     bloch_family,
+    bloch_sum,
     classify_phase,
     ssh_eigenstates,
     zeta_finite_sum,

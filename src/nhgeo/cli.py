@@ -37,14 +37,13 @@ from .liouville import (
     ness_tensors,
     zeta_ness_k,
 )
-from .ssh import SSHParams, bloch_family, eps, zeta_finite_sum
+from .ssh import SSHParams, bloch_family, bloch_sum, eps, zeta_finite_sum
 from .tensors import (
     SOS_KINDS,
     OperatorFamily,
     chi_hermitian,
     eta_tensor,
     sum_over_states,
-    zeta_limited,
 )
 
 # ---------------------------------------------------------------------------
@@ -67,19 +66,20 @@ class SSHAdapter:
 
     def tensors(self, values, kinds, state, mu_reg) -> dict:
         p = self.params(values)
+        n = _state_index(state)
         out = {}
-        for kind in kinds:
+        for kind in kinds:  # in order: the first failing kind names a row's error
             if kind == "zeta":
                 out[kind] = zeta_finite_sum(p).values
-            else:
-                n, rescaled = _state_index(state), kind == "zeta_limited_rescaled"
+            elif kind == "eta":
                 total = np.zeros((2, 2), dtype=complex)
                 for k in p.k_grid:
-                    fam = bloch_family(p, k)
-                    total += (eta_tensor(fam, [p.t, p.delta], n) if kind == "eta" else
-                              zeta_limited(fam, [p.t, p.delta], n, rescaled=rescaled)).values
+                    total += eta_tensor(bloch_family(p, k), [p.t, p.delta], n).values
                 out[kind] = total
-        return out
+            elif kind not in out:  # one pass serves both zeta_limited kinds
+                limited = [k for k in kinds if k.startswith("zeta_limited")]
+                out.update((k, t.values) for k, t in bloch_sum(p, n, limited).items())
+        return {kind: out[kind] for kind in kinds}
 
     def spectrum(self, values) -> dict:
         p = self.params(values)
@@ -269,6 +269,14 @@ def _load_bath(path):
     return matrix_from_json(obj), None
 
 
+def _check_parameter(name, defaults: dict) -> None:
+    """Usage error (exit 2) unless ``name`` is one of the model's parameters."""
+    if name not in defaults:
+        raise click.UsageError(
+            f"unknown parameter {name!r}; known: {', '.join(defaults) or 'none'}"
+        )
+
+
 def _parse_sets(sets, defaults: dict) -> dict:
     """``--set name=value`` items; names and value types follow the model's defaults."""
     out = {}
@@ -276,10 +284,7 @@ def _parse_sets(sets, defaults: dict) -> dict:
         name, eq, raw = (part.strip() for part in item.partition("="))
         if not eq:
             raise click.UsageError(f"--set expects name=value, got {item!r}")
-        if name not in defaults:
-            raise click.UsageError(
-                f"unknown parameter {name!r}; known: {', '.join(defaults) or 'none'}"
-            )
+        _check_parameter(name, defaults)
         kind = type(defaults[name])
         try:
             out[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
@@ -463,6 +468,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         raise click.UsageError("sweep supports models: " + ", ".join(MODELS))
     adapter = MODELS[model]()
     fixed = dict(spec.get("params", {}))
+    for name in fixed:  # names only: config values keep their JSON types
+        _check_parameter(name, adapter.defaults)
     fixed.update(_parse_sets(sets, adapter.defaults))
     axes = list(spec.get("axes", []))
     axes += [_axis_flag(a) for a in axes_opt]
@@ -477,11 +484,16 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
     state = state if state is not None else spec.get("state")
     _state_index(state)  # a malformed state fails once here, not on every point
-    mu_reg = mu_reg if mu_reg is not None else float(spec.get("mu_reg", 0.0))
+    mu_reg = mu_reg if mu_reg is not None else spec.get("mu_reg", 0.0)
+    if isinstance(mu_reg, bool) or not isinstance(mu_reg, (int, float)) or not np.isfinite(mu_reg):
+        raise click.UsageError(f"mu_reg must be a finite number, got {mu_reg!r}")
+    mu_reg = float(mu_reg)
     output = output or spec.get("output")
     if output is None:
         raise click.UsageError("sweep needs --output (or 'output' in the config)")
     fmt = fmt or spec.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise click.UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
     nthreads = _thread_count(threads)
 
     names = [a["name"] for a in axes]

@@ -42,7 +42,8 @@ def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
 
 
 def canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
-    """Indices sorting eigenvalues by (Re, Im), ascending.
+    """Indices sorting eigenvalues by (Re, Im), ascending, along the last
+    axis (each block of a stack ``(..., N)`` on its own).
 
     Keys are quantized at ``ORDER_TIE_RESOLUTION`` so that values that agree
     to that resolution are ties; the stable sort then keeps input order,
@@ -245,8 +246,8 @@ def _raise_first(bad, exc_type, message):
         raise exc
 
 
-def _eig_2x2(A: np.ndarray):
-    """Closed-form eigendecomposition of 2x2 matrices with distinct eigenvalues.
+def _eig_2x2(A: np.ndarray, *, distinct: bool = True):
+    """Closed-form eigendecomposition of 2x2 matrices.
 
     ``A`` is one 2x2 matrix or a stack of shape ``(..., 2, 2)``; every test
     below is made per block.  Eigenvalues come from the trace/determinant
@@ -256,7 +257,12 @@ def _eig_2x2(A: np.ndarray):
     ``tr^2 - 4 det`` cancels for nearly equal diagonals.  The pairs
     keep the contract of :func:`eig_general`: non-finite blocks raise
     ``ShapeMismatch`` and a residual above ``1e-10 * ||A||`` raises
-    ``NonConvergence``.
+    ``NonConvergence``.  Right vectors have unit norm.
+
+    With ``distinct`` (the default) a block with (near-)degenerate
+    eigenvalues raises ``SingularPencil``.  Without it the caller judges
+    such blocks: a defective block gets two equal vectors (a singular
+    vector matrix) and a multiple of the identity the unit vectors.
     """
     A = np.asarray(A, dtype=complex)
     stack = A.shape[:-2]
@@ -271,20 +277,37 @@ def _eig_2x2(A: np.ndarray):
     disc = np.sqrt((A[:, 0, 0] - A[:, 1, 1]) ** 2 + 4 * A[:, 0, 1] * A[:, 1, 0])
     a1 = (tr - disc) / 2
     a2 = (tr + disc) / 2
-    check(np.abs(a1 - a2) < 1e-14 * np.maximum(1.0, np.abs(a1) + np.abs(a2)),
-          SingularPencil, lambda i: "2x2 block has (near-)degenerate eigenvalues")
+    if distinct:
+        check(np.abs(a1 - a2) < 1e-14 * np.maximum(1.0, np.abs(a1) + np.abs(a2)),
+              SingularPencil, lambda i: "2x2 block has (near-)degenerate eigenvalues")
     w = np.stack([a1, a2], axis=-1)
     # a nonzero column of (A - other*I) spans each eigenvector
     B = A[:, None] - w[:, ::-1, None, None] * np.eye(2)
     n = np.linalg.norm(B, axis=-2)
+    big = np.maximum(n[..., :1], n[..., 1:])
     U = np.where(n[..., :1] >= n[..., 1:], B[..., :, 0], B[..., :, 1])
-    U = np.swapaxes(U / np.maximum(n[..., :1], n[..., 1:]), -1, -2)
+    U = np.swapaxes(U / np.where(big > 0, big, 1.0), -1, -2)
+    if not distinct:  # B = 0 only for a multiple of the identity
+        U = np.where(big[:, None, :, 0] > 0, U, np.eye(2))
     scale = _norm2_2x2(A)
     resid = np.linalg.norm(A @ U - U * w[:, None, :], axis=-2).max(axis=-1)
     # written so that a NaN residual (overflow in the quadratic) fails too
     check(~(resid <= 1e-10 * scale), NonConvergence,
           lambda i: f"eigenpair residual {resid[i]:.3e} exceeds 1e-10*||A||")
     return w.reshape(stack + (2,)), U.reshape(stack + (2, 2))
+
+
+def _cond_inverse_2x2(R):
+    """``(cond_2, inverse)`` of each block of a stack ``R (..., 2, 2)`` of
+    unit-column eigenvector matrices: the closed forms of
+    :func:`_cond_inverse` (entries of unit columns need no scaling).  A
+    singular block has condition ``inf`` and a non-finite inverse."""
+    a, b, c, d = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
+    det = a * d - b * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(det != 0, _s1_squared(a, b, c, d) / np.abs(det), np.inf)
+        inv = np.stack([np.stack([d, -b], -1), np.stack([-c, a], -1)], -2) / det[..., None, None]
+    return cond, inv
 
 
 def _pencil(a, Ua, Uai, b, Ub, Ubi, tol):

@@ -6,8 +6,12 @@ from the two gap conditions ``|t -+ delta| = 1``, Brillouin-zone sums of the
 mixed geometric tensor over the (t, delta) plane, and the corresponding
 thermodynamic-limit expressions.
 
-All computations are per-k on 2x2 blocks; no real-space Hamiltonian (open
-boundaries and skin-effect physics are out of scope).
+All computations are on 2x2 Bloch blocks, no real-space Hamiltonian (open
+boundaries and skin-effect physics are out of scope).  The closed-form
+``zeta`` sum and :func:`bloch_sum`, the sum-over-states ``eta`` and
+``zeta_limited`` of one band, run on the whole k-grid at once;
+:func:`bloch_family` is the fixed-k block as an operator family, for the
+finite-difference stencil that serves as their oracle.
 """
 from __future__ import annotations
 
@@ -16,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalKPoint, FSingular, OnCriticalLine
-from .tensors import GeoTensor, OperatorFamily
+from .tensors import GeoTensor, OperatorFamily, sum_over_blocks
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _DX_DDELTA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+_DIRECTIONS = np.stack([_SX, _DX_DDELTA])  # d/dt, d/ddelta of every Bloch block
 
 
 @dataclass(frozen=True)
@@ -50,13 +55,14 @@ class SSHPhase:
         return (self.s1, self.s2)
 
 
-def bloch(params: SSHParams, k: float) -> np.ndarray:
-    """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik}."""
+def bloch(params: SSHParams, k) -> np.ndarray:
+    """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik};
+    for an array of momenta, the stack ``(..., 2, 2)`` of their blocks."""
     t, d = params.t, params.delta
-    return np.array(
-        [[0.0, t - d + np.exp(-1j * k)], [t + d + np.exp(1j * k), 0.0]],
-        dtype=complex,
-    )
+    K = np.zeros(np.shape(k) + (2, 2), dtype=complex)
+    K[..., 0, 1] = t - d + np.exp(-1j * k)
+    K[..., 1, 0] = t + d + np.exp(1j * k)
+    return K
 
 
 def eps(t: float, delta: float, k) -> np.ndarray | complex:
@@ -74,6 +80,17 @@ def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
         return _SX if mu == 0 else _DX_DDELTA
 
     return OperatorFamily(2, 2, f, df, name=f"nh-ssh(k={k:.6g})")
+
+
+def bloch_sum(params: SSHParams, n: int, kinds) -> dict[str, GeoTensor]:
+    """Brillouin-zone sums over the k-grid of the tensors ``kinds`` of band
+    ``n`` (``eta``, ``zeta_limited``, ``zeta_limited_rescaled``) over
+    (t, delta): one :func:`~nhgeo.tensors.sum_over_blocks` pass over the
+    ``(L, 2, 2)`` stack of Bloch matrices, with the checks made per block."""
+    vals = sum_over_blocks(bloch(params, params.k_grid), _DIRECTIONS, n, kinds)
+    lam = np.array([params.t, params.delta])
+    return {kind: GeoTensor(kind, n, v, lam, {"L": params.L, "route": "sum-over-blocks"})
+            for kind, v in vals.items()}
 
 
 def classify_phase(t: float, delta: float) -> SSHPhase:

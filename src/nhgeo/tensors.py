@@ -7,7 +7,9 @@ Two derivative engines differentiate the biorthogonal eigensystem of
 transport-generator matrix elements ``<m_L|d_mu K|n_R> / (w_n - w_m)``
 (:func:`agp_elements`), and with them every eigenvector derivative in the
 parallel-transport gauge; ``eta``, ``zeta`` and ``zeta_limited`` are then
-matrix contractions.
+matrix contractions.  :func:`sum_over_blocks` makes the single-state
+contractions on a stack of 2x2 blocks at once and sums them (Brillouin-zone
+sums of Bloch matrices).
 
 The finite-difference stencil (:func:`_stencil`) is the independent oracle.
 Eigenvectors at stencil points carry an arbitrary solver gauge, so each
@@ -52,10 +54,20 @@ from .biortho import BiorthogonalSystem, build_biortho
 from .errors import (
     ContinuationAmbiguous,
     DegenerateSpectrum,
+    NearDefective,
+    NhgeoError,
     NotHermitian,
     ShapeMismatch,
 )
-from .linalg import as_square, norm2
+from .linalg import (
+    DEFECTIVE_COND,
+    _cond_inverse_2x2,
+    _eig_2x2,
+    _raise_first,
+    as_square,
+    canonical_order,
+    norm2,
+)
 
 _EPS_THIRD = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -253,14 +265,18 @@ def _checked(fam: OperatorFamily, lam, n: int) -> np.ndarray:
     return _params(lam, fam.num_params)
 
 
-def _require_gaps(w, states, scale: float) -> None:
+def _require_gaps(w, states, scale) -> None:
     """DegenerateSpectrum unless every gap ``|w_m - w_n|`` of a state ``n`` in
-    ``states`` is at least ``1e-10 * scale``."""
+    ``states`` is at least ``1e-10 * scale``.
+
+    ``w`` may be a stack ``(..., N)`` of spectra with one ``scale`` per
+    block; the error is then that of the first failing block.
+    """
+    others = np.arange(np.shape(w)[-1])
     for n in states:
-        gap = np.abs(w - w[n])
-        gap[n] = np.inf
-        if gap.min() < 1e-10 * scale:
-            raise DegenerateSpectrum(f"eigenvalue {n} degenerate within 1e-10*||K||")
+        gap = np.where(others != n, np.abs(w - w[..., n:n + 1]), np.inf)
+        _raise_first(gap.min(axis=-1) < 1e-10 * np.asarray(scale), DegenerateSpectrum,
+                     lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||")
 
 
 def _stencil(
@@ -432,38 +448,111 @@ def sum_over_states(
         sys = build_biortho(K, warn_degenerate=False)
     w = sys.eigenvalues
     C = sys.gram_right
-    Cinv = sys.gram_left
     num = np.stack([
         sys.left.conj().T @ fam.derivative(mu, lam) @ sys.right
         for mu in range(fam.num_params)
     ])
 
-    col = row = None
-    if any(k != "zeta" for k in kinds):
-        _require_gaps(w, [n], scale)
-        gap = w[n] - w  # w_n - w_m
-        others = np.arange(len(w)) != n
-        gap[n] = 1.0
-        col = np.where(others, num[:, :, n] / gap, 0.0)   # A_mu[:, n]
-        row = np.where(others, num[:, n, :] / -gap, 0.0)  # A_mu[n, :]
+    state_kinds = [k for k in kinds if k != "zeta"]
+    if state_kinds:
+        ln = sys.left[:, n]
+        state = _state_tensors(state_kinds, num, w, C, (ln.conj() @ ln).real, n, scale)
 
     out = {}
     for kind in kinds:
         if kind == "zeta":
             A = _generator(num, w, mu_reg, scale)
-            vals = (A @ Cinv[:, n]).conj() @ C @ A[:, :, n].T
+            vals = (A @ sys.gram_left[:, n]).conj() @ C @ A[:, :, n].T
             meta = {"route": "agp", "mu_reg": mu_reg}
         else:
-            if kind == "eta":
-                vals = -(row @ col.T)
-            else:
-                lnln = Cinv[n, n].real
-                vals = lnln * (col.conj() @ C @ col.T)
-                if kind == "zeta_limited_rescaled":
-                    vals = vals / (lnln * C[n, n].real)
-            meta = {"route": "agp", "mu_reg": 0.0}
+            vals, meta = state[kind], {"route": "agp", "mu_reg": 0.0}
         out[kind] = GeoTensor(kind, n, vals, lam, meta)
     return out
+
+
+def _state_tensors(kinds, num, w, C, lnln, n: int, scale) -> dict[str, np.ndarray]:
+    """``eta``, ``zeta_limited`` and ``zeta_limited_rescaled`` of state ``n``
+    from row and column ``n`` of the exact generator (see
+    :func:`sum_over_states`).
+
+    ``num[..., mu, m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum,
+    ``C`` the right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  They describe
+    one system, or a stack of blocks along a leading axis (``num (L, d, N,
+    N)``, ``w (L, N)``, ``C (L, N, N)``, ``lnln`` and ``scale`` ``(L,)``),
+    whose tensors are then summed.  Raises DegenerateSpectrum, for the first
+    failing block, if a gap ``|w_m - w_n|`` is below ``1e-10 * scale``.
+    """
+    _require_gaps(w, [n], scale)
+    d, N = num.shape[-3], w.shape[-1]
+    # one code path: one system is a stack of one block
+    num, w, C = num.reshape(-1, d, N, N), w.reshape(-1, N), C.reshape(-1, N, N)
+    others = np.arange(N) != n
+    gap = np.where(others, w[:, n, None] - w, 1.0)[:, None, :]  # w_n - w_m
+    col = np.where(others, num[..., n] / gap, 0.0)  # A_mu[:, n]
+    out = {}
+    for kind in kinds:
+        if kind == "eta":
+            row = np.where(others, num[:, :, n, :] / -gap, 0.0)  # A_mu[n, :]
+            out[kind] = -np.einsum("kai,kbi->ab", row, col)
+        else:
+            # zeta_limited_rescaled divides by <n_L|n_L><n_R|n_R>
+            weight = lnln if kind == "zeta_limited" else 1.0 / C[:, n, n].real
+            vals = col.conj() @ C @ np.swapaxes(col, -1, -2)
+            out[kind] = np.einsum("k,kab->ab", np.ravel(weight), vals)
+    return out
+
+
+#: tensor kinds of one state that :func:`sum_over_blocks` sums over blocks
+STATE_KINDS = ("eta", "zeta_limited", "zeta_limited_rescaled")
+
+
+def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray]:
+    """The tensors ``kinds`` of state ``n`` of every 2x2 block of ``K (L, 2,
+    2)``, summed over the blocks (a Brillouin-zone sum of Bloch blocks).
+
+    This is :func:`sum_over_states` on all blocks at once.  ``dK (d, 2,
+    2)`` holds the derivative directions, the same for every block.  Each
+    block is decomposed in closed form
+    (:func:`~nhgeo.linalg._eig_2x2`) with its eigenvalues in canonical
+    order and unit right vectors; its left vectors come from the adjugate
+    inverse, and ``<m_L|d_mu K|n_R>`` of all blocks is one batched product.
+
+    Each check of the per-matrix engine is made per block, in its order:
+    ShapeMismatch for a non-finite block and NonConvergence for an eigenpair
+    residual above ``1e-10 * ||K||``; NearDefective if the eigenvector
+    condition number exceeds 1e12; DegenerateSpectrum if the gap is below
+    ``1e-10 * max(||K||_2, 1)``.  The error is that of the first failing
+    block, as a loop over the blocks finds it, and carries its index as
+    ``exc.block``.
+    """
+    kinds = list(kinds)
+    unknown = [k for k in kinds if k not in STATE_KINDS]
+    if unknown:
+        raise ValueError(f"sum over blocks does not provide {unknown}")
+    K = np.asarray(K, dtype=complex)
+    dK = np.asarray(dK, dtype=complex)
+    if K.ndim != 3 or K.shape[1:] != (2, 2) or not len(K):
+        raise ShapeMismatch(f"expected a stack (L, 2, 2) of blocks, got shape {K.shape}")
+    if dK.ndim != 3 or dK.shape[1:] != (2, 2):
+        raise ShapeMismatch(f"expected directions (d, 2, 2), got shape {dK.shape}")
+    if not 0 <= n < 2:
+        raise ShapeMismatch(f"state index {n} out of range for dim 2")
+    try:
+        w, R = _eig_2x2(K, distinct=False)  # equal eigenvalues are judged below
+        order = canonical_order(w)
+        w = np.take_along_axis(w, order, -1)
+        R = np.take_along_axis(R, order[:, None, :], -1)
+        cond, Rinv = _cond_inverse_2x2(R)
+        _raise_first(~(cond <= DEFECTIVE_COND), NearDefective,
+                     lambda i: f"eigenvector condition number {cond[i]:.3e} above 1e12")
+        num = Rinv[:, None] @ dK @ R[:, None]  # <m_L| is row m of R^-1
+        C = np.swapaxes(R.conj(), -1, -2) @ R
+        lnln = (np.abs(Rinv[:, n]) ** 2).sum(axis=-1)
+        return _state_tensors(kinds, num, w, C, lnln, n, np.maximum(norm2(K), 1.0))
+    except NhgeoError as exc:
+        if exc.block:  # the blocks before it may fail a later check
+            sum_over_blocks(K[:exc.block], dK, n, kinds)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,14 @@ from .oracle import (
     superop_family,
     third_quant_superops,
 )
-from .ssh import SSHParams, bloch_family, zeta_finite_sum, zeta_summand, zeta_thermodynamic
+from .ssh import (
+    SSHParams,
+    bloch_family,
+    bloch_sum,
+    zeta_finite_sum,
+    zeta_summand,
+    zeta_thermodynamic,
+)
 from .tensors import (
     OperatorFamily,
     central_difference,
@@ -215,7 +222,8 @@ def check_zeta_routes(full: bool = True):
 
 def check_nh_ssh(full: bool = True):
     """Per-block tensors vs closed-form summands, exact symmetric point,
-    thermodynamic limits, and the rescaled limited tensor identity."""
+    thermodynamic limits, the rescaled limited tensor identity, and the
+    stacked k-grid sums vs per-block stencil sums."""
     rng = np.random.default_rng(404)
     msgs = []
     ok = True
@@ -270,6 +278,20 @@ def check_nh_ssh(full: bool = True):
             worst_d = max(worst_d, float(np.abs(z - zt).max()))
     ok &= worst_d <= 1e-9
     msgs.append(f"rescaled limited vs zeta {worst_d:.2e}")
+
+    # (e) stacked k-grid sums vs per-block stencil sums, both bands
+    worst_e = 0.0
+    points = [(0.3, 0.2, 8), (0.9, 0.5, 5), (2.0, -0.5, 16)]
+    for (t, d, L) in points + ([(1.2, 0.7, 64), (0.05, -0.9, 2)] if full else []):
+        p = SSHParams(t, d, L)
+        for n in (0, 1):
+            for kind, T in bloch_sum(p, n, ["zeta_limited", "zeta_limited_rescaled"]).items():
+                ref = sum(zeta_limited(bloch_family(p, k), [t, d], n,
+                                       rescaled=kind == "zeta_limited_rescaled").values
+                          for k in p.k_grid)
+                worst_e = max(worst_e, float(np.abs(T.values - ref).max() / np.abs(ref).max()))
+    ok &= worst_e <= 1e-6
+    msgs.append(f"stacked vs stencil sums rel {worst_e:.2e}")
     return bool(ok), "; ".join(msgs)
 
 

@@ -291,6 +291,65 @@ class TestTensorCommand:
         assert "CriticalKPoint" in result.output
 
 
+def tensor_values(payload, kind):
+    return np.array([[complex(c["re"], c["im"]) for c in row]
+                     for row in payload["tensors"][kind]["components"]])
+
+
+class TestSSHTensors:
+    """``zeta_limited``/``zeta_limited_rescaled`` of nh-ssh come from one
+    stacked pass over the k-grid; only ``eta`` still runs the stencil."""
+
+    @pytest.fixture
+    def stencils(self, monkeypatch):
+        import nhgeo.tensors as tensors_mod
+
+        calls = []
+        real = tensors_mod._stencil
+        monkeypatch.setattr(tensors_mod, "_stencil",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_limited_kinds_run_no_stencil(self, runner, tmp_path, stencils):
+        run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "L=16", "--set", "delta=0.3",
+                        "--axis", "t:0.1:1.9:5", "--tensors", "zeta_limited,zeta_limited_rescaled",
+                        "--output", str(tmp_path / "x.csv")])
+        assert stencils == []
+
+    def test_values_and_order(self, runner, stencils):
+        from nhgeo.ssh import SSHParams, bloch_family
+        from nhgeo.tensors import eta_tensor, zeta_limited
+
+        kinds = ["zeta_limited_rescaled", "eta", "zeta", "zeta_limited"]
+        result = run_ok(runner, [
+            "tensor", "--model", "nh-ssh", "--set", "t=0.7", "--set", "delta=0.4",
+            "--set", "L=16", "--tensors", ",".join(kinds), "--state", "1"])
+        assert len(stencils) == 16  # eta, once per k
+        payload = json.loads(result.output)
+        assert list(payload["tensors"]) == kinds
+        p = SSHParams(0.7, 0.4, 16)
+        fams = [bloch_family(p, k) for k in p.k_grid]
+        refs = {
+            "eta": sum(eta_tensor(f, [0.7, 0.4], 1).values for f in fams),
+            "zeta_limited": sum(zeta_limited(f, [0.7, 0.4], 1).values for f in fams),
+            "zeta_limited_rescaled": sum(
+                zeta_limited(f, [0.7, 0.4], 1, rescaled=True).values for f in fams),
+        }
+        for kind, ref in refs.items():
+            assert np.abs(tensor_values(payload, kind) - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_first_kind_names_the_error(self, runner, tmp_path):
+        # t = 1, delta = 0: eps(pi) = 0 on the grid, where zeta checks the grid
+        # itself and the stack finds a (Hermitian) block with a zero gap
+        out = tmp_path / "x.csv"
+        for kinds, status in (("zeta,zeta_limited", "CriticalKPoint"),
+                              ("zeta_limited,zeta", "DegenerateSpectrum")):
+            run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "L=8", "--set", "delta=0",
+                            "--axis", "t:0.5:1:2", "--tensors", kinds, "--output", str(out)])
+            rows = out.read_text().splitlines()[2:]
+            assert rows[0].endswith(",ok") and rows[1].endswith("," + status), kinds
+
+
 class TestSpectrumCommand:
     def test_ssh_band_values(self, runner):
         result = run_ok(
@@ -675,6 +734,44 @@ class TestMalformedSweepInput:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"mu_reg": "abc"}, "mu_reg must be a finite number"),
+        ({"mu_reg": "0.5"}, "mu_reg must be a finite number"),
+        ({"mu_reg": True}, "mu_reg must be a finite number"),
+        ({"mu_reg": None}, "mu_reg must be a finite number"),
+        ({"mu_reg": float("nan")}, "mu_reg must be a finite number"),
+        ({"format": "xml"}, "format must be 'csv' or 'json'"),
+        ({"format": 1}, "format must be 'csv' or 'json'"),
+        ({"params": {"L": 8, "bogus": 1}}, "unknown parameter 'bogus'"),
+    ])
+    def test_config_value_exit_2(self, runner, tmp_path, extra, message):
+        cfg = {"model": "nh-ssh", "params": {"L": 8},
+               "axes": [{"name": "t", "min": 0.1, "max": 0.9, "steps": 3}], **extra}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        result = runner.invoke(main, [
+            "sweep", "--config", str(tmp_path / "cfg.json"), "--output", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_config_params_keep_their_values(self, runner, tmp_path):
+        # names are checked, values are not coerced: the header shows them as given
+        cfg = {"model": "nh-ssh", "params": {"L": 8, "delta": 0.25}, "mu_reg": 0,
+               "axes": [{"name": "t", "min": 0.1, "max": 0.9, "steps": 3}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        run_ok(runner, ["sweep", "--config", str(tmp_path / "cfg.json"),
+                        "--output", str(tmp_path / "x.csv")])
+        header = (tmp_path / "x.csv").read_text().splitlines()[0]
+        assert " L=8 delta=0.25 " in header and header.endswith(" mu_reg=0.0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_mu_reg_flag_exit_2(self, runner, tmp_path, value):
+        result = runner.invoke(main, [
+            "sweep", "--model", "nh-ssh", "--axis", "t:0.1:0.9:3", "--mu-reg", value,
+            "--format", "json", "--output", str(tmp_path / "x.json")])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "x.json").exists()
 
     def test_config_axis_with_integer_bounds_keeps_its_header(self, runner, tmp_path):
         cfg = {"model": "nh-ssh", "params": {"L": 8},

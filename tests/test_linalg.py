@@ -16,6 +16,7 @@ from nhgeo.errors import (
 from nhgeo.linalg import (
     DEFECTIVE_COND,
     _cond_inverse,
+    _cond_inverse_2x2,
     _eig_2x2,
     _pencil,
     eig_general,
@@ -204,6 +205,26 @@ class TestClosedForms2x2:
             if cond <= DEFECTIVE_COND:
                 assert maxdev(Ai @ A, np.eye(2)) <= 1e-12 * cond
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_stacked_condition_matches_single(self, seed):
+        # unit-column blocks of every kind, as eigenvector matrices are
+        stack = np.stack([A / np.abs(A).max() for A in (block(seed + i, kind) for i, kind in
+                          enumerate(["random", "mixed", "unitary", "1e200", "1e-200"]))])
+        stack /= np.linalg.norm(stack, axis=-2, keepdims=True)
+        cond, inv = _cond_inverse_2x2(stack)
+        for c, Ai, A in zip(cond, inv, stack):
+            ref, ref_inv = _cond_inverse(A)
+            assert abs(c - ref) <= 1e-14 * ref
+            if ref_inv is not None:
+                assert maxdev(Ai, ref_inv) <= 1e-14 * ref
+
+    def test_stacked_condition_of_singular_block(self):
+        R = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        cond, inv = _cond_inverse_2x2(R)
+        assert cond[0] == np.inf and cond[1] == 1.0
+        assert np.array_equal(inv[1], np.eye(2))
+
     def test_norm2_larger_matrices_use_svd(self, rng):
         for scale in (1.0, 1e200, 1e-200):
             A = scale * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -345,6 +366,19 @@ class TestStackedEig2x2:
         assert maxdev(A @ U, U * w[None, :]) <= 1e-15
         with pytest.raises(SingularPencil):
             _eig_2x2(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_equal_eigenvalues_left_to_caller(self, rng):
+        stack = np.concatenate([rng.normal(size=(3, 2, 2)), [
+            [[0.0, 0.0], [1.0, 0.0]],  # defective: the same vector twice
+            np.zeros((2, 2)),           # multiples of the identity: unit vectors
+            3.0 * np.eye(2),
+        ]])
+        w, U = _eig_2x2(stack, distinct=False)
+        w0, U0 = _eig_2x2(stack[:3])
+        assert np.array_equal(w[:3], w0) and np.array_equal(U[:3], U0)
+        assert np.array_equal(U[3], [[0.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(U[4], np.eye(2)) and np.array_equal(U[5], np.eye(2))
+        assert np.array_equal(w[3:], [[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]])
 
     def test_nonfinite_block_rejected(self, rng):
         stack = rng.normal(size=(3, 2, 2))

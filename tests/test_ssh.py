@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nhgeo.errors import CriticalKPoint, FSingular, OnCriticalLine
 from nhgeo.ssh import (
     SSHParams,
     bloch,
     bloch_family,
+    bloch_sum,
     classify_phase,
     eps,
     ssh_eigenstates,
@@ -13,7 +16,7 @@ from nhgeo.ssh import (
     zeta_summand,
     zeta_thermodynamic,
 )
-from nhgeo.tensors import zeta_limited, zeta_tensor
+from nhgeo.tensors import eta_tensor, zeta_limited, zeta_tensor
 
 from conftest import maxdev
 
@@ -33,6 +36,61 @@ class TestBloch:
             ev = np.linalg.eigvals(bloch(SSHParams(t, d, 4), k))
             se = np.sqrt(eps(t, d, k))
             assert maxdev(sorted(ev, key=lambda z: z.real), [-se, se]) < 1e-12
+
+    def test_stack_equals_single_blocks(self):
+        p = SSHParams(0.7, -0.3, 9)
+        stack = bloch(p, p.k_grid)
+        assert stack.shape == (9, 2, 2)
+        for K, k in zip(stack, p.k_grid):
+            assert np.array_equal(K, bloch(p, k))
+
+
+def stencil_sum(p, n, kind):
+    """The per-k stencil tensor of band ``n`` summed over the k-grid."""
+    total = 0
+    for k in p.k_grid:
+        fam = bloch_family(p, k)
+        total = total + (eta_tensor(fam, [p.t, p.delta], n) if kind == "eta" else zeta_limited(
+            fam, [p.t, p.delta], n, rescaled=kind == "zeta_limited_rescaled")).values
+    return total
+
+
+class TestBlochSum:
+    @pytest.mark.parametrize("L", [2, 3, 8, 64])
+    @settings(max_examples=8, deadline=None)
+    @given(t=st.floats(0.0, 2.0), delta=st.floats(-1.0, 1.0))
+    def test_matches_stencil_sum(self, L, t, delta):
+        assume(min(abs(abs(t - delta) - 1), abs(abs(t + delta) - 1)) >= 0.05)
+        p = SSHParams(t, delta, L)
+        for n in (0, 1):
+            got = bloch_sum(p, n, ["zeta_limited", "zeta_limited_rescaled"])
+            for kind, T in got.items():
+                assert T.kind == kind and T.state_index == n
+                ref = stencil_sum(p, n, kind)
+                assert maxdev(T.values, ref) <= 1e-6 * np.abs(ref).max(), (kind, n)
+
+    def test_eta_matches_stencil_sum(self):
+        p = SSHParams(0.7, 0.4, 8)
+        for n in (0, 1):
+            ref = stencil_sum(p, n, "eta")
+            assert maxdev(bloch_sum(p, n, ["eta"])["eta"].values, ref) <= 1e-6 * np.abs(ref).max()
+
+    def test_rescaled_sum_is_closed_form_zeta(self):
+        p = SSHParams(0.9, 0.5, 64)
+        z = zeta_finite_sum(p).values
+        for n in (0, 1):
+            zt = bloch_sum(p, n, ["zeta_limited_rescaled"])["zeta_limited_rescaled"].values
+            assert maxdev(zt, z) <= 1e-12 * np.abs(z).max()
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-4])
+    def test_near_gap_closing_k(self, x):
+        # t = 1.5 + x: |eps(pi)| ~ x; the stencil's step resolves the bands
+        # poorly there (about 23x too small at x = 1e-6)
+        p = SSHParams(1.5 + x, 0.5, 8)
+        assert abs(abs(eps(p.t, p.delta, np.pi)) - x) <= 1e-3 * x
+        ref = sum(zeta_summand(p.t, p.delta, k) for k in p.k_grid)
+        zt = bloch_sum(p, 0, ["zeta_limited_rescaled"])["zeta_limited_rescaled"].values
+        assert maxdev(zt.real, ref) <= 1e-8 * np.abs(ref).max()
 
 
 class TestClassifyPhase:

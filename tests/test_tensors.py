@@ -6,10 +6,12 @@ from nhgeo.errors import (
     DegenerateSpectrum,
     NearDefective,
     NotHermitian,
+    NonConvergence,
     ShapeMismatch,
 )
 from nhgeo.tensors import (
     SOS_KINDS,
+    STATE_KINDS,
     OperatorFamily,
     _match,
     agp_elements,
@@ -20,6 +22,7 @@ from nhgeo.tensors import (
     eta_tensor,
     projector_deformation,
     projector_fd,
+    sum_over_blocks,
     sum_over_states,
     zeta_limited,
     zeta_tensor,
@@ -339,6 +342,83 @@ class TestSumOverStates:
             sum_over_states(nh6, [0.0, 0.0], 0, ["chi"])
         with pytest.raises(ValueError, match="mu_reg"):
             sum_over_states(nh6, [0.0, 0.0], 0, ["eta"], mu_reg=-1.0)
+
+
+def block_family(B, dK):
+    """The constant family ``B`` with derivative directions ``dK``."""
+    return OperatorFamily(2, len(dK), lambda l: B, lambda mu, l: dK[mu])
+
+
+class TestSumOverBlocks:
+    @pytest.fixture
+    def blocks(self, rng):
+        K = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        dK = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        return K, dK
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_equals_per_block_engine(self, blocks, n):
+        K, dK = blocks
+        got = sum_over_blocks(K, dK, n, STATE_KINDS)
+        assert list(got) == list(STATE_KINDS)
+        for kind in STATE_KINDS:
+            ref = sum(sum_over_states(block_family(B, dK), np.zeros(3), n, [kind])[kind].values
+                      for B in K)
+            assert maxdev(got[kind], ref) <= 1e-12 * np.abs(ref).max(), kind
+
+    # each edge block raises the error the per-block stencil raises
+    EDGES = [
+        ([[0.0, 0.0], [1.0, 0.0]], NearDefective),    # a Jordan block
+        ([[0.0, 1e-30], [1.0, 0.0]], NearDefective),  # condition ~1e15
+        ([[0.0, 1e-22], [1.0, 0.0]], DegenerateSpectrum),  # condition ~1e11, gap 2e-11
+        ([[0.0, 0.0], [0.0, 0.0]], DegenerateSpectrum),
+        ([[1.0, 0.0], [0.0, 1.0]], DegenerateSpectrum),
+    ]
+
+    @pytest.mark.parametrize("edge, error", EDGES)
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_edge_block_located(self, blocks, edge, error, at):
+        K, dK = blocks
+        K = K.copy()
+        K[at] = edge
+        K[-1] = edge  # a later failure of the same kind does not win
+        for n in (0, 1):
+            with pytest.raises(error) as info:
+                sum_over_blocks(K, dK, n, ["zeta_limited"])
+            assert info.value.block == at
+            assert f"block {at}:" in str(info.value)
+        with pytest.raises(error):
+            zeta_limited(block_family(np.array(edge, dtype=complex), dK), np.zeros(3), 0)
+
+    def test_first_failing_block_wins_across_checks(self, blocks):
+        K, dK = blocks
+        K = K.copy()
+        K[4] = np.nan                   # ShapeMismatch, the first check
+        K[3] = [[1e200, 1.0], [0.0, 2e200]]  # NonConvergence: the quadratic overflows
+        K[2] = [[0.0, 0.0], [1.0, 0.0]]  # NearDefective
+        K[1] = np.eye(2)                 # DegenerateSpectrum, the last check
+        expected = [(1, DegenerateSpectrum), (2, NearDefective), (3, NonConvergence),
+                    (4, ShapeMismatch)]
+        with np.errstate(all="ignore"):
+            for first, error in expected:
+                with pytest.raises(error) as info:
+                    sum_over_blocks(K[first:], dK, 0, ["eta"])
+                assert info.value.block == 0
+                with pytest.raises(error) as info:
+                    sum_over_blocks(np.concatenate([K[:1], K[first:]]), dK, 0, ["eta"])
+                assert info.value.block == 1
+
+    def test_invalid_arguments_rejected(self, blocks):
+        K, dK = blocks
+        with pytest.raises(ValueError, match="does not provide"):
+            sum_over_blocks(K, dK, 0, ["zeta"])
+        for n in (-1, 2):
+            with pytest.raises(ShapeMismatch, match="state index"):
+                sum_over_blocks(K, dK, n, ["eta"])
+        for bad_K, bad_dK in ((K[0], dK), (np.zeros((0, 2, 2)), dK), (np.zeros((6, 3, 3)), dK),
+                              (K, dK[0]), (K, np.zeros((2, 3, 3))), (K, dK[None])):
+            with pytest.raises(ShapeMismatch):
+                sum_over_blocks(bad_K, bad_dK, 0, ["eta"])
 
 
 class TestStencilAtDegeneracy:
