@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumWarning, NearDefective
-from .linalg import eig_general, norm2
+from .linalg import eig_general
 
 #: relative eigenvalue gap under which a DegenerateSpectrumWarning is emitted
 DEGENERACY_RTOL = 1e-10
@@ -32,7 +32,9 @@ class BiorthogonalSystem:
     ``gram_right`` is the right-vector Gram matrix ``C_{mn} = <m_R|n_R>``;
     the left Gram matrix equals its inverse and is exposed as a property.
     ``condition`` is the 2-norm condition number of the unit-column right
-    eigenvector matrix the eigensolve returned (gauge independent).
+    eigenvector matrix the eigensolve returned (gauge independent), and
+    ``norm`` is ``||K||_2`` (``EigDecomposition.norm``), the scale of every
+    gap and degeneracy test on this system.
     """
 
     eigenvalues: np.ndarray
@@ -40,6 +42,7 @@ class BiorthogonalSystem:
     left: np.ndarray
     gram_right: np.ndarray
     condition: float
+    norm: float
 
     @property
     def dim(self) -> int:
@@ -74,9 +77,9 @@ def build_biortho(K, *, warn_degenerate: bool = True) -> BiorthogonalSystem:
         )
     R = dec.right_vectors
     L = dec.right_inverse.conj().T
-    sys = BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R, dec.condition)
+    sys = BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R, dec.condition, dec.norm)
     if warn_degenerate:
-        scale = max(norm2(K), 1.0)
+        scale = max(sys.norm, 1.0)
         if sys.min_gap() < DEGENERACY_RTOL * scale:
             warnings.warn(
                 f"eigenvalue gap {sys.min_gap():.3e} below {DEGENERACY_RTOL:.0e}*||K||",
@@ -98,4 +101,4 @@ def gauge_rescale(sys: BiorthogonalSystem, r) -> BiorthogonalSystem:
     f = np.exp(r)
     R = sys.right * f[None, :]
     L = sys.left * np.conj(1.0 / f)[None, :]
-    return BiorthogonalSystem(sys.eigenvalues, R, L, R.conj().T @ R, sys.condition)
+    return BiorthogonalSystem(sys.eigenvalues, R, L, R.conj().T @ R, sys.condition, sys.norm)

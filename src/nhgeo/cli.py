@@ -455,7 +455,7 @@ def _axis_points(axis) -> np.ndarray:
               help="axis spec name:min:max:steps (one or two)")
 @click.option("--tensors", default=None)
 @click.option("--state", default=None)
-@click.option("--mu-reg", type=float, default=None)
+@click.option("--mu-reg", type=click.FloatRange(min=0.0), default=None)
 @click.option("--output", default=None, type=click.Path())
 @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]))
 @click.option("--threads", default=None, type=int,
@@ -485,8 +485,9 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     state = state if state is not None else spec.get("state")
     _state_index(state)  # a malformed state fails once here, not on every point
     mu_reg = mu_reg if mu_reg is not None else spec.get("mu_reg", 0.0)
-    if isinstance(mu_reg, bool) or not isinstance(mu_reg, (int, float)) or not np.isfinite(mu_reg):
-        raise click.UsageError(f"mu_reg must be a finite number, got {mu_reg!r}")
+    if (isinstance(mu_reg, bool) or not isinstance(mu_reg, (int, float))
+            or not np.isfinite(mu_reg) or mu_reg < 0):
+        raise click.UsageError(f"mu_reg must be a finite number >= 0, got {mu_reg!r}")
     mu_reg = float(mu_reg)
     output = output or spec.get("output")
     if output is None:

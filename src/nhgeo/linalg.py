@@ -62,7 +62,9 @@ class EigDecomposition:
     eigenvector matrix; ``is_diagonalizable_estimate`` is False when it
     exceeds ``DEFECTIVE_COND`` (reported, not fatal).  ``right_inverse`` is
     the inverse of ``right_vectors``, or None when ``condition`` exceeds
-    ``DEFECTIVE_COND``.
+    ``DEFECTIVE_COND``.  ``norm`` is ``||K||_2``, the value the residual
+    test scales by (equal to :func:`norm2` of ``K``), so that callers
+    holding the decomposition need not compute it again.
     """
 
     eigenvalues: np.ndarray
@@ -70,6 +72,7 @@ class EigDecomposition:
     condition: float
     is_diagonalizable_estimate: bool
     right_inverse: np.ndarray | None
+    norm: float
 
 
 def _pow2(m: float) -> float:
@@ -150,9 +153,10 @@ def norm2(A):
 def _residuals(K, w, R):
     """Eigenpair residuals ``||K r_j - w_j r_j||`` and the bound
     ``1e-10 * ||K||_2``, both times the power of two of :func:`_pow2`
-    (exact), so that no norm overflows or underflows.  2x2 scales the
-    entries, in scalar arithmetic; larger ``K`` scales ``K R - R diag(w)``,
-    whose entries stay below ``N max|K|``."""
+    (exact), so that no norm overflows or underflows, and ``||K||_2``
+    itself, bit-identical to :func:`norm2`.  2x2 scales the entries, in
+    scalar arithmetic; larger ``K`` scales ``K R - R diag(w)``, whose
+    entries stay below ``N max|K|``."""
     if K.shape == (2, 2):
         (a, b, c, d), s = _scaled_2x2(K)
         (r00, r01), (r10, r11) = R.tolist()
@@ -161,12 +165,14 @@ def _residuals(K, w, R):
         for x, y, v in ((r00, r10, w0 * s), (r01, r11, w1 * s)):
             e0, e1 = (a - v) * x + b * y, c * x + (d - v) * y
             resid.append(math.hypot(e0.real, e0.imag, e1.real, e1.imag))
-        return resid, 1e-10 * _s1_squared(a, b, c, d) ** 0.5
+        norm = _s1_squared(a, b, c, d) ** 0.5
+        return resid, 1e-10 * norm, norm / s
     s = _pow2(float(max(K.real.max(), -K.real.min(), K.imag.max(), -K.imag.min())))
     E = K @ R
     E -= R * w
     E *= s
-    return np.linalg.norm(E, axis=0), 1e-10 * norm2(K) * s
+    norm = norm2(K)
+    return np.linalg.norm(E, axis=0), 1e-10 * norm * s, norm
 
 
 def _cond_inverse(A):
@@ -195,8 +201,9 @@ def eig_general(K) -> EigDecomposition:
     """Eigendecomposition of a general complex square matrix.
 
     The residual test is scale-free (:func:`_residuals`): no norm overflows
-    or underflows at any magnitude of ``K``.  ``R^-1`` is computed here,
-    once, for the callers that need it.
+    or underflows at any magnitude of ``K``.  ``R^-1`` and ``||K||_2`` (the
+    closed form at 2x2, the SVD above) are computed here, once, for the
+    callers that need them.
 
     Raises
     ------
@@ -213,14 +220,14 @@ def eig_general(K) -> EigDecomposition:
     w, R = w[order], R[:, order]
     R = R / np.linalg.norm(R, axis=0)
 
-    resid, tol = _residuals(K, w, R)
+    resid, tol, norm = _residuals(K, w, R)
     # written so that a NaN residual fails too
     if tol > 0 and not all(r <= tol for r in resid):
         raise NonConvergence(
             f"eigenpair residual {1e-10 * np.max(resid) / tol:.3e}*||K|| exceeds 1e-10*||K||"
         )
     cond, Rinv = _cond_inverse(R)
-    return EigDecomposition(w, R, cond, cond <= DEFECTIVE_COND, Rinv)
+    return EigDecomposition(w, R, cond, cond <= DEFECTIVE_COND, Rinv, norm)
 
 
 def inverse(A) -> np.ndarray:
@@ -346,6 +353,7 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
         a, Ua = _eig_2x2(A)
         b, Ub = _eig_2x2(B)
         Uai, Ubi = np.linalg.inv(Ua), np.linalg.inv(Ub)
+        scale = max(norm2(A), norm2(B), 1.0)
     else:
         da = eig_general(A)
         db = eig_general(B)
@@ -353,7 +361,7 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
             raise NearDefective("coefficient matrix near defective")
         a, Ua, Uai = da.eigenvalues, da.right_vectors, da.right_inverse
         b, Ub, Ubi = db.eigenvalues, db.right_vectors, db.right_inverse
-    scale = max(norm2(A), norm2(B), 1.0)
+        scale = max(da.norm, db.norm, 1.0)
     return _pencil(a, Ua, Uai, b, Ub, Ubi, pencil_tol * scale)(Y)
 
 
@@ -370,7 +378,7 @@ def _sylvester_solver(X, dec: EigDecomposition):
             f"eigenvector condition {dec.condition:.3e} above {DEFECTIVE_COND:.0e}"
         )
     x, U, Ui = dec.eigenvalues, dec.right_vectors, dec.right_inverse
-    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, 1e-12 * max(norm2(X), 1.0))
+    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, 1e-12 * max(dec.norm, 1.0))
 
     def solve(Y):
         Y = as_square(Y, "Y")

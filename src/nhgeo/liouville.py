@@ -149,7 +149,7 @@ def _steady_state(liou: QuadraticLiouvillian, dec=None):
     has it), the checked solver of ``X G + G X^T = Y`` on it, and Gamma."""
     dec = dec or eig_general(liou.X)
     x = dec.eigenvalues
-    if x.real.min() <= 1e-12 * max(1.0, norm2(liou.X)):
+    if x.real.min() <= 1e-12 * max(1.0, dec.norm):
         raise NonUniqueSteadyState(
             f"min Re(rapidity) = {x.real.min():.3e}: steady state not unique"
         )
@@ -166,7 +166,9 @@ class LiouvillianFamily:
     """lambda -> QuadraticLiouvillian, with optional analytic dX/dY.
 
     ``deriv_func(mu, lam)`` must return ``(dX, dY)``; when absent both are
-    obtained by central differences of the (entrywise smooth) X(lam), Y(lam).
+    obtained by central differences of the (entrywise smooth) X(lam), Y(lam),
+    two more family evaluations per direction.  :func:`real_space_family`
+    supplies the analytic one.
     """
 
     n: int
@@ -434,40 +436,59 @@ def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
     return _ness_tensor(dgs, xcals, gk)
 
 
-def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> QuadraticLiouvillian:
-    """Build the length-L real-space Liouvillian from the momentum blocks.
+def _k_column(L: int) -> np.ndarray:
+    """The momenta ``2 pi j / L`` of a length-L chain as an ``(L, 1, 1)`` column."""
+    return (2.0 * np.pi * np.arange(L) / L)[:, None, None]
 
-    Blocks are Fourier-assembled site-major:
+
+def _real_space(kc, block) -> np.ndarray:
+    """Fourier assembly of momentum blocks, site-major:
     ``A[(j, a), (r, b)] = (1/L) sum_k e^{i k (j - r)} block(k)_{ab}``,
-    that is, one inverse FFT over k gives ``c[n]`` and the circulant
-    ``A[j, r] = c[(j - r) mod L]``.
-    """
-    lam = _params(lam, model.num_params)
-    L = _chain_length(L)
-    dim = model.bands * L
-    kc = (2.0 * np.pi * np.arange(L) / L)[:, None, None]
+    that is, one inverse FFT over the k column ``kc`` gives ``c[n]`` and
+    the circulant ``A[j, r] = c[(j - r) mod L]``."""
+    c = np.fft.ifft(_over_k(kc, block), axis=0)
+    L, b = c.shape[0], c.shape[-1]
     shift = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
+    return c[shift].transpose(0, 2, 1, 3).reshape(b * L, b * L)
 
-    def real_space(block):
-        c = np.fft.ifft(_over_k(kc, block), axis=0)
-        return c[shift].transpose(0, 2, 1, 3).reshape(dim, dim)
 
-    H = real_space(model.h_block(kc, lam))
-    M = real_space(model.m_block(kc, lam))
+def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> QuadraticLiouvillian:
+    """Build the length-L real-space Liouvillian from the momentum blocks
+    ``h_block`` and ``m_block``, Fourier-assembled by :func:`_real_space`."""
+    lam = _params(lam, model.num_params)
+    kc = _k_column(_chain_length(L))
+    H = _real_space(kc, model.h_block(kc, lam))
+    M = _real_space(kc, model.m_block(kc, lam))
     # project out Fourier round-off so validation sees clean structure
     H = (H - H.T) / 2
     H = (H + H.conj().T) / 2
     M = (M + M.conj().T) / 2
-    return build_liouvillian(dim // 2, H, M=M)
+    return build_liouvillian(H.shape[0] // 2, H, M=M)
 
 
 def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFamily:
-    """Real-space LiouvillianFamily wrapping :func:`assemble_real_space`."""
+    """Real-space LiouvillianFamily wrapping :func:`assemble_real_space`.
+
+    dX and dY are analytic: the k stacks of ``model.dx_block`` and
+    ``model.dy_block`` are Fourier-assembled as X and Y are (a model without
+    analytic ``dh_block``/``dm_block`` falls back to central differences per
+    block there), then projected onto the structure of X and Y, dX real and
+    dY imaginary antisymmetric.  They are not Liouvillians, so they skip
+    :func:`build_liouvillian`'s validation.
+    """
     L = _chain_length(L)
+    kc = _k_column(L)
+
+    def dxy(mu, lam):
+        dX = _real_space(kc, model.dx_block(mu, kc, lam)).real.astype(complex)
+        dY = _real_space(kc, model.dy_block(mu, kc, lam))
+        return dX, 1j * (dY - dY.T).imag / 2
+
     return LiouvillianFamily(
         n=model.bands * L // 2,
         num_params=model.num_params,
         func=lambda lam: assemble_real_space(model, lam, L),
+        deriv_func=dxy,
         name="real-space",
     )
 

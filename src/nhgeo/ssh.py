@@ -70,6 +70,18 @@ def eps(t: float, delta: float, k) -> np.ndarray | complex:
     return 1.0 + t * t - delta * delta + 2.0 * t * np.cos(k) - 2j * delta * np.sin(k)
 
 
+def _grid_eps(params: SSHParams) -> np.ndarray:
+    """``eps(k)`` on the k-grid.  Raises CriticalKPoint where ``|eps(k)| <
+    1e-12`` at a grid k: the gap closes there and every Brillouin-zone sum
+    diverges, even when rounding leaves the Bloch block a finite gap."""
+    ks = params.k_grid
+    e = eps(params.t, params.delta, ks)
+    if np.min(np.abs(e)) < 1e-12:
+        kbad = ks[int(np.argmin(np.abs(e)))]
+        raise CriticalKPoint(f"eps(k) vanishes on the grid at k = {kbad:.6g}")
+    return e
+
+
 def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
     """The fixed-k Bloch matrix as a two-parameter family over (t, delta)."""
 
@@ -86,7 +98,9 @@ def bloch_sum(params: SSHParams, n: int, kinds) -> dict[str, GeoTensor]:
     """Brillouin-zone sums over the k-grid of the tensors ``kinds`` of band
     ``n`` (``eta``, ``zeta_limited``, ``zeta_limited_rescaled``) over
     (t, delta): one :func:`~nhgeo.tensors.sum_over_blocks` pass over the
-    ``(L, 2, 2)`` stack of Bloch matrices, with the checks made per block."""
+    ``(L, 2, 2)`` stack of Bloch matrices, with the checks made per block,
+    after the grid check of :func:`_grid_eps`."""
+    _grid_eps(params)
     vals = sum_over_blocks(bloch(params, params.k_grid), _DIRECTIONS, n, kinds)
     lam = np.array([params.t, params.delta])
     return {kind: GeoTensor(kind, n, v, lam, {"L": params.L, "route": "sum-over-blocks"})
@@ -120,11 +134,7 @@ def zeta_summand(t: float, delta: float, k) -> np.ndarray:
 def zeta_finite_sum(params: SSHParams) -> GeoTensor:
     """Tensor over (t, delta) summed over the k-grid ``k_m = 2 pi m / L``."""
     ks = params.k_grid
-    e = eps(params.t, params.delta, ks)
-    ae = np.abs(e) ** 2
-    if np.min(np.abs(e)) < 1e-12:
-        kbad = ks[int(np.argmin(np.abs(e)))]
-        raise CriticalKPoint(f"eps(k) vanishes on the grid at k = {kbad:.6g}")
+    ae = np.abs(_grid_eps(params)) ** 2
     ztt = float(np.sum((params.delta ** 2 + np.sin(ks) ** 2) / (4 * ae)))
     zdd = float(np.sum((params.t + np.cos(ks)) ** 2 / (4 * ae)))
     ztd = float(np.sum(-(params.t + np.cos(ks)) * params.delta / (4 * ae)))

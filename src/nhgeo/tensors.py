@@ -295,10 +295,9 @@ def _stencil(
     depends on the solver's choice of basis in the degenerate space.
     """
     lam = _params(lam, fam.num_params)
-    K0 = fam(lam)
-    sys0 = build_biortho(K0, warn_degenerate=False)
+    sys0 = build_biortho(fam(lam), warn_degenerate=False)
     needed = sorted(set(int(n) for n in needed))
-    _require_gaps(sys0.eigenvalues, needed, max(norm2(K0), 1.0))
+    _require_gaps(sys0.eigenvalues, needed, max(sys0.norm, 1.0))
     d = fam.num_params
     N, K = sys0.dim, len(needed)
     dR = np.empty((d, N, K), dtype=complex)
@@ -381,12 +380,11 @@ def agp_elements(
     lam = _params(lam, fam.num_params)
     if mu_reg < 0:
         raise ValueError("mu_reg must be >= 0")
-    K = fam(lam)
     if sys is None:
-        sys = build_biortho(K, warn_degenerate=False)
+        sys = build_biortho(fam(lam), warn_degenerate=False)
     dK = fam.derivative(mu_dir, lam)
     num = sys.left.conj().T @ dK @ sys.right
-    scale = max(norm2(K), 1.0)
+    scale = max(sys.norm, 1.0)
     return AGPMatrix(mu_dir, _generator(num, sys.eigenvalues, mu_reg, scale), mu_reg)
 
 
@@ -442,10 +440,9 @@ def sum_over_states(
     if mu_reg < 0:
         raise ValueError("mu_reg must be >= 0")
     lam = _checked(fam, lam, n)
-    K = fam(lam)
-    scale = max(norm2(K), 1.0)
     if sys is None:
-        sys = build_biortho(K, warn_degenerate=False)
+        sys = build_biortho(fam(lam), warn_degenerate=False)
+    scale = max(sys.norm, 1.0)
     w = sys.eigenvalues
     C = sys.gram_right
     num = np.stack([

@@ -17,3 +17,16 @@ def agree(a, b, tol, scale_floor=1.0):
 
 def maxdev(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to numpy's SVD from here on (directly,
+    or through ``np.linalg.norm(A, 2)`` and ``np.linalg.cond``)."""
+    npla = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / 1
+    calls = []
+    for mod in (np.linalg, npla):
+        real = mod.svd
+        monkeypatch.setattr(mod, "svd", lambda a, *args, _f=real, **kw:
+                            calls.append(np.shape(a)) or _f(a, *args, **kw))
+    return calls

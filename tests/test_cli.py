@@ -339,15 +339,30 @@ class TestSSHTensors:
             assert np.abs(tensor_values(payload, kind) - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_first_kind_names_the_error(self, runner, tmp_path):
-        # t = 1, delta = 0: eps(pi) = 0 on the grid, where zeta checks the grid
-        # itself and the stack finds a (Hermitian) block with a zero gap
+        # t = 1, delta = 0: eps(pi) = 0 on the grid, where zeta and the stack
+        # check the grid and eta's per-k stencil finds a (Hermitian) block
+        # with a zero gap
         out = tmp_path / "x.csv"
         for kinds, status in (("zeta,zeta_limited", "CriticalKPoint"),
-                              ("zeta_limited,zeta", "DegenerateSpectrum")):
+                              ("zeta_limited,zeta", "CriticalKPoint"),
+                              ("eta,zeta", "DegenerateSpectrum")):
             run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "L=8", "--set", "delta=0",
                             "--axis", "t:0.5:1:2", "--tensors", kinds, "--output", str(out)])
             rows = out.read_text().splitlines()[2:]
             assert rows[0].endswith(",ok") and rows[1].endswith("," + status), kinds
+
+
+    @pytest.mark.parametrize("kinds", ["zeta_limited_rescaled", "zeta_limited", "eta,zeta_limited"])
+    def test_gap_closing_grid_k_exit_3(self, runner, kinds):
+        # t = 1.5, delta = 0.5, L = 8: eps(pi) rounds to -6e-17j, and the k = pi
+        # block keeps a rounding-sized gap that no per-block check catches
+        args = ["tensor", "--model", "nh-ssh", "--set", "t=1.5", "--set", "delta=0.5",
+                "--set", "L=8", "--tensors"]
+        want = runner.invoke(main, args + ["zeta"])
+        assert want.exit_code == 3 and "CriticalKPoint" in want.output
+        result = runner.invoke(main, args + [kinds])
+        assert result.exit_code == want.exit_code
+        assert result.output == want.output
 
 
 class TestSpectrumCommand:
@@ -741,6 +756,7 @@ class TestMalformedSweepInput:
         ({"mu_reg": True}, "mu_reg must be a finite number"),
         ({"mu_reg": None}, "mu_reg must be a finite number"),
         ({"mu_reg": float("nan")}, "mu_reg must be a finite number"),
+        ({"mu_reg": -0.5}, "mu_reg must be a finite number >= 0"),
         ({"format": "xml"}, "format must be 'csv' or 'json'"),
         ({"format": 1}, "format must be 'csv' or 'json'"),
         ({"params": {"L": 8, "bogus": 1}}, "unknown parameter 'bogus'"),
@@ -764,6 +780,15 @@ class TestMalformedSweepInput:
                         "--output", str(tmp_path / "x.csv")])
         header = (tmp_path / "x.csv").read_text().splitlines()[0]
         assert " L=8 delta=0.25 " in header and header.endswith(" mu_reg=0.0")
+
+    def test_negative_mu_reg_flag_exit_2(self, runner, tmp_path):
+        args = ["sweep", "--model", "nh-ssh", "--set", "L=8", "--axis", "t:0.1:0.9:3",
+                "--mu-reg", "-1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and "--mu-reg" in result.output, result.output
+        result = runner.invoke(main, args + ["--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2 and "--mu-reg" in result.output, result.output
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_mu_reg_flag_exit_2(self, runner, tmp_path, value):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhgeo.biortho import build_biortho
+from nhgeo.biortho import build_biortho, gauge_rescale
 from nhgeo.errors import (
     NearDefective,
     NonConvergence,
@@ -263,6 +263,28 @@ class TestClosedForms2x2:
         assert maxdev(sys.left.conj().T @ sys.right, np.eye(2)) <= 1e-12
         build_biortho(rng.normal(size=(3, 3)))  # the counters do see larger matrices
         assert set(calls) == {"svd", "cond", "inv"}
+
+    @pytest.mark.parametrize("N", [2, 3, 8])
+    def test_decomposition_norm_is_norm2(self, rng, N):
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            K = scale * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+            assert eig_general(K).norm == norm2(K)
+            sys = build_biortho(K, warn_degenerate=False)
+            assert sys.norm == norm2(K)
+            assert gauge_rescale(sys, rng.normal(size=N)).norm == sys.norm
+
+    def test_decomposition_norm_spares_svds(self, rng, svd_calls):
+        # eig_general makes two SVDs at N > 2, ||K||_2 and the condition
+        # number; its callers read ||K||_2 from the decomposition
+        build_biortho(rng.normal(size=(3, 3)))
+        assert svd_calls == [(3, 3)] * 2
+        svd_calls.clear()
+        A, B = random_stable(rng, 3), random_stable(rng, 4)
+        solve_sylvester_pair(A, B, rng.normal(size=(3, 4)))
+        assert svd_calls == [(3, 3)] * 2 + [(4, 4)] * 2
+        svd_calls.clear()
+        solve_sylvester_pair(A[:2, :2] + 4 * np.eye(2), B[:2, :2] + 4 * np.eye(2), np.eye(2))
+        assert svd_calls == []
 
 
 def random_stable(rng, N):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,46 @@ class TestZetaNess:
         monkeypatch.setattr(liouville_mod, "eig_general", counting)
         call(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("L", [2, 3, 8])
+    @pytest.mark.parametrize("model, lam", [
+        (DissipativeKitaevModel(0.4, 1.0, 0.6), [0.7, 0.9]),
+        (DrivenBathModel(), [0.8, 0.4]),  # central differences per block
+    ], ids=["kitaev", "driven-bath"])
+    def test_analytic_dxy_match_central_differences(self, model, lam, L):
+        fam = real_space_family(model, L)
+        fd = dataclasses.replace(fam, deriv_func=None)  # differences of assemblies
+        for mu in range(fam.num_params):
+            dX, dY = fam.dxy(mu, lam)
+            fX, fY = fd.dxy(mu, lam)
+            assert maxdev(dX, fX) <= 1e-8 and maxdev(dY, fY) <= 1e-8, mu
+            # the structure of X and Y: dX real, dY imaginary antisymmetric
+            assert not dX.imag.any() and not dY.real.any()
+            assert np.array_equal(dY, -dY.T)
+
+    def test_real_space_point_assembles_once(self, monkeypatch):
+        calls = {"assemble_real_space": 0, "eig_general": 0}
+
+        def counting(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counting(liouville_mod, "assemble_real_space")
+        counting(liouville_mod, "eig_general")
+        counting(linalg_mod, "eig_general")
+        zeta_ness(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
+        assert calls == {"assemble_real_space": 1, "eig_general": 1}
+
+    def test_real_space_point_runs_two_svds(self, svd_calls):
+        # eig_general's ||X||_2 and condition number; every later use of
+        # ||X||_2 reads it from the decomposition
+        zeta_ness(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
+        assert svd_calls == [(16, 16)] * 2
 
 
 class TestKspace:

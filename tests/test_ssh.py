@@ -93,6 +93,18 @@ class TestBlochSum:
         assert maxdev(zt.real, ref) <= 1e-8 * np.abs(ref).max()
 
 
+    @pytest.mark.parametrize("t, delta, L", [(1.5, 0.5, 8), (1.0, 0.0, 8), (0.0, 1.0, 4)])
+    def test_gap_closing_grid_k_raises(self, t, delta, L):
+        # eps vanishes at a grid k, where rounding may leave the block a gap
+        p = SSHParams(t, delta, L)
+        with pytest.raises(CriticalKPoint) as want:
+            zeta_finite_sum(p)
+        for n in (0, 1):
+            with pytest.raises(CriticalKPoint) as got:
+                bloch_sum(p, n, ["eta", "zeta_limited"])
+            assert str(got.value) == str(want.value)
+
+
 class TestClassifyPhase:
     @pytest.mark.parametrize(
         "t,d,expect",
