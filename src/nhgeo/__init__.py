@@ -17,15 +17,14 @@ from .linalg import (
     solve_sylvester_pair,
 )
 from .tensors import (
-    AGPMatrix,
     GeoTensor,
     OperatorFamily,
     agp_elements,
-    agp_residual,
     berry_connection,
     chi_hermitian,
     eta_tensor,
     projector_deformation,
+    stencil_tensors,
     zeta_limited,
     zeta_tensor,
 )

@@ -37,7 +37,7 @@ from .liouville import (
     ness_tensors,
     zeta_ness_k,
 )
-from .ssh import SSHParams, bloch_family, bloch_sum, eps, zeta_finite_sum
+from .ssh import SSHParams, _grid_eps, bloch_family, bloch_sum, eps, zeta_finite_sum
 from .tensors import (
     SOS_KINDS,
     OperatorFamily,
@@ -72,6 +72,7 @@ class SSHAdapter:
             if kind == "zeta":
                 out[kind] = zeta_finite_sum(p).values
             elif kind == "eta":
+                _grid_eps(p)  # CriticalKPoint at a gap-closing grid k, as zeta raises
                 total = np.zeros((2, 2), dtype=complex)
                 for k in p.k_grid:
                     total += eta_tensor(bloch_family(p, k), [p.t, p.delta], n).values

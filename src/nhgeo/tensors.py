@@ -11,11 +11,16 @@ matrix contractions.  :func:`sum_over_blocks` makes the single-state
 contractions on a stack of 2x2 blocks at once and sums them (Brillouin-zone
 sums of Bloch matrices).
 
-The finite-difference stencil (:func:`_stencil`) is the independent oracle.
-Eigenvectors at stencil points carry an arbitrary solver gauge, so each
-stencil system is
+:func:`stencil_tensors` is the independent oracle, with the signature and
+kinds of :func:`sum_over_states`: one finite-difference stencil
+(:func:`_stencil`) serves every requested kind, raises DegenerateSpectrum
+where the engine does, and reports its step in ``GeoTensor.meta["fd_step"]``.
+:func:`eta_tensor`, :func:`zeta_tensor` and :func:`zeta_limited` are its
+one-kind wrappers.  Eigenvectors at stencil points carry an arbitrary solver
+gauge, so each stencil system is
 
-1. matched state-by-state to the center point by largest left-right overlap,
+1. matched state-by-state to the center point by largest left-right overlap
+   (ContinuationAmbiguous if that fails),
 2. phase-fixed so the overlap with the center left vector is real positive
    (a smooth reference gauge that passes exactly through the center), and
 3. optionally rescaled by a user-supplied gauge function, applied relative
@@ -35,10 +40,10 @@ Tensor kinds
     states because their left eigenvector is the identity.
 ``zeta``
     The gauge-invariant mixed tensor, available through three routes that
-    must agree: ``projector`` (Gram-weighted projector counterterms),
-    ``agp`` (matrix elements of the adiabatic transport generator, i.e.
-    :func:`sum_over_states`), and ``overlap`` (Gram-weighted
-    covariant-derivative overlaps; default).
+    must agree: ``agp`` (matrix elements of the adiabatic transport
+    generator, i.e. :func:`sum_over_states`) and, on the stencil,
+    ``overlap`` (Gram-weighted covariant-derivative overlaps; default) and
+    ``projector`` (Gram-weighted projector counterterms).
 ``zeta_limited`` / ``zeta_limited_rescaled``
     The single-state Hermitian positive-semidefinite member of the overlap
     sum, optionally divided by <n_L|n_L><n_R|n_R>.
@@ -85,16 +90,21 @@ def _params(lam, num_params: int) -> np.ndarray:
     return lam
 
 
+def _step(lam: np.ndarray, mu: int, h: float | None) -> float:
+    """The step of :func:`central_difference` along ``mu``: ``h``, by default
+    ``eps^(1/3) * max(1, |lam_mu|)``."""
+    return float(_EPS_THIRD * max(1.0, abs(lam[mu]))) if h is None else h
+
+
 def central_difference(f, lam, mu: int, h: float | None = None, richardson: bool = False):
     """Central difference ``(f(lam + h e_mu) - f(lam - h e_mu)) / 2h`` of an array function.
 
-    The step defaults to ``eps^(1/3) * max(1, |lam_mu|)``.  ``richardson=True``
-    combines it with the half-step difference, cancelling the O(h^2) error at
-    the cost of two more evaluations.
+    The step defaults to ``eps^(1/3) * max(1, |lam_mu|)`` (:func:`_step`).
+    ``richardson=True`` combines it with the half-step difference, cancelling
+    the O(h^2) error at the cost of two more evaluations.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if h is None:
-        h = _EPS_THIRD * max(1.0, abs(lam[mu]))
+    h = _step(lam, mu, h)
     e = np.zeros(lam.shape)
     e[mu] = h
     d = (f(lam + e) - f(lam - e)) / (2 * h)
@@ -179,53 +189,9 @@ class GeoTensor:
         return float(np.linalg.eigvalsh(H).min())
 
 
-@dataclass(frozen=True)
-class AGPMatrix:
-    """Transport-generator matrix elements in the instantaneous biorthogonal basis.
-
-    ``elements[m, n]`` is ``<m_L|A|n_R>``; the diagonal is gauge-fixed to zero.
-    """
-
-    direction: int
-    elements: np.ndarray
-    mu_reg: float
-
-    def operator(self, sys: BiorthogonalSystem) -> np.ndarray:
-        """Dense operator ``sum_{mn} elements[m,n] |m_R><n_L|``."""
-        return sys.right @ self.elements @ sys.left.conj().T
-
-
 # ---------------------------------------------------------------------------
 # stencil machinery
 # ---------------------------------------------------------------------------
-
-class _Stencil:
-    """Center eigensystem plus matched derivative columns for selected states."""
-
-    def __init__(self, sys0, needed, dR, dL, conn):
-        self.sys0 = sys0
-        self._pos = {n: i for i, n in enumerate(needed)}
-        self.dR = dR          # (d, N, K)
-        self.dL = dL          # (d, N, K)
-        self.conn = conn      # (d, K) connections <n_L|d_mu n_R>
-
-    def dright(self, mu, n):
-        return self.dR[mu][:, self._pos[n]]
-
-    def dleft(self, mu, n):
-        return self.dL[mu][:, self._pos[n]]
-
-    def connection(self, mu, n):
-        return self.conn[mu, self._pos[n]]
-
-    def cov_right(self, mu, n):
-        """|D_mu n_R> = |d_mu n_R> - A_mu^(n) |n_R>."""
-        return self.dright(mu, n) - self.connection(mu, n) * self.sys0.right[:, n]
-
-    def cov_left(self, mu, n):
-        """|D_mu n_L> as a ket: |d_mu n_L> + conj(A_mu^(n)) |n_L>."""
-        return self.dleft(mu, n) + np.conj(self.connection(mu, n)) * self.sys0.left[:, n]
-
 
 def _match(ref_left, right, needed):
     """Continue the reference states ``needed`` onto the columns of ``right``.
@@ -287,8 +253,10 @@ def _stencil(
     h: float | None = None,
     gauge: GaugeFunc | None = None,
     richardson: bool = False,
-) -> _Stencil:
-    """Derivatives of the states ``needed`` at ``lam``.
+):
+    """Center eigensystem and derivatives ``(sys0, dR, dL)`` of the states
+    ``needed`` at ``lam``: ``dR[mu, :, i]`` is ``|d_mu n_R>`` and ``dL[mu,
+    :, i]`` is ``|d_mu n_L>`` of the i-th state of ``sorted(needed)``.
 
     Raises DegenerateSpectrum, as :func:`sum_over_states` does, if a needed
     state has a gap below ``1e-10 * max(||K||, 1)``: there the derivative
@@ -298,10 +266,7 @@ def _stencil(
     sys0 = build_biortho(fam(lam), warn_degenerate=False)
     needed = sorted(set(int(n) for n in needed))
     _require_gaps(sys0.eigenvalues, needed, max(sys0.norm, 1.0))
-    d = fam.num_params
     N, K = sys0.dim, len(needed)
-    dR = np.empty((d, N, K), dtype=complex)
-    dL = np.empty((d, N, K), dtype=complex)
     g0 = np.asarray(gauge(lam), dtype=complex) if gauge is not None else None
 
     def columns_at(lamp):
@@ -321,15 +286,9 @@ def _stencil(
             block[N:] *= np.conj(1.0 / f)
         return block
 
-    for mu in range(d):
-        D = central_difference(columns_at, lam, mu, h, richardson)
-        dR[mu], dL[mu] = D[:N], D[N:]
-
-    conn = np.empty((d, K), dtype=complex)
-    for i, n in enumerate(needed):
-        for mu in range(d):
-            conn[mu, i] = sys0.left[:, n].conj() @ dR[mu][:, i]
-    return _Stencil(sys0, needed, dR, dL, conn)
+    D = np.stack([central_difference(columns_at, lam, mu, h, richardson)
+                  for mu in range(fam.num_params)])
+    return sys0, D[:, :N], D[:, N:]
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +323,12 @@ def agp_elements(
     mu_reg: float = 0.0,
     *,
     sys: BiorthogonalSystem | None = None,
-) -> AGPMatrix:
+) -> np.ndarray:
     """Off-diagonal transport-generator elements in the biorthogonal basis.
 
-    With a spectral gap, element (m, n) is ``<m_L|dK|n_R> / (w_n - w_m)``.
+    With a spectral gap, element (m, n) is ``<m_L|dK|n_R> / (w_n - w_m)``,
+    i.e. ``<m_L|A|n_R>``; the diagonal is gauge-fixed to zero, and the dense
+    operator is ``sys.right @ A @ sys.left.conj().T``.
     A positive ``mu_reg`` switches to the regularized kernel
     ``conj(w_n - w_m) / (|w_n - w_m|^2 + mu_reg^2)`` which stays finite
     through degeneracies.
@@ -385,7 +346,7 @@ def agp_elements(
     dK = fam.derivative(mu_dir, lam)
     num = sys.left.conj().T @ dK @ sys.right
     scale = max(sys.norm, 1.0)
-    return AGPMatrix(mu_dir, _generator(num, sys.eigenvalues, mu_reg, scale), mu_reg)
+    return _generator(num, sys.eigenvalues, mu_reg, scale)
 
 
 #: tensor kinds that :func:`sum_over_states` contracts
@@ -577,7 +538,7 @@ def chi_hermitian(
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("family is not Hermitian at this parameter point")
     d = fam.num_params
-    w0, V0 = np.linalg.eigh(K)
+    _, V0 = np.linalg.eigh(K)
 
     def matched(lamp):
         Kp = fam(lamp)
@@ -587,21 +548,96 @@ def chi_hermitian(
         cols, phases = _match(V0, V, range(fam.dim))
         return np.column_stack([V[:, m] for m in cols]) * phases
 
-    dV = [central_difference(matched, lam, mu, h, richardson) for mu in range(d)]
-
+    # rows |d_mu v>: chi = <d_mu v|d_nu v> - <d_mu v|v><v|d_nu v>
+    dv = np.array([central_difference(matched, lam, mu, h, richardson)[:, n] for mu in range(d)])
     v = V0[:, n]
-    vals = np.empty((d, d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            vals[mu, nu] = dV[mu][:, n].conj() @ dV[nu][:, n] - (
-                dV[mu][:, n].conj() @ v
-            ) * (v.conj() @ dV[nu][:, n])
-    return GeoTensor("chi", n, vals, lam, {"fd_step": h, "richardson": richardson})
+    vals = dv.conj() @ dv.T - np.multiply.outer(dv.conj() @ v, dv @ v.conj())
+    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)], "richardson": richardson}
+    return GeoTensor("chi", n, vals, lam, meta)
 
 
 # ---------------------------------------------------------------------------
 # non-Hermitian tensors
 # ---------------------------------------------------------------------------
+
+def stencil_tensors(
+    fam: OperatorFamily,
+    lam,
+    n: int,
+    kinds: Sequence[str],
+    *,
+    route: str = "overlap",
+    h: float | None = None,
+    gauge: GaugeFunc | None = None,
+    richardson: bool = False,
+) -> dict[str, GeoTensor]:
+    """The tensors ``kinds`` of eigenstate ``n`` from one finite-difference stencil.
+
+    The oracle of :func:`sum_over_states`, with its signature and kinds.  With
+    ``|D_mu n_R> = |d_mu n_R> - A_mu |n_R>`` and ``A_mu = <n_L|d_mu n_R>``:
+
+    - ``eta = <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R> A_nu``;
+    - ``zeta = sum_m Cinv[n, m] <D_mu m_R|D_nu n_R>`` (``route='overlap'``),
+      or the same sum in counterterm form (``route='projector'``),
+      ``<d_mu m_R|d_nu n_R> - <d_mu m_R|m_L><m_R|d_nu n_R>
+      - (<d_mu m_R|n_R> - C[m, n] <d_mu m_R|m_L>) A_nu``;
+    - ``zeta_limited = <n_L|n_L><D_mu n_R|D_nu n_R>`` (Hermitian, PSD),
+      divided by ``<n_L|n_L><n_R|n_R>`` for ``zeta_limited_rescaled``.
+
+    The stencil differentiates every state if ``zeta`` is requested, else
+    state ``n`` alone, in ``1 + 2d`` eigensolves (``1 + 4d`` with
+    ``richardson``); ``meta["fd_step"]`` holds its step along each
+    direction.  An unknown kind or route (ValueError) or state index
+    (ShapeMismatch) raises before any evaluation, and a gap below ``1e-10 *
+    max(||K||, 1)`` at a differentiated state raises DegenerateSpectrum.
+    """
+    kinds = list(kinds)
+    unknown = [k for k in kinds if k not in SOS_KINDS]
+    if unknown:
+        raise ValueError(f"the stencil does not provide {unknown}")
+    if route not in ("overlap", "projector"):
+        raise ValueError(f"unknown route {route!r}")
+    lam = _checked(fam, lam, n)
+    every = "zeta" in kinds
+    sys0, dR, dL = _stencil(fam, lam, range(fam.dim) if every else [n],
+                            h=h, gauge=gauge, richardson=richardson)
+    R, L = sys0.right, sys0.left
+    rn, ln = R[:, n], L[:, n]
+    lnc = ln.conj()
+    # rows |d_mu n_R> and <d_mu n_L|: per-pair dots on contiguous rows keep
+    # eta bit-identical between the one-state and the every-state stencil
+    dRn = np.ascontiguousarray(dR[:, :, n if every else 0])
+    dLc = dL[:, :, n if every else 0].conj()
+    conn = [lnc @ v for v in dRn]  # A_nu = <n_L|d_nu n_R>
+    d = fam.num_params
+    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)], "richardson": richardson}
+
+    out = {}
+    for kind in kinds:
+        if kind == "eta":
+            lr = [v @ rn for v in dLc]
+            vals = np.array([[dLc[a] @ dRn[b] - lr[a] * conn[b] for b in range(d)]
+                             for a in range(d)])
+        elif kind == "zeta" and route == "projector":
+            w = sys0.gram_left[n]  # Cinv[n, m]
+            dRc = dR.conj()
+            lm = np.einsum("aim,im->am", dRc, L) * w  # Cinv[n, m] <d_mu m_R|m_L>
+            vals = ((dRc @ w) @ dRn.T - lm @ (R.conj().T @ dRn.T)
+                    + np.multiply.outer(lm @ sys0.gram_right[:, n] - (rn @ dRc) @ w, conn))
+        else:
+            Dn = dRn - np.multiply.outer(conn, rn)  # rows |D_nu n_R>
+            if kind == "zeta":
+                D = dR - np.einsum("im,aim->am", L.conj(), dR)[:, None] * R  # |D_mu m_R>
+                vals = (D.conj() @ sys0.gram_left[n]) @ Dn.T
+            else:
+                lnln = (lnc @ ln).real
+                vals = lnln * (Dn.conj() @ Dn.T)
+                if kind == "zeta_limited_rescaled":
+                    vals = vals / (lnln * (rn.conj() @ rn).real)
+        out[kind] = GeoTensor(kind, n, vals, lam,
+                              {"route": route, **meta} if kind == "zeta" else dict(meta))
+    return out
+
 
 def eta_tensor(
     fam: OperatorFamily,
@@ -612,19 +648,9 @@ def eta_tensor(
     gauge: GaugeFunc | None = None,
     richardson: bool = False,
 ) -> GeoTensor:
-    """Left-right tensor <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R><n_L|d_nu n_R>."""
-    lam = _checked(fam, lam, n)
-    st = _stencil(fam, lam, [n], h=h, gauge=gauge, richardson=richardson)
-    d = fam.num_params
-    rn = st.sys0.right[:, n]
-    ln = st.sys0.left[:, n]
-    vals = np.empty((d, d), dtype=complex)
-    for mu in range(d):
-        dLmu = st.dleft(mu, n)
-        for nu in range(d):
-            dRnu = st.dright(nu, n)
-            vals[mu, nu] = dLmu.conj() @ dRnu - (dLmu.conj() @ rn) * (ln.conj() @ dRnu)
-    return GeoTensor("eta", n, vals, lam, {"fd_step": h, "richardson": richardson})
+    """Left-right tensor <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R><n_L|d_nu n_R>
+    (:func:`stencil_tensors`)."""
+    return stencil_tensors(fam, lam, n, ["eta"], h=h, gauge=gauge, richardson=richardson)["eta"]
 
 
 def zeta_tensor(
@@ -640,56 +666,15 @@ def zeta_tensor(
 ) -> GeoTensor:
     """Gauge-invariant mixed tensor for eigenstate ``n``.
 
-    ``route='overlap'`` (default) sums Gram-weighted covariant-derivative
-    overlaps; ``route='projector'`` evaluates the explicit counterterm form;
-    ``route='agp'`` is the ``zeta`` of :func:`sum_over_states`: it needs no
-    stencil, and ``mu_reg`` applies only there.  All routes agree on
-    nondegenerate input.
+    ``route='overlap'`` (default) and ``route='projector'`` run
+    :func:`stencil_tensors`; ``route='agp'`` is the ``zeta`` of
+    :func:`sum_over_states`: it needs no stencil, and ``mu_reg`` applies only
+    there.  All routes agree on nondegenerate input.
     """
-    if route not in ("overlap", "projector", "agp"):
-        raise ValueError(f"unknown route {route!r}")
     if route == "agp":
         return sum_over_states(fam, lam, n, ["zeta"], mu_reg=mu_reg)["zeta"]
-    lam = _checked(fam, lam, n)
-    d = fam.num_params
-    vals = np.empty((d, d), dtype=complex)
-
-    st = _stencil(
-        fam, lam, range(fam.dim), h=h, gauge=gauge, richardson=richardson
-    )
-    sys0 = st.sys0
-    N = sys0.dim
-    Cinv = sys0.gram_left
-
-    if route == "overlap":
-        for nu in range(d):
-            Dn = st.cov_right(nu, n)
-            for mu in range(d):
-                acc = 0.0 + 0.0j
-                for m in range(N):
-                    acc += Cinv[n, m] * (st.cov_right(mu, m).conj() @ Dn)
-                vals[mu, nu] = acc
-    else:
-        C = sys0.gram_right
-        rn = sys0.right[:, n]
-        ln = sys0.left[:, n]
-        for nu in range(d):
-            dn = st.dright(nu, n)
-            ln_dn = ln.conj() @ dn
-            for mu in range(d):
-                acc = 0.0 + 0.0j
-                for m in range(N):
-                    dm = st.dright(mu, m)
-                    lm = sys0.left[:, m]
-                    rm = sys0.right[:, m]
-                    term = dm.conj() @ dn
-                    term -= (dm.conj() @ lm) * (rm.conj() @ dn)
-                    term -= (dm.conj() @ rn) * ln_dn
-                    term += C[m, n] * (dm.conj() @ lm) * ln_dn
-                    acc += Cinv[n, m] * term
-                vals[mu, nu] = acc
-    meta = {"route": route, "fd_step": h, "richardson": richardson}
-    return GeoTensor("zeta", n, vals, lam, meta)
+    return stencil_tensors(fam, lam, n, ["zeta"], route=route, h=h, gauge=gauge,
+                           richardson=richardson)["zeta"]
 
 
 def zeta_limited(
@@ -702,26 +687,13 @@ def zeta_limited(
     gauge: GaugeFunc | None = None,
     richardson: bool = False,
 ) -> GeoTensor:
-    """Single-state tensor <n_L|n_L><D_mu n_R|D_nu n_R> (Hermitian, PSD).
+    """Single-state tensor <n_L|n_L><D_mu n_R|D_nu n_R> (Hermitian, PSD;
+    :func:`stencil_tensors`).
 
     With ``rescaled=True`` the result is divided by <n_L|n_L><n_R|n_R>.
     """
-    lam = _checked(fam, lam, n)
-    st = _stencil(fam, lam, [n], h=h, gauge=gauge, richardson=richardson)
-    d = fam.num_params
-    ln = st.sys0.left[:, n]
-    rn = st.sys0.right[:, n]
-    lnln = (ln.conj() @ ln).real
-    vals = np.empty((d, d), dtype=complex)
-    for mu in range(d):
-        Dmu = st.cov_right(mu, n)
-        for nu in range(d):
-            vals[mu, nu] = lnln * (Dmu.conj() @ st.cov_right(nu, n))
-    kind = "zeta_limited"
-    if rescaled:
-        vals = vals / (lnln * (rn.conj() @ rn).real)
-        kind = "zeta_limited_rescaled"
-    return GeoTensor(kind, n, vals, lam, {"fd_step": h, "richardson": richardson})
+    kind = "zeta_limited_rescaled" if rescaled else "zeta_limited"
+    return stencil_tensors(fam, lam, n, [kind], h=h, gauge=gauge, richardson=richardson)[kind]
 
 
 def berry_connection(
@@ -734,8 +706,8 @@ def berry_connection(
     gauge: GaugeFunc | None = None,
 ) -> complex:
     """Connection ``A_mu = <n_L|d_mu n_R>`` for eigenstate ``n``."""
-    st = _stencil(fam, _checked(fam, lam, n), [n], h=h, gauge=gauge)
-    return complex(st.connection(mu_dir, n))
+    sys0, dR, _ = _stencil(fam, _checked(fam, lam, n), [n], h=h, gauge=gauge)
+    return complex(sys0.left[:, n].conj() @ dR[mu_dir, :, 0])
 
 
 def projector_deformation(
@@ -752,11 +724,12 @@ def projector_deformation(
     Evaluated through the covariant four-term form; agrees with a direct
     finite difference of the (gauge-invariant) projector.
     """
-    st = _stencil(fam, _checked(fam, lam, n), [n], h=h, gauge=gauge)
-    rn = st.sys0.right[:, n]
-    ln = st.sys0.left[:, n]
-    Dr = st.cov_right(mu_dir, n)
-    Dl = st.cov_left(mu_dir, n)
+    sys0, dR, dL = _stencil(fam, _checked(fam, lam, n), [n], h=h, gauge=gauge)
+    rn = sys0.right[:, n]
+    ln = sys0.left[:, n]
+    a = ln.conj() @ dR[mu_dir, :, 0]  # connection A_mu
+    Dr = dR[mu_dir, :, 0] - a * rn  # |D_mu n_R>
+    Dl = dL[mu_dir, :, 0] + np.conj(a) * ln  # |D_mu n_L> as a ket
     rr = (rn.conj() @ rn).real
     ll = (ln.conj() @ ln).real
     cross = (Dr.conj() @ rn) * (Dl.conj() @ ln)
@@ -781,20 +754,3 @@ def projector_fd(fam: OperatorFamily, lam, n: int, mu_dir: int, *, h: float | No
     dP = central_difference(proj, lam, mu_dir, h)
     P0 = np.outer(sys0.right[:, n], sys0.left[:, n].conj())
     return float(np.linalg.norm(dP) ** 2 / np.linalg.norm(P0) ** 2)
-
-
-def agp_residual(fam: OperatorFamily, lam, mu_dir: int) -> float:
-    """Residual ``||dK - F - [A, K]|| / ||dK||`` of the transport equation.
-
-    ``F`` carries the eigenvalue derivatives via the Hellmann-Feynman
-    diagonal; ``A`` is the dense generator from :func:`agp_elements`.
-    """
-    lam = _params(lam, fam.num_params)
-    K = fam(lam)
-    sys = build_biortho(K, warn_degenerate=False)
-    dK = fam.derivative(mu_dir, lam)
-    A = agp_elements(fam, lam, mu_dir, sys=sys).operator(sys)
-    dw = np.diag(sys.left.conj().T @ dK @ sys.right)
-    F = sys.right @ np.diag(dw) @ sys.left.conj().T
-    resid = dK - F - (A @ K - K @ A)
-    return float(np.linalg.norm(resid) / max(np.linalg.norm(dK), 1e-300))

@@ -56,13 +56,12 @@ from .ssh import (
     zeta_thermodynamic,
 )
 from .tensors import (
+    SOS_KINDS,
     OperatorFamily,
     central_difference,
     chi_hermitian,
-    eta_tensor,
+    stencil_tensors,
     sum_over_states,
-    zeta_limited,
-    zeta_tensor,
 )
 
 # ---------------------------------------------------------------------------
@@ -159,12 +158,8 @@ def check_hermitian_collapse(full: bool = True):
         fam = random_hermitian_family(rng)
         lam = rng.uniform(-0.1, 0.1, size=2)
         chi = chi_hermitian(fam, lam, 0).values
-        for T in (
-            eta_tensor(fam, lam, 0).values,
-            zeta_tensor(fam, lam, 0).values,
-            zeta_limited(fam, lam, 0).values,
-        ):
-            worst = max(worst, float(np.abs(T - chi).max()))
+        for T in stencil_tensors(fam, lam, 0, ["eta", "zeta", "zeta_limited"]).values():
+            worst = max(worst, float(np.abs(T.values - chi).max()))
     return worst <= 1e-9, f"max elementwise deviation from hermitian tensor {worst:.2e}"
 
 
@@ -176,47 +171,32 @@ def check_gauge_invariance(full: bool = True):
     for _ in range(n_fams):
         fam = random_family(rng)
         lam = rng.uniform(-0.1, 0.1, size=2)
-        base = {
-            "eta": eta_tensor(fam, lam, 2).values,
-            "zeta": zeta_tensor(fam, lam, 2).values,
-            "zlim": zeta_limited(fam, lam, 2).values,
-        }
+        kinds = ["eta", "zeta", "zeta_limited"]
+        base = stencil_tensors(fam, lam, 2, kinds)
         for _ in range(n_gauges):
             gauge = random_gauge(rng, fam.dim, lam)
-            for key, T in (
-                ("eta", eta_tensor(fam, lam, 2, gauge=gauge).values),
-                ("zeta", zeta_tensor(fam, lam, 2, gauge=gauge).values),
-                ("zlim", zeta_limited(fam, lam, 2, gauge=gauge).values),
-            ):
-                rel = float(np.abs(T - base[key]).max() / np.abs(base[key]).max())
-                worst = max(worst, rel)
+            for kind, T in stencil_tensors(fam, lam, 2, kinds, gauge=gauge).items():
+                ref = base[kind].values
+                worst = max(worst, float(np.abs(T.values - ref).max() / np.abs(ref).max()))
     return worst <= 1e-9, f"max relative gauge change {worst:.2e}"
 
 
 def check_zeta_routes(full: bool = True):
-    """Projector, generator and overlap routes agree, and the sum-over-states
-    eta and zeta_limited agree with their stencil routes."""
+    """Projector, generator and overlap routes agree, and every sum-over-states
+    kind agrees with the stencil."""
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(50 if full else 10):
         fam = random_family(rng)
         lam = rng.uniform(-0.1, 0.1, size=2)
         n = int(rng.integers(0, fam.dim))
-        z_ov = zeta_tensor(fam, lam, n, route="overlap").values
-        z_pr = zeta_tensor(fam, lam, n, route="projector").values
-        z_ag = zeta_tensor(fam, lam, n, route="agp").values
-        scale = max(np.abs(z_ov).max(), 1e-12)
-        worst = max(
-            worst,
-            float(np.abs(z_ov - z_pr).max() / scale),
-            float(np.abs(z_ov - z_ag).max() / scale),
-            float(np.abs(z_pr - z_ag).max() / scale),
-        )
-        sos = sum_over_states(fam, lam, n, ("eta", "zeta_limited"))
-        for kind, stencil in (("eta", eta_tensor), ("zeta_limited", zeta_limited)):
-            ref = stencil(fam, lam, n).values
-            dev = np.abs(sos[kind].values - ref).max() / max(np.abs(ref).max(), 1e-12)
-            worst = max(worst, float(dev))
+        sos = sum_over_states(fam, lam, n, SOS_KINDS)
+        stencil = stencil_tensors(fam, lam, n, SOS_KINDS)
+        z_pr = stencil_tensors(fam, lam, n, ["zeta"], route="projector")["zeta"].values
+        pairs = [(stencil[k].values, sos[k].values) for k in SOS_KINDS]
+        pairs += [(stencil["zeta"].values, z_pr), (z_pr, sos["zeta"].values)]
+        for ref, T in pairs:
+            worst = max(worst, float(np.abs(T - ref).max() / max(np.abs(ref).max(), 1e-12)))
     return worst <= 1e-8, f"max relative route disagreement {worst:.2e}"
 
 
@@ -237,8 +217,8 @@ def check_nh_ssh(full: bool = True):
         if min(abs(abs(t - delta) - 1), abs(abs(t + delta) - 1)) < 0.05:
             continue
         p = SSHParams(t, delta, 4)
-        zp = zeta_tensor(bloch_family(p, k), [t, delta], 0).values
-        zm = zeta_tensor(bloch_family(p, -k), [t, delta], 0).values
+        zp, zm = (stencil_tensors(bloch_family(p, q), [t, delta], 0, ["zeta"])["zeta"].values
+                  for q in (k, -k))
         s = zeta_summand(t, delta, k)
         worst = max(worst, float(np.abs((zp + zm) / 2 - s).max()))
         worst = max(worst, float(np.abs(np.diag(zp).real - np.diag(s)).max()))
@@ -273,9 +253,9 @@ def check_nh_ssh(full: bool = True):
             if min(abs(abs(t - d) - 1), abs(abs(t + d) - 1)) < 0.04:
                 continue
             fam = bloch_family(SSHParams(t, d, 4), k)
-            z = zeta_tensor(fam, [t, d], 0).values
-            zt = zeta_limited(fam, [t, d], 0, rescaled=True).values
-            worst_d = max(worst_d, float(np.abs(z - zt).max()))
+            st = stencil_tensors(fam, [t, d], 0, ["zeta", "zeta_limited_rescaled"])
+            dev = st["zeta"].values - st["zeta_limited_rescaled"].values
+            worst_d = max(worst_d, float(np.abs(dev).max()))
     ok &= worst_d <= 1e-9
     msgs.append(f"rescaled limited vs zeta {worst_d:.2e}")
 
@@ -284,11 +264,11 @@ def check_nh_ssh(full: bool = True):
     points = [(0.3, 0.2, 8), (0.9, 0.5, 5), (2.0, -0.5, 16)]
     for (t, d, L) in points + ([(1.2, 0.7, 64), (0.05, -0.9, 2)] if full else []):
         p = SSHParams(t, d, L)
+        kinds = ["zeta_limited", "zeta_limited_rescaled"]
         for n in (0, 1):
-            for kind, T in bloch_sum(p, n, ["zeta_limited", "zeta_limited_rescaled"]).items():
-                ref = sum(zeta_limited(bloch_family(p, k), [t, d], n,
-                                       rescaled=kind == "zeta_limited_rescaled").values
-                          for k in p.k_grid)
+            per_k = [stencil_tensors(bloch_family(p, k), [t, d], n, kinds) for k in p.k_grid]
+            for kind, T in bloch_sum(p, n, kinds).items():
+                ref = sum(st[kind].values for st in per_k)
                 worst_e = max(worst_e, float(np.abs(T.values - ref).max() / np.abs(ref).max()))
     ok &= worst_e <= 1e-6
     msgs.append(f"stacked vs stencil sums rel {worst_e:.2e}")
@@ -382,7 +362,7 @@ def check_zeta_ness_triple(full: bool = True):
             zrs = zeta_ness(famL, lam).values
             zks = zeta_ness_k(model, lam, L).values
             nidx = ness_state_index(sfam, lam)
-            zsup = zeta_tensor(sfam, lam, nidx, route="agp", mu_reg=1e-7).values
+            zsup = sum_over_states(sfam, lam, nidx, ["zeta"], mu_reg=1e-7)["zeta"].values
             scale = max(1.0, np.abs(zrs).max())
             worst = max(
                 worst,
@@ -506,7 +486,7 @@ def check_eta_ness(full: bool = True):
         sfam = superop_family(fock, fam, bath_vectors_of=lambda lam: baths)
         lam = np.array([0.11, -0.17])
         nidx = ness_state_index(sfam, lam)
-        eta = eta_tensor(sfam, lam, nidx).values
+        eta = stencil_tensors(sfam, lam, nidx, ["eta"])["eta"].values
         worst = max(worst, float(np.abs(eta).max()))
     return worst <= 1e-9, f"max |eta| on steady states {worst:.2e}"
 

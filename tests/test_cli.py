@@ -123,7 +123,7 @@ class TestTensorCommand:
         import nhgeo.cli as cli_mod
         import nhgeo.tensors as tensors_mod
         from nhgeo.linalg import eig_general
-        from nhgeo.tensors import eta_tensor, zeta_limited, zeta_tensor
+        from nhgeo.tensors import stencil_tensors
         from nhgeo.verify import random_family
 
         fam = random_family(np.random.default_rng(5), N=5)
@@ -160,13 +160,8 @@ class TestTensorCommand:
         }
         tensors = payload["tensors"]
         assert list(tensors) == kinds
-        refs = {
-            "eta": eta_tensor(fam, lam, 3).values,
-            "zeta": zeta_tensor(fam, lam, 3).values,
-            "zeta_limited": zeta_limited(fam, lam, 3).values,
-            "zeta_limited_rescaled": zeta_limited(fam, lam, 3, rescaled=True).values,
-        }
-        for kind, ref in refs.items():
+        for kind, T in stencil_tensors(fam, lam, 3, kinds).items():
+            ref = T.values
             got = np.array([[complex(c["re"], c["im"]) for c in row]
                             for row in tensors[kind]["components"]])
             assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max(), kind
@@ -318,7 +313,7 @@ class TestSSHTensors:
 
     def test_values_and_order(self, runner, stencils):
         from nhgeo.ssh import SSHParams, bloch_family
-        from nhgeo.tensors import eta_tensor, zeta_limited
+        from nhgeo.tensors import stencil_tensors
 
         kinds = ["zeta_limited_rescaled", "eta", "zeta", "zeta_limited"]
         result = run_ok(runner, [
@@ -328,31 +323,28 @@ class TestSSHTensors:
         payload = json.loads(result.output)
         assert list(payload["tensors"]) == kinds
         p = SSHParams(0.7, 0.4, 16)
-        fams = [bloch_family(p, k) for k in p.k_grid]
-        refs = {
-            "eta": sum(eta_tensor(f, [0.7, 0.4], 1).values for f in fams),
-            "zeta_limited": sum(zeta_limited(f, [0.7, 0.4], 1).values for f in fams),
-            "zeta_limited_rescaled": sum(
-                zeta_limited(f, [0.7, 0.4], 1, rescaled=True).values for f in fams),
-        }
-        for kind, ref in refs.items():
+        stencil_kinds = ["eta", "zeta_limited", "zeta_limited_rescaled"]
+        per_k = [stencil_tensors(bloch_family(p, k), [0.7, 0.4], 1, stencil_kinds)
+                 for k in p.k_grid]
+        for kind in stencil_kinds:
+            ref = sum(st[kind].values for st in per_k)
             assert np.abs(tensor_values(payload, kind) - ref).max() <= 1e-6 * np.abs(ref).max()
 
     def test_first_kind_names_the_error(self, runner, tmp_path):
-        # t = 1, delta = 0: eps(pi) = 0 on the grid, where zeta and the stack
-        # check the grid and eta's per-k stencil finds a (Hermitian) block
-        # with a zero gap
+        # t = 1, delta = 0: eps(pi) = 0 on the grid, where every kind checks
+        # the grid first, eta's per-k stencil included
         out = tmp_path / "x.csv"
         for kinds, status in (("zeta,zeta_limited", "CriticalKPoint"),
                               ("zeta_limited,zeta", "CriticalKPoint"),
-                              ("eta,zeta", "DegenerateSpectrum")):
+                              ("eta,zeta", "CriticalKPoint")):
             run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "L=8", "--set", "delta=0",
                             "--axis", "t:0.5:1:2", "--tensors", kinds, "--output", str(out)])
             rows = out.read_text().splitlines()[2:]
             assert rows[0].endswith(",ok") and rows[1].endswith("," + status), kinds
 
 
-    @pytest.mark.parametrize("kinds", ["zeta_limited_rescaled", "zeta_limited", "eta,zeta_limited"])
+    @pytest.mark.parametrize("kinds", ["zeta_limited_rescaled", "zeta_limited", "eta",
+                                       "eta,zeta_limited"])
     def test_gap_closing_grid_k_exit_3(self, runner, kinds):
         # t = 1.5, delta = 0.5, L = 8: eps(pi) rounds to -6e-17j, and the k = pi
         # block keeps a rounding-sized gap that no per-block check catches

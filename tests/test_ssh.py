@@ -16,7 +16,7 @@ from nhgeo.ssh import (
     zeta_summand,
     zeta_thermodynamic,
 )
-from nhgeo.tensors import eta_tensor, zeta_limited, zeta_tensor
+from nhgeo.tensors import stencil_tensors, zeta_tensor
 
 from conftest import maxdev
 
@@ -45,14 +45,10 @@ class TestBloch:
             assert np.array_equal(K, bloch(p, k))
 
 
-def stencil_sum(p, n, kind):
-    """The per-k stencil tensor of band ``n`` summed over the k-grid."""
-    total = 0
-    for k in p.k_grid:
-        fam = bloch_family(p, k)
-        total = total + (eta_tensor(fam, [p.t, p.delta], n) if kind == "eta" else zeta_limited(
-            fam, [p.t, p.delta], n, rescaled=kind == "zeta_limited_rescaled")).values
-    return total
+def stencil_sums(p, n, kinds):
+    """The per-k stencil tensors ``kinds`` of band ``n``, each summed over the k-grid."""
+    per_k = [stencil_tensors(bloch_family(p, k), [p.t, p.delta], n, kinds) for k in p.k_grid]
+    return {kind: sum(st[kind].values for st in per_k) for kind in kinds}
 
 
 class TestBlochSum:
@@ -62,17 +58,18 @@ class TestBlochSum:
     def test_matches_stencil_sum(self, L, t, delta):
         assume(min(abs(abs(t - delta) - 1), abs(abs(t + delta) - 1)) >= 0.05)
         p = SSHParams(t, delta, L)
+        kinds = ["zeta_limited", "zeta_limited_rescaled"]
         for n in (0, 1):
-            got = bloch_sum(p, n, ["zeta_limited", "zeta_limited_rescaled"])
-            for kind, T in got.items():
+            refs = stencil_sums(p, n, kinds)
+            for kind, T in bloch_sum(p, n, kinds).items():
                 assert T.kind == kind and T.state_index == n
-                ref = stencil_sum(p, n, kind)
+                ref = refs[kind]
                 assert maxdev(T.values, ref) <= 1e-6 * np.abs(ref).max(), (kind, n)
 
     def test_eta_matches_stencil_sum(self):
         p = SSHParams(0.7, 0.4, 8)
         for n in (0, 1):
-            ref = stencil_sum(p, n, "eta")
+            ref = stencil_sums(p, n, ["eta"])["eta"]
             assert maxdev(bloch_sum(p, n, ["eta"])["eta"].values, ref) <= 1e-6 * np.abs(ref).max()
 
     def test_rescaled_sum_is_closed_form_zeta(self):
@@ -252,9 +249,8 @@ class TestInvariants:
             if min(abs(abs(t - d) - 1), abs(abs(t + d) - 1)) < 0.05:
                 continue
             fam = bloch_family(SSHParams(t, d, 4), k)
-            z = zeta_tensor(fam, [t, d], 0).values
-            zt = zeta_limited(fam, [t, d], 0, rescaled=True).values
-            assert maxdev(z, zt) <= 1e-9
+            st = stencil_tensors(fam, [t, d], 0, ["zeta", "zeta_limited_rescaled"])
+            assert maxdev(st["zeta"].values, st["zeta_limited_rescaled"].values) <= 1e-9
 
     def test_peak_growth_under_grid_refinement(self):
         peaks = []

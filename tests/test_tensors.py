@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from nhgeo.biortho import build_biortho
 from nhgeo.errors import (
     ContinuationAmbiguous,
     DegenerateSpectrum,
@@ -13,15 +16,16 @@ from nhgeo.tensors import (
     SOS_KINDS,
     STATE_KINDS,
     OperatorFamily,
+    _EPS_THIRD,
     _match,
     agp_elements,
-    agp_residual,
     berry_connection,
     central_difference,
     chi_hermitian,
     eta_tensor,
     projector_deformation,
     projector_fd,
+    stencil_tensors,
     sum_over_blocks,
     sum_over_states,
     zeta_limited,
@@ -109,6 +113,30 @@ class TestChiHermitian:
         with pytest.raises(NotHermitian):
             chi_hermitian(nh6, [0.0, 0.0], 0)
 
+    @pytest.mark.parametrize("theta", [0.3, -40.0])
+    def test_fd_step_reported(self, qubit, theta):
+        assert chi_hermitian(qubit, [theta], 0).meta["fd_step"] == [
+            _EPS_THIRD * max(1.0, abs(theta))]
+        assert chi_hermitian(qubit, [theta], 0, h=1e-3).meta["fd_step"] == [1e-3]
+
+
+def agp_residual(fam, lam, mu_dir):
+    """Residual ``||dK - F - [A, K]|| / ||dK||`` of the transport equation.
+
+    ``F`` carries the eigenvalue derivatives via the Hellmann-Feynman
+    diagonal; ``A = R A_elements L^H`` is the dense generator from
+    :func:`agp_elements`.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    K = fam(lam)
+    sys = build_biortho(K, warn_degenerate=False)
+    dK = fam.derivative(mu_dir, lam)
+    A = sys.right @ agp_elements(fam, lam, mu_dir, sys=sys) @ sys.left.conj().T
+    dw = np.diag(sys.left.conj().T @ dK @ sys.right)
+    F = sys.right @ np.diag(dw) @ sys.left.conj().T
+    resid = dK - F - (A @ K - K @ A)
+    return float(np.linalg.norm(resid) / max(np.linalg.norm(dK), 1e-300))
+
 
 class TestAgpElements:
     def test_commuting_family_zero(self):
@@ -117,7 +145,7 @@ class TestAgpElements:
             lambda mu, l: np.diag([1.0, 2.0]),
         )
         A = agp_elements(fam, [0.7], 0)
-        assert np.abs(A.elements).max() < 1e-14
+        assert np.abs(A).max() < 1e-14
 
     def test_two_level_forced_element(self):
         w1, w2, v = 0.3, 1.9, 0.8
@@ -129,8 +157,8 @@ class TestAgpElements:
 
         A = agp_elements(OperatorFamily(2, 1, f), [0.0], 0)
         # element (m=1, n=2) in the basis ordered by eigenvalue
-        assert abs(A.elements[0, 1] - v / (w2 - w1)) < 1e-9
-        assert np.abs(np.diag(A.elements)).max() == 0.0
+        assert abs(A[0, 1] - v / (w2 - w1)) < 1e-9
+        assert np.abs(np.diag(A)).max() == 0.0
 
     def test_transport_equation_residual(self, rng):
         fam = random_family(rng, N=5, d=1)
@@ -144,7 +172,7 @@ class TestAgpElements:
         with pytest.raises(DegenerateSpectrum):
             agp_elements(fam, [0.0], 0)
         A = agp_elements(fam, [0.0], 0, mu_reg=1e-6)
-        assert np.all(np.isfinite(A.elements))
+        assert np.all(np.isfinite(A))
 
 
 class TestEta:
@@ -216,15 +244,13 @@ class TestZetaRoutes:
         assert calls == []  # rejected before any family evaluation
 
     def test_sum_rule_generator_norm(self, rng):
-        from nhgeo.biortho import build_biortho
-
         fam = random_family(rng, N=5, d=1)
         lam = np.array([0.07])
         total = sum(
             zeta_tensor(fam, lam, n, route="agp").values[0, 0] for n in range(5)
         )
         sys = build_biortho(fam(lam), warn_degenerate=False)
-        A_op = agp_elements(fam, lam, 0, sys=sys).operator(sys)
+        A_op = sys.right @ agp_elements(fam, lam, 0, sys=sys) @ sys.left.conj().T
         assert abs(total - np.linalg.norm(A_op) ** 2) <= 1e-8 * abs(total)
         assert total.real >= 0.0
 
@@ -243,13 +269,133 @@ class TestZetaLimited:
         assert zt.min_eigenvalue() >= -1e-10
 
 
-def _stencil_tensors(fam, lam, n):
-    return {
-        "eta": eta_tensor(fam, lam, n).values,
-        "zeta": zeta_tensor(fam, lam, n).values,
-        "zeta_limited": zeta_limited(fam, lam, n).values,
-        "zeta_limited_rescaled": zeta_limited(fam, lam, n, rescaled=True).values,
-    }
+ALL_KIND_SETS = [list(c) for r in range(1, len(SOS_KINDS) + 1)
+                 for c in itertools.combinations(SOS_KINDS, r)]
+
+
+class TestStencilTensors:
+    @pytest.mark.parametrize("opts", [{}, {"richardson": True, "h": 1e-3}, {"gauge": True}])
+    def test_kinds_equal_wrappers(self, nh6, rng, opts):
+        lam = rng.uniform(-0.1, 0.1, size=2)
+        if opts.get("gauge"):
+            opts = {"gauge": random_gauge(rng, 6, lam)}
+        wrappers = {
+            "eta": eta_tensor(nh6, lam, 2, **opts),
+            "zeta": zeta_tensor(nh6, lam, 2, **opts),
+            "zeta_limited": zeta_limited(nh6, lam, 2, **opts),
+            "zeta_limited_rescaled": zeta_limited(nh6, lam, 2, rescaled=True, **opts),
+        }
+        every = stencil_tensors(nh6, lam, 2, SOS_KINDS, **opts)
+        assert list(every) == list(SOS_KINDS)
+        for kind, T in wrappers.items():
+            one = stencil_tensors(nh6, lam, 2, [kind], **opts)[kind]
+            assert T.kind == one.kind == every[kind].kind == kind
+            assert np.array_equal(T.values, one.values), kind
+            # column n of the every-state stencil is the same computation
+            assert np.array_equal(T.values, every[kind].values), kind
+            assert T.meta == every[kind].meta
+        projector = stencil_tensors(nh6, lam, 2, ["zeta"], route="projector", **opts)["zeta"]
+        assert np.array_equal(zeta_tensor(nh6, lam, 2, route="projector", **opts).values,
+                              projector.values)
+        assert projector.meta["route"] == "projector"
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_contractions_match_loops(self, nh6, rng, n):
+        """The contractions against per-element loops over the same stencil:
+        eta bit-exactly, the reordered sums to 1e-12 relative."""
+        from nhgeo.tensors import _stencil
+
+        lam = rng.uniform(-0.1, 0.1, size=2)
+        sys0, dR, dL = _stencil(nh6, lam, range(6))
+        R, L, C, Cinv = sys0.right, sys0.left, sys0.gram_right, sys0.gram_left
+
+        def cov(mu, m):  # |D_mu m_R>
+            return dR[mu, :, m] - (L[:, m].conj() @ dR[mu, :, m]) * R[:, m]
+
+        ref = {kind: np.empty((2, 2), dtype=complex) for kind in SOS_KINDS + ("projector",)}
+        for a, b in itertools.product(range(2), repeat=2):
+            dl, dn = dL[a, :, n], dR[b, :, n]
+            ref["eta"][a, b] = dl.conj() @ dn - (dl.conj() @ R[:, n]) * (L[:, n].conj() @ dn)
+            ref["zeta"][a, b] = sum(Cinv[n, m] * (cov(a, m).conj() @ cov(b, n)) for m in range(6))
+            ref["projector"][a, b] = sum(Cinv[n, m] * (
+                dR[a, :, m].conj() @ dn
+                - (dR[a, :, m].conj() @ L[:, m]) * (R[:, m].conj() @ dn)
+                - (dR[a, :, m].conj() @ R[:, n]) * (L[:, n].conj() @ dn)
+                + C[m, n] * (dR[a, :, m].conj() @ L[:, m]) * (L[:, n].conj() @ dn))
+                for m in range(6))
+            lnln = (L[:, n].conj() @ L[:, n]).real
+            ref["zeta_limited"][a, b] = lnln * (cov(a, n).conj() @ cov(b, n))
+        ref["zeta_limited_rescaled"] = ref["zeta_limited"] / (
+            (L[:, n].conj() @ L[:, n]).real * (R[:, n].conj() @ R[:, n]).real)
+        got = stencil_tensors(nh6, lam, n, SOS_KINDS)
+        got["projector"] = stencil_tensors(nh6, lam, n, ["zeta"], route="projector")["zeta"]
+        assert np.array_equal(got["eta"].values, ref["eta"])
+        for kind, T in got.items():
+            assert maxdev(T.values, ref[kind]) <= 1e-12 * np.abs(ref[kind]).max(), kind
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_one_stencil_for_any_kinds(self, nh6, monkeypatch, richardson):
+        import nhgeo.tensors as tensors_mod
+
+        calls = {"build_biortho": 0, "_stencil": 0}
+        for name in calls:
+            real = getattr(tensors_mod, name)
+            monkeypatch.setattr(tensors_mod, name, lambda *a, _f=real, _n=name, **k:
+                                calls.__setitem__(_n, calls[_n] + 1) or _f(*a, **k))
+        d = nh6.num_params
+        for kinds in ALL_KIND_SETS:
+            for name in calls:
+                calls[name] = 0
+            stencil_tensors(nh6, [0.02, 0.01], 1, kinds, richardson=richardson)
+            assert calls == {"build_biortho": 1 + (4 if richardson else 2) * d,
+                             "_stencil": 1}, kinds
+
+    def test_invalid_arguments_rejected_before_evaluation(self, nh6):
+        calls = []
+        fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l))
+        for kinds, route, n, error in (
+            (["chi"], "overlap", 0, ValueError),
+            (["eta", "bures"], "overlap", 0, ValueError),
+            (["zeta"], "agp", 0, ValueError),
+            (["eta"], "nope", 0, ValueError),
+            (["eta"], "overlap", 6, ShapeMismatch),
+            (["zeta"], "overlap", -1, ShapeMismatch),
+        ):
+            with pytest.raises(error):
+                stencil_tensors(fam, [0.0, 0.0], n, kinds, route=route)
+        assert calls == []
+
+    def test_degenerate_spectrum(self, rng):
+        # states 0 and 1 degenerate at lam = 0, state 2 isolated
+        D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        pair = OperatorFamily(3, 1, lambda l: np.diag([1.0, 1.0, 2.0]) + l[0] * D,
+                              lambda mu, l: D)
+        for kinds in ALL_KIND_SETS:
+            with pytest.raises(DegenerateSpectrum, match="eigenvalue 0"):
+                stencil_tensors(pair, [0.0], 0, kinds)
+            if "zeta" in kinds:  # zeta differentiates every state
+                with pytest.raises(DegenerateSpectrum, match="eigenvalue 0"):
+                    stencil_tensors(pair, [0.0], 2, kinds)
+            else:
+                for T in stencil_tensors(pair, [0.0], 2, kinds).values():
+                    assert np.isfinite(T.values).all()
+
+    @pytest.mark.parametrize("lam", [[0.03, -0.05], [-40.0, 2.5]])
+    def test_fd_step_reported(self, lam):
+        points = []
+
+        def f(l):
+            points.append(l)
+            return np.diag([l[0], l[0] + 1.0 + 0.1j * l[1]])
+
+        fam = OperatorFamily(2, 2, f)
+        want = [_EPS_THIRD * max(1.0, abs(x)) for x in lam]
+        for kind, T in stencil_tensors(fam, lam, 1, SOS_KINDS).items():
+            assert T.meta["fd_step"] == want, kind
+        # the step the stencil evaluates at (center, then +-h per direction)
+        for mu, h in enumerate(want):
+            assert points[1 + 2 * mu][mu] - lam[mu] == pytest.approx(h, rel=1e-9)
+        assert stencil_tensors(fam, lam, 1, ["eta"], h=1e-4)["eta"].meta["fd_step"] == [1e-4] * 2
 
 
 class TestSumOverStates:
@@ -260,9 +406,11 @@ class TestSumOverStates:
             lam = rng.uniform(-0.1, 0.1, size=2)
             for n in range(N):
                 sos = sum_over_states(fam, lam, n, SOS_KINDS)
-                for kind, ref in _stencil_tensors(fam, lam, n).items():
-                    assert sos[kind].kind == kind and sos[kind].state_index == n
-                    assert maxdev(sos[kind].values, ref) <= 1e-8 * np.abs(ref).max(), kind
+                for kind, ref in stencil_tensors(fam, lam, n, SOS_KINDS).items():
+                    assert sos[kind].kind == ref.kind == kind
+                    assert sos[kind].state_index == ref.state_index == n
+                    scale = np.abs(ref.values).max()
+                    assert maxdev(sos[kind].values, ref.values) <= 1e-8 * scale, kind
 
     def test_hermitian_collapse(self, rng):
         fam = random_hermitian_family(rng, N=6)
@@ -313,14 +461,9 @@ class TestSumOverStates:
         fam = OperatorFamily(3, 1, lambda l: np.diag([1.0, 1.0, 2.0]) + l[0] * D,
                              lambda mu, l: D)
         n = int(np.argmax(np.linalg.eigvals(fam([0.0])).real))
-        sos = sum_over_states(fam, [0.0], n, ["eta", "zeta_limited", "zeta_limited_rescaled"])
-        refs = {
-            "eta": eta_tensor(fam, [0.0], n).values,
-            "zeta_limited": zeta_limited(fam, [0.0], n).values,
-            "zeta_limited_rescaled": zeta_limited(fam, [0.0], n, rescaled=True).values,
-        }
-        for kind, ref in refs.items():
-            assert maxdev(sos[kind].values, ref) <= 1e-8 * np.abs(ref).max(), kind
+        sos = sum_over_states(fam, [0.0], n, STATE_KINDS)
+        for kind, ref in stencil_tensors(fam, [0.0], n, STATE_KINDS).items():
+            assert maxdev(sos[kind].values, ref.values) <= 1e-8 * np.abs(ref.values).max(), kind
         # zeta sums over every state, so its exact kernel needs every gap
         with pytest.raises(DegenerateSpectrum):
             sum_over_states(fam, [0.0], n, ["zeta"])
@@ -489,10 +632,11 @@ class TestBerryConnection:
         from nhgeo.tensors import _stencil
 
         lam = rng.uniform(-0.1, 0.1, size=2)
-        st = _stencil(nh6, lam, [2])
+        sys0, dR, dL = _stencil(nh6, lam, [2])
         for mu in range(2):
-            direct = st.connection(mu, 2)
-            dual = -(st.dleft(mu, 2).conj() @ st.sys0.right[:, 2])
+            direct = berry_connection(nh6, lam, 2, mu)
+            assert direct == sys0.left[:, 2].conj() @ dR[mu, :, 0]
+            dual = -(dL[mu, :, 0].conj() @ sys0.right[:, 2])
             assert abs(direct - dual) <= 1e-8
 
     def test_gauge_shift(self, nh6):
@@ -572,6 +716,7 @@ def _bad_state_calls():
         ("zeta-projector", lambda f, n: zeta_tensor(f, lam, n, route="projector")),
         ("zeta-agp", lambda f, n: zeta_tensor(f, lam, n, route="agp")),
         ("sum-over-states", lambda f, n: sum_over_states(f, lam, n, SOS_KINDS)),
+        ("stencil", lambda f, n: stencil_tensors(f, lam, n, SOS_KINDS)),
         ("zeta_limited", lambda f, n: zeta_limited(f, lam, n)),
         ("berry", lambda f, n: berry_connection(f, lam, n, 0)),
         ("projector", lambda f, n: projector_deformation(f, lam, n, 0)),
