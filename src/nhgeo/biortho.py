@@ -88,17 +88,3 @@ def build_biortho(K, *, warn_degenerate: bool = True) -> BiorthogonalSystem:
             )
     return sys
 
-
-def gauge_rescale(sys: BiorthogonalSystem, r) -> BiorthogonalSystem:
-    """Rescale eigenvectors by ``r_n``: right *= exp(r_n), left *= exp(-conj(r_n)).
-
-    The left factor is computed as ``conj(1/exp(r_n))`` so the biorthonormality
-    products come out as exact floating-point ones.
-    """
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (sys.dim,):
-        raise ValueError(f"gauge vector must have length {sys.dim}")
-    f = np.exp(r)
-    R = sys.right * f[None, :]
-    L = sys.left * np.conj(1.0 / f)[None, :]
-    return BiorthogonalSystem(sys.eigenvalues, R, L, R.conj().T @ R, sys.condition, sys.norm)

@@ -5,9 +5,15 @@ Output is CSV/JSON only; plotting is left to external tools.  Sweep points
 that hit a singular configuration are recorded as NaN rows tagged with the
 error name instead of aborting: the singular lines are usually exactly what
 a sweep is looking for.
+
+Every model adapter declares its ``name``, tensor ``kinds``, component
+``directions``, ``defaults`` (each settable parameter, typed by its default)
+and the ``sweepable`` ones; ``tensors(values, kinds, n, mu_reg)`` (``n`` the
+state index) and ``spectrum(values)`` evaluate at ``params(values)``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -53,20 +59,31 @@ from .tensors import (
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-class SSHAdapter:
+class _LatticeModel:
+    """A built-in model, whose ``params`` builds ``param_type`` from
+    ``defaults`` by field name, each value of its default's type."""
+
+    def __init__(self, **files):  # a built-in model reads no file
+        pass
+
+    def params(self, values: dict):
+        p = {**self.defaults, **values}
+        try:
+            return self.param_type(**{k: type(v)(p[k]) for k, v in self.defaults.items()})
+        except (TypeError, ValueError) as exc:
+            raise click.UsageError(f"invalid parameters: {exc}") from None
+
+
+class SSHAdapter(_LatticeModel):
     name = "nh-ssh"
+    param_type = SSHParams
     directions = ("t", "delta")
     defaults = {"t": 0.0, "delta": 0.0, "L": 64}
     sweepable = ("t", "delta")
     kinds = ("zeta", "eta", "zeta_limited", "zeta_limited_rescaled")
 
-    def params(self, values: dict) -> SSHParams:
-        p = {**self.defaults, **values}
-        return _checked(lambda: SSHParams(float(p["t"]), float(p["delta"]), int(p["L"])))
-
-    def tensors(self, values, kinds, state, mu_reg) -> dict:
+    def tensors(self, values, kinds, n, mu_reg) -> dict:
         p = self.params(values)
-        n = _state_index(state)
         out = {}
         for kind in kinds:  # in order: the first failing kind names a row's error
             if kind == "zeta":
@@ -92,8 +109,9 @@ class SSHAdapter:
         return {"per_k": bands, "sorted": [_c(z) for z in flat]}
 
 
-class KitaevAdapter:
+class KitaevAdapter(_LatticeModel):
     name = "kitaev-dissipative"
+    param_type = KitaevParams
     directions = ("h", "gamma")
     defaults = {
         "h": 0.0, "gamma": 1.0, "g": 0.1, "mu_plus": 1.0, "mu_minus": 0.6,
@@ -102,15 +120,7 @@ class KitaevAdapter:
     sweepable = ("h", "gamma", "g", "mu_plus", "mu_minus")
     kinds = WEAK_KINDS
 
-    def params(self, values: dict) -> KitaevParams:
-        p = {**self.defaults, **values}
-        return _checked(lambda: KitaevParams(
-            float(p["h"]), float(p["gamma"]), float(p["g"]),
-            float(p["mu_plus"]), float(p["mu_minus"]), int(p["L"]),
-            bool(p["weak_coupling"]),
-        ))
-
-    def tensors(self, values, kinds, state, mu_reg) -> dict:
+    def tensors(self, values, kinds, n, mu_reg) -> dict:
         p = self.params(values)
         if p.weak_coupling:
             return weak_coupling_tensors(p, kinds)
@@ -127,112 +137,127 @@ class KitaevAdapter:
         return _rapidity_summary(sorted(xs.ravel().tolist(), key=lambda z: (z.real, z.imag)))
 
 
-class QuadLiouvilleAdapter:
+class _FileFamily:
+    """A dense family ``base + sum_mu lam_mu parts[mu]`` read from matrix files,
+    whose directions ``lam0, lam1, ...`` are parameters with default 0.  The
+    last decomposition built is kept, so one eigensolve serves ``tensors`` and
+    ``spectrum`` at a point."""
+
+    part_option: str  # the option that names the direction files
+    sweepable = ()
+
+    def __init__(self, base, parts):
+        self.base, self.parts = base, parts
+        self.directions = tuple(f"lam{i}" for i in range(len(parts)))
+        self.defaults = dict.fromkeys(self.directions, 0.0)
+        self._last = None  # (lam, decomposition)
+
+    def params(self, values: dict) -> np.ndarray:
+        p = {**self.defaults, **values}
+        return np.array([float(p[name]) for name in self.directions])
+
+    def point(self, values: dict) -> np.ndarray:
+        """``params(values)`` for a tensor evaluation, which needs a direction."""
+        if not self.parts:
+            raise click.UsageError(f"tensor evaluation needs at least one {self.part_option}")
+        return self.params(values)
+
+    def matrix(self, lam) -> np.ndarray:
+        return self.base + sum(lam[m] * self.parts[m] for m in range(len(self.parts)))
+
+    def decomposition(self, lam, build):
+        """``build()``, or what it returned last if that was at this ``lam``."""
+        if self._last is None or not np.array_equal(self._last[0], lam):
+            self._last = (lam, build())
+        return self._last[1]
+
+
+class QuadLiouvilleAdapter(_FileFamily):
     """Matrix-file driven quadratic generator: H(lam) = H0 + sum lam_mu dH_mu."""
 
     name = "quad-liouville"
-    defaults: dict = {}
-    sweepable = ()
+    part_option = "--dhmat-files"
     kinds = NESS_KINDS
 
-    def __init__(self, hmat_file, bath_file, dhmat_files):
+    def __init__(self, hmat_file=None, bath_file=None, dhmat_files=(), **files):
         if hmat_file is None or bath_file is None:
-            raise click.UsageError(
-                "model quad-liouville needs --hmat-file and --bath-file"
-            )
-        self.H0 = load_matrix(hmat_file)
+            raise click.UsageError("model quad-liouville needs --hmat-file and --bath-file")
+        H0 = load_matrix(hmat_file)
         self.M, self.bath_vectors = _load_bath(bath_file)
-        self.dH = [load_matrix(f) for f in dhmat_files]
-        if self.H0.shape[0] % 2:
+        super().__init__(H0, [load_matrix(f) for f in dhmat_files])
+        if H0.shape[0] % 2:
             raise click.UsageError("H matrix dimension must be even (2n)")
-        self.n = self.H0.shape[0] // 2
-        self.directions = tuple(f"lam{i}" for i in range(len(self.dH)))
-        self.dec = None  # the decomposition of X once tensors() has built it
+        self.n = H0.shape[0] // 2
 
     def family(self) -> LiouvillianFamily:
-        def make(lam):
-            H = self.H0 + sum(lam[m] * self.dH[m] for m in range(len(self.dH)))
-            return build_liouvillian(self.n, H, self.bath_vectors, M=self.M)  # one is None
+        def make(lam):  # one of M and bath_vectors is None
+            return build_liouvillian(self.n, self.matrix(lam), self.bath_vectors, M=self.M)
 
-        return LiouvillianFamily(self.n, len(self.dH), make, name="quad-liouville")
+        return LiouvillianFamily(self.n, len(self.parts), make, name=self.name)
 
-    def tensors(self, values, kinds, state, mu_reg) -> dict:
-        if not self.dH:
-            raise click.UsageError(
-                "tensor evaluation needs at least one --dhmat-file direction"
-            )
+    def tensors(self, values, kinds, n, mu_reg) -> dict:
+        lam = self.point(values)
         fam = self.family()
-        lam = np.zeros(len(self.dH))
         # one eigensolve serves every kind and the spectrum
-        self.dec = eig_general(fam(lam).X)
-        return {kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=self.dec).items()}
+        dec = self.decomposition(lam, lambda: eig_general(fam(lam).X))
+        return {kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=dec).items()}
 
     def spectrum(self, values) -> dict:
-        dec = self.dec or eig_general(self.family()(np.zeros(len(self.dH))).X)
+        lam = self.params(values)
+        dec = self.decomposition(lam, lambda: eig_general(self.family()(lam).X))
         return _rapidity_summary(dec.eigenvalues)
 
 
-class MatrixFamilyAdapter:
-    """Generic dense family K(lam) = K0 + sum lam_mu dK_mu, evaluated at lam = 0."""
+class MatrixFamilyAdapter(_FileFamily):
+    """Generic dense family K(lam) = K0 + sum lam_mu dK_mu."""
 
     name = "matrix-file"
-    defaults: dict = {}
-    sweepable = ()
+    part_option = "--param-files"
     kinds = ("chi", *SOS_KINDS)
 
-    def __init__(self, matrix_file, param_files):
-        self.K0 = as_square(load_matrix(matrix_file), matrix_file)
-        self.dK = [as_square(load_matrix(f), f) for f in param_files]
-        for m in self.dK:
-            if m.shape != self.K0.shape:
-                raise click.UsageError("direction matrices must match the base shape")
-        self.directions = tuple(f"lam{i}" for i in range(len(self.dK)))
-        self.sys = None  # the eigensystem of K0 once tensors() has built it
+    def __init__(self, matrix_file=None, param_files=(), **files):
+        if matrix_file is None:
+            raise click.UsageError("model matrix-file needs --matrix-file")
+        K0 = as_square(load_matrix(matrix_file), matrix_file)
+        parts = [as_square(load_matrix(f), f) for f in param_files]
+        if any(m.shape != K0.shape for m in parts):
+            raise click.UsageError("direction matrices must match the base shape")
+        super().__init__(K0, parts)
 
-    def family(self) -> OperatorFamily:
-        return OperatorFamily(
-            self.K0.shape[0], len(self.dK),
-            lambda lam: self.K0 + sum(lam[m] * self.dK[m] for m in range(len(self.dK))),
-            lambda mu, lam: self.dK[mu],
-            name="matrix-file",
-        )
+    def family(self) -> OperatorFamily:  # built per call: a family kept on self is a cycle
+        return OperatorFamily(self.base.shape[0], len(self.parts), self.matrix,
+                              lambda mu, lam: self.parts[mu], name=self.name)
 
-    def tensors(self, values, kinds, state, mu_reg) -> dict:
-        if not self.dK:
-            raise click.UsageError("tensor evaluation needs at least one --param-file")
+    def tensors(self, values, kinds, n, mu_reg) -> dict:
+        lam = self.point(values)
         sos_kinds = [k for k in kinds if k != "chi"]
         fam = self.family()
-        lam = np.zeros(len(self.dK))
-        n = _state_index(state)
         out = {}
         if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
+            eigsys = None
             # an out-of-range state must raise ShapeMismatch before any eigensolve
             if 0 <= n < fam.dim:
-                self.sys = build_biortho(fam(lam), warn_degenerate=False)
-            sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg or 0.0, sys=self.sys)
+                eigsys = self.decomposition(
+                    lam, lambda: build_biortho(fam(lam), warn_degenerate=False))
+            sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg, sys=eigsys)
             out = {kind: t.values for kind, t in sos.items()}
         if "chi" in kinds:
             out["chi"] = chi_hermitian(fam, lam, n).values
         return {kind: out[kind] for kind in kinds}
 
     def spectrum(self, values) -> dict:
-        dec = self.sys or eig_general(self.K0)
+        lam = self.params(values)
+        dec = self.decomposition(lam, lambda: eig_general(self.matrix(lam)))
         return {
             "eigenvalues": [_c(z) for z in dec.eigenvalues],
-            "condition": dec.condition,
+            "condition": dec.condition if np.isfinite(dec.condition) else None,  # defective
             "diagonalizable": dec.condition <= DEFECTIVE_COND,
         }
 
 
-MODELS = {"nh-ssh": SSHAdapter, "kitaev-dissipative": KitaevAdapter}
-
-
-def _checked(make):
-    """``make()``, reporting an invalid parameter value as a usage error (exit 2)."""
-    try:
-        return make()
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid parameters: {exc}") from None
+#: every model, by name; ``--matrix-file`` selects ``matrix-file``
+MODELS = {cls.name: cls for cls in
+          (SSHAdapter, KitaevAdapter, QuadLiouvilleAdapter, MatrixFamilyAdapter)}
 
 
 def _thread_count(threads) -> int:
@@ -291,6 +316,8 @@ def _parse_sets(sets, defaults: dict) -> dict:
             out[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
         except (KeyError, ValueError):
             raise click.UsageError(f"--set {name}={raw}: expected {kind.__name__}") from None
+        if kind is float and not np.isfinite(out[name]):
+            raise click.UsageError(f"--set {name}={raw}: expected a finite number")
     return out
 
 
@@ -320,28 +347,49 @@ def _state_index(state) -> int:
         ) from None
 
 
-def _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files):
-    """The model's adapter; an unreadable or malformed input file exits 2."""
+def _make_adapter(model, files: dict):
+    """The adapter of ``model`` (``matrix-file`` whenever ``--matrix-file`` is
+    given); an unknown model or an unreadable or malformed input file exits 2."""
+    if files["matrix_file"] is not None:
+        model = MatrixFamilyAdapter.name
+    if model not in MODELS:
+        raise click.UsageError(f"pass --matrix-file or --model, one of: {', '.join(MODELS)} "
+                               f"(got {model!r})")
     try:
-        if matrix_file is not None:
-            return MatrixFamilyAdapter(matrix_file, list(param_files))
-        if model == "quad-liouville":
-            return QuadLiouvilleAdapter(hmat_file, bath_file, list(dhmat_files))
+        return MODELS[model](**files)
     except (NhgeoError, OSError) as exc:
         raise click.UsageError(f"{type(exc).__name__}: {exc}") from None
-    if model is None:
-        raise click.UsageError("pass --model or --matrix-file")
-    if model not in MODELS:
-        raise click.UsageError(
-            f"unknown model {model!r}; available: {', '.join([*MODELS, 'quad-liouville'])}"
-        )
-    return MODELS[model]()
 
 
-def _tensor_payload(values: dict, directions) -> dict:
-    return {kind: {"directions": list(directions),
-                   "components": [[_c(z) for z in row] for row in mat]}
-            for kind, mat in values.items()}
+def _echo_json(payload: dict) -> None:
+    """``payload`` on stdout as strict JSON: a NaN or infinity is an error."""
+    click.echo(json.dumps(payload, indent=2, allow_nan=False))
+
+
+#: the input-file options of ``tensor`` and ``spectrum``, and whether each repeats
+_FILE_OPTIONS = {"matrix_file": False, "param_files": True, "hmat_file": False,
+                 "bath_file": False, "dhmat_files": True}
+
+
+def _model_command(command):
+    """The model-selection options of ``tensor`` and ``spectrum``: ``command``
+    receives the adapter and its ``--set`` values, and a numerical failure
+    (NhgeoError) in it exits 3."""
+    @functools.wraps(command)
+    def run(model, sets, **options):
+        adapter = _make_adapter(model, {name: options.pop(name) for name in _FILE_OPTIONS})
+        values = _parse_sets(sets, adapter.defaults)
+        try:
+            command(adapter, values, **options)
+        except NhgeoError as exc:
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+    for name, repeats in reversed(_FILE_OPTIONS.items()):
+        run = click.option("--" + name.replace("_", "-"), multiple=repeats,
+                           type=click.Path(exists=True))(run)
+    run = click.option("--set", "sets", multiple=True, help="parameter assignment name=value")(run)
+    return click.option("--model", default=None, help="model name: " + ", ".join(MODELS))(run)
 
 
 # ---------------------------------------------------------------------------
@@ -355,58 +403,32 @@ def main():
 
 
 @main.command("tensor")
-@click.option("--model", default=None, help="registered model name")
-@click.option("--set", "sets", multiple=True, help="parameter assignment name=value")
+@_model_command
 @click.option("--tensors", default="zeta", help="comma-separated tensor kinds")
 @click.option("--state", default=None, help="eigenstate index or 'ness'")
 @click.option("--mu-reg", type=click.FloatRange(min=0.0), default=0.0,
               help="regularization cutoff of zeta (>= 0)")
-@click.option("--matrix-file", default=None, type=click.Path(exists=True))
-@click.option("--param-files", multiple=True, type=click.Path(exists=True))
-@click.option("--hmat-file", default=None, type=click.Path(exists=True))
-@click.option("--bath-file", default=None, type=click.Path(exists=True))
-@click.option("--dhmat-files", multiple=True, type=click.Path(exists=True))
-def cmd_tensor(model, sets, tensors, state, mu_reg, matrix_file, param_files,
-               hmat_file, bath_file, dhmat_files):
+def cmd_tensor(adapter, values, tensors, state, mu_reg):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
-    adapter = _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files)
     kinds = _parse_kinds(tensors, adapter)
-    values = _parse_sets(sets, adapter.defaults)
-    _state_index(state)
-    try:
-        mats = adapter.tensors(values, kinds, state, mu_reg)
-        spec = adapter.spectrum(values)
-    except NhgeoError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
-    payload = {
+    mats = adapter.tensors(values, kinds, _state_index(state), mu_reg)
+    _echo_json({
         "model": adapter.name,
         "params": values,
         "state": state,
-        "tensors": _tensor_payload(mats, adapter.directions),
-        "eigenvalue_summary": spec,
+        "tensors": {kind: {"directions": list(adapter.directions),
+                           "components": [[_c(z) for z in row] for row in mat]}
+                    for kind, mat in mats.items()},
+        "eigenvalue_summary": adapter.spectrum(values),
         "metadata": {"version": __version__, "mu_reg": mu_reg},
-    }
-    click.echo(json.dumps(payload, indent=2, allow_nan=False))
+    })
 
 
 @main.command("spectrum")
-@click.option("--model", default=None)
-@click.option("--set", "sets", multiple=True)
-@click.option("--matrix-file", default=None, type=click.Path(exists=True))
-@click.option("--param-files", multiple=True, type=click.Path(exists=True))
-@click.option("--hmat-file", default=None, type=click.Path(exists=True))
-@click.option("--bath-file", default=None, type=click.Path(exists=True))
-@click.option("--dhmat-files", multiple=True, type=click.Path(exists=True))
-def cmd_spectrum(model, sets, matrix_file, param_files, hmat_file, bath_file, dhmat_files):
+@_model_command
+def cmd_spectrum(adapter, values):
     """Eigenvalue / relaxation-rate summary; JSON to stdout."""
-    adapter = _make_adapter(model, matrix_file, param_files, hmat_file, bath_file, dhmat_files)
-    try:
-        spec = adapter.spectrum(_parse_sets(sets, adapter.defaults))
-    except NhgeoError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
-    click.echo(json.dumps({"model": adapter.name, "spectrum": spec}, indent=2))
+    _echo_json({"model": adapter.name, "spectrum": adapter.spectrum(values)})
 
 
 def _load_config(path) -> dict:
@@ -465,8 +487,9 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     """Grid sweep over one or two named parameters; deterministic CSV/JSON."""
     spec = _load_config(config) if config else {}
     model = model or spec.get("model")
-    if model not in MODELS:
-        raise click.UsageError("sweep supports models: " + ", ".join(MODELS))
+    sweepable = [name for name, cls in MODELS.items() if cls.sweepable]
+    if model not in sweepable:
+        raise click.UsageError("sweep supports models: " + ", ".join(sweepable))
     adapter = MODELS[model]()
     fixed = dict(spec.get("params", {}))
     for name in fixed:  # names only: config values keep their JSON types
@@ -484,7 +507,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {a['name']!r} also set as fixed parameter")
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
     state = state if state is not None else spec.get("state")
-    _state_index(state)  # a malformed state fails once here, not on every point
+    n = _state_index(state)  # a malformed state fails once here, not on every point
     mu_reg = mu_reg if mu_reg is not None else spec.get("mu_reg", 0.0)
     if (isinstance(mu_reg, bool) or not isinstance(mu_reg, (int, float))
             or not np.isfinite(mu_reg) or mu_reg < 0):
@@ -514,7 +537,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         values = point_values(idx)
         row = [float(grid[i]) for grid, i in zip(grids, idx)]
         try:
-            mats = adapter.tensors(values, kinds, state, mu_reg)
+            mats = adapter.tensors(values, kinds, n, mu_reg)
             for kind in kinds:
                 for z in mats[kind].ravel():  # row-major: (a, b) as in the columns
                     row += [z.real, z.imag]

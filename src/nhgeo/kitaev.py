@@ -132,8 +132,9 @@ def weak_coupling_tensors(params: KitaevParams, kinds) -> dict[str, np.ndarray]:
     """Weak-coupling Brillouin-zone sums ``kinds`` over (h, gamma), from one
     grid check and one set of phi derivatives.
 
-    ``zeta`` and ``zeta_limited`` are the closed forms of
-    :func:`zeta_kitaev_sum` and :func:`zeta_tilde_kitaev_sum`; ``bures`` is
+    ``zeta`` is the closed form ``Lambda^2 sum_k sin^2(phi_k) d_mu phi_k
+    d_nu phi_k`` and ``zeta_limited`` the purity-weighted one ``Lambda^2
+    sum_k d_mu phi_k d_nu phi_k / (1 + Lambda^2 cos^2 phi_k)^2``; ``bures`` is
     :func:`nhgeo.liouville.gaussian_tensors` of :func:`gamma_k_weak` and
     :func:`dgamma_k_weak` on the ``(L, 2, 2)`` stack of momentum blocks.
     """
@@ -159,23 +160,13 @@ def weak_coupling_tensors(params: KitaevParams, kinds) -> dict[str, np.ndarray]:
     return out
 
 
-def _weak_tensor(params: KitaevParams, kind: str) -> GeoTensor:
-    return GeoTensor(
-        kind, "ness", weak_coupling_tensors(params, [kind])[kind],
-        np.array([params.h, params.gamma]), {"L": params.L, "Lambda": params.Lambda},
-    )
-
-
 def zeta_kitaev_sum(params: KitaevParams) -> GeoTensor:
     """Steady-state tensor over (h, gamma):
     ``Lambda^2 sum_k sin^2(phi_k) d_mu phi_k d_nu phi_k``."""
-    return _weak_tensor(params, "zeta")
-
-
-def zeta_tilde_kitaev_sum(params: KitaevParams) -> GeoTensor:
-    """Purity-weighted single-state tensor:
-    ``Lambda^2 sum_k d_mu phi d_nu phi / (1 + Lambda^2 cos^2 phi)^2``."""
-    return _weak_tensor(params, "zeta_limited")
+    return GeoTensor(
+        "zeta", "ness", weak_coupling_tensors(params, ["zeta"])["zeta"],
+        np.array([params.h, params.gamma]), {"L": params.L, "Lambda": params.Lambda},
+    )
 
 
 def _thermo_gg_outer(ah: float, g: float) -> float:

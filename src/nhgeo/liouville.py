@@ -46,7 +46,7 @@ from .linalg import (
     solve_sylvester,
     solve_sylvester_pair,
 )
-from .tensors import GeoTensor, _params, central_difference
+from .tensors import GeoTensor, _direction, _params, central_difference
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,10 @@ def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -
 
 
 def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
-    """Quadratic-form transport generator (Xcal, Ycal) along one direction."""
+    """Quadratic-form transport generator (Xcal, Ycal) along one direction;
+    ShapeMismatch for a ``mu_dir`` outside ``[0, num_params)``."""
     lam = _params(lam, fam.num_params)
+    _direction(mu_dir, fam.num_params)
     dec, solve, Gamma = _steady_state(fam(lam))
     dX, dY = fam.dxy(mu_dir, lam)
     Xcal = _xcal(dec.eigenvalues, dec.right_vectors, dX, dec.right_inverse)
@@ -377,11 +379,6 @@ class TranslationInvariantModel:
         if dm is None or dmT is None:
             return central_difference(lambda l: self.y_block(k, l), lam, mu)
         return _over_k(k, -2.0 * (dm - np.swapaxes(dmT, -1, -2)))
-
-
-def kspace_blocks(model: TranslationInvariantModel, k: float, lam):
-    """(x(k), y(k)) momentum blocks."""
-    return model.x_block(k, lam), model.y_block(k, lam)
 
 
 def gamma_k(model: TranslationInvariantModel, k: float, lam) -> np.ndarray:
@@ -566,19 +563,6 @@ def gaussian_tensors(Gamma, dGammas, kinds: Sequence[str]) -> dict[str, np.ndarr
         out[kind] = np.array([[(w * np.sum(a * np.swapaxes(b, -1, -2) / den)).real
                                for b in dG] for a in dG])
     return out
-
-
-def bures_metric(Gamma, dGamma_mu, dGamma_nu) -> float:
-    """One component of the Gaussian-state Bures metric (:func:`gaussian_tensors`)."""
-    return float(gaussian_tensors(Gamma, [dGamma_mu, dGamma_nu], ["bures"])["bures"][0, 1])
-
-
-def zeta_tilde_gaussian(Gamma, dGamma_mu, dGamma_nu) -> float:
-    """One component of the printed purity-weighted form ``zeta_limited`` of
-    :func:`gaussian_tensors`; :func:`zeta_tilde_ness_from_gamma` is the variant
-    that reproduces ``2^n Tr(d_mu rho d_nu rho)`` exactly."""
-    pair = [dGamma_mu, dGamma_nu]
-    return float(gaussian_tensors(Gamma, pair, ["zeta_limited"])["zeta_limited"][0, 1])
 
 
 def zeta_tilde_ness_from_gamma(Gamma, dGamma_mu, dGamma_nu) -> float:

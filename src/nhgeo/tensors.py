@@ -90,6 +90,13 @@ def _params(lam, num_params: int) -> np.ndarray:
     return lam
 
 
+def _direction(mu_dir: int, num_params: int) -> None:
+    """ShapeMismatch unless ``mu_dir`` is a direction index (a negative one
+    would silently select another direction)."""
+    if not 0 <= mu_dir < num_params:
+        raise ShapeMismatch(f"direction {mu_dir} out of range for {num_params} parameters")
+
+
 def _step(lam: np.ndarray, mu: int, h: float | None) -> float:
     """The step of :func:`central_difference` along ``mu``: ``h``, by default
     ``eps^(1/3) * max(1, |lam_mu|)``."""
@@ -169,11 +176,6 @@ class GeoTensor:
     values: np.ndarray
     lam: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    @property
-    def fubini_study(self) -> np.ndarray:
-        """Real part (metric)."""
-        return self.values.real
 
     @property
     def berry_curvature(self) -> np.ndarray:
@@ -335,10 +337,13 @@ def agp_elements(
 
     Raises
     ------
+    ShapeMismatch
+        If ``mu_dir`` is not in ``[0, num_params)``.
     DegenerateSpectrum
         If ``mu_reg == 0`` and some eigenvalue gap is below ``1e-10 * ||K||``.
     """
     lam = _params(lam, fam.num_params)
+    _direction(mu_dir, fam.num_params)
     if mu_reg < 0:
         raise ValueError("mu_reg must be >= 0")
     if sys is None:
@@ -695,62 +700,3 @@ def zeta_limited(
     kind = "zeta_limited_rescaled" if rescaled else "zeta_limited"
     return stencil_tensors(fam, lam, n, [kind], h=h, gauge=gauge, richardson=richardson)[kind]
 
-
-def berry_connection(
-    fam: OperatorFamily,
-    lam,
-    n: int,
-    mu_dir: int,
-    *,
-    h: float | None = None,
-    gauge: GaugeFunc | None = None,
-) -> complex:
-    """Connection ``A_mu = <n_L|d_mu n_R>`` for eigenstate ``n``."""
-    sys0, dR, _ = _stencil(fam, _checked(fam, lam, n), [n], h=h, gauge=gauge)
-    return complex(sys0.left[:, n].conj() @ dR[mu_dir, :, 0])
-
-
-def projector_deformation(
-    fam: OperatorFamily,
-    lam,
-    n: int,
-    mu_dir: int,
-    *,
-    h: float | None = None,
-    gauge: GaugeFunc | None = None,
-) -> float:
-    """Relative deformation rate ``||d_mu P_n||^2 / ||P_n||^2`` of ``P_n = |n_R><n_L|``.
-
-    Evaluated through the covariant four-term form; agrees with a direct
-    finite difference of the (gauge-invariant) projector.
-    """
-    sys0, dR, dL = _stencil(fam, _checked(fam, lam, n), [n], h=h, gauge=gauge)
-    rn = sys0.right[:, n]
-    ln = sys0.left[:, n]
-    a = ln.conj() @ dR[mu_dir, :, 0]  # connection A_mu
-    Dr = dR[mu_dir, :, 0] - a * rn  # |D_mu n_R>
-    Dl = dL[mu_dir, :, 0] + np.conj(a) * ln  # |D_mu n_L> as a ket
-    rr = (rn.conj() @ rn).real
-    ll = (ln.conj() @ ln).real
-    cross = (Dr.conj() @ rn) * (Dl.conj() @ ln)
-    val = (Dr.conj() @ Dr).real / rr + (Dl.conj() @ Dl).real / ll + 2 * cross.real / (rr * ll)
-    return float(val)
-
-
-def projector_fd(fam: OperatorFamily, lam, n: int, mu_dir: int, *, h: float | None = None) -> float:
-    """Direct finite-difference oracle for :func:`projector_deformation`.
-
-    The projector is gauge invariant, so matched raw eigenvector columns can
-    be differenced without any phase fixing.
-    """
-    lam = _checked(fam, lam, n)
-    sys0 = build_biortho(fam(lam), warn_degenerate=False)
-
-    def proj(lamp):
-        sysp = build_biortho(fam(lamp), warn_degenerate=False)
-        (m,), _ = _match(sys0.left, sysp.right, [n])
-        return np.outer(sysp.right[:, m], sysp.left[:, m].conj())
-
-    dP = central_difference(proj, lam, mu_dir, h)
-    P0 = np.outer(sys0.right[:, n], sys0.left[:, n].conj())
-    return float(np.linalg.norm(dP) ** 2 / np.linalg.norm(P0) ** 2)

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from nhgeo.biortho import build_biortho, gauge_rescale
+from nhgeo.biortho import build_biortho
 from nhgeo.errors import DegenerateSpectrumWarning, NearDefective
 from nhgeo.ssh import SSHParams, bloch, ssh_eigenstates
 
@@ -76,30 +74,3 @@ class TestBuildBiortho:
         with pytest.warns(DegenerateSpectrumWarning):
             build_biortho(np.diag([1.0, 1.0, 2.0]))
 
-
-class TestGaugeRescale:
-    def test_zero_gauge_identity(self, rng):
-        sys = build_biortho(random_diagonalizable(rng))
-        out = gauge_rescale(sys, np.zeros(6))
-        assert maxdev(out.right, sys.right) == 0.0
-        assert maxdev(out.left, sys.left) == 0.0
-
-    def test_pure_phase_on_hermitian_keeps_gram(self, rng):
-        B = rng.normal(size=(4, 4))
-        K = (B + B.T) + np.diag(4.0 * np.arange(4))
-        sys = build_biortho(K)
-        out = gauge_rescale(sys, 1j * np.array([0.3, -1.1, 0.7, 2.0]))
-        assert maxdev(np.abs(out.gram_right), np.abs(sys.gram_right)) < 1e-12
-        assert maxdev(np.diag(out.gram_right), np.diag(sys.gram_right)) < 1e-12
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1))
-    def test_random_gauge_preserves_biorthonormality(self, seed):
-        rng = np.random.default_rng(seed)
-        sys = build_biortho(random_diagonalizable(rng, 4))
-        r = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out = gauge_rescale(sys, r)
-        # diagonal is exact by construction; off-diagonal at solve precision
-        prod = out.left.conj().T @ out.right
-        assert maxdev(np.diag(prod), np.ones(4)) < 1e-13
-        assert maxdev(prod, np.eye(4)) < 1e-9

@@ -86,6 +86,8 @@ class TestTensorCommand:
         ["--model", "nh-ssh", "--set", "detla=0.5"],
         ["--model", "kitaev-dissipative", "--set", "weak_coupling=on"],
         ["--model", "nh-ssh", "--state", "abc"],
+        ["--model", "nh-ssh", "--set", "t=nan"],
+        ["--model", "kitaev-dissipative", "--set", "gamma=-inf"],
     ])
     def test_malformed_set_or_state_exit_2(self, runner, args):
         result = runner.invoke(main, ["tensor", *args, "--tensors", "zeta"])
@@ -100,14 +102,6 @@ class TestTensorCommand:
         result = runner.invoke(main, ["tensor", *args, "--tensors", "zeta"])
         assert result.exit_code == 2, result.output
         assert "invalid parameters" in result.output
-
-    def test_matrix_file_rejects_any_set(self, runner, tmp_path):
-        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
-        save_matrix(tmp_path / "d.json", np.eye(2))
-        result = runner.invoke(main, [
-            "tensor", "--matrix-file", str(tmp_path / "K.json"),
-            "--param-files", str(tmp_path / "d.json"), "--set", "t=1"])
-        assert result.exit_code == 2
 
     def test_state_out_of_range_exit_3(self, runner, tmp_path):
         save_matrix(tmp_path / "K.json", np.diag([0.0, 1.0, 2.0, 3.0]))
@@ -170,12 +164,11 @@ class TestTensorCommand:
         import nhgeo.linalg as linalg_mod
         import nhgeo.liouville as liouville_mod
         from nhgeo.liouville import (
-            bures_metric,
+            gaussian_tensors,
             rapidities,
             steady_state_dgamma,
             steady_state_gamma,
             zeta_ness,
-            zeta_tilde_gaussian,
         )
         from nhgeo.verify import random_bath, random_hmat
 
@@ -209,11 +202,8 @@ class TestTensorCommand:
         liou = fam(lam)
         G = steady_state_gamma(liou).Gamma
         dG = [steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
-        refs = {
-            "zeta": zeta_ness(fam, lam).values,
-            "zeta_limited": [[zeta_tilde_gaussian(G, a, b) for b in dG] for a in dG],
-            "bures": [[bures_metric(G, a, b) for b in dG] for a in dG],
-        }
+        refs = {"zeta": zeta_ness(fam, lam).values,
+                **gaussian_tensors(G, dG, ["zeta_limited", "bures"])}
         tensors = payload["tensors"]
         assert list(tensors) == kinds
         for kind, ref in refs.items():
@@ -357,7 +347,116 @@ class TestSSHTensors:
         assert result.output == want.output
 
 
+class TestFileFamilyDirections:
+    """The directions ``lam0, lam1, ...`` of a file family are its ``--set``
+    parameters: ``lam0 = x`` evaluates the family whose base file holds
+    ``base + x * part0``, at lam = 0."""
+
+    X = 0.3
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        from nhgeo.verify import random_bath, random_family, random_hmat
+
+        rng = np.random.default_rng(7)
+        fam = random_family(rng, N=5)
+        K, dK0, dK1 = fam([0.0, 0.0]), fam.derivative(0, [0.0, 0.0]), fam.derivative(1, [0.0, 0.0])
+        H, dH0, dH1 = (random_hmat(rng, 2) for _ in range(3))
+        mats = {"K": K, "K_x": K + self.X * dK0, "dK0": dK0, "dK1": dK1,
+                "H": H, "H_x": H + self.X * dH0, "dH0": dH0, "dH1": dH1,
+                "bath": sum(np.outer(v, v.conj()) for v in random_bath(rng, 2))}
+        for name, A in mats.items():
+            save_matrix(tmp_path / f"{name}.json", A)
+        return lambda name: str(tmp_path / f"{name}.json")
+
+    @staticmethod
+    def family(path, model, base):
+        if model == "matrix-file":
+            return ["--matrix-file", path(base), "--param-files", path("dK0"),
+                    "--param-files", path("dK1")]
+        return ["--model", model, "--hmat-file", path(base), "--bath-file", path("bath"),
+                "--dhmat-files", path("dH0"), "--dhmat-files", path("dH1")]
+
+    @pytest.mark.parametrize("model, base, tensor_args, rtol", [
+        ("matrix-file", "K", ["--tensors", "eta,zeta,zeta_limited", "--state", "2"], 0.0),
+        # dX/dY are central differences, whose points round differently
+        ("quad-liouville", "H", ["--tensors", "zeta,zeta_limited,bures"], 1e-9),
+    ])
+    def test_set_direction_is_the_shifted_base(self, runner, path, model, base, tensor_args,
+                                               rtol):
+        at_x = self.family(path, model, base) + ["--set", f"lam0={self.X}"]
+        shifted = self.family(path, model, base + "_x")
+        for command, extra in (("spectrum", []), ("tensor", tensor_args)):
+            got, want = (json.loads(run_ok(runner, [command, *args, *extra]).output)
+                         for args in (at_x, shifted))
+            if command == "tensor":
+                assert got.pop("params") == {"lam0": self.X} and want.pop("params") == {}
+                for kind in got["tensors"]:
+                    ref = tensor_values(want, kind)
+                    dev = np.abs(tensor_values(got, kind) - ref).max()
+                    assert dev <= rtol * np.abs(ref).max(), kind
+                del got["tensors"], want["tensors"]
+            assert got == want, command
+
+    @pytest.mark.parametrize("model, given", [
+        ("matrix-file", ["--param-files", "dK0"]),
+        ("quad-liouville", ["--hmat-file", "H"]),
+    ])
+    def test_model_without_its_files_exit_2(self, runner, path, model, given):
+        result = runner.invoke(main, ["spectrum", "--model", model, given[0], path(given[1])])
+        assert result.exit_code == 2 and f"model {model} needs --" in result.output
+
+    @pytest.mark.parametrize("model", ["matrix-file", "quad-liouville"])
+    def test_sweep_rejects_file_family_exit_2(self, runner, tmp_path, model):
+        result = runner.invoke(main, ["sweep", "--model", model, "--axis", "lam0:0:1:3",
+                                      "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2 and "sweep supports models: nh-ssh, kitaev-dissipative" \
+            in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("model", ["matrix-file", "quad-liouville"])
+    @pytest.mark.parametrize("assignment", ["t=1", "lam2=0.5"])
+    def test_unknown_parameter_exit_2(self, runner, path, model, assignment):
+        base = "K" if model == "matrix-file" else "H"
+        for command in ("tensor", "spectrum"):
+            result = runner.invoke(main, [command, *self.family(path, model, base),
+                                          "--set", assignment])
+            assert result.exit_code == 2 and "unknown parameter" in result.output, command
+
+    def test_matrix_file_away_from_zero_one_eigensolve(self, runner, path, monkeypatch):
+        import nhgeo.biortho as biortho_mod
+        import nhgeo.tensors as tensors_mod
+
+        counts = {"build_biortho": 0, "eig_general": 0}
+
+        def count(mod, name):
+            real = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        count(cli_mod, "build_biortho")
+        count(tensors_mod, "build_biortho")
+        count(biortho_mod, "eig_general")
+        count(cli_mod, "eig_general")  # an eigenvalue summary of its own
+        run_ok(runner, ["tensor", *self.family(path, "matrix-file", "K"), "--set", "lam0=0.3",
+                        "--set", "lam1=-0.2", "--tensors", "eta,zeta", "--state", "1"])
+        assert counts == {"build_biortho": 1, "eig_general": 1}
+
+
 class TestSpectrumCommand:
+    def test_defective_matrix_writes_strict_json(self, runner, tmp_path):
+        save_matrix(tmp_path / "K.json", np.diag(np.ones(3), 1))
+        result = run_ok(runner, ["spectrum", "--matrix-file", str(tmp_path / "K.json")])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        spec = json.loads(result.output, parse_constant=reject)["spectrum"]
+        assert spec["condition"] is None and spec["diagonalizable"] is False
+
     def test_ssh_band_values(self, runner):
         result = run_ok(
             runner,
@@ -591,15 +690,12 @@ class TestKitaevBures:
     @staticmethod
     def per_k_loop(p):
         from nhgeo.kitaev import dgamma_k_weak, gamma_k_weak
-        from nhgeo.liouville import bures_metric
+        from nhgeo.liouville import gaussian_tensors
 
         vals = np.zeros((2, 2))
         for k in p.k_grid:
-            gk = gamma_k_weak(p, k)
             dgs = [dgamma_k_weak(p, k, mu) for mu in range(2)]
-            for mu in range(2):
-                for nu in range(2):
-                    vals[mu, nu] += bures_metric(gk, dgs[mu], dgs[nu])
+            vals += gaussian_tensors(gamma_k_weak(p, k), dgs, ["bures"])["bures"]
         return vals
 
     @pytest.mark.parametrize("L", [4, 9, 128])

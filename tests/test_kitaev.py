@@ -9,11 +9,11 @@ from nhgeo.kitaev import (
     dphi,
     gamma_k_weak,
     phi_k,
+    weak_coupling_tensors,
     zeta_kitaev_sum,
     zeta_kitaev_thermo,
-    zeta_tilde_kitaev_sum,
 )
-from nhgeo.liouville import zeta_tilde_gaussian
+from nhgeo.liouville import gaussian_tensors
 
 from conftest import maxdev
 
@@ -149,7 +149,7 @@ class TestZetaTilde:
         h_, g_ = 0.6, 0.9
         L = 64
         par = KitaevParams(h_, g_, 0.1, 1.0, 0.999, L)
-        zt = zeta_tilde_kitaev_sum(par).values / par.Lambda ** 2
+        zt = weak_coupling_tensors(par, ["zeta_limited"])["zeta_limited"] / par.Lambda ** 2
         ks = par.k_grid
         dh, dg = dphi(h_, g_, ks)
         bare = np.array(
@@ -174,10 +174,8 @@ class TestZetaTilde:
                     dG[mu][2 * j : 2 * j + 2, 2 * r : 2 * r + 2] = (
                         sum(p * dgamma_k_weak(par, k, mu) for p, k in zip(ph, ks)) / L
                     )
-        full = np.array(
-            [[zeta_tilde_gaussian(G, dG[a], dG[b]) for b in range(2)] for a in range(2)]
-        )
-        assert maxdev(full, zeta_tilde_kitaev_sum(par).values) <= 1e-8
+        full = gaussian_tensors(G, dG, ["zeta_limited"])["zeta_limited"]
+        assert maxdev(full, weak_coupling_tensors(par, ["zeta_limited"])["zeta_limited"]) <= 1e-8
 
     def test_sandwich_bounds(self):
         par = KitaevParams(0.6, 0.8, 0.1, 1.0, 0.4, 128)
@@ -186,7 +184,7 @@ class TestZetaTilde:
         dh, dg = dphi(par.h, par.gamma, ks)
         for comp, dd in ((0, dh), (1, dg)):
             unweighted = lam2 * np.sum(dd * dd)
-            zt = zeta_tilde_kitaev_sum(par).values[comp, comp].real
+            zt = weak_coupling_tensors(par, ["zeta_limited"])["zeta_limited"][comp, comp].real
             assert unweighted / (1 + lam2) ** 2 - 1e-12 <= zt <= unweighted + 1e-12
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhgeo.biortho import build_biortho, gauge_rescale
+from nhgeo.biortho import build_biortho
 from nhgeo.errors import (
     NearDefective,
     NonConvergence,
@@ -271,7 +271,6 @@ class TestClosedForms2x2:
             assert eig_general(K).norm == norm2(K)
             sys = build_biortho(K, warn_degenerate=False)
             assert sys.norm == norm2(K)
-            assert gauge_rescale(sys, rng.normal(size=N)).norm == sys.norm
 
     def test_decomposition_norm_spares_svds(self, rng, svd_calls):
         # eig_general makes two SVDs at N > 2, ||K||_2 and the condition

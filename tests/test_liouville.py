@@ -21,16 +21,13 @@ from nhgeo.liouville import (
     agp_quadratic,
     assemble_real_space,
     build_liouvillian,
-    bures_metric,
     gamma_k,
-    kspace_blocks,
     log_derivative,
     rapidities,
     real_space_family,
     steady_state_gamma,
     zeta_ness,
     zeta_ness_k,
-    zeta_tilde_gaussian,
 )
 from nhgeo.linalg import eig_general, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
@@ -349,14 +346,14 @@ class TestZetaNess:
 
 class TestKspace:
     def test_symmetric_bath_no_drive(self):
-        x, y = kspace_blocks(SymmetricBathModel(), 1.1, [])
+        y = SymmetricBathModel().y_block(1.1, [])
         assert np.abs(y).max() == 0.0
 
     def test_kitaev_blocks_match_definitions(self):
         model = DissipativeKitaevModel(0.3, 1.0, 0.6)
         lam = [0.7, 0.9]
         k = 1.3
-        x, y = kspace_blocks(model, k, lam)
+        x, y = model.x_block(k, lam), model.y_block(k, lam)
         g2 = 0.09
         expect_x = (
             g2 * (1.0 + 0.36) / 2 * np.eye(2)
@@ -538,7 +535,8 @@ class TestGaussianForms:
     def test_bures_zero_derivative(self, rng):
         fam, _ = random_liouvillian_family(rng, n=2)
         G = steady_state_gamma(fam([0.0, 0.0])).Gamma
-        assert bures_metric(G, np.zeros((4, 4)), np.zeros((4, 4))) == 0.0
+        zero = np.zeros((4, 4))
+        assert not liouville_mod.gaussian_tensors(G, [zero, zero], ["bures"])["bures"].any()
 
     def test_bures_log_derivative_contraction(self, rng):
         # dual route: (1/4) Tr(K_mu (Gamma K_nu Gamma - K_nu)) reproduces it
@@ -550,9 +548,10 @@ class TestGaussianForms:
         for mu in range(2):
             dX, dY = fam.dxy(mu, lam)
             dG.append(liouville_mod.steady_state_dgamma(liou, G, dX, dY))
+        bures = liouville_mod.gaussian_tensors(G, dG, ["bures"])["bures"]
         for mu in range(2):
             for nu in range(2):
-                direct = bures_metric(G, dG[mu], dG[nu])
+                direct = bures[mu, nu]
                 Kn = log_derivative(G, dG[nu])
                 alt = -0.125 * np.trace(dG[mu] @ Kn).real
                 assert abs(direct - alt) <= 1e-9 * max(1.0, abs(direct))
@@ -566,15 +565,15 @@ class TestGaussianForms:
         for mu in range(2):
             dX, dY = fam.dxy(mu, lam)
             dG.append(liouville_mod.steady_state_dgamma(liou, G, dX, dY))
-        B = np.array([[bures_metric(G, dG[a], dG[b]) for b in range(2)] for a in range(2)])
+        B = liouville_mod.gaussian_tensors(G, dG, ["bures"])["bures"]
         assert maxdev(B, B.T) <= 1e-10 * max(1.0, np.abs(B).max())
         assert np.linalg.eigvalsh((B + B.T) / 2).min() >= -1e-10
 
     def test_zeta_tilde_maximally_mixed(self, rng):
         B = rng.normal(size=(4, 4))
         dG = 1j * (B - B.T)
-        got = zeta_tilde_gaussian(np.zeros((4, 4)), dG, dG)
-        assert abs(got - 0.5 * np.trace(dG @ dG).real) < 1e-12
+        got = liouville_mod.gaussian_tensors(np.zeros((4, 4)), [dG], ["zeta_limited"])
+        assert abs(got["zeta_limited"][0, 0] - 0.5 * np.trace(dG @ dG).real) < 1e-12
 
     def test_exact_ness_form_vs_purity(self, rng):
         # S = sqrt(det(1 + G^2)) equals 2^n Tr(rho^2); zero-derivative limit
@@ -651,14 +650,6 @@ class TestGaussianTensors:
         for kind in self.KINDS:
             ref = np.array([[_pair_form(G, a, b, kind) for b in dG] for a in dG], dtype=complex)
             assert np.array_equal(got[kind].values, ref), kind
-
-    def test_one_pair_calls_are_components(self, rng):
-        G, dG = self.gamma_family(rng)
-        forms = liouville_mod.gaussian_tensors(G, dG, self.KINDS)
-        for mu in range(2):
-            for nu in range(2):
-                assert bures_metric(G, dG[mu], dG[nu]) == forms["bures"][mu, nu]
-                assert zeta_tilde_gaussian(G, dG[mu], dG[nu]) == forms["zeta_limited"][mu, nu]
 
     def test_single_matrix_is_a_stack_of_one(self, rng):
         G, dG = self.gamma_family(rng)

@@ -18,13 +18,11 @@ from nhgeo.tensors import (
     OperatorFamily,
     _EPS_THIRD,
     _match,
+    _stencil,
     agp_elements,
-    berry_connection,
     central_difference,
     chi_hermitian,
     eta_tensor,
-    projector_deformation,
-    projector_fd,
     stencil_tensors,
     sum_over_blocks,
     sum_over_states,
@@ -582,8 +580,6 @@ class TestStencilAtDegeneracy:
         "zeta_limited_rescaled": lambda f, n: zeta_limited(f, [0.0], n, rescaled=True),
         "zeta-overlap": lambda f, n: zeta_tensor(f, [0.0], n),
         "zeta-projector": lambda f, n: zeta_tensor(f, [0.0], n, route="projector"),
-        "berry": lambda f, n: berry_connection(f, [0.0], n, 0),
-        "projector": lambda f, n: projector_deformation(f, [0.0], n, 0),
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
@@ -598,8 +594,6 @@ class TestStencilAtDegeneracy:
         for kind, T in sos.items():
             ref = self.ROUTES[kind](pair, 2).values
             assert maxdev(T.values, ref) <= 1e-8 * np.abs(ref).max(), kind
-        assert np.isfinite(self.ROUTES["berry"](pair, 2))
-        assert np.isfinite(self.ROUTES["projector"](pair, 2))
         # zeta differentiates every state, the degenerate pair included
         for route in ("zeta-overlap", "zeta-projector"):
             with pytest.raises(DegenerateSpectrum, match="eigenvalue 0"):
@@ -624,18 +618,19 @@ SX3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=comple
 
 
 class TestBerryConnection:
+    """The connection ``A_mu = <n_L|d_mu n_R>`` of the stencil, which
+    :func:`stencil_tensors` subtracts in every covariant derivative."""
+
     def test_parameter_independent_zero(self):
         fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.4j * np.eye(3))
-        assert abs(berry_connection(fam, [0.2], 1, 0)) < 1e-12
+        sys0, dR, _ = _stencil(fam, [0.2], [1])
+        assert abs(sys0.left[:, 1].conj() @ dR[0, :, 0]) < 1e-12
 
     def test_dual_expression(self, nh6, rng):
-        from nhgeo.tensors import _stencil
-
         lam = rng.uniform(-0.1, 0.1, size=2)
         sys0, dR, dL = _stencil(nh6, lam, [2])
         for mu in range(2):
-            direct = berry_connection(nh6, lam, 2, mu)
-            assert direct == sys0.left[:, 2].conj() @ dR[mu, :, 0]
+            direct = sys0.left[:, 2].conj() @ dR[mu, :, 0]
             dual = -(dL[mu, :, 0].conj() @ sys0.right[:, 2])
             assert abs(direct - dual) <= 1e-8
 
@@ -647,35 +642,11 @@ class TestBerryConnection:
             return coeff * (l[0] - lam[0]) + 2.0 * coeff * (l[1] - lam[1])
 
         n = 2
-        base = berry_connection(nh6, lam, n, 0)
-        shifted = berry_connection(nh6, lam, n, 0, gauge=gauge)
-        assert abs((shifted - base) - coeff[n]) <= 1e-8
-
-
-class TestProjectorDeformation:
-    def test_parameter_independent_zero(self):
-        fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.2j * np.eye(3))
-        assert projector_deformation(fam, [0.1], 0, 0) < 1e-12
-
-    def test_hermitian_qubit_half(self, qubit):
-        val = projector_deformation(qubit, [0.3], 0, 0)
-        assert abs(val - 0.5) < 1e-6
-
-    def test_matches_direct_fd(self, rng):
-        fam = random_family(rng, N=5, d=1)
-        lam = np.array([0.06])
-        a = projector_deformation(fam, lam, 2, 0)
-        b = projector_fd(fam, lam, 2, 0)
-        assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
-        assert a >= 0.0
-
-    def test_gauge_invariant(self, rng):
-        fam = random_family(rng, N=5, d=2)
-        lam = np.array([0.02, 0.09])
-        gauge = random_gauge(rng, 5, lam)
-        a = projector_deformation(fam, lam, 1, 0)
-        b = projector_deformation(fam, lam, 1, 0, gauge=gauge)
-        assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+        conn = []
+        for g in (None, gauge):
+            sys0, dR, _ = _stencil(nh6, lam, [n], gauge=g)
+            conn.append(sys0.left[:, n].conj() @ dR[0, :, 0])
+        assert abs((conn[1] - conn[0]) - coeff[n]) <= 1e-8
 
 
 class TestContinuation:
@@ -718,9 +689,6 @@ def _bad_state_calls():
         ("sum-over-states", lambda f, n: sum_over_states(f, lam, n, SOS_KINDS)),
         ("stencil", lambda f, n: stencil_tensors(f, lam, n, SOS_KINDS)),
         ("zeta_limited", lambda f, n: zeta_limited(f, lam, n)),
-        ("berry", lambda f, n: berry_connection(f, lam, n, 0)),
-        ("projector", lambda f, n: projector_deformation(f, lam, n, 0)),
-        ("projector_fd", lambda f, n: projector_fd(f, lam, n, 0)),
     ]
 
 
@@ -731,3 +699,25 @@ def test_state_index_out_of_range(rng, n, call):
     fam = random_hermitian_family(rng, N=4)
     with pytest.raises(ShapeMismatch, match="state index"):
         call(fam, n)
+
+
+@pytest.mark.parametrize("engine", ["agp_elements", "agp_quadratic"])
+@pytest.mark.parametrize("past_end", [False, True])
+def test_direction_out_of_range_before_eigensolve(rng, monkeypatch, engine, past_end):
+    # -1 would select the last direction, d would fail as an untyped IndexError
+    import nhgeo.biortho as biortho_mod
+    import nhgeo.linalg as linalg_mod
+    import nhgeo.liouville as liouville_mod
+    from nhgeo.verify import random_liouvillian_family
+
+    calls = []
+    for mod in (linalg_mod, biortho_mod, liouville_mod):
+        monkeypatch.setattr(mod, "eig_general", lambda *a, **k: calls.append(a))
+    if engine == "agp_elements":
+        fam, lam, call = random_family(rng, N=3), [0.0, 0.0], agp_elements
+    else:
+        (fam, _), lam = random_liouvillian_family(rng, n=2), [0.1, 0.1]
+        call = liouville_mod.agp_quadratic
+    with pytest.raises(ShapeMismatch, match="direction"):
+        call(fam, lam, fam.num_params if past_end else -1)
+    assert calls == []
