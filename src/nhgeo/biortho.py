@@ -12,16 +12,12 @@ left vectors absorb all remaining scale.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumWarning, NearDefective
+from .errors import NearDefective
 from .linalg import eig_general
-
-#: relative eigenvalue gap under which a DegenerateSpectrumWarning is emitted
-DEGENERACY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,16 +49,12 @@ class BiorthogonalSystem:
         """``<m_L|n_L>``, equal to the inverse of ``gram_right``."""
         return self.left.conj().T @ self.left
 
-    def min_gap(self) -> float:
-        """Smallest pairwise eigenvalue distance."""
-        w = self.eigenvalues
-        d = np.abs(w[:, None] - w[None, :])
-        d[np.diag_indices_from(d)] = np.inf
-        return float(d.min())
 
-
-def build_biortho(K, *, warn_degenerate: bool = True) -> BiorthogonalSystem:
+def build_biortho(K) -> BiorthogonalSystem:
     """Construct the biorthogonal eigensystem of ``K``.
+
+    A degenerate spectrum is not an error here: the engines that divide by
+    a gap test it themselves and raise DegenerateSpectrum.
 
     Raises
     ------
@@ -77,14 +69,5 @@ def build_biortho(K, *, warn_degenerate: bool = True) -> BiorthogonalSystem:
         )
     R = dec.right_vectors
     L = dec.right_inverse.conj().T
-    sys = BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R, dec.condition, dec.norm)
-    if warn_degenerate:
-        scale = max(sys.norm, 1.0)
-        if sys.min_gap() < DEGENERACY_RTOL * scale:
-            warnings.warn(
-                f"eigenvalue gap {sys.min_gap():.3e} below {DEGENERACY_RTOL:.0e}*||K||",
-                DegenerateSpectrumWarning,
-                stacklevel=2,
-            )
-    return sys
+    return BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R, dec.condition, dec.norm)
 

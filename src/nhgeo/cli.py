@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -39,6 +38,7 @@ from .linalg import (
 from .liouville import (
     NESS_KINDS,
     LiouvillianFamily,
+    _hamiltonian_matrix,
     build_liouvillian,
     ness_tensors,
     zeta_ness_k,
@@ -69,7 +69,11 @@ class _LatticeModel:
     def params(self, values: dict):
         p = {**self.defaults, **values}
         try:
-            return self.param_type(**{k: type(v)(p[k]) for k, v in self.defaults.items()})
+            typed = {k: type(v)(p[k]) for k, v in self.defaults.items()}
+            for k, v in typed.items():
+                if type(v) is float and not np.isfinite(v):
+                    raise ValueError(f"{k} must be a finite number, got {p[k]!r}")
+            return self.param_type(**typed)
         except (TypeError, ValueError) as exc:
             raise click.UsageError(f"invalid parameters: {exc}") from None
 
@@ -147,6 +151,8 @@ class _FileFamily:
     sweepable = ()
 
     def __init__(self, base, parts):
+        if any(m.shape != base.shape for m in parts):
+            raise click.UsageError("direction matrices must match the base shape")
         self.base, self.parts = base, parts
         self.directions = tuple(f"lam{i}" for i in range(len(parts)))
         self.defaults = dict.fromkeys(self.directions, 0.0)
@@ -193,7 +199,11 @@ class QuadLiouvilleAdapter(_FileFamily):
         def make(lam):  # one of M and bath_vectors is None
             return build_liouvillian(self.n, self.matrix(lam), self.bath_vectors, M=self.M)
 
-        return LiouvillianFamily(self.n, len(self.parts), make, name=self.name)
+        def dxy(mu, lam):  # X = 4i H + 2 Re M and Y = -4i Im M, the bath fixed
+            dH = _hamiltonian_matrix(self.n, self.parts[mu])
+            return 4j * dH, np.zeros_like(dH)
+
+        return LiouvillianFamily(self.n, len(self.parts), make, dxy, name=self.name)
 
     def tensors(self, values, kinds, n, mu_reg) -> dict:
         lam = self.point(values)
@@ -219,10 +229,7 @@ class MatrixFamilyAdapter(_FileFamily):
         if matrix_file is None:
             raise click.UsageError("model matrix-file needs --matrix-file")
         K0 = as_square(load_matrix(matrix_file), matrix_file)
-        parts = [as_square(load_matrix(f), f) for f in param_files]
-        if any(m.shape != K0.shape for m in parts):
-            raise click.UsageError("direction matrices must match the base shape")
-        super().__init__(K0, parts)
+        super().__init__(K0, [as_square(load_matrix(f), f) for f in param_files])
 
     def family(self) -> OperatorFamily:  # built per call: a family kept on self is a cycle
         return OperatorFamily(self.base.shape[0], len(self.parts), self.matrix,
@@ -237,8 +244,7 @@ class MatrixFamilyAdapter(_FileFamily):
             eigsys = None
             # an out-of-range state must raise ShapeMismatch before any eigensolve
             if 0 <= n < fam.dim:
-                eigsys = self.decomposition(
-                    lam, lambda: build_biortho(fam(lam), warn_degenerate=False))
+                eigsys = self.decomposition(lam, lambda: build_biortho(fam(lam)))
             sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg, sys=eigsys)
             out = {kind: t.values for kind, t in sos.items()}
         if "chi" in kinds:
@@ -258,19 +264,6 @@ class MatrixFamilyAdapter(_FileFamily):
 #: every model, by name; ``--matrix-file`` selects ``matrix-file``
 MODELS = {cls.name: cls for cls in
           (SSHAdapter, KitaevAdapter, QuadLiouvilleAdapter, MatrixFamilyAdapter)}
-
-
-def _thread_count(threads) -> int:
-    """``--threads``, else ``NHGEO_THREADS``, else 1 (serial); each must be >= 1."""
-    if threads is None:
-        raw = os.environ.get("NHGEO_THREADS", "").strip() or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise click.UsageError(f"NHGEO_THREADS={raw!r} is not an integer") from None
-    if threads < 1:
-        raise click.UsageError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def _c(z) -> dict:
@@ -449,9 +442,13 @@ def _axis_flag(text: str) -> dict:
     """``--axis name:min:max:steps`` as an axis specification."""
     try:
         name, lo, hi, steps = text.split(":")
-        return {"name": name, "min": float(lo), "max": float(hi), "steps": int(steps)}
+        axis = {"name": name, "min": float(lo), "max": float(hi), "steps": int(steps)}
+        if not np.isfinite([axis["min"], axis["max"]]).all():
+            raise ValueError
+        return axis
     except ValueError:
-        raise click.UsageError(f"--axis expects name:min:max:steps, got {text!r}") from None
+        raise click.UsageError(
+            f"--axis expects name:min:max:steps, min and max finite, got {text!r}") from None
 
 
 def _axis_points(axis) -> np.ndarray:
@@ -461,9 +458,12 @@ def _axis_points(axis) -> np.ndarray:
         if steps != float(axis["steps"]) or "name" not in axis:
             raise ValueError
         lo, hi = float(axis["min"]), float(axis["max"])
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError
     except (KeyError, TypeError, ValueError):
         raise click.UsageError(
-            f"axis {axis!r} needs a name, numbers min and max and an integer steps") from None
+            f"axis {axis!r} needs a name, finite numbers min and max and an integer steps"
+        ) from None
     if steps < 2:
         raise click.UsageError("axis steps must be >= 2")
     return np.linspace(lo, hi, steps)
@@ -481,8 +481,8 @@ def _axis_points(axis) -> np.ndarray:
 @click.option("--mu-reg", type=click.FloatRange(min=0.0), default=None)
 @click.option("--output", default=None, type=click.Path())
 @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]))
-@click.option("--threads", default=None, type=int,
-              help="worker threads (default NHGEO_THREADS, else 1: serial)")
+@click.option("--threads", default=1, type=click.IntRange(min=1),
+              help="worker threads (default 1: serial)")
 def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt, threads):
     """Grid sweep over one or two named parameters; deterministic CSV/JSON."""
     spec = _load_config(config) if config else {}
@@ -519,7 +519,6 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     fmt = fmt or spec.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise click.UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-    nthreads = _thread_count(threads)
 
     names = [a["name"] for a in axes]
     points = list(itertools.product(*(range(len(grid)) for grid in grids)))
@@ -547,8 +546,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             row.append(type(exc).__name__)
         return row
 
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate, points))
     else:
         rows = [evaluate(idx) for idx in points]

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories.
+"""Exception hierarchy.
 
 Numerical failure modes are first-class: callers (in particular the sweep
 driver) catch :class:`NhgeoError` and record the class name as a status flag
@@ -101,8 +101,3 @@ class ShapeMismatch(NhgeoError):
 
 class DegenerateKernel(NhgeoError):
     """Superoperator kernel is not one-dimensional within tolerance."""
-
-
-class DegenerateSpectrumWarning(UserWarning):
-    """Eigenvalue gap below tolerance; downstream quantities that resolve
-    individual eigenvectors may be unreliable."""

@@ -29,6 +29,10 @@ DEFECTIVE_COND = 1e12
 #: regarded as tied and keep their input-derived order
 ORDER_TIE_RESOLUTION = 1e-12
 
+#: smallest admissible Sylvester pencil value |a_i + b_j|, relative to
+#: max(||A||, ||B||, 1); below it a solve raises SingularPencil
+PENCIL_RTOL = 1e-12
+
 
 def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     """Validate and return ``M`` as a nonempty square complex ndarray with
@@ -331,7 +335,7 @@ def _pencil(a, Ua, Uai, b, Ub, Ubi, tol):
     return lambda Y: Ua @ ((Uai @ Y @ Ub) / denom) @ Ubi
 
 
-def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
+def solve_sylvester_pair(A, B, Y) -> np.ndarray:
     """Solve ``A G + G B = Y`` by diagonalizing both coefficient matrices.
 
     With ``A = Ua Da Ua^-1`` and ``B = Ub Db Ub^-1`` the solution is
@@ -342,7 +346,7 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
     Raises
     ------
     SingularPencil
-        If some ``|a_i + b_j|`` is below ``pencil_tol * max(||A||, ||B||, 1)``.
+        If some ``|a_i + b_j|`` is below ``PENCIL_RTOL * max(||A||, ||B||, 1)``.
     """
     A = as_square(A, "A")
     B = as_square(B, "B")
@@ -362,7 +366,7 @@ def solve_sylvester_pair(A, B, Y, *, pencil_tol: float = 1e-12) -> np.ndarray:
         a, Ua, Uai = da.eigenvalues, da.right_vectors, da.right_inverse
         b, Ub, Ubi = db.eigenvalues, db.right_vectors, db.right_inverse
         scale = max(da.norm, db.norm, 1.0)
-    return _pencil(a, Ua, Uai, b, Ub, Ubi, pencil_tol * scale)(Y)
+    return _pencil(a, Ua, Uai, b, Ub, Ubi, PENCIL_RTOL * scale)(Y)
 
 
 def _sylvester_solver(X, dec: EigDecomposition):
@@ -371,14 +375,14 @@ def _sylvester_solver(X, dec: EigDecomposition):
     ``X^T = U^-T diag(x) U^T``, so it is :func:`_pencil` on ``(x, U, U^-1)``
     and ``(x, U^-T, U^T)``.  Raises NearDefective if ``dec`` is too
     ill-conditioned, SingularPencil if some ``|x_i + x_j|`` is below
-    ``1e-12 * max(||X||, 1)`` or a solve's residual exceeds ``1e-9 * ||Y||``.
+    ``PENCIL_RTOL * max(||X||, 1)`` or a solve's residual exceeds ``1e-9 * ||Y||``.
     """
     if not dec.is_diagonalizable_estimate:
         raise NearDefective(
             f"eigenvector condition {dec.condition:.3e} above {DEFECTIVE_COND:.0e}"
         )
     x, U, Ui = dec.eigenvalues, dec.right_vectors, dec.right_inverse
-    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, 1e-12 * max(dec.norm, 1.0))
+    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, PENCIL_RTOL * max(dec.norm, 1.0))
 
     def solve(Y):
         Y = as_square(Y, "Y")

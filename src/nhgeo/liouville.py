@@ -36,6 +36,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    PENCIL_RTOL,
     _eig_2x2,
     _pencil,
     _raise_first,
@@ -95,12 +96,9 @@ def bath_matrix(bath_vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
     return M
 
 
-def build_liouvillian(n: int, H_mat, bath_vectors=None, *, M=None) -> QuadraticLiouvillian:
-    """Validate inputs and derive X, Y.
-
-    Either a list of bath vectors ``l_k`` or the bath matrix ``M`` directly
-    may be given (only ``Re M`` and ``Im M`` enter X and Y).
-    """
+def _hamiltonian_matrix(n: int, H_mat) -> np.ndarray:
+    """``H_mat`` as a complex 2n x 2n array, else ShapeMismatch; BadHamiltonian
+    unless it is antisymmetric and Hermitian (purely imaginary)."""
     dim = 2 * n
     H_mat = as_square(H_mat, "H_mat")
     if H_mat.shape[0] != dim:
@@ -109,6 +107,17 @@ def build_liouvillian(n: int, H_mat, bath_vectors=None, *, M=None) -> QuadraticL
         raise BadHamiltonian("H_mat must be antisymmetric")
     if np.abs(H_mat - H_mat.conj().T).max() > 1e-12 * max(1.0, np.abs(H_mat).max()):
         raise BadHamiltonian("H_mat must be Hermitian (purely imaginary entries)")
+    return H_mat
+
+
+def build_liouvillian(n: int, H_mat, bath_vectors=None, *, M=None) -> QuadraticLiouvillian:
+    """Validate inputs and derive X, Y.
+
+    Either a list of bath vectors ``l_k`` or the bath matrix ``M`` directly
+    may be given (only ``Re M`` and ``Im M`` enter X and Y).
+    """
+    dim = 2 * n
+    H_mat = _hamiltonian_matrix(n, H_mat)
     if (bath_vectors is None) == (M is None):
         raise ValueError("pass exactly one of bath_vectors or M")
     if M is None:
@@ -168,7 +177,7 @@ class LiouvillianFamily:
     ``deriv_func(mu, lam)`` must return ``(dX, dY)``; when absent both are
     obtained by central differences of the (entrywise smooth) X(lam), Y(lam),
     two more family evaluations per direction.  :func:`real_space_family`
-    supplies the analytic one.
+    and the ``quad-liouville`` command-line model supply analytic ones.
     """
 
     n: int
@@ -192,26 +201,26 @@ class LiouvillianFamily:
         return tuple(np.split(central_difference(xy, lam, mu), 2))
 
 
-def _offdiag_generator(x, U, dX, *, gap_rtol=1e-8, Ui=None):
+def _offdiag_generator(x, U, dX, *, Ui=None):
     """Off-diagonal part of (dU^-1) U from the spectral formula.
 
     Entry (i, j) is ``-(U^-1 dX U)_{ij} / (x_j - x_i)``.  Degenerate pairs
     are tolerated when the coupling element vanishes (symmetry-decoupled
     sectors); a coupled degenerate pair raises.  Stacks ``x (..., n)``,
-    ``U, dX (..., n, n)`` are handled blockwise: the gap tolerance scales
-    with ``max(|x|, 1)`` and the coupling tolerance with ``max(|num|, 1)`` of
-    each block.  ``Ui`` is ``U^-1`` when the caller has it (as
+    ``U, dX (..., n, n)`` are handled blockwise: a gap is degenerate below
+    ``1e-8 * max(|x|, 1)`` and a coupling vanishes below ``1e-8 * max(|num|,
+    1)`` of its block.  ``Ui`` is ``U^-1`` when the caller has it (as
     ``EigDecomposition.right_inverse``, or from one inverse of a stack).
     """
     n = x.shape[-1]
     num = (np.linalg.inv(U) if Ui is None else Ui) @ dX @ U
     gaps = x[..., None, :] - x[..., :, None]
-    degenerate = np.abs(gaps) < gap_rtol * np.maximum(
+    degenerate = np.abs(gaps) < 1e-8 * np.maximum(
         np.abs(x).max(axis=-1), 1.0)[..., None, None]
     off = degenerate & ~np.eye(n, dtype=bool)
     if off.any():
         scale = np.maximum(np.abs(num).max(axis=(-2, -1)), 1.0)[..., None, None]
-        coupled = off & (np.abs(num) > gap_rtol * scale)
+        coupled = off & (np.abs(num) > 1e-8 * scale)
         blocks_c, blocks_n = coupled.reshape(-1, n, n), num.reshape(-1, n, n)
 
         def message(b):
@@ -418,7 +427,7 @@ def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
         b, Ub = _eig_2x2(xmT)
         Uai = np.linalg.inv(Ua)
         scale = np.maximum(np.maximum(norm2(x), norm2(xmT)), 1.0)
-        solve = _pencil(a, Ua, Uai, b, Ub, np.linalg.inv(Ub), 1e-12 * scale)
+        solve = _pencil(a, Ua, Uai, b, Ub, np.linalg.inv(Ub), PENCIL_RTOL * scale)
         gk = solve(model.y_block(kc, lam))
         dgs, xcals = [], []
         for mu in range(model.num_params):

@@ -144,7 +144,7 @@ def quadratic_superop(fock: FockRep, X, Y) -> np.ndarray:
     return L
 
 
-def ness_from_kernel(fock: FockRep, superop: np.ndarray, *, gap_tol: float = 1e-8):
+def ness_from_kernel(fock: FockRep, superop: np.ndarray):
     """Steady state from the kernel eigenvector of the generator.
 
     Returns ``(rho, MajoranaCorrelation)`` with rho Hermitized, positive
@@ -153,14 +153,14 @@ def ness_from_kernel(fock: FockRep, superop: np.ndarray, *, gap_tol: float = 1e-
     Raises
     ------
     DegenerateKernel
-        If the second-smallest eigenvalue modulus is within ``gap_tol`` of
-        the smallest (kernel not one-dimensional).
+        If the second-smallest eigenvalue modulus is within 1e-8 of the
+        smallest (kernel not one-dimensional).
     """
     ev, evec = np.linalg.eig(superop)
     order = np.argsort(np.abs(ev))
-    if len(ev) > 1 and abs(ev[order[1]]) - abs(ev[order[0]]) < gap_tol:
+    if len(ev) > 1 and abs(ev[order[1]]) - abs(ev[order[0]]) < 1e-8:
         raise DegenerateKernel(
-            f"|eig| gap {abs(ev[order[1]]) - abs(ev[order[0]]):.3e} below {gap_tol}"
+            f"|eig| gap {abs(ev[order[1]]) - abs(ev[order[0]]):.3e} below 1e-8"
         )
     rho = unvec(evec[:, order[0]])
     rho = (rho + rho.conj().T) / 2
@@ -217,5 +217,5 @@ def ness_state_index(fam: OperatorFamily, lam) -> int:
     """Canonical-order index of the steady state (eigenvalue closest to zero)."""
     from .biortho import build_biortho
 
-    sys = build_biortho(fam(lam), warn_degenerate=False)
+    sys = build_biortho(fam(lam))
     return int(np.argmin(np.abs(sys.eigenvalues)))

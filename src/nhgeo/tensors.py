@@ -99,25 +99,25 @@ def _direction(mu_dir: int, num_params: int) -> None:
 
 def _step(lam: np.ndarray, mu: int, h: float | None) -> float:
     """The step of :func:`central_difference` along ``mu``: ``h``, by default
-    ``eps^(1/3) * max(1, |lam_mu|)``."""
-    return float(_EPS_THIRD * max(1.0, abs(lam[mu]))) if h is None else h
+    ``eps^(1/3) * max(1, |lam_mu|)``.  ValueError unless ``h`` is a finite
+    number > 0."""
+    if h is None:
+        return float(_EPS_THIRD * max(1.0, abs(lam[mu])))
+    if not 0 < h < np.inf:  # also rejects NaN
+        raise ValueError(f"finite-difference step must be a finite number > 0, got {h!r}")
+    return h
 
 
-def central_difference(f, lam, mu: int, h: float | None = None, richardson: bool = False):
+def central_difference(f, lam, mu: int, h: float | None = None):
     """Central difference ``(f(lam + h e_mu) - f(lam - h e_mu)) / 2h`` of an array function.
 
     The step defaults to ``eps^(1/3) * max(1, |lam_mu|)`` (:func:`_step`).
-    ``richardson=True`` combines it with the half-step difference, cancelling
-    the O(h^2) error at the cost of two more evaluations.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     h = _step(lam, mu, h)
     e = np.zeros(lam.shape)
     e[mu] = h
-    d = (f(lam + e) - f(lam - e)) / (2 * h)
-    if richardson:
-        d = (4 * (f(lam + e / 2) - f(lam - e / 2)) / h - d) / 3
-    return d
+    return (f(lam + e) - f(lam - e)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -146,25 +146,12 @@ class OperatorFamily:
             raise ShapeMismatch(f"family returned dim {K.shape[0]}, declared {self.dim}")
         return K
 
-    def derivative(self, mu: int, lam, step: float | None = None) -> np.ndarray:
+    def derivative(self, mu: int, lam) -> np.ndarray:
         """d K / d lambda_mu, analytic when available, else central difference."""
         lam = _params(lam, self.num_params)
         if self.deriv_func is not None:
             return as_square(self.deriv_func(mu, lam), "dK")
-        return central_difference(self, lam, mu, step)
-
-    def derivative_consistency(self, lam) -> float:
-        """Max relative deviation between analytic and finite-difference derivatives."""
-        if self.deriv_func is None:
-            return 0.0
-        worst = 0.0
-        lam = _params(lam, self.num_params)
-        for mu in range(self.num_params):
-            ana = self.derivative(mu, lam)
-            fd = central_difference(self, lam, mu)
-            scale = max(np.linalg.norm(ana), 1e-300)
-            worst = max(worst, float(np.linalg.norm(ana - fd) / scale))
-        return worst
+        return central_difference(self, lam, mu)
 
 
 @dataclass
@@ -254,7 +241,6 @@ def _stencil(
     *,
     h: float | None = None,
     gauge: GaugeFunc | None = None,
-    richardson: bool = False,
 ):
     """Center eigensystem and derivatives ``(sys0, dR, dL)`` of the states
     ``needed`` at ``lam``: ``dR[mu, :, i]`` is ``|d_mu n_R>`` and ``dL[mu,
@@ -265,7 +251,7 @@ def _stencil(
     depends on the solver's choice of basis in the degenerate space.
     """
     lam = _params(lam, fam.num_params)
-    sys0 = build_biortho(fam(lam), warn_degenerate=False)
+    sys0 = build_biortho(fam(lam))
     needed = sorted(set(int(n) for n in needed))
     _require_gaps(sys0.eigenvalues, needed, max(sys0.norm, 1.0))
     N, K = sys0.dim, len(needed)
@@ -273,7 +259,7 @@ def _stencil(
 
     def columns_at(lamp):
         """Matched, phase-fixed [right; left] columns of the system at ``lamp``."""
-        sysp = build_biortho(fam(lamp), warn_degenerate=False)
+        sysp = build_biortho(fam(lamp))
         cols, phases = _match(sys0.left, sysp.right, needed)
         # column by column: fancy indexing (right[:, cols]) made 2-thread
         # sweeps run ~1.5x slower
@@ -288,8 +274,7 @@ def _stencil(
             block[N:] *= np.conj(1.0 / f)
         return block
 
-    D = np.stack([central_difference(columns_at, lam, mu, h, richardson)
-                  for mu in range(fam.num_params)])
+    D = np.stack([central_difference(columns_at, lam, mu, h) for mu in range(fam.num_params)])
     return sys0, D[:, :N], D[:, N:]
 
 
@@ -347,7 +332,7 @@ def agp_elements(
     if mu_reg < 0:
         raise ValueError("mu_reg must be >= 0")
     if sys is None:
-        sys = build_biortho(fam(lam), warn_degenerate=False)
+        sys = build_biortho(fam(lam))
     dK = fam.derivative(mu_dir, lam)
     num = sys.left.conj().T @ dK @ sys.right
     scale = max(sys.norm, 1.0)
@@ -407,7 +392,7 @@ def sum_over_states(
         raise ValueError("mu_reg must be >= 0")
     lam = _checked(fam, lam, n)
     if sys is None:
-        sys = build_biortho(fam(lam), warn_degenerate=False)
+        sys = build_biortho(fam(lam))
     scale = max(sys.norm, 1.0)
     w = sys.eigenvalues
     C = sys.gram_right
@@ -528,7 +513,6 @@ def chi_hermitian(
     n: int,
     *,
     h: float | None = None,
-    richardson: bool = False,
 ) -> GeoTensor:
     """Geometric tensor of eigenstate ``n`` of a Hermitian family.
 
@@ -538,11 +522,12 @@ def chi_hermitian(
     ``-1/2`` of the imaginary part (``GeoTensor.berry_curvature``).
     """
     lam = _checked(fam, lam, n)
+    d = fam.num_params
+    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)]}  # checked before any evaluation
     K = fam(lam)
     scale = max(norm2(K), 1.0)
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("family is not Hermitian at this parameter point")
-    d = fam.num_params
     _, V0 = np.linalg.eigh(K)
 
     def matched(lamp):
@@ -554,10 +539,9 @@ def chi_hermitian(
         return np.column_stack([V[:, m] for m in cols]) * phases
 
     # rows |d_mu v>: chi = <d_mu v|d_nu v> - <d_mu v|v><v|d_nu v>
-    dv = np.array([central_difference(matched, lam, mu, h, richardson)[:, n] for mu in range(d)])
+    dv = np.array([central_difference(matched, lam, mu, h)[:, n] for mu in range(d)])
     v = V0[:, n]
     vals = dv.conj() @ dv.T - np.multiply.outer(dv.conj() @ v, dv @ v.conj())
-    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)], "richardson": richardson}
     return GeoTensor("chi", n, vals, lam, meta)
 
 
@@ -574,7 +558,6 @@ def stencil_tensors(
     route: str = "overlap",
     h: float | None = None,
     gauge: GaugeFunc | None = None,
-    richardson: bool = False,
 ) -> dict[str, GeoTensor]:
     """The tensors ``kinds`` of eigenstate ``n`` from one finite-difference stencil.
 
@@ -590,9 +573,9 @@ def stencil_tensors(
       divided by ``<n_L|n_L><n_R|n_R>`` for ``zeta_limited_rescaled``.
 
     The stencil differentiates every state if ``zeta`` is requested, else
-    state ``n`` alone, in ``1 + 2d`` eigensolves (``1 + 4d`` with
-    ``richardson``); ``meta["fd_step"]`` holds its step along each
-    direction.  An unknown kind or route (ValueError) or state index
+    state ``n`` alone, in ``1 + 2d`` eigensolves; ``meta["fd_step"]`` holds
+    its step along each direction.  An unknown kind or route or a step ``h``
+    that is not a finite number > 0 (ValueError) or an unknown state index
     (ShapeMismatch) raises before any evaluation, and a gap below ``1e-10 *
     max(||K||, 1)`` at a differentiated state raises DegenerateSpectrum.
     """
@@ -603,9 +586,10 @@ def stencil_tensors(
     if route not in ("overlap", "projector"):
         raise ValueError(f"unknown route {route!r}")
     lam = _checked(fam, lam, n)
+    d = fam.num_params
+    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)]}
     every = "zeta" in kinds
-    sys0, dR, dL = _stencil(fam, lam, range(fam.dim) if every else [n],
-                            h=h, gauge=gauge, richardson=richardson)
+    sys0, dR, dL = _stencil(fam, lam, range(fam.dim) if every else [n], h=h, gauge=gauge)
     R, L = sys0.right, sys0.left
     rn, ln = R[:, n], L[:, n]
     lnc = ln.conj()
@@ -614,8 +598,6 @@ def stencil_tensors(
     dRn = np.ascontiguousarray(dR[:, :, n if every else 0])
     dLc = dL[:, :, n if every else 0].conj()
     conn = [lnc @ v for v in dRn]  # A_nu = <n_L|d_nu n_R>
-    d = fam.num_params
-    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)], "richardson": richardson}
 
     out = {}
     for kind in kinds:
@@ -651,11 +633,10 @@ def eta_tensor(
     *,
     h: float | None = None,
     gauge: GaugeFunc | None = None,
-    richardson: bool = False,
 ) -> GeoTensor:
     """Left-right tensor <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R><n_L|d_nu n_R>
     (:func:`stencil_tensors`)."""
-    return stencil_tensors(fam, lam, n, ["eta"], h=h, gauge=gauge, richardson=richardson)["eta"]
+    return stencil_tensors(fam, lam, n, ["eta"], h=h, gauge=gauge)["eta"]
 
 
 def zeta_tensor(
@@ -667,7 +648,6 @@ def zeta_tensor(
     mu_reg: float = 0.0,
     h: float | None = None,
     gauge: GaugeFunc | None = None,
-    richardson: bool = False,
 ) -> GeoTensor:
     """Gauge-invariant mixed tensor for eigenstate ``n``.
 
@@ -678,8 +658,7 @@ def zeta_tensor(
     """
     if route == "agp":
         return sum_over_states(fam, lam, n, ["zeta"], mu_reg=mu_reg)["zeta"]
-    return stencil_tensors(fam, lam, n, ["zeta"], route=route, h=h, gauge=gauge,
-                           richardson=richardson)["zeta"]
+    return stencil_tensors(fam, lam, n, ["zeta"], route=route, h=h, gauge=gauge)["zeta"]
 
 
 def zeta_limited(
@@ -690,7 +669,6 @@ def zeta_limited(
     rescaled: bool = False,
     h: float | None = None,
     gauge: GaugeFunc | None = None,
-    richardson: bool = False,
 ) -> GeoTensor:
     """Single-state tensor <n_L|n_L><D_mu n_R|D_nu n_R> (Hermitian, PSD;
     :func:`stencil_tensors`).
@@ -698,5 +676,5 @@ def zeta_limited(
     With ``rescaled=True`` the result is divided by <n_L|n_L><n_R|n_R>.
     """
     kind = "zeta_limited_rescaled" if rescaled else "zeta_limited"
-    return stencil_tensors(fam, lam, n, [kind], h=h, gauge=gauge, richardson=richardson)[kind]
+    return stencil_tensors(fam, lam, n, [kind], h=h, gauge=gauge)[kind]
 

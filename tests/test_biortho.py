@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhgeo.biortho import build_biortho
-from nhgeo.errors import DegenerateSpectrumWarning, NearDefective
+from nhgeo.errors import NearDefective
 from nhgeo.ssh import SSHParams, bloch, ssh_eigenstates
 
 from conftest import maxdev
@@ -69,8 +69,4 @@ class TestBuildBiortho:
     def test_near_defective_raises(self):
         with pytest.raises(NearDefective):
             build_biortho(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_degenerate_spectrum_warns(self):
-        with pytest.warns(DegenerateSpectrumWarning):
-            build_biortho(np.diag([1.0, 1.0, 2.0]))
 

@@ -244,10 +244,10 @@ class TestClosedForms2x2:
         assert (dec.right_inverse is not None) is diagonalizable
         if diagonalizable:
             assert abs(dec.condition * np.sqrt(eps) - 1.0) <= 1e-6
-            build_biortho(K, warn_degenerate=False)
+            build_biortho(K)
         else:
             with pytest.raises(NearDefective):
-                build_biortho(K, warn_degenerate=False)
+                build_biortho(K)
 
     def test_biortho_2x2_runs_no_svd_cond_or_inverse(self, rng, monkeypatch):
         npla = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / 1
@@ -269,7 +269,7 @@ class TestClosedForms2x2:
         for scale in (1e-200, 1e-3, 1.0, 1e150):
             K = scale * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
             assert eig_general(K).norm == norm2(K)
-            sys = build_biortho(K, warn_degenerate=False)
+            sys = build_biortho(K)
             assert sys.norm == norm2(K)
 
     def test_decomposition_norm_spares_svds(self, rng, svd_calls):

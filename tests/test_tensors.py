@@ -54,7 +54,10 @@ def nh6(rng):
 class TestOperatorFamily:
     def test_analytic_fd_consistency(self, nh6, rng):
         lam = rng.uniform(-0.1, 0.1, size=2)
-        assert nh6.derivative_consistency(lam) <= 1e-5
+        for mu in range(2):
+            ana = nh6.derivative(mu, lam)
+            fd = central_difference(nh6, lam, mu)
+            assert np.linalg.norm(ana - fd) <= 1e-5 * np.linalg.norm(ana)
 
     def test_fd_fallback(self, qubit):
         bare = OperatorFamily(2, 1, qubit.func)
@@ -78,12 +81,18 @@ class TestCentralDifference:
         assert points[1][1] - lam_mu == pytest.approx(-h, rel=1e-9)
         assert points[0][0] == points[1][0] == 7.0
 
-    def test_richardson_lowers_error(self):
-        lam = np.array([0.8])
-        exact = np.cos(0.8)
-        plain = central_difference(np.sin, lam, 0, h=1e-2)
-        refined = central_difference(np.sin, lam, 0, h=1e-2, richardson=True)
-        assert abs(refined - exact) < 1e-3 * abs(plain - exact)
+    @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda fam, h: central_difference(fam, [0.3], 0, h),
+        lambda fam, h: stencil_tensors(fam, [0.3], 0, SOS_KINDS, h=h),
+        lambda fam, h: chi_hermitian(fam, [0.3], 0, h=h),
+    ], ids=["central_difference", "stencil_tensors", "chi_hermitian"])
+    def test_step_must_be_finite_positive(self, qubit, call, h):
+        calls = []
+        fam = OperatorFamily(2, 1, lambda l: calls.append(l) or qubit.func(l), qubit.deriv_func)
+        with pytest.raises(ValueError, match="finite number > 0"):
+            call(fam, h)
+        assert calls == []  # rejected before any family evaluation
 
 
 class TestChiHermitian:
@@ -127,7 +136,7 @@ def agp_residual(fam, lam, mu_dir):
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     K = fam(lam)
-    sys = build_biortho(K, warn_degenerate=False)
+    sys = build_biortho(K)
     dK = fam.derivative(mu_dir, lam)
     A = sys.right @ agp_elements(fam, lam, mu_dir, sys=sys) @ sys.left.conj().T
     dw = np.diag(sys.left.conj().T @ dK @ sys.right)
@@ -247,7 +256,7 @@ class TestZetaRoutes:
         total = sum(
             zeta_tensor(fam, lam, n, route="agp").values[0, 0] for n in range(5)
         )
-        sys = build_biortho(fam(lam), warn_degenerate=False)
+        sys = build_biortho(fam(lam))
         A_op = sys.right @ agp_elements(fam, lam, 0, sys=sys) @ sys.left.conj().T
         assert abs(total - np.linalg.norm(A_op) ** 2) <= 1e-8 * abs(total)
         assert total.real >= 0.0
@@ -272,7 +281,7 @@ ALL_KIND_SETS = [list(c) for r in range(1, len(SOS_KINDS) + 1)
 
 
 class TestStencilTensors:
-    @pytest.mark.parametrize("opts", [{}, {"richardson": True, "h": 1e-3}, {"gauge": True}])
+    @pytest.mark.parametrize("opts", [{}, {"h": 1e-3}, {"gauge": True}])
     def test_kinds_equal_wrappers(self, nh6, rng, opts):
         lam = rng.uniform(-0.1, 0.1, size=2)
         if opts.get("gauge"):
@@ -331,8 +340,7 @@ class TestStencilTensors:
         for kind, T in got.items():
             assert maxdev(T.values, ref[kind]) <= 1e-12 * np.abs(ref[kind]).max(), kind
 
-    @pytest.mark.parametrize("richardson", [False, True])
-    def test_one_stencil_for_any_kinds(self, nh6, monkeypatch, richardson):
+    def test_one_stencil_for_any_kinds(self, nh6, monkeypatch):
         import nhgeo.tensors as tensors_mod
 
         calls = {"build_biortho": 0, "_stencil": 0}
@@ -344,9 +352,8 @@ class TestStencilTensors:
         for kinds in ALL_KIND_SETS:
             for name in calls:
                 calls[name] = 0
-            stencil_tensors(nh6, [0.02, 0.01], 1, kinds, richardson=richardson)
-            assert calls == {"build_biortho": 1 + (4 if richardson else 2) * d,
-                             "_stencil": 1}, kinds
+            stencil_tensors(nh6, [0.02, 0.01], 1, kinds)
+            assert calls == {"build_biortho": 1 + 2 * d, "_stencil": 1}, kinds
 
     def test_invalid_arguments_rejected_before_evaluation(self, nh6):
         calls = []
@@ -656,9 +663,9 @@ class TestContinuation:
         from nhgeo.biortho import build_biortho
 
         d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
-        sys0 = build_biortho(d, warn_degenerate=False)
+        sys0 = build_biortho(d)
         F = np.fft.fft(np.eye(5)) / np.sqrt(5)
-        sysp = build_biortho(F @ d @ F.conj().T, warn_degenerate=False)
+        sysp = build_biortho(F @ d @ F.conj().T)
         with pytest.raises(ContinuationAmbiguous, match="below"):
             _match(sys0.left, sysp.right, [0, 1, 2, 3, 4])
 
@@ -668,13 +675,6 @@ class TestContinuation:
         right /= np.linalg.norm(right, axis=0)
         with pytest.raises(ContinuationAmbiguous, match="states 0 and 1 both match"):
             _match(np.eye(3, dtype=complex), right, [0, 1, 2])
-
-    def test_richardson_refinement_improves(self, qubit):
-        coarse = chi_hermitian(qubit, [0.3], 0, h=1e-3)
-        fine = chi_hermitian(qubit, [0.3], 0, h=1e-3, richardson=True)
-        err_c = abs(coarse.values[0, 0] - 0.25)
-        err_f = abs(fine.values[0, 0] - 0.25)
-        assert err_f < err_c
 
 
 def _bad_state_calls():
