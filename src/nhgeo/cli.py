@@ -39,6 +39,7 @@ from .liouville import (
     NESS_KINDS,
     LiouvillianFamily,
     _hamiltonian_matrix,
+    bath_matrix,
     build_liouvillian,
     ness_tensors,
     zeta_ness_k,
@@ -188,16 +189,17 @@ class QuadLiouvilleAdapter(_FileFamily):
     def __init__(self, hmat_file=None, bath_file=None, dhmat_files=(), **files):
         if hmat_file is None or bath_file is None:
             raise click.UsageError("model quad-liouville needs --hmat-file and --bath-file")
-        H0 = load_matrix(hmat_file)
-        self.M, self.bath_vectors = _load_bath(bath_file)
+        # every shape is checked here, so malformed input exits 2 before any evaluation
+        H0 = as_square(load_matrix(hmat_file), hmat_file)
         super().__init__(H0, [load_matrix(f) for f in dhmat_files])
         if H0.shape[0] % 2:
             raise click.UsageError("H matrix dimension must be even (2n)")
         self.n = H0.shape[0] // 2
+        self.M = _load_bath(bath_file, H0.shape[0])
 
     def family(self) -> LiouvillianFamily:
-        def make(lam):  # one of M and bath_vectors is None
-            return build_liouvillian(self.n, self.matrix(lam), self.bath_vectors, M=self.M)
+        def make(lam):
+            return build_liouvillian(self.n, self.matrix(lam), M=self.M)
 
         def dxy(mu, lam):  # X = 4i H + 2 Re M and Y = -4i Im M, the bath fixed
             dH = _hamiltonian_matrix(self.n, self.parts[mu])
@@ -278,14 +280,19 @@ def _rapidity_summary(xs) -> dict:
             "unique_steady_state": min_re > 1e-12}
 
 
-def _load_bath(path):
-    """A bath matrix, or jump vectors ``{"vectors": [[[re, im], ...], ...]}``."""
+def _load_bath(path, dim: int) -> np.ndarray:
+    """The ``dim x dim`` bath matrix in ``path``, stored as a matrix or as
+    jump vectors ``{"vectors": [[[re, im], ...], ...]}``; ShapeMismatch for
+    any other shape."""
     obj = load_json(path)
     if isinstance(obj, dict) and "vectors" in obj:
         if not isinstance(obj["vectors"], list):
             raise ShapeMismatch("bath vectors must be a list of vectors")
-        return None, [complex_pairs(v, "bath vector") for v in obj["vectors"]]
-    return matrix_from_json(obj), None
+        return bath_matrix([complex_pairs(v, "bath vector") for v in obj["vectors"]], dim)
+    M = as_square(matrix_from_json(obj), path)
+    if M.shape[0] != dim:
+        raise ShapeMismatch(f"bath matrix must be {dim}x{dim} as H is, got {M.shape[0]}x{M.shape[0]}")
+    return M
 
 
 def _check_parameter(name, defaults: dict) -> None:

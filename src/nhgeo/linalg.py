@@ -116,38 +116,15 @@ def _s1_squared(a, b, c, d):
     return (p + r) / 2 + ((p - r) ** 2 / 4 + q * q) ** 0.5
 
 
-def _norm2_2x2(A) -> np.ndarray:
-    """Spectral norm of each 2x2 block of ``A (..., 2, 2)``, by
-    :func:`_s1_squared`.  Blocks whose squared norm leaves [1e-140, 1e140],
-    where a fourth power of an entry may have overflowed or underflowed,
-    are computed again after scaling each by its power of two (exact)."""
-    def squared(B):
-        return _s1_squared(B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1])
-
-    with np.errstate(all="ignore"):  # the blocks that over- or underflow are redone
-        sq = squared(A)
-    out = np.sqrt(sq)
-    redo = ~((sq >= 1e-140) & (sq <= 1e140))
-    if redo.any():
-        B = A[redo]
-        m = np.maximum(np.abs(B.real), np.abs(B.imag)).max(axis=(-2, -1))
-        s = np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
-        out[redo] = np.sqrt(squared(B * s[:, None, None])) / s
-    return out
-
-
 def norm2(A):
-    """Spectral norm ``||A||_2`` of a matrix, or of each block of a stack
-    ``(..., 2, 2)``.
+    """Spectral norm ``||A||_2`` of a matrix (of each 2x2 block of a stack:
+    :func:`_norm`).
 
-    2x2 matrices and blocks use the closed form of :func:`_s1_squared` on
-    entries scaled by a power of two (exact; in a stack only the blocks
-    whose magnitude needs it), any other matrix the SVD, which LAPACK
+    2x2 matrices use the closed form of :func:`_s1_squared` on entries
+    scaled by a power of two (exact), any other matrix the SVD, which LAPACK
     scales itself: no intermediate overflows or underflows.
     """
     A = np.asarray(A)
-    if A.ndim > 2:
-        return _norm2_2x2(A)
     if A.shape == (2, 2):
         vals, s = _scaled_2x2(A)
         return _s1_squared(*vals) ** 0.5 / s
@@ -257,79 +234,172 @@ def _raise_first(bad, exc_type, message):
         raise exc
 
 
-def _eig_2x2(A: np.ndarray, *, distinct: bool = True):
-    """Closed-form eigendecomposition of 2x2 matrices.
+# ---------------------------------------------------------------------------
+# stacks of 2x2 blocks as entry tuples
+# ---------------------------------------------------------------------------
+#
+# A stack of 2x2 blocks ``[[a, b], [c, d]]`` is held as the tuple of its
+# entries ``(a, b, c, d)``, each holding one element per block (a scalar for a
+# single block).  numpy's ``@``, ``inv`` and ``einsum`` are dispatch-bound on
+# ``(L, 2, 2)`` arrays; on entries a block product is twelve elementwise
+# calls, whatever L is.
 
-    ``A`` is one 2x2 matrix or a stack of shape ``(..., 2, 2)``; every test
-    below is made per block.  Eigenvalues come from the trace/determinant
+def _entries(A):
+    """The entry tuple of the 2x2 blocks ``A (..., 2, 2)``: four contiguous
+    arrays of shape ``A.shape[:-2]``."""
+    A = np.asarray(A, dtype=complex)
+    return tuple(A.reshape(-1, 4).T.copy().reshape((4,) + A.shape[:-2]))
+
+
+def _blocks(E) -> np.ndarray:
+    """The ``(..., 2, 2)`` array of the entry tuple ``E``."""
+    E = np.broadcast_arrays(*E)
+    return np.stack(E, -1).reshape(E[0].shape + (2, 2))
+
+
+def _mul(A, B):
+    """Blockwise product ``A B``."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _transpose(A):
+    """Blockwise transpose."""
+    a, b, c, d = A
+    return a, c, b, d
+
+
+def _inv(A):
+    """Blockwise adjugate inverse ``adj(A) / det A``; a singular block has a
+    non-finite inverse."""
+    a, b, c, d = A
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 1 / (a * d - b * c)
+        return d * f, -b * f, -c * f, a * f
+
+
+def _cond_inv(R):
+    """``(cond_2, inverse)`` of each block of unit-column matrices ``R``
+    (eigenvector matrices, whose entries need no scaling): ``cond = s1^2 /
+    |det R|`` by :func:`_s1_squared`, as ``s1 s2 = |det R|``, and the
+    adjugate inverse.  A singular block has condition ``inf`` and a
+    non-finite inverse."""
+    a, b, c, d = R
+    with np.errstate(divide="ignore"):
+        cond = _s1_squared(a, b, c, d) / abs(a * d - b * c)
+    return cond, _inv(R)
+
+
+def _norm(A):
+    """Spectral norm of each block, by :func:`_s1_squared`.  Blocks whose
+    squared norm leaves [1e-140, 1e140], where a fourth power of an entry may
+    have overflowed or underflowed, are computed again on their entries
+    scaled by their power of two (exact)."""
+    with np.errstate(all="ignore"):  # the blocks that over- or underflow are redone
+        sq = _s1_squared(*A)
+        out = np.sqrt(sq)
+        redo = ~((sq >= 1e-140) & (sq <= 1e140))
+        if redo.any():
+            m = np.max([np.maximum(abs(e.real), abs(e.imag)) for e in A], axis=0)
+            s = np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
+            out = np.where(redo, np.sqrt(_s1_squared(*(e * s for e in A))) / s, out)
+    return out
+
+
+def _eig_2x2(A, *, distinct: bool = True):
+    """Closed-form eigendecomposition of 2x2 blocks given as the entry tuple
+    ``A`` (one block or a stack); every test below is made per block.
+
+    Returns the eigenvalues ``(w0, w1)``, the entry tuple ``U`` of unit right
+    vectors (column ``j`` belongs to ``w_j``) and the spectral norm of each
+    block (:func:`_norm`).  Eigenvalues come from the trace/determinant
     quadratic, which avoids the catastrophic cancellation the iterative
     solver introduces in nearly trace-degenerate pencil sums; its
-    discriminant is formed as ``(a00 - a11)^2 + 4 a01 a10``, since
-    ``tr^2 - 4 det`` cancels for nearly equal diagonals.  The pairs
-    keep the contract of :func:`eig_general`: non-finite blocks raise
-    ``ShapeMismatch`` and a residual above ``1e-10 * ||A||`` raises
-    ``NonConvergence``.  Right vectors have unit norm.
+    discriminant is formed as ``(a - d)^2 + 4 b c``, since ``tr^2 - 4 det``
+    cancels for nearly equal diagonals.  The pairs keep the contract of
+    :func:`eig_general`: non-finite blocks raise ``ShapeMismatch`` and a
+    residual above ``1e-10 * ||A||`` raises ``NonConvergence``.
 
     With ``distinct`` (the default) a block with (near-)degenerate
     eigenvalues raises ``SingularPencil``.  Without it the caller judges
     such blocks: a defective block gets two equal vectors (a singular
     vector matrix) and a multiple of the identity the unit vectors.
     """
-    A = np.asarray(A, dtype=complex)
-    stack = A.shape[:-2]
-    A = A.reshape(-1, 2, 2)  # one code path: a single block is a stack of one
+    shape = np.shape(A[0])
+    # one code path (numpy's scalar arithmetic rounds differently): a single
+    # block is a stack of one
+    a, b, c, d = (np.reshape(e, -1) for e in A)
 
     def check(bad, exc_type, message):
-        _raise_first(bad.reshape(stack), exc_type, message)
+        _raise_first(bad.reshape(shape), exc_type, message)
 
-    check(~np.isfinite(A).all(axis=(-2, -1)), ShapeMismatch,
-          lambda i: "2x2 block has non-finite entries")
-    tr = A[:, 0, 0] + A[:, 1, 1]
-    disc = np.sqrt((A[:, 0, 0] - A[:, 1, 1]) ** 2 + 4 * A[:, 0, 1] * A[:, 1, 0])
-    a1 = (tr - disc) / 2
-    a2 = (tr + disc) / 2
+    check(~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)),
+          ShapeMismatch, lambda i: "2x2 block has non-finite entries")
+    tr = a + d
+    disc = np.sqrt((a - d) ** 2 + 4 * b * c)
+    w = np.stack([(tr - disc) / 2, (tr + disc) / 2])  # row j: w_j of every block
     if distinct:
-        check(np.abs(a1 - a2) < 1e-14 * np.maximum(1.0, np.abs(a1) + np.abs(a2)),
+        check(abs(w[0] - w[1]) < 1e-14 * np.maximum(1.0, abs(w[0]) + abs(w[1])),
               SingularPencil, lambda i: "2x2 block has (near-)degenerate eigenvalues")
-    w = np.stack([a1, a2], axis=-1)
-    # a nonzero column of (A - other*I) spans each eigenvector
-    B = A[:, None] - w[:, ::-1, None, None] * np.eye(2)
-    n = np.linalg.norm(B, axis=-2)
-    big = np.maximum(n[..., :1], n[..., 1:])
-    U = np.where(n[..., :1] >= n[..., 1:], B[..., :, 0], B[..., :, 1])
-    U = np.swapaxes(U / np.where(big > 0, big, 1.0), -1, -2)
-    if not distinct:  # B = 0 only for a multiple of the identity
-        U = np.where(big[:, None, :, 0] > 0, U, np.eye(2))
-    scale = _norm2_2x2(A)
-    resid = np.linalg.norm(A @ U - U * w[:, None, :], axis=-2).max(axis=-1)
+    # row j: the larger column of A - w_other I, (a - o, c) or (b, d - o),
+    # which spans the eigenvector of w_j and vanishes only for a multiple of
+    # the identity
+    p, q = a - w[::-1], d - w[::-1]
+    n0, n1 = abs(p) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(q) ** 2
+    first = n0 >= n1
+    big = np.sqrt(np.maximum(n0, n1))
+    if not distinct:
+        nonzero = big > 0
+        big = np.where(nonzero, big, 1.0)
+    u0, u1 = np.where(first, p, b) / big, np.where(first, c, q) / big
+    if not distinct:  # a multiple of the identity gets the unit vectors
+        u0, u1 = np.where(nonzero, u0, [[1.0], [0.0]]), np.where(nonzero, u1, [[0.0], [1.0]])
+    resid = abs((a - w) * u0 + b * u1) ** 2 + abs(c * u0 + (d - w) * u1) ** 2
+    resid = np.sqrt(np.maximum(resid[0], resid[1]))
+    scale = _norm((a, b, c, d))
     # written so that a NaN residual (overflow in the quadratic) fails too
     check(~(resid <= 1e-10 * scale), NonConvergence,
           lambda i: f"eigenpair residual {resid[i]:.3e} exceeds 1e-10*||A||")
-    return w.reshape(stack + (2,)), U.reshape(stack + (2, 2))
+    return (tuple(v.reshape(shape) for v in w),
+            tuple(u.reshape(shape) for u in (u0[0], u0[1], u1[0], u1[1])), scale.reshape(shape))
 
 
-def _cond_inverse_2x2(R):
-    """``(cond_2, inverse)`` of each block of a stack ``R (..., 2, 2)`` of
-    unit-column eigenvector matrices: the closed forms of
-    :func:`_cond_inverse` (entries of unit columns need no scaling).  A
-    singular block has condition ``inf`` and a non-finite inverse."""
-    a, b, c, d = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
-    det = a * d - b * c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(det != 0, _s1_squared(a, b, c, d) / np.abs(det), np.inf)
-        inv = np.stack([np.stack([d, -b], -1), np.stack([-c, a], -1)], -2) / det[..., None, None]
-    return cond, inv
+def _pencil_2x2(a, Ua, Uai, b, Ub, Ubi, tol):
+    """:func:`_pencil` on 2x2 blocks: the solver of ``A G + G B = Y`` from
+    the eigenvalues ``a = (a0, a1)``, ``b`` and the entry tuples ``Ua``,
+    ``Uai = Ua^-1``, ``Ub``, ``Ubi``.  The pencil ``a_i + b_j`` is checked
+    once, per block against ``tol``; the returned function maps the entry
+    tuple of any right-hand side to that of its solution."""
+    D = (a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1])
+    small = np.abs(D).min(axis=0)
+    _raise_first(small < tol, SingularPencil,
+                 lambda i: f"min |a_i + b_j| = {np.ravel(small)[i]:.3e} below tolerance")
+
+    def solve(Y):
+        T = _mul(_mul(Uai, Y), Ub)
+        return _mul(_mul(Ua, tuple(t / s for t, s in zip(T, D))), Ubi)
+
+    return solve
+
+
+def _trace_sum(A, B) -> np.ndarray:
+    """``out[i, j]``, the sum over the blocks of ``Tr(A_i B_j)``, for entry
+    tuples whose entries are stacks ``(d, ...)`` over directions: one matrix
+    product."""
+    rows = np.stack(A, axis=1).reshape(len(A[0]), -1)
+    cols = np.stack(_transpose(B), axis=1).reshape(len(B[0]), -1)
+    return rows @ cols.T
 
 
 def _pencil(a, Ua, Uai, b, Ub, Ubi, tol):
     """Solver of ``A G + G B = Y`` from ``A = Ua diag(a) Uai``, ``B = Ub diag(b) Ubi``.
 
-    Stacks of decompositions solve blockwise.  The pencil ``a_i + b_j`` is
-    checked once, per block against ``tol``; the returned function then maps
-    any right-hand side (stack) to its solution.
+    The pencil ``a_i + b_j`` is checked once against ``tol``; the returned
+    function then maps any right-hand side to its solution.
     """
-    denom = a[..., :, None] + b[..., None, :]
-    small = np.abs(denom).min(axis=(-2, -1))
+    denom = a[:, None] + b[None, :]
+    small = np.abs(denom).min()
     _raise_first(small < tol, SingularPencil,
                  lambda i: f"min |a_i + b_j| = {np.ravel(small)[i]:.3e} below tolerance")
     return lambda Y: Ua @ ((Uai @ Y @ Ub) / denom) @ Ubi
@@ -354,19 +424,17 @@ def solve_sylvester_pair(A, B, Y) -> np.ndarray:
     if Y.shape != (A.shape[0], B.shape[0]):
         raise ShapeMismatch(f"right-hand side shape {Y.shape} incompatible")
     if A.shape[0] == 2 and B.shape[0] == 2:
-        a, Ua = _eig_2x2(A)
-        b, Ub = _eig_2x2(B)
-        Uai, Ubi = np.linalg.inv(Ua), np.linalg.inv(Ub)
-        scale = max(norm2(A), norm2(B), 1.0)
-    else:
-        da = eig_general(A)
-        db = eig_general(B)
-        if not (da.is_diagonalizable_estimate and db.is_diagonalizable_estimate):
-            raise NearDefective("coefficient matrix near defective")
-        a, Ua, Uai = da.eigenvalues, da.right_vectors, da.right_inverse
-        b, Ub, Ubi = db.eigenvalues, db.right_vectors, db.right_inverse
-        scale = max(da.norm, db.norm, 1.0)
-    return _pencil(a, Ua, Uai, b, Ub, Ubi, PENCIL_RTOL * scale)(Y)
+        a, Ua, na = _eig_2x2(_entries(A))
+        b, Ub, nb = _eig_2x2(_entries(B))
+        solve = _pencil_2x2(a, Ua, _inv(Ua), b, Ub, _inv(Ub), PENCIL_RTOL * max(na, nb, 1.0))
+        return _blocks(solve(_entries(Y)))
+    da = eig_general(A)
+    db = eig_general(B)
+    if not (da.is_diagonalizable_estimate and db.is_diagonalizable_estimate):
+        raise NearDefective("coefficient matrix near defective")
+    a, Ua, Uai = da.eigenvalues, da.right_vectors, da.right_inverse
+    b, Ub, Ubi = db.eigenvalues, db.right_vectors, db.right_inverse
+    return _pencil(a, Ua, Uai, b, Ub, Ubi, PENCIL_RTOL * max(da.norm, db.norm, 1.0))(Y)
 
 
 def _sylvester_solver(X, dec: EigDecomposition):

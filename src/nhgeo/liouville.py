@@ -38,12 +38,16 @@ from .errors import (
 from .linalg import (
     PENCIL_RTOL,
     _eig_2x2,
-    _pencil,
+    _entries,
+    _inv,
+    _mul,
+    _pencil_2x2,
     _raise_first,
     _sylvester_solver,
+    _trace_sum,
+    _transpose,
     as_square,
     eig_general,
-    norm2,
     solve_sylvester,
     solve_sylvester_pair,
 )
@@ -206,50 +210,36 @@ def _offdiag_generator(x, U, dX, *, Ui=None):
 
     Entry (i, j) is ``-(U^-1 dX U)_{ij} / (x_j - x_i)``.  Degenerate pairs
     are tolerated when the coupling element vanishes (symmetry-decoupled
-    sectors); a coupled degenerate pair raises.  Stacks ``x (..., n)``,
-    ``U, dX (..., n, n)`` are handled blockwise: a gap is degenerate below
+    sectors); a coupled degenerate pair raises.  A gap is degenerate below
     ``1e-8 * max(|x|, 1)`` and a coupling vanishes below ``1e-8 * max(|num|,
-    1)`` of its block.  ``Ui`` is ``U^-1`` when the caller has it (as
-    ``EigDecomposition.right_inverse``, or from one inverse of a stack).
+    1)``.  ``Ui`` is ``U^-1`` when the caller has it (as
+    ``EigDecomposition.right_inverse``).
     """
-    n = x.shape[-1]
     num = (np.linalg.inv(U) if Ui is None else Ui) @ dX @ U
-    gaps = x[..., None, :] - x[..., :, None]
-    degenerate = np.abs(gaps) < 1e-8 * np.maximum(
-        np.abs(x).max(axis=-1), 1.0)[..., None, None]
-    off = degenerate & ~np.eye(n, dtype=bool)
+    gaps = x[None, :] - x[:, None]
+    degenerate = np.abs(gaps) < 1e-8 * max(np.abs(x).max(), 1.0)
+    off = degenerate & ~np.eye(len(x), dtype=bool)
     if off.any():
-        scale = np.maximum(np.abs(num).max(axis=(-2, -1)), 1.0)[..., None, None]
-        coupled = off & (np.abs(num) > 1e-8 * scale)
-        blocks_c, blocks_n = coupled.reshape(-1, n, n), num.reshape(-1, n, n)
-
-        def message(b):
-            i, j = np.argwhere(blocks_c[b])[0]
-            return f"rapidities {i},{j} degenerate with coupling {abs(blocks_n[b, i, j]):.3e}"
-
-        _raise_first(coupled.any(axis=(-2, -1)), DegenerateRapidities, message)
+        coupled = off & (np.abs(num) > 1e-8 * max(np.abs(num).max(), 1.0))
+        if coupled.any():
+            i, j = np.argwhere(coupled)[0]
+            raise DegenerateRapidities(
+                f"rapidities {i},{j} degenerate with coupling {abs(num[i, j]):.3e}")
     # adding the mask leaves every nondegenerate gap unchanged
     return np.where(degenerate, 0.0, -num / (gaps + degenerate))
 
 
 def _xcal(x, U, dX, Ui=None) -> np.ndarray:
     """Transport generator ``Xcal = U A U^-1`` along one direction, ``A`` from
-    :func:`_offdiag_generator`; blockwise on stacks."""
+    :func:`_offdiag_generator`."""
     Ui = np.linalg.inv(U) if Ui is None else Ui
     return U @ _offdiag_generator(x, U, dX, Ui=Ui) @ Ui
 
 
 def _ness_tensor(dG, Xcal, Gamma) -> np.ndarray:
-    """``1/2 Tr(dG_mu dG_nu) + Tr(Xcal_mu Gamma dG_nu)`` for all direction pairs.
-
-    ``dG[mu]``, ``Xcal[mu]`` and ``Gamma`` may be stacks ``(..., n, n)``; the
-    traces are then summed over all blocks.
-    """
-    n = Gamma.shape[-1]
-    shape = (len(dG), Gamma.size // (n * n), n, n)
-    dG = np.reshape(dG, shape)
-    XG = np.reshape(Xcal, shape) @ np.reshape(Gamma, shape[1:])
-    return np.einsum("akij,bkji->ab", 0.5 * dG + XG, dG)
+    """``1/2 Tr(dG_mu dG_nu) + Tr(Xcal_mu Gamma dG_nu)`` for all direction pairs."""
+    dG = np.asarray(dG)
+    return np.einsum("aij,bji->ab", 0.5 * dG + np.asarray(Xcal) @ Gamma, dG)
 
 
 def _dgamma(solve, Gamma, dX, dY) -> np.ndarray:
@@ -412,34 +402,84 @@ def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
 def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
     """Sum over the momenta ``ks`` of the per-block steady-state tensor.
 
-    x(k) and x(-k)^T are decomposed once, in closed form; the pairs serve
-    the pencil solves for Gamma(k) and every dGamma_mu(k) as well as every
-    Xcal_mu(k).  Each check is made per block.  When blocks fail, the error
-    is that of the lowest failing k in the order a loop over k would check
-    them: a failure at block ``b`` is raised only after the blocks before
-    ``b`` have passed every check.
+    The blocks are read once, as entry tuples (:func:`~nhgeo.linalg._entries`):
+    x and dx_mu at k and -k from one call each, the directions mu stacked
+    along a leading axis.  Every step below is 2x2 entry arithmetic.  x(k)
+    and x(-k)^T are decomposed once, in closed form; the pairs serve the
+    pencil solves for Gamma(k) and every dGamma_mu(k) as well as every
+    Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sum is one
+    :func:`~nhgeo.linalg._trace_sum`.  Each check is made per block.  When
+    blocks fail, the error is that of the lowest failing k in the order a
+    loop over k would check them: a failure at block ``b`` is raised only
+    after the blocks before ``b`` have passed every check.
     """
-    kc = ks[:, None, None]
+    L, d = len(ks), model.num_params
+    kc, both = ks[:, None, None], np.concatenate([ks, -ks])[:, None, None]
+
+    def at_k_and_minus_k_transposed(blocks):
+        E = _entries(blocks)
+        return tuple(e[..., :L] for e in E), _transpose(tuple(e[..., L:] for e in E))
+
     try:
-        x = model.x_block(kc, lam)
-        xmT = np.swapaxes(model.x_block(-kc, lam), -1, -2)
-        a, Ua = _eig_2x2(x)
-        b, Ub = _eig_2x2(xmT)
-        Uai = np.linalg.inv(Ua)
-        scale = np.maximum(np.maximum(norm2(x), norm2(xmT)), 1.0)
-        solve = _pencil(a, Ua, Uai, b, Ub, np.linalg.inv(Ub), PENCIL_RTOL * scale)
-        gk = solve(model.y_block(kc, lam))
-        dgs, xcals = [], []
-        for mu in range(model.num_params):
-            dx = model.dx_block(mu, kc, lam)
-            dxmT = np.swapaxes(model.dx_block(mu, -kc, lam), -1, -2)
-            dgs.append(solve(model.dy_block(mu, kc, lam) - dx @ gk - gk @ dxmT))
-            xcals.append(_xcal(a, Ua, dx, Uai))
+        x, xmT = at_k_and_minus_k_transposed(model.x_block(both, lam))
+        try:  # one stack of 2L blocks, x(k) then x(-k)^T: half the numpy calls
+            w, U, norm = _eig_2x2(tuple(np.concatenate(pair) for pair in zip(x, xmT)))
+        except NhgeoError as exc:
+            # the failing block is x(k) or x(-k)^T of k = exc.block mod L; as in
+            # a loop over k, every check of x(k) comes first, and both calls
+            # below report blocks by their k (one of them raises)
+            upto = exc.block % L + 1
+            _eig_2x2(tuple(e[:upto] for e in x))
+            _eig_2x2(tuple(e[:upto] for e in xmT))
+            raise
+        (a, Ua), (b, Ub) = ((tuple(v[h] for v in w), tuple(u[h] for u in U))
+                            for h in (slice(None, L), slice(L, None)))
+        Uai = _inv(Ua)
+        solve = _pencil_2x2(a, Ua, Uai, b, Ub, _inv(Ub),
+                            PENCIL_RTOL * np.maximum(np.maximum(norm[:L], norm[L:]), 1.0))
+        gk = solve(_entries(model.y_block(kc, lam)))
+        if not d:
+            return np.zeros((0, 0), dtype=complex)
+        dx, dxmT = at_k_and_minus_k_transposed(
+            np.stack([model.dx_block(mu, both, lam) for mu in range(d)]))
+        dy = _entries(np.stack([model.dy_block(mu, kc, lam) for mu in range(d)]))
+        rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
+        dg = solve(tuple(rhs))
+        # zeta_{mu nu} = sum_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
+        left = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk)))
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
             _ness_k_sum(model, lam, ks[:exc.block])
         raise
-    return _ness_tensor(dgs, xcals, gk)
+    return _trace_sum(left, dg)
+
+
+def _xcal_2x2(x, U, Ui, dX):
+    """:func:`_xcal` on 2x2 blocks: the eigenvalues ``x = (x0, x1)`` and the
+    entry tuples ``U``, ``Ui = U^-1`` and ``dX``, whose entries may carry a
+    leading axis of directions.  The degeneracy test of
+    :func:`_offdiag_generator` is made per block and direction; a block
+    fails at its first coupled direction."""
+    n00, n01, n10, n11 = num = _mul(_mul(Ui, dX), U)
+    gap = x[1] - x[0]
+    degenerate = abs(gap) < 1e-8 * np.maximum(np.maximum(abs(x[0]), abs(x[1])), 1.0)
+    if degenerate.any():
+        scale = 1e-8 * np.maximum(np.max(np.abs(num), axis=0), 1.0)
+        # one row per direction; the pair (0, 1) is reported before (1, 0)
+        rows = [np.reshape(degenerate & (abs(n) > scale), (-1, gap.size)) for n in (n01, n10)]
+        coupled = rows[0] | rows[1]
+
+        def message(i):
+            mu = np.argmax(coupled[:, i])
+            pair, n = ("0,1", n01) if rows[0][mu, i] else ("1,0", n10)
+            n = abs(np.reshape(n, (-1, gap.size))[mu, i])
+            return f"rapidities {pair} degenerate with coupling {n:.3e}"
+
+        _raise_first(coupled.any(axis=0).reshape(gap.shape), DegenerateRapidities, message)
+        gap = np.where(degenerate, np.inf, gap)  # an uncoupled pair gets A = 0
+    a01, a10 = -n01 / gap, n10 / gap  # A = [[0, a01], [a10, 0]]
+    u00, u01, u10, u11 = U
+    return _mul((u01 * a10, u00 * a01, u11 * a10, u10 * a01), Ui)  # U A U^-1
 
 
 def _k_column(L: int) -> np.ndarray:

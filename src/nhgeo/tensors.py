@@ -66,8 +66,10 @@ from .errors import (
 )
 from .linalg import (
     DEFECTIVE_COND,
-    _cond_inverse_2x2,
+    _cond_inv,
     _eig_2x2,
+    _entries,
+    _mul,
     _raise_first,
     as_square,
     canonical_order,
@@ -423,30 +425,23 @@ def _state_tensors(kinds, num, w, C, lnln, n: int, scale) -> dict[str, np.ndarra
     from row and column ``n`` of the exact generator (see
     :func:`sum_over_states`).
 
-    ``num[..., mu, m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum,
-    ``C`` the right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  They describe
-    one system, or a stack of blocks along a leading axis (``num (L, d, N,
-    N)``, ``w (L, N)``, ``C (L, N, N)``, ``lnln`` and ``scale`` ``(L,)``),
-    whose tensors are then summed.  Raises DegenerateSpectrum, for the first
-    failing block, if a gap ``|w_m - w_n|`` is below ``1e-10 * scale``.
+    ``num[mu, m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum, ``C`` the
+    right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  Raises
+    DegenerateSpectrum if a gap ``|w_m - w_n|`` is below ``1e-10 * scale``.
     """
     _require_gaps(w, [n], scale)
-    d, N = num.shape[-3], w.shape[-1]
-    # one code path: one system is a stack of one block
-    num, w, C = num.reshape(-1, d, N, N), w.reshape(-1, N), C.reshape(-1, N, N)
-    others = np.arange(N) != n
-    gap = np.where(others, w[:, n, None] - w, 1.0)[:, None, :]  # w_n - w_m
+    others = np.arange(len(w)) != n
+    gap = np.where(others, w[n] - w, 1.0)  # w_n - w_m
     col = np.where(others, num[..., n] / gap, 0.0)  # A_mu[:, n]
     out = {}
     for kind in kinds:
         if kind == "eta":
-            row = np.where(others, num[:, :, n, :] / -gap, 0.0)  # A_mu[n, :]
-            out[kind] = -np.einsum("kai,kbi->ab", row, col)
+            row = np.where(others, num[:, n, :] / -gap, 0.0)  # A_mu[n, :]
+            out[kind] = -(row @ col.T)
         else:
             # zeta_limited_rescaled divides by <n_L|n_L><n_R|n_R>
-            weight = lnln if kind == "zeta_limited" else 1.0 / C[:, n, n].real
-            vals = col.conj() @ C @ np.swapaxes(col, -1, -2)
-            out[kind] = np.einsum("k,kab->ab", np.ravel(weight), vals)
+            weight = lnln if kind == "zeta_limited" else 1.0 / C[n, n].real
+            out[kind] = weight * (col.conj() @ C @ col.T)
     return out
 
 
@@ -458,12 +453,17 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     """The tensors ``kinds`` of state ``n`` of every 2x2 block of ``K (L, 2,
     2)``, summed over the blocks (a Brillouin-zone sum of Bloch blocks).
 
-    This is :func:`sum_over_states` on all blocks at once.  ``dK (d, 2,
-    2)`` holds the derivative directions, the same for every block.  Each
-    block is decomposed in closed form
-    (:func:`~nhgeo.linalg._eig_2x2`) with its eigenvalues in canonical
-    order and unit right vectors; its left vectors come from the adjugate
-    inverse, and ``<m_L|d_mu K|n_R>`` of all blocks is one batched product.
+    This is :func:`sum_over_states` on all blocks at once, in 2x2 entry
+    arithmetic (:func:`~nhgeo.linalg._entries`).  ``dK (d, 2, 2)`` holds the
+    derivative directions, the same for every block.  Each block is
+    decomposed in closed form (:func:`~nhgeo.linalg._eig_2x2`) with its
+    eigenvalues in canonical order and unit right vectors; its left vectors
+    come from the adjugate inverse.  With ``m`` the other state, the kinds
+    need only ``A_mu[m, n] = <m_L|d_mu K|n_R> / (w_n - w_m)`` and, for
+    ``eta``, ``A_mu[n, m]``: ``eta = -A_mu[n, m] A_nu[m, n]``, ``zeta_limited
+    = <n_L|n_L> <m_R|m_R> conj(A_mu[m, n]) A_nu[m, n]``, divided by
+    ``<n_L|n_L> <n_R|n_R>`` for ``zeta_limited_rescaled``, each summed over
+    the blocks by one matrix product.
 
     Each check of the per-matrix engine is made per block, in its order:
     ShapeMismatch for a non-finite block and NonConvergence for an eigenpair
@@ -486,21 +486,35 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     if not 0 <= n < 2:
         raise ShapeMismatch(f"state index {n} out of range for dim 2")
     try:
-        w, R = _eig_2x2(K, distinct=False)  # equal eigenvalues are judged below
-        order = canonical_order(w)
-        w = np.take_along_axis(w, order, -1)
-        R = np.take_along_axis(R, order[:, None, :], -1)
-        cond, Rinv = _cond_inverse_2x2(R)
+        w, R, norm = _eig_2x2(_entries(K), distinct=False)  # equal eigenvalues are judged below
+        swap = canonical_order(np.stack(w, axis=-1))[:, 0] == 1
+        if swap.any():
+            w = tuple(np.where(swap, v, u) for u, v in zip(w, w[::-1]))
+            R = tuple(np.where(swap, v, u) for u, v in zip(R, (R[1], R[0], R[3], R[2])))
+        cond, Rinv = _cond_inv(R)
         _raise_first(~(cond <= DEFECTIVE_COND), NearDefective,
                      lambda i: f"eigenvector condition number {cond[i]:.3e} above 1e12")
-        num = Rinv[:, None] @ dK @ R[:, None]  # <m_L| is row m of R^-1
-        C = np.swapaxes(R.conj(), -1, -2) @ R
-        lnln = (np.abs(Rinv[:, n]) ** 2).sum(axis=-1)
-        return _state_tensors(kinds, num, w, C, lnln, n, np.maximum(norm2(K), 1.0))
+        _require_gaps(np.stack(w, axis=-1), [n], np.maximum(norm, 1.0))
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
             sum_over_blocks(K[:exc.block], dK, n, kinds)
         raise
+    m = 1 - n
+    gap = w[n] - w[m]
+    # <i_L|d_mu K|j_R> of every direction and block, entries of shape (d, L);
+    # entry (i, j) of a block is entry 2 i + j of its tuple
+    num = _mul(_mul(Rinv, tuple(e[:, None] for e in _entries(dK))), R)
+    col = num[2 * m + n] / gap  # A_mu[m, n]
+    out = {}
+    for kind in kinds:
+        if kind == "eta":
+            out[kind] = -((num[2 * n + m] / -gap) @ col.T)  # A_mu[n, m] A_nu[m, n]
+        else:
+            rn2, rm2 = (abs(R[j]) ** 2 + abs(R[2 + j]) ** 2 for j in (n, m))
+            weight = rm2 / rn2 if kind == "zeta_limited_rescaled" else rm2 * (
+                abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2)
+            out[kind] = (col.conj() * weight) @ col.T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,32 @@ class TestTensorCommand:
         assert result.exit_code == 2, result.output
         assert "ShapeMismatch" in result.output
 
+    @pytest.mark.parametrize("H, bath", [
+        (np.zeros((4, 2)), np.eye(4)),
+        (np.zeros((4, 4)), np.zeros((4, 2))),
+        (np.zeros((4, 4)), np.eye(6)),
+        (np.zeros((4, 4)), {"vectors": [[[1.0, 0.0], [0.0, 0.0]]]}),
+    ], ids=["hmat-4x2", "bath-4x2", "bath-6x6-beside-4x4", "jump-vector-2-beside-4x4"])
+    def test_quad_liouville_shapes_exit_2(self, runner, tmp_path, monkeypatch, H, bath):
+        # malformed shapes are usage errors, found before any evaluation
+        evaluations = []
+        monkeypatch.setattr(cli_mod, "build_liouvillian",
+                            lambda *args, **kw: evaluations.append(args))
+        for name, A in (("H", H), ("dH", np.zeros_like(H))):
+            save_matrix(tmp_path / f"{name}.json", A)
+        if isinstance(bath, dict):
+            (tmp_path / "bath.json").write_text(json.dumps(bath))
+        else:
+            save_matrix(tmp_path / "bath.json", bath)
+        for command in ("tensor", "spectrum"):
+            result = runner.invoke(main, [
+                command, "--model", "quad-liouville", "--hmat-file", str(tmp_path / "H.json"),
+                "--bath-file", str(tmp_path / "bath.json"),
+                "--dhmat-files", str(tmp_path / "dH.json")])
+            assert result.exit_code == 2, result.output
+            assert "ShapeMismatch" in result.output, command
+        assert evaluations == []
+
     def test_negative_mu_reg_exit_2(self, runner, tmp_path):
         save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
         save_matrix(tmp_path / "d.json", np.eye(2))

@@ -15,10 +15,16 @@ from nhgeo.errors import (
 )
 from nhgeo.linalg import (
     DEFECTIVE_COND,
+    _blocks,
+    _cond_inv,
     _cond_inverse,
-    _cond_inverse_2x2,
     _eig_2x2,
-    _pencil,
+    _entries,
+    _inv,
+    _mul,
+    _norm,
+    _pencil_2x2,
+    _trace_sum,
     eig_general,
     inverse,
     load_matrix,
@@ -179,7 +185,7 @@ class TestClosedForms2x2:
         ref = np.linalg.norm(A, 2)
         assert abs(norm2(A) - ref) <= 1e-12 * ref
         assert abs(norm2(A.real) - np.linalg.norm(A.real, 2)) <= 1e-12 * ref
-        stack = norm2(np.stack([A, 2 * A, A.T, 0 * A]))
+        stack = _norm(_entries(np.stack([A, 2 * A, A.T, 0 * A])))
         assert maxdev(stack / ref, [1.0, 2.0, 1.0, 0.0]) <= 1e-12
 
     def test_norm2_stack_of_mixed_magnitudes(self, rng):
@@ -187,7 +193,7 @@ class TestClosedForms2x2:
         scales = 10.0 ** np.arange(-200, 201, 25)
         stack = scales[:, None, None] * (rng.normal(size=(len(scales), 2, 2))
                                          + 1j * rng.normal(size=(len(scales), 2, 2)))
-        for got, B in zip(norm2(stack), stack):
+        for got, B in zip(_norm(_entries(stack)), stack):
             ref = np.linalg.norm(B, 2)
             assert abs(got - ref) <= 1e-12 * ref
 
@@ -212,8 +218,8 @@ class TestClosedForms2x2:
         stack = np.stack([A / np.abs(A).max() for A in (block(seed + i, kind) for i, kind in
                           enumerate(["random", "mixed", "unitary", "1e200", "1e-200"]))])
         stack /= np.linalg.norm(stack, axis=-2, keepdims=True)
-        cond, inv = _cond_inverse_2x2(stack)
-        for c, Ai, A in zip(cond, inv, stack):
+        cond, inv = _cond_inv(_entries(stack))
+        for c, Ai, A in zip(cond, _blocks(inv), stack):
             ref, ref_inv = _cond_inverse(A)
             assert abs(c - ref) <= 1e-14 * ref
             if ref_inv is not None:
@@ -221,8 +227,10 @@ class TestClosedForms2x2:
 
     def test_stacked_condition_of_singular_block(self):
         R = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
-        cond, inv = _cond_inverse_2x2(R)
+        cond, inv = _cond_inv(_entries(R))
+        inv = _blocks(inv)
         assert cond[0] == np.inf and cond[1] == 1.0
+        assert not np.isfinite(inv[0]).any()
         assert np.array_equal(inv[1], np.eye(2))
 
     def test_norm2_larger_matrices_use_svd(self, rng):
@@ -345,18 +353,25 @@ def mixed_stack(rng):
     return np.stack([big, near, small])
 
 
+def eig_blocks(A, **kwargs):
+    """:func:`_eig_2x2` of the blocks ``A (..., 2, 2)``, read back as arrays:
+    eigenvalues ``(..., 2)`` and right vectors ``(..., 2, 2)``."""
+    w, U, _ = _eig_2x2(_entries(A), **kwargs)
+    return np.stack(w, axis=-1), _blocks(U)
+
+
 class TestStackedEig2x2:
     def test_stack_equals_single_blocks(self, rng):
         stack = np.concatenate([mixed_stack(rng), rng.normal(size=(5, 2, 2))])
-        w, U = _eig_2x2(stack)
+        w, U = eig_blocks(stack)
         for A, wi, Ui in zip(stack, w, U):
-            ws, Us = _eig_2x2(A)
+            ws, Us = eig_blocks(A)
             assert np.array_equal(wi, ws) and np.array_equal(Ui, Us)
             assert maxdev(A @ Ui, Ui * wi[None, :]) <= 1e-10 * np.linalg.norm(A, 2)
 
     def test_matches_eig_general(self, rng):
         A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        w, U = _eig_2x2(A)
+        w, U = eig_blocks(A)
         dec = eig_general(A)
         order = np.lexsort((w.imag, w.real))
         assert maxdev(w[order], dec.eigenvalues) < 1e-13
@@ -366,27 +381,27 @@ class TestStackedEig2x2:
 
     def test_nested_stack_shape(self, rng):
         stack = rng.normal(size=(3, 4, 2, 2))
-        w, U = _eig_2x2(stack)
+        w, U = eig_blocks(stack)
         assert w.shape == (3, 4, 2) and U.shape == (3, 4, 2, 2)
-        assert np.array_equal(U[2, 1], _eig_2x2(stack[2, 1])[1])
+        assert np.array_equal(U[2, 1], eig_blocks(stack[2, 1])[1])
 
     def test_degenerate_block_located(self, rng):
         stack = rng.normal(size=(4, 2, 2))
         stack[2] = 3.0 * np.eye(2)
         with pytest.raises(SingularPencil) as info:
-            _eig_2x2(stack)
+            eig_blocks(stack)
         assert info.value.block == 2
         with pytest.raises(SingularPencil):
-            _eig_2x2(stack[2])
+            eig_blocks(stack[2])
 
     def test_near_degenerate_block_decomposes(self):
         # gap 1e-10, far above the 1e-14 test; tr^2 - 4 det cancels to 0 here
         A = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]])
-        w, U = _eig_2x2(A)
+        w, U = eig_blocks(A)
         assert abs((w[1] - w[0]) - 1e-10) <= 1e-16
         assert maxdev(A @ U, U * w[None, :]) <= 1e-15
         with pytest.raises(SingularPencil):
-            _eig_2x2(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            eig_blocks(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_equal_eigenvalues_left_to_caller(self, rng):
         stack = np.concatenate([rng.normal(size=(3, 2, 2)), [
@@ -394,8 +409,8 @@ class TestStackedEig2x2:
             np.zeros((2, 2)),           # multiples of the identity: unit vectors
             3.0 * np.eye(2),
         ]])
-        w, U = _eig_2x2(stack, distinct=False)
-        w0, U0 = _eig_2x2(stack[:3])
+        w, U = eig_blocks(stack, distinct=False)
+        w0, U0 = eig_blocks(stack[:3])
         assert np.array_equal(w[:3], w0) and np.array_equal(U[:3], U0)
         assert np.array_equal(U[3], [[0.0, 0.0], [1.0, 1.0]])
         assert np.array_equal(U[4], np.eye(2)) and np.array_equal(U[5], np.eye(2))
@@ -405,7 +420,7 @@ class TestStackedEig2x2:
         stack = rng.normal(size=(3, 2, 2))
         stack[1, 0, 1] = np.inf
         with pytest.raises(ShapeMismatch) as info:
-            _eig_2x2(stack)
+            eig_blocks(stack)
         assert info.value.block == 1
 
     def test_residual_contract(self, rng):
@@ -414,7 +429,7 @@ class TestStackedEig2x2:
         stack = rng.normal(size=(3, 2, 2))
         stack[1] = [[1e200, 1.0], [0.0, 2e200]]
         with pytest.raises(NonConvergence) as info, np.errstate(all="ignore"):
-            _eig_2x2(stack)
+            eig_blocks(stack)
         assert info.value.block == 1
 
 
@@ -426,20 +441,103 @@ class TestStackedPencil:
         A[1] = np.diag([1.0, 2.0])
         B = np.stack([A[0].T + 1e6 * np.eye(2), np.diag([-1.0 + 1e-10, 0.5]), A[2] + 5 * np.eye(2)])
         Y = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-        (a, Ua), (b, Ub) = _eig_2x2(A), _eig_2x2(B)
+        (a, Ua, _), (b, Ub, _) = _eig_2x2(_entries(A)), _eig_2x2(_entries(B))
         scale = np.maximum(np.linalg.norm(A, 2, axis=(-2, -1)), np.linalg.norm(B, 2, axis=(-2, -1)))
-        G = _pencil(a, Ua, np.linalg.inv(Ua), b, Ub, np.linalg.inv(Ub),
-                    1e-12 * np.maximum(scale, 1.0))(Y)
-        for Ai, Bi, Yi, Gi in zip(A, B, Y, G):
+        G = _pencil_2x2(a, Ua, _inv(Ua), b, Ub, _inv(Ub),
+                        1e-12 * np.maximum(scale, 1.0))(_entries(Y))
+        for Ai, Bi, Yi, Gi in zip(A, B, Y, _blocks(G)):
             assert maxdev(Gi, solve_sylvester_pair(Ai, Bi, Yi)) <= 1e-12 * np.abs(Gi).max()
 
     def test_singular_block_located(self, rng):
-        a = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]])
-        b = np.array([[0.5, 1.0], [-3.0, 2.0], [0.5, 0.5]])
-        U = np.broadcast_to(np.eye(2), (3, 2, 2))
+        a = (np.array([1.0, 1.0, 1.0]), np.array([2.0, 3.0, 2.0]))
+        b = (np.array([0.5, -3.0, 0.5]), np.array([1.0, 2.0, 0.5]))
+        U = _entries(np.broadcast_to(np.eye(2), (3, 2, 2)))
         with pytest.raises(SingularPencil) as info:
-            _pencil(a, U, U, b, U, U, np.full(3, 1e-12))
+            _pencil_2x2(a, U, U, b, U, U, np.full(3, 1e-12))
         assert info.value.block == 1
+
+
+def scaled_stack(seed, L=12):
+    """Seeded random 2x2 blocks, each scaled by 2^-500, 1 or 2^500 (exact)."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(L, 2, 2)) + 1j * rng.normal(size=(L, 2, 2))
+    return A * np.ldexp(1.0, rng.choice([-500, 0, 500], size=L))[:, None, None]
+
+
+def per_block(err, bound):
+    """Each block's largest entry of ``err`` is within its ``bound``."""
+    return bool((np.abs(err).max(axis=(-2, -1)) <= bound).all())
+
+
+class TestBlockAlgebra:
+    """The 2x2 entry algebra against numpy on seeded random stacks whose
+    blocks differ in magnitude by up to 2^1000."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_product_and_trace_sum(self, seed):
+        A, B = scaled_stack(seed), scaled_stack(seed + 1)
+        assert np.array_equal(_blocks(_entries(A)), A)
+        sizes = np.linalg.norm(A, 2, axis=(-2, -1)) * np.linalg.norm(B, 2, axis=(-2, -1))
+        assert per_block(_blocks(_mul(_entries(A), _entries(B))) - A @ B, 1e-15 * sizes)
+        # unit-size blocks: the sum of traces is not dominated by one block
+        A, B = (M / np.abs(M).max(axis=(-2, -1), keepdims=True) for M in (A, B))
+        got = _trace_sum(_entries(np.stack([A, B])), _entries(B[None]))
+        ref = [np.einsum("kij,kji->", M, B) for M in (A, B)]
+        assert maxdev(got[:, 0], ref) <= 1e-14 * len(A)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_inverse_and_norm(self, seed):
+        A = scaled_stack(seed)
+        norm = np.linalg.norm(A, 2, axis=(-2, -1))
+        assert np.all(np.abs(_norm(_entries(A)) - norm) <= 1e-14 * norm)
+        ref = np.linalg.inv(A)
+        cond = norm * np.linalg.norm(ref, 2, axis=(-2, -1))
+        bound = 1e-14 * cond * np.linalg.norm(ref, 2, axis=(-2, -1))
+        assert per_block(_blocks(_inv(_entries(A))) - ref, bound)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_eigenpairs(self, seed):
+        A = scaled_stack(seed)
+        # the degeneracy test has the absolute floor 1e-14, which every
+        # 2^-500 block is below: the pairs are what is compared here
+        w, U, norm = _eig_2x2(_entries(A), distinct=False)
+        assert np.array_equal(norm, _norm(_entries(A)))
+        w, U = np.stack(w, axis=-1), _blocks(U)
+        ref = np.linalg.eigvals(A)
+        err = np.minimum(np.abs(w - ref).max(axis=-1), np.abs(w - ref[:, ::-1]).max(axis=-1))
+        assert np.all(err <= 1e-12 * norm)
+        assert np.all(np.abs(np.linalg.norm(U, axis=-2) - 1.0) <= 1e-15)
+        assert per_block(A @ U - U * w[:, None, :], 1e-10 * norm)
+
+    @pytest.mark.parametrize("e", [-500, 0, 500])
+    def test_singular_blocks(self, e):
+        # rank one, with unit columns as eigenvector matrices have: the
+        # determinant is exactly zero
+        R = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, -1j], [1j, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        R = R / np.linalg.norm(R, axis=-2, keepdims=True)
+        cond, inv = _cond_inv(_entries(R))
+        assert np.array_equal(cond, [np.inf, np.inf, 1.0])
+        inv = _blocks(inv)
+        assert not np.isfinite(inv[:2]).any(axis=(-2, -1)).any()
+        assert np.array_equal(inv[2], np.eye(2))
+        scaled = np.ldexp(1.0, e) * R
+        assert not np.isfinite(_blocks(_inv(_entries(scaled)))[:2]).all(axis=(-2, -1)).any()
+
+    @pytest.mark.parametrize("e", [-500, 0, 500])
+    def test_defective_blocks(self, e, rng):
+        lam = rng.normal(size=3) + 1j * rng.normal(size=3)
+        A = np.ldexp(1.0, e) * np.array([[[l, 1.0], [0.0, l]] for l in lam])
+        with pytest.raises(SingularPencil) as info:
+            _eig_2x2(_entries(A))
+        assert info.value.block == 0
+        w, U, _ = _eig_2x2(_entries(A), distinct=False)
+        assert np.array_equal(w[0], w[1])
+        U = _blocks(U)
+        assert np.array_equal(U[..., 0], U[..., 1])  # the same vector twice
+        assert np.all(_cond_inv(_entries(U))[0] == np.inf)
 
 
 class TestMatrixJson:

@@ -76,6 +76,83 @@ class DrivenBathModel(TranslationInvariantModel):
         return 0.6 * S0 + 0.2 * np.cos(k) * SX + 0.25 * d * SY
 
 
+def lapack_eigenpairs(x):
+    dec = eig_general(x)
+    return dec.eigenvalues, dec.right_vectors
+
+
+def closed_form_eigenpairs(x):
+    w, U, _ = linalg_mod._eig_2x2(linalg_mod._entries(x))
+    return np.array(w), linalg_mod._blocks(U)
+
+
+def per_k_loop(model, lam, L, eigenpairs=lapack_eigenpairs):
+    """``zeta_ness_k`` one k at a time: dense Xcal on the ``eigenpairs`` of
+    x(k), LAPACK's by default, and a fresh pencil solve per right-hand side."""
+    d = model.num_params
+    ref = np.zeros((d, d), dtype=complex)
+    for k in 2 * np.pi * np.arange(L) / L:
+        x, xmT = model.x_block(k, lam), model.x_block(-k, lam).T
+        w, U = eigenpairs(x)
+        gk = gamma_k(model, k, lam)
+        dgs, xcals = [], []
+        for mu in range(d):
+            dx = model.dx_block(mu, k, lam)
+            rhs = model.dy_block(mu, k, lam) - dx @ gk - gk @ model.dx_block(mu, -k, lam).T
+            dgs.append(solve_sylvester_pair(x, xmT, rhs))
+            xcals.append(liouville_mod._xcal(w, U, dx))
+        for mu in range(d):
+            for nu in range(d):
+                ref[mu, nu] += 0.5 * np.trace(dgs[mu] @ dgs[nu]) + np.trace(
+                    xcals[mu] @ gk @ dgs[nu])
+    return ref
+
+
+#: faults of :func:`faulty_model` and the error and message each raises
+FAULT_ERRORS = {"nonfinite": ShapeMismatch, "degenerate": SingularPencil,
+                "pencil": SingularPencil, "rapidities": DegenerateRapidities}
+FAULT_MESSAGES = {"nonfinite": "non-finite entries", "degenerate": "degenerate eigenvalues",
+                  "pencil": "min |a_i + b_j|", "rapidities": "rapidities 0,1 degenerate"}
+
+
+def faulty_model(faults, L=4):
+    """A one-parameter model, evaluated at lam = 0.3, whose block at ``2 pi j
+    / L`` has the faults ``faults[j]``, joined by ``+``:
+
+    - ``nonfinite``: a NaN bath entry;
+    - ``degenerate``: x(k) = 1, equal eigenvalues;
+    - ``pencil``: no bath at +-k, so x(k) = 4i h and x(-k)^T have opposite
+      eigenvalues, a vanishing pencil value;
+    - ``rapidities``: the eigenvalues 1 +- 4e-10 of x(k), distinct but
+      degenerate for Xcal, coupled by the derivative 4i sx;
+    - ``nonfinite_at_minus_k``: a NaN Hamiltonian at -k, so that x(-k)^T,
+      not x(k), is non-finite.
+    """
+    ks = 2 * np.pi * np.arange(L) / L
+
+    def at(k, fault):
+        """Where the momenta ``k`` are a grid point with ``fault``."""
+        out = np.zeros(np.shape(k), dtype=bool)
+        for j, f in faults.items():
+            if fault in f.split("+"):
+                out |= np.isclose(k, ks[j])
+        return out
+
+    class Faulty(TranslationInvariantModel):
+        num_params = 1
+
+        def h_block(self, k, lam):
+            h = np.where(at(k, "degenerate"), 0.0, (0.5 + 0.1 * lam[0]) * SY)
+            h = np.where(at(-k, "nonfinite_at_minus_k"), np.nan, h)
+            return np.where(at(k, "rapidities"), 1e-10 * SY + (lam[0] - 0.3) * SX, h)
+
+        def m_block(self, k, lam):
+            m = np.where(at(np.abs(k), "pencil"), 0.0, 0.5 * S0)
+            return m + np.where(at(k, "nonfinite"), np.nan, 0.0) * S0
+
+    return Faulty()
+
+
 BLOCK_MODELS = [
     (DissipativeKitaevModel(0.3, 1.0, 0.6), [0.7, 0.9]),
     (SymmetricBathModel(), []),
@@ -211,18 +288,26 @@ class TestAgpQuadratic:
         xs = np.array([xb, [1.0, 1.0 + 1e-6], [2.0, 3.0 + 1j]])
         Us = np.stack([np.eye(2), [[1.0, 0.3], [0.0, 1.0]], [[1.0, 1.0], [1j, -1j]]])
         dXs = np.stack([big, rng.normal(size=(2, 2)), rng.normal(size=(2, 2))])
-        A = liouville_mod._offdiag_generator(xs, Us, dXs)
-        for x, U, dX, a in zip(xs, Us, dXs, A):
-            assert np.array_equal(a, liouville_mod._offdiag_generator(x, U, dX))
-        assert np.abs(A[1]).max() > 1e-3  # the small gap is resolved, not zeroed
+
+        def stacked(xs, Us, dXs):  # the stack route: 2x2 entry arithmetic
+            U = linalg_mod._entries(Us)
+            return linalg_mod._blocks(liouville_mod._xcal_2x2(
+                (xs[:, 0], xs[:, 1]), U, linalg_mod._inv(U), linalg_mod._entries(dXs)))
+
+        Xcal = stacked(xs, Us, dXs)
+        for x, U, dX, got in zip(xs, Us, dXs, Xcal):
+            want = liouville_mod._xcal(x, U, dX)
+            assert maxdev(got, want) <= 1e-14 * np.abs(want).max()
+        assert np.abs(Xcal[1]).max() > 1e-3  # the small gap is resolved, not zeroed
 
         xs[1] = [1.0, 1.0 + 1e-10]  # degenerate, with coupling 1e-5
         dXs[1] = [[0.0, 1e-5], [0.0, 0.0]]
         with pytest.raises(DegenerateRapidities):
-            liouville_mod._offdiag_generator(xs[1], Us[1], dXs[1])
+            liouville_mod._xcal(xs[1], Us[1], dXs[1])
         with pytest.raises(DegenerateRapidities) as info:
-            liouville_mod._offdiag_generator(xs, Us, dXs)
+            stacked(xs, Us, dXs)
         assert info.value.block == 1
+        assert "rapidities 0,1 degenerate with coupling 1.000e-05" in str(info.value)
 
     def test_uncoupled_degenerate_pair_tolerated(self, rng):
         # rapidities 0 and 1 coincide but dX does not couple them: their
@@ -406,26 +491,25 @@ class TestKspace:
         (DrivenBathModel(), [0.8, 0.4]),
     ])
     def test_matches_per_k_loop(self, model, lam):
-        # reference: one k at a time, LAPACK eigenvectors in Xcal and a fresh
-        # pencil solve per right-hand side; the stacked pipeline reorders the
-        # arithmetic, so agreement is to a tolerance, not bit for bit
-        L, d = 12, model.num_params
-        ref = np.zeros((d, d), dtype=complex)
-        for k in 2 * np.pi * np.arange(L) / L:
-            x, xmT = model.x_block(k, lam), model.x_block(-k, lam).T
-            dec = eig_general(x)
-            gk = gamma_k(model, k, lam)
-            dgs, xcals = [], []
-            for mu in range(d):
-                dx = model.dx_block(mu, k, lam)
-                rhs = model.dy_block(mu, k, lam) - dx @ gk - gk @ model.dx_block(mu, -k, lam).T
-                dgs.append(solve_sylvester_pair(x, xmT, rhs))
-                xcals.append(liouville_mod._xcal(dec.eigenvalues, dec.right_vectors, dx))
-            for mu in range(d):
-                for nu in range(d):
-                    ref[mu, nu] += 0.5 * np.trace(dgs[mu] @ dgs[nu]) + np.trace(
-                        xcals[mu] @ gk @ dgs[nu])
-        got = zeta_ness_k(model, lam, L).values
+        # the stacked pipeline reorders the arithmetic, so agreement is to a
+        # tolerance, not bit for bit
+        ref = per_k_loop(model, lam, 12)
+        got = zeta_ness_k(model, lam, 12).values
+        assert maxdev(got, ref) <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("eps", [10.0 ** -e for e in range(2, 13, 2)])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_near_gap_closing_k(self, eps, side):
+        # the benchmark's strong-coupling Kitaev sweep: at h = 1 the gap closes
+        # at k = 0; beside it the tensor is finite and the per-k loop agrees.
+        # x(0) = 0.0068 + 2i (h - 1) sy has the rapidity gap 4 eps, and dx(0)
+        # is diagonal in its eigenbasis.  LAPACK's eigenvectors carry an error
+        # ~1e-16 / gap, which at eps = 1e-12 reads as a coupling of 9e-7 of
+        # degenerate rapidities, so the loop takes the exact closed-form pairs
+        model, lam = DissipativeKitaevModel(0.1, 1.0, 0.6), [1.0 + side * eps, 1.0]
+        got = zeta_ness_k(model, lam, 128).values
+        assert np.isfinite(got).all()
+        ref = per_k_loop(model, lam, 128, closed_form_eigenpairs)
         assert maxdev(got, ref) <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("model, lam", BLOCK_MODELS)
@@ -454,8 +538,9 @@ class TestKspace:
     def test_benchmark_sweep_gap_closing_row_raises(self):
         # the h = 1 row of the strong-coupling Kitaev sweep (g = 0.1, L = 128)
         model = DissipativeKitaevModel(0.1, 1.0, 0.6)
-        with pytest.raises(SingularPencil):
+        with pytest.raises(SingularPencil) as info:
             zeta_ness_k(model, [1.0, 1.0], 128)
+        assert info.value.block == 0
 
     def test_nonfinite_parameter_raises(self):
         model = DissipativeKitaevModel(0.4, 1.0, 0.6)
@@ -488,22 +573,40 @@ class TestKspace:
     def test_lowest_failing_k_wins(self, degenerate, nonfinite, expected):
         # a loop over k stops at the first failing k, whichever check fails
         # there; the stacked evaluation reports the same error
-        ks = 2 * np.pi * np.arange(4) / 4
-
-        class Faulty(TranslationInvariantModel):
-            num_params = 1
-
-            def h_block(self, k, lam):
-                flat = np.isclose(k, ks[degenerate])  # x(k) = 1 there
-                return np.where(flat, 0.0, 0.5 + 0.1 * lam[0]) * SY
-
-            def m_block(self, k, lam):
-                bad = np.isclose(k, ks[nonfinite])
-                return (0.5 + np.where(bad, np.nan, 0.0)) * S0
-
+        model = faulty_model({degenerate: "degenerate", nonfinite: "nonfinite"})
         with pytest.raises(expected) as info:
-            zeta_ness_k(Faulty(), [0.3], 4)
+            zeta_ness_k(model, [0.3], 4)
         assert info.value.block == min(degenerate, nonfinite)
+
+    @pytest.mark.parametrize("fault, other", [
+        (f, o) for f in ("pencil", "rapidities") for o in ("nonfinite", "degenerate", "pencil",
+                                                           "rapidities") if o != f
+    ])
+    @pytest.mark.parametrize("order", ["earlier", "later"])
+    def test_lowest_failing_k_wins_every_check(self, fault, other, order):
+        # the pencil and rapidity checks come after the eigenpair checks; a
+        # failing block before them still wins, one after them does not
+        at, other_at = (2, 1) if order == "earlier" else (1, 3)
+        with pytest.raises(FAULT_ERRORS[fault]):
+            zeta_ness_k(faulty_model({at: fault}), [0.3], 4)
+        with pytest.raises(Exception) as info:
+            zeta_ness_k(faulty_model({at: fault, other_at: other}), [0.3], 4)
+        first = min(at, other_at)
+        kind = fault if first == at else other
+        assert type(info.value) is FAULT_ERRORS[kind]
+        assert info.value.block == first
+        assert FAULT_MESSAGES[kind] in str(info.value)
+
+    def test_checks_of_x_before_x_minus_k(self):
+        # at k = pi/2, x(k) = 1 fails the degeneracy check and x(-k)^T the
+        # earlier finiteness check; a loop decomposes x(k) first
+        with pytest.raises(ShapeMismatch) as info:
+            zeta_ness_k(faulty_model({1: "nonfinite_at_minus_k"}), [0.3], 4)
+        assert info.value.block == 1
+        with pytest.raises(SingularPencil) as info:
+            zeta_ness_k(faulty_model({1: "degenerate+nonfinite_at_minus_k"}), [0.3], 4)
+        assert info.value.block == 1
+        assert "degenerate eigenvalues" in str(info.value)
 
     def test_zeta_ness_k_balanced_bath_zero(self):
         model = DissipativeKitaevModel(0.4, 0.8, 0.8)  # Lambda = 0

@@ -497,6 +497,15 @@ def block_family(B, dK):
     return OperatorFamily(2, len(dK), lambda l: B, lambda mu, l: dK[mu])
 
 
+#: a failing block of each check of :func:`sum_over_blocks`, in check order
+BLOCK_FAULTS = {
+    "nonfinite": ([[np.nan, 0.0], [0.0, 1.0]], ShapeMismatch),
+    "residual": ([[1e200, 1.0], [0.0, 2e200]], NonConvergence),  # the quadratic overflows
+    "defective": ([[0.0, 0.0], [1.0, 0.0]], NearDefective),
+    "degenerate": ([[1.0, 0.0], [0.0, 1.0]], DegenerateSpectrum),
+}
+
+
 class TestSumOverBlocks:
     @pytest.fixture
     def blocks(self, rng):
@@ -555,6 +564,22 @@ class TestSumOverBlocks:
                 with pytest.raises(error) as info:
                     sum_over_blocks(np.concatenate([K[:1], K[first:]]), dK, 0, ["eta"])
                 assert info.value.block == 1
+
+    @pytest.mark.parametrize("fault, other", [
+        (f, o) for f in ("defective", "degenerate") for o in BLOCK_FAULTS if o != f])
+    @pytest.mark.parametrize("order", ["earlier", "later"])
+    def test_lowest_failing_block_wins_every_check(self, blocks, fault, other, order):
+        K, dK = blocks
+        at, other_at = (2, 1) if order == "earlier" else (1, 3)
+        K = K.copy()
+        K[at], K[other_at] = BLOCK_FAULTS[fault][0], BLOCK_FAULTS[other][0]
+        first = min(at, other_at)
+        error = BLOCK_FAULTS[fault if first == at else other][1]
+        with np.errstate(all="ignore"):
+            for n, kinds in ((0, ["eta"]), (1, list(STATE_KINDS))):
+                with pytest.raises(error) as info:
+                    sum_over_blocks(K, dK, n, kinds)
+                assert info.value.block == first
 
     def test_invalid_arguments_rejected(self, blocks):
         K, dK = blocks
