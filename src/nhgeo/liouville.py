@@ -205,22 +205,27 @@ class LiouvillianFamily:
         return tuple(np.split(central_difference(xy, lam, mu), 2))
 
 
+#: relative resolution of the transport generator: a rapidity gap below
+#: ``RAPIDITY_RTOL * max(|x|, 1)`` is degenerate, and such a pair is coupled
+#: when its element of ``U^-1 dX U`` exceeds ``RAPIDITY_RTOL * max(|num|, 1)``
+RAPIDITY_RTOL = 1e-8
+
+
 def _offdiag_generator(x, U, dX, *, Ui=None):
     """Off-diagonal part of (dU^-1) U from the spectral formula.
 
     Entry (i, j) is ``-(U^-1 dX U)_{ij} / (x_j - x_i)``.  Degenerate pairs
     are tolerated when the coupling element vanishes (symmetry-decoupled
-    sectors); a coupled degenerate pair raises.  A gap is degenerate below
-    ``1e-8 * max(|x|, 1)`` and a coupling vanishes below ``1e-8 * max(|num|,
-    1)``.  ``Ui`` is ``U^-1`` when the caller has it (as
-    ``EigDecomposition.right_inverse``).
+    sectors); a coupled degenerate pair raises, the first in row-major
+    order (``RAPIDITY_RTOL`` sets both tests).  ``Ui`` is ``U^-1`` when the
+    caller has it (as ``EigDecomposition.right_inverse``).
     """
     num = (np.linalg.inv(U) if Ui is None else Ui) @ dX @ U
     gaps = x[None, :] - x[:, None]
-    degenerate = np.abs(gaps) < 1e-8 * max(np.abs(x).max(), 1.0)
+    degenerate = np.abs(gaps) < RAPIDITY_RTOL * max(np.abs(x).max(), 1.0)
     off = degenerate & ~np.eye(len(x), dtype=bool)
     if off.any():
-        coupled = off & (np.abs(num) > 1e-8 * max(np.abs(num).max(), 1.0))
+        coupled = off & (np.abs(num) > RAPIDITY_RTOL * max(np.abs(num).max(), 1.0))
         if coupled.any():
             i, j = np.argwhere(coupled)[0]
             raise DegenerateRapidities(
@@ -405,7 +410,7 @@ def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
     The blocks are read once, as entry tuples (:func:`~nhgeo.linalg._entries`):
     x and dx_mu at k and -k from one call each, the directions mu stacked
     along a leading axis.  Every step below is 2x2 entry arithmetic.  x(k)
-    and x(-k)^T are decomposed once, in closed form; the pairs serve the
+    and x(-k)^T are each decomposed once, in closed form; the pairs serve the
     pencil solves for Gamma(k) and every dGamma_mu(k) as well as every
     Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sum is one
     :func:`~nhgeo.linalg._trace_sum`.  Each check is made per block.  When
@@ -422,21 +427,11 @@ def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
 
     try:
         x, xmT = at_k_and_minus_k_transposed(model.x_block(both, lam))
-        try:  # one stack of 2L blocks, x(k) then x(-k)^T: half the numpy calls
-            w, U, norm = _eig_2x2(tuple(np.concatenate(pair) for pair in zip(x, xmT)))
-        except NhgeoError as exc:
-            # the failing block is x(k) or x(-k)^T of k = exc.block mod L; as in
-            # a loop over k, every check of x(k) comes first, and both calls
-            # below report blocks by their k (one of them raises)
-            upto = exc.block % L + 1
-            _eig_2x2(tuple(e[:upto] for e in x))
-            _eig_2x2(tuple(e[:upto] for e in xmT))
-            raise
-        (a, Ua), (b, Ub) = ((tuple(v[h] for v in w), tuple(u[h] for u in U))
-                            for h in (slice(None, L), slice(L, None)))
+        a, Ua, na = _eig_2x2(x)
+        b, Ub, nb = _eig_2x2(xmT)
         Uai = _inv(Ua)
         solve = _pencil_2x2(a, Ua, Uai, b, Ub, _inv(Ub),
-                            PENCIL_RTOL * np.maximum(np.maximum(norm[:L], norm[L:]), 1.0))
+                            PENCIL_RTOL * np.maximum(np.maximum(na, nb), 1.0))
         gk = solve(_entries(model.y_block(kc, lam)))
         if not d:
             return np.zeros((0, 0), dtype=complex)
@@ -458,13 +453,13 @@ def _xcal_2x2(x, U, Ui, dX):
     """:func:`_xcal` on 2x2 blocks: the eigenvalues ``x = (x0, x1)`` and the
     entry tuples ``U``, ``Ui = U^-1`` and ``dX``, whose entries may carry a
     leading axis of directions.  The degeneracy test of
-    :func:`_offdiag_generator` is made per block and direction; a block
-    fails at its first coupled direction."""
+    :func:`_offdiag_generator` (``RAPIDITY_RTOL``) is made per block and
+    direction; a block fails at its first coupled direction."""
     n00, n01, n10, n11 = num = _mul(_mul(Ui, dX), U)
     gap = x[1] - x[0]
-    degenerate = abs(gap) < 1e-8 * np.maximum(np.maximum(abs(x[0]), abs(x[1])), 1.0)
+    degenerate = abs(gap) < RAPIDITY_RTOL * np.maximum(np.maximum(abs(x[0]), abs(x[1])), 1.0)
     if degenerate.any():
-        scale = 1e-8 * np.maximum(np.max(np.abs(num), axis=0), 1.0)
+        scale = RAPIDITY_RTOL * np.maximum(np.max(np.abs(num), axis=0), 1.0)
         # one row per direction; the pair (0, 1) is reported before (1, 0)
         rows = [np.reshape(degenerate & (abs(n) > scale), (-1, gap.size)) for n in (n01, n10)]
         coupled = rows[0] | rows[1]

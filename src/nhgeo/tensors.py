@@ -66,11 +66,13 @@ from .errors import (
 )
 from .linalg import (
     DEFECTIVE_COND,
+    _blocks,
     _cond_inv,
     _eig_2x2,
     _entries,
     _mul,
     _raise_first,
+    _transpose,
     as_square,
     canonical_order,
     norm2,
@@ -425,23 +427,36 @@ def _state_tensors(kinds, num, w, C, lnln, n: int, scale) -> dict[str, np.ndarra
     from row and column ``n`` of the exact generator (see
     :func:`sum_over_states`).
 
-    ``num[mu, m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum, ``C`` the
-    right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  Raises
-    DegenerateSpectrum if a gap ``|w_m - w_n|`` is below ``1e-10 * scale``.
+    ``num[mu, ..., m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum,
+    ``C`` the right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  They describe
+    one system, or a stack of blocks along the axis after ``mu`` (``num (d,
+    L, N, N)``, ``w (L, N)``, ``C (L, N, N)``, ``lnln`` and ``scale``
+    ``(L,)``), whose tensors are then summed.  Raises DegenerateSpectrum,
+    for the first failing block, if a gap ``|w_m - w_n|`` is below ``1e-10
+    * scale``.
     """
     _require_gaps(w, [n], scale)
-    others = np.arange(len(w)) != n
-    gap = np.where(others, w[n] - w, 1.0)  # w_n - w_m
+    d, N = len(num), w.shape[-1]
+    # one code path: one system is a stack of one block
+    num, w, C = num.reshape(d, -1, N, N), w.reshape(-1, N), C.reshape(-1, N, N)
+    others = np.arange(N) != n
+    gap = np.where(others, w[:, n, None] - w, 1.0)  # w_n - w_m
     col = np.where(others, num[..., n] / gap, 0.0)  # A_mu[:, n]
+
+    def zone_sum(left, right):  # out[a, b]: sum of left[a] * right[b] over blocks and entries
+        return left.reshape(d, -1) @ np.broadcast_to(right, left.shape).reshape(d, -1).T
+
     out = {}
     for kind in kinds:
         if kind == "eta":
-            row = np.where(others, num[:, n, :] / -gap, 0.0)  # A_mu[n, :]
-            out[kind] = -(row @ col.T)
+            row = np.where(others, num[..., n, :] / -gap, 0.0)  # A_mu[n, :]
+            out[kind] = -zone_sum(row, col)
         else:
             # zeta_limited_rescaled divides by <n_L|n_L><n_R|n_R>
-            weight = lnln if kind == "zeta_limited" else 1.0 / C[n, n].real
-            out[kind] = weight * (col.conj() @ C @ col.T)
+            weight = lnln if kind == "zeta_limited" else 1.0 / C[:, n, n].real
+            # weight_k conj(col[a, k, i]) C[k, i, j] col[b, k, j], summed over k, i, j
+            left = np.reshape(weight, (-1, 1, 1)) * col.conj()[..., None] * C
+            out[kind] = zone_sum(left, col[..., None, :])
     return out
 
 
@@ -458,12 +473,9 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     derivative directions, the same for every block.  Each block is
     decomposed in closed form (:func:`~nhgeo.linalg._eig_2x2`) with its
     eigenvalues in canonical order and unit right vectors; its left vectors
-    come from the adjugate inverse.  With ``m`` the other state, the kinds
-    need only ``A_mu[m, n] = <m_L|d_mu K|n_R> / (w_n - w_m)`` and, for
-    ``eta``, ``A_mu[n, m]``: ``eta = -A_mu[n, m] A_nu[m, n]``, ``zeta_limited
-    = <n_L|n_L> <m_R|m_R> conj(A_mu[m, n]) A_nu[m, n]``, divided by
-    ``<n_L|n_L> <n_R|n_R>`` for ``zeta_limited_rescaled``, each summed over
-    the blocks by one matrix product.
+    come from the adjugate inverse.  ``<m_L|d_mu K|n_R>``, the Gram matrix
+    and ``<n_L|n_L>`` of every block go to :func:`_state_tensors` as one
+    stack, which contracts and sums them.
 
     Each check of the per-matrix engine is made per block, in its order:
     ShapeMismatch for a non-finite block and NonConvergence for an eigenpair
@@ -494,27 +506,16 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
         cond, Rinv = _cond_inv(R)
         _raise_first(~(cond <= DEFECTIVE_COND), NearDefective,
                      lambda i: f"eigenvector condition number {cond[i]:.3e} above 1e12")
-        _require_gaps(np.stack(w, axis=-1), [n], np.maximum(norm, 1.0))
+        # <m_L| is row m of R^-1; entries of shape (d, L), one per direction and block
+        num = _mul(_mul(Rinv, tuple(e[:, None] for e in _entries(dK))), R)
+        C = _mul(_transpose(tuple(e.conj() for e in R)), R)
+        lnln = abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2
+        return _state_tensors(kinds, _blocks(num), np.stack(w, axis=-1), _blocks(C), lnln, n,
+                              np.maximum(norm, 1.0))
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
             sum_over_blocks(K[:exc.block], dK, n, kinds)
         raise
-    m = 1 - n
-    gap = w[n] - w[m]
-    # <i_L|d_mu K|j_R> of every direction and block, entries of shape (d, L);
-    # entry (i, j) of a block is entry 2 i + j of its tuple
-    num = _mul(_mul(Rinv, tuple(e[:, None] for e in _entries(dK))), R)
-    col = num[2 * m + n] / gap  # A_mu[m, n]
-    out = {}
-    for kind in kinds:
-        if kind == "eta":
-            out[kind] = -((num[2 * n + m] / -gap) @ col.T)  # A_mu[n, m] A_nu[m, n]
-        else:
-            rn2, rm2 = (abs(R[j]) ** 2 + abs(R[2 + j]) ** 2 for j in (n, m))
-            weight = rm2 / rn2 if kind == "zeta_limited_rescaled" else rm2 * (
-                abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2)
-            out[kind] = (col.conj() * weight) @ col.T
-    return out
 
 
 # ---------------------------------------------------------------------------

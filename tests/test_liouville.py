@@ -296,6 +296,8 @@ class TestAgpQuadratic:
 
         Xcal = stacked(xs, Us, dXs)
         for x, U, dX, got in zip(xs, Us, dXs, Xcal):
+            # each block as a stack of one gives the same bits
+            assert np.array_equal(got, stacked(x[None], U[None], dX[None])[0])
             want = liouville_mod._xcal(x, U, dX)
             assert maxdev(got, want) <= 1e-14 * np.abs(want).max()
         assert np.abs(Xcal[1]).max() > 1e-3  # the small gap is resolved, not zeroed
