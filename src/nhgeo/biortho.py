@@ -24,25 +24,28 @@ from .linalg import eig_general
 class BiorthogonalSystem:
     """Eigenvalues with paired right/left eigenvector matrices.
 
-    ``right[:, n]`` and ``left[:, n]`` satisfy ``left^+ right = I``.
-    ``gram_right`` is the right-vector Gram matrix ``C_{mn} = <m_R|n_R>``;
-    the left Gram matrix equals its inverse and is exposed as a property.
-    ``condition`` is the 2-norm condition number of the unit-column right
-    eigenvector matrix the eigensolve returned (gauge independent), and
-    ``norm`` is ``||K||_2`` (``EigDecomposition.norm``), the scale of every
-    gap and degeneracy test on this system.
+    ``right[:, n]`` and ``left[:, n]`` satisfy ``left^+ right = I``.  The
+    Gram matrices are properties, formed when asked for (a stencil point
+    reads neither).  ``condition`` is the 2-norm condition number of the
+    unit-column right eigenvector matrix the eigensolve returned (gauge
+    independent), and ``norm`` is ``||K||_2`` (``EigDecomposition.norm``),
+    the scale of every gap and degeneracy test on this system.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    gram_right: np.ndarray
     condition: float
     norm: float
 
     @property
     def dim(self) -> int:
         return self.right.shape[0]
+
+    @property
+    def gram_right(self) -> np.ndarray:
+        """The right-vector Gram matrix ``C_{mn} = <m_R|n_R>``."""
+        return self.right.conj().T @ self.right
 
     @property
     def gram_left(self) -> np.ndarray:
@@ -67,7 +70,6 @@ def build_biortho(K) -> BiorthogonalSystem:
             f"eigenvector condition number {dec.condition:.3e}: "
             "matrix too close to defective for a biorthogonal system"
         )
-    R = dec.right_vectors
-    L = dec.right_inverse.conj().T
-    return BiorthogonalSystem(dec.eigenvalues, R, L, R.conj().T @ R, dec.condition, dec.norm)
+    return BiorthogonalSystem(dec.eigenvalues, dec.right_vectors, dec.right_inverse.conj().T,
+                              dec.condition, dec.norm)
 

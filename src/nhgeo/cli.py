@@ -7,12 +7,15 @@ error name instead of aborting: the singular lines are usually exactly what
 a sweep is looking for.
 
 Every model adapter declares its ``name``, tensor ``kinds``, component
-``directions``, ``defaults`` (each settable parameter, typed by its default)
-and the ``sweepable`` ones; ``tensors(values, kinds, n, mu_reg)`` (``n`` the
-state index) and ``spectrum(values)`` evaluate at ``params(values)``.
+``directions``, ``defaults`` (each settable parameter, typed by its default),
+the ``sweepable`` ones and ``states``, the number of eigenstates ``--state``
+may name (None where it names none); ``tensors(values, kinds, n, mu_reg)``
+(``n`` the state index) and ``spectrum(values)`` evaluate at
+``params(values)``.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -85,6 +88,7 @@ class SSHAdapter(_LatticeModel):
     directions = ("t", "delta")
     defaults = {"t": 0.0, "delta": 0.0, "L": 64}
     sweepable = ("t", "delta")
+    states = 2  # the two bands, for every kind
     kinds = ("zeta", "eta", "zeta_limited", "zeta_limited_rescaled")
 
     def tensors(self, values, kinds, n, mu_reg) -> dict:
@@ -123,6 +127,7 @@ class KitaevAdapter(_LatticeModel):
         "L": 64, "weak_coupling": True,
     }
     sweepable = ("h", "gamma", "g", "mu_plus", "mu_minus")
+    states = None  # the steady state
     kinds = WEAK_KINDS
 
     def tensors(self, values, kinds, n, mu_reg) -> dict:
@@ -184,6 +189,7 @@ class QuadLiouvilleAdapter(_FileFamily):
 
     name = "quad-liouville"
     part_option = "--dhmat-files"
+    states = None  # the steady state
     kinds = NESS_KINDS
 
     def __init__(self, hmat_file=None, bath_file=None, dhmat_files=(), **files):
@@ -232,6 +238,7 @@ class MatrixFamilyAdapter(_FileFamily):
             raise click.UsageError("model matrix-file needs --matrix-file")
         K0 = as_square(load_matrix(matrix_file), matrix_file)
         super().__init__(K0, [as_square(load_matrix(f), f) for f in param_files])
+        self.states = K0.shape[0]
 
     def family(self) -> OperatorFamily:  # built per call: a family kept on self is a cycle
         return OperatorFamily(self.base.shape[0], len(self.parts), self.matrix,
@@ -243,10 +250,7 @@ class MatrixFamilyAdapter(_FileFamily):
         fam = self.family()
         out = {}
         if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
-            eigsys = None
-            # an out-of-range state must raise ShapeMismatch before any eigensolve
-            if 0 <= n < fam.dim:
-                eigsys = self.decomposition(lam, lambda: build_biortho(fam(lam)))
+            eigsys = self.decomposition(lam, lambda: build_biortho(fam(lam)))
             sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg, sys=eigsys)
             out = {kind: t.values for kind, t in sos.items()}
         if "chi" in kinds:
@@ -337,14 +341,19 @@ def _parse_kinds(tensors, adapter) -> list:
     return kinds
 
 
-def _state_index(state) -> int:
-    """Eigenstate index of ``--state``; 0 when unset or 'ness'."""
+def _state_index(state, adapter) -> int:
+    """Eigenstate index of ``--state``; 0 when unset or 'ness'.  ShapeMismatch
+    unless it is one of the adapter's ``states`` (any index where those are
+    None)."""
     try:
-        return 0 if state in (None, "ness") else int(state)
+        n = 0 if state in (None, "ness") else int(state)
     except (TypeError, ValueError):
         raise click.UsageError(
             f"--state expects an eigenstate index or 'ness', got {state!r}"
         ) from None
+    if adapter.states is not None and not 0 <= n < adapter.states:
+        raise ShapeMismatch(f"state index {n} out of range for dim {adapter.states}")
+    return n
 
 
 def _make_adapter(model, files: dict):
@@ -371,6 +380,16 @@ _FILE_OPTIONS = {"matrix_file": False, "param_files": True, "hmat_file": False,
                  "bath_file": False, "dhmat_files": True}
 
 
+@contextlib.contextmanager
+def _failures_exit_3():
+    """A numerical failure (NhgeoError) inside exits 3, with its class and message."""
+    try:
+        yield
+    except NhgeoError as exc:
+        click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
+
+
 def _model_command(command):
     """The model-selection options of ``tensor`` and ``spectrum``: ``command``
     receives the adapter and its ``--set`` values, and a numerical failure
@@ -379,11 +398,8 @@ def _model_command(command):
     def run(model, sets, **options):
         adapter = _make_adapter(model, {name: options.pop(name) for name in _FILE_OPTIONS})
         values = _parse_sets(sets, adapter.defaults)
-        try:
+        with _failures_exit_3():
             command(adapter, values, **options)
-        except NhgeoError as exc:
-            click.echo(f"{type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
 
     for name, repeats in reversed(_FILE_OPTIONS.items()):
         run = click.option("--" + name.replace("_", "-"), multiple=repeats,
@@ -411,7 +427,7 @@ def main():
 def cmd_tensor(adapter, values, tensors, state, mu_reg):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
     kinds = _parse_kinds(tensors, adapter)
-    mats = adapter.tensors(values, kinds, _state_index(state), mu_reg)
+    mats = adapter.tensors(values, kinds, _state_index(state, adapter), mu_reg)
     _echo_json({
         "model": adapter.name,
         "params": values,
@@ -514,7 +530,6 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {a['name']!r} also set as fixed parameter")
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
     state = state if state is not None else spec.get("state")
-    n = _state_index(state)  # a malformed state fails once here, not on every point
     mu_reg = mu_reg if mu_reg is not None else spec.get("mu_reg", 0.0)
     if (isinstance(mu_reg, bool) or not isinstance(mu_reg, (int, float))
             or not np.isfinite(mu_reg) or mu_reg < 0):
@@ -538,6 +553,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
 
     for idx in points:  # an invalid grid point fails once here, before any evaluation
         adapter.params(point_values(idx))
+    with _failures_exit_3():  # as does a malformed or out-of-range state
+        n = _state_index(state, adapter)
 
     def evaluate(idx):
         values = point_values(idx)

@@ -7,6 +7,7 @@ used by the command line tools.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +41,8 @@ def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if (A.ndim < 2 or A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2] or not A.size:
         raise ShapeMismatch(f"{name} must be nonempty and square, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    # up to four entries are checked as Python scalars, cheaper than two ufunc calls
+    if not (all(map(cmath.isfinite, A.ravel().tolist())) if A.size <= 4 else np.isfinite(A).all()):
         raise ShapeMismatch(f"{name} has non-finite entries")
     return A
 
@@ -132,22 +134,11 @@ def norm2(A):
 
 
 def _residuals(K, w, R):
-    """Eigenpair residuals ``||K r_j - w_j r_j||`` and the bound
-    ``1e-10 * ||K||_2``, both times the power of two of :func:`_pow2`
-    (exact), so that no norm overflows or underflows, and ``||K||_2``
-    itself, bit-identical to :func:`norm2`.  2x2 scales the entries, in
-    scalar arithmetic; larger ``K`` scales ``K R - R diag(w)``, whose
-    entries stay below ``N max|K|``."""
-    if K.shape == (2, 2):
-        (a, b, c, d), s = _scaled_2x2(K)
-        (r00, r01), (r10, r11) = R.tolist()
-        w0, w1 = w.tolist()
-        resid = []
-        for x, y, v in ((r00, r10, w0 * s), (r01, r11, w1 * s)):
-            e0, e1 = (a - v) * x + b * y, c * x + (d - v) * y
-            resid.append(math.hypot(e0.real, e0.imag, e1.real, e1.imag))
-        norm = _s1_squared(a, b, c, d) ** 0.5
-        return resid, 1e-10 * norm, norm / s
+    """Eigenpair residuals ``||K r_j - w_j r_j||`` of ``K (N, N)``, ``N >
+    2``, and the bound ``1e-10 * ||K||_2``, both times the power of two of
+    :func:`_pow2` (exact), so that no norm overflows or underflows, and
+    ``||K||_2`` itself, bit-identical to :func:`norm2`.  The scale is that of
+    ``K R - R diag(w)``, whose entries stay below ``N max|K|``."""
     s = _pow2(float(max(K.real.max(), -K.real.min(), K.imag.max(), -K.imag.min())))
     E = K @ R
     E -= R * w
@@ -156,35 +147,96 @@ def _residuals(K, w, R):
     return np.linalg.norm(E, axis=0), 1e-10 * norm * s, norm
 
 
+def _check_residuals(resid, tol) -> None:
+    """NonConvergence unless every residual is at most ``tol``; written so
+    that a NaN residual fails too."""
+    if tol > 0 and not all(r <= tol for r in resid):
+        raise NonConvergence(
+            f"eigenpair residual {1e-10 * np.max(resid) / tol:.3e}*||K|| exceeds 1e-10*||K||"
+        )
+
+
+def _cond_adjugate(a, b, c, d, s=1.0):
+    """``(cond_2(A), A^-1)`` of the 2x2 ``A = [[a, b], [c, d]] / s`` from
+    its scalar entries: ``cond = s1^2 / |det A|`` (as ``s1 s2 = |det A|``)
+    with ``s1^2`` from :func:`_s1_squared`, and the adjugate inverse; the
+    inverse is None when the condition number exceeds ``DEFECTIVE_COND`` or
+    is not finite."""
+    det = a * d - b * c
+    cond = _s1_squared(a, b, c, d) / abs(det) if det else math.inf
+    if not cond <= DEFECTIVE_COND:
+        return cond, None
+    f = s / det
+    return cond, np.array([[d * f, -b * f], [-c * f, a * f]])
+
+
 def _cond_inverse(A):
     """``(cond_2(A), A^-1)``, the inverse None when the condition number
     exceeds ``DEFECTIVE_COND`` or is not finite (so a singular ``A`` raises
     no LinAlgError).
 
-    2x2: ``cond = s1^2 / |det A|`` (as ``s1 s2 = |det A|``) with ``s1^2``
-    from :func:`_s1_squared`, and the inverse from the adjugate, both on the
-    entries scaled by a power of two.  Larger matrices: the SVD, then an LU
-    inverse.
+    2x2: :func:`_cond_adjugate` on the entries scaled by a power of two.
+    Larger matrices: the SVD, then an LU inverse.
     """
     if A.shape == (2, 2):
-        (a, b, c, d), s = _scaled_2x2(A)
-        det = a * d - b * c
-        cond = _s1_squared(a, b, c, d) / abs(det) if det else math.inf
-        if not cond <= DEFECTIVE_COND:
-            return cond, None
-        f = s / det
-        return cond, np.array([[d * f, -b * f], [-c * f, a * f]])
+        vals, s = _scaled_2x2(A)
+        return _cond_adjugate(*vals, s)
     cond = float(np.linalg.cond(A, 2))
     return cond, np.linalg.inv(A) if cond <= DEFECTIVE_COND else None
+
+
+def _quantized(x: float) -> float:
+    """A part of an eigenvalue quantized as in :func:`canonical_order`, in
+    scalar arithmetic (``round`` rounds half to even, as ``np.rint`` does).
+    A value of 2^52 resolutions or more is an integer already, and one that
+    is not finite is its own key."""
+    q = x / ORDER_TIE_RESOLUTION
+    return (round(q) if abs(q) < 2.0 ** 52 else q) * ORDER_TIE_RESOLUTION
+
+
+def _unit(x, y):
+    """The column ``(x, y)`` scaled to unit norm.  It is a LAPACK eigenvector,
+    of norm near 1, so its squares need no power-of-two scaling."""
+    f = 1 / math.sqrt((x.real * x.real + x.imag * x.imag) + (y.real * y.real + y.imag * y.imag))
+    return x * f, y * f
+
+
+def _finish_2x2(K, w, R) -> EigDecomposition:
+    """The decomposition of the 2x2 ``K`` from LAPACK's eigenpairs ``w, R``,
+    in one pass of scalar arithmetic on the entries of ``K`` scaled once by
+    :func:`_scaled_2x2`: the canonical order (by :func:`_quantized` real,
+    then imaginary parts; tied values keep LAPACK's order), unit columns,
+    both residuals (not finite for a non-finite pair, which then fails),
+    ``||K||_2`` as :func:`norm2` computes it, and the condition number and
+    ``R^-1`` of :func:`_cond_adjugate` (unit columns need no scaling)."""
+    (a, b, c, d), s = _scaled_2x2(K)
+    w0, w1 = w.tolist()
+    (r00, r01), (r10, r11) = R.tolist()
+    x0, x1 = _quantized(w0.real), _quantized(w1.real)
+    if x1 < x0 or x1 == x0 and _quantized(w1.imag) < _quantized(w0.imag):
+        w0, w1, r00, r01, r10, r11 = w1, w0, r01, r00, r11, r10
+    r00, r10 = _unit(r00, r10)
+    r01, r11 = _unit(r01, r11)
+    v0, v1 = w0 * s, w1 * s
+    e0, e1 = (a - v0) * r00 + b * r10, c * r00 + (d - v0) * r10
+    e2, e3 = (a - v1) * r01 + b * r11, c * r01 + (d - v1) * r11
+    norm = _s1_squared(a, b, c, d) ** 0.5
+    _check_residuals((math.hypot(e0.real, e0.imag, e1.real, e1.imag),
+                      math.hypot(e2.real, e2.imag, e3.real, e3.imag)), 1e-10 * norm)
+    cond, Rinv = _cond_adjugate(r00, r01, r10, r11)
+    return EigDecomposition(np.array([w0, w1]), np.array([[r00, r01], [r10, r11]]), cond,
+                            cond <= DEFECTIVE_COND, Rinv, norm / s)
 
 
 def eig_general(K) -> EigDecomposition:
     """Eigendecomposition of a general complex square matrix.
 
-    The residual test is scale-free (:func:`_residuals`): no norm overflows
-    or underflows at any magnitude of ``K``.  ``R^-1`` and ``||K||_2`` (the
-    closed form at 2x2, the SVD above) are computed here, once, for the
-    callers that need them.
+    The residual test is scale-free: no norm overflows or underflows at any
+    magnitude of ``K``.  ``R^-1`` and ``||K||_2`` (the closed form at 2x2,
+    the SVD above) are computed here, once, for the callers that need them.
+    A 2x2 ``K`` is one LAPACK ``eig`` and one scalar pass
+    (:func:`_finish_2x2`); larger ``K`` are ordered, normalized and checked
+    in array arithmetic (:func:`_residuals`, :func:`_cond_inverse`).
 
     Raises
     ------
@@ -197,16 +249,14 @@ def eig_general(K) -> EigDecomposition:
         w, R = np.linalg.eig(K)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(str(exc)) from exc
+    if K.shape == (2, 2):
+        return _finish_2x2(K, w, R)
     order = canonical_order(w)
     w, R = w[order], R[:, order]
     R = R / np.linalg.norm(R, axis=0)
 
     resid, tol, norm = _residuals(K, w, R)
-    # written so that a NaN residual fails too
-    if tol > 0 and not all(r <= tol for r in resid):
-        raise NonConvergence(
-            f"eigenpair residual {1e-10 * np.max(resid) / tol:.3e}*||K|| exceeds 1e-10*||K||"
-        )
+    _check_residuals(resid, tol)
     cond, Rinv = _cond_inverse(R)
     return EigDecomposition(w, R, cond, cond <= DEFECTIVE_COND, Rinv, norm)
 

@@ -88,7 +88,7 @@ GaugeFunc = Callable[[np.ndarray], np.ndarray]
 
 def _params(lam, num_params: int) -> np.ndarray:
     """``lam`` as a float vector of ``num_params`` entries, else ShapeMismatch."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam = np.array(lam, dtype=float, ndmin=1, copy=None)
     if lam.shape != (num_params,):
         raise ShapeMismatch(f"expected {num_params} parameters, got shape {lam.shape}")
     return lam
@@ -117,7 +117,7 @@ def central_difference(f, lam, mu: int, h: float | None = None):
 
     The step defaults to ``eps^(1/3) * max(1, |lam_mu|)`` (:func:`_step`).
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam = np.array(lam, dtype=float, ndmin=1, copy=None)
     h = _step(lam, mu, h)
     e = np.zeros(lam.shape)
     e[mu] = h
@@ -186,23 +186,25 @@ class GeoTensor:
 # stencil machinery
 # ---------------------------------------------------------------------------
 
-def _match(ref_left, right, needed):
+def _match(bras, right, needed):
     """Continue the reference states ``needed`` onto the columns of ``right``.
 
-    State ``n`` goes to the unit-norm column ``m`` with the largest overlap
+    Row ``n`` of ``bras`` is the reference left vector ``<n_L|``.  State
+    ``n`` goes to the unit-norm column ``m`` with the largest overlap
     ``|<n_L|m_R>|``.  Returns the matched column indices and the phases
     ``|o|/o`` that make each overlap ``o`` real positive.  Raises
     ContinuationAmbiguous below ``MATCH_THRESHOLD`` or when two states match
     the same column.
     """
-    ov = np.abs(ref_left.conj().T @ right)
+    overlaps = (bras @ right).tolist()  # as Python scalars: a few operations per state follow
     taken: dict[int, int] = {}
     phases = []
     for n in needed:
-        m = int(np.argmax(ov[n]))
-        if ov[n, m] < MATCH_THRESHOLD:
+        ov = [abs(o) for o in overlaps[n]]
+        m = ov.index(max(ov))  # the first largest, as np.argmax
+        if ov[m] < MATCH_THRESHOLD:
             raise ContinuationAmbiguous(
-                f"state {n}: best stencil overlap {ov[n, m]:.3f} below "
+                f"state {n}: best stencil overlap {ov[m]:.3f} below "
                 f"{MATCH_THRESHOLD} (crossing inside stencil?)"
             )
         if m in taken:
@@ -210,10 +212,8 @@ def _match(ref_left, right, needed):
                 f"states {taken[m]} and {n} both match stencil state {m}"
             )
         taken[m] = n
-        # per-column dot and scalar abs: array-wide forms round differently
-        o = ref_left[:, n].conj() @ right[:, m]
-        phases.append(abs(o) / o)
-    return list(taken), np.array(phases)
+        phases.append(ov[m] / overlaps[n][m])
+    return list(taken), phases
 
 
 def _checked(fam: OperatorFamily, lam, n: int) -> np.ndarray:
@@ -231,10 +231,10 @@ def _require_gaps(w, states, scale) -> None:
     ``w`` may be a stack ``(..., N)`` of spectra with one ``scale`` per
     block; the error is then that of the first failing block.
     """
-    others = np.arange(np.shape(w)[-1])
     for n in states:
-        gap = np.where(others != n, np.abs(w - w[..., n:n + 1]), np.inf)
-        _raise_first(gap.min(axis=-1) < 1e-10 * np.asarray(scale), DegenerateSpectrum,
+        gap = np.abs(w - w[..., n:n + 1])
+        gap[..., n] = np.inf
+        _raise_first(gap.min(axis=-1) < 1e-10 * scale, DegenerateSpectrum,
                      lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||")
 
 
@@ -258,27 +258,25 @@ def _stencil(
     sys0 = build_biortho(fam(lam))
     needed = sorted(set(int(n) for n in needed))
     _require_gaps(sys0.eigenvalues, needed, max(sys0.norm, 1.0))
-    N, K = sys0.dim, len(needed)
+    N = sys0.dim
     g0 = np.asarray(gauge(lam), dtype=complex) if gauge is not None else None
+    bras = sys0.left.conj().T
 
     def columns_at(lamp):
         """Matched, phase-fixed [right; left] columns of the system at ``lamp``."""
         sysp = build_biortho(fam(lamp))
-        cols, phases = _match(sys0.left, sysp.right, needed)
-        # column by column: fancy indexing (right[:, cols]) made 2-thread
-        # sweeps run ~1.5x slower
-        block = np.empty((2 * N, K), dtype=complex)
-        for i, m in enumerate(cols):
-            block[:N, i] = sysp.right[:, m]
-            block[N:, i] = sysp.left[:, m]
-        block *= phases
+        cols, phases = _match(bras, sysp.right, needed)
+        # from Python scalars: numpy indexing per column costs more at small
+        # N, and fancy indexing (right[:, cols]) made 2-thread sweeps ~1.5x slower
+        rows = sysp.right.tolist() + sysp.left.tolist()
+        block = np.array([[row[m] * p for m, p in zip(cols, phases)] for row in rows])
         if gauge is not None:
             f = np.exp((np.asarray(gauge(lamp), dtype=complex) - g0)[needed])
             block[:N] *= f
             block[N:] *= np.conj(1.0 / f)
         return block
 
-    D = np.stack([central_difference(columns_at, lam, mu, h) for mu in range(fam.num_params)])
+    D = np.array([central_difference(columns_at, lam, mu, h) for mu in range(fam.num_params)])
     return sys0, D[:, :N], D[:, N:]
 
 
@@ -544,13 +542,14 @@ def chi_hermitian(
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("family is not Hermitian at this parameter point")
     _, V0 = np.linalg.eigh(K)
+    bras = V0.conj().T
 
     def matched(lamp):
         Kp = fam(lamp)
         if np.abs(Kp - Kp.conj().T).max() > 1e-12 * scale:
             raise NotHermitian("family leaves the Hermitian domain inside the stencil")
         _, V = np.linalg.eigh(Kp)
-        cols, phases = _match(V0, V, range(fam.dim))
+        cols, phases = _match(bras, V, range(fam.dim))
         return np.column_stack([V[:, m] for m in cols]) * phases
 
     # rows |d_mu v>: chi = <d_mu v|d_nu v> - <d_mu v|v><v|d_nu v>
@@ -612,14 +611,15 @@ def stencil_tensors(
     # eta bit-identical between the one-state and the every-state stencil
     dRn = np.ascontiguousarray(dR[:, :, n if every else 0])
     dLc = dL[:, :, n if every else 0].conj()
-    conn = [lnc @ v for v in dRn]  # A_nu = <n_L|d_nu n_R>
+    dRn_rows = list(dRn)
+    conn = [lnc @ v for v in dRn_rows]  # A_nu = <n_L|d_nu n_R>
 
     out = {}
     for kind in kinds:
         if kind == "eta":
-            lr = [v @ rn for v in dLc]
-            vals = np.array([[dLc[a] @ dRn[b] - lr[a] * conn[b] for b in range(d)]
-                             for a in range(d)])
+            # <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R> A_nu
+            vals = np.array([[v @ u - lr * a for u, a in zip(dRn_rows, conn)]
+                             for v, lr in ((v, v @ rn) for v in dLc)])
         elif kind == "zeta" and route == "projector":
             w = sys0.gram_left[n]  # Cinv[n, m]
             dRc = dR.conj()

@@ -360,6 +360,27 @@ class TestSSHTensors:
             rows = out.read_text().splitlines()[2:]
             assert rows[0].endswith(",ok") and rows[1].endswith("," + status), kinds
 
+    @pytest.mark.parametrize("kind", cli_mod.SSHAdapter.kinds)
+    @pytest.mark.parametrize("state", ["2", "-1"])
+    def test_state_out_of_range_exit_3(self, runner, tmp_path, monkeypatch, kind, state):
+        # checked once against the two bands, before any point is evaluated,
+        # for the kinds that read the state and for zeta, which does not
+        calls = []
+        real = cli_mod.SSHAdapter.tensors
+        monkeypatch.setattr(cli_mod.SSHAdapter, "tensors",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "sweep", "--model", "nh-ssh", "--set", "L=8", "--set", "delta=0.5",
+            "--axis", "t:0.1:0.9:3", "--tensors", kind, "--state", state, "--output", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"ShapeMismatch: state index {state} out of range for dim 2" in result.output
+        assert not out.exists()
+        result = runner.invoke(main, ["tensor", "--model", "nh-ssh", "--set", "L=8",
+                                      "--tensors", kind, "--state", state])
+        assert result.exit_code == 3, result.output
+        assert f"ShapeMismatch: state index {state} out of range for dim 2" in result.output
+        assert calls == []
 
     @pytest.mark.parametrize("kinds", ["zeta_limited_rescaled", "zeta_limited", "eta",
                                        "eta,zeta_limited"])

@@ -25,6 +25,7 @@ from nhgeo.linalg import (
     _norm,
     _pencil_2x2,
     _trace_sum,
+    canonical_order,
     eig_general,
     inverse,
     load_matrix,
@@ -34,6 +35,8 @@ from nhgeo.linalg import (
     solve_sylvester,
     solve_sylvester_pair,
 )
+from nhgeo.ssh import SSHParams, bloch_family
+from nhgeo.tensors import eta_tensor
 
 from conftest import maxdev
 
@@ -258,19 +261,26 @@ class TestClosedForms2x2:
                 build_biortho(K)
 
     def test_biortho_2x2_runs_no_svd_cond_or_inverse(self, rng, monkeypatch):
+        # a 2x2 eigensystem is one LAPACK eig, and a stencil point of nh-ssh
+        # eta is 1 + 2d = 5 of them
         npla = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / 1
 
         calls = []
-        for name in ("svd", "cond", "inv"):
+        for name in ("eig", "svd", "cond", "inv"):
             for mod in (np.linalg, npla):
                 real = getattr(mod, name)
                 monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name, **k:
                                     calls.append(_n) or _f(*a, **k))
         sys = build_biortho(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        assert calls == []
+        assert calls == ["eig"]
         assert maxdev(sys.left.conj().T @ sys.right, np.eye(2)) <= 1e-12
+        calls.clear()
+        p = SSHParams(0.7, 0.5, 64)
+        eta_tensor(bloch_family(p, p.k_grid[5]), [p.t, p.delta], 0)
+        assert calls == ["eig"] * 5
+        calls.clear()
         build_biortho(rng.normal(size=(3, 3)))  # the counters do see larger matrices
-        assert set(calls) == {"svd", "cond", "inv"}
+        assert set(calls) == {"eig", "svd", "cond", "inv"}
 
     @pytest.mark.parametrize("N", [2, 3, 8])
     def test_decomposition_norm_is_norm2(self, rng, N):
@@ -292,6 +302,111 @@ class TestClosedForms2x2:
         svd_calls.clear()
         solve_sylvester_pair(A[:2, :2] + 4 * np.eye(2), B[:2, :2] + 4 * np.eye(2), np.eye(2))
         assert svd_calls == []
+
+
+def general_pass(K):
+    """The eigenpairs of the 2x2 ``K`` through the post-processing that
+    ``eig_general`` gives N > 2, on the same LAPACK output: canonical order,
+    then unit columns."""
+    w, R = np.linalg.eig(np.asarray(K, dtype=complex))
+    order = canonical_order(w)
+    w, R = w[order], R[:, order]
+    return w, R / np.linalg.norm(R, axis=0)
+
+
+class TestScalarPass2x2:
+    """A 2x2 eigensystem is one LAPACK eig plus one pass of scalar arithmetic;
+    it must agree with the general post-processing of the same output."""
+
+    def agrees(self, K):
+        w, R = general_pass(K)
+        dec = eig_general(K)
+        assert np.array_equal(dec.eigenvalues, w)  # the same order, the same values
+        assert maxdev(dec.right_vectors, R) <= 1e-15
+        assert maxdev(np.linalg.norm(dec.right_vectors, axis=0), np.ones(2)) <= 1e-15
+        ref = np.linalg.cond(R, 2)
+        assert abs(dec.condition - ref) <= (1e-12 + 1e-15 * ref) * ref
+        assert dec.is_diagonalizable_estimate and dec.right_inverse is not None
+        assert maxdev(dec.right_inverse, np.linalg.inv(R)) <= 1e-12 * ref
+        assert dec.norm == norm2(K)
+        return dec
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["random", "real", "offdiagonal", "mixed", "1e200", "1e-200"]))
+    def test_matches_general_pass(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if kind == "real":
+                K = K.real
+            elif kind == "offdiagonal":  # as the nh-ssh Bloch blocks
+                K *= [[0, 1], [1, 0]]
+            elif kind == "mixed":
+                K *= 10.0 ** rng.uniform(-8, 8, size=(2, 2))
+            elif kind != "random":
+                K *= float(kind)
+            self.agrees(K)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5 + 1j, 1e200, 1e-200])
+    def test_multiple_of_identity(self, c):
+        dec = self.agrees(c * np.eye(2))
+        assert np.array_equal(dec.eigenvalues, [c, c])
+        assert np.array_equal(dec.right_vectors, np.eye(2))
+        assert dec.condition == 1.0 and np.array_equal(dec.right_inverse, np.eye(2))
+
+    @pytest.mark.parametrize("pair, ordered", [
+        ([1.0 + 1e-13, 1.0], [1.0 + 1e-13, 1.0]),  # tied at the resolution: LAPACK's order
+        ([1.0, 1.0 + 1e-13], [1.0, 1.0 + 1e-13]),
+        ([2.0, 1.0], [1.0, 2.0]),
+        ([1j, -1j], [-1j, 1j]),  # equal real parts: by imaginary part
+        ([1.0 + 1j, 1.0 - 1j + 1e-13], [1.0 - 1j + 1e-13, 1.0 + 1j]),
+    ])
+    def test_order(self, pair, ordered):
+        dec = self.agrees(np.diag(pair))
+        assert np.array_equal(dec.eigenvalues, ordered)
+        # the eigenvector of pair[i] is the unit vector e_i
+        assert np.array_equal(np.abs(dec.right_vectors),
+                              np.eye(2)[:, [pair.index(z) for z in ordered]])
+
+    def test_unit_columns_from_scaled_vectors(self, monkeypatch):
+        K = np.array([[1.0, 2.0 + 1j], [0.5, -1.0]])
+        ref = eig_general(K)
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda A: (real_eig(A)[0], real_eig(A)[1] * [3.0, -0.25j]))
+        dec = self.agrees(K)  # unit columns again, each with its new phase
+        assert maxdev(np.abs(dec.right_vectors), np.abs(ref.right_vectors)) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_jordan_block_near_defective(self, scale):
+        K = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+        dec = eig_general(K)
+        assert not dec.is_diagonalizable_estimate and dec.right_inverse is None
+        assert dec.condition > DEFECTIVE_COND and dec.norm == norm2(K)
+        with pytest.raises(NearDefective):
+            build_biortho(K)
+
+    @pytest.mark.parametrize("where", ["value", "value_imag", "vector", "value_inf"])
+    def test_nonfinite_pair_is_nonconvergence(self, where, monkeypatch):
+        real_eig = np.linalg.eig
+
+        def corrupt(K):
+            w, R = real_eig(K)
+            if where == "value":
+                w[1] = np.nan
+            elif where == "value_imag":
+                w[0] = complex(w[0].real, np.nan)
+            elif where == "vector":
+                R[1, 0] = np.nan
+            else:
+                w[0] = np.inf
+            return w, R
+
+        monkeypatch.setattr(np.linalg, "eig", corrupt)
+        for K in (np.diag([1.0, 2.0]), np.array([[0.0, 1e200], [2e200, 0.0]]),
+                  np.array([[1e-200, 1e-200j], [0.0, -1e-200]])):
+            with pytest.raises(NonConvergence):
+                eig_general(K)
 
 
 def random_stable(rng, N):
