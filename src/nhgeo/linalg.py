@@ -7,7 +7,6 @@ used by the command line tools.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -41,8 +40,7 @@ def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if (A.ndim < 2 or A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2] or not A.size:
         raise ShapeMismatch(f"{name} must be nonempty and square, got shape {A.shape}")
-    # up to four entries are checked as Python scalars, cheaper than two ufunc calls
-    if not (all(map(cmath.isfinite, A.ravel().tolist())) if A.size <= 4 else np.isfinite(A).all()):
+    if not np.isfinite(A).all():
         raise ShapeMismatch(f"{name} has non-finite entries")
     return A
 

@@ -15,7 +15,6 @@ finite-difference stencil that serves as their oracle.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,6 @@ def bloch(params: SSHParams, k) -> np.ndarray:
     """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik};
     for an array of momenta, the stack ``(..., 2, 2)`` of their blocks."""
     t, d = params.t, params.delta
-    if isinstance(k, (int, float)):  # one block in scalar arithmetic, bit-identical to the stack
-        t, d, k = float(t), float(d), float(k)
-        return np.array([[0j, t - d + cmath.exp(-1j * k)], [t + d + cmath.exp(1j * k), 0j]])
     K = np.zeros(np.shape(k) + (2, 2), dtype=complex)
     K[..., 0, 1] = t - d + np.exp(-1j * k)
     K[..., 1, 0] = t + d + np.exp(1j * k)
@@ -90,7 +86,7 @@ def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
     """The fixed-k Bloch matrix as a two-parameter family over (t, delta)."""
 
     def f(lam):
-        return bloch(SSHParams(*lam.tolist(), params.L), k)
+        return bloch(SSHParams(lam[0], lam[1], params.L), k)
 
     def df(mu, lam):
         return _SX if mu == 0 else _DX_DDELTA

@@ -88,7 +88,7 @@ GaugeFunc = Callable[[np.ndarray], np.ndarray]
 
 def _params(lam, num_params: int) -> np.ndarray:
     """``lam`` as a float vector of ``num_params`` entries, else ShapeMismatch."""
-    lam = np.array(lam, dtype=float, ndmin=1, copy=None)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (num_params,):
         raise ShapeMismatch(f"expected {num_params} parameters, got shape {lam.shape}")
     return lam
@@ -117,7 +117,7 @@ def central_difference(f, lam, mu: int, h: float | None = None):
 
     The step defaults to ``eps^(1/3) * max(1, |lam_mu|)`` (:func:`_step`).
     """
-    lam = np.array(lam, dtype=float, ndmin=1, copy=None)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     h = _step(lam, mu, h)
     e = np.zeros(lam.shape)
     e[mu] = h
@@ -611,15 +611,14 @@ def stencil_tensors(
     # eta bit-identical between the one-state and the every-state stencil
     dRn = np.ascontiguousarray(dR[:, :, n if every else 0])
     dLc = dL[:, :, n if every else 0].conj()
-    dRn_rows = list(dRn)
-    conn = [lnc @ v for v in dRn_rows]  # A_nu = <n_L|d_nu n_R>
+    conn = [lnc @ v for v in dRn]  # A_nu = <n_L|d_nu n_R>
 
     out = {}
     for kind in kinds:
         if kind == "eta":
-            # <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R> A_nu
-            vals = np.array([[v @ u - lr * a for u, a in zip(dRn_rows, conn)]
-                             for v, lr in ((v, v @ rn) for v in dLc)])
+            lr = [v @ rn for v in dLc]
+            vals = np.array([[dLc[a] @ dRn[b] - lr[a] * conn[b] for b in range(d)]
+                             for a in range(d)])
         elif kind == "zeta" and route == "projector":
             w = sys0.gram_left[n]  # Cinv[n, m]
             dRc = dR.conj()

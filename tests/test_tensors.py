@@ -692,7 +692,7 @@ class TestContinuation:
         F = np.fft.fft(np.eye(5)) / np.sqrt(5)
         sysp = build_biortho(F @ d @ F.conj().T)
         with pytest.raises(ContinuationAmbiguous, match="below"):
-            _match(sys0.left, sysp.right, [0, 1, 2, 3, 4])
+            _match(sys0.left.conj().T, sysp.right, [0, 1, 2, 3, 4])
 
     def test_two_states_one_column_detected(self):
         # states 0 and 1 both overlap column 0 by 1/sqrt(2), above threshold
