@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefective
-from .linalg import eig_general
+from .linalg import EigDecomposition, eig_general
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,11 @@ class BiorthogonalSystem:
 
     ``right[:, n]`` and ``left[:, n]`` satisfy ``left^+ right = I``.  The
     Gram matrices are properties, formed when asked for (a stencil point
-    reads neither).  ``condition`` is the 2-norm condition number of the
-    unit-column right eigenvector matrix the eigensolve returned (gauge
-    independent), and ``norm`` is ``||K||_2`` (``EigDecomposition.norm``),
-    the scale of every gap and degeneracy test on this system.
+    reads neither).  ``condition`` is the exact 2-norm condition number of
+    the unit-column right eigenvector matrix the eigensolve returned (gauge
+    independent), and ``norm`` is the exact ``||K||_2``
+    (``EigDecomposition.norm``), the scale of every gap and degeneracy test
+    on this system; at N > 2 each was one SVD.
     """
 
     eigenvalues: np.ndarray
@@ -54,17 +55,20 @@ class BiorthogonalSystem:
 
 
 def build_biortho(K) -> BiorthogonalSystem:
-    """Construct the biorthogonal eigensystem of ``K``.
+    """Construct the biorthogonal eigensystem of ``K``, a matrix or, for a
+    caller that keeps one, its :func:`eig_general` decomposition.
 
-    A degenerate spectrum is not an error here: the engines that divide by
-    a gap test it themselves and raise DegenerateSpectrum.
+    It reads the decomposition's exact ``condition`` and ``norm``, so at
+    N > 2 it runs the two SVDs that :func:`eig_general` leaves undone.  A
+    degenerate spectrum is not an error here: the engines that divide by a
+    gap test it themselves and raise DegenerateSpectrum.
 
     Raises
     ------
     NearDefective
         If the right eigenvector matrix has condition number above 1e12.
     """
-    dec = eig_general(K)
+    dec = K if isinstance(K, EigDecomposition) else eig_general(K)
     if not dec.is_diagonalizable_estimate:
         raise NearDefective(
             f"eigenvector condition number {dec.condition:.3e}: "
@@ -72,4 +76,3 @@ def build_biortho(K) -> BiorthogonalSystem:
         )
     return BiorthogonalSystem(dec.eigenvalues, dec.right_vectors, dec.right_inverse.conj().T,
                               dec.condition, dec.norm)
-

@@ -30,7 +30,6 @@ from .errors import NhgeoError, ShapeMismatch
 from .kitaev import WEAK_KINDS, DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
 from .biortho import build_biortho
 from .linalg import (
-    DEFECTIVE_COND,
     as_square,
     complex_pairs,
     eig_general,
@@ -250,7 +249,7 @@ class MatrixFamilyAdapter(_FileFamily):
         fam = self.family()
         out = {}
         if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
-            eigsys = self.decomposition(lam, lambda: build_biortho(fam(lam)))
+            eigsys = build_biortho(self.decomposition(lam, lambda: eig_general(fam(lam))))
             sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg, sys=eigsys)
             out = {kind: t.values for kind, t in sos.items()}
         if "chi" in kinds:
@@ -263,7 +262,7 @@ class MatrixFamilyAdapter(_FileFamily):
         return {
             "eigenvalues": [_c(z) for z in dec.eigenvalues],
             "condition": dec.condition if np.isfinite(dec.condition) else None,  # defective
-            "diagonalizable": dec.condition <= DEFECTIVE_COND,
+            "diagonalizable": dec.is_diagonalizable_estimate,
         }
 
 

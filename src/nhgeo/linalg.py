@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,21 +63,33 @@ class EigDecomposition:
     """Right eigendecomposition in canonical eigenvalue order.
 
     ``right_vectors[:, n]`` is the unit-norm right eigenvector of
-    ``eigenvalues[n]``.  ``condition`` is the 2-norm condition number of the
-    eigenvector matrix; ``is_diagonalizable_estimate`` is False when it
-    exceeds ``DEFECTIVE_COND`` (reported, not fatal).  ``right_inverse`` is
-    the inverse of ``right_vectors``, or None when ``condition`` exceeds
-    ``DEFECTIVE_COND``.  ``norm`` is ``||K||_2``, the value the residual
-    test scales by (equal to :func:`norm2` of ``K``), so that callers
-    holding the decomposition need not compute it again.
+    ``eigenvalues[n]``.  ``is_diagonalizable_estimate`` is False when the
+    2-norm condition number of the eigenvector matrix exceeds
+    ``DEFECTIVE_COND`` (reported, not fatal), and ``right_inverse`` is the
+    inverse of ``right_vectors``, or None in that case.  ``norm_bounds``
+    brackets ``||K||_2`` (``matrix`` is ``K``); a threshold test on the norm
+    decides from it (:func:`_scale_verdict`).
+
+    ``norm`` (``||K||_2``, equal to :func:`norm2` of ``K``) and
+    ``condition`` (the 2-norm condition number of ``right_vectors``) are
+    exact.  At 2x2 they come with the decomposition; at N > 2 each is one
+    SVD, run when it is first read.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    condition: float
     is_diagonalizable_estimate: bool
     right_inverse: np.ndarray | None
-    norm: float
+    norm_bounds: tuple[float, float]
+    matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def norm(self) -> float:
+        return norm2(self.matrix)
+
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(self.right_vectors, 2))
 
 
 def _pow2(m: float) -> float:
@@ -131,18 +144,42 @@ def norm2(A):
     return float(np.linalg.norm(A, 2))
 
 
+def _max_part(A) -> float:
+    """The largest |Re| or |Im| entry of ``A``, the argument of :func:`_pow2`."""
+    return float(max(A.real.max(), -A.real.min(), A.imag.max(), -A.imag.min()))
+
+
 def _residuals(K, w, R):
     """Eigenpair residuals ``||K r_j - w_j r_j||`` of ``K (N, N)``, ``N >
-    2``, and the bound ``1e-10 * ||K||_2``, both times the power of two of
-    :func:`_pow2` (exact), so that no norm overflows or underflows, and
-    ``||K||_2`` itself, bit-identical to :func:`norm2`.  The scale is that of
-    ``K R - R diag(w)``, whose entries stay below ``N max|K|``."""
-    s = _pow2(float(max(K.real.max(), -K.real.min(), K.imag.max(), -K.imag.min())))
+    2``, and the Frobenius norm of ``K``, both times the power of two ``s``
+    of :func:`_pow2` (exact), so that no norm overflows or underflows, and
+    ``s``.  The scale is that of ``K R - R diag(w)``, whose entries stay
+    below ``N max|K|``."""
+    s = _pow2(_max_part(K))
     E = K @ R
     E -= R * w
     E *= s
-    norm = norm2(K)
-    return np.linalg.norm(E, axis=0), 1e-10 * norm * s, norm
+    return np.linalg.norm(E, axis=0), float(np.linalg.norm(K * s)), s
+
+
+def _bracketed(pred, lo, hi, exact) -> bool:
+    """``pred(v)`` for a value ``v`` known to lie in ``[lo, hi]`` and a
+    predicate monotone in ``v``.  When ``pred`` agrees at both ends of the
+    bracket widened by a factor 2, that is the verdict, and no rounding in
+    ``lo``, ``hi`` or ``v`` can have changed it; otherwise it is
+    ``pred(exact())``, the test made on the exact value."""
+    verdict = pred(lo / 2)
+    return verdict if pred(2 * hi) == verdict else pred(exact())
+
+
+def _scale_verdict(pred, *decs) -> bool:
+    """``pred(max(1, ||K||_2))``, ``||K||_2`` the largest norm of the matrices
+    of the decompositions ``decs``, for a predicate monotone in that scale:
+    :func:`_bracketed` on their ``norm_bounds``, so that an exact norm is
+    read only when the brackets straddle the predicate's threshold."""
+    lo = max(1.0, *(d.norm_bounds[0] for d in decs))
+    hi = max(1.0, *(d.norm_bounds[1] for d in decs))
+    return _bracketed(pred, lo, hi, lambda: max(1.0, *(d.norm for d in decs)))
 
 
 def _check_residuals(resid, tol) -> None:
@@ -169,18 +206,38 @@ def _cond_adjugate(a, b, c, d, s=1.0):
 
 
 def _cond_inverse(A):
-    """``(cond_2(A), A^-1)``, the inverse None when the condition number
-    exceeds ``DEFECTIVE_COND`` or is not finite (so a singular ``A`` raises
-    no LinAlgError).
+    """``(cond_2(A), A^-1)`` of the 2x2 ``A``: :func:`_cond_adjugate` on the
+    entries scaled by a power of two."""
+    vals, s = _scaled_2x2(A)
+    return _cond_adjugate(*vals, s)
 
-    2x2: :func:`_cond_adjugate` on the entries scaled by a power of two.
-    Larger matrices: the SVD, then an LU inverse.
+
+def _inverse(A):
+    """``A^-1``, or None when ``cond_2(A)`` exceeds ``DEFECTIVE_COND`` or is
+    not finite (so a singular ``A`` raises no LinAlgError).
+
+    2x2: :func:`_cond_inverse`.  Larger matrices: the LU inverse, and the
+    verdict from ``cond_1/N <= cond_2 <= N cond_1``, ``cond_1 = ||A||_1
+    ||A^-1||_1`` (:func:`_bracketed`: the SVD runs only when the bracket
+    straddles ``DEFECTIVE_COND``).  The 1-norms are those of ``A`` and
+    ``A^-1`` scaled by the power of two of :func:`_pow2` and by its inverse,
+    so that only a huge condition number overflows; an LU that finds ``A``
+    singular, or a 1-norm that is not finite, means defective.
     """
     if A.shape == (2, 2):
-        vals, s = _scaled_2x2(A)
-        return _cond_adjugate(*vals, s)
-    cond = float(np.linalg.cond(A, 2))
-    return cond, np.linalg.inv(A) if cond <= DEFECTIVE_COND else None
+        return _cond_inverse(A)[1]
+    try:
+        Ai = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # singular to working precision
+        return None
+    s = _pow2(_max_part(A))
+    with np.errstate(over="ignore"):
+        cond1 = float((abs(A) * s).sum(axis=0).max()) * float((abs(Ai) / s).sum(axis=0).max())
+    n = A.shape[0]
+    if _bracketed(lambda c: c <= DEFECTIVE_COND, cond1 / n, n * cond1,
+                  lambda: float(np.linalg.cond(A, 2))):
+        return Ai
+    return None
 
 
 def _quantized(x: float) -> float:
@@ -222,19 +279,30 @@ def _finish_2x2(K, w, R) -> EigDecomposition:
     _check_residuals((math.hypot(e0.real, e0.imag, e1.real, e1.imag),
                       math.hypot(e2.real, e2.imag, e3.real, e3.imag)), 1e-10 * norm)
     cond, Rinv = _cond_adjugate(r00, r01, r10, r11)
-    return EigDecomposition(np.array([w0, w1]), np.array([[r00, r01], [r10, r11]]), cond,
-                            cond <= DEFECTIVE_COND, Rinv, norm / s)
+    norm /= s
+    dec = EigDecomposition(np.array([w0, w1]), np.array([[r00, r01], [r10, r11]]),
+                           cond <= DEFECTIVE_COND, Rinv, (norm, norm), K)
+    exact = dec.__dict__  # where cached_property keeps the values it computed
+    exact["norm"], exact["condition"] = norm, cond
+    return dec
 
 
 def eig_general(K) -> EigDecomposition:
     """Eigendecomposition of a general complex square matrix.
 
     The residual test is scale-free: no norm overflows or underflows at any
-    magnitude of ``K``.  ``R^-1`` and ``||K||_2`` (the closed form at 2x2,
-    the SVD above) are computed here, once, for the callers that need them.
-    A 2x2 ``K`` is one LAPACK ``eig`` and one scalar pass
-    (:func:`_finish_2x2`); larger ``K`` are ordered, normalized and checked
-    in array arithmetic (:func:`_residuals`, :func:`_cond_inverse`).
+    magnitude of ``K``.  ``R^-1`` is computed here, once, for the callers
+    that need it.  A 2x2 ``K`` is one LAPACK ``eig`` and one scalar pass
+    (:func:`_finish_2x2`), which also gives the exact ``||K||_2`` and
+    condition number.  Larger ``K`` are ordered, normalized and checked in
+    array arithmetic, and run no SVD unless a verdict needs one: the
+    residual test (:func:`_residuals`) reads the exact ``||K||_2`` only when
+    the Frobenius bracket ``||K||_F / sqrt(N) <= ||K||_2 <= ||K||_F`` does
+    not put every residual surely inside the bound, and the condition test
+    (:func:`_inverse`) takes the SVD only when its 1-norm bracket straddles
+    ``DEFECTIVE_COND``.  The decomposition keeps the Frobenius bracket for
+    the later tests on the norm (:func:`_scale_verdict`); its exact
+    ``norm`` and ``condition`` are computed when first read.
 
     A larger ``K`` whose imaginary part is exactly zero (the real-space
     steady-state generator ``X``, for one) goes to LAPACK's real routine,
@@ -247,8 +315,9 @@ def eig_general(K) -> EigDecomposition:
     Raises
     ------
     NonConvergence
-        If the underlying QR iteration fails or the per-pair residual
-        ``||K v - w v||`` exceeds ``1e-10 * ||K||`` (or is NaN).
+        If the underlying QR iteration fails, returns a non-finite
+        eigenpair, or the per-pair residual ``||K v - w v||`` exceeds
+        ``1e-10 * ||K||``.
     """
     K = as_square(K, "K")
     real = K.shape != (2, 2) and not K.imag.any()
@@ -258,23 +327,29 @@ def eig_general(K) -> EigDecomposition:
         raise NonConvergence(str(exc)) from exc
     if K.shape == (2, 2):
         return _finish_2x2(K, w, R)
+    if not (np.isfinite(w).all() and np.isfinite(R).all()):
+        raise NonConvergence("LAPACK returned a non-finite eigenpair")
     # the real routine returns real arrays for an all-real spectrum
     w, R = w.astype(complex, copy=False), R.astype(complex, copy=False)
     order = canonical_order(w)
     w, R = w[order], R[:, order]
     R = R / np.linalg.norm(R, axis=0)
 
-    resid, tol, norm = _residuals(K, w, R)
-    _check_residuals(resid, tol)
-    cond, Rinv = _cond_inverse(R)
-    return EigDecomposition(w, R, cond, cond <= DEFECTIVE_COND, Rinv, norm)
+    resid, frob, s = _residuals(K, w, R)
+    root = math.sqrt(len(w))
+    if not (resid <= 1e-10 * frob / (2 * root)).all():  # not surely within the bound
+        _check_residuals(resid, 1e-10 * norm2(K) * s)
+    Rinv = _inverse(R)
+    return EigDecomposition(w, R, Rinv is not None, Rinv, (frob / s / root, frob / s), K)
 
 
 def inverse(A) -> np.ndarray:
-    """Matrix inverse, guarded by a condition-number bound of 1e12."""
-    cond, Ai = _cond_inverse(as_square(A, "A"))
+    """Matrix inverse, guarded by a bound of 1e12 on the 2-norm condition
+    number (:func:`_inverse`: at N > 2 the SVD runs only near the bound)."""
+    A = as_square(A, "A")
+    Ai = _inverse(A)
     if Ai is None:
-        raise SingularMatrix(f"condition number {cond:.3e} above 1e12")
+        raise SingularMatrix(f"condition number {np.linalg.cond(A, 2):.3e} above 1e12")
     return Ai
 
 
@@ -451,15 +526,17 @@ def _trace_sum(A, B) -> np.ndarray:
     return rows @ cols.T
 
 
-def _pencil(a, Ua, Uai, b, Ub, Ubi, tol):
+def _pencil(a, Ua, Uai, b, Ub, Ubi, *decs):
     """Solver of ``A G + G B = Y`` from ``A = Ua diag(a) Uai``, ``B = Ub diag(b) Ubi``.
 
-    The pencil ``a_i + b_j`` is checked once against ``tol``; the returned
-    function then maps any right-hand side to its solution.
+    The pencil ``a_i + b_j`` is checked once against ``PENCIL_RTOL * max(1,
+    ||A||_2, ||B||_2)`` (:func:`_scale_verdict` on the decompositions
+    ``decs`` of ``A`` and ``B``); the returned function then maps any
+    right-hand side to its solution.
     """
     denom = a[:, None] + b[None, :]
     small = np.abs(denom).min()
-    _raise_first(small < tol, SingularPencil,
+    _raise_first(_scale_verdict(lambda m: small < PENCIL_RTOL * m, *decs), SingularPencil,
                  lambda i: f"min |a_i + b_j| = {np.ravel(small)[i]:.3e} below tolerance")
     return lambda Y: Ua @ ((Uai @ Y @ Ub) / denom) @ Ubi
 
@@ -493,7 +570,7 @@ def solve_sylvester_pair(A, B, Y) -> np.ndarray:
         raise NearDefective("coefficient matrix near defective")
     a, Ua, Uai = da.eigenvalues, da.right_vectors, da.right_inverse
     b, Ub, Ubi = db.eigenvalues, db.right_vectors, db.right_inverse
-    return _pencil(a, Ua, Uai, b, Ub, Ubi, PENCIL_RTOL * max(da.norm, db.norm, 1.0))(Y)
+    return _pencil(a, Ua, Uai, b, Ub, Ubi, da, db)(Y)
 
 
 def _sylvester_solver(X, dec: EigDecomposition):
@@ -509,7 +586,7 @@ def _sylvester_solver(X, dec: EigDecomposition):
             f"eigenvector condition {dec.condition:.3e} above {DEFECTIVE_COND:.0e}"
         )
     x, U, Ui = dec.eigenvalues, dec.right_vectors, dec.right_inverse
-    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, PENCIL_RTOL * max(dec.norm, 1.0))
+    pencil = _pencil(x, U, Ui, x, Ui.T, U.T, dec)
 
     def solve(Y):
         Y = as_square(Y, "Y")

@@ -43,6 +43,7 @@ from .linalg import (
     _mul,
     _pencil_2x2,
     _raise_first,
+    _scale_verdict,
     _sylvester_solver,
     _trace_sum,
     _transpose,
@@ -161,11 +162,9 @@ def _steady_state(liou: QuadraticLiouvillian, dec=None):
     """``(dec, solve, Gamma)``: the decomposition of X (``dec`` when the caller
     has it), the checked solver of ``X G + G X^T = Y`` on it, and Gamma."""
     dec = dec or eig_general(liou.X)
-    x = dec.eigenvalues
-    if x.real.min() <= 1e-12 * max(1.0, dec.norm):
-        raise NonUniqueSteadyState(
-            f"min Re(rapidity) = {x.real.min():.3e}: steady state not unique"
-        )
+    xmin = dec.eigenvalues.real.min()
+    if _scale_verdict(lambda m: xmin <= 1e-12 * m, dec):  # 1e-12 * max(1, ||X||_2)
+        raise NonUniqueSteadyState(f"min Re(rapidity) = {xmin:.3e}: steady state not unique")
     solve = _sylvester_solver(liou.X, dec)
     return dec, solve, solve(liou.Y)
 

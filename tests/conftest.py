@@ -15,6 +15,17 @@ def agree(a, b, tol, scale_floor=1.0):
     return float(np.abs(a - b).max()) <= tol * scale
 
 
+def inside(v, lo, hi):
+    """True when ``v`` lies well inside ``(lo, hi)``, False when it lies well
+    outside, None within 1% of either end (where the code's bracket, made in
+    its own rounding, may fall either way)."""
+    if lo * 1.01 < v < hi * 0.99:
+        return True
+    if v < lo * 0.99 or v > hi * 1.01:
+        return False
+    return None
+
+
 def maxdev(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 

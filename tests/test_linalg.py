@@ -25,6 +25,7 @@ from nhgeo.linalg import (
     _mul,
     _norm,
     _pencil_2x2,
+    _sylvester_solver,
     _trace_sum,
     canonical_order,
     eig_general,
@@ -39,7 +40,7 @@ from nhgeo.linalg import (
 from nhgeo.ssh import SSHParams, bloch_family
 from nhgeo.tensors import eta_tensor
 
-from conftest import maxdev
+from conftest import inside, maxdev
 
 
 def charpoly_coeffs(K):
@@ -292,14 +293,14 @@ class TestClosedForms2x2:
             assert sys.norm == norm2(K)
 
     def test_decomposition_norm_spares_svds(self, rng, svd_calls):
-        # eig_general makes two SVDs at N > 2, ||K||_2 and the condition
-        # number; its callers read ||K||_2 from the decomposition
+        # eig_general runs no SVD at N > 2 away from its thresholds; a
+        # biorthogonal system reads the exact ||K||_2 and condition number
         build_biortho(rng.normal(size=(3, 3)))
         assert svd_calls == [(3, 3)] * 2
         svd_calls.clear()
         A, B = random_stable(rng, 3), random_stable(rng, 4)
         solve_sylvester_pair(A, B, rng.normal(size=(3, 4)))
-        assert svd_calls == [(3, 3)] * 2 + [(4, 4)] * 2
+        assert svd_calls == []
         svd_calls.clear()
         solve_sylvester_pair(A[:2, :2] + 4 * np.eye(2), B[:2, :2] + 4 * np.eye(2), np.eye(2))
         assert svd_calls == []
@@ -405,7 +406,9 @@ class TestScalarPass2x2:
 
         monkeypatch.setattr(np.linalg, "eig", corrupt)
         for K in (np.diag([1.0, 2.0]), np.array([[0.0, 1e200], [2e200, 0.0]]),
-                  np.array([[1e-200, 1e-200j], [0.0, -1e-200]])):
+                  np.array([[1e-200, 1e-200j], [0.0, -1e-200]]),
+                  np.array([[1.0, 2j, 0.0], [0.5, -1.0, 1.0], [0.0, 1j, 3.0]]),
+                  np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, 2.0]])):
             with pytest.raises(NonConvergence):
                 eig_general(K)
 
@@ -506,6 +509,126 @@ class TestRealRoute:
                 build_biortho(K)
             with pytest.raises(NearDefective):
                 solve_sylvester(K, np.eye(3))
+
+
+def pencil_matrix(rng, N, x0):
+    """A real non-normal N x N matrix with eigenvalues ``x0, 1, ..., N - 1``."""
+    V = rng.normal(size=(N, N)) + N * np.eye(N)
+    return V @ np.diag([x0, *range(1, N)]) @ np.linalg.inv(V)
+
+
+class TestBracketVerdicts:
+    """At N > 2 every verdict of eig_general and of the tests on its norm is
+    decided on a bracket and must equal the verdict on the exact (SVD) value,
+    the SVD running when, and only when, the bracket straddles the threshold
+    (the bracket widened by a factor 2)."""
+
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_condition(self, N, svd_calls):
+        # eigenvalues 1 and 1 + g coupled by 1: condition ~ 2/g, spread over
+        # the band [1e12/(2N), 2N 1e12] of cond_1 and beyond, and g = 0
+        # (a Jordan block)
+        rng = np.random.default_rng(N)
+        seen = set()
+        for c in [*np.logspace(np.log10(1e12 / (20 * N)), np.log10(20 * N * 1e12), 25), np.inf]:
+            K = np.triu(0.1 * rng.normal(size=(N, N)), 1) + np.diag(np.arange(1.0, N + 1))
+            K[0, 1], K[1, 1] = 1.0, 1.0 + 2 / c
+            svd_calls.clear()
+            dec = eig_general(K)
+            straddle = svd_calls != []
+            R = dec.right_vectors
+            diagonalizable = bool(np.linalg.cond(R, 2) <= DEFECTIVE_COND)
+            assert dec.is_diagonalizable_estimate is diagonalizable
+            assert (dec.right_inverse is None) is not diagonalizable
+            cond1 = np.linalg.cond(R, 1)
+            expected = inside(cond1, 1e12 / (2 * N), 2 * N * 1e12)
+            if expected is not None:
+                assert straddle is expected, (c, cond1)
+            seen.add((straddle, diagonalizable))
+        assert seen == {(False, True), (True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_inverse(self, N, scale, svd_calls):
+        rng = np.random.default_rng(N)
+        seen = set()
+        for c in np.logspace(np.log10(1e12 / (20 * N)), np.log10(20 * N * 1e12), 25):
+            U, V = (np.linalg.qr(rng.normal(size=(N, N)))[0] for _ in range(2))
+            A = scale * U @ np.diag(np.geomspace(1.0, 1 / c, N)) @ V + 0j  # as inverse takes it
+            svd_calls.clear()
+            try:
+                Ai = inverse(A)
+            except SingularMatrix:
+                Ai = None
+            svds = len(svd_calls)
+            singular = bool(np.linalg.cond(A, 2) > DEFECTIVE_COND)
+            assert (Ai is None) is singular
+            # one SVD for a straddled verdict, one for the message of SingularMatrix
+            straddle = svds > singular
+            expected = inside(np.linalg.cond(A, 1), 1e12 / (2 * N), 2 * N * 1e12)
+            if expected is not None:
+                assert svds == expected + singular, (c, np.linalg.cond(A, 1))
+            seen.add((straddle, singular))
+        assert seen == {(False, False), (True, False), (True, True), (False, True)}
+
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_residual(self, N, svd_calls, monkeypatch):
+        # every eigenvalue shifted by f * 1e-10 ||K||_2: each residual is near
+        # that, against the bound 1e-10 ||K||_2 and the band
+        # [1e-10 ||K||_F / (2 sqrt(N)), 2e-10 ||K||_F] that straddles it
+        rng = np.random.default_rng(N)
+        K = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        bound, frob = 1e-10 * np.linalg.norm(K, 2), 1e-10 * np.linalg.norm(K)
+        real_eig = np.linalg.eig
+        seen = set()
+        for f in np.geomspace(1e-2, 10.0, 16):
+            w, R = real_eig(K)
+            w = w + f * bound
+            R = R / np.linalg.norm(R, axis=0)
+            worst = np.linalg.norm(K @ R - R * w, axis=0).max()
+            monkeypatch.setattr(np.linalg, "eig", lambda A, _p=(w, R): _p)
+            svd_calls.clear()
+            try:
+                eig_general(K)
+                converged = True
+            except NonConvergence:
+                converged = False
+            assert converged is bool(worst <= bound)
+            # a residual not surely inside the bound reads the exact norm,
+            # once, which a failure's message reports
+            expected = inside(worst, frob / (2 * np.sqrt(N)), 2 * frob)
+            if expected is not None:
+                assert svd_calls == [(N, N)] * (expected or not converged), f
+            seen.add((svd_calls != [], converged))
+        assert seen == {(False, True), (True, True), (True, False)}
+
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_pencil(self, N, svd_calls):
+        # min |x_i + x_j| = 2 x0 against 1e-12 max(||X||_2, 1)
+        rng = np.random.default_rng(N)
+        scale = max(norm2(pencil_matrix(np.random.default_rng(N), N, 0.0)), 1.0)
+        seen = set()
+        for f in np.geomspace(1e-2, 1e2, 20):
+            X = pencil_matrix(np.random.default_rng(N), N, f * 1e-12 * scale / 2)
+            dec = eig_general(X)
+            x = dec.eigenvalues
+            small = np.abs(x[:, None] + x[None, :]).min()
+            singular = bool(small < 1e-12 * max(norm2(X), 1.0))
+            frob = 1e-12 * np.linalg.norm(X)
+            expected = inside(small, max(frob / np.sqrt(N), 1e-12) / 2, 2 * max(frob, 1e-12))
+            for solve in (lambda: _sylvester_solver(X, dec),
+                          lambda: solve_sylvester_pair(X, X.T, rng.normal(size=(N, N)))):
+                svd_calls.clear()
+                try:
+                    solve()
+                    raised = False
+                except SingularPencil:
+                    raised = True
+                assert raised is singular, f
+                if expected is not None:
+                    assert (svd_calls != []) is expected, f
+            seen.add((svd_calls != [], singular))
+        assert seen == {(False, True), (True, True), (True, False), (False, False)}
 
 
 def random_stable(rng, N):

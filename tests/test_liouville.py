@@ -29,10 +29,10 @@ from nhgeo.liouville import (
     zeta_ness,
     zeta_ness_k,
 )
-from nhgeo.linalg import eig_general, solve_sylvester, solve_sylvester_pair
+from nhgeo.linalg import eig_general, norm2, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
-from conftest import maxdev
+from conftest import inside, maxdev
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 S0 = np.eye(2, dtype=complex)
@@ -212,6 +212,35 @@ class TestSteadyState:
         liou = build_liouvillian(1, np.zeros((2, 2)), M=np.zeros((2, 2)))
         with pytest.raises(NonUniqueSteadyState):
             steady_state_gamma(liou)
+
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_non_unique_verdict_is_exact(self, N, svd_calls):
+        # min Re x against 1e-12 max(||X||_2, 1), decided on the Frobenius
+        # bracket of ||X||_2; the SVD runs when the bracket widened by 2,
+        # [1e-12 ||X||_F / (2 sqrt(N)), 2e-12 ||X||_F], straddles min Re x
+        def generator(x0):
+            V = np.random.default_rng(N).normal(size=(N, N)) + N * np.eye(N)
+            X = V @ np.diag([x0, *range(1, N)]) @ np.linalg.inv(V)
+            return liouville_mod.QuadraticLiouvillian(N // 2, None, None, X, np.zeros((N, N)))
+
+        scale = max(norm2(generator(0.0).X), 1.0)
+        seen = set()
+        for f in np.geomspace(1e-2, 1e2, 20):
+            liou = generator(f * 1e-12 * scale)
+            xmin = eig_general(liou.X).eigenvalues.real.min()
+            unique = not xmin <= 1e-12 * max(norm2(liou.X), 1.0)
+            frob = 1e-12 * np.linalg.norm(liou.X)
+            svd_calls.clear()
+            try:
+                steady_state_gamma(liou)
+                assert unique
+            except NonUniqueSteadyState:
+                assert not unique
+            expected = inside(xmin, max(frob / np.sqrt(N), 1e-12) / 2, 2 * max(frob, 1e-12))
+            if expected is not None:
+                assert (svd_calls != []) is expected, f
+            seen.add((svd_calls != [], unique))
+        assert seen == {(False, True), (True, True), (True, False), (False, False)}
 
     def test_physical_spectrum(self, rng):
         for _ in range(5):
@@ -437,11 +466,11 @@ class TestZetaNess:
         zeta_ness(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
         assert calls == {"assemble_real_space": 1, "eig_general": 1}
 
-    def test_real_space_point_runs_two_svds(self, svd_calls):
-        # eig_general's ||X||_2 and condition number; every later use of
-        # ||X||_2 reads it from the decomposition
+    def test_real_space_point_runs_no_svd(self, svd_calls):
+        # every test on ||X||_2 and the eigenvector condition number is
+        # decided on their brackets, far from its threshold here
         zeta_ness(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
-        assert svd_calls == [(16, 16)] * 2
+        assert svd_calls == []
 
 
 class TestKspace:
