@@ -3,7 +3,7 @@ quadratic fermionic master equations."""
 
 __version__ = "0.1.0"
 
-from .biortho import BiorthogonalSystem, build_biortho
+from .biortho import build_biortho
 from .linalg import (
     EigDecomposition, eig_general, inverse, load_matrix, matrix_from_json, matrix_to_json,
     save_matrix, solve_sylvester, solve_sylvester_pair,
@@ -34,7 +34,7 @@ from .oracle import (
 
 __all__ = [
     # biortho
-    "BiorthogonalSystem", "build_biortho",
+    "build_biortho",
     # linalg
     "EigDecomposition", "eig_general", "inverse", "load_matrix", "matrix_from_json",
     "matrix_to_json", "save_matrix", "solve_sylvester", "solve_sylvester_pair",

@@ -19,6 +19,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -458,11 +459,13 @@ def cmd_spectrum(adapter, values):
 
 
 def _load_config(path) -> dict:
-    """The ``--config`` scan specification: a JSON object whose ``params``
-    (when given) is an object and ``axes`` a list; anything else exits 2."""
+    """The ``--config`` scan specification: a readable JSON object whose
+    ``params`` (when given) is an object and ``axes`` a list; anything else exits 2."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
+    except OSError as exc:
+        raise click.UsageError(f"cannot read config {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise click.UsageError(f"config {path} is not JSON: {exc}") from None
     if not (isinstance(spec, dict) and isinstance(spec.get("params", {}), dict)
@@ -546,8 +549,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         raise click.UsageError(f"mu_reg must be a finite number >= 0, got {mu_reg!r}")
     mu_reg = float(mu_reg)
     output = output or spec.get("output")
-    if output is None:
-        raise click.UsageError("sweep needs --output (or 'output' in the config)")
+    if not isinstance(output, str):
+        raise click.UsageError("sweep needs --output (or a string 'output' in the config)")
     fmt = fmt or spec.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise click.UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -565,6 +568,9 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         adapter.params(point_values(idx))
     with _failures_exit_3():  # as does a malformed or out-of-range state
         n = _state_index(state, adapter)
+    folder = os.path.dirname(os.path.abspath(output))
+    if os.path.isdir(output) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise click.UsageError(f"cannot write output {output}: not a file in a writable directory")
 
     def evaluate(idx):
         values = point_values(idx)

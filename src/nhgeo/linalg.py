@@ -52,7 +52,9 @@ def canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
 
     Keys are quantized at ``ORDER_TIE_RESOLUTION`` so that values that agree
     to that resolution are ties; the stable sort then keeps input order,
-    which makes the ordering reproducible run to run.
+    which makes the ordering reproducible run to run.  The resolution is
+    absolute, so ``c K`` need not be ordered as ``K`` is: at a norm far below
+    1e-12 every eigenvalue ties and keeps the solver's order.
     """
     keys = np.array([eigenvalues.imag, eigenvalues.real])
     return np.lexsort(np.rint(keys / ORDER_TIE_RESOLUTION) * ORDER_TIE_RESOLUTION)
@@ -60,7 +62,8 @@ def canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Right eigendecomposition in canonical eigenvalue order.
+    """Eigendecomposition in canonical eigenvalue order, and the biorthogonal
+    eigensystem built on it.
 
     ``right_vectors[:, n]`` is the unit-norm right eigenvector of
     ``eigenvalues[n]``.  ``is_diagonalizable_estimate`` is False when the
@@ -69,6 +72,12 @@ class EigDecomposition:
     inverse of ``right_vectors``, or None in that case.  ``norm_bounds``
     brackets ``||K||_2`` (``matrix`` is ``K``); a threshold test on the norm
     decides from it (:func:`_scale_verdict`).
+
+    On a diagonalizable decomposition (:func:`~nhgeo.biortho.build_biortho`)
+    the left eigenvectors ``left_vectors = R^-H`` satisfy ``left^H right = I``
+    (the left vectors absorb all scale beyond the unit right columns); they
+    and the Gram matrices ``gram_right`` (``<m_R|n_R>``) and ``gram_left``
+    (``<m_L|n_L>``, its inverse) are formed when first read.
 
     ``norm`` (``||K||_2``, equal to :func:`norm2` of ``K``) and
     ``condition`` (the 2-norm condition number of ``right_vectors``) are
@@ -90,6 +99,18 @@ class EigDecomposition:
     @cached_property
     def condition(self) -> float:
         return float(np.linalg.cond(self.right_vectors, 2))
+
+    @cached_property
+    def left_vectors(self) -> np.ndarray:
+        return self.right_inverse.conj().T
+
+    @cached_property
+    def gram_right(self) -> np.ndarray:
+        return self.right_vectors.conj().T @ self.right_vectors
+
+    @cached_property
+    def gram_left(self) -> np.ndarray:
+        return self.left_vectors.conj().T @ self.left_vectors
 
 
 def _pow2(m: float) -> float:

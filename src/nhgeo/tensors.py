@@ -55,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .biortho import BiorthogonalSystem, build_biortho
+from .biortho import build_biortho
 from .errors import (
     ContinuationAmbiguous,
     DegenerateSpectrum,
@@ -66,12 +66,14 @@ from .errors import (
 )
 from .linalg import (
     DEFECTIVE_COND,
+    EigDecomposition,
     _blocks,
     _cond_inv,
     _eig_2x2,
     _entries,
     _mul,
     _raise_first,
+    _scale_verdict,
     _transpose,
     as_square,
     canonical_order,
@@ -224,17 +226,22 @@ def _checked(fam: OperatorFamily, lam, n: int) -> np.ndarray:
     return _params(lam, fam.num_params)
 
 
-def _require_gaps(w, states, scale) -> None:
+def _require_gaps(w, states, at_scale) -> None:
     """DegenerateSpectrum unless every gap ``|w_m - w_n|`` of a state ``n`` in
     ``states`` is at least ``1e-10 * scale``.
 
-    ``w`` may be a stack ``(..., N)`` of spectra with one ``scale`` per
-    block; the error is then that of the first failing block.
+    ``at_scale(pred)`` applies a predicate monotone in the scale to it: for
+    one system ``max(1, ||K||_2)``, decided on its norm bracket
+    (:func:`~nhgeo.linalg._scale_verdict`, which reads the exact norm only
+    near the threshold).  ``w`` may be a stack ``(..., N)`` of spectra,
+    each block tested against its own scale; the error is then that of the
+    first failing block.
     """
     for n in states:
         gap = np.abs(w - w[..., n:n + 1])
         gap[..., n] = np.inf
-        _raise_first(gap.min(axis=-1) < 1e-10 * scale, DegenerateSpectrum,
+        small = gap.min(axis=-1)
+        _raise_first(at_scale(lambda m: small < 1e-10 * m), DegenerateSpectrum,
                      lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||")
 
 
@@ -257,18 +264,18 @@ def _stencil(
     lam = _params(lam, fam.num_params)
     sys0 = build_biortho(fam(lam))
     needed = sorted(set(int(n) for n in needed))
-    _require_gaps(sys0.eigenvalues, needed, max(sys0.norm, 1.0))
-    N = sys0.dim
+    _require_gaps(sys0.eigenvalues, needed, lambda pred: _scale_verdict(pred, sys0))
+    N = fam.dim
     g0 = np.asarray(gauge(lam), dtype=complex) if gauge is not None else None
-    bras = sys0.left.conj().T
+    bras = sys0.right_inverse
 
     def columns_at(lamp):
         """Matched, phase-fixed [right; left] columns of the system at ``lamp``."""
         sysp = build_biortho(fam(lamp))
-        cols, phases = _match(bras, sysp.right, needed)
+        cols, phases = _match(bras, sysp.right_vectors, needed)
         # from Python scalars: numpy indexing per column costs more at small
         # N, and fancy indexing (right[:, cols]) made 2-thread sweeps ~1.5x slower
-        rows = sysp.right.tolist() + sysp.left.tolist()
+        rows = sysp.right_vectors.tolist() + sysp.left_vectors.tolist()
         block = np.array([[row[m] * p for m, p in zip(cols, phases)] for row in rows])
         if gauge is not None:
             f = np.exp((np.asarray(gauge(lamp), dtype=complex) - g0)[needed])
@@ -284,18 +291,19 @@ def _stencil(
 # transport-generator matrix elements
 # ---------------------------------------------------------------------------
 
-def _generator(num: np.ndarray, w: np.ndarray, mu_reg: float, scale: float) -> np.ndarray:
+def _generator(num: np.ndarray, w: np.ndarray, mu_reg: float, at_scale) -> np.ndarray:
     """Generator elements ``num[..., m, n] / (w_n - w_m)`` with a zero diagonal.
 
     ``num`` holds ``<m_L|dK|n_R>`` (one matrix or a stack over directions).
     ``mu_reg > 0`` selects the kernel ``conj(w_n - w_m) / (|w_n - w_m|^2 +
     mu_reg^2)``; the exact kernel raises DegenerateSpectrum if any gap is
-    below ``1e-10 * scale``.
+    below ``1e-10 * scale`` (``at_scale`` as for :func:`_require_gaps`).
     """
     diff = w[None, :] - w[:, None]  # (m, n) -> w_n - w_m
     off = ~np.eye(len(w), dtype=bool)
     if mu_reg == 0.0:
-        if (np.abs(diff[off]) < 1e-10 * scale).any():
+        gaps = np.abs(diff[off])
+        if at_scale(lambda m: (gaps < 1e-10 * m).any()):
             raise DegenerateSpectrum(
                 "spectrum degenerate within 1e-10*||K||; pass mu_reg > 0"
             )
@@ -311,16 +319,17 @@ def agp_elements(
     mu_dir: int,
     mu_reg: float = 0.0,
     *,
-    sys: BiorthogonalSystem | None = None,
+    sys: EigDecomposition | None = None,
 ) -> np.ndarray:
     """Off-diagonal transport-generator elements in the biorthogonal basis.
 
     With a spectral gap, element (m, n) is ``<m_L|dK|n_R> / (w_n - w_m)``,
     i.e. ``<m_L|A|n_R>``; the diagonal is gauge-fixed to zero, and the dense
-    operator is ``sys.right @ A @ sys.left.conj().T``.
+    operator is ``sys.right_vectors @ A @ sys.right_inverse``.
     A positive ``mu_reg`` switches to the regularized kernel
     ``conj(w_n - w_m) / (|w_n - w_m|^2 + mu_reg^2)`` which stays finite
-    through degeneracies.
+    through degeneracies.  ``sys`` is the eigensystem of ``fam(lam)``
+    (:func:`~nhgeo.biortho.build_biortho`) when the caller has built it.
 
     Raises
     ------
@@ -336,9 +345,8 @@ def agp_elements(
     if sys is None:
         sys = build_biortho(fam(lam))
     dK = fam.derivative(mu_dir, lam)
-    num = sys.left.conj().T @ dK @ sys.right
-    scale = max(sys.norm, 1.0)
-    return _generator(num, sys.eigenvalues, mu_reg, scale)
+    num = sys.right_inverse @ dK @ sys.right_vectors
+    return _generator(num, sys.eigenvalues, mu_reg, lambda pred: _scale_verdict(pred, sys))
 
 
 #: tensor kinds that :func:`sum_over_states` contracts
@@ -352,7 +360,7 @@ def sum_over_states(
     kinds: Sequence[str],
     *,
     mu_reg: float = 0.0,
-    sys: BiorthogonalSystem | None = None,
+    sys: EigDecomposition | None = None,
 ) -> dict[str, GeoTensor]:
     """The tensors ``kinds`` of eigenstate ``n`` from one eigensystem.
 
@@ -367,9 +375,10 @@ def sum_over_states(
     - ``zeta_limited = Cinv[n, n] A_mu[:, n]^H C A_nu[:, n]``, divided by
       ``Cinv[n, n] <n_R|n_R>`` for ``zeta_limited_rescaled``.
 
-    ``K``, its norm, the eigensystem and ``<m_L|d_mu K|n_R>`` are computed
-    once for all kinds; ``sys`` is the eigensystem of ``fam(lam)`` when the
-    caller has built it.  ``zeta`` uses the whole generator, so ``mu_reg``
+    ``K``, the eigensystem and ``<m_L|d_mu K|n_R>`` are computed once for
+    all kinds; ``sys`` is the eigensystem of ``fam(lam)``
+    (:func:`~nhgeo.biortho.build_biortho`) when the caller has built it.
+    ``zeta`` uses the whole generator, so ``mu_reg``
     regularizes it and its exact kernel needs every gap.  ``eta`` and
     ``zeta_limited`` use only row and column ``n`` of the exact kernel, so
     only the gaps ``w_m - w_n`` must be open: a degenerate pair of other
@@ -395,23 +404,23 @@ def sum_over_states(
     lam = _checked(fam, lam, n)
     if sys is None:
         sys = build_biortho(fam(lam))
-    scale = max(sys.norm, 1.0)
+    at_scale = lambda pred: _scale_verdict(pred, sys)
     w = sys.eigenvalues
     C = sys.gram_right
     num = np.stack([
-        sys.left.conj().T @ fam.derivative(mu, lam) @ sys.right
+        sys.right_inverse @ fam.derivative(mu, lam) @ sys.right_vectors
         for mu in range(fam.num_params)
     ])
 
     state_kinds = [k for k in kinds if k != "zeta"]
     if state_kinds:
-        ln = sys.left[:, n]
-        state = _state_tensors(state_kinds, num, w, C, (ln.conj() @ ln).real, n, scale)
+        ln = sys.left_vectors[:, n]
+        state = _state_tensors(state_kinds, num, w, C, (ln.conj() @ ln).real, n, at_scale)
 
     out = {}
     for kind in kinds:
         if kind == "zeta":
-            A = _generator(num, w, mu_reg, scale)
+            A = _generator(num, w, mu_reg, at_scale)
             vals = (A @ sys.gram_left[:, n]).conj() @ C @ A[:, :, n].T
             meta = {"route": "agp", "mu_reg": mu_reg}
         else:
@@ -420,7 +429,7 @@ def sum_over_states(
     return out
 
 
-def _state_tensors(kinds, num, w, C, lnln, n: int, scale) -> dict[str, np.ndarray]:
+def _state_tensors(kinds, num, w, C, lnln, n: int, at_scale) -> dict[str, np.ndarray]:
     """``eta``, ``zeta_limited`` and ``zeta_limited_rescaled`` of state ``n``
     from row and column ``n`` of the exact generator (see
     :func:`sum_over_states`).
@@ -428,12 +437,12 @@ def _state_tensors(kinds, num, w, C, lnln, n: int, scale) -> dict[str, np.ndarra
     ``num[mu, ..., m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum,
     ``C`` the right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  They describe
     one system, or a stack of blocks along the axis after ``mu`` (``num (d,
-    L, N, N)``, ``w (L, N)``, ``C (L, N, N)``, ``lnln`` and ``scale``
-    ``(L,)``), whose tensors are then summed.  Raises DegenerateSpectrum,
-    for the first failing block, if a gap ``|w_m - w_n|`` is below ``1e-10
-    * scale``.
+    L, N, N)``, ``w (L, N)``, ``C (L, N, N)``, ``lnln`` ``(L,)``), whose
+    tensors are then summed.  Raises DegenerateSpectrum, for the first
+    failing block, if a gap ``|w_m - w_n|`` is below ``1e-10 * scale``
+    (``at_scale`` as for :func:`_require_gaps`).
     """
-    _require_gaps(w, [n], scale)
+    _require_gaps(w, [n], at_scale)
     d, N = len(num), w.shape[-1]
     # one code path: one system is a stack of one block
     num, w, C = num.reshape(d, -1, N, N), w.reshape(-1, N), C.reshape(-1, N, N)
@@ -509,7 +518,7 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
         C = _mul(_transpose(tuple(e.conj() for e in R)), R)
         lnln = abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2
         return _state_tensors(kinds, _blocks(num), np.stack(w, axis=-1), _blocks(C), lnln, n,
-                              np.maximum(norm, 1.0))
+                              lambda pred: pred(np.maximum(norm, 1.0)))
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
             sum_over_blocks(K[:exc.block], dK, n, kinds)
@@ -604,7 +613,7 @@ def stencil_tensors(
     meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)]}
     every = "zeta" in kinds
     sys0, dR, dL = _stencil(fam, lam, range(fam.dim) if every else [n], h=h, gauge=gauge)
-    R, L = sys0.right, sys0.left
+    R, L = sys0.right_vectors, sys0.left_vectors
     rn, ln = R[:, n], L[:, n]
     lnc = ln.conj()
     # rows |d_mu n_R> and <d_mu n_L|: per-pair dots on contiguous rows keep

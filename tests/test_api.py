@@ -4,10 +4,11 @@ import nhgeo
 from nhgeo import biortho, kitaev, liouville, tensors
 
 #: one-pair, one-kind and test-only wrappers, replaced by the engines
-#: gaussian_tensors, weak_coupling_tensors, stencil_tensors and the model blocks
+#: gaussian_tensors, weak_coupling_tensors, stencil_tensors and the model
+#: blocks, and the second eigensystem type, replaced by EigDecomposition
 DELETED = ("berry_connection", "bures_metric", "gauge_rescale", "kspace_blocks",
            "projector_deformation", "projector_fd", "zeta_tilde_gaussian",
-           "zeta_tilde_kitaev_sum")
+           "zeta_tilde_kitaev_sum", "BiorthogonalSystem")
 
 
 def test_written_public_names():

@@ -20,9 +20,9 @@ class TestBuildBiortho:
         sys = build_biortho(K)
         # left and right columns agree up to the (unimodular) column phases
         for n in range(5):
-            o = sys.left[:, n].conj() @ sys.right[:, n]
+            o = sys.left_vectors[:, n].conj() @ sys.right_vectors[:, n]
             assert abs(abs(o) - 1.0) < 1e-10
-            assert maxdev(sys.left[:, n], sys.right[:, n] / o) < 1e-9
+            assert maxdev(sys.left_vectors[:, n], sys.right_vectors[:, n] / o) < 1e-9
         assert maxdev(sys.gram_right, np.eye(5)) < 1e-10
 
     def test_two_level_gram_analytic(self):
@@ -40,8 +40,8 @@ class TestBuildBiortho:
         e = sys.eigenvalues
         for closed_r, closed_l, ev in ((prp, plp, "+"), (prm, plm, "-")):
             target = np.argmax(e.real) if ev == "+" else np.argmin(e.real)
-            r = sys.right[:, target]
-            l = sys.left[:, target]
+            r = sys.right_vectors[:, target]
+            l = sys.left_vectors[:, target]
             # proportional up to the biorthogonal gauge
             ratio = closed_r / r
             assert np.abs(ratio - ratio[0]).max() < 1e-9
@@ -53,7 +53,7 @@ class TestBuildBiortho:
     def test_biorthonormality_random(self, rng):
         for _ in range(50):
             sys = build_biortho(random_diagonalizable(rng))
-            assert maxdev(sys.left.conj().T @ sys.right, np.eye(6)) <= 1e-10
+            assert maxdev(sys.left_vectors.conj().T @ sys.right_vectors, np.eye(6)) <= 1e-10
 
     def test_gram_matrices_inverse_pair(self, rng):
         sys = build_biortho(random_diagonalizable(rng))
@@ -63,7 +63,8 @@ class TestBuildBiortho:
         K = random_diagonalizable(rng)
         sys = build_biortho(K)
         for n in range(6):
-            res = K.conj().T @ sys.left[:, n] - sys.eigenvalues[n].conj() * sys.left[:, n]
+            ln = sys.left_vectors[:, n]
+            res = K.conj().T @ ln - sys.eigenvalues[n].conj() * ln
             assert np.linalg.norm(res) < 1e-8 * np.linalg.norm(K)
 
     def test_near_defective_raises(self):

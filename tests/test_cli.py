@@ -969,6 +969,36 @@ class TestMalformedSweepInput:
         assert message in result.output
         assert not (tmp_path / "x.csv").exists()
 
+    def test_unreadable_config_exit_2(self, runner, tmp_path):
+        # a directory passes click's existence check but cannot be read
+        result = runner.invoke(main, [
+            "sweep", "--config", str(tmp_path), "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"cannot read config {tmp_path}" in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_output_not_a_string_exit_2(self, runner, tmp_path):
+        cfg = {"model": "nh-ssh", "params": {"L": 8}, "output": 5,
+               "axes": [{"name": "t", "min": 0.1, "max": 0.9, "steps": 3}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["sweep", "--config", str(tmp_path / "cfg.json")])
+        assert result.exit_code == 2, result.output
+        assert "a string 'output'" in result.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_exit_2(self, runner, tmp_path, monkeypatch, fmt, where):
+        calls = []
+        monkeypatch.setattr(cli_mod.SSHAdapter, "tensors", lambda *a, **k: calls.append(a))
+        output = tmp_path / "missing" / "o.csv" if where == "missing directory" else tmp_path
+        result = runner.invoke(main, [
+            "sweep", "--model", "nh-ssh", "--set", "L=8", "--axis", "t:0.1:0.9:3",
+            "--format", fmt, "--output", str(output)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write output {output}: not a file in a writable directory" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert calls == []
+
     @pytest.mark.parametrize("extra, message", [
         ({"mu_reg": "abc"}, "mu_reg must be a finite number"),
         ({"mu_reg": "0.5"}, "mu_reg must be a finite number"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nhgeo.biortho import build_biortho
 from nhgeo.errors import (
+    DegenerateSpectrum,
     NearDefective,
     NonConvergence,
     ShapeMismatch,
@@ -38,7 +39,14 @@ from nhgeo.linalg import (
     solve_sylvester_pair,
 )
 from nhgeo.ssh import SSHParams, bloch_family
-from nhgeo.tensors import eta_tensor
+from nhgeo.tensors import (
+    SOS_KINDS,
+    OperatorFamily,
+    agp_elements,
+    eta_tensor,
+    stencil_tensors,
+    sum_over_states,
+)
 
 from conftest import inside, maxdev
 
@@ -275,13 +283,15 @@ class TestClosedForms2x2:
                                     calls.append(_n) or _f(*a, **k))
         sys = build_biortho(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         assert calls == ["eig"]
-        assert maxdev(sys.left.conj().T @ sys.right, np.eye(2)) <= 1e-12
+        assert maxdev(sys.left_vectors.conj().T @ sys.right_vectors, np.eye(2)) <= 1e-12
         calls.clear()
         p = SSHParams(0.7, 0.5, 64)
         eta_tensor(bloch_family(p, p.k_grid[5]), [p.t, p.delta], 0)
         assert calls == ["eig"] * 5
         calls.clear()
-        build_biortho(rng.normal(size=(3, 3)))  # the counters do see larger matrices
+        # the counters do see larger matrices, whose exact values are read on demand
+        sys = build_biortho(rng.normal(size=(3, 3)))
+        assert sys.norm > 0 and sys.condition >= 1
         assert set(calls) == {"eig", "svd", "cond", "inv"}
 
     @pytest.mark.parametrize("N", [2, 3, 8])
@@ -293,10 +303,10 @@ class TestClosedForms2x2:
             assert sys.norm == norm2(K)
 
     def test_decomposition_norm_spares_svds(self, rng, svd_calls):
-        # eig_general runs no SVD at N > 2 away from its thresholds; a
-        # biorthogonal system reads the exact ||K||_2 and condition number
+        # eig_general runs no SVD at N > 2 away from its thresholds, and a
+        # biorthogonal system is that decomposition, checked
         build_biortho(rng.normal(size=(3, 3)))
-        assert svd_calls == [(3, 3)] * 2
+        assert svd_calls == []
         svd_calls.clear()
         A, B = random_stable(rng, 3), random_stable(rng, 4)
         solve_sylvester_pair(A, B, rng.normal(size=(3, 4)))
@@ -628,6 +638,49 @@ class TestBracketVerdicts:
                 if expected is not None:
                     assert (svd_calls != []) is expected, f
             seen.add((svd_calls != [], singular))
+        assert seen == {(False, True), (True, True), (True, False), (False, False)}
+
+
+class TestGapVerdicts:
+    """The gap tests of the single-system engines decide ``gap < 1e-10 *
+    max(1, ||K||_2)`` on the norm bracket of the eigensystem, as
+    :class:`TestBracketVerdicts` does for eig_general: the verdict must equal
+    the one on the exact norm, and the norm SVD runs when, and only when,
+    the bracket ``[||K||_F / sqrt(N), ||K||_F]`` widened by 2 straddles it."""
+
+    ENGINES = {
+        "stencil": lambda fam: stencil_tensors(fam, [0.0], 0, SOS_KINDS),
+        "agp": lambda fam: agp_elements(fam, [0.0], 0),
+        "sum_over_states": lambda fam: sum_over_states(fam, [0.0], 0, SOS_KINDS),
+    }
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("N", [3, 8, 64])
+    def test_smallest_gap(self, N, engine, svd_calls):
+        # eigenvalues 1 and 1 + f 1e-10 ||K||_2, the smallest gap, around the
+        # threshold; the direction K keeps the eigenvectors along the stencil
+        scale = max(norm2(pencil_matrix(np.random.default_rng(N), N, 1.0)), 1.0)
+        seen = set()
+        for f in np.geomspace(1e-2, 1e2, 20):
+            K = pencil_matrix(np.random.default_rng(N), N, 1.0 + f * 1e-10 * scale)
+            fam = OperatorFamily(N, 1, lambda lam, K=K: (1 + lam[0]) * K, lambda mu, lam, K=K: K)
+            w = eig_general(K).eigenvalues
+            gap = abs(w[1] - w[0])
+            assert gap == np.abs(w[:, None] - w[None, :] + np.diag([np.inf] * N)).min()
+            degenerate = bool(gap < 1e-10 * max(norm2(K), 1.0))
+            frob = np.linalg.norm(K)
+            expected = inside(gap, 1e-10 * max(frob / np.sqrt(N), 1.0) / 2,
+                              2e-10 * max(frob, 1.0))
+            svd_calls.clear()
+            try:
+                self.ENGINES[engine](fam)
+                raised = False
+            except DegenerateSpectrum:
+                raised = True
+            assert raised is degenerate, f
+            if expected is not None:
+                assert svd_calls == [(N, N)] * expected, f
+            seen.add((svd_calls != [], degenerate))
         assert seen == {(False, True), (True, True), (True, False), (False, False)}
 
 

@@ -138,9 +138,9 @@ def agp_residual(fam, lam, mu_dir):
     K = fam(lam)
     sys = build_biortho(K)
     dK = fam.derivative(mu_dir, lam)
-    A = sys.right @ agp_elements(fam, lam, mu_dir, sys=sys) @ sys.left.conj().T
-    dw = np.diag(sys.left.conj().T @ dK @ sys.right)
-    F = sys.right @ np.diag(dw) @ sys.left.conj().T
+    A = sys.right_vectors @ agp_elements(fam, lam, mu_dir, sys=sys) @ sys.left_vectors.conj().T
+    dw = np.diag(sys.left_vectors.conj().T @ dK @ sys.right_vectors)
+    F = sys.right_vectors @ np.diag(dw) @ sys.left_vectors.conj().T
     resid = dK - F - (A @ K - K @ A)
     return float(np.linalg.norm(resid) / max(np.linalg.norm(dK), 1e-300))
 
@@ -257,7 +257,7 @@ class TestZetaRoutes:
             zeta_tensor(fam, lam, n, route="agp").values[0, 0] for n in range(5)
         )
         sys = build_biortho(fam(lam))
-        A_op = sys.right @ agp_elements(fam, lam, 0, sys=sys) @ sys.left.conj().T
+        A_op = sys.right_vectors @ agp_elements(fam, lam, 0, sys=sys) @ sys.left_vectors.conj().T
         assert abs(total - np.linalg.norm(A_op) ** 2) <= 1e-8 * abs(total)
         assert total.real >= 0.0
 
@@ -314,7 +314,7 @@ class TestStencilTensors:
 
         lam = rng.uniform(-0.1, 0.1, size=2)
         sys0, dR, dL = _stencil(nh6, lam, range(6))
-        R, L, C, Cinv = sys0.right, sys0.left, sys0.gram_right, sys0.gram_left
+        R, L, C, Cinv = sys0.right_vectors, sys0.left_vectors, sys0.gram_right, sys0.gram_left
 
         def cov(mu, m):  # |D_mu m_R>
             return dR[mu, :, m] - (L[:, m].conj() @ dR[mu, :, m]) * R[:, m]
@@ -656,14 +656,14 @@ class TestBerryConnection:
     def test_parameter_independent_zero(self):
         fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.4j * np.eye(3))
         sys0, dR, _ = _stencil(fam, [0.2], [1])
-        assert abs(sys0.left[:, 1].conj() @ dR[0, :, 0]) < 1e-12
+        assert abs(sys0.left_vectors[:, 1].conj() @ dR[0, :, 0]) < 1e-12
 
     def test_dual_expression(self, nh6, rng):
         lam = rng.uniform(-0.1, 0.1, size=2)
         sys0, dR, dL = _stencil(nh6, lam, [2])
         for mu in range(2):
-            direct = sys0.left[:, 2].conj() @ dR[mu, :, 0]
-            dual = -(dL[mu, :, 0].conj() @ sys0.right[:, 2])
+            direct = sys0.left_vectors[:, 2].conj() @ dR[mu, :, 0]
+            dual = -(dL[mu, :, 0].conj() @ sys0.right_vectors[:, 2])
             assert abs(direct - dual) <= 1e-8
 
     def test_gauge_shift(self, nh6):
@@ -677,7 +677,7 @@ class TestBerryConnection:
         conn = []
         for g in (None, gauge):
             sys0, dR, _ = _stencil(nh6, lam, [n], gauge=g)
-            conn.append(sys0.left[:, n].conj() @ dR[0, :, 0])
+            conn.append(sys0.left_vectors[:, n].conj() @ dR[0, :, 0])
         assert abs((conn[1] - conn[0]) - coeff[n]) <= 1e-8
 
 
@@ -692,7 +692,7 @@ class TestContinuation:
         F = np.fft.fft(np.eye(5)) / np.sqrt(5)
         sysp = build_biortho(F @ d @ F.conj().T)
         with pytest.raises(ContinuationAmbiguous, match="below"):
-            _match(sys0.left.conj().T, sysp.right, [0, 1, 2, 3, 4])
+            _match(sys0.left_vectors.conj().T, sysp.right_vectors, [0, 1, 2, 3, 4])
 
     def test_two_states_one_column_detected(self):
         # states 0 and 1 both overlap column 0 by 1/sqrt(2), above threshold
