@@ -299,29 +299,40 @@ def _load_bath(path, dim: int) -> np.ndarray:
     return M
 
 
-def _check_parameter(name, defaults: dict) -> None:
-    """Usage error (exit 2) unless ``name`` is one of the model's parameters."""
+def _typed(name, value, defaults: dict):
+    """``value`` of the parameter ``name``, of its default's type.  A string
+    parses as ``--set`` gives it; any other value (from a config's JSON) must
+    already be of that type (an integer also serves a float parameter).  An
+    unknown ``name`` or any other value exits 2."""
     if name not in defaults:
         raise click.UsageError(
-            f"unknown parameter {name!r}; known: {', '.join(defaults) or 'none'}"
-        )
+            f"unknown parameter {name!r}; known: {', '.join(defaults) or 'none'}")
+    kind = type(defaults[name])
+    if isinstance(value, str):
+        try:
+            value = _BOOLS[value.strip().lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            raise click.UsageError(f"{name}={value}: expected {kind.__name__}") from None
+    elif not (type(value) is kind or (kind is float and type(value) is int)):
+        raise click.UsageError(f"{name}={value!r}: expected {kind.__name__}")
+    if kind is float:
+        try:
+            finite = np.isfinite(float(value))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise click.UsageError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _parse_sets(sets, defaults: dict) -> dict:
-    """``--set name=value`` items; names and value types follow the model's defaults."""
+    """``--set name=value`` items, typed by :func:`_typed`."""
     out = {}
     for item in sets:
         name, eq, raw = (part.strip() for part in item.partition("="))
         if not eq:
             raise click.UsageError(f"--set expects name=value, got {item!r}")
-        _check_parameter(name, defaults)
-        kind = type(defaults[name])
-        try:
-            out[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
-        except (KeyError, ValueError):
-            raise click.UsageError(f"--set {name}={raw}: expected {kind.__name__}") from None
-        if kind is float and not np.isfinite(out[name]):
-            raise click.UsageError(f"--set {name}={raw}: expected a finite number")
+        out[name] = _typed(name, raw, defaults)
     return out
 
 
@@ -527,9 +538,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     if model not in sweepable:
         raise click.UsageError("sweep supports models: " + ", ".join(sweepable))
     adapter = MODELS[model]()
-    fixed = dict(spec.get("params", {}))
-    for name in fixed:  # names only: config values keep their JSON types
-        _check_parameter(name, adapter.defaults)
+    fixed = {name: _typed(name, v, adapter.defaults) for name, v in spec.get("params", {}).items()}
     fixed.update(_parse_sets(sets, adapter.defaults))
     axes = list(spec.get("axes", []))
     axes += [_axis_flag(a) for a in axes_opt]

@@ -210,16 +210,16 @@ class LiouvillianFamily:
 RAPIDITY_RTOL = 1e-8
 
 
-def _offdiag_generator(x, U, dX, *, Ui=None):
+def _offdiag_generator(x, U, dX, Ui):
     """Off-diagonal part of (dU^-1) U from the spectral formula.
 
-    Entry (i, j) is ``-(U^-1 dX U)_{ij} / (x_j - x_i)``.  Degenerate pairs
-    are tolerated when the coupling element vanishes (symmetry-decoupled
-    sectors); a coupled degenerate pair raises, the first in row-major
-    order (``RAPIDITY_RTOL`` sets both tests).  ``Ui`` is ``U^-1`` when the
-    caller has it (as ``EigDecomposition.right_inverse``).
+    Entry (i, j) is ``-(U^-1 dX U)_{ij} / (x_j - x_i)``, with ``Ui = U^-1``
+    (as ``EigDecomposition.right_inverse``).  Degenerate pairs are tolerated
+    when the coupling element vanishes (symmetry-decoupled sectors); a
+    coupled degenerate pair raises, the first in row-major order
+    (``RAPIDITY_RTOL`` sets both tests).
     """
-    num = (np.linalg.inv(U) if Ui is None else Ui) @ dX @ U
+    num = Ui @ dX @ U
     gaps = x[None, :] - x[:, None]
     degenerate = np.abs(gaps) < RAPIDITY_RTOL * max(np.abs(x).max(), 1.0)
     off = degenerate & ~np.eye(len(x), dtype=bool)
@@ -233,11 +233,10 @@ def _offdiag_generator(x, U, dX, *, Ui=None):
     return np.where(degenerate, 0.0, -num / (gaps + degenerate))
 
 
-def _xcal(x, U, dX, Ui=None) -> np.ndarray:
+def _xcal(x, U, dX, Ui) -> np.ndarray:
     """Transport generator ``Xcal = U A U^-1`` along one direction, ``A`` from
-    :func:`_offdiag_generator`."""
-    Ui = np.linalg.inv(U) if Ui is None else Ui
-    return U @ _offdiag_generator(x, U, dX, Ui=Ui) @ Ui
+    :func:`_offdiag_generator` and ``Ui = U^-1``."""
+    return U @ _offdiag_generator(x, U, dX, Ui) @ Ui
 
 
 def _ness_tensor(dG, Xcal, Gamma) -> np.ndarray:

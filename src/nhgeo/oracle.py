@@ -144,6 +144,17 @@ def quadratic_superop(fock: FockRep, X, Y) -> np.ndarray:
     return L
 
 
+def _kernel_index(ev) -> int:
+    """Index of the eigenvalue of least modulus in ``ev``; DegenerateKernel
+    if the second-smallest modulus is within 1e-8 of it."""
+    order = np.argsort(np.abs(ev))
+    if len(ev) > 1 and abs(ev[order[1]]) - abs(ev[order[0]]) < 1e-8:
+        raise DegenerateKernel(
+            f"|eig| gap {abs(ev[order[1]]) - abs(ev[order[0]]):.3e} below 1e-8"
+        )
+    return int(order[0])
+
+
 def ness_from_kernel(fock: FockRep, superop: np.ndarray):
     """Steady state from the kernel eigenvector of the generator.
 
@@ -157,12 +168,7 @@ def ness_from_kernel(fock: FockRep, superop: np.ndarray):
         smallest (kernel not one-dimensional).
     """
     ev, evec = np.linalg.eig(superop)
-    order = np.argsort(np.abs(ev))
-    if len(ev) > 1 and abs(ev[order[1]]) - abs(ev[order[0]]) < 1e-8:
-        raise DegenerateKernel(
-            f"|eig| gap {abs(ev[order[1]]) - abs(ev[order[0]]):.3e} below 1e-8"
-        )
-    rho = unvec(evec[:, order[0]])
+    rho = unvec(evec[:, _kernel_index(ev)])
     rho = (rho + rho.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
@@ -186,36 +192,34 @@ def correlation_from_rho(fock: FockRep, rho: np.ndarray) -> np.ndarray:
     return G
 
 
-def superop_family(fock: FockRep, liou_family: LiouvillianFamily,
-                   bath_vectors_of=None) -> OperatorFamily:
+def superop_family(fock: FockRep, liou_family: LiouvillianFamily) -> OperatorFamily:
     """Expose the dense generator of a quadratic family to the tensor engine.
 
-    ``bath_vectors_of(lam)`` must return the jump vectors; when omitted, the
-    family's bath matrix is factorized by eigendecomposition (valid since the
-    generator depends on the bath only through M).
+    The value is :func:`build_superop` on the family's H and its bath matrix
+    M, factorized into jump vectors by eigendecomposition (the generator
+    depends on the bath only through M).  The generator is
+    :func:`quadratic_superop`, linear in (X, Y), so its derivative is exact:
+    ``quadratic_superop(dX, dY)`` on the family's ``dxy``.
     """
     if fock.n > 3:
         raise TooLarge("superoperator families limited to n <= 3")
 
-    def bath_vectors(lam):
-        if bath_vectors_of is not None:
-            return bath_vectors_of(lam)
-        M = liou_family(lam).M
-        evals, V = np.linalg.eigh(M)
-        return [np.sqrt(max(ev, 0.0)) * V[:, i] for i, ev in enumerate(evals)]
-
     def f(lam):
         liou = liou_family(lam)
-        return build_superop(fock, liou.H_mat, bath_vectors(lam))
+        evals, V = np.linalg.eigh(liou.M)
+        baths = [np.sqrt(max(ev, 0.0)) * V[:, i] for i, ev in enumerate(evals)]
+        return build_superop(fock, liou.H_mat, baths)
 
-    return OperatorFamily(
-        fock.dim ** 2, liou_family.num_params, f, name="superop"
-    )
+    def df(mu, lam):
+        return quadratic_superop(fock, *liou_family.dxy(mu, lam))
+
+    return OperatorFamily(fock.dim ** 2, liou_family.num_params, f, df, name="superop")
 
 
 def ness_state_index(fam: OperatorFamily, lam) -> int:
-    """Canonical-order index of the steady state (eigenvalue closest to zero)."""
+    """Canonical-order index of the steady state: the eigenvalue closest to
+    zero, picked as :func:`ness_from_kernel` picks it (DegenerateKernel
+    unless it is the only one within 1e-8 of the least modulus)."""
     from .biortho import build_biortho
 
-    sys = build_biortho(fam(lam))
-    return int(np.argmin(np.abs(sys.eigenvalues)))
+    return _kernel_index(build_biortho(fam(lam)).eigenvalues)

@@ -133,12 +133,8 @@ def zeta_summand(t: float, delta: float, k) -> np.ndarray:
 
 def zeta_finite_sum(params: SSHParams) -> GeoTensor:
     """Tensor over (t, delta) summed over the k-grid ``k_m = 2 pi m / L``."""
-    ks = params.k_grid
-    ae = np.abs(_grid_eps(params)) ** 2
-    ztt = float(np.sum((params.delta ** 2 + np.sin(ks) ** 2) / (4 * ae)))
-    zdd = float(np.sum((params.t + np.cos(ks)) ** 2 / (4 * ae)))
-    ztd = float(np.sum(-(params.t + np.cos(ks)) * params.delta / (4 * ae)))
-    vals = np.array([[ztt, ztd], [ztd, zdd]], dtype=complex)
+    _grid_eps(params)  # CriticalKPoint at a gap-closing grid k
+    vals = zeta_summand(params.t, params.delta, params.k_grid).sum(axis=-1).astype(complex)
     return GeoTensor(
         "zeta", "band-sum", vals, np.array([params.t, params.delta]), {"L": params.L}
     )

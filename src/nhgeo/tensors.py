@@ -12,12 +12,13 @@ contractions on a stack of 2x2 blocks at once and sums them (Brillouin-zone
 sums of Bloch matrices).
 
 :func:`stencil_tensors` is the independent oracle, with the signature and
-kinds of :func:`sum_over_states`: one finite-difference stencil
-(:func:`_stencil`) serves every requested kind, raises DegenerateSpectrum
-where the engine does, and reports its step in ``GeoTensor.meta["fd_step"]``.
-:func:`eta_tensor`, :func:`zeta_tensor` and :func:`zeta_limited` are its
-one-kind wrappers.  Eigenvectors at stencil points carry an arbitrary solver
-gauge, so each stencil system is
+kinds of :func:`sum_over_states`: one central-difference stencil
+(:func:`_stencil`, at the default step of :func:`central_difference`) serves
+every requested kind, raises DegenerateSpectrum where the engine does, and
+reports its step in ``GeoTensor.meta["fd_step"]``.  :func:`eta_tensor`,
+:func:`zeta_tensor` and :func:`zeta_limited` are ``stencil_tensors(fam, lam,
+n, [kind])[kind]`` for one kind each.  Eigenvectors at stencil points carry
+an arbitrary solver gauge, so each stencil system is
 
 1. matched state-by-state to the center point by largest left-right overlap
    (ContinuationAmbiguous if that fails),
@@ -40,10 +41,10 @@ Tensor kinds
     states because their left eigenvector is the identity.
 ``zeta``
     The gauge-invariant mixed tensor, available through three routes that
-    must agree: ``agp`` (matrix elements of the adiabatic transport
-    generator, i.e. :func:`sum_over_states`) and, on the stencil,
-    ``overlap`` (Gram-weighted covariant-derivative overlaps; default) and
-    ``projector`` (Gram-weighted projector counterterms).
+    must agree: :func:`sum_over_states` (matrix elements of the adiabatic
+    transport generator) and, on the stencil, ``route='overlap'``
+    (Gram-weighted covariant-derivative overlaps; default) and
+    ``route='projector'`` (Gram-weighted projector counterterms).
 ``zeta_limited`` / ``zeta_limited_rescaled``
     The single-state Hermitian positive-semidefinite member of the overlap
     sum, optionally divided by <n_L|n_L><n_R|n_R>.
@@ -103,7 +104,7 @@ def _direction(mu_dir: int, num_params: int) -> None:
         raise ShapeMismatch(f"direction {mu_dir} out of range for {num_params} parameters")
 
 
-def _step(lam: np.ndarray, mu: int, h: float | None) -> float:
+def _step(lam: np.ndarray, mu: int, h: float | None = None) -> float:
     """The step of :func:`central_difference` along ``mu``: ``h``, by default
     ``eps^(1/3) * max(1, |lam_mu|)``.  ValueError unless ``h`` is a finite
     number > 0."""
@@ -245,14 +246,8 @@ def _require_gaps(w, states, at_scale) -> None:
                      lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||")
 
 
-def _stencil(
-    fam: OperatorFamily,
-    lam,
-    needed: Sequence[int],
-    *,
-    h: float | None = None,
-    gauge: GaugeFunc | None = None,
-):
+def _stencil(fam: OperatorFamily, lam, needed: Sequence[int], *,
+             gauge: GaugeFunc | None = None):
     """Center eigensystem and derivatives ``(sys0, dR, dL)`` of the states
     ``needed`` at ``lam``: ``dR[mu, :, i]`` is ``|d_mu n_R>`` and ``dL[mu,
     :, i]`` is ``|d_mu n_L>`` of the i-th state of ``sorted(needed)``.
@@ -283,7 +278,7 @@ def _stencil(
             block[N:] *= np.conj(1.0 / f)
         return block
 
-    D = np.array([central_difference(columns_at, lam, mu, h) for mu in range(fam.num_params)])
+    D = np.array([central_difference(columns_at, lam, mu) for mu in range(fam.num_params)])
     return sys0, D[:, :N], D[:, N:]
 
 
@@ -313,23 +308,16 @@ def _generator(num: np.ndarray, w: np.ndarray, mu_reg: float, at_scale) -> np.nd
     return np.where(off, elements, 0.0)
 
 
-def agp_elements(
-    fam: OperatorFamily,
-    lam,
-    mu_dir: int,
-    mu_reg: float = 0.0,
-    *,
-    sys: EigDecomposition | None = None,
-) -> np.ndarray:
+def agp_elements(fam: OperatorFamily, lam, mu_dir: int, mu_reg: float = 0.0) -> np.ndarray:
     """Off-diagonal transport-generator elements in the biorthogonal basis.
 
     With a spectral gap, element (m, n) is ``<m_L|dK|n_R> / (w_n - w_m)``,
     i.e. ``<m_L|A|n_R>``; the diagonal is gauge-fixed to zero, and the dense
-    operator is ``sys.right_vectors @ A @ sys.right_inverse``.
+    operator is ``R @ A @ R^-1`` in the right eigenvectors ``R`` of
+    :func:`~nhgeo.biortho.build_biortho`.
     A positive ``mu_reg`` switches to the regularized kernel
     ``conj(w_n - w_m) / (|w_n - w_m|^2 + mu_reg^2)`` which stays finite
-    through degeneracies.  ``sys`` is the eigensystem of ``fam(lam)``
-    (:func:`~nhgeo.biortho.build_biortho`) when the caller has built it.
+    through degeneracies.
 
     Raises
     ------
@@ -342,8 +330,7 @@ def agp_elements(
     _direction(mu_dir, fam.num_params)
     if mu_reg < 0:
         raise ValueError("mu_reg must be >= 0")
-    if sys is None:
-        sys = build_biortho(fam(lam))
+    sys = build_biortho(fam(lam))
     dK = fam.derivative(mu_dir, lam)
     num = sys.right_inverse @ dK @ sys.right_vectors
     return _generator(num, sys.eigenvalues, mu_reg, lambda pred: _scale_verdict(pred, sys))
@@ -529,13 +516,7 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
 # Hermitian reference tensor
 # ---------------------------------------------------------------------------
 
-def chi_hermitian(
-    fam: OperatorFamily,
-    lam,
-    n: int,
-    *,
-    h: float | None = None,
-) -> GeoTensor:
+def chi_hermitian(fam: OperatorFamily, lam, n: int) -> GeoTensor:
     """Geometric tensor of eigenstate ``n`` of a Hermitian family.
 
     Computed through an independent Hermitian eigensolver path (not the
@@ -545,7 +526,7 @@ def chi_hermitian(
     """
     lam = _checked(fam, lam, n)
     d = fam.num_params
-    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)]}  # checked before any evaluation
+    meta = {"fd_step": [_step(lam, mu) for mu in range(d)]}
     K = fam(lam)
     scale = max(norm2(K), 1.0)
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
@@ -562,7 +543,7 @@ def chi_hermitian(
         return np.column_stack([V[:, m] for m in cols]) * phases
 
     # rows |d_mu v>: chi = <d_mu v|d_nu v> - <d_mu v|v><v|d_nu v>
-    dv = np.array([central_difference(matched, lam, mu, h)[:, n] for mu in range(d)])
+    dv = np.array([central_difference(matched, lam, mu)[:, n] for mu in range(d)])
     v = V0[:, n]
     vals = dv.conj() @ dv.T - np.multiply.outer(dv.conj() @ v, dv @ v.conj())
     return GeoTensor("chi", n, vals, lam, meta)
@@ -579,7 +560,6 @@ def stencil_tensors(
     kinds: Sequence[str],
     *,
     route: str = "overlap",
-    h: float | None = None,
     gauge: GaugeFunc | None = None,
 ) -> dict[str, GeoTensor]:
     """The tensors ``kinds`` of eigenstate ``n`` from one finite-difference stencil.
@@ -597,8 +577,8 @@ def stencil_tensors(
 
     The stencil differentiates every state if ``zeta`` is requested, else
     state ``n`` alone, in ``1 + 2d`` eigensolves; ``meta["fd_step"]`` holds
-    its step along each direction.  An unknown kind or route or a step ``h``
-    that is not a finite number > 0 (ValueError) or an unknown state index
+    its default step along each direction (:func:`central_difference`).  An
+    unknown kind or route (ValueError) or an unknown state index
     (ShapeMismatch) raises before any evaluation, and a gap below ``1e-10 *
     max(||K||, 1)`` at a differentiated state raises DegenerateSpectrum.
     """
@@ -610,9 +590,9 @@ def stencil_tensors(
         raise ValueError(f"unknown route {route!r}")
     lam = _checked(fam, lam, n)
     d = fam.num_params
-    meta = {"fd_step": [_step(lam, mu, h) for mu in range(d)]}
+    meta = {"fd_step": [_step(lam, mu) for mu in range(d)]}
     every = "zeta" in kinds
-    sys0, dR, dL = _stencil(fam, lam, range(fam.dim) if every else [n], h=h, gauge=gauge)
+    sys0, dR, dL = _stencil(fam, lam, range(fam.dim) if every else [n], gauge=gauge)
     R, L = sys0.right_vectors, sys0.left_vectors
     rn, ln = R[:, n], L[:, n]
     lnc = ln.conj()
@@ -649,55 +629,19 @@ def stencil_tensors(
     return out
 
 
-def eta_tensor(
-    fam: OperatorFamily,
-    lam,
-    n: int,
-    *,
-    h: float | None = None,
-    gauge: GaugeFunc | None = None,
-) -> GeoTensor:
+def eta_tensor(fam: OperatorFamily, lam, n: int) -> GeoTensor:
     """Left-right tensor <d_mu n_L|d_nu n_R> - <d_mu n_L|n_R><n_L|d_nu n_R>
     (:func:`stencil_tensors`)."""
-    return stencil_tensors(fam, lam, n, ["eta"], h=h, gauge=gauge)["eta"]
+    return stencil_tensors(fam, lam, n, ["eta"])["eta"]
 
 
-def zeta_tensor(
-    fam: OperatorFamily,
-    lam,
-    n: int,
-    *,
-    route: str = "overlap",
-    mu_reg: float = 0.0,
-    h: float | None = None,
-    gauge: GaugeFunc | None = None,
-) -> GeoTensor:
-    """Gauge-invariant mixed tensor for eigenstate ``n``.
-
-    ``route='overlap'`` (default) and ``route='projector'`` run
-    :func:`stencil_tensors`; ``route='agp'`` is the ``zeta`` of
-    :func:`sum_over_states`: it needs no stencil, and ``mu_reg`` applies only
-    there.  All routes agree on nondegenerate input.
-    """
-    if route == "agp":
-        return sum_over_states(fam, lam, n, ["zeta"], mu_reg=mu_reg)["zeta"]
-    return stencil_tensors(fam, lam, n, ["zeta"], route=route, h=h, gauge=gauge)["zeta"]
+def zeta_tensor(fam: OperatorFamily, lam, n: int) -> GeoTensor:
+    """Gauge-invariant mixed tensor of eigenstate ``n`` (:func:`stencil_tensors`,
+    overlap route)."""
+    return stencil_tensors(fam, lam, n, ["zeta"])["zeta"]
 
 
-def zeta_limited(
-    fam: OperatorFamily,
-    lam,
-    n: int,
-    *,
-    rescaled: bool = False,
-    h: float | None = None,
-    gauge: GaugeFunc | None = None,
-) -> GeoTensor:
+def zeta_limited(fam: OperatorFamily, lam, n: int) -> GeoTensor:
     """Single-state tensor <n_L|n_L><D_mu n_R|D_nu n_R> (Hermitian, PSD;
-    :func:`stencil_tensors`).
-
-    With ``rescaled=True`` the result is divided by <n_L|n_L><n_R|n_R>.
-    """
-    kind = "zeta_limited_rescaled" if rescaled else "zeta_limited"
-    return stencil_tensors(fam, lam, n, [kind], h=h, gauge=gauge)[kind]
-
+    :func:`stencil_tensors`)."""
+    return stencil_tensors(fam, lam, n, ["zeta_limited"])["zeta_limited"]

@@ -481,9 +481,8 @@ def check_eta_ness(full: bool = True):
     rng = np.random.default_rng(707)
     worst = 0.0
     for n in ((1, 2) if full else (1,)):
-        fam, baths = random_liouvillian_family(rng, n=n)
-        fock = build_fock(n)
-        sfam = superop_family(fock, fam, bath_vectors_of=lambda lam: baths)
+        fam, _ = random_liouvillian_family(rng, n=n)
+        sfam = superop_family(build_fock(n), fam)
         lam = np.array([0.11, -0.17])
         nidx = ness_state_index(sfam, lam)
         eta = stencil_tensors(sfam, lam, nidx, ["eta"])["eta"].values

@@ -1,7 +1,10 @@
+import inspect
 import types
 
+import pytest
+
 import nhgeo
-from nhgeo import biortho, kitaev, liouville, tensors
+from nhgeo import biortho, kitaev, liouville, oracle, tensors
 
 #: one-pair, one-kind and test-only wrappers, replaced by the engines
 #: gaussian_tensors, weak_coupling_tensors, stencil_tensors and the model
@@ -19,3 +22,20 @@ def test_written_public_names():
         assert name not in nhgeo.__all__
         for mod in (nhgeo, biortho, kitaev, liouville, tensors):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+#: the oracle entry points take only what a caller outside the tests sets
+ORACLE_PARAMETERS = {
+    tensors.eta_tensor: ["fam", "lam", "n"],
+    tensors.zeta_tensor: ["fam", "lam", "n"],
+    tensors.zeta_limited: ["fam", "lam", "n"],
+    tensors.chi_hermitian: ["fam", "lam", "n"],
+    tensors.stencil_tensors: ["fam", "lam", "n", "kinds", "route", "gauge"],
+    tensors.agp_elements: ["fam", "lam", "mu_dir", "mu_reg"],
+    oracle.superop_family: ["fock", "liou_family"],
+}
+
+
+@pytest.mark.parametrize("func", list(ORACLE_PARAMETERS), ids=lambda f: f.__name__)
+def test_oracle_signatures(func):
+    assert list(inspect.signature(func).parameters) == ORACLE_PARAMETERS[func]

@@ -1012,6 +1012,9 @@ class TestMalformedSweepInput:
         ({"params": {"L": 8, "delta": float("nan")}}, "delta must be a finite number"),
         ({"params": {"L": 8, "delta": float("-inf")}}, "delta must be a finite number"),
         ({"params": {"L": 8, "delta": "inf"}}, "delta must be a finite number"),
+        ({"params": {"L": 8, "delta": 10 ** 400}}, "delta must be a finite number"),
+        ({"params": {"L": 8.7}}, "L=8.7: expected int"),
+        ({"params": {"L": True}}, "L=True: expected int"),
     ])
     def test_config_value_exit_2(self, runner, tmp_path, extra, message):
         cfg = {"model": "nh-ssh", "params": {"L": 8},
@@ -1023,8 +1026,24 @@ class TestMalformedSweepInput:
         assert message in result.output
         assert not (tmp_path / "o.csv").exists()
 
+    def test_config_string_parses_as_set(self, runner, tmp_path):
+        # a config string means what it means after --set: "false" is false
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": "kitaev-dissipative", "params": {"L": 8, "weak_coupling": "false"},
+            "axes": [{"name": "h", "min": 0.2, "max": 0.6, "steps": 2}]}))
+        run_ok(runner, ["sweep", "--config", str(cfg), "--output", str(tmp_path / "a.csv")])
+        run_ok(runner, ["sweep", "--model", "kitaev-dissipative", "--set", "L=8",
+                        "--set", "weak_coupling=false", "--axis", "h:0.2:0.6:2",
+                        "--output", str(tmp_path / "b.csv")])
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--tensors", "zeta_limited",
+                                      "--output", str(tmp_path / "c.csv")])
+        assert result.exit_code == 2, result.output
+        assert "provides only zeta without weak_coupling" in result.output
+
     def test_config_params_keep_their_values(self, runner, tmp_path):
-        # names are checked, values are not coerced: the header shows them as given
+        # values of the parameter's type are kept: the header shows them as given
         cfg = {"model": "nh-ssh", "params": {"L": 8, "delta": 0.25}, "mu_reg": 0,
                "axes": [{"name": "t", "min": 0.1, "max": 0.9, "steps": 3}]}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))

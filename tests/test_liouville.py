@@ -100,7 +100,7 @@ def per_k_loop(model, lam, L, eigenpairs=lapack_eigenpairs):
             dx = model.dx_block(mu, k, lam)
             rhs = model.dy_block(mu, k, lam) - dx @ gk - gk @ model.dx_block(mu, -k, lam).T
             dgs.append(solve_sylvester_pair(x, xmT, rhs))
-            xcals.append(liouville_mod._xcal(w, U, dx))
+            xcals.append(liouville_mod._xcal(w, U, dx, np.linalg.inv(U)))
         for mu in range(d):
             for nu in range(d):
                 ref[mu, nu] += 0.5 * np.trace(dgs[mu] @ dgs[nu]) + np.trace(
@@ -327,14 +327,14 @@ class TestAgpQuadratic:
         for x, U, dX, got in zip(xs, Us, dXs, Xcal):
             # each block as a stack of one gives the same bits
             assert np.array_equal(got, stacked(x[None], U[None], dX[None])[0])
-            want = liouville_mod._xcal(x, U, dX)
+            want = liouville_mod._xcal(x, U, dX, np.linalg.inv(U))
             assert maxdev(got, want) <= 1e-14 * np.abs(want).max()
         assert np.abs(Xcal[1]).max() > 1e-3  # the small gap is resolved, not zeroed
 
         xs[1] = [1.0, 1.0 + 1e-10]  # degenerate, with coupling 1e-5
         dXs[1] = [[0.0, 1e-5], [0.0, 0.0]]
         with pytest.raises(DegenerateRapidities):
-            liouville_mod._xcal(xs[1], Us[1], dXs[1])
+            liouville_mod._xcal(xs[1], Us[1], dXs[1], np.linalg.inv(Us[1]))
         with pytest.raises(DegenerateRapidities) as info:
             stacked(xs, Us, dXs)
         assert info.value.block == 1
@@ -346,7 +346,8 @@ class TestAgpQuadratic:
         x = np.array([1.0, 1.0, 2.5, 0.5 + 1j])
         dX = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         dX[0, 1] = dX[1, 0] = 0.0
-        A = liouville_mod._offdiag_generator(x, np.eye(4, dtype=complex), dX)
+        I = np.eye(4, dtype=complex)
+        A = liouville_mod._offdiag_generator(x, I, dX, I)
         ref = np.zeros((4, 4), dtype=complex)
         for i in range(4):
             for j in range(4):
@@ -747,8 +748,8 @@ class TestMutationSensitivity:
 
         orig = liouville_mod._offdiag_generator
 
-        def corrupted(x, U, dX, **kw):
-            return -orig(x, U, dX, **kw)
+        def corrupted(x, U, dX, Ui):
+            return -orig(x, U, dX, Ui)
 
         monkeypatch.setattr(liouville_mod, "_offdiag_generator", corrupted)
         mutated = zeta_ness(fam, lam).values

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from nhgeo.biortho import build_biortho
 from nhgeo.errors import DegenerateKernel, TooLarge
-from nhgeo.liouville import build_liouvillian, steady_state_gamma, zeta_tilde_ness_from_gamma
+from nhgeo.liouville import (
+    LiouvillianFamily,
+    build_liouvillian,
+    steady_state_gamma,
+    zeta_tilde_ness_from_gamma,
+)
 from nhgeo.oracle import (
     build_fock,
     build_superop,
@@ -15,7 +21,7 @@ from nhgeo.oracle import (
     unvec,
     vec,
 )
-from nhgeo.tensors import eta_tensor, zeta_limited, zeta_tensor
+from nhgeo.tensors import eta_tensor, sum_over_states, zeta_limited
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
 from conftest import maxdev
@@ -145,6 +151,27 @@ class TestNessFromKernel:
         rho, _ = ness_from_kernel(fock, L)
         assert maxdev(rho, np.eye(4) / 4) < 1e-12
 
+    def test_state_index_rejects_degenerate_kernel(self):
+        # the zero generator (H = 0, M = 0): every eigenvalue is 0
+        zero = LiouvillianFamily(
+            1, 1, lambda lam: build_liouvillian(1, np.zeros((2, 2)), M=np.zeros((2, 2))))
+        sfam = superop_family(build_fock(1), zero)
+        assert np.abs(sfam([0.0])).max() == 0.0
+        with pytest.raises(DegenerateKernel):
+            ness_state_index(sfam, [0.0])
+
+    def test_state_index_picks_the_kernel_state(self, rng):
+        # one kernel pick: the eigenvector at ness_state_index is the kernel state
+        fam, _ = random_liouvillian_family(rng, n=2)
+        fock = build_fock(2)
+        sfam = superop_family(fock, fam)
+        lam = np.array([0.04, -0.11])
+        sys = build_biortho(sfam(lam))
+        rho = unvec(sys.right_vectors[:, ness_state_index(sfam, lam)])
+        rho = (rho + rho.conj().T) / 2
+        rho_kernel, _ = ness_from_kernel(fock, sfam(lam))
+        assert maxdev(rho / np.trace(rho).real, rho_kernel) <= 1e-10
+
     def test_degenerate_kernel_rejected(self):
         fock = build_fock(1)
         with pytest.raises(DegenerateKernel):
@@ -163,19 +190,19 @@ class TestSuperopFamily:
     def test_zeta_route_agreement(self, rng):
         from nhgeo.liouville import zeta_ness
 
-        fam, baths = random_liouvillian_family(rng, n=2)
+        fam, _ = random_liouvillian_family(rng, n=2)
         fock = build_fock(2)
-        sfam = superop_family(fock, fam, bath_vectors_of=lambda lam: baths)
+        sfam = superop_family(fock, fam)
         lam = np.array([0.09, -0.14])
         nidx = ness_state_index(sfam, lam)
-        zs = zeta_tensor(sfam, lam, nidx, route="agp", mu_reg=1e-8).values
+        zs = sum_over_states(sfam, lam, nidx, ["zeta"], mu_reg=1e-8)["zeta"].values
         zm = zeta_ness(fam, lam).values
         assert maxdev(zs, zm) <= 1e-6 * max(1.0, np.abs(zm).max())
 
     def test_eta_vanishes_on_steady_state(self, rng):
-        fam, baths = random_liouvillian_family(rng, n=1)
+        fam, _ = random_liouvillian_family(rng, n=1)
         fock = build_fock(1)
-        sfam = superop_family(fock, fam, bath_vectors_of=lambda lam: baths)
+        sfam = superop_family(fock, fam)
         lam = np.array([0.2, -0.1])
         nidx = ness_state_index(sfam, lam)
         assert np.abs(eta_tensor(sfam, lam, nidx).values).max() <= 1e-9
@@ -183,9 +210,9 @@ class TestSuperopFamily:
     def test_limited_tensor_matches_gaussian_form(self, rng):
         # generic-engine single-state tensor on the dense generator equals the
         # exact correlation-matrix expression for 2^n Tr(drho drho)
-        fam, baths = random_liouvillian_family(rng, n=1)
+        fam, _ = random_liouvillian_family(rng, n=1)
         fock = build_fock(1)
-        sfam = superop_family(fock, fam, bath_vectors_of=lambda lam: baths)
+        sfam = superop_family(fock, fam)
         lam = np.array([0.13, -0.08])
         nidx = ness_state_index(sfam, lam)
         zt = zeta_limited(sfam, lam, nidx).values
@@ -208,9 +235,33 @@ class TestSuperopFamily:
         fam, baths = random_liouvillian_family(rng, n=2)
         fock = build_fock(2)
         lam = np.array([0.05, 0.02])
-        explicit = superop_family(fock, fam, bath_vectors_of=lambda l: baths)
+        explicit = build_superop(fock, fam(lam).H_mat, baths)
         factorized = superop_family(fock, fam)
-        assert maxdev(explicit(lam), factorized(lam)) <= 1e-10
+        assert maxdev(explicit, factorized(lam)) <= 1e-10
+
+    @pytest.mark.parametrize("model", ["kitaev", "random"])
+    def test_exact_derivative(self, rng, monkeypatch, model):
+        # the generator is linear in (X, Y): its derivative is the generator of
+        # (dX, dY), taken without central differences of the dense matrix
+        import nhgeo.tensors as tensors_mod
+        from nhgeo.kitaev import DissipativeKitaevModel
+        from nhgeo.liouville import real_space_family
+
+        fock = build_fock(2)
+        if model == "kitaev":
+            fam = real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 2)
+            lam = np.array([0.7, 1.1])
+        else:
+            fam, lam = random_liouvillian_family(rng, n=2)[0], np.array([0.06, -0.03])
+        sfam = superop_family(fock, fam)
+        fd = [tensors_mod.central_difference(sfam, lam, mu) for mu in range(2)]
+        calls = []
+        real = tensors_mod.central_difference
+        monkeypatch.setattr(tensors_mod, "central_difference",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        for mu in range(2):
+            assert maxdev(sfam.derivative(mu, lam), fd[mu]) <= 1e-8 * np.abs(fd[mu]).max()
+        assert calls == []
 
 
 class TestVecConventions:

@@ -84,9 +84,7 @@ class TestCentralDifference:
     @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
     @pytest.mark.parametrize("call", [
         lambda fam, h: central_difference(fam, [0.3], 0, h),
-        lambda fam, h: stencil_tensors(fam, [0.3], 0, SOS_KINDS, h=h),
-        lambda fam, h: chi_hermitian(fam, [0.3], 0, h=h),
-    ], ids=["central_difference", "stencil_tensors", "chi_hermitian"])
+    ], ids=["central_difference"])
     def test_step_must_be_finite_positive(self, qubit, call, h):
         calls = []
         fam = OperatorFamily(2, 1, lambda l: calls.append(l) or qubit.func(l), qubit.deriv_func)
@@ -124,7 +122,6 @@ class TestChiHermitian:
     def test_fd_step_reported(self, qubit, theta):
         assert chi_hermitian(qubit, [theta], 0).meta["fd_step"] == [
             _EPS_THIRD * max(1.0, abs(theta))]
-        assert chi_hermitian(qubit, [theta], 0, h=1e-3).meta["fd_step"] == [1e-3]
 
 
 def agp_residual(fam, lam, mu_dir):
@@ -138,7 +135,7 @@ def agp_residual(fam, lam, mu_dir):
     K = fam(lam)
     sys = build_biortho(K)
     dK = fam.derivative(mu_dir, lam)
-    A = sys.right_vectors @ agp_elements(fam, lam, mu_dir, sys=sys) @ sys.left_vectors.conj().T
+    A = sys.right_vectors @ agp_elements(fam, lam, mu_dir) @ sys.left_vectors.conj().T
     dw = np.diag(sys.left_vectors.conj().T @ dK @ sys.right_vectors)
     F = sys.right_vectors @ np.diag(dw) @ sys.left_vectors.conj().T
     resid = dK - F - (A @ K - K @ A)
@@ -229,9 +226,9 @@ class TestZetaRoutes:
 
     def test_routes_agree(self, nh6, rng):
         lam = rng.uniform(-0.1, 0.1, size=2)
-        z_ov = zeta_tensor(nh6, lam, 1, route="overlap").values
-        z_pr = zeta_tensor(nh6, lam, 1, route="projector").values
-        z_ag = zeta_tensor(nh6, lam, 1, route="agp").values
+        z_ov = zeta_tensor(nh6, lam, 1).values
+        z_pr = stencil_tensors(nh6, lam, 1, ["zeta"], route="projector")["zeta"].values
+        z_ag = sum_over_states(nh6, lam, 1, ["zeta"])["zeta"].values
         scale = np.abs(z_ov).max()
         assert maxdev(z_ov, z_pr) <= 1e-8 * scale
         assert maxdev(z_ov, z_ag) <= 1e-8 * scale
@@ -239,25 +236,25 @@ class TestZetaRoutes:
     def test_routes_agree_under_gauge(self, nh6, rng):
         lam = rng.uniform(-0.1, 0.1, size=2)
         gauge = random_gauge(rng, 6, lam)
-        z_ov = zeta_tensor(nh6, lam, 1, route="overlap", gauge=gauge).values
-        z_pr = zeta_tensor(nh6, lam, 1, route="projector", gauge=gauge).values
+        z_ov = stencil_tensors(nh6, lam, 1, ["zeta"], gauge=gauge)["zeta"].values
+        z_pr = stencil_tensors(nh6, lam, 1, ["zeta"], route="projector", gauge=gauge)["zeta"].values
         assert maxdev(z_ov, z_pr) <= 1e-8 * np.abs(z_ov).max()
 
     def test_unknown_route_rejected(self, nh6):
         calls = []
         fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l))
         with pytest.raises(ValueError):
-            zeta_tensor(fam, [0.0, 0.0], 0, route="nope")
+            stencil_tensors(fam, [0.0, 0.0], 0, ["zeta"], route="nope")
         assert calls == []  # rejected before any family evaluation
 
     def test_sum_rule_generator_norm(self, rng):
         fam = random_family(rng, N=5, d=1)
         lam = np.array([0.07])
         total = sum(
-            zeta_tensor(fam, lam, n, route="agp").values[0, 0] for n in range(5)
+            sum_over_states(fam, lam, n, ["zeta"])["zeta"].values[0, 0] for n in range(5)
         )
         sys = build_biortho(fam(lam))
-        A_op = sys.right_vectors @ agp_elements(fam, lam, 0, sys=sys) @ sys.left_vectors.conj().T
+        A_op = sys.right_vectors @ agp_elements(fam, lam, 0) @ sys.left_vectors.conj().T
         assert abs(total - np.linalg.norm(A_op) ** 2) <= 1e-8 * abs(total)
         assert total.real >= 0.0
 
@@ -281,29 +278,27 @@ ALL_KIND_SETS = [list(c) for r in range(1, len(SOS_KINDS) + 1)
 
 
 class TestStencilTensors:
-    @pytest.mark.parametrize("opts", [{}, {"h": 1e-3}, {"gauge": True}])
+    @pytest.mark.parametrize("opts", [{}, {"gauge": True}])
     def test_kinds_equal_wrappers(self, nh6, rng, opts):
         lam = rng.uniform(-0.1, 0.1, size=2)
         if opts.get("gauge"):
             opts = {"gauge": random_gauge(rng, 6, lam)}
-        wrappers = {
-            "eta": eta_tensor(nh6, lam, 2, **opts),
-            "zeta": zeta_tensor(nh6, lam, 2, **opts),
-            "zeta_limited": zeta_limited(nh6, lam, 2, **opts),
-            "zeta_limited_rescaled": zeta_limited(nh6, lam, 2, rescaled=True, **opts),
-        }
         every = stencil_tensors(nh6, lam, 2, SOS_KINDS, **opts)
         assert list(every) == list(SOS_KINDS)
-        for kind, T in wrappers.items():
+        for kind in SOS_KINDS:
             one = stencil_tensors(nh6, lam, 2, [kind], **opts)[kind]
-            assert T.kind == one.kind == every[kind].kind == kind
-            assert np.array_equal(T.values, one.values), kind
+            assert one.kind == every[kind].kind == kind
             # column n of the every-state stencil is the same computation
-            assert np.array_equal(T.values, every[kind].values), kind
-            assert T.meta == every[kind].meta
+            assert np.array_equal(one.values, every[kind].values), kind
+            assert one.meta == every[kind].meta
+        if not opts:
+            wrappers = {"eta": eta_tensor, "zeta": zeta_tensor, "zeta_limited": zeta_limited}
+            for kind, wrapper in wrappers.items():
+                T = wrapper(nh6, lam, 2)
+                assert T.kind == kind
+                assert np.array_equal(T.values, every[kind].values), kind
+                assert T.meta == every[kind].meta
         projector = stencil_tensors(nh6, lam, 2, ["zeta"], route="projector", **opts)["zeta"]
-        assert np.array_equal(zeta_tensor(nh6, lam, 2, route="projector", **opts).values,
-                              projector.values)
         assert projector.meta["route"] == "projector"
 
     @pytest.mark.parametrize("n", [0, 3])
@@ -400,7 +395,6 @@ class TestStencilTensors:
         # the step the stencil evaluates at (center, then +-h per direction)
         for mu, h in enumerate(want):
             assert points[1 + 2 * mu][mu] - lam[mu] == pytest.approx(h, rel=1e-9)
-        assert stencil_tensors(fam, lam, 1, ["eta"], h=1e-4)["eta"].meta["fd_step"] == [1e-4] * 2
 
 
 class TestSumOverStates:
@@ -425,9 +419,12 @@ class TestSumOverStates:
             assert maxdev(T.values, chi) <= 1e-9, kind
 
     def test_agp_route_is_engine_zeta(self, nh6, rng):
+        # zeta is the contraction of the generator matrices of agp_elements
         lam = rng.uniform(-0.1, 0.1, size=2)
+        sys = build_biortho(nh6(lam))
         for mu_reg in (0.0, 0.3):
-            route = zeta_tensor(nh6, lam, 4, route="agp", mu_reg=mu_reg).values
+            A = np.stack([agp_elements(nh6, lam, mu, mu_reg) for mu in range(2)])
+            route = (A @ sys.gram_left[:, 4]).conj() @ sys.gram_right @ A[:, :, 4].T
             engine = sum_over_states(nh6, lam, 4, SOS_KINDS, mu_reg=mu_reg)["zeta"].values
             assert np.array_equal(route, engine)
 
@@ -609,9 +606,11 @@ class TestStencilAtDegeneracy:
     ROUTES = {
         "eta": lambda f, n: eta_tensor(f, [0.0], n),
         "zeta_limited": lambda f, n: zeta_limited(f, [0.0], n),
-        "zeta_limited_rescaled": lambda f, n: zeta_limited(f, [0.0], n, rescaled=True),
+        "zeta_limited_rescaled": lambda f, n: stencil_tensors(
+            f, [0.0], n, ["zeta_limited_rescaled"])["zeta_limited_rescaled"],
         "zeta-overlap": lambda f, n: zeta_tensor(f, [0.0], n),
-        "zeta-projector": lambda f, n: zeta_tensor(f, [0.0], n, route="projector"),
+        "zeta-projector": lambda f, n: stencil_tensors(
+            f, [0.0], n, ["zeta"], route="projector")["zeta"],
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
@@ -632,18 +631,19 @@ class TestStencilAtDegeneracy:
                 self.ROUTES[route](pair, 2)
 
     def test_gap_tested_against_the_norm(self):
-        # a 1e-6 gap at state 0 is open at ||K|| = 2, closed at ||K|| = 1e5
+        # a 1e-6 gap at state 0 is open at ||K|| = 2, closed at ||K|| = 1e5;
+        # the coupling is weak enough that the default step resolves the gap
         for top, closed in ((2.0, False), (1e5, True)):
             fam = OperatorFamily(
                 3, 1,
-                lambda l, t=top: np.diag([1.0, 1.0 + 1e-6, t]) + l[0] * SX3,
-                lambda mu, l: SX3,
+                lambda l, t=top: np.diag([1.0, 1.0 + 1e-6, t]) + 1e-4 * l[0] * SX3,
+                lambda mu, l: 1e-4 * SX3,
             )
             if closed:
                 with pytest.raises(DegenerateSpectrum):
-                    eta_tensor(fam, [0.0], 0, h=1e-9)
+                    eta_tensor(fam, [0.0], 0)
             else:
-                assert np.isfinite(eta_tensor(fam, [0.0], 0, h=1e-9).values).all()
+                assert np.isfinite(eta_tensor(fam, [0.0], 0).values).all()
 
 
 SX3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
@@ -709,8 +709,8 @@ def _bad_state_calls():
         ("chi", lambda f, n: chi_hermitian(f, lam, n)),
         ("eta", lambda f, n: eta_tensor(f, lam, n)),
         ("zeta-overlap", lambda f, n: zeta_tensor(f, lam, n)),
-        ("zeta-projector", lambda f, n: zeta_tensor(f, lam, n, route="projector")),
-        ("zeta-agp", lambda f, n: zeta_tensor(f, lam, n, route="agp")),
+        ("zeta-projector", lambda f, n: stencil_tensors(f, lam, n, ["zeta"], route="projector")),
+        ("zeta-agp", lambda f, n: sum_over_states(f, lam, n, ["zeta"])),
         ("sum-over-states", lambda f, n: sum_over_states(f, lam, n, SOS_KINDS)),
         ("stencil", lambda f, n: stencil_tensors(f, lam, n, SOS_KINDS)),
         ("zeta_limited", lambda f, n: zeta_limited(f, lam, n)),
