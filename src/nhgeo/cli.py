@@ -513,6 +513,8 @@ def _axis_points(axis) -> np.ndarray:
         ) from None
     if steps < 2:
         raise click.UsageError("axis steps must be >= 2")
+    if not np.isfinite(hi - lo):  # linspace would turn the overflow into NaN points
+        raise click.UsageError(f"axis {axis['name']!r}: max - min overflows the float range")
     return np.linspace(lo, hi, steps)
 
 

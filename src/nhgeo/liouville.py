@@ -22,7 +22,7 @@ purity-weighted response) operate directly on ``Gamma`` and its derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .linalg import (
     solve_sylvester,
     solve_sylvester_pair,
 )
-from .tensors import GeoTensor, _direction, _params, central_difference
+from .tensors import GeoTensor, _direction, _params
 
 
 @dataclass(frozen=True)
@@ -175,33 +175,27 @@ def _steady_state(liou: QuadraticLiouvillian, dec=None):
 
 @dataclass(frozen=True)
 class LiouvillianFamily:
-    """lambda -> QuadraticLiouvillian, with optional analytic dX/dY.
+    """lambda -> QuadraticLiouvillian, with its exact derivative.
 
-    ``deriv_func(mu, lam)`` must return ``(dX, dY)``; when absent both are
-    obtained by central differences of the (entrywise smooth) X(lam), Y(lam),
-    two more family evaluations per direction.  :func:`real_space_family`
-    and the ``quad-liouville`` command-line model supply analytic ones.
+    ``deriv_func(mu, lam)`` returns ``(dX, dY)``, the derivatives of the
+    structure matrices along direction ``mu`` (central differences serve
+    only as oracles).
     """
 
     n: int
     num_params: int
     func: Callable[[np.ndarray], QuadraticLiouvillian]
-    deriv_func: Optional[Callable[[int, np.ndarray], tuple]] = None
+    deriv_func: Callable[[int, np.ndarray], tuple]
     name: str = ""
 
     def __call__(self, lam) -> QuadraticLiouvillian:
         return self.func(_params(lam, self.num_params))
 
     def dxy(self, mu: int, lam):
+        """``(dX, dY)`` along ``mu``; ShapeMismatch outside ``[0, num_params)``."""
         lam = _params(lam, self.num_params)
-        if self.deriv_func is not None:
-            return self.deriv_func(mu, lam)
-
-        def xy(l):  # one family evaluation per stencil point
-            liou = self(l)
-            return np.vstack([liou.X, liou.Y])
-
-        return tuple(np.split(central_difference(xy, lam, mu), 2))
+        _direction(mu, self.num_params)
+        return self.deriv_func(mu, lam)
 
 
 #: relative resolution of the transport generator: a rapidity gap below
@@ -256,9 +250,7 @@ def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -
 
     Differentiates the defining relation analytically:
     ``X dGamma + dGamma X^T = dY - dX Gamma - Gamma dX^T``.  This avoids
-    finite differences of Gamma, which lose accuracy near critical regions;
-    a finite-difference fallback remains available through the family object
-    for validation.
+    finite differences of Gamma, which lose accuracy near critical regions.
     """
     return _dgamma(lambda Y: solve_sylvester(liou.X, Y), Gamma, dX, dY)
 
@@ -332,11 +324,21 @@ def _over_k(k, block) -> np.ndarray:
     return block if np.shape(block) == shape else np.broadcast_to(block, shape).copy()
 
 
+def _x_of(k, h, m, m_minus_k) -> np.ndarray:
+    """``x(k) = 4i h(k) + m(k) + m(-k)^T``, linear: (dh_mu, dm_mu) give dx_mu."""
+    return _over_k(k, 4j * h + m + np.swapaxes(m_minus_k, -1, -2))
+
+
+def _y_of(k, m, m_minus_k) -> np.ndarray:
+    """``y(k) = -2 (m(k) - m(-k)^T)``, linear: the dm_mu blocks give dy_mu."""
+    return _over_k(k, -2.0 * (m - np.swapaxes(m_minus_k, -1, -2)))
+
+
 class TranslationInvariantModel:
     """Two-band translation-invariant model defined by momentum blocks.
 
-    Subclasses / instances provide ``h_block(k, lam)`` and ``m_block(k, lam)``
-    (2x2) plus optional analytic derivatives ``dh_block`` and ``dm_block``.
+    Subclasses provide the 2x2 blocks ``h_block(k, lam)``, ``m_block(k, lam)``
+    and their exact derivatives ``dh_block(mu, k, lam)``, ``dm_block(mu, k, lam)``.
     Block methods must broadcast over ``k``: given a column of momenta of
     shape ``(L, 1, 1)`` they return an ``(L, 2, 2)`` stack or, for a block
     that does not depend on ``k``, a single 2x2 block.
@@ -351,36 +353,28 @@ class TranslationInvariantModel:
     def m_block(self, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def dh_block(self, mu: int, k: float, lam):
-        return None
+    def dh_block(self, mu: int, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
 
-    def dm_block(self, mu: int, k: float, lam):
-        return None
+    def dm_block(self, mu: int, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
 
     # -- derived quantities (one block, or a stack over a k column) ----------
 
     def x_block(self, k, lam) -> np.ndarray:
-        mT = np.swapaxes(self.m_block(-k, lam), -1, -2)
-        return _over_k(k, 4j * self.h_block(k, lam) + self.m_block(k, lam) + mT)
+        return _x_of(k, self.h_block(k, lam), self.m_block(k, lam), self.m_block(-k, lam))
 
     def y_block(self, k, lam) -> np.ndarray:
-        mT = np.swapaxes(self.m_block(-k, lam), -1, -2)
-        return _over_k(k, -2.0 * (self.m_block(k, lam) - mT))
+        return _y_of(k, self.m_block(k, lam), self.m_block(-k, lam))
 
     def dx_block(self, mu: int, k, lam) -> np.ndarray:
-        dh = self.dh_block(mu, k, lam)
-        dm = self.dm_block(mu, k, lam)
-        dmT = self.dm_block(mu, -k, lam)
-        if dh is None or dm is None or dmT is None:
-            return central_difference(lambda l: self.x_block(k, l), lam, mu)
-        return _over_k(k, 4j * dh + dm + np.swapaxes(dmT, -1, -2))
+        _direction(mu, self.num_params)
+        return _x_of(k, self.dh_block(mu, k, lam), self.dm_block(mu, k, lam),
+                     self.dm_block(mu, -k, lam))
 
     def dy_block(self, mu: int, k, lam) -> np.ndarray:
-        dm = self.dm_block(mu, k, lam)
-        dmT = self.dm_block(mu, -k, lam)
-        if dm is None or dmT is None:
-            return central_difference(lambda l: self.y_block(k, l), lam, mu)
-        return _over_k(k, -2.0 * (dm - np.swapaxes(dmT, -1, -2)))
+        _direction(mu, self.num_params)
+        return _y_of(k, self.dm_block(mu, k, lam), self.dm_block(mu, -k, lam))
 
 
 def gamma_k(model: TranslationInvariantModel, k: float, lam) -> np.ndarray:
@@ -508,12 +502,11 @@ def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> Quadra
 def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFamily:
     """Real-space LiouvillianFamily wrapping :func:`assemble_real_space`.
 
-    dX and dY are analytic: the k stacks of ``model.dx_block`` and
-    ``model.dy_block`` are Fourier-assembled as X and Y are (a model without
-    analytic ``dh_block``/``dm_block`` falls back to central differences per
-    block there), then projected onto the structure of X and Y, dX real and
-    dY imaginary antisymmetric.  They are not Liouvillians, so they skip
-    :func:`build_liouvillian`'s validation.
+    dX and dY are exact: the k stacks of ``model.dx_block`` and
+    ``model.dy_block`` are Fourier-assembled as X and Y are, then projected
+    onto the structure of X and Y, dX real and dY imaginary antisymmetric.
+    They are not Liouvillians, so they skip :func:`build_liouvillian`'s
+    validation.
     """
     L = _chain_length(L)
     kc = _k_column(L)

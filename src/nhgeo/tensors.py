@@ -52,7 +52,7 @@ Tensor kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -136,14 +136,14 @@ class OperatorFamily:
     dim : matrix dimension N
     num_params : number of real parameters d
     func : lambda-vector -> (N, N) complex ndarray
-    deriv_func : optional; (direction, lambda-vector) -> (N, N) ndarray.
-        When absent, derivatives fall back to central differences of ``func``.
+    deriv_func : (direction, lambda-vector) -> (N, N) ndarray, the exact
+        d K / d lambda_mu (central differences serve only as oracles)
     """
 
     dim: int
     num_params: int
     func: Callable[[np.ndarray], np.ndarray]
-    deriv_func: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    deriv_func: Callable[[int, np.ndarray], np.ndarray]
     name: str = ""
 
     def __call__(self, lam) -> np.ndarray:
@@ -154,11 +154,10 @@ class OperatorFamily:
         return K
 
     def derivative(self, mu: int, lam) -> np.ndarray:
-        """d K / d lambda_mu, analytic when available, else central difference."""
+        """d K / d lambda_mu; ShapeMismatch for a ``mu`` outside ``[0, num_params)``."""
         lam = _params(lam, self.num_params)
-        if self.deriv_func is not None:
-            return as_square(self.deriv_func(mu, lam), "dK")
-        return central_difference(self, lam, mu)
+        _direction(mu, self.num_params)
+        return as_square(self.deriv_func(mu, lam), "dK")
 
 
 @dataclass

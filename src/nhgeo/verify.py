@@ -121,7 +121,10 @@ def random_liouvillian_family(rng, n=2, d=2):
     def make(lam):
         return build_liouvillian(n, H0 + sum(lam[m] * parts[m] for m in range(d)), baths)
 
-    fam = LiouvillianFamily(n, d, make, name="random-quadratic")
+    def dxy(mu, lam):  # X = 4i H + 2 Re M and Y = -4i Im M, the bath fixed
+        return 4j * parts[mu], np.zeros_like(parts[mu])
+
+    fam = LiouvillianFamily(n, d, make, dxy, name="random-quadratic")
     return fam, baths
 
 

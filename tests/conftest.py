@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nhgeo.tensors import central_difference
+
 
 @pytest.fixture
 def rng():
@@ -28,6 +30,17 @@ def inside(v, lo, hi):
 
 def maxdev(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def central_dxy(fam, mu, lam):
+    """Central differences of the structure matrices X and Y of the
+    LiouvillianFamily ``fam`` along ``mu``: the oracle for its exact ``dxy``."""
+    def xy(l):
+        liou = fam(l)
+        return np.stack([liou.X, liou.Y])
+
+    dX, dY = central_difference(xy, lam, mu)
+    return dX, dY
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from nhgeo.kitaev import DissipativeKitaevModel
 from nhgeo.linalg import save_matrix
 from nhgeo.ssh import eps
 
-from conftest import maxdev
+from conftest import central_dxy, maxdev
 
 
 @pytest.fixture
@@ -561,7 +561,8 @@ class TestFileFamilyDirections:
         fam = cli_mod.QuadLiouvilleAdapter(path("H"), path("bath"), parts).family()
         lam = np.linspace(0.2, -0.1, d)
         got = ness_tensors(fam, lam, NESS_KINDS)
-        ref = ness_tensors(dataclasses.replace(fam, deriv_func=None), lam, NESS_KINDS)
+        fd = dataclasses.replace(fam, deriv_func=lambda mu, l: central_dxy(fam, mu, l))
+        ref = ness_tensors(fd, lam, NESS_KINDS)
         for kind in NESS_KINDS:
             want = ref[kind].values
             assert maxdev(got[kind].values, want) <= 1e-8 * np.abs(want).max(), kind
@@ -1068,6 +1069,22 @@ class TestMalformedSweepInput:
             "--format", "json", "--output", str(tmp_path / "x.json")])
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_overflowing_axis_exit_2(self, runner, tmp_path, source):
+        # max - min overflows: linspace would warn and make NaN grid points
+        if source == "flag":
+            args = ["--model", "nh-ssh", "--axis", "t:-1.7e308:1.7e308:3"]
+        else:
+            cfg = {"model": "nh-ssh",
+                   "axes": [{"name": "t", "min": -1.7e308, "max": 1.7e308, "steps": 3}]}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = ["--config", str(tmp_path / "cfg.json")]
+        result = runner.invoke(main, ["sweep", *args, "--tensors", "zeta",
+                                      "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert "axis 't'" in result.output and "overflows" in result.output
+        assert not (tmp_path / "x.csv").exists()
 
     def test_config_axis_with_integer_bounds_keeps_its_header(self, runner, tmp_path):
         cfg = {"model": "nh-ssh", "params": {"L": 8},

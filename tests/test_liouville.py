@@ -1,10 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import nhgeo.linalg as linalg_mod
 import nhgeo.liouville as liouville_mod
+from nhgeo.cli import QuadLiouvilleAdapter
 from nhgeo.errors import (
     BadBath,
     BadHamiltonian,
@@ -29,10 +28,10 @@ from nhgeo.liouville import (
     zeta_ness,
     zeta_ness_k,
 )
-from nhgeo.linalg import eig_general, norm2, solve_sylvester, solve_sylvester_pair
+from nhgeo.linalg import eig_general, norm2, save_matrix, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
-from conftest import inside, maxdev
+from conftest import central_dxy, inside, maxdev
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 S0 = np.eye(2, dtype=complex)
@@ -61,9 +60,9 @@ class ZeroRhsModel(TranslationInvariantModel):
 
 
 class DrivenBathModel(TranslationInvariantModel):
-    """Two parameters, a k-dependent bath and no analytic derivatives, so
-    dx/dy fall back to central differences.  The Hermitian part of x(k) is
-    at least 0.8, which keeps the steady state unique."""
+    """Two parameters and a k-dependent bath that depends on one of them.
+    The Hermitian part of x(k) is at least 0.8, which keeps the steady
+    state unique."""
 
     num_params = 2
 
@@ -74,6 +73,12 @@ class DrivenBathModel(TranslationInvariantModel):
     def m_block(self, k, lam):
         t, d = lam
         return 0.6 * S0 + 0.2 * np.cos(k) * SX + 0.25 * d * SY
+
+    def dh_block(self, mu, k, lam):
+        return 0.5 * np.sin(k) * SX if mu == 0 else 0.5 * SY
+
+    def dm_block(self, mu, k, lam):
+        return np.zeros((2, 2), dtype=complex) if mu == 0 else 0.25 * SY
 
 
 def lapack_eigenpairs(x):
@@ -150,7 +155,26 @@ def faulty_model(faults, L=4):
             m = np.where(at(np.abs(k), "pencil"), 0.0, 0.5 * S0)
             return m + np.where(at(k, "nonfinite"), np.nan, 0.0) * S0
 
+        def dh_block(self, mu, k, lam):
+            dh = np.where(at(k, "degenerate"), 0.0, 0.1 * SY)
+            dh = np.where(at(-k, "nonfinite_at_minus_k"), np.nan, dh)
+            return np.where(at(k, "rapidities"), SX, dh)
+
+        def dm_block(self, mu, k, lam):
+            return np.where(at(k, "nonfinite"), np.nan, 0.0) * S0
+
     return Faulty()
+
+
+def quad_liouville_family(rng, tmp_path):
+    """The ``quad-liouville`` command-line family on random H0, bath and two
+    dH files."""
+    mats = {"H0": random_hmat(rng, 2), "dH0": random_hmat(rng, 2), "dH1": random_hmat(rng, 2),
+            "bath": sum(np.outer(v, v.conj()) for v in random_bath(rng, 2))}
+    paths = {name: str(tmp_path / f"{name}.json") for name in mats}
+    for name, A in mats.items():
+        save_matrix(paths[name], A)
+    return QuadLiouvilleAdapter(paths["H0"], paths["bath"], [paths["dH0"], paths["dH1"]]).family()
 
 
 BLOCK_MODELS = [
@@ -266,7 +290,8 @@ class TestRapidities:
 class TestAgpQuadratic:
     def test_parameter_independent(self, rng):
         liou_fixed = build_liouvillian(2, random_hmat(rng, 2), random_bath(rng, 2))
-        fam = LiouvillianFamily(2, 1, lambda lam: liou_fixed)
+        zero = np.zeros((4, 4), dtype=complex)
+        fam = LiouvillianFamily(2, 1, lambda lam: liou_fixed, lambda mu, lam: (zero, zero))
         agp = agp_quadratic(fam, [0.3], 0)
         assert np.abs(agp.Xcal).max() < 1e-10
         assert np.abs(agp.Ycal).max() < 1e-10
@@ -282,7 +307,10 @@ class TestAgpQuadratic:
             M = Q @ np.diag(d) @ Q.T + 1j * Mim
             return build_liouvillian(2, np.zeros((4, 4)), M=M)
 
-        fam = LiouvillianFamily(2, 1, make)
+        def dxy(mu, lam):  # X = 2 Re M, Y = -4i Im M
+            return 2 * Q @ np.diag([1.0, 2.0, -1.0, 0.0]) @ Q.T, np.zeros((4, 4))
+
+        fam = LiouvillianFamily(2, 1, make, dxy)
         agp = agp_quadratic(fam, [0.1], 0)
         assert np.abs(agp.Xcal).max() < 1e-8
         liou = fam([0.1])
@@ -305,7 +333,9 @@ class TestAgpQuadratic:
             M[0, 1] = M[1, 0] = lam[0]
             return build_liouvillian(2, np.zeros((4, 4)), M=M)
 
-        fam = LiouvillianFamily(2, 1, make)
+        dM = np.zeros((4, 4))
+        dM[0, 1] = dM[1, 0] = 1.0
+        fam = LiouvillianFamily(2, 1, make, lambda mu, lam: (2 * dM, np.zeros((4, 4))))
         with pytest.raises(DegenerateRapidities):
             agp_quadratic(fam, [0.0], 0)
 
@@ -363,7 +393,7 @@ class TestZetaNess:
             H = lam[0] * 1j * 0.3 * J
             return build_liouvillian(1, H, single_mode_baths(0.6, 1.0, 0.5))
 
-        fam = LiouvillianFamily(1, 1, make)
+        fam = LiouvillianFamily(1, 1, make, lambda mu, lam: (4j * 0.3j * J, np.zeros((2, 2))))
         z = zeta_ness(fam, [0.4])
         assert np.abs(z.values).max() < 1e-10
 
@@ -433,17 +463,23 @@ class TestZetaNess:
         call(real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 8), [0.7, 0.9])
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("L", [2, 3, 8])
-    @pytest.mark.parametrize("model, lam", [
-        (DissipativeKitaevModel(0.4, 1.0, 0.6), [0.7, 0.9]),
-        (DrivenBathModel(), [0.8, 0.4]),  # central differences per block
-    ], ids=["kitaev", "driven-bath"])
-    def test_analytic_dxy_match_central_differences(self, model, lam, L):
-        fam = real_space_family(model, L)
-        fd = dataclasses.replace(fam, deriv_func=None)  # differences of assemblies
+    @pytest.mark.parametrize("build, lam", [
+        *(pytest.param(lambda rng, tmp_path, model=model, L=L: real_space_family(model, L), lam,
+                       id=f"{name}-{L}")
+          for name, model, lam in [
+              ("kitaev", DissipativeKitaevModel(0.4, 1.0, 0.6), [0.7, 0.9]),
+              ("driven-bath", DrivenBathModel(), [0.8, 0.4]),  # a bath that depends on lam
+          ] for L in (2, 3, 8)),
+        pytest.param(lambda rng, tmp_path: random_liouvillian_family(rng, n=2)[0],
+                     [0.12, -0.07], id="random_liouvillian_family"),
+        pytest.param(quad_liouville_family, [0.12, -0.07], id="quad-liouville"),
+    ])
+    def test_analytic_dxy_match_central_differences(self, rng, tmp_path, build, lam):
+        # every LiouvillianFamily the package builds
+        fam = build(rng, tmp_path)
         for mu in range(fam.num_params):
             dX, dY = fam.dxy(mu, lam)
-            fX, fY = fd.dxy(mu, lam)
+            fX, fY = central_dxy(fam, mu, lam)  # differences of whole family evaluations
             assert maxdev(dX, fX) <= 1e-8 and maxdev(dY, fY) <= 1e-8, mu
             # the structure of X and Y: dX real, dY imaginary antisymmetric
             assert not dX.imag.any() and not dY.real.any()

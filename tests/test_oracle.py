@@ -154,7 +154,8 @@ class TestNessFromKernel:
     def test_state_index_rejects_degenerate_kernel(self):
         # the zero generator (H = 0, M = 0): every eigenvalue is 0
         zero = LiouvillianFamily(
-            1, 1, lambda lam: build_liouvillian(1, np.zeros((2, 2)), M=np.zeros((2, 2))))
+            1, 1, lambda lam: build_liouvillian(1, np.zeros((2, 2)), M=np.zeros((2, 2))),
+            lambda mu, lam: (np.zeros((2, 2)), np.zeros((2, 2))))
         sfam = superop_family(build_fock(1), zero)
         assert np.abs(sfam([0.0])).max() == 0.0
         with pytest.raises(DegenerateKernel):

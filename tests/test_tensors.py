@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhgeo.biortho import build_biortho
+from nhgeo.cli import MatrixFamilyAdapter
 from nhgeo.errors import (
     ContinuationAmbiguous,
     DegenerateSpectrum,
@@ -12,6 +13,11 @@ from nhgeo.errors import (
     NonConvergence,
     ShapeMismatch,
 )
+from nhgeo.kitaev import DissipativeKitaevModel
+from nhgeo.linalg import save_matrix
+from nhgeo.liouville import real_space_family
+from nhgeo.oracle import build_fock, superop_family
+from nhgeo.ssh import SSHParams, bloch_family
 from nhgeo.tensors import (
     SOS_KINDS,
     STATE_KINDS,
@@ -29,7 +35,12 @@ from nhgeo.tensors import (
     zeta_limited,
     zeta_tensor,
 )
-from nhgeo.verify import random_family, random_gauge, random_hermitian_family
+from nhgeo.verify import (
+    random_family,
+    random_gauge,
+    random_hermitian_family,
+    random_liouvillian_family,
+)
 
 from conftest import maxdev
 
@@ -51,18 +62,29 @@ def nh6(rng):
     return random_family(rng, N=6, d=2)
 
 
-class TestOperatorFamily:
-    def test_analytic_fd_consistency(self, nh6, rng):
-        lam = rng.uniform(-0.1, 0.1, size=2)
-        for mu in range(2):
-            ana = nh6.derivative(mu, lam)
-            fd = central_difference(nh6, lam, mu)
-            assert np.linalg.norm(ana - fd) <= 1e-5 * np.linalg.norm(ana)
+def matrix_file_family(rng, tmp_path):
+    """The ``matrix-file`` command-line family on random K0, dK0, dK1 files."""
+    paths = [str(tmp_path / f"{name}.json") for name in ("K0", "dK0", "dK1")]
+    for path in paths:
+        save_matrix(path, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return MatrixFamilyAdapter(paths[0], paths[1:]).family()
 
-    def test_fd_fallback(self, qubit):
-        bare = OperatorFamily(2, 1, qubit.func)
-        lam = np.array([0.4])
-        assert maxdev(bare.derivative(0, lam), qubit.derivative(0, lam)) < 1e-9
+
+class TestOperatorFamily:
+    @pytest.mark.parametrize("build, lam", [
+        (lambda rng, tmp_path: random_family(rng, N=6, d=2), [0.07, -0.04]),
+        (lambda rng, tmp_path: bloch_family(SSHParams(0.5, 0.1, 8), 0.3), [0.5, 0.1]),
+        (lambda rng, tmp_path: superop_family(build_fock(2), random_liouvillian_family(rng)[0]),
+         [0.06, -0.03]),
+        (matrix_file_family, [0.2, -0.1]),
+    ], ids=["random_family", "bloch_family", "superop_family", "matrix-file"])
+    def test_analytic_fd_consistency(self, rng, tmp_path, build, lam):
+        # every OperatorFamily the package builds
+        fam = build(rng, tmp_path)
+        for mu in range(fam.num_params):
+            ana = fam.derivative(mu, lam)
+            fd = central_difference(fam, lam, mu)
+            assert np.linalg.norm(ana - fd) <= 1e-5 * np.linalg.norm(ana), mu
 
 
 class TestCentralDifference:
@@ -104,7 +126,8 @@ class TestChiHermitian:
         assert abs(chi.berry_curvature[0, 0]) < 1e-12
 
     def test_parameter_independent_family_zero(self):
-        fam = OperatorFamily(3, 2, lambda l: np.diag([0.0, 1.0, 2.0]))
+        fam = OperatorFamily(3, 2, lambda l: np.diag([0.0, 1.0, 2.0]),
+                             lambda mu, l: np.zeros((3, 3)))
         chi = chi_hermitian(fam, [0.1, 0.2], 1)
         assert np.abs(chi.values).max() < 1e-12
 
@@ -159,7 +182,8 @@ class TestAgpElements:
             K[0, 1] = l[0] * v
             return K
 
-        A = agp_elements(OperatorFamily(2, 1, f), [0.0], 0)
+        A = agp_elements(OperatorFamily(2, 1, f, lambda mu, l: np.array([[0.0, v], [0.0, 0.0]])),
+                         [0.0], 0)
         # element (m=1, n=2) in the basis ordered by eigenvalue
         assert abs(A[0, 1] - v / (w2 - w1)) < 1e-9
         assert np.abs(np.diag(A)).max() == 0.0
@@ -172,6 +196,7 @@ class TestAgpElements:
         fam = OperatorFamily(
             2, 1,
             lambda l: np.array([[1.0, l[0]], [l[0], 1.0]], dtype=complex),
+            lambda mu, l: SX,
         )
         with pytest.raises(DegenerateSpectrum):
             agp_elements(fam, [0.0], 0)
@@ -242,7 +267,7 @@ class TestZetaRoutes:
 
     def test_unknown_route_rejected(self, nh6):
         calls = []
-        fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l))
+        fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l), nh6.deriv_func)
         with pytest.raises(ValueError):
             stencil_tensors(fam, [0.0, 0.0], 0, ["zeta"], route="nope")
         assert calls == []  # rejected before any family evaluation
@@ -352,7 +377,7 @@ class TestStencilTensors:
 
     def test_invalid_arguments_rejected_before_evaluation(self, nh6):
         calls = []
-        fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l))
+        fam = OperatorFamily(6, 2, lambda l: calls.append(l) or nh6.func(l), nh6.deriv_func)
         for kinds, route, n, error in (
             (["chi"], "overlap", 0, ValueError),
             (["eta", "bures"], "overlap", 0, ValueError),
@@ -388,7 +413,7 @@ class TestStencilTensors:
             points.append(l)
             return np.diag([l[0], l[0] + 1.0 + 0.1j * l[1]])
 
-        fam = OperatorFamily(2, 2, f)
+        fam = OperatorFamily(2, 2, f, lambda mu, l: np.diag([[1.0, 1.0], [0.0, 0.1j]][mu]))
         want = [_EPS_THIRD * max(1.0, abs(x)) for x in lam]
         for kind, T in stencil_tensors(fam, lam, 1, SOS_KINDS).items():
             assert T.meta["fd_step"] == want, kind
@@ -654,7 +679,8 @@ class TestBerryConnection:
     :func:`stencil_tensors` subtracts in every covariant derivative."""
 
     def test_parameter_independent_zero(self):
-        fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.4j * np.eye(3))
+        fam = OperatorFamily(3, 1, lambda l: np.diag([0.0, 1.0, 3.0]) + 0.4j * np.eye(3),
+                             lambda mu, l: np.zeros((3, 3)))
         sys0, dR, _ = _stencil(fam, [0.2], [1])
         assert abs(sys0.left_vectors[:, 1].conj() @ dR[0, :, 0]) < 1e-12
 
@@ -746,3 +772,17 @@ def test_direction_out_of_range_before_eigensolve(rng, monkeypatch, engine, past
     with pytest.raises(ShapeMismatch, match="direction"):
         call(fam, lam, fam.num_params if past_end else -1)
     assert calls == []
+
+
+@pytest.mark.parametrize("mu", [-1, 2, 7])
+@pytest.mark.parametrize("call", [
+    lambda mu: bloch_family(SSHParams(0.5, 0.1, 8), 0.3).derivative(mu, [0.5, 0.1]),
+    lambda mu: random_family(np.random.default_rng(1)).derivative(mu, [0.0, 0.0]),
+    lambda mu: DissipativeKitaevModel(0.4, 1.0, 0.6).dx_block(mu, 0.3, [0.7, 0.9]),
+    lambda mu: DissipativeKitaevModel(0.4, 1.0, 0.6).dy_block(mu, 0.3, [0.7, 0.9]),
+    lambda mu: real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 4).dxy(mu, [0.7, 0.9]),
+], ids=["bloch_family", "random_family", "dx_block", "dy_block", "real_space_family"])
+def test_derivative_direction_out_of_range(call, mu):
+    # -1 would silently select the last direction, a larger index another one
+    with pytest.raises(ShapeMismatch, match="direction"):
+        call(mu)
