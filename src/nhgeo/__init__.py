@@ -13,8 +13,8 @@ from .tensors import (
     zeta_limited, zeta_tensor,
 )
 from .ssh import (
-    SSHParams, SSHPhase, bloch, bloch_family, bloch_sum, classify_phase, ssh_eigenstates,
-    zeta_finite_sum, zeta_summand, zeta_thermodynamic,
+    SSHParams, SSHPhase, bloch, bloch_family, bloch_sum, classify_phase, zeta_finite_sum,
+    zeta_summand, zeta_thermodynamic,
 )
 from .liouville import (
     AGPQuadratic, LiouvillianFamily, MajoranaCorrelation, QuadraticLiouvillian,
@@ -43,7 +43,7 @@ __all__ = [
     "stencil_tensors", "zeta_limited", "zeta_tensor",
     # ssh
     "SSHParams", "SSHPhase", "bloch", "bloch_family", "bloch_sum", "classify_phase",
-    "ssh_eigenstates", "zeta_finite_sum", "zeta_summand", "zeta_thermodynamic",
+    "zeta_finite_sum", "zeta_summand", "zeta_thermodynamic",
     # liouville
     "AGPQuadratic", "LiouvillianFamily", "MajoranaCorrelation", "QuadraticLiouvillian",
     "TranslationInvariantModel", "agp_quadratic", "assemble_real_space", "build_liouvillian",

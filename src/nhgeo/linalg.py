@@ -538,6 +538,17 @@ def _pencil_2x2(a, Ua, Uai, b, Ub, Ubi, tol):
     return solve
 
 
+def _pair_solver_2x2(A, B):
+    """The solver of ``A G + G B = Y`` (:func:`_pencil_2x2`, checked per block
+    against ``PENCIL_RTOL * max(1, ||A||_2, ||B||_2)``) for entry tuples ``A``
+    and ``B``, and the closed-form eigenpairs ``(a, Ua, Ua^-1)`` of ``A``."""
+    a, Ua, na = _eig_2x2(A)
+    b, Ub, nb = _eig_2x2(B)
+    Uai = _inv(Ua)
+    tol = PENCIL_RTOL * np.maximum(np.maximum(na, nb), 1.0)
+    return _pencil_2x2(a, Ua, Uai, b, Ub, _inv(Ub), tol), (a, Ua, Uai)
+
+
 def _trace_sum(A, B) -> np.ndarray:
     """``out[i, j]``, the sum over the blocks of ``Tr(A_i B_j)``, for entry
     tuples whose entries are stacks ``(d, ...)`` over directions: one matrix
@@ -581,10 +592,7 @@ def solve_sylvester_pair(A, B, Y) -> np.ndarray:
     if Y.shape != (A.shape[0], B.shape[0]):
         raise ShapeMismatch(f"right-hand side shape {Y.shape} incompatible")
     if A.shape[0] == 2 and B.shape[0] == 2:
-        a, Ua, na = _eig_2x2(_entries(A))
-        b, Ub, nb = _eig_2x2(_entries(B))
-        solve = _pencil_2x2(a, Ua, _inv(Ua), b, Ub, _inv(Ub), PENCIL_RTOL * max(na, nb, 1.0))
-        return _blocks(solve(_entries(Y)))
+        return _blocks(_pair_solver_2x2(_entries(A), _entries(B))[0](_entries(Y)))
     da = eig_general(A)
     db = eig_general(B)
     if not (da.is_diagonalizable_estimate and db.is_diagonalizable_estimate):

@@ -36,12 +36,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    PENCIL_RTOL,
-    _eig_2x2,
+    _blocks,
     _entries,
-    _inv,
     _mul,
-    _pencil_2x2,
+    _pair_solver_2x2,
     _raise_first,
     _scale_verdict,
     _sylvester_solver,
@@ -49,8 +47,6 @@ from .linalg import (
     _transpose,
     as_square,
     eig_general,
-    solve_sylvester,
-    solve_sylvester_pair,
 )
 from .tensors import GeoTensor, _direction, _params
 
@@ -192,10 +188,14 @@ class LiouvillianFamily:
         return self.func(_params(lam, self.num_params))
 
     def dxy(self, mu: int, lam):
-        """``(dX, dY)`` along ``mu``; ShapeMismatch outside ``[0, num_params)``."""
+        """``(dX, dY)`` along ``mu``; ShapeMismatch outside ``[0, num_params)``
+        or unless both are ``2n x 2n``."""
         lam = _params(lam, self.num_params)
         _direction(mu, self.num_params)
-        return self.deriv_func(mu, lam)
+        dX, dY = self.deriv_func(mu, lam)
+        if np.shape(dX) != (2 * self.n,) * 2 or np.shape(dY) != (2 * self.n,) * 2:
+            raise ShapeMismatch(f"dX, dY are {np.shape(dX)}, {np.shape(dY)}, expected 2n x 2n")
+        return dX, dY
 
 
 #: relative resolution of the transport generator: a rapidity gap below
@@ -239,20 +239,22 @@ def _ness_tensor(dG, Xcal, Gamma) -> np.ndarray:
     return np.einsum("aij,bji->ab", 0.5 * dG + np.asarray(Xcal) @ Gamma, dG)
 
 
-def _dgamma(solve, Gamma, dX, dY) -> np.ndarray:
-    """``dGamma`` from ``X dGamma + dGamma X^T = dY - dX Gamma - Gamma dX^T``,
-    with ``solve`` a solver of ``X G + G X^T = Y``."""
-    return solve(dY - dX @ Gamma - Gamma @ dX.T)
+def _ness_state(fam: LiouvillianFamily, lam, dec=None):
+    """The dense steady-state driver: ``(Gamma, dG, dec, dxy)`` at the checked
+    ``lam`` from one decomposition ``dec`` of X (the caller's, when it has
+    one).  ``dxy[mu]`` is ``(dX_mu, dY_mu)``, and ``dG[mu]`` solves
+    ``X dGamma + dGamma X^T = dY - dX Gamma - Gamma dX^T``."""
+    dec, solve, Gamma = _steady_state(fam(lam), dec)
+    dxy = [fam.dxy(mu, lam) for mu in range(fam.num_params)]
+    return Gamma, [solve(dY - dX @ Gamma - Gamma @ dX.T) for dX, dY in dxy], dec, dxy
 
 
-def steady_state_dgamma(liou: QuadraticLiouvillian, Gamma: np.ndarray, dX, dY) -> np.ndarray:
-    """Derivative of the steady-state correlation matrix.
-
-    Differentiates the defining relation analytically:
-    ``X dGamma + dGamma X^T = dY - dX Gamma - Gamma dX^T``.  This avoids
-    finite differences of Gamma, which lose accuracy near critical regions.
-    """
-    return _dgamma(lambda Y: solve_sylvester(liou.X, Y), Gamma, dX, dY)
+def steady_state_dgamma(fam: LiouvillianFamily, lam):
+    """``(Gamma, [dGamma_mu])``: the steady-state correlation matrix and its
+    exact derivative along every direction, from one decomposition of X
+    (:func:`_ness_state`); finite differences lose accuracy near critical
+    regions."""
+    return _ness_state(fam, _params(lam, fam.num_params))[:2]
 
 
 def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
@@ -260,11 +262,9 @@ def agp_quadratic(fam: LiouvillianFamily, lam, mu_dir: int) -> AGPQuadratic:
     ShapeMismatch for a ``mu_dir`` outside ``[0, num_params)``."""
     lam = _params(lam, fam.num_params)
     _direction(mu_dir, fam.num_params)
-    dec, solve, Gamma = _steady_state(fam(lam))
-    dX, dY = fam.dxy(mu_dir, lam)
-    Xcal = _xcal(dec.eigenvalues, dec.right_vectors, dX, dec.right_inverse)
-    dG = _dgamma(solve, Gamma, dX, dY)
-    Ycal = dG + Xcal @ Gamma + Gamma @ Xcal.T
+    Gamma, dG, dec, dxy = _ness_state(fam, lam)
+    Xcal = _xcal(dec.eigenvalues, dec.right_vectors, dxy[mu_dir][0], dec.right_inverse)
+    Ycal = dG[mu_dir] + Xcal @ Gamma + Gamma @ Xcal.T
     return AGPQuadratic(mu_dir, Xcal, Ycal)
 
 
@@ -287,9 +287,7 @@ def ness_tensors(fam: LiouvillianFamily, lam, kinds: Sequence[str], *,
     if unknown:
         raise ValueError(f"steady-state tensors do not include {unknown}")
     lam = _params(lam, fam.num_params)
-    dec, solve, Gamma = _steady_state(fam(lam), dec)
-    dxy = [fam.dxy(mu, lam) for mu in range(fam.num_params)]
-    dG = [_dgamma(solve, Gamma, dX, dY) for dX, dY in dxy]
+    Gamma, dG, dec, dxy = _ness_state(fam, lam, dec)
     out = {}
     for kind in kinds:  # each check is made at the first kind that needs it
         if kind == "zeta":
@@ -377,11 +375,12 @@ class TranslationInvariantModel:
         return _y_of(k, self.dm_block(mu, k, lam), self.dm_block(mu, -k, lam))
 
 
-def gamma_k(model: TranslationInvariantModel, k: float, lam) -> np.ndarray:
-    """Momentum-block correlation: solves x(k) g + g x(-k)^T = y(k)."""
-    x = model.x_block(k, lam)
-    xmT = np.swapaxes(model.x_block(-k, lam), -1, -2)
-    return solve_sylvester_pair(x, xmT, model.y_block(k, lam))
+def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
+    """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k): one 2x2
+    block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta; a view
+    of :func:`_gamma_blocks`, so a failure is that of the lowest failing k."""
+    return np.reshape(_blocks(_gamma_blocks(model, _params(lam, model.num_params),
+                                            np.ravel(k))[0]), np.shape(k) + (2, 2))
 
 
 def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
@@ -396,39 +395,51 @@ def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
     return GeoTensor("zeta", "ness", vals, lam, {"L": L, "route": "kspace"})
 
 
+def _at_k_and_minus_k_transposed(blocks, L):
+    """The entry tuples at k, and transposed at -k, of ``blocks`` read at ``(ks, -ks)``."""
+    E = _entries(blocks)
+    return tuple(e[..., :L] for e in E), _transpose(tuple(e[..., L:] for e in E))
+
+
+def _gamma_blocks(model: TranslationInvariantModel, lam, ks):
+    """The momentum steady-state driver: Gamma(k) at the 1-D momenta ``ks``
+    as an entry tuple, the solver of ``x(k) G + G x(-k)^T = Y`` and the
+    eigenpairs ``(a, Ua, Ua^-1)`` of x(k) it is built on, and the column
+    ``(ks, -ks)`` that x(k) and x(-k)^T are read at, in one ``x_block`` call.
+
+    Each check is made per block.  A failure at block ``b`` is raised only
+    after the blocks before ``b`` have passed every check: the error is that
+    of the lowest failing k, as a loop over k would find it.
+    """
+    both = np.concatenate([ks, -ks])[:, None, None]
+    try:
+        x, xmT = _at_k_and_minus_k_transposed(model.x_block(both, lam), len(ks))
+        solve, eig_x = _pair_solver_2x2(x, xmT)
+        return solve(_entries(model.y_block(ks[:, None, None], lam))), solve, eig_x, both
+    except NhgeoError as exc:
+        if exc.block:  # the blocks before it may fail a later check
+            _gamma_blocks(model, lam, ks[:exc.block])
+        raise
+
+
 def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
     """Sum over the momenta ``ks`` of the per-block steady-state tensor.
 
     The blocks are read once, as entry tuples (:func:`~nhgeo.linalg._entries`):
     x and dx_mu at k and -k from one call each, the directions mu stacked
-    along a leading axis.  Every step below is 2x2 entry arithmetic.  x(k)
-    and x(-k)^T are each decomposed once, in closed form; the pairs serve the
-    pencil solves for Gamma(k) and every dGamma_mu(k) as well as every
-    Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sum is one
-    :func:`~nhgeo.linalg._trace_sum`.  Each check is made per block.  When
-    blocks fail, the error is that of the lowest failing k in the order a
-    loop over k would check them: a failure at block ``b`` is raised only
-    after the blocks before ``b`` have passed every check.
+    along a leading axis.  Every step below is 2x2 entry arithmetic.  The
+    pencil solver of :func:`_gamma_blocks` gives every dGamma_mu(k), its
+    eigenpairs every Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sum is one
+    :func:`~nhgeo.linalg._trace_sum`; failures follow its lowest-failing-k
+    rule over every check made here.
     """
-    L, d = len(ks), model.num_params
-    kc, both = ks[:, None, None], np.concatenate([ks, -ks])[:, None, None]
-
-    def at_k_and_minus_k_transposed(blocks):
-        E = _entries(blocks)
-        return tuple(e[..., :L] for e in E), _transpose(tuple(e[..., L:] for e in E))
-
+    L, d, kc = len(ks), model.num_params, ks[:, None, None]
     try:
-        x, xmT = at_k_and_minus_k_transposed(model.x_block(both, lam))
-        a, Ua, na = _eig_2x2(x)
-        b, Ub, nb = _eig_2x2(xmT)
-        Uai = _inv(Ua)
-        solve = _pencil_2x2(a, Ua, Uai, b, Ub, _inv(Ub),
-                            PENCIL_RTOL * np.maximum(np.maximum(na, nb), 1.0))
-        gk = solve(_entries(model.y_block(kc, lam)))
+        gk, solve, (a, Ua, Uai), both = _gamma_blocks(model, lam, ks)
         if not d:
             return np.zeros((0, 0), dtype=complex)
-        dx, dxmT = at_k_and_minus_k_transposed(
-            np.stack([model.dx_block(mu, both, lam) for mu in range(d)]))
+        dx, dxmT = _at_k_and_minus_k_transposed(
+            np.stack([model.dx_block(mu, both, lam) for mu in range(d)]), L)
         dy = _entries(np.stack([model.dy_block(mu, kc, lam) for mu in range(d)]))
         rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
         dg = solve(tuple(rhs))

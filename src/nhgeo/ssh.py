@@ -176,28 +176,3 @@ def zeta_thermodynamic(t: float, delta: float) -> GeoTensor:
     return GeoTensor(
         "zeta", "band-sum", vals, np.array([t, delta]), {"per_unit_L": True}
     )
-
-
-def ssh_eigenstates(params: SSHParams, k: float):
-    """Closed-form right/left eigenstate pairs of the Bloch matrix.
-
-    Returns ``(psi_R_plus, psi_R_minus), (psi_L_plus, psi_L_minus)`` as kets,
-    biorthonormal pairwise, for the bands ``+-sqrt(eps)`` in that order.
-    """
-    t, d = params.t, params.delta
-    a = t - d + np.exp(-1j * k)
-    b = t + d + np.exp(1j * k)
-    e = a * b
-    if abs(e) < 1e-12:
-        raise CriticalKPoint(f"eps = 0 at k = {k:.6g}")
-    se = np.sqrt(e)
-    psi_r = (
-        np.array([1.0, b / se]) / np.sqrt(2.0),
-        np.array([-1.0, b / se]) / np.sqrt(2.0),
-    )
-    # bras are (+-1, a/sqrt(eps))/sqrt(2); kets are their conjugates
-    psi_l = (
-        np.array([1.0, a / se]).conj() / np.sqrt(2.0),
-        np.array([-1.0, a / se]).conj() / np.sqrt(2.0),
-    )
-    return psi_r, psi_l

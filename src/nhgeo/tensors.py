@@ -154,10 +154,14 @@ class OperatorFamily:
         return K
 
     def derivative(self, mu: int, lam) -> np.ndarray:
-        """d K / d lambda_mu; ShapeMismatch for a ``mu`` outside ``[0, num_params)``."""
+        """d K / d lambda_mu; ShapeMismatch for a ``mu`` outside ``[0, num_params)``
+        or unless it is ``dim x dim``."""
         lam = _params(lam, self.num_params)
         _direction(mu, self.num_params)
-        return as_square(self.deriv_func(mu, lam), "dK")
+        dK = as_square(self.deriv_func(mu, lam), "dK")
+        if dK.shape[0] != self.dim:
+            raise ShapeMismatch(f"derivative has dim {dK.shape[0]}, declared {self.dim}")
+        return dK
 
 
 @dataclass

@@ -31,6 +31,7 @@ from .liouville import (
     build_liouvillian,
     gamma_k,
     gaussian_tensors,
+    ness_tensors,
     real_space_family,
     steady_state_dgamma,
     steady_state_gamma,
@@ -413,15 +414,16 @@ def check_kitaev_closed_forms(full: bool = True):
 
 
 def check_weak_coupling(full: bool = True):
-    """Momentum-block correlation converges to the weak-coupling form as g^2."""
-    k = 1.1
+    """Momentum-block correlation converges to the weak-coupling form as g^2,
+    over the whole zone of an L = 16 chain."""
     lam = [0.5, 0.8]
-    gw = gamma_k_weak(KitaevParams(0.5, 0.8, 1e-3, 1.0, 0.6, 4), k)
+    par = KitaevParams(0.5, 0.8, 1e-3, 1.0, 0.6, 16)
+    gw = gamma_k_weak(par, par.k_grid[:, None, None])
     gs = [1e-2, 1e-3, 1e-4]
     devs = []
     for g in gs:
         model = DissipativeKitaevModel(g, 1.0, 0.6)
-        devs.append(float(np.abs(gamma_k(model, k, lam) - gw).max()))
+        devs.append(float(np.abs(gamma_k(model, par.k_grid, lam) - gw).max()))
     slopes = np.diff(np.log(devs)) / np.diff(np.log(gs))
     ok = bool(np.all(np.abs(slopes - 2.0) <= 0.2))
     return ok, f"deviations {[f'{d:.3e}' for d in devs]}, slopes {np.round(slopes, 3).tolist()}"
@@ -502,12 +504,7 @@ def check_gaussian_forms(full: bool = True):
     for _ in range(npts):
         fam, baths = random_liouvillian_family(rng, n=2)
         lam = rng.uniform(-0.3, 0.3, size=2)
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        dG = []
-        for mu in range(2):
-            dX, dY = fam.dxy(mu, lam)
-            dG.append(steady_state_dgamma(liou, G, dX, dY))
+        G, dG = steady_state_dgamma(fam, lam)
 
         rho, corr = brute_ness_rho(fock, fam, baths, lam)
 
@@ -528,7 +525,8 @@ def check_gaussian_forms(full: bool = True):
 
         Gs = [sld(d) for d in drho]
         D = fock.dim
-        forms = gaussian_tensors(G, dG, ["bures", "zeta_limited"])
+        forms = {kind: t.values.real
+                 for kind, t in ness_tensors(fam, lam, ["bures", "zeta_limited"]).items()}
         printed = gaussian_tensors(corr.Gamma, dG_brute, ["zeta_limited"])["zeta_limited"]
         for mu in range(2):
             for nu in range(2):

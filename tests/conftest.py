@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nhgeo.errors import CriticalKPoint
 from nhgeo.tensors import central_difference
 
 
@@ -54,3 +55,29 @@ def svd_calls(monkeypatch):
         monkeypatch.setattr(mod, "svd", lambda a, *args, _f=real, **kw:
                             calls.append(np.shape(a)) or _f(a, *args, **kw))
     return calls
+
+
+def ssh_eigenstates(params, k: float):
+    """Closed-form right/left eigenstate pairs of the SSH Bloch matrix
+    (:func:`nhgeo.ssh.bloch`), the reference of the eigensolvers.
+
+    Returns ``(psi_R_plus, psi_R_minus), (psi_L_plus, psi_L_minus)`` as kets,
+    biorthonormal pairwise, for the bands ``+-sqrt(eps)`` in that order.
+    """
+    t, d = params.t, params.delta
+    a = t - d + np.exp(-1j * k)
+    b = t + d + np.exp(1j * k)
+    e = a * b
+    if abs(e) < 1e-12:
+        raise CriticalKPoint(f"eps = 0 at k = {k:.6g}")
+    se = np.sqrt(e)
+    psi_r = (
+        np.array([1.0, b / se]) / np.sqrt(2.0),
+        np.array([-1.0, b / se]) / np.sqrt(2.0),
+    )
+    # bras are (+-1, a/sqrt(eps))/sqrt(2); kets are their conjugates
+    psi_l = (
+        np.array([1.0, a / se]).conj() / np.sqrt(2.0),
+        np.array([-1.0, a / se]).conj() / np.sqrt(2.0),
+    )
+    return psi_r, psi_l

@@ -4,14 +4,15 @@ import types
 import pytest
 
 import nhgeo
-from nhgeo import biortho, kitaev, liouville, oracle, tensors
+from nhgeo import biortho, kitaev, liouville, oracle, ssh, tensors
 
 #: one-pair, one-kind and test-only wrappers, replaced by the engines
 #: gaussian_tensors, weak_coupling_tensors, stencil_tensors and the model
-#: blocks, and the second eigensystem type, replaced by EigDecomposition
+#: blocks, the second eigensystem type, replaced by EigDecomposition, and
+#: the SSH closed-form eigenstates, now a test reference
 DELETED = ("berry_connection", "bures_metric", "gauge_rescale", "kspace_blocks",
            "projector_deformation", "projector_fd", "zeta_tilde_gaussian",
-           "zeta_tilde_kitaev_sum", "BiorthogonalSystem")
+           "zeta_tilde_kitaev_sum", "BiorthogonalSystem", "ssh_eigenstates")
 
 
 def test_written_public_names():
@@ -20,7 +21,7 @@ def test_written_public_names():
         assert not isinstance(getattr(nhgeo, name), types.ModuleType), name
     for name in DELETED:
         assert name not in nhgeo.__all__
-        for mod in (nhgeo, biortho, kitaev, liouville, tensors):
+        for mod in (nhgeo, biortho, kitaev, liouville, ssh, tensors):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 

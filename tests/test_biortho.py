@@ -3,9 +3,9 @@ import pytest
 
 from nhgeo.biortho import build_biortho
 from nhgeo.errors import NearDefective
-from nhgeo.ssh import SSHParams, bloch, ssh_eigenstates
+from nhgeo.ssh import SSHParams, bloch
 
-from conftest import maxdev
+from conftest import maxdev, ssh_eigenstates
 
 
 def random_diagonalizable(rng, N=6):

@@ -221,7 +221,6 @@ class TestTensorCommand:
             gaussian_tensors,
             rapidities,
             steady_state_dgamma,
-            steady_state_gamma,
             zeta_ness,
         )
         from nhgeo.verify import random_bath, random_hmat
@@ -253,9 +252,7 @@ class TestTensorCommand:
 
         fam = cli_mod.QuadLiouvilleAdapter(files[0], files[3], files[1:3]).family()
         lam = np.zeros(2)
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        dG = [steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
+        G, dG = steady_state_dgamma(fam, lam)
         refs = {"zeta": zeta_ness(fam, lam).values,
                 **gaussian_tensors(G, dG, ["zeta_limited", "bures"])}
         tensors = payload["tensors"]
@@ -263,7 +260,7 @@ class TestTensorCommand:
         for kind, ref in refs.items():
             got = [[complex(c["re"], c["im"]) for c in row] for row in tensors[kind]["components"]]
             assert np.array_equal(got, ref), kind
-        x, _ = rapidities(liou)
+        x, _ = rapidities(fam(lam))
         assert payload["eigenvalue_summary"]["rapidities"] == [
             {"re": z.real, "im": z.imag} for z in x.tolist()]
 

@@ -24,6 +24,7 @@ from nhgeo.liouville import (
     log_derivative,
     rapidities,
     real_space_family,
+    steady_state_dgamma,
     steady_state_gamma,
     zeta_ness,
     zeta_ness_k,
@@ -93,13 +94,14 @@ def closed_form_eigenpairs(x):
 
 def per_k_loop(model, lam, L, eigenpairs=lapack_eigenpairs):
     """``zeta_ness_k`` one k at a time: dense Xcal on the ``eigenpairs`` of
-    x(k), LAPACK's by default, and a fresh pencil solve per right-hand side."""
+    x(k), LAPACK's by default, and a fresh pencil solve per right-hand side
+    (Gamma(k) too, not the ``gamma_k`` view of the code under test)."""
     d = model.num_params
     ref = np.zeros((d, d), dtype=complex)
     for k in 2 * np.pi * np.arange(L) / L:
         x, xmT = model.x_block(k, lam), model.x_block(-k, lam).T
         w, U = eigenpairs(x)
-        gk = gamma_k(model, k, lam)
+        gk = solve_sylvester_pair(x, xmT, model.y_block(k, lam))
         dgs, xcals = [], []
         for mu in range(d):
             dx = model.dx_block(mu, k, lam)
@@ -164,6 +166,13 @@ def faulty_model(faults, L=4):
             return np.where(at(k, "nonfinite"), np.nan, 0.0) * S0
 
     return Faulty()
+
+
+#: the stacked momentum entry points on the four momenta of :func:`faulty_model`
+ZONE_CALLS = {
+    "zeta_ness_k": lambda model: zeta_ness_k(model, [0.3], 4),
+    "gamma_k": lambda model: gamma_k(model, 2 * np.pi * np.arange(4) / 4, [0.3]),
+}
 
 
 def quad_liouville_family(rng, tmp_path):
@@ -313,10 +322,7 @@ class TestAgpQuadratic:
         fam = LiouvillianFamily(2, 1, make, dxy)
         agp = agp_quadratic(fam, [0.1], 0)
         assert np.abs(agp.Xcal).max() < 1e-8
-        liou = fam([0.1])
-        G = steady_state_gamma(liou).Gamma
-        dX, dY = fam.dxy(0, [0.1])
-        dG = liouville_mod.steady_state_dgamma(liou, G, dX, dY)
+        _, (dG,) = steady_state_dgamma(fam, [0.1])
         assert maxdev(agp.Ycal, dG) < 1e-8
 
     def test_structure_invariants(self, rng):
@@ -446,11 +452,39 @@ class TestZetaNess:
         ref = liouville_mod._ness_tensor(dG, Xcal, Gamma)
         assert np.array_equal(zeta_ness(fam, lam).values, ref)
 
+    @pytest.mark.parametrize("L", [3, None])  # None: a random family
+    def test_steady_state_dgamma_equals_kronecker_solve(self, L, rng):
+        # reference: X G + G X^T = Y as the N^2 system (X (x) 1 + 1 (x) X) vec G
+        # = vec Y, row-major, for Gamma and then each dGamma_mu
+        if L is None:
+            fam, _ = random_liouvillian_family(rng, n=2)
+            lam = [0.12, -0.07]
+        else:
+            fam = real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), L)
+            lam = [0.7, 0.9]
+        liou = fam(lam)
+        N = liou.X.shape[0]
+        eye = np.eye(N)
+        kron = np.kron(liou.X, eye) + np.kron(eye, liou.X)
+
+        def solve(Y):
+            return np.linalg.solve(kron, Y.ravel()).reshape(N, N)
+
+        Gamma = solve(liou.Y)
+        G, dG = steady_state_dgamma(fam, lam)
+        assert maxdev(G, Gamma) <= 1e-12 * np.abs(Gamma).max()
+        assert len(dG) == fam.num_params
+        for mu in range(fam.num_params):
+            dX, dY = fam.dxy(mu, lam)
+            ref = solve(dY - dX @ Gamma - Gamma @ dX.T)
+            assert maxdev(dG[mu], ref) <= 1e-11 * np.abs(ref).max(), mu
+
     @pytest.mark.parametrize("call", [
         zeta_ness,
         lambda fam, lam: agp_quadratic(fam, lam, 1),
         lambda fam, lam: steady_state_gamma(fam(lam)),
-    ], ids=["zeta_ness", "agp_quadratic", "steady_state_gamma"])
+        steady_state_dgamma,
+    ], ids=["zeta_ness", "agp_quadratic", "steady_state_gamma", "steady_state_dgamma"])
     def test_one_eigensolve_per_call(self, call, monkeypatch):
         calls = []
 
@@ -553,6 +587,21 @@ class TestKspace:
         k = 1.1
         assert maxdev(gamma_k(model, k, [0.5, 0.8]), gamma_k_weak(par, k)) <= 1e-6
 
+    @pytest.mark.parametrize("model, lam", BLOCK_MODELS)
+    def test_gamma_k_zone_is_the_stack_of_blocks(self, model, lam):
+        # a 1-D array of momenta gives the (L, 2, 2) stack; each block is the
+        # one-k view to rounding and solves its own pencil (off k = 0 and pi,
+        # where the symmetric bath model's x(k) is a multiple of 1)
+        ks = 0.3 + 2 * np.pi * np.arange(12) / 12
+        got = gamma_k(model, ks, lam)
+        assert got.shape == (12, 2, 2) and gamma_k(model, ks[5], lam).shape == (2, 2)
+        scale = max(1.0, np.abs(got).max())
+        for k, g in zip(ks, got):
+            assert maxdev(g, gamma_k(model, k, lam)) <= 1e-15 * scale
+            ref = solve_sylvester_pair(model.x_block(k, lam), model.x_block(-k, lam).T,
+                                       model.y_block(k, lam))
+            assert maxdev(g, ref) <= 1e-13 * scale
+
     def test_gamma_k_zero_rhs(self):
         assert np.abs(gamma_k(ZeroRhsModel(), 0.9, [])).max() < 1e-14
 
@@ -647,16 +696,17 @@ class TestKspace:
         with pytest.raises(ShapeMismatch):
             real_space_family(model, 3)([0.7, 0.9, 0.1])
 
+    @pytest.mark.parametrize("call", list(ZONE_CALLS))
     @pytest.mark.parametrize("degenerate, nonfinite, expected", [
         (1, 2, SingularPencil),
         (2, 1, ShapeMismatch),
     ])
-    def test_lowest_failing_k_wins(self, degenerate, nonfinite, expected):
+    def test_lowest_failing_k_wins(self, degenerate, nonfinite, expected, call):
         # a loop over k stops at the first failing k, whichever check fails
         # there; the stacked evaluation reports the same error
         model = faulty_model({degenerate: "degenerate", nonfinite: "nonfinite"})
         with pytest.raises(expected) as info:
-            zeta_ness_k(model, [0.3], 4)
+            ZONE_CALLS[call](model)
         assert info.value.block == min(degenerate, nonfinite)
 
     @pytest.mark.parametrize("fault, other", [
@@ -678,14 +728,15 @@ class TestKspace:
         assert info.value.block == first
         assert FAULT_MESSAGES[kind] in str(info.value)
 
-    def test_checks_of_x_before_x_minus_k(self):
+    @pytest.mark.parametrize("call", list(ZONE_CALLS))
+    def test_checks_of_x_before_x_minus_k(self, call):
         # at k = pi/2, x(k) = 1 fails the degeneracy check and x(-k)^T the
         # earlier finiteness check; a loop decomposes x(k) first
         with pytest.raises(ShapeMismatch) as info:
-            zeta_ness_k(faulty_model({1: "nonfinite_at_minus_k"}), [0.3], 4)
+            ZONE_CALLS[call](faulty_model({1: "nonfinite_at_minus_k"}))
         assert info.value.block == 1
         with pytest.raises(SingularPencil) as info:
-            zeta_ness_k(faulty_model({1: "degenerate+nonfinite_at_minus_k"}), [0.3], 4)
+            ZONE_CALLS[call](faulty_model({1: "degenerate+nonfinite_at_minus_k"}))
         assert info.value.block == 1
         assert "degenerate eigenvalues" in str(info.value)
 
@@ -704,10 +755,7 @@ class TestGaussianForms:
     def test_log_derivative_residual(self, rng):
         for _ in range(5):
             fam, _ = random_liouvillian_family(rng, n=2)
-            liou = fam([0.1, 0.1])
-            G = steady_state_gamma(liou).Gamma
-            dX, dY = fam.dxy(0, [0.1, 0.1])
-            dG = liouville_mod.steady_state_dgamma(liou, G, dX, dY)
+            G, (dG, _) = steady_state_dgamma(fam, [0.1, 0.1])
             K = log_derivative(G, dG)
             assert np.linalg.norm(G @ K @ G - K - dG) <= 1e-9 * max(1.0, np.linalg.norm(dG))
 
@@ -725,13 +773,7 @@ class TestGaussianForms:
     def test_bures_log_derivative_contraction(self, rng):
         # dual route: (1/4) Tr(K_mu (Gamma K_nu Gamma - K_nu)) reproduces it
         fam, _ = random_liouvillian_family(rng, n=2)
-        lam = [0.07, -0.03]
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        dG = []
-        for mu in range(2):
-            dX, dY = fam.dxy(mu, lam)
-            dG.append(liouville_mod.steady_state_dgamma(liou, G, dX, dY))
+        G, dG = steady_state_dgamma(fam, [0.07, -0.03])
         bures = liouville_mod.gaussian_tensors(G, dG, ["bures"])["bures"]
         for mu in range(2):
             for nu in range(2):
@@ -742,13 +784,7 @@ class TestGaussianForms:
 
     def test_bures_direction_matrix_psd(self, rng):
         fam, _ = random_liouvillian_family(rng, n=2)
-        lam = [0.05, -0.11]
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        dG = []
-        for mu in range(2):
-            dX, dY = fam.dxy(mu, lam)
-            dG.append(liouville_mod.steady_state_dgamma(liou, G, dX, dY))
+        G, dG = steady_state_dgamma(fam, [0.05, -0.11])
         B = liouville_mod.gaussian_tensors(G, dG, ["bures"])["bures"]
         assert maxdev(B, B.T) <= 1e-10 * max(1.0, np.abs(B).max())
         assert np.linalg.eigvalsh((B + B.T) / 2).min() >= -1e-10
@@ -808,11 +844,7 @@ class TestGaussianTensors:
     @staticmethod
     def gamma_family(rng):
         fam, _ = random_liouvillian_family(rng, n=2)
-        lam = [0.07, -0.03]
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        dG = [liouville_mod.steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
-        return G, dG
+        return steady_state_dgamma(fam, [0.07, -0.03])
 
     @pytest.mark.parametrize("L", [2, 3, 8])
     def test_ness_tensors_one_eigh_and_pairwise_values(self, L, monkeypatch):
@@ -828,9 +860,7 @@ class TestGaussianTensors:
         got = liouville_mod.ness_tensors(fam, lam, self.KINDS)
         monkeypatch.undo()
         assert shapes == [(2 * L, 2 * L)]  # one eigh of Gamma for both kinds
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        dG = [liouville_mod.steady_state_dgamma(liou, G, *fam.dxy(mu, lam)) for mu in range(2)]
+        G, dG = steady_state_dgamma(fam, lam)
         for kind in self.KINDS:
             ref = np.array([[_pair_form(G, a, b, kind) for b in dG] for a in dG], dtype=complex)
             assert np.array_equal(got[kind].values, ref), kind

@@ -6,6 +6,7 @@ from nhgeo.errors import DegenerateKernel, TooLarge
 from nhgeo.liouville import (
     LiouvillianFamily,
     build_liouvillian,
+    steady_state_dgamma,
     steady_state_gamma,
     zeta_tilde_ness_from_gamma,
 )
@@ -218,14 +219,7 @@ class TestSuperopFamily:
         nidx = ness_state_index(sfam, lam)
         zt = zeta_limited(sfam, lam, nidx).values
 
-        liou = fam(lam)
-        G = steady_state_gamma(liou).Gamma
-        from nhgeo.liouville import steady_state_dgamma
-
-        dG = []
-        for mu in range(2):
-            dX, dY = fam.dxy(mu, lam)
-            dG.append(steady_state_dgamma(liou, G, dX, dY))
+        G, dG = steady_state_dgamma(fam, lam)
         ref = np.array(
             [[zeta_tilde_ness_from_gamma(G, dG[a], dG[b]) for b in range(2)] for a in range(2)]
         )

@@ -11,14 +11,13 @@ from nhgeo.ssh import (
     bloch_sum,
     classify_phase,
     eps,
-    ssh_eigenstates,
     zeta_finite_sum,
     zeta_summand,
     zeta_thermodynamic,
 )
 from nhgeo.tensors import stencil_tensors, zeta_tensor
 
-from conftest import maxdev
+from conftest import maxdev, ssh_eigenstates
 
 
 class TestBloch:

@@ -15,7 +15,7 @@ from nhgeo.errors import (
 )
 from nhgeo.kitaev import DissipativeKitaevModel
 from nhgeo.linalg import save_matrix
-from nhgeo.liouville import real_space_family
+from nhgeo.liouville import real_space_family, zeta_ness
 from nhgeo.oracle import build_fock, superop_family
 from nhgeo.ssh import SSHParams, bloch_family
 from nhgeo.tensors import (
@@ -42,7 +42,7 @@ from nhgeo.verify import (
     random_liouvillian_family,
 )
 
-from conftest import maxdev
+from conftest import maxdev, ssh_eigenstates
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -213,7 +213,7 @@ class TestEta:
 
     def test_ssh_closed_form_oracle(self):
         # direct evaluation from the closed-form eigenstates
-        from nhgeo.ssh import SSHParams, bloch_family, ssh_eigenstates
+        from nhgeo.ssh import SSHParams, bloch_family
 
         t, d, k = 0.7, 0.4, 1.3
         fam = bloch_family(SSHParams(t, d, 4), k)
@@ -786,3 +786,31 @@ def test_derivative_direction_out_of_range(call, mu):
     # -1 would silently select the last direction, a larger index another one
     with pytest.raises(ShapeMismatch, match="direction"):
         call(mu)
+
+
+def _wrong_size_families():
+    """A 2x2 operator family whose derivative is 3x3, and 4x4 Liouvillian
+    families whose (dX, dY) are 3x3 in one or both matrices."""
+    from nhgeo.liouville import LiouvillianFamily, build_liouvillian
+    from nhgeo.verify import random_bath, random_hmat
+
+    rng = np.random.default_rng(3)
+    op = OperatorFamily(2, 1, lambda lam: np.diag([1.0, 2.0 + lam[0]]),
+                        lambda mu, lam: np.eye(3))
+    liou = build_liouvillian(2, random_hmat(rng, 2), random_bath(rng, 2))
+    small, right = np.zeros((3, 3)), np.zeros((4, 4))
+    lious = [LiouvillianFamily(2, 1, lambda lam: liou, lambda mu, lam, dxy=dxy: dxy)
+             for dxy in ((small, small), (right, small), (small, right))]
+    return op, lious
+
+
+@pytest.mark.parametrize("call", [
+    lambda op, lious: op.derivative(0, [0.1]),
+    lambda op, lious: sum_over_states(op, [0.1], 0, SOS_KINDS),
+    *(lambda op, lious, i=i: lious[i].dxy(0, [0.1]) for i in range(3)),
+    lambda op, lious: zeta_ness(lious[0], [0.1]),
+], ids=["derivative", "sum_over_states", "dxy", "dxy-dY", "dxy-dX", "zeta_ness"])
+def test_derivative_of_wrong_size_rejected(call):
+    # a typed error, not numpy's ValueError from a matmul inside an engine
+    with pytest.raises(ShapeMismatch, match="expected|declared"):
+        call(*_wrong_size_families())
