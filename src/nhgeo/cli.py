@@ -51,6 +51,8 @@ from .ssh import SSHParams, _grid_eps, bloch_family, bloch_sum, eps, zeta_finite
 from .tensors import (
     SOS_KINDS,
     OperatorFamily,
+    _finite,
+    _mu_reg,
     chi_hermitian,
     eta_tensor,
     sum_over_states,
@@ -64,20 +66,15 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 
 
 class _LatticeModel:
-    """A built-in model, whose ``params`` builds ``param_type`` from
-    ``defaults`` by field name, each value of its default's type."""
+    """A built-in model: ``params`` builds ``param_type``, which checks every
+    value, from ``defaults`` and the values that :func:`_typed` typed."""
 
     def __init__(self, **files):  # a built-in model reads no file
         pass
 
     def params(self, values: dict):
-        p = {**self.defaults, **values}
         try:
-            typed = {k: type(v)(p[k]) for k, v in self.defaults.items()}
-            for k, v in typed.items():
-                if type(v) is float and not np.isfinite(v):
-                    raise ValueError(f"{k} must be a finite number, got {p[k]!r}")
-            return self.param_type(**typed)
+            return self.param_type(**{**self.defaults, **values})
         except (TypeError, ValueError) as exc:
             raise click.UsageError(f"invalid parameters: {exc}") from None
 
@@ -166,6 +163,8 @@ class _FileFamily:
 
     def params(self, values: dict) -> np.ndarray:
         p = {**self.defaults, **values}
+        for name in self.directions:  # exit 2, not 3 on the non-finite matrix it makes
+            _usage(_finite, name, p[name])
         return np.array([float(p[name]) for name in self.directions])
 
     def point(self, values: dict) -> np.ndarray:
@@ -315,14 +314,20 @@ def _typed(name, value, defaults: dict):
             raise click.UsageError(f"{name}={value}: expected {kind.__name__}") from None
     elif not (type(value) is kind or (kind is float and type(value) is int)):
         raise click.UsageError(f"{name}={value!r}: expected {kind.__name__}")
-    if kind is float:
-        try:
-            finite = np.isfinite(float(value))
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise click.UsageError(f"{name} must be a finite number, got {value!r}")
     return value
+
+
+def _usage(check, *args):
+    """``check(*args)``; its ValueError exits 2 (naming the option in a callback)."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+def _mu_reg_flag(ctx, param, value):
+    """``--mu-reg`` (None when unset), checked by :func:`~nhgeo.tensors._mu_reg`."""
+    return value if value is None else _usage(_mu_reg, value)
 
 
 def _parse_sets(sets, defaults: dict) -> dict:
@@ -444,7 +449,7 @@ def main():
 @_model_command
 @click.option("--tensors", default="zeta", help="comma-separated tensor kinds")
 @click.option("--state", default=None, help="eigenstate index or 'ness'")
-@click.option("--mu-reg", type=click.FloatRange(min=0.0), default=0.0,
+@click.option("--mu-reg", type=float, default=0.0, callback=_mu_reg_flag,
               help="regularization cutoff of zeta (>= 0)")
 def cmd_tensor(adapter, values, tensors, state, mu_reg):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
@@ -527,7 +532,7 @@ def _axis_points(axis) -> np.ndarray:
               help="axis spec name:min:max:steps (one or two)")
 @click.option("--tensors", default=None)
 @click.option("--state", default=None)
-@click.option("--mu-reg", type=click.FloatRange(min=0.0), default=None)
+@click.option("--mu-reg", type=float, default=None, callback=_mu_reg_flag)
 @click.option("--output", default=None, type=click.Path())
 @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]))
 @click.option("--threads", default=1, type=click.IntRange(min=1),
@@ -554,11 +559,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {a['name']!r} also set as fixed parameter")
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
     state = state if state is not None else spec.get("state")
-    mu_reg = mu_reg if mu_reg is not None else spec.get("mu_reg", 0.0)
-    if (isinstance(mu_reg, bool) or not isinstance(mu_reg, (int, float))
-            or not np.isfinite(mu_reg) or mu_reg < 0):
-        raise click.UsageError(f"mu_reg must be a finite number >= 0, got {mu_reg!r}")
-    mu_reg = float(mu_reg)
+    mu_reg = mu_reg if mu_reg is not None else _usage(_mu_reg, spec.get("mu_reg", 0.0))
     output = output or spec.get("output")
     if not isinstance(output, str):
         raise click.UsageError("sweep needs --output (or a string 'output' in the config)")

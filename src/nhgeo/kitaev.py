@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BranchDomainError, CriticalKPoint, OnCriticalLine, UndefinedAngle
 from .liouville import TranslationInvariantModel, gaussian_tensors
-from .tensors import GeoTensor
+from .tensors import GeoTensor, _finite, _integer, _kinds
 
 _S0 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,12 +37,14 @@ class KitaevParams:
     weak_coupling: bool = True
 
     def __post_init__(self):
+        for name in ("h", "gamma", "g", "mu_plus", "mu_minus"):
+            _finite(name, getattr(self, name))
         if self.g < 0 or self.mu_plus < 0 or self.mu_minus < 0:
             raise ValueError("bath amplitudes must be >= 0")
         if self.mu_plus == 0 and self.mu_minus == 0:
             raise ValueError("mu_+^2 + mu_-^2 must be positive")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
+        if not _integer(self.L) or self.L < 1:
+            raise ValueError(f"L must be an integer >= 1, got {self.L!r}")
 
     @property
     def Lambda(self) -> float:
@@ -138,13 +140,10 @@ def weak_coupling_tensors(params: KitaevParams, kinds) -> dict[str, np.ndarray]:
     :func:`nhgeo.liouville.gaussian_tensors` of :func:`gamma_k_weak` and
     :func:`dgamma_k_weak` on the ``(L, 2, 2)`` stack of momentum blocks.
     """
-    unknown = [k for k in kinds if k not in WEAK_KINDS]
-    if unknown:
-        raise ValueError(f"weak-coupling tensors do not include {unknown}")
+    kinds = _kinds(kinds, WEAK_KINDS, "weak_coupling_tensors")
     ks, s, c, D = _check_grid(params)
     h, gam = params.h, params.gamma
-    dh = -gam * s / D
-    dg = s * (h - c) / D
+    dh, dg = dphi(h, gam, ks)
     lam2 = params.Lambda ** 2
     out = {}
     for kind in kinds:
@@ -207,6 +206,9 @@ def zeta_kitaev_thermo(h: float, gamma: float, Lambda: float) -> GeoTensor:
     off-diagonal component vanishes identically; for |h| > 1 all three
     components are finite away from h^2 + gamma^2 = 1.
     """
+    _finite("h", h)
+    _finite("gamma", gamma)
+    _finite("Lambda", Lambda)
     ah, ag = abs(h), abs(gamma)
     if abs(ah - 1.0) < 1e-12:
         raise OnCriticalLine("|h| = 1 is a critical field")

@@ -48,7 +48,7 @@ from .linalg import (
     as_square,
     eig_general,
 )
-from .tensors import GeoTensor, _direction, _params
+from .tensors import GeoTensor, _direction, _integer, _kinds, _params
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,7 @@ def ness_tensors(fam: LiouvillianFamily, lam, kinds: Sequence[str], *,
     DegenerateRapidities), every ``Xcal_mu``.  ``zeta_limited`` and ``bures``
     come from one :func:`gaussian_tensors` call on Gamma and the dGammas.
     """
-    kinds = list(kinds)
-    unknown = [k for k in kinds if k not in NESS_KINDS]
-    if unknown:
-        raise ValueError(f"steady-state tensors do not include {unknown}")
+    kinds = _kinds(kinds, NESS_KINDS, "ness_tensors")
     lam = _params(lam, fam.num_params)
     Gamma, dG, dec, dxy = _ness_state(fam, lam, dec)
     out = {}
@@ -310,7 +307,7 @@ def zeta_ness(fam: LiouvillianFamily, lam) -> GeoTensor:
 
 def _chain_length(L) -> int:
     """``L`` as a number of unit cells: an integer >= 1, else ShapeMismatch."""
-    if isinstance(L, (bool, np.bool_)) or not isinstance(L, (int, np.integer)) or L < 1:
+    if not _integer(L) or L < 1:
         raise ShapeMismatch(f"L must be an integer >= 1, got {L!r}")
     return int(L)
 
@@ -597,9 +594,7 @@ def gaussian_tensors(Gamma, dGammas, kinds: Sequence[str]) -> dict[str, np.ndarr
     On a stack ``(..., n, n)`` (each ``dGammas[mu]`` of the same shape) the
     traces are summed over the blocks; see :func:`_gamma_eigenbasis`.
     """
-    unknown = [k for k in kinds if k not in GAUSSIAN_KINDS]
-    if unknown:
-        raise ValueError(f"Gaussian-state tensors do not include {unknown}")
+    kinds = _kinds(kinds, GAUSSIAN_KINDS, "gaussian_tensors")
     g, _, dG = _gamma_eigenbasis(Gamma, *dGammas, pure="bures" in kinds)
     gj, gk = g[..., :, None], g[..., None, :]
     out = {}

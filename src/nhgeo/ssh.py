@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalKPoint, FSingular, OnCriticalLine
-from .tensors import GeoTensor, OperatorFamily, sum_over_blocks
+from .tensors import GeoTensor, OperatorFamily, _finite, _integer, sum_over_blocks
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _DX_DDELTA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -36,8 +36,10 @@ class SSHParams:
     L: int
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("L must be >= 2")
+        _finite("t", self.t)
+        _finite("delta", self.delta)
+        if not _integer(self.L) or self.L < 2:
+            raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
 
     @property
     def k_grid(self) -> np.ndarray:
@@ -109,6 +111,8 @@ def bloch_sum(params: SSHParams, n: int, kinds) -> dict[str, GeoTensor]:
 
 def classify_phase(t: float, delta: float) -> SSHPhase:
     """Phase labels (s1, s2) from |t - delta| and |t + delta| vs 1."""
+    _finite("t", t)
+    _finite("delta", delta)
     for v in (abs(t - delta), abs(t + delta)):
         if abs(v - 1.0) < 1e-12:
             raise OnCriticalLine(f"|t -+ delta| = {v} is on a gap-closing line")

@@ -51,6 +51,7 @@ Tensor kinds
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -95,6 +96,39 @@ def _params(lam, num_params: int) -> np.ndarray:
     if lam.shape != (num_params,):
         raise ShapeMismatch(f"expected {num_params} parameters, got shape {lam.shape}")
     return lam
+
+
+def _finite(name: str, value) -> None:
+    """ValueError unless ``value`` is a finite real number (a boolean is not)."""
+    try:
+        if type(value) not in (bool, np.bool_) and math.isfinite(value):
+            return
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a boolean is not)."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
+def _mu_reg(mu_reg) -> float:
+    """The regularization cutoff ``mu_reg`` as a float; ValueError unless it
+    is a real number >= 0 that :func:`_finite` accepts."""
+    if not isinstance(mu_reg, (int, float, np.integer, np.floating)) or not mu_reg >= 0:
+        raise ValueError(f"mu_reg must be a finite number >= 0, got {mu_reg!r}")
+    _finite("mu_reg", mu_reg)
+    return float(mu_reg)
+
+
+def _kinds(kinds: Sequence[str], provided: Sequence[str], engine: str) -> list[str]:
+    """``kinds`` as a list; ValueError naming those that ``engine`` does not provide."""
+    kinds = list(kinds)
+    missing = [k for k in kinds if k not in provided]
+    if missing:
+        raise ValueError(f"{engine} does not provide {missing}")
+    return kinds
 
 
 def _direction(mu_dir: int, num_params: int) -> None:
@@ -331,8 +365,7 @@ def agp_elements(fam: OperatorFamily, lam, mu_dir: int, mu_reg: float = 0.0) -> 
     """
     lam = _params(lam, fam.num_params)
     _direction(mu_dir, fam.num_params)
-    if mu_reg < 0:
-        raise ValueError("mu_reg must be >= 0")
+    mu_reg = _mu_reg(mu_reg)
     sys = build_biortho(fam(lam))
     dK = fam.derivative(mu_dir, lam)
     num = sys.right_inverse @ dK @ sys.right_vectors
@@ -385,12 +418,8 @@ def sum_over_states(
         kernel: a gap at ``n`` for ``eta`` and ``zeta_limited``, any gap
         for ``zeta`` with ``mu_reg == 0``.
     """
-    kinds = list(kinds)
-    unknown = [k for k in kinds if k not in SOS_KINDS]
-    if unknown:
-        raise ValueError(f"sum over states does not provide {unknown}")
-    if mu_reg < 0:
-        raise ValueError("mu_reg must be >= 0")
+    kinds = _kinds(kinds, SOS_KINDS, "sum_over_states")
+    mu_reg = _mu_reg(mu_reg)
     lam = _checked(fam, lam, n)
     if sys is None:
         sys = build_biortho(fam(lam))
@@ -482,10 +511,7 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     block, as a loop over the blocks finds it, and carries its index as
     ``exc.block``.
     """
-    kinds = list(kinds)
-    unknown = [k for k in kinds if k not in STATE_KINDS]
-    if unknown:
-        raise ValueError(f"sum over blocks does not provide {unknown}")
+    kinds = _kinds(kinds, STATE_KINDS, "sum_over_blocks")
     K = np.asarray(K, dtype=complex)
     dK = np.asarray(dK, dtype=complex)
     if K.ndim != 3 or K.shape[1:] != (2, 2) or not len(K):
@@ -585,10 +611,7 @@ def stencil_tensors(
     (ShapeMismatch) raises before any evaluation, and a gap below ``1e-10 *
     max(||K||, 1)`` at a differentiated state raises DegenerateSpectrum.
     """
-    kinds = list(kinds)
-    unknown = [k for k in kinds if k not in SOS_KINDS]
-    if unknown:
-        raise ValueError(f"the stencil does not provide {unknown}")
+    kinds = _kinds(kinds, SOS_KINDS, "stencil_tensors")
     if route not in ("overlap", "projector"):
         raise ValueError(f"unknown route {route!r}")
     lam = _checked(fam, lam, n)

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NhgeoError
 from .kitaev import (
     DissipativeKitaevModel,
     KitaevParams,
@@ -429,6 +430,19 @@ def check_weak_coupling(full: bool = True):
     return ok, f"deviations {[f'{d:.3e}' for d in devs]}, slopes {np.round(slopes, 3).tolist()}"
 
 
+def _scan(tensor_at, grid) -> np.ndarray:
+    """The real (0, 0) component of ``tensor_at(x)`` at each grid point ``x``;
+    NaN where it raises NhgeoError (a gap closing on the k-grid raises
+    CriticalKPoint)."""
+    vals = np.full(len(grid), np.nan)
+    for i, x in enumerate(grid):
+        try:
+            vals[i] = tensor_at(x).values[0, 0].real
+        except NhgeoError:
+            pass
+    return vals
+
+
 def check_criticality_detection(full: bool = True):
     """Sweep maxima sit on the phase boundaries; peaks scale with system size."""
     msgs = []
@@ -438,12 +452,7 @@ def check_criticality_detection(full: bool = True):
 
     # pairing chain: argmax of the field-field component near h = 1
     hgrid = np.linspace(0.0, 2.0, npts)
-    vals = np.full(npts, np.nan)
-    for i, h in enumerate(hgrid):
-        try:
-            vals[i] = zeta_kitaev_sum(KitaevParams(h, 1.0, 0.1, 1.0, 0.6, L)).values[0, 0].real
-        except Exception:
-            pass
+    vals = _scan(lambda h: zeta_kitaev_sum(KitaevParams(h, 1.0, 0.1, 1.0, 0.6, L)), hgrid)
     imax = int(np.nanargmax(vals))
     step = hgrid[1] - hgrid[0]
     ok &= abs(hgrid[imax] - 1.0) <= step + 1e-12
@@ -451,12 +460,7 @@ def check_criticality_detection(full: bool = True):
 
     # asymmetric-hopping chain: peaks near both |t +- delta| = 1 lines
     tgrid = np.linspace(0.0, 2.0, npts)
-    vals = np.full(npts, np.nan)
-    for i, t in enumerate(tgrid):
-        try:
-            vals[i] = zeta_finite_sum(SSHParams(t, 0.5, L)).values[0, 0].real
-        except Exception:
-            pass
+    vals = _scan(lambda t: zeta_finite_sum(SSHParams(t, 0.5, L)), tgrid)
     for tc in (0.5, 1.5):
         window = (tgrid > tc - 0.25) & (tgrid < tc + 0.25)
         sub = np.where(window)[0]
@@ -469,13 +473,7 @@ def check_criticality_detection(full: bool = True):
     peaks = []
     for Ls in sizes:
         tg = 1.5 + np.arange(-16, 17) * (2.56 / Ls)
-        vv = []
-        for t in tg:
-            try:
-                vv.append(zeta_finite_sum(SSHParams(t, 0.5, Ls)).values[0, 0].real / Ls)
-            except Exception:
-                pass
-        peaks.append(max(vv))
+        peaks.append(np.nanmax(_scan(lambda t: zeta_finite_sum(SSHParams(t, 0.5, Ls)), tg)) / Ls)
     ok &= peaks[0] < peaks[1] < peaks[2]
     msgs.append(f"scaled peaks {[f'{p:.3f}' for p in peaks]}")
     return bool(ok), "; ".join(msgs)
@@ -508,14 +506,12 @@ def check_gaussian_forms(full: bool = True):
 
         rho, corr = brute_ness_rho(fock, fam, baths, lam)
 
-        def rho_at(l):
-            return brute_ness_rho(fock, fam, baths, l)[0]
+        def rho_gamma_at(l):  # rho and Gamma are both 4x4 at n = 2: one solve gives both
+            rho_l, corr_l = brute_ness_rho(fock, fam, baths, l)
+            return np.stack([rho_l, corr_l.Gamma])
 
-        def gamma_at(l):
-            return brute_ness_rho(fock, fam, baths, l)[1].Gamma
-
-        drho = [central_difference(rho_at, lam, mu, h=1e-5) for mu in range(2)]
-        dG_brute = [central_difference(gamma_at, lam, mu, h=1e-5) for mu in range(2)]
+        drho, dG_brute = zip(*(central_difference(rho_gamma_at, lam, mu, h=1e-5)
+                               for mu in range(2)))
 
         # density-matrix side: symmetric logarithmic derivative kernels
         p, V = np.linalg.eigh(rho)

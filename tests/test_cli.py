@@ -343,6 +343,32 @@ class TestTensorCommand:
             "--param-files", str(tmp_path / "d.json"), "--mu-reg", "-1"])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+    def test_invalid_mu_reg_exit_2(self, runner, tmp_path, monkeypatch, value):
+        # NaN and inf used to run the evaluation and end in a json.dumps traceback
+        calls = []
+        monkeypatch.setattr(cli_mod.MatrixFamilyAdapter, "tensors", lambda *a: calls.append(a))
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.eye(2))
+        result = runner.invoke(main, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--mu-reg", value])
+        assert result.exit_code == 2, result.output
+        assert "'--mu-reg': mu_reg must be a finite number" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert calls == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_file_direction_exit_2(self, runner, tmp_path, value):
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.eye(2))
+        for command in ("tensor", "spectrum"):
+            result = runner.invoke(main, [
+                command, "--matrix-file", str(tmp_path / "K.json"),
+                "--param-files", str(tmp_path / "d.json"), "--set", f"lam0={value}"])
+            assert result.exit_code == 2, result.output
+            assert "lam0 must be a finite number" in result.output
+
     def test_numerical_failure_exit_3(self, runner):
         result = runner.invoke(
             main,

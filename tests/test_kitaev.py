@@ -96,6 +96,32 @@ class TestZetaSum:
         assert maxdev(z2, z_scaled) <= 1e-12 * np.abs(z2).max()
 
 
+class TestParams:
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, np.inf, 0.1, 1, 0.6, 8), "gamma must be a finite number"),
+        ((np.nan, 1.0, 0.1, 1, 0.6, 8), "h must be a finite number"),
+        ((0.5, 1.0, np.nan, 1, 0.6, 8), "g must be a finite number"),
+        ((0.5, 1.0, 0.1, np.inf, 0.6, 8), "mu_plus must be a finite number"),
+        ((0.5, 1.0, 0.1, 1, np.nan, 8), "mu_minus must be a finite number"),
+        ((0.5, 1.0, 0.1, 1, 0.6, 8.5), "L must be an integer >= 1"),
+        ((0.5, 1.0, 0.1, 1, 0.6, False), "L must be an integer >= 1"),
+    ])
+    def test_rejected(self, args, message):
+        # gamma = inf gave NaN weak-coupling tensors
+        with pytest.raises(ValueError, match=message):
+            KitaevParams(*args)
+
+    def test_numpy_integer_length_accepted(self):
+        got = weak_coupling_tensors(KitaevParams(0.5, 0.8, 0.1, 1, 0.6, np.int64(8)), ["zeta"])
+        want = weak_coupling_tensors(KitaevParams(0.5, 0.8, 0.1, 1, 0.6, 8), ["zeta"])
+        assert np.array_equal(got["zeta"], want["zeta"])
+
+    @pytest.mark.parametrize("args", [(np.nan, 1.0, 0.5), (0.5, np.inf, 0.5), (2.0, 1.0, np.nan)])
+    def test_nonfinite_thermo_point_rejected(self, args):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            zeta_kitaev_thermo(*args)
+
+
 class TestThermo:
     def test_zero_field_unit_pairing(self):
         lam = 0.5

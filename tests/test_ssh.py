@@ -20,6 +20,36 @@ from nhgeo.tensors import stencil_tensors, zeta_tensor
 from conftest import maxdev, ssh_eigenstates
 
 
+class TestParams:
+    @pytest.mark.parametrize("args, message", [
+        ((np.nan, 0.5, 8), "t must be a finite number"),
+        ((0.5, -np.inf, 8), "delta must be a finite number"),
+        ((True, 0.5, 8), "t must be a finite number"),
+        ((10 ** 400, 0.5, 8), "t must be a finite number"),
+        ((0.5, 0.5, 8.5), "L must be an integer >= 2"),
+        ((0.5, 0.5, 8.0), "L must be an integer >= 2"),
+        ((0.5, 0.5, True), "L must be an integer >= 2"),
+        ((0.5, 0.5, np.int64(1)), "L must be an integer >= 2"),
+    ])
+    def test_rejected(self, args, message):
+        # NaN gave a NaN zeta; L = 8.5 a grid of 9 momenta off the 2 pi/L grid
+        with pytest.raises(ValueError, match=message):
+            SSHParams(*args)
+
+    def test_integer_types_accepted(self):
+        ref = zeta_finite_sum(SSHParams(0.3, 0.2, 8)).values
+        for p in (SSHParams(np.float64(0.3), np.float64(0.2), np.int64(8)),
+                  SSHParams(0.3, 0.2, np.int32(8))):
+            assert np.array_equal(p.k_grid, 2 * np.pi * np.arange(8) / 8)
+            assert np.array_equal(zeta_finite_sum(p).values, ref)
+
+    @pytest.mark.parametrize("t, delta", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.0)])
+    def test_nonfinite_phase_point_rejected(self, t, delta):
+        for call in (classify_phase, zeta_thermodynamic):
+            with pytest.raises(ValueError, match="must be a finite number"):
+                call(t, delta)
+
+
 class TestBloch:
     def test_symmetric_point(self):
         h = bloch(SSHParams(0.0, 0.0, 4), 0.0)

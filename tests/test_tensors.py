@@ -13,9 +13,15 @@ from nhgeo.errors import (
     NonConvergence,
     ShapeMismatch,
 )
-from nhgeo.kitaev import DissipativeKitaevModel
+from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
 from nhgeo.linalg import save_matrix
-from nhgeo.liouville import real_space_family, zeta_ness
+from nhgeo.liouville import (
+    LiouvillianFamily,
+    gaussian_tensors,
+    ness_tensors,
+    real_space_family,
+    zeta_ness,
+)
 from nhgeo.oracle import build_fock, superop_family
 from nhgeo.ssh import SSHParams, bloch_family
 from nhgeo.tensors import (
@@ -814,3 +820,46 @@ def test_derivative_of_wrong_size_rejected(call):
     # a typed error, not numpy's ValueError from a matmul inside an engine
     with pytest.raises(ShapeMismatch, match="expected|declared"):
         call(*_wrong_size_families())
+
+
+def _never(*args):
+    raise AssertionError("evaluated before the kinds were checked")
+
+
+@pytest.mark.parametrize("engine, call", [
+    ("sum_over_states",
+     lambda kinds: sum_over_states(OperatorFamily(2, 1, _never, _never), [0.0], 0, kinds)),
+    ("stencil_tensors",
+     lambda kinds: stencil_tensors(OperatorFamily(2, 1, _never, _never), [0.0], 0, kinds)),
+    ("sum_over_blocks",  # an empty stack is a ShapeMismatch once evaluated
+     lambda kinds: sum_over_blocks(np.zeros((0, 2, 2)), np.zeros((1, 2, 2)), 0, kinds)),
+    ("ness_tensors",
+     lambda kinds: ness_tensors(LiouvillianFamily(1, 1, _never, _never), [0.0], kinds)),
+    ("gaussian_tensors", lambda kinds: gaussian_tensors(None, [], kinds)),
+    ("weak_coupling_tensors",  # h = 1 closes the gap on the grid (CriticalKPoint)
+     lambda kinds: weak_coupling_tensors(KitaevParams(1.0, 1.0, 0.1, 1.0, 0.6, 8), kinds)),
+])
+def test_unknown_kind_rejected_before_evaluation(engine, call):
+    # one check and one wording for every engine: the engine and the unknown kinds
+    with pytest.raises(ValueError, match=rf"^{engine} does not provide \['chi', 'bogus'\]$"):
+        call(["chi", "bogus"])
+
+
+@pytest.mark.parametrize("mu_reg", [np.nan, np.inf, -np.inf, -1.0, True, "0.5", None,
+                                    pytest.param(10 ** 400, id="beyond-float")])
+@pytest.mark.parametrize("call", [
+    lambda fam, mu_reg: sum_over_states(fam, [0.0, 0.0], 0, ["zeta"], mu_reg=mu_reg),
+    lambda fam, mu_reg: agp_elements(fam, [0.0, 0.0], 0, mu_reg),
+], ids=["sum_over_states", "agp_elements"])
+def test_mu_reg_must_be_finite_and_nonnegative(nh6, call, mu_reg):
+    # NaN gave a NaN zeta and inf a zero one
+    with pytest.raises(ValueError, match="mu_reg must be a finite number"):
+        call(nh6, mu_reg)
+
+
+@pytest.mark.parametrize("mu_reg", [0, 0.25, np.float32(0.25), np.int64(1)])
+def test_mu_reg_any_real_number(nh6, mu_reg):
+    zeta = sum_over_states(nh6, [0.0, 0.0], 0, ["zeta"], mu_reg=mu_reg)["zeta"]
+    assert zeta.meta["mu_reg"] == float(mu_reg) and type(zeta.meta["mu_reg"]) is float
+    ref = sum_over_states(nh6, [0.0, 0.0], 0, ["zeta"], mu_reg=float(mu_reg))["zeta"].values
+    assert np.array_equal(zeta.values, ref)
