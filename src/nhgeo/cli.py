@@ -47,14 +47,13 @@ from .liouville import (
     ness_tensors,
     zeta_ness_k,
 )
-from .ssh import SSHParams, _grid_eps, bloch_family, bloch_sum, eps, zeta_finite_sum
+from .ssh import SSHParams, bloch_sum, eps, zeta_finite_sum
 from .tensors import (
     SOS_KINDS,
     OperatorFamily,
     _finite,
     _mu_reg,
     chi_hermitian,
-    eta_tensor,
     sum_over_states,
 )
 
@@ -94,15 +93,9 @@ class SSHAdapter(_LatticeModel):
         for kind in kinds:  # in order: the first failing kind names a row's error
             if kind == "zeta":
                 out[kind] = zeta_finite_sum(p).values
-            elif kind == "eta":
-                _grid_eps(p)  # CriticalKPoint at a gap-closing grid k, as zeta raises
-                total = np.zeros((2, 2), dtype=complex)
-                for k in p.k_grid:
-                    total += eta_tensor(bloch_family(p, k), [p.t, p.delta], n).values
-                out[kind] = total
-            elif kind not in out:  # one pass serves both zeta_limited kinds
-                limited = [k for k in kinds if k.startswith("zeta_limited")]
-                out.update((k, t.values) for k, t in bloch_sum(p, n, limited).items())
+            elif kind not in out:  # one stacked pass serves eta and both zeta_limited kinds
+                stacked = [k for k in kinds if k != "zeta"]
+                out.update((k, t.values) for k, t in bloch_sum(p, n, stacked).items())
         return {kind: out[kind] for kind in kinds}
 
     def spectrum(self, values) -> dict:

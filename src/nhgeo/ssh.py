@@ -85,7 +85,11 @@ def _grid_eps(params: SSHParams) -> np.ndarray:
 
 
 def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
-    """The fixed-k Bloch matrix as a two-parameter family over (t, delta)."""
+    """The fixed-k Bloch matrix as a two-parameter family over (t, delta).
+
+    Production sums go through :func:`bloch_sum`; the finite-difference
+    stencil on this family serves ``verify`` and the tests only, as the
+    independent oracle of those sums."""
 
     def f(lam):
         return bloch(SSHParams(lam[0], lam[1], params.L), k)

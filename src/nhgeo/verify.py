@@ -269,7 +269,7 @@ def check_nh_ssh(full: bool = True):
     points = [(0.3, 0.2, 8), (0.9, 0.5, 5), (2.0, -0.5, 16)]
     for (t, d, L) in points + ([(1.2, 0.7, 64), (0.05, -0.9, 2)] if full else []):
         p = SSHParams(t, d, L)
-        kinds = ["zeta_limited", "zeta_limited_rescaled"]
+        kinds = ["eta", "zeta_limited", "zeta_limited_rescaled"]
         for n in (0, 1):
             per_k = [stencil_tensors(bloch_family(p, k), [t, d], n, kinds) for k in p.k_grid]
             for kind, T in bloch_sum(p, n, kinds).items():

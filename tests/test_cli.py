@@ -385,8 +385,8 @@ def tensor_values(payload, kind):
 
 
 class TestSSHTensors:
-    """``zeta_limited``/``zeta_limited_rescaled`` of nh-ssh come from one
-    stacked pass over the k-grid; only ``eta`` still runs the stencil."""
+    """``eta``, ``zeta_limited`` and ``zeta_limited_rescaled`` of nh-ssh come
+    from one stacked pass over the k-grid; no kind runs the stencil."""
 
     @pytest.fixture
     def stencils(self, monkeypatch):
@@ -412,7 +412,7 @@ class TestSSHTensors:
         result = run_ok(runner, [
             "tensor", "--model", "nh-ssh", "--set", "t=0.7", "--set", "delta=0.4",
             "--set", "L=16", "--tensors", ",".join(kinds), "--state", "1"])
-        assert len(stencils) == 16  # eta, once per k
+        assert stencils == []
         payload = json.loads(result.output)
         assert list(payload["tensors"]) == kinds
         p = SSHParams(0.7, 0.4, 16)
@@ -425,7 +425,7 @@ class TestSSHTensors:
 
     def test_first_kind_names_the_error(self, runner, tmp_path):
         # t = 1, delta = 0: eps(pi) = 0 on the grid, where every kind checks
-        # the grid first, eta's per-k stencil included
+        # the grid first, the stacked pass included
         out = tmp_path / "x.csv"
         for kinds, status in (("zeta,zeta_limited", "CriticalKPoint"),
                               ("zeta_limited,zeta", "CriticalKPoint"),
@@ -469,6 +469,23 @@ class TestSSHTensors:
         result = runner.invoke(main, args + [kinds])
         assert result.exit_code == want.exit_code
         assert result.output == want.output
+
+    @pytest.mark.parametrize("state", [0, 1])
+    @pytest.mark.parametrize("t", [1.5 - 1e-6, 1.5 + 1e-6, 1.5 + 1e-4])
+    def test_eta_exact_next_to_a_gap_closing(self, runner, t, state):
+        # delta = 0.5, L = 8: the k = pi block nearly closes its gap, where a
+        # finite-difference eta is off by 105% (|t - 1.5| = 1e-6) and 0.62% (1e-4)
+        from nhgeo.ssh import SSHParams, bloch_family
+        from nhgeo.tensors import sum_over_states
+
+        result = run_ok(runner, ["tensor", "--model", "nh-ssh", "--set", f"t={t!r}",
+                                 "--set", "delta=0.5", "--set", "L=8", "--tensors", "eta",
+                                 "--state", str(state)])
+        p = SSHParams(t, 0.5, 8)
+        ref = sum(sum_over_states(bloch_family(p, k), [t, 0.5], state, ["eta"])["eta"].values
+                  for k in p.k_grid)
+        got = tensor_values(json.loads(result.output), "eta")
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestFileFamilyDirections:
