@@ -13,14 +13,14 @@ from .tensors import (
     zeta_limited, zeta_tensor,
 )
 from .ssh import (
-    SSHParams, SSHPhase, bloch, bloch_family, bloch_sum, classify_phase, zeta_finite_sum,
-    zeta_summand, zeta_thermodynamic,
+    SSHParams, SSHPhase, band_sums, bloch, bloch_family, bloch_sum, classify_phase,
+    zeta_finite_sum, zeta_summand, zeta_thermodynamic,
 )
 from .liouville import (
     AGPQuadratic, LiouvillianFamily, MajoranaCorrelation, QuadraticLiouvillian,
     TranslationInvariantModel, agp_quadratic, assemble_real_space, build_liouvillian,
     gamma_k, gaussian_tensors, log_derivative, rapidities, real_space_family,
-    steady_state_dgamma, steady_state_gamma, zeta_ness, zeta_ness_k,
+    steady_state_dgamma, steady_state_gamma, zeta_ness, zeta_ness_k, zeta_ness_k_sums,
     zeta_tilde_ness_from_gamma,
 )
 from .kitaev import (
@@ -42,14 +42,14 @@ __all__ = [
     "GeoTensor", "OperatorFamily", "agp_elements", "chi_hermitian", "eta_tensor",
     "stencil_tensors", "zeta_limited", "zeta_tensor",
     # ssh
-    "SSHParams", "SSHPhase", "bloch", "bloch_family", "bloch_sum", "classify_phase",
-    "zeta_finite_sum", "zeta_summand", "zeta_thermodynamic",
+    "SSHParams", "SSHPhase", "band_sums", "bloch", "bloch_family", "bloch_sum",
+    "classify_phase", "zeta_finite_sum", "zeta_summand", "zeta_thermodynamic",
     # liouville
     "AGPQuadratic", "LiouvillianFamily", "MajoranaCorrelation", "QuadraticLiouvillian",
     "TranslationInvariantModel", "agp_quadratic", "assemble_real_space", "build_liouvillian",
     "gamma_k", "gaussian_tensors", "log_derivative", "rapidities", "real_space_family",
     "steady_state_dgamma", "steady_state_gamma", "zeta_ness", "zeta_ness_k",
-    "zeta_tilde_ness_from_gamma",
+    "zeta_ness_k_sums", "zeta_tilde_ness_from_gamma",
     # kitaev
     "DissipativeKitaevModel", "KitaevParams", "dphi", "gamma_k_weak", "phi_k",
     "weak_coupling_tensors", "zeta_kitaev_sum", "zeta_kitaev_thermo",

@@ -9,9 +9,11 @@ a sweep is looking for.
 Every model adapter declares its ``name``, tensor ``kinds``, component
 ``directions``, ``defaults`` (each settable parameter, typed by its default),
 the ``sweepable`` ones and ``states``, the number of eigenstates ``--state``
-may name (None for a steady-state model, whose one state is ``ness``);
-``tensors(values, kinds, n, mu_reg)`` (``n`` the state index) and
-``spectrum(values)`` evaluate at ``params(values)``.
+may name (None for a steady-state model, whose one state is ``ness``).
+``tensors(points, kinds, n, mu_reg)`` (``n`` the state index) evaluates at
+``params(values)`` for each ``values`` of the list ``points`` and returns one
+result per point: a dict of tensors, or the error that point gets when it is
+evaluated alone.  ``spectrum(values)`` evaluates at one point.
 """
 from __future__ import annotations
 
@@ -45,9 +47,9 @@ from .liouville import (
     bath_matrix,
     build_liouvillian,
     ness_tensors,
-    zeta_ness_k,
+    zeta_ness_k_sums,
 )
-from .ssh import SSHParams, bloch_sum, eps, zeta_finite_sum
+from .ssh import SSHParams, band_sums, eps
 from .tensors import (
     SOS_KINDS,
     OperatorFamily,
@@ -62,6 +64,61 @@ from .tensors import (
 # ---------------------------------------------------------------------------
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+#: momentum blocks per shared Brillouin-zone pass.  A pass joins whole points
+#: of one chain length L until their L-block grids reach this many (a point
+#: with a larger L is a pass of its own).  Per-call overhead dominates a pass
+#: at a few hundred blocks; larger passes saved little more time and cost
+#: peak memory (about 0.9 MB at 1024 blocks, 2.2 MB at 2688 on the Kitaev
+#: chain, nothing measurable at 512).
+PASS_BLOCKS = 512
+
+
+def _one_result(evaluate, points):
+    """``evaluate(points)``, or the NhgeoError (or FloatingPointError) it
+    raises, as a list with one result per point.
+
+    ``evaluate`` runs one pass over points of one chain length and raises
+    the error of the first failing point, by the lowest-failing-k rule, with
+    the flat block index ``p * L + k`` as ``exc.block``.  Then point ``p``
+    is evaluated alone and the others again as one pass without it; an
+    error without a block index sends every point through alone.  So every
+    point gets the error it gets alone.  An error drops its traceback and
+    context, whose frames would keep the arrays of its pass alive.
+    """
+    try:
+        return evaluate(points)
+    except (NhgeoError, FloatingPointError) as exc:
+        failed = exc.with_traceback(None)
+        failed.__context__ = None
+    # the points are evaluated again outside the handler, so no error chains to this one
+    if len(points) == 1:
+        return [failed]
+    if getattr(failed, "block", None) is None:
+        return [r for p in points for r in _one_result(evaluate, [p])]
+    bad = failed.block // points[0].L
+    rest = _one_result(evaluate, points[:bad] + points[bad + 1:])
+    return rest[:bad] + _one_result(evaluate, [points[bad]]) + rest[bad:]
+
+
+def _each(evaluate, points):
+    """``evaluate(values)`` at each of ``points``, one point per call; a
+    point's NhgeoError (or FloatingPointError) is its result."""
+    return [r for values in points for r in _one_result(lambda ps: [evaluate(ps[0])], [values])]
+
+
+def _in_passes(evaluate, points, shared=lambda p: True):
+    """:func:`_one_result` over consecutive runs of ``points`` (parameter
+    objects with a chain length ``L``) of one L and at most ``PASS_BLOCKS``
+    blocks, or one point; a point for which ``shared`` is false is a pass of
+    its own."""
+    out = []
+    for (L, joins), run in itertools.groupby(points, key=lambda p: (p.L, shared(p))):
+        run = list(run)
+        size = max(1, PASS_BLOCKS // L) if joins else 1
+        for i in range(0, len(run), size):
+            out += _one_result(evaluate, run[i:i + size])
+    return out
 
 
 class _LatticeModel:
@@ -87,16 +144,18 @@ class SSHAdapter(_LatticeModel):
     states = 2  # the two bands, for every kind
     kinds = ("zeta", "eta", "zeta_limited", "zeta_limited_rescaled")
 
-    def tensors(self, values, kinds, n, mu_reg) -> dict:
-        p = self.params(values)
-        out = {}
-        for kind in kinds:  # in order: the first failing kind names a row's error
-            if kind == "zeta":
-                out[kind] = zeta_finite_sum(p).values
-            elif kind not in out:  # one stacked pass serves eta and both zeta_limited kinds
-                stacked = [k for k in kinds if k != "zeta"]
-                out.update((k, t.values) for k, t in bloch_sum(p, n, stacked).items())
-        return {kind: out[kind] for kind in kinds}
+    def tensors(self, points, kinds, n, mu_reg) -> list:
+        """Every kind at every point from shared passes of :func:`~nhgeo.ssh.band_sums`
+        (:func:`_in_passes`): each pass checks the grids of its points, sums
+        the closed-form ``zeta`` and runs one ``sum_over_blocks`` stack for
+        ``eta`` and both ``zeta_limited`` kinds.  A point's grid check comes
+        before its other checks, so whichever kind comes first, a failing
+        point's error is that of the first check it fails."""
+        def evaluate(ps):
+            sums = band_sums(ps, n, kinds)
+            return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
+
+        return _in_passes(evaluate, [self.params(values) for values in points])
 
     def spectrum(self, values) -> dict:
         p = self.params(values)
@@ -120,15 +179,25 @@ class KitaevAdapter(_LatticeModel):
     states = None  # the steady state
     kinds = WEAK_KINDS
 
-    def tensors(self, values, kinds, n, mu_reg) -> dict:
-        p = self.params(values)
-        if p.weak_coupling:
-            return weak_coupling_tensors(p, kinds)
-        if set(kinds) - {"zeta"}:  # checked before any evaluation
+    def tensors(self, points, kinds, n, mu_reg) -> list:
+        """Strong coupling (``zeta`` only): shared passes of
+        :func:`~nhgeo.liouville.zeta_ness_k_sums` (:func:`_in_passes`), each
+        point's blocks read with its own bath, so any parameter may vary.
+        Weak coupling: :func:`~nhgeo.kitaev.weak_coupling_tensors`, one point
+        per call."""
+        params = [self.params(values) for values in points]
+        if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
                 "kitaev-dissipative provides only zeta without weak_coupling")
-        model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-        return {kind: zeta_ness_k(model, [p.h, p.gamma], p.L).values for kind in kinds}
+
+        def evaluate(ps):
+            if ps[0].weak_coupling:
+                return [weak_coupling_tensors(ps[0], kinds)]
+            models = [(DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus), [p.h, p.gamma])
+                      for p in ps]
+            return [{"zeta": z} for z in zeta_ness_k_sums(models, ps[0].L)]
+
+        return _in_passes(evaluate, params, shared=lambda p: not p.weak_coupling)
 
     def spectrum(self, values) -> dict:
         p = self.params(values)
@@ -205,12 +274,15 @@ class QuadLiouvilleAdapter(_FileFamily):
 
         return LiouvillianFamily(self.n, len(self.parts), make, dxy, name=self.name)
 
-    def tensors(self, values, kinds, n, mu_reg) -> dict:
-        lam = self.point(values)
-        fam = self.family()
-        # one eigensolve serves every kind and the spectrum
-        dec = self.decomposition(lam, lambda: eig_general(fam(lam).X))
-        return {kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=dec).items()}
+    def tensors(self, points, kinds, n, mu_reg) -> list:
+        def evaluate(values):
+            lam = self.point(values)
+            fam = self.family()
+            # one eigensolve serves every kind and the spectrum
+            dec = self.decomposition(lam, lambda: eig_general(fam(lam).X))
+            return {kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=dec).items()}
+
+        return _each(evaluate, points)
 
     def spectrum(self, values) -> dict:
         lam = self.params(values)
@@ -236,18 +308,22 @@ class MatrixFamilyAdapter(_FileFamily):
         return OperatorFamily(self.base.shape[0], len(self.parts), self.matrix,
                               lambda mu, lam: self.parts[mu], name=self.name)
 
-    def tensors(self, values, kinds, n, mu_reg) -> dict:
-        lam = self.point(values)
+    def tensors(self, points, kinds, n, mu_reg) -> list:
         sos_kinds = [k for k in kinds if k != "chi"]
-        fam = self.family()
-        out = {}
-        if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
-            eigsys = build_biortho(self.decomposition(lam, lambda: eig_general(fam(lam))))
-            sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg, sys=eigsys)
-            out = {kind: t.values for kind, t in sos.items()}
-        if "chi" in kinds:
-            out["chi"] = chi_hermitian(fam, lam, n).values
-        return {kind: out[kind] for kind in kinds}
+
+        def evaluate(values):
+            lam = self.point(values)
+            fam = self.family()
+            out = {}
+            if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
+                eigsys = build_biortho(self.decomposition(lam, lambda: eig_general(fam(lam))))
+                sos = sum_over_states(fam, lam, n, sos_kinds, mu_reg=mu_reg, sys=eigsys)
+                out = {kind: t.values for kind, t in sos.items()}
+            if "chi" in kinds:
+                out["chi"] = chi_hermitian(fam, lam, n).values
+            return {kind: out[kind] for kind in kinds}
+
+        return _each(evaluate, points)
 
     def spectrum(self, values) -> dict:
         lam = self.params(values)
@@ -447,7 +523,9 @@ def main():
 def cmd_tensor(adapter, values, tensors, state, mu_reg):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
     kinds = _parse_kinds(tensors, adapter)
-    mats = adapter.tensors(values, kinds, _state_index(state, adapter), mu_reg)
+    mats, = adapter.tensors([values], kinds, _state_index(state, adapter), mu_reg)
+    if isinstance(mats, Exception):
+        raise mats
     _echo_json({
         "model": adapter.name,
         "params": values,
@@ -577,25 +655,27 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     if os.path.isdir(output) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise click.UsageError(f"cannot write output {output}: not a file in a writable directory")
 
-    def evaluate(idx):
-        values = point_values(idx)
-        row = [float(grid[i]) for grid, i in zip(grids, idx)]
-        try:
-            mats = adapter.tensors(values, kinds, n, mu_reg)
-            for kind in kinds:
-                for z in mats[kind].ravel():  # row-major: (a, b) as in the columns
-                    row += [z.real, z.imag]
-            row.append("ok")
-        except (NhgeoError, FloatingPointError) as exc:
-            row.extend([np.nan] * (2 * len(kinds) * len(dirs) ** 2))
-            row.append(type(exc).__name__)
-        return row
+    def evaluate(chunk):  # one adapter call: the points share its passes
+        return adapter.tensors([point_values(idx) for idx in chunk], kinds, n, mu_reg)
 
-    if threads > 1:
+    if threads > 1:  # contiguous chunks, one adapter call each
+        chunks = [points[i * len(points) // threads:(i + 1) * len(points) // threads]
+                  for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, points))
+            results = [r for part in pool.map(evaluate, [c for c in chunks if c]) for r in part]
     else:
-        rows = [evaluate(idx) for idx in points]
+        results = evaluate(points)
+
+    def row(idx, mats):
+        cells = [float(grid[i]) for grid, i in zip(grids, idx)]
+        if isinstance(mats, Exception):
+            return cells + [np.nan] * (2 * len(kinds) * len(dirs) ** 2) + [type(mats).__name__]
+        for kind in kinds:
+            for z in mats[kind].ravel():  # row-major: (a, b) as in the columns
+                cells += [z.real, z.imag]
+        return cells + ["ok"]
+
+    rows = [row(idx, mats) for idx, mats in zip(points, results)]
 
     meta_items = [f"model={model}"]
     meta_items += [f"{k}={v}" for k, v in sorted(fixed.items())]

@@ -4,16 +4,21 @@ Numerical failure modes are first-class: callers (in particular the sweep
 driver) catch :class:`NhgeoError` and record the class name as a status flag
 instead of aborting.
 """
+from __future__ import annotations
 
 
 class NhgeoError(Exception):
     """Base class for all numerical / model errors raised by this package.
 
     ``block`` is the flat index of the first failing block when the error
-    comes from a blockwise check on a stack of matrices, else None.
+    comes from a blockwise check on a stack of matrices, else None.  It is
+    given to the constructor, so ``raise Error(msg, block=i)`` leaves no
+    local name that would tie the raising frame to its own traceback.
     """
 
-    block = None
+    def __init__(self, *args, block: int | None = None):
+        super().__init__(*args)
+        self.block = block
 
 
 class NonConvergence(NhgeoError):

@@ -57,10 +57,14 @@ class KitaevParams:
 
 
 def phi_k(h: float, gamma: float, k):
-    """Bloch angle via atan2(gamma sin k, h - cos k)."""
+    """Bloch angle via atan2(gamma sin k, h - cos k), at a momentum or an
+    array of them; UndefinedAngle at the first k where both arguments
+    vanish."""
     y, x = gamma * np.sin(k), h - np.cos(k)
-    if np.isscalar(k) and abs(x) < 1e-300 and abs(y) < 1e-300:
-        raise UndefinedAngle(f"(h - cos k, gamma sin k) = (0, 0) at k = {k}")
+    bad = (abs(x) < 1e-300) & (abs(y) < 1e-300)
+    if bad.any():
+        kbad = np.ravel(np.broadcast_to(k, np.shape(bad)))[np.argmax(bad)]
+        raise UndefinedAngle(f"(h - cos k, gamma sin k) = (0, 0) at k = {kbad}")
     return np.arctan2(y, x)
 
 

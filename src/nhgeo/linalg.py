@@ -384,9 +384,7 @@ def _raise_first(bad, exc_type, message):
     bad = np.asarray(bad)
     if bad.any():
         i = int(np.argmax(bad))
-        exc = exc_type(message(i) if bad.ndim == 0 else f"block {i}: {message(i)}")
-        exc.block = i
-        raise exc
+        raise exc_type(message(i) if bad.ndim == 0 else f"block {i}: {message(i)}", block=i)
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +548,15 @@ def _pair_solver_2x2(A, B):
 
 
 def _trace_sum(A, B) -> np.ndarray:
-    """``out[i, j]``, the sum over the blocks of ``Tr(A_i B_j)``, for entry
-    tuples whose entries are stacks ``(d, ...)`` over directions: one matrix
-    product."""
-    rows = np.stack(A, axis=1).reshape(len(A[0]), -1)
-    cols = np.stack(_transpose(B), axis=1).reshape(len(B[0]), -1)
-    return rows @ cols.T
+    """``out[..., i, j]``, the sum over the blocks of ``Tr(A_i B_j)``, for
+    entry tuples whose entries are ``(d, L)`` stacks over directions and
+    blocks: one matrix product.  Entries ``(d, P, L)`` give ``(P, d, d)``,
+    each point's sum over its own L blocks by a matrix product of its own."""
+    def per_point(E):  # (..., d, 4 L), the four entries of every block of a point side by side
+        E = np.moveaxis(np.stack(E, axis=-2), 0, -3)
+        return E.reshape(E.shape[:-2] + (-1,))
+
+    return per_point(A) @ np.swapaxes(per_point(_transpose(B)), -1, -2)
 
 
 def _pencil(a, Ua, Uai, b, Ub, Ubi, *decs):

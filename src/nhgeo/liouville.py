@@ -376,20 +376,38 @@ def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
     """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k): one 2x2
     block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta; a view
     of :func:`_gamma_blocks`, so a failure is that of the lowest failing k."""
-    return np.reshape(_blocks(_gamma_blocks(model, _params(lam, model.num_params),
-                                            np.ravel(k))[0]), np.shape(k) + (2, 2))
+    x, xmT, y, _ = _momentum_blocks(model, _params(lam, model.num_params), np.ravel(k), False)
+    return np.reshape(_blocks(_gamma_blocks(x, xmT, y)[0]), np.shape(k) + (2, 2))
 
 
 def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
-    """Steady-state tensor as a Brillouin-zone sum of per-block traces.
-
-    All L momentum blocks are evaluated and solved as one ``(L, 2, 2)``
-    stack; see :func:`_ness_k_sum`.
-    """
+    """Steady-state tensor as a Brillouin-zone sum of per-block traces:
+    :func:`zeta_ness_k_sums` at one point, all L momentum blocks solved as
+    one stack (see :func:`_ness_k_sum`)."""
     lam = _params(lam, model.num_params)
     L = _chain_length(L)
-    vals = _ness_k_sum(model, lam, 2.0 * np.pi * np.arange(L) / L)
-    return GeoTensor("zeta", "ness", vals, lam, {"L": L, "route": "kspace"})
+    return GeoTensor("zeta", "ness", zeta_ness_k_sums([(model, lam)], L)[0], lam,
+                     {"L": L, "route": "kspace"})
+
+
+def zeta_ness_k_sums(points, L: int) -> np.ndarray:
+    """:func:`zeta_ness_k` at each of ``points``, pairs ``(model, lam)`` of
+    one chain length ``L``, as a ``(P, d, d)`` array from one pass.
+
+    The momentum blocks of every point are read with the point's own block
+    methods (:func:`_momentum_blocks`), joined into one entry stack of
+    ``P * L`` blocks and solved by :func:`_ness_k_sum`, which sums each
+    point's blocks on their own; so each point gets its one-point tensor
+    bit for bit.  A failure is that of the first failing point, by the
+    lowest-failing-k rule, and carries ``p * L + k`` as ``exc.block``.
+    """
+    L = _chain_length(L)
+    ks = 2.0 * np.pi * np.arange(L) / L
+    if len({model.num_params for model, _ in points}) != 1:
+        raise ShapeMismatch("zeta_ness_k_sums needs models of one number of parameters")
+    read = [_momentum_blocks(model, _params(lam, model.num_params), ks, True)
+            for model, lam in points]
+    return _ness_k_sum(_joined(read), len(read))
 
 
 def _at_k_and_minus_k_transposed(blocks, L):
@@ -398,55 +416,92 @@ def _at_k_and_minus_k_transposed(blocks, L):
     return tuple(e[..., :L] for e in E), _transpose(tuple(e[..., L:] for e in E))
 
 
-def _gamma_blocks(model: TranslationInvariantModel, lam, ks):
-    """The momentum steady-state driver: Gamma(k) at the 1-D momenta ``ks``
-    as an entry tuple, the solver of ``x(k) G + G x(-k)^T = Y`` and the
-    eigenpairs ``(a, Ua, Ua^-1)`` of x(k) it is built on, and the column
-    ``(ks, -ks)`` that x(k) and x(-k)^T are read at, in one ``x_block`` call.
+def _momentum_blocks(model: TranslationInvariantModel, lam, ks, derivatives: bool):
+    """The read step of the momentum drivers: the entry tuples ``(x, xmT, y,
+    (dx, dxmT, dy))`` at the 1-D momenta ``ks``, x(k) and x(-k)^T from one
+    ``x_block`` call at the column ``(ks, -ks)``, and, with ``derivatives``,
+    every dx_mu and dy_mu (their entries stacked over directions mu, ``(d,
+    L)``) from one call per block method and direction."""
+    L, kc = len(ks), ks[:, None, None]
+    both = np.concatenate([ks, -ks])[:, None, None]
+    x, xmT = _at_k_and_minus_k_transposed(model.x_block(both, lam), L)
+    y = _entries(model.y_block(kc, lam))
+    if not derivatives:
+        return x, xmT, y, None
+    d = range(model.num_params)
+    dx = [model.dx_block(mu, both, lam) for mu in d] or np.zeros((0, 2 * L, 2, 2))
+    dy = [model.dy_block(mu, kc, lam) for mu in d] or np.zeros((0, L, 2, 2))
+    return x, xmT, y, (*_at_k_and_minus_k_transposed(np.stack(dx), L), _entries(np.stack(dy)))
+
+
+def _joined(read):
+    """The entry tuples of several reads of :func:`_momentum_blocks`, each
+    joined along the block axis (the last), point after point."""
+    def join(parts):
+        if isinstance(parts[0], tuple):
+            return tuple(join(p) for p in zip(*parts))
+        return np.concatenate(parts, axis=-1)
+    return join(read)
+
+
+def _first(E, b: int):
+    """The first ``b`` blocks of a (nested) entry tuple ``E``."""
+    return tuple(_first(e, b) if isinstance(e, tuple) else e[..., :b] for e in E)
+
+
+def _gamma_blocks(x, xmT, y):
+    """The momentum steady-state driver: Gamma(k) as an entry tuple from the
+    entry tuples of x(k), x(-k)^T and y(k) (:func:`_momentum_blocks`), the
+    solver of ``x(k) G + G x(-k)^T = Y`` and the eigenpairs ``(a, Ua,
+    Ua^-1)`` of x(k) it is built on.
 
     Each check is made per block.  A failure at block ``b`` is raised only
-    after the blocks before ``b`` have passed every check: the error is that
-    of the lowest failing k, as a loop over k would find it.
+    after the blocks before ``b`` have passed every check (on the first
+    ``b`` entries, not read again): the error is that of the lowest failing
+    k, as a loop over k would find it.
     """
-    both = np.concatenate([ks, -ks])[:, None, None]
     try:
-        x, xmT = _at_k_and_minus_k_transposed(model.x_block(both, lam), len(ks))
         solve, eig_x = _pair_solver_2x2(x, xmT)
-        return solve(_entries(model.y_block(ks[:, None, None], lam))), solve, eig_x, both
+        return solve(y), solve, eig_x
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
-            _gamma_blocks(model, lam, ks[:exc.block])
+            _gamma_blocks(*_first((x, xmT, y), exc.block))
         raise
 
 
-def _ness_k_sum(model: TranslationInvariantModel, lam, ks) -> np.ndarray:
-    """Sum over the momenta ``ks`` of the per-block steady-state tensor.
+def _ness_k_sum(blocks, points: int) -> np.ndarray:
+    """The per-block steady-state tensor summed over the blocks of each of
+    ``points`` runs of equally many consecutive blocks: ``(points, d, d)``.
 
-    The blocks are read once, as entry tuples (:func:`~nhgeo.linalg._entries`):
-    x and dx_mu at k and -k from one call each, the directions mu stacked
-    along a leading axis.  Every step below is 2x2 entry arithmetic.  The
-    pencil solver of :func:`_gamma_blocks` gives every dGamma_mu(k), its
-    eigenpairs every Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sum is one
-    :func:`~nhgeo.linalg._trace_sum`; failures follow its lowest-failing-k
-    rule over every check made here.
+    ``blocks`` is what :func:`_momentum_blocks` reads (the reads of several
+    points joined by :func:`_joined`): x and dx_mu at k and -k, the
+    directions mu stacked along a leading axis.  Every step below is 2x2
+    entry arithmetic, elementwise per block.  The pencil solver of
+    :func:`_gamma_blocks` gives every dGamma_mu(k), its eigenpairs every
+    Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
+    :func:`~nhgeo.linalg._trace_sum`, one matrix product per run.  Failures
+    follow the lowest-failing-k rule over every check made here, over the
+    whole stack; the blocks before a failing one are checked again on their
+    entries, not read again.
     """
-    L, d, kc = len(ks), model.num_params, ks[:, None, None]
+    x, xmT, y, (dx, dxmT, dy) = blocks
     try:
-        gk, solve, (a, Ua, Uai), both = _gamma_blocks(model, lam, ks)
-        if not d:
-            return np.zeros((0, 0), dtype=complex)
-        dx, dxmT = _at_k_and_minus_k_transposed(
-            np.stack([model.dx_block(mu, both, lam) for mu in range(d)]), L)
-        dy = _entries(np.stack([model.dy_block(mu, kc, lam) for mu in range(d)]))
+        gk, solve, (a, Ua, Uai) = _gamma_blocks(x, xmT, y)
+        if not len(dy[0]):  # a model without parameters
+            return np.zeros((points, 0, 0), dtype=complex)
         rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
         dg = solve(tuple(rhs))
         # zeta_{mu nu} = sum_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
         left = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk)))
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
-            _ness_k_sum(model, lam, ks[:exc.block])
+            _ness_k_sum(_first(blocks, exc.block), 1)
         raise
-    return _trace_sum(left, dg)
+
+    def per_point(E):  # entries (d, points * L) as (d, points, L)
+        return tuple(e.reshape(len(e), points, -1) for e in E)
+
+    return _trace_sum(per_point(left), per_point(dg))
 
 
 def _xcal_2x2(x, U, Ui, dX):

@@ -7,20 +7,30 @@ mixed geometric tensor over the (t, delta) plane, and the corresponding
 thermodynamic-limit expressions.
 
 All computations are on 2x2 Bloch blocks, no real-space Hamiltonian (open
-boundaries and skin-effect physics are out of scope).  The closed-form
-``zeta`` sum and :func:`bloch_sum`, the sum-over-states ``eta`` and
-``zeta_limited`` of one band, run on the whole k-grid at once;
+boundaries and skin-effect physics are out of scope).  :func:`band_sums`
+gives the closed-form ``zeta`` sum and the sum-over-states ``eta`` and
+``zeta_limited`` of one band on the whole k-grid of many points at once
+(:func:`zeta_finite_sum` and :func:`bloch_sum` are its one-point views);
 :func:`bloch_family` is the fixed-k block as an operator family, for the
 finite-difference stencil that serves as their oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CriticalKPoint, FSingular, OnCriticalLine
-from .tensors import GeoTensor, OperatorFamily, _finite, _integer, sum_over_blocks
+from .errors import CriticalKPoint, FSingular, OnCriticalLine, ShapeMismatch
+from .tensors import (
+    STATE_KINDS,
+    GeoTensor,
+    OperatorFamily,
+    _finite,
+    _integer,
+    _kinds,
+    sum_over_blocks,
+)
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _DX_DDELTA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -60,10 +70,15 @@ class SSHPhase:
 def bloch(params: SSHParams, k) -> np.ndarray:
     """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik};
     for an array of momenta, the stack ``(..., 2, 2)`` of their blocks."""
-    t, d = params.t, params.delta
-    K = np.zeros(np.shape(k) + (2, 2), dtype=complex)
-    K[..., 0, 1] = t - d + np.exp(-1j * k)
-    K[..., 1, 0] = t + d + np.exp(1j * k)
+    return _bloch(params.t, params.delta, k)
+
+
+def _bloch(t, delta, k) -> np.ndarray:
+    """:func:`bloch` at hoppings ``t``, ``delta`` that broadcast against ``k``:
+    a ``(P, 1)`` column of points and ``L`` momenta give ``(P, L, 2, 2)``."""
+    K = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(k)) + (2, 2), dtype=complex)
+    K[..., 0, 1] = t - delta + np.exp(-1j * k)
+    K[..., 1, 0] = t + delta + np.exp(1j * k)
     return K
 
 
@@ -72,22 +87,25 @@ def eps(t: float, delta: float, k) -> np.ndarray | complex:
     return 1.0 + t * t - delta * delta + 2.0 * t * np.cos(k) - 2j * delta * np.sin(k)
 
 
-def _grid_eps(params: SSHParams) -> np.ndarray:
-    """``eps(k)`` on the k-grid.  Raises CriticalKPoint where ``|eps(k)| <
-    1e-12`` at a grid k: the gap closes there and every Brillouin-zone sum
-    diverges, even when rounding leaves the Bloch block a finite gap."""
-    ks = params.k_grid
-    e = eps(params.t, params.delta, ks)
-    if np.min(np.abs(e)) < 1e-12:
-        kbad = ks[int(np.argmin(np.abs(e)))]
-        raise CriticalKPoint(f"eps(k) vanishes on the grid at k = {kbad:.6g}")
-    return e
+def _grid_eps(t, delta, ks) -> None:
+    """The grid check of every point ``(t[p], delta[p])`` on the k-grid
+    ``ks``: CriticalKPoint for the first point where ``|eps(k)| < 1e-12`` at
+    a grid k, with ``exc.block = p * L + k`` at the smallest ``|eps|``.  The
+    gap closes there and every Brillouin-zone sum diverges, even when
+    rounding leaves the Bloch block a finite gap."""
+    ae = np.abs(eps(np.reshape(t, (-1, 1)), np.reshape(delta, (-1, 1)), ks))
+    bad = ae.min(axis=-1) < 1e-12
+    if bad.any():
+        p = int(np.argmax(bad))
+        k = int(np.argmin(ae[p]))
+        raise CriticalKPoint(f"eps(k) vanishes on the grid at k = {ks[k]:.6g}",
+                             block=p * len(ks) + k)
 
 
 def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
     """The fixed-k Bloch matrix as a two-parameter family over (t, delta).
 
-    Production sums go through :func:`bloch_sum`; the finite-difference
+    Production sums go through :func:`band_sums`; the finite-difference
     stencil on this family serves ``verify`` and the tests only, as the
     independent oracle of those sums."""
 
@@ -103,14 +121,45 @@ def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
 def bloch_sum(params: SSHParams, n: int, kinds) -> dict[str, GeoTensor]:
     """Brillouin-zone sums over the k-grid of the tensors ``kinds`` of band
     ``n`` (``eta``, ``zeta_limited``, ``zeta_limited_rescaled``) over
-    (t, delta): one :func:`~nhgeo.tensors.sum_over_blocks` pass over the
-    ``(L, 2, 2)`` stack of Bloch matrices, with the checks made per block,
-    after the grid check of :func:`_grid_eps`."""
-    _grid_eps(params)
-    vals = sum_over_blocks(bloch(params, params.k_grid), _DIRECTIONS, n, kinds)
+    (t, delta): :func:`band_sums` at one point."""
+    kinds = _kinds(kinds, STATE_KINDS, "bloch_sum")
     lam = np.array([params.t, params.delta])
-    return {kind: GeoTensor(kind, n, v, lam, {"L": params.L, "route": "sum-over-blocks"})
-            for kind, v in vals.items()}
+    return {kind: GeoTensor(kind, n, v[0], lam, {"L": params.L, "route": "sum-over-blocks"})
+            for kind, v in band_sums([params], n, kinds).items()}
+
+
+#: tensor kinds that :func:`band_sums` evaluates
+BAND_KINDS = ("zeta", *STATE_KINDS)
+
+
+def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarray]:
+    """The Brillouin-zone sums ``kinds`` over (t, delta) at each of ``points``,
+    which share one ``L``, as ``(P, 2, 2)`` arrays: closed-form ``zeta``, and
+    ``eta``, ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``.
+
+    Every point goes through one pass: the grid check of :func:`_grid_eps`
+    first, then one :func:`zeta_summand` array summed per point for
+    ``zeta`` and one :func:`~nhgeo.tensors.sum_over_blocks` pass over the
+    ``(P, L, 2, 2)`` stack of Bloch matrices for the other kinds.  Each
+    point's sums are those of the point alone, bit for bit.  A failure is
+    that of the first failing point (the grid check of every point comes
+    first) and carries ``p * L + k`` as ``exc.block``.
+    """
+    kinds = _kinds(kinds, BAND_KINDS, "band_sums")
+    L = points[0].L
+    if any(p.L != L for p in points):
+        raise ShapeMismatch("band_sums needs points of one chain length L")
+    ks = points[0].k_grid
+    t = np.array([p.t for p in points])[:, None]
+    delta = np.array([p.delta for p in points])[:, None]
+    _grid_eps(t, delta, ks)
+    out = {}
+    if "zeta" in kinds:  # the summands (2, 2, P, L), summed over k per point
+        out["zeta"] = np.moveaxis(zeta_summand(t, delta, ks).sum(axis=-1), -1, 0).astype(complex)
+    stacked = [k for k in kinds if k != "zeta"]
+    if stacked:
+        out.update(sum_over_blocks(_bloch(t, delta, ks), _DIRECTIONS, n, stacked))
+    return {kind: out[kind] for kind in kinds}
 
 
 def classify_phase(t: float, delta: float) -> SSHPhase:
@@ -127,7 +176,9 @@ def classify_phase(t: float, delta: float) -> SSHPhase:
 
 
 def zeta_summand(t: float, delta: float, k) -> np.ndarray:
-    """Per-k contribution to the Brillouin-zone tensor sum over (t, delta).
+    """Per-k contribution to the Brillouin-zone tensor sum over (t, delta),
+    as ``(2, 2, ...)`` over the broadcast shape of ``t``, ``delta`` and ``k``
+    (a ``(P, 1)`` column of points and ``L`` momenta give ``(2, 2, P, L)``).
 
     This is the k-symmetrized value: the full per-k block tensor also carries
     an off-diagonal imaginary part odd in k that cancels between k and -k.
@@ -140,12 +191,10 @@ def zeta_summand(t: float, delta: float, k) -> np.ndarray:
 
 
 def zeta_finite_sum(params: SSHParams) -> GeoTensor:
-    """Tensor over (t, delta) summed over the k-grid ``k_m = 2 pi m / L``."""
-    _grid_eps(params)  # CriticalKPoint at a gap-closing grid k
-    vals = zeta_summand(params.t, params.delta, params.k_grid).sum(axis=-1).astype(complex)
-    return GeoTensor(
-        "zeta", "band-sum", vals, np.array([params.t, params.delta]), {"L": params.L}
-    )
+    """Tensor over (t, delta) summed over the k-grid ``k_m = 2 pi m / L``
+    (:func:`band_sums` at one point); CriticalKPoint at a gap-closing grid k."""
+    return GeoTensor("zeta", "band-sum", band_sums([params], 0, ["zeta"])["zeta"][0],
+                     np.array([params.t, params.delta]), {"L": params.L})
 
 
 def phase_function(t: float, delta: float) -> float:

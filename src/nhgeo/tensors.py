@@ -434,7 +434,7 @@ def sum_over_states(
     state_kinds = [k for k in kinds if k != "zeta"]
     if state_kinds:
         ln = sys.left_vectors[:, n]
-        state = _state_tensors(state_kinds, num, w, C, (ln.conj() @ ln).real, n, at_scale)
+        state = _state_tensors(state_kinds, num, w, C, (ln.conj() @ ln).real, n, at_scale, 1)
 
     out = {}
     for kind in kinds:
@@ -443,21 +443,23 @@ def sum_over_states(
             vals = (A @ sys.gram_left[:, n]).conj() @ C @ A[:, :, n].T
             meta = {"route": "agp", "mu_reg": mu_reg}
         else:
-            vals, meta = state[kind], {"route": "agp", "mu_reg": 0.0}
+            vals, meta = state[kind][0], {"route": "agp", "mu_reg": 0.0}
         out[kind] = GeoTensor(kind, n, vals, lam, meta)
     return out
 
 
-def _state_tensors(kinds, num, w, C, lnln, n: int, at_scale) -> dict[str, np.ndarray]:
+def _state_tensors(kinds, num, w, C, lnln, n: int, at_scale, points: int
+                   ) -> dict[str, np.ndarray]:
     """``eta``, ``zeta_limited`` and ``zeta_limited_rescaled`` of state ``n``
     from row and column ``n`` of the exact generator (see
-    :func:`sum_over_states`).
+    :func:`sum_over_states`), each of shape ``(points, d, d)``.
 
     ``num[mu, ..., m, j]`` is ``<m_L|d_mu K|j_R>``, ``w`` the spectrum,
     ``C`` the right Gram matrix and ``lnln`` is ``<n_L|n_L>``.  They describe
     one system, or a stack of blocks along the axis after ``mu`` (``num (d,
-    L, N, N)``, ``w (L, N)``, ``C (L, N, N)``, ``lnln`` ``(L,)``), whose
-    tensors are then summed.  Raises DegenerateSpectrum, for the first
+    B, N, N)``, ``w (B, N)``, ``C (B, N, N)``, ``lnln`` ``(B,)``).  The
+    stack holds ``points`` runs of equally many consecutive blocks, and the
+    tensors of each run are summed.  Raises DegenerateSpectrum, for the first
     failing block, if a gap ``|w_m - w_n|`` is below ``1e-10 * scale``
     (``at_scale`` as for :func:`_require_gaps`).
     """
@@ -469,8 +471,11 @@ def _state_tensors(kinds, num, w, C, lnln, n: int, at_scale) -> dict[str, np.nda
     gap = np.where(others, w[:, n, None] - w, 1.0)  # w_n - w_m
     col = np.where(others, num[..., n] / gap, 0.0)  # A_mu[:, n]
 
-    def zone_sum(left, right):  # out[a, b]: sum of left[a] * right[b] over blocks and entries
-        return left.reshape(d, -1) @ np.broadcast_to(right, left.shape).reshape(d, -1).T
+    def per_point(x):  # (d, B, ...) as contiguous (points, d, m): one matrix per point
+        return np.ascontiguousarray(np.reshape(x, (d, points, -1)).transpose(1, 0, 2))
+
+    def zone_sum(left, right):  # out[p, a, b]: sum of left[a] * right[b] over p's blocks and entries
+        return per_point(left) @ per_point(np.broadcast_to(right, left.shape)).swapaxes(-1, -2)
 
     out = {}
     for kind in kinds:
@@ -492,7 +497,9 @@ STATE_KINDS = ("eta", "zeta_limited", "zeta_limited_rescaled")
 
 def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray]:
     """The tensors ``kinds`` of state ``n`` of every 2x2 block of ``K (L, 2,
-    2)``, summed over the blocks (a Brillouin-zone sum of Bloch blocks).
+    2)``, summed over the blocks (a Brillouin-zone sum of Bloch blocks); for
+    a stack ``K (P, L, 2, 2)`` of P points, the ``(P, d, d)`` sums of each
+    point's L blocks.
 
     This is :func:`sum_over_states` on all blocks at once, in 2x2 entry
     arithmetic (:func:`~nhgeo.linalg._entries`).  ``dK (d, 2, 2)`` holds the
@@ -501,25 +508,32 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     eigenvalues in canonical order and unit right vectors; its left vectors
     come from the adjugate inverse.  ``<m_L|d_mu K|n_R>``, the Gram matrix
     and ``<n_L|n_L>`` of every block go to :func:`_state_tensors` as one
-    stack, which contracts and sums them.
+    stack, which contracts them and sums them per point.  Every step is
+    elementwise per block and each point's sum is one matrix product of its
+    own, so a point's tensors do not depend on the points beside it: a
+    sweep joins many points in one pass and gets their one-point values bit
+    for bit.
 
     Each check of the per-matrix engine is made per block, in its order:
     ShapeMismatch for a non-finite block and NonConvergence for an eigenpair
     residual above ``1e-10 * ||K||``; NearDefective if the eigenvector
     condition number exceeds 1e12; DegenerateSpectrum if the gap is below
     ``1e-10 * max(||K||_2, 1)``.  The error is that of the first failing
-    block, as a loop over the blocks finds it, and carries its index as
-    ``exc.block``.
+    block, as a loop over the blocks finds it, and carries its flat index
+    (``p * L + k`` on a stack of points) as ``exc.block``.
     """
     kinds = _kinds(kinds, STATE_KINDS, "sum_over_blocks")
     K = np.asarray(K, dtype=complex)
     dK = np.asarray(dK, dtype=complex)
-    if K.ndim != 3 or K.shape[1:] != (2, 2) or not len(K):
-        raise ShapeMismatch(f"expected a stack (L, 2, 2) of blocks, got shape {K.shape}")
+    if K.ndim not in (3, 4) or K.shape[-2:] != (2, 2) or not K.size:
+        raise ShapeMismatch(f"expected a stack (L, 2, 2) or (P, L, 2, 2) of blocks, "
+                            f"got shape {K.shape}")
     if dK.ndim != 3 or dK.shape[1:] != (2, 2):
         raise ShapeMismatch(f"expected directions (d, 2, 2), got shape {dK.shape}")
     if not 0 <= n < 2:
         raise ShapeMismatch(f"state index {n} out of range for dim 2")
+    points = len(K) if K.ndim == 4 else None
+    K = K.reshape(-1, 2, 2)
     try:
         w, R, norm = _eig_2x2(_entries(K), distinct=False)  # equal eigenvalues are judged below
         swap = canonical_order(np.stack(w, axis=-1))[:, 0] == 1
@@ -529,16 +543,17 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
         cond, Rinv = _cond_inv(R)
         _raise_first(~(cond <= DEFECTIVE_COND), NearDefective,
                      lambda i: f"eigenvector condition number {cond[i]:.3e} above 1e12")
-        # <m_L| is row m of R^-1; entries of shape (d, L), one per direction and block
+        # <m_L| is row m of R^-1; entries of shape (d, B), one per direction and block
         num = _mul(_mul(Rinv, tuple(e[:, None] for e in _entries(dK))), R)
         C = _mul(_transpose(tuple(e.conj() for e in R)), R)
         lnln = abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2
-        return _state_tensors(kinds, _blocks(num), np.stack(w, axis=-1), _blocks(C), lnln, n,
-                              lambda pred: pred(np.maximum(norm, 1.0)))
+        out = _state_tensors(kinds, _blocks(num), np.stack(w, axis=-1), _blocks(C), lnln, n,
+                             lambda pred: pred(np.maximum(norm, 1.0)), points or 1)
     except NhgeoError as exc:
         if exc.block:  # the blocks before it may fail a later check
             sum_over_blocks(K[:exc.block], dK, n, kinds)
         raise
+    return out if points else {kind: v[0] for kind, v in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -798,6 +798,29 @@ class TestSweepCommand:
         assert pools == [2]
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
 
+    def test_ssh_sweep_points_share_passes(self, runner, tmp_path, monkeypatch):
+        # 20 points at L = 64: one adapter call, and the 1280 Bloch blocks go
+        # through ceil(1280 / PASS_BLOCKS) closed-form eigensolves of joined
+        # stacks; point-by-point evaluation makes 20 of each
+        import nhgeo.linalg as linalg_mod
+        import nhgeo.tensors as tensors_mod
+
+        adapter_calls, eig_calls = [], []
+        real = cli_mod.SSHAdapter.tensors
+        monkeypatch.setattr(cli_mod.SSHAdapter, "tensors",
+                            lambda *a, **k: adapter_calls.append(a) or real(*a, **k))
+        real_eig = linalg_mod._eig_2x2
+        for mod in (linalg_mod, tensors_mod):
+            monkeypatch.setattr(mod, "_eig_2x2",
+                                lambda *a, **k: eig_calls.append(a) or real_eig(*a, **k))
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "delta=0.5", "--set", "L=64",
+                        "--axis", "t:0.05:1.95:20", "--tensors", "zeta,eta,zeta_limited_rescaled",
+                        "--output", str(out)])
+        assert len(adapter_calls) == 1
+        assert 1 <= len(eig_calls) <= -(-20 * 64 // cli_mod.PASS_BLOCKS)
+        assert len(out.read_text().splitlines()) == 22
+
     @pytest.mark.parametrize("threads", ["-4", "0"])
     def test_invalid_thread_count_exit_2(self, runner, tmp_path, threads):
         result = runner.invoke(main, [
@@ -906,7 +929,7 @@ class TestKitaevBures:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         cli_mod.KitaevAdapter().tensors(
-            {"L": 128, "h": 0.4}, ["zeta", "zeta_limited", "bures"], None, 0.0)
+            [{"L": 128, "h": 0.4}], ["zeta", "zeta_limited", "bures"], None, 0.0)
         assert shapes == [(128, 2, 2)]
 
     def test_pure_state_exit_3(self, runner):
@@ -924,7 +947,7 @@ class TestKitaevBures:
     @pytest.mark.parametrize("kinds", ["bures", "zeta,bures", "zeta,zeta_limited"])
     def test_strong_coupling_exit_2_before_evaluation(self, runner, tmp_path, monkeypatch, kinds):
         calls = []
-        monkeypatch.setattr(cli_mod, "zeta_ness_k", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli_mod, "zeta_ness_k_sums", lambda *args: calls.append(args))
         monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
         result = runner.invoke(main, [
             "tensor", "--model", "kitaev-dissipative", "--set", "weak_coupling=0",

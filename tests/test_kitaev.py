@@ -45,6 +45,24 @@ class TestPhi:
         with pytest.raises(UndefinedAngle):
             phi_k(1.0, 0.5, 0.0)  # h - cos(0) = 0 and gamma*sin(0) = 0
 
+    def test_undefined_angle_on_an_array(self):
+        # an array of momenta that holds the gap closing k = 0 of h = 1 raises
+        # as the scalar call does, instead of returning arctan2(0, 0) = 0
+        p = KitaevParams(1.0, 1.0, 0.1, 1.0, 0.6, 8)
+        with pytest.raises(UndefinedAngle) as want:
+            phi_k(1.0, 1.0, 0.0)
+        for ks in (p.k_grid, p.k_grid[:, None, None], p.k_grid[::-1], np.array([0.5, 0.0])):
+            with pytest.raises(UndefinedAngle) as got:
+                phi_k(1.0, 1.0, ks)
+            assert str(got.value) == str(want.value)
+        for f in (lambda k: gamma_k_weak(p, k), lambda k: dgamma_k_weak(p, k, 0)):
+            for k in (0.0, p.k_grid[:, None, None]):
+                with pytest.raises(UndefinedAngle):
+                    f(k)
+        # the grid check runs first: the weak-coupling sums raise CriticalKPoint
+        with pytest.raises(CriticalKPoint):
+            weak_coupling_tensors(p, ["zeta", "bures"])
+
 
 class TestZetaSum:
     def test_exact_trigonometric_point(self):
