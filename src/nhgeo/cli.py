@@ -36,6 +36,7 @@ from .linalg import (
     as_square,
     complex_pairs,
     eig_general,
+    flagged_blocks,
     load_json,
     load_matrix,
     matrix_from_json,
@@ -67,38 +68,46 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 
 #: momentum blocks per shared Brillouin-zone pass.  A pass joins whole points
 #: of one chain length L until their L-block grids reach this many (a point
-#: with a larger L is a pass of its own).  Per-call overhead dominates a pass
-#: at a few hundred blocks; larger passes saved little more time and cost
-#: peak memory (about 0.9 MB at 1024 blocks, 2.2 MB at 2688 on the Kitaev
-#: chain, nothing measurable at 512).
-PASS_BLOCKS = 512
+#: with a larger L is a pass of its own).  A pass is read and solved once,
+#: whatever its points do, so per-call overhead favours large passes: on the
+#: 21-point strong-coupling Kitaev sweep at L = 128 (3 passes instead of 6)
+#: an operation took 12.5-13.4 ms against 16-17 ms at 512 blocks, for about
+#: 1 MB more peak memory; 2048 blocks saved nothing more and cost 3.4 MB.
+PASS_BLOCKS = 1024
 
 
 def _one_result(evaluate, points):
-    """``evaluate(points)``, or the NhgeoError (or FloatingPointError) it
-    raises, as a list with one result per point.
+    """``evaluate(points)`` as a list with one result per point: a dict of
+    arrays, or the NhgeoError (or FloatingPointError) the point raises
+    when it is evaluated alone.
 
-    ``evaluate`` runs one pass over points of one chain length and raises
-    the error of the first failing point, by the lowest-failing-k rule, with
-    the flat block index ``p * L + k`` as ``exc.block``.  Then point ``p``
-    is evaluated alone and the others again as one pass without it; an
-    error without a block index sends every point through alone.  So every
-    point gets the error it gets alone.  An error drops its traceback and
-    context, whose frames would keep the arrays of its pass alive.
+    A pass of several points runs once, with its blockwise checks flagging
+    the failing blocks instead of raising (:func:`~nhgeo.linalg.flagged_blocks`).
+    Then each point with a flagged block or a non-finite sum is evaluated
+    alone, on the raising path, and an error that the pass raises (one
+    without a block) sends every point through alone.  So every point gets
+    the result it gets alone, error class and message included.  An error
+    drops its traceback and context, whose frames would keep the arrays of
+    its pass alive.
     """
+    if len(points) > 1:
+        with flagged_blocks() as flags:
+            try:
+                results = evaluate(points)
+            except (NhgeoError, FloatingPointError):
+                results = None
+        if results is None:
+            return [r for p in points for r in _one_result(evaluate, [p])]
+        again = flags.points(len(points))
+        return [_one_result(evaluate, [p])[0]
+                if bad or not all(np.isfinite(v).all() for v in r.values()) else r
+                for p, r, bad in zip(points, results, again)]
     try:
         return evaluate(points)
     except (NhgeoError, FloatingPointError) as exc:
         failed = exc.with_traceback(None)
         failed.__context__ = None
-    # the points are evaluated again outside the handler, so no error chains to this one
-    if len(points) == 1:
-        return [failed]
-    if getattr(failed, "block", None) is None:
-        return [r for p in points for r in _one_result(evaluate, [p])]
-    bad = failed.block // points[0].L
-    rest = _one_result(evaluate, points[:bad] + points[bad + 1:])
-    return rest[:bad] + _one_result(evaluate, [points[bad]]) + rest[bad:]
+    return [failed]
 
 
 def _each(evaluate, points):
@@ -181,21 +190,22 @@ class KitaevAdapter(_LatticeModel):
 
     def tensors(self, points, kinds, n, mu_reg) -> list:
         """Strong coupling (``zeta`` only): shared passes of
-        :func:`~nhgeo.liouville.zeta_ness_k_sums` (:func:`_in_passes`), each
-        point's blocks read with its own bath, so any parameter may vary.
-        Weak coupling: :func:`~nhgeo.kitaev.weak_coupling_tensors`, one point
-        per call."""
+        :func:`~nhgeo.liouville.zeta_ness_k_sums` (:func:`_in_passes`) on one
+        model per bath, which reads the blocks of all its points in a pass
+        at once; so any parameter may vary.  Weak coupling:
+        :func:`~nhgeo.kitaev.weak_coupling_tensors`, one point per call."""
         params = [self.params(values) for values in points]
         if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
                 "kitaev-dissipative provides only zeta without weak_coupling")
 
+        model = functools.cache(DissipativeKitaevModel)  # one model per bath
+
         def evaluate(ps):
             if ps[0].weak_coupling:
                 return [weak_coupling_tensors(ps[0], kinds)]
-            models = [(DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus), [p.h, p.gamma])
-                      for p in ps]
-            return [{"zeta": z} for z in zeta_ness_k_sums(models, ps[0].L)]
+            points = [(model(p.g, p.mu_plus, p.mu_minus), [p.h, p.gamma]) for p in ps]
+            return [{"zeta": z} for z in zeta_ness_k_sums(points, ps[0].L)]
 
         return _in_passes(evaluate, params, shared=lambda p: not p.weak_coupling)
 

@@ -7,8 +7,10 @@ used by the command line tools.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,8 +28,9 @@ from .errors import (
 #: treated as (numerically) defective
 DEFECTIVE_COND = 1e12
 
-#: resolution used when ordering eigenvalues: values closer than this are
-#: regarded as tied and keep their input-derived order
+#: resolution used when ordering eigenvalues, relative to the norm of the
+#: matrix: values closer than this are regarded as tied and keep their
+#: input-derived order
 ORDER_TIE_RESOLUTION = 1e-12
 
 #: smallest admissible Sylvester pencil value |a_i + b_j|, relative to
@@ -46,18 +49,21 @@ def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     return A
 
 
-def canonical_order(eigenvalues: np.ndarray) -> np.ndarray:
+def canonical_order(eigenvalues: np.ndarray, scale) -> np.ndarray:
     """Indices sorting eigenvalues by (Re, Im), ascending, along the last
     axis (each block of a stack ``(..., N)`` on its own).
 
-    Keys are quantized at ``ORDER_TIE_RESOLUTION`` so that values that agree
-    to that resolution are ties; the stable sort then keeps input order,
-    which makes the ordering reproducible run to run.  The resolution is
-    absolute, so ``c K`` need not be ordered as ``K`` is: at a norm far below
-    1e-12 every eigenvalue ties and keeps the solver's order.
+    ``scale`` is the norm of each matrix (shape ``(...)``), and the keys are
+    quantized at ``ORDER_TIE_RESOLUTION`` relative to it, so that values
+    that agree to that resolution are ties; the stable sort then keeps
+    input order, which makes the ordering reproducible run to run.  Since
+    the resolution is relative, ``c K`` is ordered as ``K`` is at any
+    ``c > 0``.  A zero matrix (``scale`` 0) has only zero eigenvalues.
     """
-    keys = np.array([eigenvalues.imag, eigenvalues.real])
-    return np.lexsort(np.rint(keys / ORDER_TIE_RESOLUTION) * ORDER_TIE_RESOLUTION)
+    scale = np.asarray(scale, dtype=float)[..., None]
+    scale = np.where(scale > 0, scale, 1.0)
+    return np.lexsort(np.rint(np.array([eigenvalues.imag, eigenvalues.real])
+                              / scale / ORDER_TIE_RESOLUTION))
 
 
 @dataclass(frozen=True)
@@ -170,17 +176,23 @@ def _max_part(A) -> float:
     return float(max(A.real.max(), -A.real.min(), A.imag.max(), -A.imag.min()))
 
 
-def _residuals(K, w, R):
-    """Eigenpair residuals ``||K r_j - w_j r_j||`` of ``K (N, N)``, ``N >
-    2``, and the Frobenius norm of ``K``, both times the power of two ``s``
-    of :func:`_pow2` (exact), so that no norm overflows or underflows, and
-    ``s``.  The scale is that of ``K R - R diag(w)``, whose entries stay
-    below ``N max|K|``."""
+def _scaled_frobenius(K):
+    """The power of two ``s`` of :func:`_pow2` for ``K (N, N)`` and the
+    Frobenius norm of ``s K`` (exact scaling: no square overflows or
+    underflows)."""
     s = _pow2(_max_part(K))
+    return s, float(np.linalg.norm(K * s))
+
+
+def _residuals(K, w, R, s):
+    """Eigenpair residuals ``||K r_j - w_j r_j||`` of ``K (N, N)``, ``N >
+    2``, times the power of two ``s`` of :func:`_scaled_frobenius`, so that
+    no norm overflows or underflows.  The scale is that of ``K R - R
+    diag(w)``, whose entries stay below ``N max|K|``."""
     E = K @ R
     E -= R * w
     E *= s
-    return np.linalg.norm(E, axis=0), float(np.linalg.norm(K * s)), s
+    return np.linalg.norm(E, axis=0)
 
 
 def _bracketed(pred, lo, hi, exact) -> bool:
@@ -261,13 +273,13 @@ def _inverse(A):
     return None
 
 
-def _quantized(x: float) -> float:
-    """A part of an eigenvalue quantized as in :func:`canonical_order`, in
-    scalar arithmetic (``round`` rounds half to even, as ``np.rint`` does).
-    A value of 2^52 resolutions or more is an integer already, and one that
-    is not finite is its own key."""
-    q = x / ORDER_TIE_RESOLUTION
-    return (round(q) if abs(q) < 2.0 ** 52 else q) * ORDER_TIE_RESOLUTION
+def _quantized(x: float, scale: float) -> float:
+    """A part of an eigenvalue quantized as in :func:`canonical_order`
+    relative to the matrix norm ``scale > 0``, in scalar arithmetic
+    (``round`` rounds half to even, as ``np.rint`` does).  A value that is
+    not finite is its own key."""
+    q = x / scale / ORDER_TIE_RESOLUTION
+    return round(q) if abs(q) < 2.0 ** 52 else q
 
 
 def _unit(x, y):
@@ -281,22 +293,27 @@ def _finish_2x2(K, w, R) -> EigDecomposition:
     """The decomposition of the 2x2 ``K`` from LAPACK's eigenpairs ``w, R``,
     in one pass of scalar arithmetic on the entries of ``K`` scaled once by
     :func:`_scaled_2x2`: the canonical order (by :func:`_quantized` real,
-    then imaginary parts; tied values keep LAPACK's order), unit columns,
+    then imaginary parts, relative to ``||K||_2``; tied values keep
+    LAPACK's order), unit columns,
     both residuals (not finite for a non-finite pair, which then fails),
     ``||K||_2`` as :func:`norm2` computes it, and the condition number and
     ``R^-1`` of :func:`_cond_adjugate` (unit columns need no scaling)."""
     (a, b, c, d), s = _scaled_2x2(K)
     w0, w1 = w.tolist()
     (r00, r01), (r10, r11) = R.tolist()
-    x0, x1 = _quantized(w0.real), _quantized(w1.real)
-    if x1 < x0 or x1 == x0 and _quantized(w1.imag) < _quantized(w0.imag):
+    norm = _s1_squared(a, b, c, d) ** 0.5  # of the scaled K: the keys take w s / norm
+
+    def key(x):
+        return _quantized(x * s, norm or 1.0)
+
+    x0, x1 = key(w0.real), key(w1.real)
+    if x1 < x0 or x1 == x0 and key(w1.imag) < key(w0.imag):
         w0, w1, r00, r01, r10, r11 = w1, w0, r01, r00, r11, r10
     r00, r10 = _unit(r00, r10)
     r01, r11 = _unit(r01, r11)
     v0, v1 = w0 * s, w1 * s
     e0, e1 = (a - v0) * r00 + b * r10, c * r00 + (d - v0) * r10
     e2, e3 = (a - v1) * r01 + b * r11, c * r01 + (d - v1) * r11
-    norm = _s1_squared(a, b, c, d) ** 0.5
     _check_residuals((math.hypot(e0.real, e0.imag, e1.real, e1.imag),
                       math.hypot(e2.real, e2.imag, e3.real, e3.imag)), 1e-10 * norm)
     cond, Rinv = _cond_adjugate(r00, r01, r10, r11)
@@ -315,15 +332,16 @@ def eig_general(K) -> EigDecomposition:
     magnitude of ``K``.  ``R^-1`` is computed here, once, for the callers
     that need it.  A 2x2 ``K`` is one LAPACK ``eig`` and one scalar pass
     (:func:`_finish_2x2`), which also gives the exact ``||K||_2`` and
-    condition number.  Larger ``K`` are ordered, normalized and checked in
-    array arithmetic, and run no SVD unless a verdict needs one: the
-    residual test (:func:`_residuals`) reads the exact ``||K||_2`` only when
-    the Frobenius bracket ``||K||_F / sqrt(N) <= ||K||_2 <= ||K||_F`` does
-    not put every residual surely inside the bound, and the condition test
-    (:func:`_inverse`) takes the SVD only when its 1-norm bracket straddles
-    ``DEFECTIVE_COND``.  The decomposition keeps the Frobenius bracket for
-    the later tests on the norm (:func:`_scale_verdict`); its exact
-    ``norm`` and ``condition`` are computed when first read.
+    condition number.  Larger ``K`` are ordered (keys relative to
+    ``||K||_F``), normalized and checked in array arithmetic, and run no
+    SVD unless a verdict needs one: the residual test (:func:`_residuals`)
+    reads the exact ``||K||_2`` only when the Frobenius bracket ``||K||_F /
+    sqrt(N) <= ||K||_2 <= ||K||_F`` does not put every residual surely
+    inside the bound, and the condition test (:func:`_inverse`) takes the
+    SVD only when its 1-norm bracket straddles ``DEFECTIVE_COND``.  The
+    decomposition keeps the Frobenius bracket for the later tests on the
+    norm (:func:`_scale_verdict`); its exact ``norm`` and ``condition`` are
+    computed when first read.
 
     A larger ``K`` whose imaginary part is exactly zero (the real-space
     steady-state generator ``X``, for one) goes to LAPACK's real routine,
@@ -352,11 +370,12 @@ def eig_general(K) -> EigDecomposition:
         raise NonConvergence("LAPACK returned a non-finite eigenpair")
     # the real routine returns real arrays for an all-real spectrum
     w, R = w.astype(complex, copy=False), R.astype(complex, copy=False)
-    order = canonical_order(w)
+    s, frob = _scaled_frobenius(K)
+    order = canonical_order(w * s, frob)  # keys relative to ||K||_F, on the scaled spectrum
     w, R = w[order], R[:, order]
     R = R / np.linalg.norm(R, axis=0)
 
-    resid, frob, s = _residuals(K, w, R)
+    resid = _residuals(K, w, R, s)
     root = math.sqrt(len(w))
     if not (resid <= 1e-10 * frob / (2 * root)).all():  # not surely within the bound
         _check_residuals(resid, 1e-10 * norm2(K) * s)
@@ -374,15 +393,65 @@ def inverse(A) -> np.ndarray:
     return Ai
 
 
+#: the flag record of this thread's flagging pass (:func:`flagged_blocks`), if any
+_PASS = threading.local()
+
+
+class BlockFlags:
+    """The blocks that the blockwise checks of one pass flagged: a list of
+    masks over the stack of blocks, each with one entry per block."""
+
+    def __init__(self):
+        self.masks = []
+
+    def points(self, P: int) -> np.ndarray:
+        """Whether each of ``P`` equal runs of consecutive blocks (the points
+        of the pass) holds a flagged block."""
+        flagged = np.zeros(P, dtype=bool)
+        for mask in self.masks:
+            flagged |= mask.reshape(P, -1).any(axis=1)
+        return flagged
+
+
+@contextlib.contextmanager
+def flagged_blocks():
+    """A pass in which the blockwise checks of this thread flag the failing
+    blocks of a stack into the yielded :class:`BlockFlags` instead of
+    raising, under ``np.errstate(all="ignore")``: the pass runs to its end
+    once, and its caller evaluates the flagged points again, alone.  A
+    check of a single matrix (no stack) still raises.  The record belongs
+    to the thread, so passes in other threads are unaffected."""
+    outer, flags = getattr(_PASS, "flags", None), BlockFlags()
+    _PASS.flags = flags
+    try:
+        with np.errstate(all="ignore"):
+            yield flags
+    finally:
+        _PASS.flags = outer
+
+
+def _flag(bad) -> bool:
+    """Whether the failing blocks of the stack mask ``bad`` went into the flag
+    record of a pass of this thread (:func:`flagged_blocks`), so that the
+    check must not raise."""
+    flags = getattr(_PASS, "flags", None)
+    if flags is None or not np.ndim(bad):
+        return False
+    flags.masks.append(bad)
+    return True
+
+
 def _raise_first(bad, exc_type, message):
     """Raise ``exc_type`` for the first block flagged in the mask ``bad``.
 
     ``bad`` has one entry per block of a stack (shape ``()`` for a single
     matrix); ``message(i)`` describes the block of flat index ``i``.  For a
-    stack the error names that block and carries its index as ``exc.block``.
+    stack the error names that block and carries its index as
+    ``exc.block``; inside :func:`flagged_blocks` the blocks are flagged
+    instead (:func:`_flag`).
     """
     bad = np.asarray(bad)
-    if bad.any():
+    if bad.any() and not _flag(bad):
         i = int(np.argmax(bad))
         raise exc_type(message(i) if bad.ndim == 0 else f"block {i}: {message(i)}", block=i)
 

@@ -312,21 +312,27 @@ def _chain_length(L) -> int:
     return int(L)
 
 
-def _over_k(k, block) -> np.ndarray:
-    """``block`` broadcast over the stack axes of ``k``: an ``(L, 1, 1)``
-    column gives ``(L, b, b)``, a scalar ``k`` leaves a single block."""
-    shape = np.shape(k)[:-2] + np.shape(block)[-2:]
+def _over_k(k, block, lam=()) -> np.ndarray:
+    """``block`` broadcast over the stack axes of ``k`` and of the points of
+    ``lam`` (:meth:`TranslationInvariantModel.x_block`): an ``(L, 1, 1)``
+    column gives ``(L, b, b)``, and with parameters of ``P`` points as
+    ``(P, 1, 1, 1)`` columns ``(P, L, b, b)``; a scalar ``k`` at one point
+    leaves a single block."""
+    shape = np.shape(k)[:-2]
+    if np.ndim(lam) > 1:  # points
+        shape = np.broadcast_shapes(shape, np.shape(lam)[1:-2])
+    shape += np.shape(block)[-2:]
     return block if np.shape(block) == shape else np.broadcast_to(block, shape).copy()
 
 
-def _x_of(k, h, m, m_minus_k) -> np.ndarray:
+def _x_of(k, lam, h, m, m_minus_k) -> np.ndarray:
     """``x(k) = 4i h(k) + m(k) + m(-k)^T``, linear: (dh_mu, dm_mu) give dx_mu."""
-    return _over_k(k, 4j * h + m + np.swapaxes(m_minus_k, -1, -2))
+    return _over_k(k, 4j * h + m + np.swapaxes(m_minus_k, -1, -2), lam)
 
 
-def _y_of(k, m, m_minus_k) -> np.ndarray:
+def _y_of(k, lam, m, m_minus_k) -> np.ndarray:
     """``y(k) = -2 (m(k) - m(-k)^T)``, linear: the dm_mu blocks give dy_mu."""
-    return _over_k(k, -2.0 * (m - np.swapaxes(m_minus_k, -1, -2)))
+    return _over_k(k, -2.0 * (m - np.swapaxes(m_minus_k, -1, -2)), lam)
 
 
 class TranslationInvariantModel:
@@ -334,9 +340,12 @@ class TranslationInvariantModel:
 
     Subclasses provide the 2x2 blocks ``h_block(k, lam)``, ``m_block(k, lam)``
     and their exact derivatives ``dh_block(mu, k, lam)``, ``dm_block(mu, k, lam)``.
-    Block methods must broadcast over ``k``: given a column of momenta of
-    shape ``(L, 1, 1)`` they return an ``(L, 2, 2)`` stack or, for a block
-    that does not depend on ``k``, a single 2x2 block.
+    Block methods must broadcast over ``k`` and over a leading stack of
+    parameter points: given a column of momenta of shape ``(..., L, 1, 1)``
+    and ``lam`` as one point or as ``num_params`` columns ``(P, 1, 1, 1)``
+    of P points, they return the ``(..., P, L, 2, 2)`` stack or, for a block
+    that depends on neither, a single 2x2 block.  Elementwise numpy
+    arithmetic does both, and gives each point the blocks it gets alone.
     """
 
     num_params = 0
@@ -354,30 +363,32 @@ class TranslationInvariantModel:
     def dm_block(self, mu: int, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # -- derived quantities (one block, or a stack over a k column) ----------
+    # -- derived quantities (one block, or a stack over k and points) --------
 
     def x_block(self, k, lam) -> np.ndarray:
-        return _x_of(k, self.h_block(k, lam), self.m_block(k, lam), self.m_block(-k, lam))
+        return _x_of(k, lam, self.h_block(k, lam), self.m_block(k, lam), self.m_block(-k, lam))
 
     def y_block(self, k, lam) -> np.ndarray:
-        return _y_of(k, self.m_block(k, lam), self.m_block(-k, lam))
+        return _y_of(k, lam, self.m_block(k, lam), self.m_block(-k, lam))
 
     def dx_block(self, mu: int, k, lam) -> np.ndarray:
         _direction(mu, self.num_params)
-        return _x_of(k, self.dh_block(mu, k, lam), self.dm_block(mu, k, lam),
+        return _x_of(k, lam, self.dh_block(mu, k, lam), self.dm_block(mu, k, lam),
                      self.dm_block(mu, -k, lam))
 
     def dy_block(self, mu: int, k, lam) -> np.ndarray:
         _direction(mu, self.num_params)
-        return _y_of(k, self.dm_block(mu, k, lam), self.dm_block(mu, -k, lam))
+        return _y_of(k, lam, self.dm_block(mu, k, lam), self.dm_block(mu, -k, lam))
 
 
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
     """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k): one 2x2
     block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta; a view
-    of :func:`_gamma_blocks`, so a failure is that of the lowest failing k."""
-    x, xmT, y, _ = _momentum_blocks(model, _params(lam, model.num_params), np.ravel(k), False)
-    return np.reshape(_blocks(_gamma_blocks(x, xmT, y)[0]), np.shape(k) + (2, 2))
+    of :func:`_gamma_blocks` under the lowest-failing-k rule."""
+    lam = _params(lam, model.num_params)[None]
+    x, xmT, y, _ = _momentum_blocks(model, lam, np.ravel(k), False)
+    gk = _lowest_failing_k(lambda E: _gamma_blocks(*E)[0], (x, xmT, y))
+    return np.reshape(_blocks(gk), np.shape(k) + (2, 2))
 
 
 def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
@@ -394,54 +405,85 @@ def zeta_ness_k_sums(points, L: int) -> np.ndarray:
     """:func:`zeta_ness_k` at each of ``points``, pairs ``(model, lam)`` of
     one chain length ``L``, as a ``(P, d, d)`` array from one pass.
 
-    The momentum blocks of every point are read with the point's own block
-    methods (:func:`_momentum_blocks`), joined into one entry stack of
-    ``P * L`` blocks and solved by :func:`_ness_k_sum`, which sums each
-    point's blocks on their own; so each point gets its one-point tensor
-    bit for bit.  A failure is that of the first failing point, by the
-    lowest-failing-k rule, and carries ``p * L + k`` as ``exc.block``.
+    The momentum blocks of the points of each model (by identity) are read
+    in one stacked call of its block methods (:func:`_momentum_blocks`),
+    the reads of several models joined in point order (:func:`_joined`),
+    and the ``P * L`` blocks are solved as one stack by :func:`_ness_k_sum`,
+    which sums each point's blocks on their own; so each point gets its
+    one-point tensor bit for bit.  A failure is that of the first failing
+    point, by the lowest-failing-k rule, and carries ``p * L + k`` as
+    ``exc.block``; inside :func:`~nhgeo.linalg.flagged_blocks` the blockwise
+    checks flag their failing blocks instead, and a flagged point's sums
+    are not its tensor.
     """
     L = _chain_length(L)
     ks = 2.0 * np.pi * np.arange(L) / L
     if len({model.num_params for model, _ in points}) != 1:
         raise ShapeMismatch("zeta_ness_k_sums needs models of one number of parameters")
-    read = [_momentum_blocks(model, _params(lam, model.num_params), ks, True)
-            for model, lam in points]
-    return _ness_k_sum(_joined(read), len(read))
+    at = {}  # the points of each model, in order of first appearance
+    for p, (model, _) in enumerate(points):
+        at.setdefault(id(model), []).append(p)
+    reads = []
+    for ps in at.values():
+        model = points[ps[0]][0]
+        lams = np.array([_params(points[p][1], model.num_params) for p in ps])
+        reads.append(_momentum_blocks(model, lams, ks, True))
+    return _ness_k_sum(_joined(reads, list(at.values())), len(points))
 
 
-def _at_k_and_minus_k_transposed(blocks, L):
-    """The entry tuples at k, and transposed at -k, of ``blocks`` read at ``(ks, -ks)``."""
-    E = _entries(blocks)
-    return tuple(e[..., :L] for e in E), _transpose(tuple(e[..., L:] for e in E))
+def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bool):
+    """The read step of the momentum drivers at the points ``lams (P, d)``
+    of ``model``: the entry tuples ``(x, xmT, y, (dx, dxmT, dy))`` at the
+    1-D momenta ``ks``, the block of point ``p`` at ``ks[j]`` at the flat
+    index ``p * L + j``.  Each block method is called once (per direction),
+    on every point and momentum: ``lam`` reaches it as ``d`` columns ``(P,
+    1, 1, 1)``, and x(k) and x(-k)^T come from one ``x_block`` call at the
+    momenta ``(ks, -ks)`` as a ``(2, 1, L, 1, 1)`` array.  With
+    ``derivatives``, every dx_mu and dy_mu too (their entries stacked over
+    directions mu, ``(d, P L)``)."""
+    P, L = len(lams), len(ks)
+    lam = np.reshape(np.transpose(lams), (-1, P, 1, 1, 1))
+    both = np.stack([ks, -ks])[:, None, :, None, None]
+    kc = ks[:, None, None]
 
+    def flat(E):  # entries (..., P, L) as (..., P L)
+        return tuple(e.reshape(e.shape[:-2] + (P * L,)) for e in E)
 
-def _momentum_blocks(model: TranslationInvariantModel, lam, ks, derivatives: bool):
-    """The read step of the momentum drivers: the entry tuples ``(x, xmT, y,
-    (dx, dxmT, dy))`` at the 1-D momenta ``ks``, x(k) and x(-k)^T from one
-    ``x_block`` call at the column ``(ks, -ks)``, and, with ``derivatives``,
-    every dx_mu and dy_mu (their entries stacked over directions mu, ``(d,
-    L)``) from one call per block method and direction."""
-    L, kc = len(ks), ks[:, None, None]
-    both = np.concatenate([ks, -ks])[:, None, None]
-    x, xmT = _at_k_and_minus_k_transposed(model.x_block(both, lam), L)
-    y = _entries(model.y_block(kc, lam))
+    def at_k_and_minus_k_transposed(blocks):  # (..., 2, P, L, 2, 2) as two entry tuples
+        E = flat(_entries(blocks))
+        return tuple(e[..., 0, :] for e in E), _transpose(tuple(e[..., 1, :] for e in E))
+
+    x, xmT = at_k_and_minus_k_transposed(model.x_block(both, lam))
+    y = flat(_entries(model.y_block(kc, lam)))
     if not derivatives:
         return x, xmT, y, None
     d = range(model.num_params)
-    dx = [model.dx_block(mu, both, lam) for mu in d] or np.zeros((0, 2 * L, 2, 2))
-    dy = [model.dy_block(mu, kc, lam) for mu in d] or np.zeros((0, L, 2, 2))
-    return x, xmT, y, (*_at_k_and_minus_k_transposed(np.stack(dx), L), _entries(np.stack(dy)))
+    if not d:  # a model without parameters: empty derivative stacks
+        dx, dy = np.zeros((0, 2, P, L, 2, 2)), np.zeros((0, P, L, 2, 2))
+    else:
+        dx = np.stack([model.dx_block(mu, both, lam) for mu in d])
+        dy = np.stack([model.dy_block(mu, kc, lam) for mu in d])
+    return x, xmT, y, (*at_k_and_minus_k_transposed(dx), flat(_entries(dy)))
 
 
-def _joined(read):
-    """The entry tuples of several reads of :func:`_momentum_blocks`, each
-    joined along the block axis (the last), point after point."""
+def _joined(reads, at):
+    """The reads of :func:`_momentum_blocks` at the points ``at[i]`` of a
+    pass (read ``i`` holds the blocks of the points ``at[i]``, in order),
+    joined into one read in point order; one read is returned as it is."""
+    if len(reads) == 1:
+        return reads[0]
+    P = sum(map(len, at))
+
     def join(parts):
         if isinstance(parts[0], tuple):
             return tuple(join(p) for p in zip(*parts))
-        return np.concatenate(parts, axis=-1)
-    return join(read)
+        lead, L = parts[0].shape[:-1], parts[0].shape[-1] // len(at[0])
+        out = np.empty(lead + (P, L), dtype=complex)
+        for part, ps in zip(parts, at):
+            out[..., ps, :] = part.reshape(lead + (len(ps), L))
+        return out.reshape(lead + (P * L,))
+
+    return join(reads)
 
 
 def _first(E, b: int):
@@ -449,59 +491,62 @@ def _first(E, b: int):
     return tuple(_first(e, b) if isinstance(e, tuple) else e[..., :b] for e in E)
 
 
+def _lowest_failing_k(solve, E):
+    """``solve(E)`` for a (nested) entry tuple ``E`` of blocks under the
+    lowest-failing-k rule: a failure at block ``b`` is raised only after
+    ``solve`` on the first ``b`` blocks (their entries, not read again) has
+    passed every check, so the error is that of the lowest failing k, as a
+    loop over k would find it."""
+    try:
+        return solve(E)
+    except NhgeoError as exc:
+        if exc.block:  # the blocks before it may fail a later check
+            _lowest_failing_k(solve, _first(E, exc.block))
+        raise
+
+
 def _gamma_blocks(x, xmT, y):
     """The momentum steady-state driver: Gamma(k) as an entry tuple from the
     entry tuples of x(k), x(-k)^T and y(k) (:func:`_momentum_blocks`), the
     solver of ``x(k) G + G x(-k)^T = Y`` and the eigenpairs ``(a, Ua,
-    Ua^-1)`` of x(k) it is built on.
-
-    Each check is made per block.  A failure at block ``b`` is raised only
-    after the blocks before ``b`` have passed every check (on the first
-    ``b`` entries, not read again): the error is that of the lowest failing
-    k, as a loop over k would find it.
-    """
-    try:
-        solve, eig_x = _pair_solver_2x2(x, xmT)
-        return solve(y), solve, eig_x
-    except NhgeoError as exc:
-        if exc.block:  # the blocks before it may fail a later check
-            _gamma_blocks(*_first((x, xmT, y), exc.block))
-        raise
+    Ua^-1)`` of x(k) it is built on.  Each check is made per block, and a
+    failure is that of the first failing block of the first failing check
+    (callers apply :func:`_lowest_failing_k`)."""
+    solve, eig_x = _pair_solver_2x2(x, xmT)
+    return solve(y), solve, eig_x
 
 
 def _ness_k_sum(blocks, points: int) -> np.ndarray:
     """The per-block steady-state tensor summed over the blocks of each of
     ``points`` runs of equally many consecutive blocks: ``(points, d, d)``.
 
-    ``blocks`` is what :func:`_momentum_blocks` reads (the reads of several
-    points joined by :func:`_joined`): x and dx_mu at k and -k, the
-    directions mu stacked along a leading axis.  Every step below is 2x2
-    entry arithmetic, elementwise per block.  The pencil solver of
+    ``blocks`` is what :func:`_momentum_blocks` reads: x and dx_mu at k and
+    -k, the directions mu stacked along a leading axis.  Every step below is
+    2x2 entry arithmetic, elementwise per block.  The pencil solver of
     :func:`_gamma_blocks` gives every dGamma_mu(k), its eigenpairs every
     Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
     :func:`~nhgeo.linalg._trace_sum`, one matrix product per run.  Failures
     follow the lowest-failing-k rule over every check made here, over the
-    whole stack; the blocks before a failing one are checked again on their
-    entries, not read again.
+    whole stack (:func:`_lowest_failing_k`): each block is checked once.
     """
-    x, xmT, y, (dx, dxmT, dy) = blocks
-    try:
+    def traces(blocks):  # the entries of (1/2 dGamma_mu + Xcal_mu Gamma) and of dGamma_nu
+        x, xmT, y, (dx, dxmT, dy) = blocks
         gk, solve, (a, Ua, Uai) = _gamma_blocks(x, xmT, y)
         if not len(dy[0]):  # a model without parameters
-            return np.zeros((points, 0, 0), dtype=complex)
+            return None
         rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
         dg = solve(tuple(rhs))
         # zeta_{mu nu} = sum_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
-        left = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk)))
-    except NhgeoError as exc:
-        if exc.block:  # the blocks before it may fail a later check
-            _ness_k_sum(_first(blocks, exc.block), 1)
-        raise
+        return tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
+
+    terms = _lowest_failing_k(traces, blocks)
+    if terms is None:
+        return np.zeros((points, 0, 0), dtype=complex)
 
     def per_point(E):  # entries (d, points * L) as (d, points, L)
         return tuple(e.reshape(len(e), points, -1) for e in E)
 
-    return _trace_sum(per_point(left), per_point(dg))
+    return _trace_sum(*map(per_point, terms))
 
 
 def _xcal_2x2(x, U, Ui, dX):

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriticalKPoint, FSingular, OnCriticalLine, ShapeMismatch
+from .linalg import _flag
 from .tensors import (
     STATE_KINDS,
     GeoTensor,
@@ -92,10 +93,12 @@ def _grid_eps(t, delta, ks) -> None:
     ``ks``: CriticalKPoint for the first point where ``|eps(k)| < 1e-12`` at
     a grid k, with ``exc.block = p * L + k`` at the smallest ``|eps|``.  The
     gap closes there and every Brillouin-zone sum diverges, even when
-    rounding leaves the Bloch block a finite gap."""
+    rounding leaves the Bloch block a finite gap.  Inside
+    :func:`~nhgeo.linalg.flagged_blocks` the failing points are flagged
+    instead."""
     ae = np.abs(eps(np.reshape(t, (-1, 1)), np.reshape(delta, (-1, 1)), ks))
     bad = ae.min(axis=-1) < 1e-12
-    if bad.any():
+    if bad.any() and not _flag(bad[:, None]):
         p = int(np.argmax(bad))
         k = int(np.argmin(ae[p]))
         raise CriticalKPoint(f"eps(k) vanishes on the grid at k = {ks[k]:.6g}",
@@ -143,7 +146,9 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
     ``(P, L, 2, 2)`` stack of Bloch matrices for the other kinds.  Each
     point's sums are those of the point alone, bit for bit.  A failure is
     that of the first failing point (the grid check of every point comes
-    first) and carries ``p * L + k`` as ``exc.block``.
+    first) and carries ``p * L + k`` as ``exc.block``; inside
+    :func:`~nhgeo.linalg.flagged_blocks` every check flags its failing
+    points instead, and a flagged point's sums are not its tensors.
     """
     kinds = _kinds(kinds, BAND_KINDS, "band_sums")
     L = points[0].L

@@ -536,7 +536,7 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     K = K.reshape(-1, 2, 2)
     try:
         w, R, norm = _eig_2x2(_entries(K), distinct=False)  # equal eigenvalues are judged below
-        swap = canonical_order(np.stack(w, axis=-1))[:, 0] == 1
+        swap = canonical_order(np.stack(w, axis=-1), norm)[:, 0] == 1
         if swap.any():
             w = tuple(np.where(swap, v, u) for u, v in zip(w, w[::-1]))
             R = tuple(np.where(swap, v, u) for u, v in zip(R, (R[1], R[0], R[3], R[2])))

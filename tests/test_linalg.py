@@ -97,6 +97,16 @@ class TestEigGeneral:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.right_vectors, b.right_vectors)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3, 8]), st.booleans(),
+           st.sampled_from([1e-200, 1e-13, 1e3, 1e150]))
+    def test_canonical_order_is_scale_invariant(self, seed, N, real, c):
+        # the keys are relative to the norm: c K lists its eigenvalues as K does
+        rng = np.random.default_rng(seed)
+        K = rng.normal(size=(N, N)) + (0 if real else 1j * rng.normal(size=(N, N)))
+        w = eig_general(K).eigenvalues
+        assert np.abs(eig_general(c * K).eigenvalues / c - w).max() <= 1e-9 * np.abs(w).max()
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ShapeMismatch):
             eig_general(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -321,7 +331,7 @@ def general_pass(K):
     ``eig_general`` gives N > 2, on the same LAPACK output: canonical order,
     then unit columns."""
     w, R = np.linalg.eig(np.asarray(K, dtype=complex))
-    order = canonical_order(w)
+    order = canonical_order(w, norm2(K))
     w, R = w[order], R[:, order]
     return w, R / np.linalg.norm(R, axis=0)
 
@@ -463,7 +473,7 @@ class TestRealRoute:
             assert not w.imag.any()
         tol = 1e-12 * dec.norm
         # both in canonical order, holding the same eigenvalues
-        assert np.array_equal(canonical_order(w), np.arange(N))
+        assert np.array_equal(canonical_order(w, norm2(K)), np.arange(N))
         match = [int(np.argmin(abs(r - z))) for z in w]
         assert sorted(match) == list(range(N))
         assert np.abs(w - r[match]).max() <= tol

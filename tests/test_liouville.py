@@ -746,6 +746,70 @@ class TestKspace:
         assert np.abs(z.values).max() < 1e-12
 
 
+def one_point_read(model, lam, ks):
+    """The momentum entries of one point from the public block methods at a
+    one-point ``lam``, in the layout of ``liouville._momentum_blocks``."""
+    kc = ks[:, None, None]
+
+    def E(blocks):
+        return tuple(np.ascontiguousarray(e) for e in linalg_mod._entries(blocks))
+
+    d = range(model.num_params)
+    return [E(model.x_block(kc, lam)), linalg_mod._transpose(E(model.x_block(-kc, lam))),
+            E(model.y_block(kc, lam)),
+            *(E(model.dx_block(mu, kc, lam)) for mu in d),
+            *(linalg_mod._transpose(E(model.dx_block(mu, -kc, lam))) for mu in d),
+            *(E(model.dy_block(mu, kc, lam)) for mu in d)]
+
+
+class TestStackedRead:
+    """One read of the blocks of P points of a model, with their parameters as
+    (P, 1, 1, 1) columns, holds every point's one-point blocks bit for bit."""
+
+    @pytest.mark.parametrize("model, lams", [
+        (DissipativeKitaevModel(0.3, 1.0, 0.6), [[0.7, 0.9], [1.0, 1.0], [-0.4, 0.2]]),
+        (DrivenBathModel(), [[0.8, 0.4], [0.1, -0.3], [1.2, 0.0]]),
+        (SymmetricBathModel(), [[], [], []]),
+    ])
+    def test_stack_equals_one_point_reads(self, model, lams):
+        L, lams = 6, np.array(lams, dtype=float)
+        ks = 2 * np.pi * np.arange(L) / L
+        x, xmT, y, derivatives = liouville_mod._momentum_blocks(model, lams, ks, True)
+        # the read's entries in the order of one_point_read, directions split
+        read = [x, xmT, y, *(tuple(e[mu] for e in E) for E in derivatives
+                             for mu in range(model.num_params))]
+        for p, lam in enumerate(lams):
+            alone = one_point_read(model, lam, ks)
+            assert len(alone) == len(read)
+            for joined, single in zip(read, alone):
+                for a, b in zip(joined, single):
+                    assert a[p * L:(p + 1) * L].tobytes() == b.tobytes()
+
+    def test_pass_over_two_faulty_points(self):
+        # each faulty point of one pass gets the error it gets alone, the
+        # others their one-point tensors
+        from nhgeo.cli import _one_result
+        from nhgeo.liouville import zeta_ness_k_sums
+
+        healthy = faulty_model({})
+        points = [(healthy, [0.3]), (faulty_model({2: "pencil"}), [0.3]), (healthy, [0.5]),
+                  (faulty_model({1: "rapidities", 3: "nonfinite"}), [0.3]), (healthy, [0.7])]
+
+        def evaluate(ps):
+            return [{"zeta": z} for z in zeta_ness_k_sums(ps, 4)]
+
+        joined = _one_result(evaluate, points)
+        for p, result in zip(points, joined):
+            alone, = _one_result(evaluate, [p])
+            if isinstance(alone, Exception):
+                assert type(result) is type(alone) and str(result) == str(alone)
+            else:
+                assert result["zeta"].tobytes() == alone["zeta"].tobytes()
+        assert [type(r) for r in joined] == [dict, SingularPencil, dict,
+                                             DegenerateRapidities, dict]
+        assert "block 1: rapidities 0,1 degenerate" in str(joined[3])
+
+
 class TestGaussianForms:
     def test_log_derivative_zero_correlation(self, rng):
         dG = 1j * (lambda B: B - B.T)(rng.normal(size=(4, 4)))

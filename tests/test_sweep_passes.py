@@ -6,6 +6,8 @@ message) it gets alone, whatever points share its pass, wherever it sits in
 the pass and however many threads split the sweep.
 """
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhgeo.cli as cli_mod
+import nhgeo.liouville as liouville_mod
 from nhgeo.cli import main
 from nhgeo.errors import CriticalKPoint, SingularPencil
 
@@ -121,17 +124,17 @@ def counted(monkeypatch, name):
 
 class TestFailingPointsInAPass:
     """Five points per pass; the failing points sit at its start, middle or
-    end, or two of them share it.  A failing point is evaluated alone and
-    the others again as one pass, so a pass with f failing points (and one
-    that passes) runs 1 + 2 f evaluations."""
+    end, or two of them share it.  The pass runs once, its checks flagging
+    the failing points, and each failing point is then evaluated alone: a
+    pass with f failing points runs 1 + f evaluations."""
 
     @pytest.mark.parametrize("ts, bad, passes", [
-        ([0.5, 0.7, 0.8, 0.9, 1.1], [0], [5, 4, 1]),
-        ([0.7, 0.8, 1.5, 0.9, 1.1], [2], [5, 4, 1]),
-        ([0.7, 0.8, 0.9, 1.1, 1.5], [4], [5, 4, 1]),
-        ([0.7, 0.5, 0.9, 1.5, 1.1], [1, 3], [5, 4, 3, 1, 1]),
+        ([0.5, 0.7, 0.8, 0.9, 1.1], [0], [5, 1]),
+        ([0.7, 0.8, 1.5, 0.9, 1.1], [2], [5, 1]),
+        ([0.7, 0.8, 0.9, 1.1, 1.5], [4], [5, 1]),
+        ([0.7, 0.5, 0.9, 1.5, 1.1], [1, 3], [5, 1, 1]),
         ([0.5, 1.5, 0.5, 1.5, 0.5, 0.9, 1.5], [0, 1, 2, 3, 4, 6],
-         [5, 4, 3, 2, 1, 1, 1, 1, 1, 2, 1, 1]),
+         [5, 1, 1, 1, 1, 1, 2, 1]),
     ])
     def test_nh_ssh(self, monkeypatch, ts, bad, passes):
         # delta = 0.5, L = 8: eps(pi) vanishes at t = 0.5 and t = 1.5
@@ -143,10 +146,10 @@ class TestFailingPointsInAPass:
         assert all(isinstance(r, dict) for i, r in enumerate(out) if i not in bad)
 
     @pytest.mark.parametrize("hs, bad, passes", [
-        ([1.0, 0.2, 0.4, 0.6, 0.8], [0], [5, 4, 1]),
-        ([0.2, 0.4, 1.0, 0.6, 0.8], [2], [5, 4, 1]),
-        ([0.2, 0.4, 0.6, 0.8, 1.0], [4], [5, 4, 1]),
-        ([0.2, 1.0, 0.6, 1.0, 0.8], [1, 3], [5, 4, 3, 1, 1]),
+        ([1.0, 0.2, 0.4, 0.6, 0.8], [0], [5, 1]),
+        ([0.2, 0.4, 1.0, 0.6, 0.8], [2], [5, 1]),
+        ([0.2, 0.4, 0.6, 0.8, 1.0], [4], [5, 1]),
+        ([0.2, 1.0, 0.6, 1.0, 0.8], [1, 3], [5, 1, 1]),
     ])
     def test_strong_coupling_kitaev(self, monkeypatch, hs, bad, passes):
         # gamma = 1: x(k = 0) is a multiple of the identity at h = 1
@@ -156,6 +159,33 @@ class TestFailingPointsInAPass:
         assert calls[len(points):] == passes
         assert [i for i, r in enumerate(out) if isinstance(r, SingularPencil)] == bad
         assert all(isinstance(r, dict) for i, r in enumerate(out) if i not in bad)
+
+    def test_gap_closing_line_is_flagged(self, monkeypatch):
+        # delta = 0.5, L = 8: the t axis crosses the gap closings at t = 0.5
+        # and 1.5, which the grid check flags; only those two run again
+        points = [{"t": t, "delta": 0.5, "L": 8} for t in np.linspace(0.25, 1.75, 7)]
+        calls = counted(monkeypatch, "band_sums")
+        out = joined_and_alone(cli_mod.SSHAdapter(), points, SSH_KINDS, 0, 7 * 8)
+        assert calls[len(points):] == [7, 1, 1]
+        assert [i for i, r in enumerate(out) if isinstance(r, CriticalKPoint)] == [1, 5]
+
+    def test_pass_over_several_baths(self, monkeypatch):
+        # a g axis through g = 0, whose rows are SingularPencil: one read per
+        # bath in the pass, and one more per failing point
+        points = [{"h": h, "g": g, "gamma": 1.0, "L": 8, "weak_coupling": False}
+                  for h in (0.3, 0.6) for g in (0.0, 0.2, 0.4)]
+        reads, real = [], liouville_mod._momentum_blocks
+
+        def read(model, lams, *args):
+            reads.append(len(lams))
+            return real(model, lams, *args)
+
+        monkeypatch.setattr(liouville_mod, "_momentum_blocks", read)
+        calls = counted(monkeypatch, "zeta_ness_k_sums")
+        out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 6 * 8)
+        assert calls[len(points):] == [6, 1, 1]
+        assert reads[len(points):] == [2, 2, 2, 1, 1]
+        assert [i for i, r in enumerate(out) if isinstance(r, SingularPencil)] == [0, 3]
 
     def test_error_without_a_block_sends_every_point_alone(self, monkeypatch):
         from nhgeo.errors import NonConvergence
@@ -174,6 +204,36 @@ class TestFailingPointsInAPass:
         out = cli_mod.SSHAdapter().tensors(points, ["zeta"], 0, 0.0)
         assert calls == [3, 1, 1, 1]
         assert [type(r) for r in out] == [dict, CriticalKPoint, dict]
+
+
+class TestFlagsStayInTheirThread:
+    def test_passes_beside_one_point_evaluations(self):
+        # a pass flags its failing points while, in other threads, a failing
+        # point evaluated alone must still raise: the flag record belongs
+        # to the pass and its thread
+        adapter = cli_mod.SSHAdapter()
+        passes = [{"t": t, "delta": 0.5, "L": 64} for t in np.linspace(0.25, 1.75, 7)]
+        expected = adapter.tensors(passes, SSH_KINDS, 0, 0.0)
+        assert sum(isinstance(r, CriticalKPoint) for r in expected) == 2
+
+        def run(i):
+            for _ in range(30):
+                if i % 2:
+                    out = adapter.tensors(passes, SSH_KINDS, 0, 0.0)
+                    assert all(same(a, b) for a, b in zip(out, expected))
+                else:
+                    (alone,) = adapter.tensors([passes[1]], SSH_KINDS, 0, 0.0)
+                    assert isinstance(alone, CriticalKPoint)
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, i) for i in range(4)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSweepRows:
