@@ -87,8 +87,7 @@ class EigDecomposition:
 
     ``norm`` (``||K||_2``, equal to :func:`norm2` of ``K``) and
     ``condition`` (the 2-norm condition number of ``right_vectors``) are
-    exact.  At 2x2 they come with the decomposition; at N > 2 each is one
-    SVD, run when it is first read.
+    exact: each is one SVD, run when it is first read.
     """
 
     eigenvalues: np.ndarray
@@ -128,17 +127,6 @@ def _pow2(m: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(m)[1], -1021))
 
 
-def _scaled_2x2(A):
-    """The entries ``a, b, c, d`` of the 2x2 ``A`` as Python scalars scaled by
-    the power of two ``s`` of :func:`_pow2`, and ``s``.  This is the per-call
-    path of the 2x2 closed forms: scalar arithmetic costs a few microseconds
-    where numpy's per-call overhead costs tens."""
-    (a, b), (c, d) = A.tolist()
-    s = _pow2(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
-                  abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
-    return (a * s, b * s, c * s, d * s), s
-
-
 def _s1_squared(a, b, c, d):
     """``||A||_2^2`` for ``A = [[a, b], [c, d]]``.
 
@@ -148,7 +136,8 @@ def _s1_squared(a, b, c, d):
     so exact to rounding even when ``s1 ~ s2``, where the form
     ``sqrt(f - 2|det A|)`` (``f`` the squared Frobenius norm) loses half the
     digits.  Fourth powers of the entries appear, so the entries should be
-    of magnitude near 1 (see :func:`_scaled_2x2`).
+    of magnitude near 1 (:func:`_norm` scales the blocks that are not;
+    :func:`_cond_inv` takes unit columns).
     """
     p = abs(a) ** 2 + abs(c) ** 2
     r = abs(b) ** 2 + abs(d) ** 2
@@ -157,17 +146,9 @@ def _s1_squared(a, b, c, d):
 
 
 def norm2(A):
-    """Spectral norm ``||A||_2`` of a matrix (of each 2x2 block of a stack:
-    :func:`_norm`).
-
-    2x2 matrices use the closed form of :func:`_s1_squared` on entries
-    scaled by a power of two (exact), any other matrix the SVD, which LAPACK
-    scales itself: no intermediate overflows or underflows.
-    """
-    A = np.asarray(A)
-    if A.shape == (2, 2):
-        vals, s = _scaled_2x2(A)
-        return _s1_squared(*vals) ** 0.5 / s
+    """Spectral norm ``||A||_2`` of a matrix, by the SVD, which LAPACK scales
+    itself: no intermediate overflows or underflows.  The blocks of a stack
+    of 2x2 blocks take :func:`_norm`."""
     return float(np.linalg.norm(A, 2))
 
 
@@ -185,10 +166,10 @@ def _scaled_frobenius(K):
 
 
 def _residuals(K, w, R, s):
-    """Eigenpair residuals ``||K r_j - w_j r_j||`` of ``K (N, N)``, ``N >
-    2``, times the power of two ``s`` of :func:`_scaled_frobenius`, so that
-    no norm overflows or underflows.  The scale is that of ``K R - R
-    diag(w)``, whose entries stay below ``N max|K|``."""
+    """Eigenpair residuals ``||K r_j - w_j r_j||`` of ``K (N, N)`` times the
+    power of two ``s`` of :func:`_scaled_frobenius`, so that no norm
+    overflows or underflows.  The scale is that of ``K R - R diag(w)``,
+    whose entries stay below ``N max|K|``."""
     E = K @ R
     E -= R * w
     E *= s
@@ -215,50 +196,18 @@ def _scale_verdict(pred, *decs) -> bool:
     return _bracketed(pred, lo, hi, lambda: max(1.0, *(d.norm for d in decs)))
 
 
-def _check_residuals(resid, tol) -> None:
-    """NonConvergence unless every residual is at most ``tol``; written so
-    that a NaN residual fails too."""
-    if tol > 0 and not all(r <= tol for r in resid):
-        raise NonConvergence(
-            f"eigenpair residual {1e-10 * np.max(resid) / tol:.3e}*||K|| exceeds 1e-10*||K||"
-        )
-
-
-def _cond_adjugate(a, b, c, d, s=1.0):
-    """``(cond_2(A), A^-1)`` of the 2x2 ``A = [[a, b], [c, d]] / s`` from
-    its scalar entries: ``cond = s1^2 / |det A|`` (as ``s1 s2 = |det A|``)
-    with ``s1^2`` from :func:`_s1_squared`, and the adjugate inverse; the
-    inverse is None when the condition number exceeds ``DEFECTIVE_COND`` or
-    is not finite."""
-    det = a * d - b * c
-    cond = _s1_squared(a, b, c, d) / abs(det) if det else math.inf
-    if not cond <= DEFECTIVE_COND:
-        return cond, None
-    f = s / det
-    return cond, np.array([[d * f, -b * f], [-c * f, a * f]])
-
-
-def _cond_inverse(A):
-    """``(cond_2(A), A^-1)`` of the 2x2 ``A``: :func:`_cond_adjugate` on the
-    entries scaled by a power of two."""
-    vals, s = _scaled_2x2(A)
-    return _cond_adjugate(*vals, s)
-
-
 def _inverse(A):
     """``A^-1``, or None when ``cond_2(A)`` exceeds ``DEFECTIVE_COND`` or is
     not finite (so a singular ``A`` raises no LinAlgError).
 
-    2x2: :func:`_cond_inverse`.  Larger matrices: the LU inverse, and the
-    verdict from ``cond_1/N <= cond_2 <= N cond_1``, ``cond_1 = ||A||_1
-    ||A^-1||_1`` (:func:`_bracketed`: the SVD runs only when the bracket
-    straddles ``DEFECTIVE_COND``).  The 1-norms are those of ``A`` and
-    ``A^-1`` scaled by the power of two of :func:`_pow2` and by its inverse,
-    so that only a huge condition number overflows; an LU that finds ``A``
-    singular, or a 1-norm that is not finite, means defective.
+    The LU inverse, and the verdict from ``cond_1/N <= cond_2 <= N
+    cond_1``, ``cond_1 = ||A||_1 ||A^-1||_1`` (:func:`_bracketed`: the SVD
+    runs only when the bracket straddles ``DEFECTIVE_COND``).  The 1-norms
+    are those of ``A`` and ``A^-1`` scaled by the power of two of
+    :func:`_pow2` and by its inverse, so that only a huge condition number
+    overflows; an LU that finds ``A`` singular, or a 1-norm that is not
+    finite, means defective.
     """
-    if A.shape == (2, 2):
-        return _cond_inverse(A)[1]
     try:
         Ai = np.linalg.inv(A)
     except np.linalg.LinAlgError:  # singular to working precision
@@ -273,83 +222,31 @@ def _inverse(A):
     return None
 
 
-def _quantized(x: float, scale: float) -> float:
-    """A part of an eigenvalue quantized as in :func:`canonical_order`
-    relative to the matrix norm ``scale > 0``, in scalar arithmetic
-    (``round`` rounds half to even, as ``np.rint`` does).  A value that is
-    not finite is its own key."""
-    q = x / scale / ORDER_TIE_RESOLUTION
-    return round(q) if abs(q) < 2.0 ** 52 else q
-
-
-def _unit(x, y):
-    """The column ``(x, y)`` scaled to unit norm.  It is a LAPACK eigenvector,
-    of norm near 1, so its squares need no power-of-two scaling."""
-    f = 1 / math.sqrt((x.real * x.real + x.imag * x.imag) + (y.real * y.real + y.imag * y.imag))
-    return x * f, y * f
-
-
-def _finish_2x2(K, w, R) -> EigDecomposition:
-    """The decomposition of the 2x2 ``K`` from LAPACK's eigenpairs ``w, R``,
-    in one pass of scalar arithmetic on the entries of ``K`` scaled once by
-    :func:`_scaled_2x2`: the canonical order (by :func:`_quantized` real,
-    then imaginary parts, relative to ``||K||_2``; tied values keep
-    LAPACK's order), unit columns,
-    both residuals (not finite for a non-finite pair, which then fails),
-    ``||K||_2`` as :func:`norm2` computes it, and the condition number and
-    ``R^-1`` of :func:`_cond_adjugate` (unit columns need no scaling)."""
-    (a, b, c, d), s = _scaled_2x2(K)
-    w0, w1 = w.tolist()
-    (r00, r01), (r10, r11) = R.tolist()
-    norm = _s1_squared(a, b, c, d) ** 0.5  # of the scaled K: the keys take w s / norm
-
-    def key(x):
-        return _quantized(x * s, norm or 1.0)
-
-    x0, x1 = key(w0.real), key(w1.real)
-    if x1 < x0 or x1 == x0 and key(w1.imag) < key(w0.imag):
-        w0, w1, r00, r01, r10, r11 = w1, w0, r01, r00, r11, r10
-    r00, r10 = _unit(r00, r10)
-    r01, r11 = _unit(r01, r11)
-    v0, v1 = w0 * s, w1 * s
-    e0, e1 = (a - v0) * r00 + b * r10, c * r00 + (d - v0) * r10
-    e2, e3 = (a - v1) * r01 + b * r11, c * r01 + (d - v1) * r11
-    _check_residuals((math.hypot(e0.real, e0.imag, e1.real, e1.imag),
-                      math.hypot(e2.real, e2.imag, e3.real, e3.imag)), 1e-10 * norm)
-    cond, Rinv = _cond_adjugate(r00, r01, r10, r11)
-    norm /= s
-    dec = EigDecomposition(np.array([w0, w1]), np.array([[r00, r01], [r10, r11]]),
-                           cond <= DEFECTIVE_COND, Rinv, (norm, norm), K)
-    exact = dec.__dict__  # where cached_property keeps the values it computed
-    exact["norm"], exact["condition"] = norm, cond
-    return dec
-
-
 def eig_general(K) -> EigDecomposition:
     """Eigendecomposition of a general complex square matrix.
 
     The residual test is scale-free: no norm overflows or underflows at any
     magnitude of ``K``.  ``R^-1`` is computed here, once, for the callers
-    that need it.  A 2x2 ``K`` is one LAPACK ``eig`` and one scalar pass
-    (:func:`_finish_2x2`), which also gives the exact ``||K||_2`` and
-    condition number.  Larger ``K`` are ordered (keys relative to
-    ``||K||_F``), normalized and checked in array arithmetic, and run no
-    SVD unless a verdict needs one: the residual test (:func:`_residuals`)
-    reads the exact ``||K||_2`` only when the Frobenius bracket ``||K||_F /
-    sqrt(N) <= ||K||_2 <= ||K||_F`` does not put every residual surely
-    inside the bound, and the condition test (:func:`_inverse`) takes the
-    SVD only when its 1-norm bracket straddles ``DEFECTIVE_COND``.  The
+    that need it.  The pairs are ordered (keys relative to ``||K||_F``),
+    normalized and checked in array arithmetic, and no SVD runs unless a
+    verdict needs one: the residual test (:func:`_residuals`) reads the
+    exact ``||K||_2`` only when the Frobenius bracket ``||K||_F / sqrt(N)
+    <= ||K||_2 <= ||K||_F`` does not put every residual surely inside the
+    bound, and the condition test (:func:`_inverse`) takes the SVD only
+    when its 1-norm bracket straddles ``DEFECTIVE_COND``.  The
     decomposition keeps the Frobenius bracket for the later tests on the
     norm (:func:`_scale_verdict`); its exact ``norm`` and ``condition`` are
     computed when first read.
 
-    A larger ``K`` whose imaginary part is exactly zero (the real-space
+    A ``K`` whose imaginary part is exactly zero (the real-space
     steady-state generator ``X``, for one) goes to LAPACK's real routine,
     about 3x faster than the complex one at N = 64; its eigenpairs come back
     as complex arrays, each conjugate pair as exact conjugates in values and
     columns, and everything after the solve (order, unit columns, residuals,
     ``||K||_2``, condition, inverse) runs on the complex ``K`` as for any
-    other input.
+    other input.  A 2x2 ``K`` keeps the complex routine, which returns
+    ``+-c`` exactly for ``[[0, c], [c, 0]]`` at ``c = 1e+-200``, where the
+    real routine is off by an ulp.
 
     Raises
     ------
@@ -364,8 +261,6 @@ def eig_general(K) -> EigDecomposition:
         w, R = np.linalg.eig(K.real if real else K)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(str(exc)) from exc
-    if K.shape == (2, 2):
-        return _finish_2x2(K, w, R)
     if not (np.isfinite(w).all() and np.isfinite(R).all()):
         raise NonConvergence("LAPACK returned a non-finite eigenpair")
     # the real routine returns real arrays for an all-real spectrum
@@ -378,14 +273,17 @@ def eig_general(K) -> EigDecomposition:
     resid = _residuals(K, w, R, s)
     root = math.sqrt(len(w))
     if not (resid <= 1e-10 * frob / (2 * root)).all():  # not surely within the bound
-        _check_residuals(resid, 1e-10 * norm2(K) * s)
+        tol = 1e-10 * norm2(K) * s
+        if tol > 0 and not (resid <= tol).all():  # written so that a NaN residual fails too
+            raise NonConvergence(
+                f"eigenpair residual {1e-10 * resid.max() / tol:.3e}*||K|| exceeds 1e-10*||K||")
     Rinv = _inverse(R)
     return EigDecomposition(w, R, Rinv is not None, Rinv, (frob / s / root, frob / s), K)
 
 
 def inverse(A) -> np.ndarray:
     """Matrix inverse, guarded by a bound of 1e12 on the 2-norm condition
-    number (:func:`_inverse`: at N > 2 the SVD runs only near the bound)."""
+    number (:func:`_inverse`: the SVD runs only near the bound)."""
     A = as_square(A, "A")
     Ai = _inverse(A)
     if Ai is None:
@@ -714,14 +612,6 @@ def solve_sylvester(X, Y) -> np.ndarray:
 # JSON matrix format: {"rows": N, "cols": N, "data": [[re, im], ...]} row-major
 # ---------------------------------------------------------------------------
 
-def matrix_to_json(A) -> dict:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ShapeMismatch("only 2-d matrices are serializable")
-    data = [[float(v.real), float(v.imag)] for v in A.ravel(order="C")]
-    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
-
-
 def complex_pairs(data, what: str = "data") -> np.ndarray:
     """A list of ``[re, im]`` pairs as a complex vector, else ShapeMismatch.
 
@@ -753,11 +643,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"matrix object declares {rows}x{cols} but carries {len(flat)} entries"
         )
     return flat.reshape(rows, cols)
-
-
-def save_matrix(path, A) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(A), fh)
 
 
 def load_json(path):

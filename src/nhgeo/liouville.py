@@ -16,8 +16,8 @@ The steady-state mixed geometric tensor is evaluated at the matrix level,
 
 with ``Xcal^mu`` obtained spectrally from ``d_mu X``; normal-mode operators
 are never materialized.  A translation-invariant variant works per momentum
-block.  Gaussian-state closed forms (logarithmic derivative, Bures metric,
-purity-weighted response) operate directly on ``Gamma`` and its derivatives.
+block.  Gaussian-state closed forms (Bures metric, purity-weighted
+response) operate directly on ``Gamma`` and its derivatives.
 """
 from __future__ import annotations
 
@@ -659,22 +659,6 @@ def _gamma_eigenbasis(Gamma, *dGammas, pure: bool = False):
                  lambda b: "correlation spectrum touches a pure-state direction")
     Vh = np.swapaxes(V.conj(), -1, -2)
     return g, V, [Vh @ np.asarray(d, dtype=complex) @ V for d in dGammas]
-
-
-def log_derivative(Gamma, dGamma) -> np.ndarray:
-    """Kernel K of the Gaussian logarithmic derivative: Gamma K Gamma - K = dGamma.
-
-    Solved elementwise in the eigenbasis of Gamma:
-    ``K_{jk} = (dGamma)_{jk} / (g_j g_k - 1)``.
-
-    Raises
-    ------
-    PureStateSingular
-        If some eigenvalue product g_j g_k reaches 1 (pure-state direction).
-    """
-    g, V, (dG,) = _gamma_eigenbasis(Gamma, dGamma, pure=True)
-    den = g[..., :, None] * g[..., None, :] - 1.0
-    return V @ (dG / den) @ np.swapaxes(V.conj(), -1, -2)
 
 
 #: tensor kinds that :func:`gaussian_tensors` contracts

@@ -68,15 +68,11 @@ class SSHPhase:
         return (self.s1, self.s2)
 
 
-def bloch(params: SSHParams, k) -> np.ndarray:
-    """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik};
-    for an array of momenta, the stack ``(..., 2, 2)`` of their blocks."""
-    return _bloch(params.t, params.delta, k)
-
-
 def _bloch(t, delta, k) -> np.ndarray:
-    """:func:`bloch` at hoppings ``t``, ``delta`` that broadcast against ``k``:
-    a ``(P, 1)`` column of points and ``L`` momenta give ``(P, L, 2, 2)``."""
+    """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik}
+    at hoppings ``t``, ``delta`` that broadcast against the momenta ``k``:
+    the stack ``(..., 2, 2)`` of their blocks (a ``(P, 1)`` column of points
+    and ``L`` momenta give ``(P, L, 2, 2)``)."""
     K = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(k)) + (2, 2), dtype=complex)
     K[..., 0, 1] = t - delta + np.exp(-1j * k)
     K[..., 1, 0] = t + delta + np.exp(1j * k)
@@ -113,7 +109,7 @@ def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
     independent oracle of those sums."""
 
     def f(lam):
-        return bloch(SSHParams(lam[0], lam[1], params.L), k)
+        return _bloch(lam[0], lam[1], k)
 
     def df(mu, lam):
         return _SX if mu == 0 else _DX_DDELTA

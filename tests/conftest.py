@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from nhgeo.errors import CriticalKPoint
+from nhgeo.liouville import _gamma_eigenbasis
+from nhgeo.ssh import _bloch
 from nhgeo.tensors import central_difference
 
 
@@ -57,9 +61,38 @@ def svd_calls(monkeypatch):
     return calls
 
 
+def matrix_to_json(A) -> dict:
+    """``A`` as the JSON matrix object that :func:`nhgeo.linalg.matrix_from_json` reads."""
+    A = np.asarray(A, dtype=complex)
+    data = [[float(v.real), float(v.imag)] for v in A.ravel(order="C")]
+    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "data": data}
+
+
+def save_matrix(path, A) -> None:
+    """Write ``A`` to ``path`` in the format that :func:`nhgeo.linalg.load_matrix` reads."""
+    with open(path, "w") as fh:
+        json.dump(matrix_to_json(A), fh)
+
+
+def bloch(params, k) -> np.ndarray:
+    """The SSH Bloch matrix of ``params`` at the momentum ``k`` (for an array
+    of momenta, the stack ``(..., 2, 2)`` of their blocks)."""
+    return _bloch(params.t, params.delta, k)
+
+
+def log_derivative(Gamma, dGamma) -> np.ndarray:
+    """Kernel K of the Gaussian logarithmic derivative, ``Gamma K Gamma - K =
+    dGamma``, solved elementwise in the eigenbasis of Gamma: ``K_{jk} =
+    (dGamma)_{jk} / (g_j g_k - 1)``, PureStateSingular where ``g_j g_k``
+    reaches 1.  The reference of the Bures contraction."""
+    g, V, (dG,) = _gamma_eigenbasis(Gamma, dGamma, pure=True)
+    den = g[..., :, None] * g[..., None, :] - 1.0
+    return V @ (dG / den) @ np.swapaxes(V.conj(), -1, -2)
+
+
 def ssh_eigenstates(params, k: float):
     """Closed-form right/left eigenstate pairs of the SSH Bloch matrix
-    (:func:`nhgeo.ssh.bloch`), the reference of the eigensolvers.
+    (:func:`bloch`), the reference of the eigensolvers.
 
     Returns ``(psi_R_plus, psi_R_minus), (psi_L_plus, psi_L_minus)`` as kets,
     biorthonormal pairwise, for the bands ``+-sqrt(eps)`` in that order.

@@ -4,15 +4,18 @@ import types
 import pytest
 
 import nhgeo
-from nhgeo import biortho, kitaev, liouville, oracle, ssh, tensors
+from nhgeo import biortho, kitaev, liouville, linalg, oracle, ssh, tensors
 
 #: one-pair, one-kind and test-only wrappers, replaced by the engines
 #: gaussian_tensors, weak_coupling_tensors, stencil_tensors and the model
 #: blocks, the second eigensystem type, replaced by EigDecomposition, and
-#: the SSH closed-form eigenstates, now a test reference
+#: names that no production or verify path reaches, now test references
+#: (the SSH closed-form eigenstates and Bloch matrix, the Gaussian
+#: logarithmic derivative and the writer of the JSON matrix format)
 DELETED = ("berry_connection", "bures_metric", "gauge_rescale", "kspace_blocks",
            "projector_deformation", "projector_fd", "zeta_tilde_gaussian",
-           "zeta_tilde_kitaev_sum", "BiorthogonalSystem", "ssh_eigenstates")
+           "zeta_tilde_kitaev_sum", "BiorthogonalSystem", "ssh_eigenstates",
+           "log_derivative", "save_matrix", "matrix_to_json", "bloch")
 
 
 def test_written_public_names():
@@ -21,7 +24,7 @@ def test_written_public_names():
         assert not isinstance(getattr(nhgeo, name), types.ModuleType), name
     for name in DELETED:
         assert name not in nhgeo.__all__
-        for mod in (nhgeo, biortho, kitaev, liouville, ssh, tensors):
+        for mod in (nhgeo, biortho, kitaev, liouville, linalg, ssh, tensors):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 

@@ -3,9 +3,9 @@ import pytest
 
 from nhgeo.biortho import build_biortho
 from nhgeo.errors import NearDefective
-from nhgeo.ssh import SSHParams, bloch
+from nhgeo.ssh import SSHParams
 
-from conftest import maxdev, ssh_eigenstates
+from conftest import bloch, maxdev, ssh_eigenstates
 
 
 def random_diagonalizable(rng, N=6):

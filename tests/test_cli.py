@@ -7,10 +7,9 @@ from click.testing import CliRunner
 import nhgeo.cli as cli_mod
 from nhgeo.cli import main
 from nhgeo.kitaev import DissipativeKitaevModel
-from nhgeo.linalg import save_matrix
 from nhgeo.ssh import eps
 
-from conftest import central_dxy, maxdev
+from conftest import central_dxy, maxdev, save_matrix
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from nhgeo.linalg import (
     DEFECTIVE_COND,
     _blocks,
     _cond_inv,
-    _cond_inverse,
     _eig_2x2,
     _entries,
     _inv,
@@ -33,7 +32,6 @@ from nhgeo.linalg import (
     inverse,
     load_matrix,
     matrix_from_json,
-    matrix_to_json,
     norm2,
     solve_sylvester,
     solve_sylvester_pair,
@@ -48,7 +46,7 @@ from nhgeo.tensors import (
     sum_over_states,
 )
 
-from conftest import inside, maxdev
+from conftest import inside, matrix_to_json, maxdev
 
 
 def charpoly_coeffs(K):
@@ -167,6 +165,111 @@ class TestEigGeneral:
         dec = eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert dec.right_inverse is None and dec.condition > DEFECTIVE_COND
 
+    @staticmethod
+    def checked(K):
+        """``eig_general(K)`` of a diagonalizable ``K``, once its unit columns,
+        eigenpairs and ``R^-1`` are checked."""
+        dec = eig_general(K)
+        w, R = dec.eigenvalues, dec.right_vectors
+        assert maxdev(np.linalg.norm(R, axis=0), np.ones(len(w))) <= 1e-15
+        assert maxdev(K @ R, R * w) <= 1e-12 * norm2(K)
+        assert dec.is_diagonalizable_estimate
+        assert maxdev(dec.right_inverse @ R, np.eye(len(w))) <= 1e-12 * dec.condition
+        assert dec.norm == norm2(K)
+        return dec
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["random", "real", "offdiagonal", "mixed", "1e200", "1e-200"]))
+    def test_2x2_matches_lapack_references(self, seed, kind):
+        """At N = 2 the eigenvalues are LAPACK's complex routine's bit for
+        bit (a real K too), the columns are its columns made unit, and the
+        condition and ``R^-1`` agree with the SVD and ``np.linalg.inv``."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if kind == "real":
+                K = K.real
+            elif kind == "offdiagonal":  # as the nh-ssh Bloch blocks
+                K *= [[0, 1], [1, 0]]
+            elif kind == "mixed":
+                K *= 10.0 ** rng.uniform(-8, 8, size=(2, 2))
+            elif kind != "random":
+                K *= float(kind)
+            K = K.astype(complex)  # as eig_general reads it; norm2 of the real K may differ by an ulp
+            dec = self.checked(K)
+            w, R = np.linalg.eig(K)
+            i = np.lexsort((w.imag, w.real))
+            j = np.lexsort((dec.eigenvalues.imag, dec.eigenvalues.real))
+            assert np.array_equal(dec.eigenvalues[j], w[i])
+            R = R[:, i] / np.linalg.norm(R[:, i], axis=0)
+            assert maxdev(dec.right_vectors[:, j], R) <= 1e-15
+            ref = np.linalg.cond(R, 2)
+            assert abs(dec.condition - ref) <= (1e-12 + 1e-15 * ref) * ref
+            assert maxdev(dec.right_inverse[j], np.linalg.inv(R)) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5 + 1j, 1e200, 1e-200])
+    def test_multiple_of_identity(self, c):
+        dec = self.checked(c * np.eye(2))
+        assert np.array_equal(dec.eigenvalues, [c, c])
+        assert np.array_equal(dec.right_vectors, np.eye(2))
+        assert dec.condition == 1.0 and np.array_equal(dec.right_inverse, np.eye(2))
+
+    @pytest.mark.parametrize("pair, ordered", [
+        ([1.0 + 1e-13, 1.0], [1.0 + 1e-13, 1.0]),  # tied at the resolution: LAPACK's order
+        ([1.0, 1.0 + 1e-13], [1.0, 1.0 + 1e-13]),
+        ([2.0, 1.0], [1.0, 2.0]),
+        ([1j, -1j], [-1j, 1j]),  # equal real parts: by imaginary part
+        ([1.0 + 1j, 1.0 - 1j + 1e-13], [1.0 - 1j + 1e-13, 1.0 + 1j]),
+    ])
+    def test_order(self, pair, ordered):
+        dec = self.checked(np.diag(pair))
+        assert np.array_equal(dec.eigenvalues, ordered)
+        # the eigenvector of pair[i] is the unit vector e_i
+        assert np.array_equal(np.abs(dec.right_vectors),
+                              np.eye(2)[:, [pair.index(z) for z in ordered]])
+
+    def test_unit_columns_from_scaled_vectors(self, monkeypatch):
+        K = np.array([[1.0, 2.0 + 1j], [0.5, -1.0]])
+        ref = eig_general(K)
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda A: (real_eig(A)[0], real_eig(A)[1] * [3.0, -0.25j]))
+        dec = self.checked(K)  # unit columns again, each with its new phase
+        assert maxdev(np.abs(dec.right_vectors), np.abs(ref.right_vectors)) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_jordan_block_near_defective(self, scale):
+        K = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+        dec = eig_general(K)
+        assert not dec.is_diagonalizable_estimate and dec.right_inverse is None
+        assert dec.condition > DEFECTIVE_COND and dec.norm == norm2(K)
+        with pytest.raises(NearDefective):
+            build_biortho(K)
+
+    @pytest.mark.parametrize("where", ["value", "value_imag", "vector", "value_inf"])
+    def test_nonfinite_pair_is_nonconvergence(self, where, monkeypatch):
+        real_eig = np.linalg.eig
+
+        def corrupt(K):
+            w, R = real_eig(K)
+            if where == "value":
+                w[1] = np.nan
+            elif where == "value_imag":
+                w[0] = complex(w[0].real, np.nan)
+            elif where == "vector":
+                R[1, 0] = np.nan
+            else:
+                w[0] = np.inf
+            return w, R
+
+        monkeypatch.setattr(np.linalg, "eig", corrupt)
+        for K in (np.diag([1.0, 2.0]), np.array([[0.0, 1e200], [2e200, 0.0]]),
+                  np.array([[1e-200, 1e-200j], [0.0, -1e-200]]),
+                  np.array([[1.0, 2j, 0.0], [0.5, -1.0, 1.0], [0.0, 1j, 3.0]]),
+                  np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, 2.0]])):
+            with pytest.raises(NonConvergence):
+                eig_general(K)
+
 
 class TestInverse:
     def test_identity(self):
@@ -226,13 +329,19 @@ class TestClosedForms2x2:
         A = block(seed, kind)
         unit = A / np.abs(A).max()
         unit /= np.linalg.norm(unit, axis=0)  # as the eigenvector matrices are
+        cond, Ai = _cond_inv(_entries(unit))
+        ref = np.linalg.cond(unit, 2)
+        # beyond 1e3 both routes carry the forward error eps * cond
+        assert abs(cond - ref) <= (1e-12 + 1e-15 * ref) * ref
+        if cond <= DEFECTIVE_COND:
+            assert maxdev(_blocks(Ai) @ unit, np.eye(2)) <= 1e-12 * cond
         for A in (A, unit):
             ref = np.linalg.cond(A, 2)
-            cond, Ai = _cond_inverse(A)
-            # beyond 1e3 both routes carry the forward error eps * cond
-            assert abs(cond - ref) <= (1e-12 + 1e-15 * ref) * ref
-            if cond <= DEFECTIVE_COND:
-                assert maxdev(Ai @ A, np.eye(2)) <= 1e-12 * cond
+            if ref <= DEFECTIVE_COND:
+                assert maxdev(inverse(A) @ A, np.eye(2)) <= 1e-12 * ref
+            else:
+                with pytest.raises(SingularMatrix):
+                    inverse(A)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -243,10 +352,10 @@ class TestClosedForms2x2:
         stack /= np.linalg.norm(stack, axis=-2, keepdims=True)
         cond, inv = _cond_inv(_entries(stack))
         for c, Ai, A in zip(cond, _blocks(inv), stack):
-            ref, ref_inv = _cond_inverse(A)
+            ref = _cond_inv(_entries(A))[0]  # the block alone
             assert abs(c - ref) <= 1e-14 * ref
-            if ref_inv is not None:
-                assert maxdev(Ai, ref_inv) <= 1e-14 * ref
+            if ref <= DEFECTIVE_COND:
+                assert maxdev(Ai, inverse(A)) <= 1e-14 * ref
 
     def test_stacked_condition_of_singular_block(self):
         R = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
@@ -280,9 +389,9 @@ class TestClosedForms2x2:
             with pytest.raises(NearDefective):
                 build_biortho(K)
 
-    def test_biortho_2x2_runs_no_svd_cond_or_inverse(self, rng, monkeypatch):
-        # a 2x2 eigensystem is one LAPACK eig, and a stencil point of nh-ssh
-        # eta is 1 + 2d = 5 of them
+    def test_biortho_2x2_runs_no_svd_or_cond(self, rng, monkeypatch):
+        # a 2x2 eigensystem is one LAPACK eig and one LU inverse, as at any N,
+        # and a stencil point of nh-ssh eta is 1 + 2d = 5 of them
         npla = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / 1
 
         calls = []
@@ -292,12 +401,12 @@ class TestClosedForms2x2:
                 monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name, **k:
                                     calls.append(_n) or _f(*a, **k))
         sys = build_biortho(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        assert calls == ["eig"]
+        assert calls == ["eig", "inv"]
         assert maxdev(sys.left_vectors.conj().T @ sys.right_vectors, np.eye(2)) <= 1e-12
         calls.clear()
         p = SSHParams(0.7, 0.5, 64)
         eta_tensor(bloch_family(p, p.k_grid[5]), [p.t, p.delta], 0)
-        assert calls == ["eig"] * 5
+        assert calls == ["eig", "inv"] * 5
         calls.clear()
         # the counters do see larger matrices, whose exact values are read on demand
         sys = build_biortho(rng.normal(size=(3, 3)))
@@ -324,113 +433,6 @@ class TestClosedForms2x2:
         svd_calls.clear()
         solve_sylvester_pair(A[:2, :2] + 4 * np.eye(2), B[:2, :2] + 4 * np.eye(2), np.eye(2))
         assert svd_calls == []
-
-
-def general_pass(K):
-    """The eigenpairs of the 2x2 ``K`` through the post-processing that
-    ``eig_general`` gives N > 2, on the same LAPACK output: canonical order,
-    then unit columns."""
-    w, R = np.linalg.eig(np.asarray(K, dtype=complex))
-    order = canonical_order(w, norm2(K))
-    w, R = w[order], R[:, order]
-    return w, R / np.linalg.norm(R, axis=0)
-
-
-class TestScalarPass2x2:
-    """A 2x2 eigensystem is one LAPACK eig plus one pass of scalar arithmetic;
-    it must agree with the general post-processing of the same output."""
-
-    def agrees(self, K):
-        w, R = general_pass(K)
-        dec = eig_general(K)
-        assert np.array_equal(dec.eigenvalues, w)  # the same order, the same values
-        assert maxdev(dec.right_vectors, R) <= 1e-15
-        assert maxdev(np.linalg.norm(dec.right_vectors, axis=0), np.ones(2)) <= 1e-15
-        ref = np.linalg.cond(R, 2)
-        assert abs(dec.condition - ref) <= (1e-12 + 1e-15 * ref) * ref
-        assert dec.is_diagonalizable_estimate and dec.right_inverse is not None
-        assert maxdev(dec.right_inverse, np.linalg.inv(R)) <= 1e-12 * ref
-        assert dec.norm == norm2(K)
-        return dec
-
-    @pytest.mark.parametrize("seed, kind", enumerate(
-        ["random", "real", "offdiagonal", "mixed", "1e200", "1e-200"]))
-    def test_matches_general_pass(self, seed, kind):
-        rng = np.random.default_rng(seed)
-        for _ in range(200):
-            K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            if kind == "real":
-                K = K.real
-            elif kind == "offdiagonal":  # as the nh-ssh Bloch blocks
-                K *= [[0, 1], [1, 0]]
-            elif kind == "mixed":
-                K *= 10.0 ** rng.uniform(-8, 8, size=(2, 2))
-            elif kind != "random":
-                K *= float(kind)
-            self.agrees(K)
-
-    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5 + 1j, 1e200, 1e-200])
-    def test_multiple_of_identity(self, c):
-        dec = self.agrees(c * np.eye(2))
-        assert np.array_equal(dec.eigenvalues, [c, c])
-        assert np.array_equal(dec.right_vectors, np.eye(2))
-        assert dec.condition == 1.0 and np.array_equal(dec.right_inverse, np.eye(2))
-
-    @pytest.mark.parametrize("pair, ordered", [
-        ([1.0 + 1e-13, 1.0], [1.0 + 1e-13, 1.0]),  # tied at the resolution: LAPACK's order
-        ([1.0, 1.0 + 1e-13], [1.0, 1.0 + 1e-13]),
-        ([2.0, 1.0], [1.0, 2.0]),
-        ([1j, -1j], [-1j, 1j]),  # equal real parts: by imaginary part
-        ([1.0 + 1j, 1.0 - 1j + 1e-13], [1.0 - 1j + 1e-13, 1.0 + 1j]),
-    ])
-    def test_order(self, pair, ordered):
-        dec = self.agrees(np.diag(pair))
-        assert np.array_equal(dec.eigenvalues, ordered)
-        # the eigenvector of pair[i] is the unit vector e_i
-        assert np.array_equal(np.abs(dec.right_vectors),
-                              np.eye(2)[:, [pair.index(z) for z in ordered]])
-
-    def test_unit_columns_from_scaled_vectors(self, monkeypatch):
-        K = np.array([[1.0, 2.0 + 1j], [0.5, -1.0]])
-        ref = eig_general(K)
-        real_eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig",
-                            lambda A: (real_eig(A)[0], real_eig(A)[1] * [3.0, -0.25j]))
-        dec = self.agrees(K)  # unit columns again, each with its new phase
-        assert maxdev(np.abs(dec.right_vectors), np.abs(ref.right_vectors)) <= 1e-15
-
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-    def test_jordan_block_near_defective(self, scale):
-        K = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
-        dec = eig_general(K)
-        assert not dec.is_diagonalizable_estimate and dec.right_inverse is None
-        assert dec.condition > DEFECTIVE_COND and dec.norm == norm2(K)
-        with pytest.raises(NearDefective):
-            build_biortho(K)
-
-    @pytest.mark.parametrize("where", ["value", "value_imag", "vector", "value_inf"])
-    def test_nonfinite_pair_is_nonconvergence(self, where, monkeypatch):
-        real_eig = np.linalg.eig
-
-        def corrupt(K):
-            w, R = real_eig(K)
-            if where == "value":
-                w[1] = np.nan
-            elif where == "value_imag":
-                w[0] = complex(w[0].real, np.nan)
-            elif where == "vector":
-                R[1, 0] = np.nan
-            else:
-                w[0] = np.inf
-            return w, R
-
-        monkeypatch.setattr(np.linalg, "eig", corrupt)
-        for K in (np.diag([1.0, 2.0]), np.array([[0.0, 1e200], [2e200, 0.0]]),
-                  np.array([[1e-200, 1e-200j], [0.0, -1e-200]]),
-                  np.array([[1.0, 2j, 0.0], [0.5, -1.0, 1.0], [0.0, 1j, 3.0]]),
-                  np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, 2.0]])):
-            with pytest.raises(NonConvergence):
-                eig_general(K)
 
 
 def real_matrix(seed, N, kind):
@@ -769,12 +771,15 @@ class TestStackedEig2x2:
             assert np.array_equal(wi, ws) and np.array_equal(Ui, Us)
             assert maxdev(A @ Ui, Ui * wi[None, :]) <= 1e-10 * np.linalg.norm(A, 2)
 
-    def test_matches_eig_general(self, rng):
-        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "mixed", "unitary"]))
+    def test_matches_eig_general(self, seed, kind):
+        A = block(seed, kind)
         w, U = eig_blocks(A)
         dec = eig_general(A)
         order = np.lexsort((w.imag, w.real))
-        assert maxdev(w[order], dec.eigenvalues) < 1e-13
+        # relative to the norm, which the mixed blocks take up to 1e8
+        assert maxdev(w[order], dec.eigenvalues) < 1e-14 * np.linalg.norm(A, 2)
         # the same unit vectors up to a phase
         overlaps = np.sum(U[:, order].conj() * dec.right_vectors, axis=0)
         assert maxdev(np.abs(overlaps), [1.0, 1.0]) < 1e-12

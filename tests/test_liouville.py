@@ -21,7 +21,6 @@ from nhgeo.liouville import (
     assemble_real_space,
     build_liouvillian,
     gamma_k,
-    log_derivative,
     rapidities,
     real_space_family,
     steady_state_dgamma,
@@ -29,10 +28,10 @@ from nhgeo.liouville import (
     zeta_ness,
     zeta_ness_k,
 )
-from nhgeo.linalg import eig_general, norm2, save_matrix, solve_sylvester, solve_sylvester_pair
+from nhgeo.linalg import eig_general, norm2, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
-from conftest import central_dxy, inside, maxdev
+from conftest import central_dxy, inside, log_derivative, maxdev, save_matrix
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 S0 = np.eye(2, dtype=complex)

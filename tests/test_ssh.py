@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nhgeo.errors import CriticalKPoint, FSingular, OnCriticalLine
 from nhgeo.ssh import (
     SSHParams,
-    bloch,
     bloch_family,
     bloch_sum,
     classify_phase,
@@ -17,7 +16,7 @@ from nhgeo.ssh import (
 )
 from nhgeo.tensors import stencil_tensors, zeta_tensor
 
-from conftest import maxdev, ssh_eigenstates
+from conftest import bloch, maxdev, ssh_eigenstates
 
 
 class TestParams:

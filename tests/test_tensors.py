@@ -14,7 +14,6 @@ from nhgeo.errors import (
     ShapeMismatch,
 )
 from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
-from nhgeo.linalg import save_matrix
 from nhgeo.liouville import (
     LiouvillianFamily,
     gaussian_tensors,
@@ -48,7 +47,7 @@ from nhgeo.verify import (
     random_liouvillian_family,
 )
 
-from conftest import maxdev, ssh_eigenstates
+from conftest import maxdev, save_matrix, ssh_eigenstates
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
