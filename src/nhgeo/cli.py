@@ -155,11 +155,11 @@ class SSHAdapter(_LatticeModel):
 
     def tensors(self, points, kinds, n, mu_reg) -> list:
         """Every kind at every point from shared passes of :func:`~nhgeo.ssh.band_sums`
-        (:func:`_in_passes`): each pass checks the grids of its points, sums
-        the closed-form ``zeta`` and runs one ``sum_over_blocks`` stack for
-        ``eta`` and both ``zeta_limited`` kinds.  A point's grid check comes
-        before its other checks, so whichever kind comes first, a failing
-        point's error is that of the first check it fails."""
+        (:func:`_in_passes`): each pass checks the grids of its points and
+        sums the closed-form summands of every kind, with no eigensolve.  A
+        point's grid check comes before its other checks, so whichever kind
+        comes first, a failing point's error is that of the first check it
+        fails."""
         def evaluate(ps):
             sums = band_sums(ps, n, kinds)
             return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]

@@ -147,9 +147,11 @@ def _s1_squared(a, b, c, d):
 
 def norm2(A):
     """Spectral norm ``||A||_2`` of a matrix, by the SVD, which LAPACK scales
-    itself: no intermediate overflows or underflows.  The blocks of a stack
-    of 2x2 blocks take :func:`_norm`."""
-    return float(np.linalg.norm(A, 2))
+    itself: no intermediate overflows or underflows.  A real matrix is read
+    as the complex copy that :func:`eig_general` takes, so that the two
+    agree bit for bit.  The blocks of a stack of 2x2 blocks take
+    :func:`_norm`."""
+    return float(np.linalg.norm(np.asarray(A, dtype=complex), 2))
 
 
 def _max_part(A) -> float:

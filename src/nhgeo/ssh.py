@@ -8,11 +8,16 @@ thermodynamic-limit expressions.
 
 All computations are on 2x2 Bloch blocks, no real-space Hamiltonian (open
 boundaries and skin-effect physics are out of scope).  :func:`band_sums`
-gives the closed-form ``zeta`` sum and the sum-over-states ``eta`` and
-``zeta_limited`` of one band on the whole k-grid of many points at once
-(:func:`zeta_finite_sum` and :func:`bloch_sum` are its one-point views);
-:func:`bloch_family` is the fixed-k block as an operator family, for the
-finite-difference stencil that serves as their oracle.
+gives the ``zeta``, ``eta`` and ``zeta_limited`` sums on the whole k-grid
+of many points at once, all in closed form (:func:`zeta_finite_sum` and
+:func:`bloch_sum` are its one-point views).  The block ``[[0, a], [b,
+0]]`` has the eigenvalues ``+-sqrt(a b)``, and its sum-over-states
+tensors are rational functions of ``a``, ``b`` and ``eps = a b``
+(:func:`_state_summands`), the same for both bands: no eigensolve runs.
+Two oracles check them: :func:`~nhgeo.tensors.sum_over_blocks`, which
+eigensolves the stack of Bloch matrices (:func:`_bloch`), and the
+finite-difference stencil on :func:`bloch_family`, the fixed-k block as
+an operator family.
 """
 from __future__ import annotations
 
@@ -21,21 +26,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CriticalKPoint, FSingular, OnCriticalLine, ShapeMismatch
-from .linalg import _flag
-from .tensors import (
-    STATE_KINDS,
-    GeoTensor,
-    OperatorFamily,
-    _finite,
-    _integer,
-    _kinds,
-    sum_over_blocks,
+from .errors import (
+    CriticalKPoint,
+    DegenerateSpectrum,
+    FSingular,
+    NearDefective,
+    NonConvergence,
+    OnCriticalLine,
+    ShapeMismatch,
 )
+from .linalg import DEFECTIVE_COND, _flag, _raise_first
+from .tensors import STATE_KINDS, GeoTensor, OperatorFamily, _finite, _integer, _kinds
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _DX_DDELTA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-_DIRECTIONS = np.stack([_SX, _DX_DDELTA])  # d/dt, d/ddelta of every Bloch block
+#: d/dt, d/ddelta of every Bloch block, for the eigensolver route of :func:`band_sums`
+_DIRECTIONS = np.stack([_SX, _DX_DDELTA])
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,21 @@ class SSHPhase:
         return (self.s1, self.s2)
 
 
+def _hoppings(t, delta, k):
+    """The off-diagonals ``a = t - delta + e^{-ik}`` and ``b = t + delta +
+    e^{ik}`` of the Bloch matrices at hoppings ``t``, ``delta`` that
+    broadcast against the momenta ``k``."""
+    return t - delta + np.exp(-1j * k), t + delta + np.exp(1j * k)
+
+
 def _bloch(t, delta, k) -> np.ndarray:
-    """2x2 Bloch matrix with off-diagonals t - delta + e^{-ik}, t + delta + e^{ik}
-    at hoppings ``t``, ``delta`` that broadcast against the momenta ``k``:
-    the stack ``(..., 2, 2)`` of their blocks (a ``(P, 1)`` column of points
-    and ``L`` momenta give ``(P, L, 2, 2)``)."""
-    K = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(k)) + (2, 2), dtype=complex)
-    K[..., 0, 1] = t - delta + np.exp(-1j * k)
-    K[..., 1, 0] = t + delta + np.exp(1j * k)
+    """2x2 Bloch matrix ``[[0, a], [b, 0]]`` (:func:`_hoppings`): the stack
+    ``(..., 2, 2)`` of the blocks (a ``(P, 1)`` column of points and ``L``
+    momenta give ``(P, L, 2, 2)``)."""
+    a, b = _hoppings(t, delta, k)
+    K = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)) + (2, 2), dtype=complex)
+    K[..., 0, 1] = a
+    K[..., 1, 0] = b
     return K
 
 
@@ -123,7 +136,7 @@ def bloch_sum(params: SSHParams, n: int, kinds) -> dict[str, GeoTensor]:
     (t, delta): :func:`band_sums` at one point."""
     kinds = _kinds(kinds, STATE_KINDS, "bloch_sum")
     lam = np.array([params.t, params.delta])
-    return {kind: GeoTensor(kind, n, v[0], lam, {"L": params.L, "route": "sum-over-blocks"})
+    return {kind: GeoTensor(kind, n, v[0], lam, {"L": params.L, "route": "closed-form"})
             for kind, v in band_sums([params], n, kinds).items()}
 
 
@@ -133,18 +146,22 @@ BAND_KINDS = ("zeta", *STATE_KINDS)
 
 def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarray]:
     """The Brillouin-zone sums ``kinds`` over (t, delta) at each of ``points``,
-    which share one ``L``, as ``(P, 2, 2)`` arrays: closed-form ``zeta``, and
-    ``eta``, ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``.
+    which share one ``L``, as ``(P, 2, 2)`` arrays: ``zeta``, and ``eta``,
+    ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``, all in
+    closed form.
 
     Every point goes through one pass: the grid check of :func:`_grid_eps`
-    first, then one :func:`zeta_summand` array summed per point for
-    ``zeta`` and one :func:`~nhgeo.tensors.sum_over_blocks` pass over the
-    ``(P, L, 2, 2)`` stack of Bloch matrices for the other kinds.  Each
-    point's sums are those of the point alone, bit for bit.  A failure is
-    that of the first failing point (the grid check of every point comes
-    first) and carries ``p * L + k`` as ``exc.block``; inside
-    :func:`~nhgeo.linalg.flagged_blocks` every check flags its failing
-    points instead, and a flagged point's sums are not its tensors.
+    first, then one array of per-k summands per kind, summed over each
+    point's own k axis: :func:`zeta_summand` for ``zeta`` and
+    :func:`_state_summands` for the other kinds, which are the same for
+    both bands.  Each point's sums are those of the point alone, bit for
+    bit.  A failure is that of the first failing point (the grid check of
+    every point comes first) and carries ``p * L + k`` as ``exc.block``;
+    inside :func:`~nhgeo.linalg.flagged_blocks` every check flags its
+    failing points instead, and a flagged point's sums are not its tensors.
+    :func:`~nhgeo.tensors.sum_over_blocks` on the stack of Bloch matrices
+    (:func:`_bloch`) is the eigensolver route to the same sums and their
+    oracle.
     """
     kinds = _kinds(kinds, BAND_KINDS, "band_sums")
     L = points[0].L
@@ -154,13 +171,79 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
     t = np.array([p.t for p in points])[:, None]
     delta = np.array([p.delta for p in points])[:, None]
     _grid_eps(t, delta, ks)
-    out = {}
-    if "zeta" in kinds:  # the summands (2, 2, P, L), summed over k per point
-        out["zeta"] = np.moveaxis(zeta_summand(t, delta, ks).sum(axis=-1), -1, 0).astype(complex)
     stacked = [k for k in kinds if k != "zeta"]
+    summands = {"zeta": zeta_summand(t, delta, ks)} if "zeta" in kinds else {}
     if stacked:
-        out.update(sum_over_blocks(_bloch(t, delta, ks), _DIRECTIONS, n, stacked))
-    return {kind: out[kind] for kind in kinds}
+        if not 0 <= n < 2:
+            raise ShapeMismatch(f"state index {n} out of range for dim 2")
+        summands.update(_state_summands(t, delta, ks, n, stacked))
+    # (2, 2, P, L) summed over each point's k axis
+    return {kind: np.moveaxis(summands[kind].sum(axis=-1), -1, 0).astype(complex)
+            for kind in kinds}
+
+
+def _state_summands(t, delta, ks, n: int, kinds) -> dict[str, np.ndarray]:
+    """The per-k summands ``(2, 2, P, L)`` of ``kinds`` (``eta``,
+    ``zeta_limited``, ``zeta_limited_rescaled``) of band ``n`` at the points
+    ``(t, delta)`` (columns ``(P, 1)``) on the k-grid ``ks``.
+
+    With ``a``, ``b`` the off-diagonals of the Bloch block (:func:`_hoppings`),
+    ``eps = a b`` and ``w = (a - b, a + b) = (-2 (delta + i sin k), 2 (t +
+    cos k))``, the derivatives of the block along (t, delta) contracted
+    between its two eigenstates, they are::
+
+        eta_{mu nu}                   = -w_mu w_nu / (16 eps^2)
+        zeta_limited_rescaled_{mu nu} = conj(w_mu) w_nu / (16 |eps|^2)
+        zeta_limited_{mu nu}          = zeta_limited_rescaled_{mu nu}
+                                        * (|a|^2 + |eps|) (|b|^2 + |eps|) / (4 |eps|^2)
+
+    the sum-over-states forms of the 2x2 block ``[[0, a], [b, 0]]``, whose
+    eigenvalues ``+-sqrt(eps)`` enter only through ``eps``: no square root,
+    and the two bands agree.  They are formed from the ratios ``w / eps``
+    and ``|a|^2 / |eps|``, which overflow only where the eigensolver does.
+
+    The checks of :func:`~nhgeo.tensors.sum_over_blocks` are made per block
+    in closed form, in its order: ShapeMismatch for non-finite entries;
+    NearDefective if the eigenvector condition number ``sqrt(max(|a|, |b|)
+    / min(|a|, |b|))`` exceeds 1e12; DegenerateSpectrum if the gap ``2
+    sqrt|eps|`` is below ``1e-10 * max(|a|, |b|, 1)`` (``max(|a|, |b|)`` is
+    the block's 2-norm); and NonConvergence where a summand is not finite
+    (an overflowing block).  The error, of the same class and message, is
+    that of the first failing block and carries its index ``p * L + k``;
+    inside :func:`~nhgeo.linalg.flagged_blocks` the failing blocks are
+    flagged instead.
+    """
+    a, b = _hoppings(t, delta, ks)
+    with np.errstate(all="ignore"):  # the blocks that over- or underflow are judged below
+        e = a * b
+        x = np.array([a - b, a + b]) / (4 * e)  # w / (4 eps), (2, P, L)
+        ae, aa, ab = abs(e), abs(a), abs(b)
+        ra, rb = aa * aa / ae, ab * ab / ae
+        lo, hi = np.minimum(aa, ab), np.maximum(aa, ab)
+        cond = np.sqrt(hi) / np.sqrt(lo)
+        checks = [
+            (~(np.isfinite(a) & np.isfinite(b)), ShapeMismatch,
+             lambda i: "2x2 block has non-finite entries"),
+            (cond > DEFECTIVE_COND, NearDefective,
+             lambda i: f"eigenvector condition number {cond.flat[i]:.3e} above 1e12"),
+            (2 * np.sqrt(ae) < 1e-10 * np.maximum(hi, 1.0), DegenerateSpectrum,
+             lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||"),
+            (~(np.isfinite(x).all(axis=0) & np.isfinite(ra) & np.isfinite(rb)), NonConvergence,
+             lambda i: "band summand is not finite"),
+        ]
+    bad = np.logical_or.reduce([m for m, _, _ in checks]).ravel()
+    if bad.any() and not _flag(bad):
+        i = int(np.argmax(bad)) + 1  # the first failing block raises its first failing check
+        for m, exc_type, message in checks:
+            _raise_first(m.ravel()[:i], exc_type, message)
+    out = {}
+    for kind in kinds:
+        if kind == "eta":
+            out[kind] = -(x[:, None] * x)
+        else:
+            s = x.conj()[:, None] * x
+            out[kind] = s * ((ra + 1) * (rb + 1) / 4) if kind == "zeta_limited" else s
+    return out
 
 
 def classify_phase(t: float, delta: float) -> SSHPhase:

@@ -50,7 +50,10 @@ from .oracle import (
     third_quant_superops,
 )
 from .ssh import (
+    _DIRECTIONS,
     SSHParams,
+    _bloch,
+    band_sums,
     bloch_family,
     bloch_sum,
     zeta_finite_sum,
@@ -59,10 +62,12 @@ from .ssh import (
 )
 from .tensors import (
     SOS_KINDS,
+    STATE_KINDS,
     OperatorFamily,
     central_difference,
     chi_hermitian,
     stencil_tensors,
+    sum_over_blocks,
     sum_over_states,
 )
 
@@ -207,8 +212,9 @@ def check_zeta_routes(full: bool = True):
 
 def check_nh_ssh(full: bool = True):
     """Per-block tensors vs closed-form summands, exact symmetric point,
-    thermodynamic limits, the rescaled limited tensor identity, and the
-    stacked k-grid sums vs per-block stencil sums."""
+    thermodynamic limits, the rescaled limited tensor identity, the stacked
+    k-grid sums vs per-block stencil sums, and the closed-form band sums vs
+    the eigensolver's on the same Bloch blocks."""
     rng = np.random.default_rng(404)
     msgs = []
     ok = True
@@ -265,18 +271,31 @@ def check_nh_ssh(full: bool = True):
     msgs.append(f"rescaled limited vs zeta {worst_d:.2e}")
 
     # (e) stacked k-grid sums vs per-block stencil sums, both bands
+    def rel(T, ref):
+        return float(np.abs(T - ref).max() / np.abs(ref).max())
+
     worst_e = 0.0
-    points = [(0.3, 0.2, 8), (0.9, 0.5, 5), (2.0, -0.5, 16)]
-    for (t, d, L) in points + ([(1.2, 0.7, 64), (0.05, -0.9, 2)] if full else []):
-        p = SSHParams(t, d, L)
-        kinds = ["eta", "zeta_limited", "zeta_limited_rescaled"]
+    points = [SSHParams(t, d, L) for (t, d, L) in [(0.3, 0.2, 8), (0.9, 0.5, 5), (2.0, -0.5, 16)]
+              + ([(1.2, 0.7, 64), (0.05, -0.9, 2)] if full else [])]
+    for p in points:
         for n in (0, 1):
-            per_k = [stencil_tensors(bloch_family(p, k), [t, d], n, kinds) for k in p.k_grid]
-            for kind, T in bloch_sum(p, n, kinds).items():
-                ref = sum(st[kind].values for st in per_k)
-                worst_e = max(worst_e, float(np.abs(T.values - ref).max() / np.abs(ref).max()))
+            per_k = [stencil_tensors(bloch_family(p, k), [p.t, p.delta], n, STATE_KINDS)
+                     for k in p.k_grid]
+            for kind, T in bloch_sum(p, n, STATE_KINDS).items():
+                worst_e = max(worst_e, rel(T.values, sum(st[kind].values for st in per_k)))
     ok &= worst_e <= 1e-6
     msgs.append(f"stacked vs stencil sums rel {worst_e:.2e}")
+
+    # (f) closed-form band sums vs the eigensolver route on the same Bloch stack
+    worst_f = 0.0
+    for p in points:
+        K = _bloch(p.t, p.delta, p.k_grid)
+        for n in (0, 1):
+            ref = sum_over_blocks(K, _DIRECTIONS, n, STATE_KINDS)
+            for kind, v in band_sums([p], n, STATE_KINDS).items():
+                worst_f = max(worst_f, rel(v[0], ref[kind]))
+    ok &= worst_f <= 1e-12
+    msgs.append(f"closed-form vs eigensolved sums rel {worst_f:.2e}")
     return bool(ok), "; ".join(msgs)
 
 

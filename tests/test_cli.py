@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import nhgeo.cli as cli_mod
+import nhgeo.ssh as ssh_mod
 from nhgeo.cli import main
 from nhgeo.kitaev import DissipativeKitaevModel
 from nhgeo.ssh import eps
@@ -798,26 +799,27 @@ class TestSweepCommand:
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
 
     def test_ssh_sweep_points_share_passes(self, runner, tmp_path, monkeypatch):
-        # 20 points at L = 64: one adapter call, and the 1280 Bloch blocks go
-        # through ceil(1280 / PASS_BLOCKS) closed-form eigensolves of joined
-        # stacks; point-by-point evaluation makes 20 of each
+        # 20 points at L = 64: one adapter call, whose band sums are closed
+        # forms; no Bloch block is eigensolved and the eigensolver route
+        # (sum_over_blocks) stays an oracle
         import nhgeo.linalg as linalg_mod
         import nhgeo.tensors as tensors_mod
 
-        adapter_calls, eig_calls = [], []
+        adapter_calls, engine_calls = [], []
         real = cli_mod.SSHAdapter.tensors
         monkeypatch.setattr(cli_mod.SSHAdapter, "tensors",
                             lambda *a, **k: adapter_calls.append(a) or real(*a, **k))
-        real_eig = linalg_mod._eig_2x2
-        for mod in (linalg_mod, tensors_mod):
-            monkeypatch.setattr(mod, "_eig_2x2",
-                                lambda *a, **k: eig_calls.append(a) or real_eig(*a, **k))
+        for mod in (linalg_mod, tensors_mod, ssh_mod):
+            for name in ("_eig_2x2", "sum_over_blocks"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, lambda *a, _f=getattr(mod, name), _n=name, **k:
+                                        engine_calls.append(_n) or _f(*a, **k))
         out = tmp_path / "x.csv"
         run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "delta=0.5", "--set", "L=64",
-                        "--axis", "t:0.05:1.95:20", "--tensors", "zeta,eta,zeta_limited_rescaled",
+                        "--axis", "t:0.05:1.95:20", "--tensors", "eta,zeta_limited,zeta_limited_rescaled",
                         "--output", str(out)])
         assert len(adapter_calls) == 1
-        assert 1 <= len(eig_calls) <= -(-20 * 64 // cli_mod.PASS_BLOCKS)
+        assert engine_calls == []
         assert len(out.read_text().splitlines()) == 22
 
     @pytest.mark.parametrize("threads", ["-4", "0"])

@@ -3,9 +3,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nhgeo.errors import CriticalKPoint, FSingular, OnCriticalLine
+from nhgeo.errors import (
+    CriticalKPoint,
+    DegenerateSpectrum,
+    FSingular,
+    NearDefective,
+    NhgeoError,
+    NonConvergence,
+    OnCriticalLine,
+)
+from nhgeo.linalg import flagged_blocks
 from nhgeo.ssh import (
+    _DIRECTIONS,
     SSHParams,
+    _bloch,
+    _grid_eps,
+    band_sums,
     bloch_family,
     bloch_sum,
     classify_phase,
@@ -14,7 +27,7 @@ from nhgeo.ssh import (
     zeta_summand,
     zeta_thermodynamic,
 )
-from nhgeo.tensors import stencil_tensors, zeta_tensor
+from nhgeo.tensors import STATE_KINDS, stencil_tensors, sum_over_blocks, zeta_tensor
 
 from conftest import bloch, maxdev, ssh_eigenstates
 
@@ -128,6 +141,119 @@ class TestBlochSum:
             with pytest.raises(CriticalKPoint) as got:
                 bloch_sum(p, n, ["eta", "zeta_limited"])
             assert str(got.value) == str(want.value)
+
+
+def bloch_stack(points):
+    """The ``(P, L, 2, 2)`` Bloch matrices of ``points``, after their grid check."""
+    t = np.array([p.t for p in points])[:, None]
+    delta = np.array([p.delta for p in points])[:, None]
+    _grid_eps(t, delta, points[0].k_grid)
+    return _bloch(t, delta, points[0].k_grid)
+
+
+def eigensolved(points, n, kinds):
+    """:func:`band_sums` of ``points`` by the eigensolver route:
+    ``sum_over_blocks`` on the stack of their Bloch matrices."""
+    return sum_over_blocks(bloch_stack(points), _DIRECTIONS, n, kinds)
+
+
+def outcome(route, points, n, kinds=STATE_KINDS):
+    """``route(points, n, kinds)``, or the NhgeoError it raises."""
+    try:
+        return route(points, n, kinds)
+    except NhgeoError as exc:
+        return exc
+
+
+#: hoppings on the landing axes of the sweep tests, which put |t -+ delta| = 1
+#: on the gap closings, or anywhere with |t| up to 1e6
+hopping = st.sampled_from(np.linspace(-2.0, 2.0, 25).tolist()) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def passes(draw):
+    """One to four points of one L.  Half of them put t - delta or t + delta
+    at +-1 in floating point, where a Bloch block at k = 0 or pi is (nearly)
+    exceptional: a grid gap closing, or, at large |t| where rounding hides
+    the gap from the grid check, a near-defective or degenerate block."""
+    L = draw(st.integers(2, 64))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(hopping)
+        edges = st.sampled_from([t - 1, t + 1, 1 - t, -1 - t])
+        points.append(SSHParams(t, draw(edges if draw(st.booleans()) else hopping), L))
+    return points
+
+
+class TestClosedFormBandSums:
+    """:func:`band_sums` in closed form against the eigensolver route on the
+    same Bloch blocks: the same sums, and the same error wherever that
+    route raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=passes(), n=st.integers(0, 1))
+    def test_matches_eigensolver(self, points, n):
+        want, got = outcome(eigensolved, points, n), outcome(band_sums, points, n)
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.block == want.block
+            return
+        # each block's tensors alone: the k-terms of the sums, whose
+        # magnitudes set the rounding of any sum of them (terms ~ 0.06 sum
+        # to 4e-5 at t = delta = 34, L = 3)
+        K = bloch_stack(points)
+        terms = sum_over_blocks(K.reshape(-1, 1, 2, 2), _DIRECTIONS, n, STATE_KINDS)
+        for kind in STATE_KINDS:
+            scale = np.abs(terms[kind]).reshape(K.shape).sum(axis=1)
+            for ref, v, size in zip(want[kind], got[kind], scale):
+                assert maxdev(v, ref) <= 1e-12 * size.max(), (kind, ref, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=passes(), n=st.integers(0, 1))
+    def test_flags_the_points_of_the_eigensolver(self, points, n):
+        # in a pass the checks flag the failing points instead of raising
+        flagged = []
+        for route in (eigensolved, band_sums):
+            with flagged_blocks() as flags:
+                outcome(route, points, n)
+            flagged.append(flags.points(len(points)))
+        assert np.array_equal(flagged[1], flagged[0])
+
+    @pytest.mark.parametrize("t, delta, L, error", [
+        (1.5, 0.5, 8, CriticalKPoint),
+        # t - delta = -1 exactly: a = 0 at k = 0, where the grid check's
+        # rounding leaves |eps| ~ 1e-4
+        (1e6 + 0.3, 1e6 + 1.3, 4, NearDefective),
+        # t - delta = 1: |a| = 1.2e-16 at k = pi (the rounding of e^{i pi})
+        (1e9 + 0.5, 1e9 - 0.5, 4, NearDefective),
+        (5e4 + 0.5, 5e4 - 0.5, 8, DegenerateSpectrum),
+    ])
+    def test_engine_verdicts(self, t, delta, L, error):
+        p = SSHParams(t, delta, L)
+        points = [SSHParams(0.3, 0.2, L), p, SSHParams(0.7, -0.4, L)]
+        for n in (0, 1):
+            for pts in ([p], points):
+                want, got = outcome(eigensolved, pts, n), outcome(band_sums, pts, n)
+                assert type(want) is error
+                assert type(got) is error and str(got) == str(want) and got.block == want.block
+
+    def test_overflowing_block_raises(self):
+        # |a b| overflows, as the eigensolver's quadratic does (and the grid
+        # check's eps(k), which finds no zero)
+        p = SSHParams(1e160, 0.5, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert type(outcome(eigensolved, [p], 0)) is NonConvergence
+            for kinds in (["eta"], ["zeta_limited"], ["zeta_limited_rescaled"]):
+                with pytest.raises(NonConvergence, match="block 0: band summand is not finite"):
+                    band_sums([p], 0, kinds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=passes())
+    def test_bands_agree(self, points):
+        bands = [outcome(band_sums, points, n) for n in (0, 1)]
+        if not isinstance(bands[0], Exception):
+            for kind in STATE_KINDS:
+                assert bands[1][kind].tobytes() == bands[0][kind].tobytes()
 
 
 class TestClassifyPhase:
