@@ -29,10 +29,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import NhgeoError, ShapeMismatch
+from .errors import NhgeoError, NonConvergence, ShapeMismatch
 from .kitaev import WEAK_KINDS, DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
 from .biortho import build_biortho
 from .linalg import (
+    _raise_first,
     as_square,
     complex_pairs,
     eig_general,
@@ -169,6 +170,7 @@ class SSHAdapter(_LatticeModel):
     def spectrum(self, values) -> dict:
         p = self.params(values)
         se = np.sqrt(eps(p.t, p.delta, p.k_grid))
+        _raise_first(~np.isfinite(se), NonConvergence, lambda i: "band value is not finite")
         pairs = np.stack([se, -se], axis=-1).tolist()  # (+sqrt(eps), -sqrt(eps)) per k
         bands = [{"k": float(k), "values": [_c(z) for z in pair]}
                  for k, pair in zip(p.k_grid, pairs)]

@@ -325,14 +325,21 @@ def _over_k(k, block, lam=()) -> np.ndarray:
     return block if np.shape(block) == shape else np.broadcast_to(block, shape).copy()
 
 
-def _x_of(k, lam, h, m, m_minus_k) -> np.ndarray:
-    """``x(k) = 4i h(k) + m(k) + m(-k)^T``, linear: (dh_mu, dm_mu) give dx_mu."""
-    return _over_k(k, 4j * h + m + np.swapaxes(m_minus_k, -1, -2), lam)
-
-
-def _y_of(k, lam, m, m_minus_k) -> np.ndarray:
-    """``y(k) = -2 (m(k) - m(-k)^T)``, linear: the dm_mu blocks give dy_mu."""
-    return _over_k(k, -2.0 * (m - np.swapaxes(m_minus_k, -1, -2)), lam)
+def _read_xy(model, k, lam, mu=None):
+    """``(x, y(k))``: x at the momenta ``(k, -k)`` on a new leading axis, with
+    ``x(k) = 4i h(k) + m(k) + m(-k)^T`` and ``y(k) = -2 (m(k) - m(-k)^T)``,
+    from one ``h_block`` and one ``m_block`` call at ``(k, -k)``; with a
+    direction ``mu``, their derivatives from ``dh_block`` and ``dm_block``."""
+    kk = np.reshape([k, -k], (2, *(np.shape(k) or (1, 1))))  # a scalar k as a column
+    if mu is None:
+        h, m = model.h_block(kk, lam), model.m_block(kk, lam)
+    else:
+        _direction(mu, model.num_params)
+        h, m = model.dh_block(mu, kk, lam), model.dm_block(mu, kk, lam)
+    on_k = np.ndim(m) >= np.ndim(kk)  # else m does not depend on k
+    mT = np.swapaxes(m[::-1] if on_k else m, -1, -2)  # m(-k)^T at (k, -k)
+    y = -2.0 * (m - mT)
+    return _over_k(kk, 4j * h + m + mT, lam), _over_k(k, y[0] if on_k else y, lam)
 
 
 class TranslationInvariantModel:
@@ -366,19 +373,16 @@ class TranslationInvariantModel:
     # -- derived quantities (one block, or a stack over k and points) --------
 
     def x_block(self, k, lam) -> np.ndarray:
-        return _x_of(k, lam, self.h_block(k, lam), self.m_block(k, lam), self.m_block(-k, lam))
+        return _read_xy(self, k, lam)[0][0]
 
     def y_block(self, k, lam) -> np.ndarray:
-        return _y_of(k, lam, self.m_block(k, lam), self.m_block(-k, lam))
+        return _read_xy(self, k, lam)[1]
 
     def dx_block(self, mu: int, k, lam) -> np.ndarray:
-        _direction(mu, self.num_params)
-        return _x_of(k, lam, self.dh_block(mu, k, lam), self.dm_block(mu, k, lam),
-                     self.dm_block(mu, -k, lam))
+        return _read_xy(self, k, lam, mu)[0][0]
 
     def dy_block(self, mu: int, k, lam) -> np.ndarray:
-        _direction(mu, self.num_params)
-        return _y_of(k, lam, self.dm_block(mu, k, lam), self.dm_block(mu, -k, lam))
+        return _read_xy(self, k, lam, mu)[1]
 
 
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
@@ -437,33 +441,25 @@ def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bo
     1-D momenta ``ks``, the block of point ``p`` at ``ks[j]`` at the flat
     index ``p * L + j``.  Each block method is called once (per direction),
     on every point and momentum: ``lam`` reaches it as ``d`` columns ``(P,
-    1, 1, 1)``, and x(k) and x(-k)^T come from one ``x_block`` call at the
-    momenta ``(ks, -ks)`` as a ``(2, 1, L, 1, 1)`` array.  With
-    ``derivatives``, every dx_mu and dy_mu too (their entries stacked over
-    directions mu, ``(d, P L)``)."""
+    1, 1, 1)`` and the momenta ``(ks, -ks)`` as a ``(2, 1, L, 1, 1)``
+    array, and x(k), x(-k)^T and y(k) are formed from that read
+    (:func:`_read_xy`).  With ``derivatives``, every dx_mu and dy_mu too
+    (their entries stacked over directions mu, ``(d, P L)``)."""
     P, L = len(lams), len(ks)
     lam = np.reshape(np.transpose(lams), (-1, P, 1, 1, 1))
-    both = np.stack([ks, -ks])[:, None, :, None, None]
-    kc = ks[:, None, None]
+    kc = ks[None, :, None, None]  # after the points' axis
 
-    def flat(E):  # entries (..., P, L) as (..., P L)
-        return tuple(e.reshape(e.shape[:-2] + (P * L,)) for e in E)
+    def entries(x, y):  # x (..., 2, P, L, 2, 2), y as entries (..., P L); x(-k) transposed
+        x, y = (tuple(e.reshape(e.shape[:-2] + (P * L,)) for e in _entries(b)) for b in (x, y))
+        return tuple(e[..., 0, :] for e in x), _transpose(tuple(e[..., 1, :] for e in x)), y
 
-    def at_k_and_minus_k_transposed(blocks):  # (..., 2, P, L, 2, 2) as two entry tuples
-        E = flat(_entries(blocks))
-        return tuple(e[..., 0, :] for e in E), _transpose(tuple(e[..., 1, :] for e in E))
-
-    x, xmT = at_k_and_minus_k_transposed(model.x_block(both, lam))
-    y = flat(_entries(model.y_block(kc, lam)))
+    x, xmT, y = entries(*_read_xy(model, kc, lam))
     if not derivatives:
         return x, xmT, y, None
-    d = range(model.num_params)
-    if not d:  # a model without parameters: empty derivative stacks
-        dx, dy = np.zeros((0, 2, P, L, 2, 2)), np.zeros((0, P, L, 2, 2))
-    else:
-        dx = np.stack([model.dx_block(mu, both, lam) for mu in d])
-        dy = np.stack([model.dy_block(mu, kc, lam) for mu in d])
-    return x, xmT, y, (*at_k_and_minus_k_transposed(dx), flat(_entries(dy)))
+    reads = zip(*(_read_xy(model, kc, lam, mu) for mu in range(model.num_params)))
+    # a model without parameters has empty derivative stacks
+    empty = [np.zeros((0, 2, P, L, 2, 2)), np.zeros((0, P, L, 2, 2))]
+    return x, xmT, y, entries(*([np.stack(r) for r in reads] or empty))
 
 
 def _joined(reads, at):
@@ -610,8 +606,9 @@ def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> Quadra
 def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFamily:
     """Real-space LiouvillianFamily wrapping :func:`assemble_real_space`.
 
-    dX and dY are exact: the k stacks of ``model.dx_block`` and
-    ``model.dy_block`` are Fourier-assembled as X and Y are, then projected
+    dX and dY are exact: the k stacks of dx_mu and dy_mu, formed from one
+    read of ``dh_block`` and ``dm_block`` at ``(k, -k)`` (:func:`_read_xy`),
+    are Fourier-assembled as X and Y are, then projected
     onto the structure of X and Y, dX real and dY imaginary antisymmetric.
     They are not Liouvillians, so they skip :func:`build_liouvillian`'s
     validation.
@@ -620,8 +617,9 @@ def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFa
     kc = _k_column(L)
 
     def dxy(mu, lam):
-        dX = _real_space(kc, model.dx_block(mu, kc, lam)).real.astype(complex)
-        dY = _real_space(kc, model.dy_block(mu, kc, lam))
+        dx, dy = _read_xy(model, kc, lam, mu)
+        dX = _real_space(kc, dx[0]).real.astype(complex)
+        dY = _real_space(kc, dy)
         return dX, 1j * (dY - dY.T).imag / 2
 
     return LiouvillianFamily(

@@ -1,23 +1,20 @@
 """Non-Hermitian Su-Schrieffer-Heeger chain (momentum space).
 
-Two-band Bloch matrices with asymmetric intracell hopping ``t +- delta``
-(intercell hopping fixed to 1), the band function ``eps(k)``, phase labels
-from the two gap conditions ``|t -+ delta| = 1``, Brillouin-zone sums of the
-mixed geometric tensor over the (t, delta) plane, and the corresponding
-thermodynamic-limit expressions.
+Two-band Bloch matrices ``[[0, a], [b, 0]]`` with asymmetric intracell
+hopping ``t +- delta`` (intercell hopping fixed to 1), the band function
+``eps(k) = a b``, phase labels from the two gap conditions ``|t -+ delta| =
+1``, Brillouin-zone sums of the mixed geometric tensor over the (t, delta)
+plane, and the corresponding thermodynamic-limit expressions.
 
 All computations are on 2x2 Bloch blocks, no real-space Hamiltonian (open
 boundaries and skin-effect physics are out of scope).  :func:`band_sums`
-gives the ``zeta``, ``eta`` and ``zeta_limited`` sums on the whole k-grid
-of many points at once, all in closed form (:func:`zeta_finite_sum` and
-:func:`bloch_sum` are its one-point views).  The block ``[[0, a], [b,
-0]]`` has the eigenvalues ``+-sqrt(a b)``, and its sum-over-states
-tensors are rational functions of ``a``, ``b`` and ``eps = a b``
-(:func:`_state_summands`), the same for both bands: no eigensolve runs.
-Two oracles check them: :func:`~nhgeo.tensors.sum_over_blocks`, which
-eigensolves the stack of Bloch matrices (:func:`_bloch`), and the
-finite-difference stencil on :func:`bloch_family`, the fixed-k block as
-an operator family.
+gives every sum on the k-grids of many points at once, in closed form from
+one read of ``a``, ``b`` and :func:`eps`, the one expression of the band
+function: no eigensolve runs.  :func:`zeta_finite_sum` and
+:func:`bloch_sum` are its one-point views.  Two oracles check it:
+:func:`~nhgeo.tensors.sum_over_blocks` on the stack of Bloch matrices
+(:func:`_bloch`), and the finite-difference stencil on
+:func:`bloch_family`, the fixed-k block as an operator family.
 """
 from __future__ import annotations
 
@@ -92,20 +89,29 @@ def _bloch(t, delta, k) -> np.ndarray:
     return K
 
 
+def _eps(a, b):
+    """``a b`` in real arithmetic, which rounds a scalar as the same entry of
+    an array (numpy's complex multiply does not always); inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.asarray(a.real * b.real - a.imag * b.imag, dtype=complex)
+        e.imag = a.real * b.imag + a.imag * b.real
+    return e[()]
+
+
 def eps(t: float, delta: float, k) -> np.ndarray | complex:
-    """Band function: eigenvalues of the Bloch matrix are +-sqrt(eps)."""
-    return 1.0 + t * t - delta * delta + 2.0 * t * np.cos(k) - 2j * delta * np.sin(k)
+    """Band function ``eps(k) = a b`` of the Bloch off-diagonals
+    (:func:`_hoppings`): the Bloch eigenvalues are ``+-sqrt(eps)``."""
+    return _eps(*_hoppings(t, delta, k))
 
 
-def _grid_eps(t, delta, ks) -> None:
-    """The grid check of every point ``(t[p], delta[p])`` on the k-grid
-    ``ks``: CriticalKPoint for the first point where ``|eps(k)| < 1e-12`` at
-    a grid k, with ``exc.block = p * L + k`` at the smallest ``|eps|``.  The
-    gap closes there and every Brillouin-zone sum diverges, even when
-    rounding leaves the Bloch block a finite gap.  Inside
-    :func:`~nhgeo.linalg.flagged_blocks` the failing points are flagged
-    instead."""
-    ae = np.abs(eps(np.reshape(t, (-1, 1)), np.reshape(delta, (-1, 1)), ks))
+def _grid_eps(e, ks) -> None:
+    """The grid check of P points from their band functions ``e`` ``(P, L)``
+    on the k-grid ``ks``: CriticalKPoint for the first point where
+    ``|eps(k)| < 1e-12`` at a grid k, with ``exc.block = p * L + k`` at the
+    smallest ``|eps|``.  The gap closes there and every Brillouin-zone sum
+    diverges, even when rounding leaves the Bloch block a finite gap.
+    Inside :func:`~nhgeo.linalg.flagged_blocks` the points are flagged."""
+    ae = np.abs(e)
     bad = ae.min(axis=-1) < 1e-12
     if bad.any() and not _flag(bad[:, None]):
         p = int(np.argmax(bad))
@@ -147,101 +153,99 @@ BAND_KINDS = ("zeta", *STATE_KINDS)
 def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarray]:
     """The Brillouin-zone sums ``kinds`` over (t, delta) at each of ``points``,
     which share one ``L``, as ``(P, 2, 2)`` arrays: ``zeta``, and ``eta``,
-    ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``, all in
-    closed form.
+    ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``.
 
-    Every point goes through one pass: the grid check of :func:`_grid_eps`
-    first, then one array of per-k summands per kind, summed over each
-    point's own k axis: :func:`zeta_summand` for ``zeta`` and
-    :func:`_state_summands` for the other kinds, which are the same for
-    both bands.  Each point's sums are those of the point alone, bit for
-    bit.  A failure is that of the first failing point (the grid check of
-    every point comes first) and carries ``p * L + k`` as ``exc.block``;
-    inside :func:`~nhgeo.linalg.flagged_blocks` every check flags its
-    failing points instead, and a flagged point's sums are not its tensors.
-    :func:`~nhgeo.tensors.sum_over_blocks` on the stack of Bloch matrices
-    (:func:`_bloch`) is the eigensolver route to the same sums and their
-    oracle.
+    One pass reads the Bloch off-diagonals of every point once
+    (:func:`_hoppings`), forms ``eps = a b`` (:func:`eps`), makes the grid
+    check (:func:`_grid_eps`) of every point first, and sums the closed-form
+    summands of :func:`_state_summands` over each point's own k axis, so a
+    point's sums are those of the point alone, bit for bit.  A failure is
+    that of the first failing point and carries ``p * L + k`` as
+    ``exc.block``; inside :func:`~nhgeo.linalg.flagged_blocks` the failing
+    points are flagged instead, and their sums are not their tensors.
+    :func:`~nhgeo.tensors.sum_over_blocks` on the Bloch matrices
+    (:func:`_bloch`) is the eigensolver route to the same sums, their oracle.
     """
     kinds = _kinds(kinds, BAND_KINDS, "band_sums")
     L = points[0].L
     if any(p.L != L for p in points):
         raise ShapeMismatch("band_sums needs points of one chain length L")
     ks = points[0].k_grid
-    t = np.array([p.t for p in points])[:, None]
-    delta = np.array([p.delta for p in points])[:, None]
-    _grid_eps(t, delta, ks)
-    stacked = [k for k in kinds if k != "zeta"]
-    summands = {"zeta": zeta_summand(t, delta, ks)} if "zeta" in kinds else {}
-    if stacked:
-        if not 0 <= n < 2:
-            raise ShapeMismatch(f"state index {n} out of range for dim 2")
-        summands.update(_state_summands(t, delta, ks, n, stacked))
+    a, b = _hoppings(np.array([p.t for p in points])[:, None],
+                     np.array([p.delta for p in points])[:, None], ks)
+    e = _eps(a, b)
+    _grid_eps(e, ks)
+    summands = _state_summands(a, b, e, n, kinds)
     # (2, 2, P, L) summed over each point's k axis
     return {kind: np.moveaxis(summands[kind].sum(axis=-1), -1, 0).astype(complex)
             for kind in kinds}
 
 
-def _state_summands(t, delta, ks, n: int, kinds) -> dict[str, np.ndarray]:
-    """The per-k summands ``(2, 2, P, L)`` of ``kinds`` (``eta``,
-    ``zeta_limited``, ``zeta_limited_rescaled``) of band ``n`` at the points
-    ``(t, delta)`` (columns ``(P, 1)``) on the k-grid ``ks``.
+def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
+    """The per-k summands ``(2, 2, ...)`` of ``kinds`` (of band ``n``) over
+    the Bloch blocks ``[[0, a], [b, 0]]`` with band function ``e = a b``.
 
-    With ``a``, ``b`` the off-diagonals of the Bloch block (:func:`_hoppings`),
-    ``eps = a b`` and ``w = (a - b, a + b) = (-2 (delta + i sin k), 2 (t +
-    cos k))``, the derivatives of the block along (t, delta) contracted
-    between its two eigenstates, they are::
+    With ``w = (a - b, a + b) = (-2 (delta + i sin k), 2 (t + cos k))``, the
+    derivatives of the block along (t, delta) contracted between its two
+    eigenstates, the sum-over-states forms are::
 
         eta_{mu nu}                   = -w_mu w_nu / (16 eps^2)
         zeta_limited_rescaled_{mu nu} = conj(w_mu) w_nu / (16 |eps|^2)
         zeta_limited_{mu nu}          = zeta_limited_rescaled_{mu nu}
                                         * (|a|^2 + |eps|) (|b|^2 + |eps|) / (4 |eps|^2)
+        zeta_{mu nu}                  = Re zeta_limited_rescaled_{mu nu}
 
-    the sum-over-states forms of the 2x2 block ``[[0, a], [b, 0]]``, whose
-    eigenvalues ``+-sqrt(eps)`` enter only through ``eps``: no square root,
-    and the two bands agree.  They are formed from the ratios ``w / eps``
-    and ``|a|^2 / |eps|``, which overflow only where the eigensolver does.
+    The eigenvalues ``+-sqrt(eps)`` enter only through ``eps``: no square
+    root, and the two bands agree.  The imaginary part that ``zeta`` drops
+    is odd in k and cancels between k and -k.  The ratios ``w / eps`` and
+    ``|a|^2 / |eps|`` overflow only where the eigensolver does.
 
-    The checks of :func:`~nhgeo.tensors.sum_over_blocks` are made per block
-    in closed form, in its order: ShapeMismatch for non-finite entries;
-    NearDefective if the eigenvector condition number ``sqrt(max(|a|, |b|)
-    / min(|a|, |b|))`` exceeds 1e12; DegenerateSpectrum if the gap ``2
-    sqrt|eps|`` is below ``1e-10 * max(|a|, |b|, 1)`` (``max(|a|, |b|)`` is
-    the block's 2-norm); and NonConvergence where a summand is not finite
-    (an overflowing block).  The error, of the same class and message, is
-    that of the first failing block and carries its index ``p * L + k``;
-    inside :func:`~nhgeo.linalg.flagged_blocks` the failing blocks are
-    flagged instead.
+    Where a state kind is asked for, the checks of
+    :func:`~nhgeo.tensors.sum_over_blocks` are made per block in closed
+    form, in its order: ShapeMismatch for non-finite entries; NearDefective
+    if the eigenvector condition number ``sqrt(max(|a|, |b|) / min(|a|,
+    |b|))`` exceeds 1e12; DegenerateSpectrum if the gap ``2 sqrt|eps|`` is
+    below ``1e-10 * max(|a|, |b|, 1)`` (the block's 2-norm, at least 1).
+    Every kind then raises NonConvergence where a summand or ``eps`` is not
+    finite.  The first failing block raises its first failing check, with
+    its index ``p * L + k``; inside :func:`~nhgeo.linalg.flagged_blocks`
+    the failing blocks are flagged instead.
     """
-    a, b = _hoppings(t, delta, ks)
+    state = [kind for kind in kinds if kind != "zeta"]
+    if state and not 0 <= n < 2:
+        raise ShapeMismatch(f"state index {n} out of range for dim 2")
     with np.errstate(all="ignore"):  # the blocks that over- or underflow are judged below
-        e = a * b
-        x = np.array([a - b, a + b]) / (4 * e)  # w / (4 eps), (2, P, L)
-        ae, aa, ab = abs(e), abs(a), abs(b)
-        ra, rb = aa * aa / ae, ab * ab / ae
-        lo, hi = np.minimum(aa, ab), np.maximum(aa, ab)
-        cond = np.sqrt(hi) / np.sqrt(lo)
-        checks = [
-            (~(np.isfinite(a) & np.isfinite(b)), ShapeMismatch,
-             lambda i: "2x2 block has non-finite entries"),
-            (cond > DEFECTIVE_COND, NearDefective,
-             lambda i: f"eigenvector condition number {cond.flat[i]:.3e} above 1e12"),
-            (2 * np.sqrt(ae) < 1e-10 * np.maximum(hi, 1.0), DegenerateSpectrum,
-             lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||"),
-            (~(np.isfinite(x).all(axis=0) & np.isfinite(ra) & np.isfinite(rb)), NonConvergence,
-             lambda i: "band summand is not finite"),
-        ]
+        x = np.array([a - b, a + b]) / (4 * e)  # w / (4 eps), (2, ...)
+        finite = np.isfinite(x).all(axis=0) & np.isfinite(e)
+        checks = []
+        if state:
+            ae, aa, ab = abs(e), abs(a), abs(b)
+            ra, rb = aa * aa / ae, ab * ab / ae
+            lo, hi = np.minimum(aa, ab), np.maximum(aa, ab)
+            cond = np.sqrt(hi) / np.sqrt(lo)
+            finite &= np.isfinite(ra) & np.isfinite(rb)
+            checks = [
+                (~(np.isfinite(a) & np.isfinite(b)), ShapeMismatch,
+                 lambda i: "2x2 block has non-finite entries"),
+                (cond > DEFECTIVE_COND, NearDefective,
+                 lambda i: f"eigenvector condition number {cond.flat[i]:.3e} above 1e12"),
+                (2 * np.sqrt(ae) < 1e-10 * np.maximum(hi, 1.0), DegenerateSpectrum,
+                 lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||"),
+            ]
+        checks.append((~finite, NonConvergence, lambda i: "band summand is not finite"))
     bad = np.logical_or.reduce([m for m, _, _ in checks]).ravel()
     if bad.any() and not _flag(bad):
         i = int(np.argmax(bad)) + 1  # the first failing block raises its first failing check
         for m, exc_type, message in checks:
             _raise_first(m.ravel()[:i], exc_type, message)
     out = {}
+    s = x.conj()[:, None] * x if set(kinds) - {"eta"} else None
     for kind in kinds:
         if kind == "eta":
             out[kind] = -(x[:, None] * x)
+        elif kind == "zeta":
+            out[kind] = s.real
         else:
-            s = x.conj()[:, None] * x
             out[kind] = s * ((ra + 1) * (rb + 1) / 4) if kind == "zeta_limited" else s
     return out
 
@@ -260,18 +264,11 @@ def classify_phase(t: float, delta: float) -> SSHPhase:
 
 
 def zeta_summand(t: float, delta: float, k) -> np.ndarray:
-    """Per-k contribution to the Brillouin-zone tensor sum over (t, delta),
-    as ``(2, 2, ...)`` over the broadcast shape of ``t``, ``delta`` and ``k``
-    (a ``(P, 1)`` column of points and ``L`` momenta give ``(2, 2, P, L)``).
-
-    This is the k-symmetrized value: the full per-k block tensor also carries
-    an off-diagonal imaginary part odd in k that cancels between k and -k.
-    """
-    ae = np.abs(eps(t, delta, k)) ** 2
-    ztt = (delta ** 2 + np.sin(k) ** 2) / (4 * ae)
-    zdd = (t + np.cos(k)) ** 2 / (4 * ae)
-    ztd = -(t + np.cos(k)) * delta / (4 * ae)
-    return np.array([[ztt, ztd], [ztd, zdd]])
+    """Per-k contribution to the Brillouin-zone ``zeta`` sum over (t, delta),
+    ``(2, 2, ...)`` over the broadcast shape of ``t``, ``delta`` and ``k``:
+    the real part of the per-k ``zeta_limited_rescaled`` (:func:`_state_summands`)."""
+    a, b = _hoppings(t, delta, k)
+    return _state_summands(a, b, _eps(a, b), 0, ["zeta"])["zeta"]
 
 
 def zeta_finite_sum(params: SSHParams) -> GeoTensor:

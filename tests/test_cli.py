@@ -470,6 +470,32 @@ class TestSSHTensors:
         assert result.exit_code == want.exit_code
         assert result.output == want.output
 
+    def test_overflowing_band_function_rows(self, runner, tmp_path):
+        # |eps| = |a b| overflows: the rows were ok with a NaN zeta_deltadelta
+        # and every other cell 0
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["sweep", "--model", "nh-ssh", "--set", "delta=0.5", "--set", "L=8",
+                        "--axis", "t:1e159:1e160:2", "--tensors", "zeta", "--output", str(out)])
+        rows = out.read_text().splitlines()[2:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["NonConvergence"] * 2
+
+    @pytest.mark.parametrize("command", ["tensor", "spectrum"])
+    def test_overflowing_band_function_exit_3(self, runner, command):
+        # a JSON ValueError traceback with exit 1 before
+        args = [command, "--model", "nh-ssh", "--set", "t=1e160", "--set", "delta=0.5",
+                "--set", "L=4"]
+        result = runner.invoke(main, args + (["--tensors", "zeta"] if command == "tensor" else []))
+        assert result.exit_code == 3, result.output
+        assert "NonConvergence" in result.output
+
+    def test_tensor_eigenvalue_summary_exit_3(self, runner, monkeypatch):
+        # every kind passes, but the band values of the summary overflow
+        monkeypatch.setattr(cli_mod, "eps", lambda t, delta, k: np.full(np.shape(k), np.inf))
+        result = runner.invoke(main, ["tensor", "--model", "nh-ssh", "--set", "t=0.5",
+                                      "--set", "L=4", "--tensors", "zeta"])
+        assert result.exit_code == 3, result.output
+        assert "NonConvergence: block 0: band value is not finite" in result.output
+
     @pytest.mark.parametrize("state", [0, 1])
     @pytest.mark.parametrize("t", [1.5 - 1e-6, 1.5 + 1e-6, 1.5 + 1e-4])
     def test_eta_exact_next_to_a_gap_closing(self, runner, t, state):

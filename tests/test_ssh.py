@@ -147,7 +147,7 @@ def bloch_stack(points):
     """The ``(P, L, 2, 2)`` Bloch matrices of ``points``, after their grid check."""
     t = np.array([p.t for p in points])[:, None]
     delta = np.array([p.delta for p in points])[:, None]
-    _grid_eps(t, delta, points[0].k_grid)
+    _grid_eps(eps(t, delta, points[0].k_grid), points[0].k_grid)
     return _bloch(t, delta, points[0].k_grid)
 
 
@@ -221,9 +221,10 @@ class TestClosedFormBandSums:
 
     @pytest.mark.parametrize("t, delta, L, error", [
         (1.5, 0.5, 8, CriticalKPoint),
-        # t - delta = -1 exactly: a = 0 at k = 0, where the grid check's
-        # rounding leaves |eps| ~ 1e-4
-        (1e6 + 0.3, 1e6 + 1.3, 4, NearDefective),
+        # t - delta = -1 exactly: a = 0 at k = 0, so eps = a b = 0 there and
+        # the gap closes on the grid (the expanded 1 + t^2 - delta^2 + ...
+        # rounded to |eps| ~ 2e-5 and let the block fail as NearDefective)
+        (1e6 + 0.3, 1e6 + 1.3, 4, CriticalKPoint),
         # t - delta = 1: |a| = 1.2e-16 at k = pi (the rounding of e^{i pi})
         (1e9 + 0.5, 1e9 - 0.5, 4, NearDefective),
         (5e4 + 0.5, 5e4 - 0.5, 8, DegenerateSpectrum),
@@ -254,6 +255,59 @@ class TestClosedFormBandSums:
         if not isinstance(bands[0], Exception):
             for kind in STATE_KINDS:
                 assert bands[1][kind].tobytes() == bands[0][kind].tobytes()
+
+
+class TestOneBandFunction:
+    """The grid check and the summands of every kind read ``eps = a b`` of
+    the pass's Bloch off-diagonals, which does not cancel near a gap closing
+    or at large |t| as ``1 + t^2 - delta^2 + 2t cos k - 2i delta sin k`` did."""
+
+    @staticmethod
+    def extended_zeta(p):
+        """The ``zeta`` sum on the double k-grid of ``p``, in extended precision."""
+        k = p.k_grid.astype(np.clongdouble)
+        t, delta = np.longdouble(p.t), np.longdouble(p.delta)
+        a, b = t - delta + np.exp(-1j * k), t + delta + np.exp(1j * k)
+        x = np.array([a - b, a + b]) / (4 * a * b)
+        return (x.conj()[:, None] * x).real.sum(axis=-1)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).precision < 18,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("t, delta", [(1.0, -3e-6), (1.0, -1e-5), (1.5 - 1e-6, 0.5)])
+    def test_zeta_near_a_gap_closing(self, t, delta):
+        # the expanded band function was off by 2.0e-5, 1.7e-7 and 2.7e-10
+        p = SSHParams(t, delta, 8)
+        ref = self.extended_zeta(p)
+        dev = np.abs(zeta_finite_sum(p).values - ref.astype(float)).max()
+        assert dev <= 1e-10 * float(np.abs(ref).max())
+
+    def test_gap_closing_at_large_hopping(self):
+        # t - delta = -1: the k = 0 block is exactly [[0, 0], [2000002.6, 0]],
+        # where the expanded band function rounded to |eps| = 2.4e-5
+        p = SSHParams(1e6 + 0.3, 1e6 + 1.3, 4)
+        assert _bloch(p.t, p.delta, 0.0)[0, 1] == 0 and eps(p.t, p.delta, 0.0) == 0
+        with pytest.raises(CriticalKPoint) as info:
+            zeta_finite_sum(p)
+        assert info.value.block == 0
+
+    @pytest.mark.parametrize("t", [1e159, 1e160])
+    def test_overflowing_band_function_raises(self, t):
+        # the zeta sums were NaN and 0; under -W error eps itself raised
+        with np.errstate(all="raise"):
+            assert np.isinf(eps(t, 0.5, 0.0))
+            with pytest.raises(NonConvergence, match="block 0: band summand is not finite"):
+                zeta_finite_sum(SSHParams(t, 0.5, 8))
+
+    def test_scalar_k_as_in_an_array(self):
+        # numpy's complex multiply rounds 28 of these 64 entries differently
+        p = SSHParams(0.5, 0.3, 64)
+        one_by_one = np.array([eps(p.t, p.delta, k) for k in p.k_grid])
+        assert one_by_one.tobytes() == eps(p.t, p.delta, p.k_grid).tobytes()
+
+    def test_zeta_is_the_real_part_of_the_rescaled_sum(self):
+        p = SSHParams(0.9, 0.5, 64)
+        sums = band_sums([p], 0, ["zeta", "zeta_limited_rescaled"])
+        assert np.array_equal(sums["zeta"], sums["zeta_limited_rescaled"].real + 0j)
 
 
 class TestClassifyPhase:
