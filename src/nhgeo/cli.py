@@ -82,14 +82,14 @@ def _one_result(evaluate, points):
     arrays, or the NhgeoError (or FloatingPointError) the point raises
     when it is evaluated alone.
 
-    A pass of several points runs once, with its blockwise checks flagging
-    the failing blocks instead of raising (:func:`~nhgeo.linalg.flagged_blocks`).
-    Then each point with a flagged block or a non-finite sum is evaluated
-    alone, on the raising path, and an error that the pass raises (one
-    without a block) sends every point through alone.  So every point gets
-    the result it gets alone, error class and message included.  An error
-    drops its traceback and context, whose frames would keep the arrays of
-    its pass alive.
+    A pass of several points runs once, with its blockwise checks recording
+    the failing blocks instead of raising (:func:`~nhgeo.linalg.flagged_blocks`);
+    a failing point takes its error from that record.  A point with a
+    non-finite sum and no failing block is evaluated alone, and an error
+    that the pass raises (one without a block) sends every point through
+    alone.  So every point gets the result it gets alone, error class,
+    message and block included.  A raised error drops its traceback and
+    context, whose frames would keep the arrays of its pass alive.
     """
     if len(points) > 1:
         with flagged_blocks() as flags:
@@ -99,10 +99,10 @@ def _one_result(evaluate, points):
                 results = None
         if results is None:
             return [r for p in points for r in _one_result(evaluate, [p])]
-        again = flags.points(len(points))
-        return [_one_result(evaluate, [p])[0]
-                if bad or not all(np.isfinite(v).all() for v in r.values()) else r
-                for p, r, bad in zip(points, results, again)]
+        return [exc if exc is not None
+                else r if all(np.isfinite(v).all() for v in r.values())
+                else _one_result(evaluate, [p])[0]
+                for p, r, exc in zip(points, results, flags.errors(len(points)))]
     try:
         return evaluate(points)
     except (NhgeoError, FloatingPointError) as exc:

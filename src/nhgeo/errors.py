@@ -10,8 +10,9 @@ from __future__ import annotations
 class NhgeoError(Exception):
     """Base class for all numerical / model errors raised by this package.
 
-    ``block`` is the flat index of the first failing block when the error
-    comes from a blockwise check on a stack of matrices, else None.  It is
+    ``block`` is the flat index of the lowest failing block when the error
+    comes from a blockwise check on a stack of matrices (0 from a check of a
+    single matrix), else None.  It is
     given to the constructor, so ``raise Error(msg, block=i)`` leaves no
     local name that would tie the raising frame to its own traceback.
     """

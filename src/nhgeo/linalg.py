@@ -293,34 +293,40 @@ def inverse(A) -> np.ndarray:
     return Ai
 
 
-#: the flag record of this thread's flagging pass (:func:`flagged_blocks`), if any
+#: the record of this thread's open pass (:func:`flagged_blocks`), if any
 _PASS = threading.local()
 
 
 class BlockFlags:
-    """The blocks that the blockwise checks of one pass flagged: a list of
-    masks over the stack of blocks, each with one entry per block."""
+    """What the blockwise checks of a pass recorded, in run order: per check,
+    a mask over the stack of blocks and ``error(i, b)``, the error of flat
+    block ``i`` reported as block ``b``.  A point fails with the first check
+    that fails at its lowest failing block, as a loop over its blocks finds."""
 
     def __init__(self):
-        self.masks = []
+        self.checks = []
 
-    def points(self, P: int) -> np.ndarray:
-        """Whether each of ``P`` equal runs of consecutive blocks (the points
-        of the pass) holds a flagged block."""
-        flagged = np.zeros(P, dtype=bool)
-        for mask in self.masks:
-            flagged |= mask.reshape(P, -1).any(axis=1)
-        return flagged
+    def errors(self, P: int) -> list:
+        """The error (or None) of each of ``P`` equal runs of blocks, the points
+        of the pass, as it raises alone: its blocks count from its start."""
+        if not self.checks:
+            return [None] * P
+        first, check = np.full(P, np.iinfo(np.intp).max), np.full(P, -1)
+        for c, (bad, _) in enumerate(self.checks):
+            runs = bad.reshape(P, -1)
+            b = np.where(runs.any(axis=1), runs.argmax(axis=1), first)
+            lower = b < first  # on a tie the earlier check wins
+            first[lower], check[lower] = b[lower], c
+        return [None if c < 0 else self.checks[c][1](p * len(self.checks[c][0]) // P + b, b)
+                for p, (b, c) in enumerate(zip(first.tolist(), check.tolist()))]
 
 
 @contextlib.contextmanager
 def flagged_blocks():
-    """A pass in which the blockwise checks of this thread flag the failing
-    blocks of a stack into the yielded :class:`BlockFlags` instead of
-    raising, under ``np.errstate(all="ignore")``: the pass runs to its end
-    once, and its caller evaluates the flagged points again, alone.  A
-    check of a single matrix (no stack) still raises.  The record belongs
-    to the thread, so passes in other threads are unaffected."""
+    """A pass whose blockwise checks, in this thread only, record the failing
+    blocks of a stack into the yielded :class:`BlockFlags` instead of raising,
+    under ``np.errstate(all="ignore")``: it runs to its end once, and its
+    caller reads each point's error (:meth:`BlockFlags.errors`)."""
     outer, flags = getattr(_PASS, "flags", None), BlockFlags()
     _PASS.flags = flags
     try:
@@ -330,30 +336,47 @@ def flagged_blocks():
         _PASS.flags = outer
 
 
-def _flag(bad) -> bool:
-    """Whether the failing blocks of the stack mask ``bad`` went into the flag
-    record of a pass of this thread (:func:`flagged_blocks`), so that the
-    check must not raise."""
+@contextlib.contextmanager
+def lowest_failing_block():
+    """The record of a stacked route: inside an open pass of this thread it
+    joins the pass's record; else it opens one and, on exit, raises the error
+    of the whole stack, over any error that the body raised after it."""
+    if getattr(_PASS, "flags", None) is not None:
+        yield
+        return
+    with flagged_blocks() as flags:
+        try:
+            yield
+        except Exception:
+            if not flags.checks:
+                raise
+    if flags.checks:
+        raise flags.errors(1)[0] from None
+
+
+def _fail(bad, error) -> None:
+    """The blocks of the stack mask ``bad`` fail with ``error(i, b)``
+    (:class:`BlockFlags`): into this thread's open record
+    (:func:`lowest_failing_block`), else raised at the first of them."""
+    if not bad.any():
+        return
     flags = getattr(_PASS, "flags", None)
-    if flags is None or not np.ndim(bad):
-        return False
-    flags.masks.append(bad)
-    return True
+    if flags is None:
+        i = int(np.argmax(bad))
+        raise error(i, i)
+    flags.checks.append((bad.ravel(), error))
 
 
 def _raise_first(bad, exc_type, message):
-    """Raise ``exc_type`` for the first block flagged in the mask ``bad``.
-
-    ``bad`` has one entry per block of a stack (shape ``()`` for a single
-    matrix); ``message(i)`` describes the block of flat index ``i``.  For a
-    stack the error names that block and carries its index as
-    ``exc.block``; inside :func:`flagged_blocks` the blocks are flagged
-    instead (:func:`_flag`).
-    """
+    """``exc_type`` for the failing blocks of the mask ``bad``, one entry per
+    block of a stack, or shape ``()`` for a single matrix, which raises at
+    once; ``message(i)`` describes the block of flat index ``i``.  On a
+    stack (:func:`_fail`) the error names its block and carries its index
+    as ``exc.block``."""
     bad = np.asarray(bad)
-    if bad.any() and not _flag(bad):
-        i = int(np.argmax(bad))
-        raise exc_type(message(i) if bad.ndim == 0 else f"block {i}: {message(i)}", block=i)
+    if bad.ndim == 0 and bad:
+        raise exc_type(message(0), block=0)
+    _fail(bad, lambda i, b: exc_type(f"block {b}: {message(i)}", block=b))
 
 
 # ---------------------------------------------------------------------------

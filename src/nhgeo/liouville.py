@@ -30,7 +30,6 @@ from .errors import (
     BadBath,
     BadHamiltonian,
     DegenerateRapidities,
-    NhgeoError,
     NonUniqueSteadyState,
     PureStateSingular,
     ShapeMismatch,
@@ -47,6 +46,7 @@ from .linalg import (
     _transpose,
     as_square,
     eig_general,
+    lowest_failing_block,
 )
 from .tensors import GeoTensor, _direction, _integer, _kinds, _params
 
@@ -388,10 +388,11 @@ class TranslationInvariantModel:
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
     """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k): one 2x2
     block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta; a view
-    of :func:`_gamma_blocks` under the lowest-failing-k rule."""
+    of :func:`_gamma_blocks` whose error is that of the lowest failing k."""
     lam = _params(lam, model.num_params)[None]
     x, xmT, y, _ = _momentum_blocks(model, lam, np.ravel(k), False)
-    gk = _lowest_failing_k(lambda E: _gamma_blocks(*E)[0], (x, xmT, y))
+    with lowest_failing_block():
+        gk = _gamma_blocks(x, xmT, y)[0]
     return np.reshape(_blocks(gk), np.shape(k) + (2, 2))
 
 
@@ -415,10 +416,10 @@ def zeta_ness_k_sums(points, L: int) -> np.ndarray:
     and the ``P * L`` blocks are solved as one stack by :func:`_ness_k_sum`,
     which sums each point's blocks on their own; so each point gets its
     one-point tensor bit for bit.  A failure is that of the first failing
-    point, by the lowest-failing-k rule, and carries ``p * L + k`` as
-    ``exc.block``; inside :func:`~nhgeo.linalg.flagged_blocks` the blockwise
-    checks flag their failing blocks instead, and a flagged point's sums
-    are not its tensor.
+    point, the error it raises alone, and carries ``p * L + k`` as
+    ``exc.block``; inside a pass (:func:`~nhgeo.linalg.flagged_blocks`)
+    the failing blocks are recorded, and a failing point's sums are not its
+    tensor.
     """
     L = _chain_length(L)
     ks = 2.0 * np.pi * np.arange(L) / L
@@ -482,32 +483,12 @@ def _joined(reads, at):
     return join(reads)
 
 
-def _first(E, b: int):
-    """The first ``b`` blocks of a (nested) entry tuple ``E``."""
-    return tuple(_first(e, b) if isinstance(e, tuple) else e[..., :b] for e in E)
-
-
-def _lowest_failing_k(solve, E):
-    """``solve(E)`` for a (nested) entry tuple ``E`` of blocks under the
-    lowest-failing-k rule: a failure at block ``b`` is raised only after
-    ``solve`` on the first ``b`` blocks (their entries, not read again) has
-    passed every check, so the error is that of the lowest failing k, as a
-    loop over k would find it."""
-    try:
-        return solve(E)
-    except NhgeoError as exc:
-        if exc.block:  # the blocks before it may fail a later check
-            _lowest_failing_k(solve, _first(E, exc.block))
-        raise
-
-
 def _gamma_blocks(x, xmT, y):
     """The momentum steady-state driver: Gamma(k) as an entry tuple from the
     entry tuples of x(k), x(-k)^T and y(k) (:func:`_momentum_blocks`), the
     solver of ``x(k) G + G x(-k)^T = Y`` and the eigenpairs ``(a, Ua,
-    Ua^-1)`` of x(k) it is built on.  Each check is made per block, and a
-    failure is that of the first failing block of the first failing check
-    (callers apply :func:`_lowest_failing_k`)."""
+    Ua^-1)`` of x(k) it is built on.  Each check is made per block, into
+    the caller's record (:func:`~nhgeo.linalg.lowest_failing_block`)."""
     solve, eig_x = _pair_solver_2x2(x, xmT)
     return solve(y), solve, eig_x
 
@@ -521,23 +502,19 @@ def _ness_k_sum(blocks, points: int) -> np.ndarray:
     2x2 entry arithmetic, elementwise per block.  The pencil solver of
     :func:`_gamma_blocks` gives every dGamma_mu(k), its eigenpairs every
     Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
-    :func:`~nhgeo.linalg._trace_sum`, one matrix product per run.  Failures
-    follow the lowest-failing-k rule over every check made here, over the
-    whole stack (:func:`_lowest_failing_k`): each block is checked once.
+    :func:`~nhgeo.linalg._trace_sum`, one matrix product per run.  Every
+    check goes into one record (:func:`~nhgeo.linalg.lowest_failing_block`):
+    each block is checked once, and the lowest failing k wins.
     """
-    def traces(blocks):  # the entries of (1/2 dGamma_mu + Xcal_mu Gamma) and of dGamma_nu
-        x, xmT, y, (dx, dxmT, dy) = blocks
+    x, xmT, y, (dx, dxmT, dy) = blocks
+    with lowest_failing_block():
         gk, solve, (a, Ua, Uai) = _gamma_blocks(x, xmT, y)
         if not len(dy[0]):  # a model without parameters
-            return None
+            return np.zeros((points, 0, 0), dtype=complex)
         rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
         dg = solve(tuple(rhs))
         # zeta_{mu nu} = sum_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
-        return tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
-
-    terms = _lowest_failing_k(traces, blocks)
-    if terms is None:
-        return np.zeros((points, 0, 0), dtype=complex)
+        terms = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
 
     def per_point(E):  # entries (d, points * L) as (d, points, L)
         return tuple(e.reshape(len(e), points, -1) for e in E)
@@ -640,21 +617,20 @@ def _gamma_eigenbasis(Gamma, *dGammas, pure: bool = False):
     ``(..., n, n)``) from one ``eigh``, and each of ``dGammas`` in that basis.
 
     Each block must be Hermitian (ShapeMismatch) and, with ``pure``, have no
-    eigenvalue product ``g_j g_k`` within 1e-10 of 1 (PureStateSingular); the
-    error is that of the lowest failing block, as a loop over blocks finds it.
+    eigenvalue product ``g_j g_k`` within 1e-10 of 1 (PureStateSingular); in
+    one record, the lowest failing block wins, as a loop over blocks finds it.
     """
     Gamma = as_square(Gamma, "Gamma", stack=True)
     herm_defect = np.abs(Gamma - np.swapaxes(Gamma.conj(), -1, -2)).max(axis=(-2, -1))
     not_herm = herm_defect > 1e-8 * np.maximum(np.abs(Gamma).max(axis=(-2, -1)), 1.0)
     g, V = np.linalg.eigh(Gamma)
-    at_pure = np.zeros_like(not_herm)
-    if pure:
-        at_pure = np.abs(1.0 - g[..., :, None] * g[..., None, :]).min(axis=(-2, -1)) < 1e-10
-    pure_before = (np.cumsum(at_pure.ravel()) > at_pure.ravel()).reshape(at_pure.shape)
-    _raise_first(not_herm & ~pure_before, ShapeMismatch,
-                 lambda b: "Gamma must be Hermitian (imaginary antisymmetric)")
-    _raise_first(at_pure, PureStateSingular,
-                 lambda b: "correlation spectrum touches a pure-state direction")
+    with lowest_failing_block():
+        _raise_first(not_herm, ShapeMismatch,
+                     lambda b: "Gamma must be Hermitian (imaginary antisymmetric)")
+        if pure:
+            at_pure = np.abs(1.0 - g[..., :, None] * g[..., None, :]).min(axis=(-2, -1)) < 1e-10
+            _raise_first(at_pure, PureStateSingular,
+                         lambda b: "correlation spectrum touches a pure-state direction")
     Vh = np.swapaxes(V.conj(), -1, -2)
     return g, V, [Vh @ np.asarray(d, dtype=complex) @ V for d in dGammas]
 

@@ -32,7 +32,7 @@ from .errors import (
     OnCriticalLine,
     ShapeMismatch,
 )
-from .linalg import DEFECTIVE_COND, _flag, _raise_first
+from .linalg import DEFECTIVE_COND, _fail, _raise_first, lowest_failing_block
 from .tensors import STATE_KINDS, GeoTensor, OperatorFamily, _finite, _integer, _kinds
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -106,18 +106,17 @@ def eps(t: float, delta: float, k) -> np.ndarray | complex:
 
 def _grid_eps(e, ks) -> None:
     """The grid check of P points from their band functions ``e`` ``(P, L)``
-    on the k-grid ``ks``: CriticalKPoint for the first point where
-    ``|eps(k)| < 1e-12`` at a grid k, with ``exc.block = p * L + k`` at the
-    smallest ``|eps|``.  The gap closes there and every Brillouin-zone sum
-    diverges, even when rounding leaves the Bloch block a finite gap.
-    Inside :func:`~nhgeo.linalg.flagged_blocks` the points are flagged."""
-    ae = np.abs(e)
-    bad = ae.min(axis=-1) < 1e-12
-    if bad.any() and not _flag(bad[:, None]):
-        p = int(np.argmax(bad))
-        k = int(np.argmin(ae[p]))
-        raise CriticalKPoint(f"eps(k) vanishes on the grid at k = {ks[k]:.6g}",
-                             block=p * len(ks) + k)
+    on the k-grid ``ks``: CriticalKPoint for a point where ``|eps(k)| <
+    1e-12`` at a grid k, with ``exc.block = p * L + k`` at the smallest
+    ``|eps|``.  The gap closes there and every Brillouin-zone sum diverges,
+    even when rounding leaves the Bloch block a finite gap.  It fails the
+    point's first block, so it comes before the point's other checks."""
+    L, ae = len(ks), np.abs(e)
+    k = np.argmin(ae, axis=-1).tolist()  # each point's smallest |eps|
+    bad = np.zeros(e.shape, dtype=bool)
+    bad[:, 0] = ae.min(axis=-1) < 1e-12
+    _fail(bad, lambda i, b: CriticalKPoint(  # i = p * L
+        f"eps(k) vanishes on the grid at k = {ks[k[i // L]]:.6g}", block=b + k[i // L]))
 
 
 def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
@@ -157,12 +156,12 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
 
     One pass reads the Bloch off-diagonals of every point once
     (:func:`_hoppings`), forms ``eps = a b`` (:func:`eps`), makes the grid
-    check (:func:`_grid_eps`) of every point first, and sums the closed-form
-    summands of :func:`_state_summands` over each point's own k axis, so a
-    point's sums are those of the point alone, bit for bit.  A failure is
-    that of the first failing point and carries ``p * L + k`` as
-    ``exc.block``; inside :func:`~nhgeo.linalg.flagged_blocks` the failing
-    points are flagged instead, and their sums are not their tensors.
+    check (:func:`_grid_eps`) and sums the closed-form summands of
+    :func:`_state_summands` over each point's own k axis, so a point's sums
+    are those of the point alone, bit for bit.  In one record
+    (:func:`~nhgeo.linalg.lowest_failing_block`), a failure is that of the
+    first failing point, as it raises alone, with ``p * L + k`` as
+    ``exc.block``; in a pass a failing point's sums are not its tensors.
     :func:`~nhgeo.tensors.sum_over_blocks` on the Bloch matrices
     (:func:`_bloch`) is the eigensolver route to the same sums, their oracle.
     """
@@ -174,8 +173,9 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
     a, b = _hoppings(np.array([p.t for p in points])[:, None],
                      np.array([p.delta for p in points])[:, None], ks)
     e = _eps(a, b)
-    _grid_eps(e, ks)
-    summands = _state_summands(a, b, e, n, kinds)
+    with lowest_failing_block():
+        _grid_eps(e, ks)
+        summands = _state_summands(a, b, e, n, kinds)
     # (2, 2, P, L) summed over each point's k axis
     return {kind: np.moveaxis(summands[kind].sum(axis=-1), -1, 0).astype(complex)
             for kind in kinds}
@@ -207,9 +207,8 @@ def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
     |b|))`` exceeds 1e12; DegenerateSpectrum if the gap ``2 sqrt|eps|`` is
     below ``1e-10 * max(|a|, |b|, 1)`` (the block's 2-norm, at least 1).
     Every kind then raises NonConvergence where a summand or ``eps`` is not
-    finite.  The first failing block raises its first failing check, with
-    its index ``p * L + k``; inside :func:`~nhgeo.linalg.flagged_blocks`
-    the failing blocks are flagged instead.
+    finite.  Each check is one :func:`~nhgeo.linalg._raise_first` over the
+    blocks (flat index ``p * L + k``), for the record of :func:`band_sums`.
     """
     state = [kind for kind in kinds if kind != "zeta"]
     if state and not 0 <= n < 2:
@@ -233,11 +232,8 @@ def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
                  lambda i: f"eigenvalue {n} degenerate within 1e-10*||K||"),
             ]
         checks.append((~finite, NonConvergence, lambda i: "band summand is not finite"))
-    bad = np.logical_or.reduce([m for m, _, _ in checks]).ravel()
-    if bad.any() and not _flag(bad):
-        i = int(np.argmax(bad)) + 1  # the first failing block raises its first failing check
-        for m, exc_type, message in checks:
-            _raise_first(m.ravel()[:i], exc_type, message)
+    for m, exc_type, message in checks:
+        _raise_first(m.ravel(), exc_type, message)
     out = {}
     s = x.conj()[:, None] * x if set(kinds) - {"eta"} else None
     for kind in kinds:

@@ -62,7 +62,6 @@ from .errors import (
     ContinuationAmbiguous,
     DegenerateSpectrum,
     NearDefective,
-    NhgeoError,
     NotHermitian,
     ShapeMismatch,
 )
@@ -79,6 +78,7 @@ from .linalg import (
     _transpose,
     as_square,
     canonical_order,
+    lowest_failing_block,
     norm2,
 )
 
@@ -272,8 +272,8 @@ def _require_gaps(w, states, at_scale) -> None:
     one system ``max(1, ||K||_2)``, decided on its norm bracket
     (:func:`~nhgeo.linalg._scale_verdict`, which reads the exact norm only
     near the threshold).  ``w`` may be a stack ``(..., N)`` of spectra,
-    each block tested against its own scale; the error is then that of the
-    first failing block.
+    each block tested against its own scale
+    (:func:`~nhgeo.linalg._raise_first`).
     """
     for n in states:
         gap = np.abs(w - w[..., n:n + 1])
@@ -518,9 +518,9 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
     ShapeMismatch for a non-finite block and NonConvergence for an eigenpair
     residual above ``1e-10 * ||K||``; NearDefective if the eigenvector
     condition number exceeds 1e12; DegenerateSpectrum if the gap is below
-    ``1e-10 * max(||K||_2, 1)``.  The error is that of the first failing
-    block, as a loop over the blocks finds it, and carries its flat index
-    (``p * L + k`` on a stack of points) as ``exc.block``.
+    ``1e-10 * max(||K||_2, 1)``.  In one record, the error is that of the
+    lowest failing block (:func:`~nhgeo.linalg.lowest_failing_block`), and
+    carries its flat index (``p * L + k`` on a stack of points) as ``exc.block``.
     """
     kinds = _kinds(kinds, STATE_KINDS, "sum_over_blocks")
     K = np.asarray(K, dtype=complex)
@@ -534,7 +534,7 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
         raise ShapeMismatch(f"state index {n} out of range for dim 2")
     points = len(K) if K.ndim == 4 else None
     K = K.reshape(-1, 2, 2)
-    try:
+    with lowest_failing_block():
         w, R, norm = _eig_2x2(_entries(K), distinct=False)  # equal eigenvalues are judged below
         swap = canonical_order(np.stack(w, axis=-1), norm)[:, 0] == 1
         if swap.any():
@@ -549,10 +549,6 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
         lnln = abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2
         out = _state_tensors(kinds, _blocks(num), np.stack(w, axis=-1), _blocks(C), lnln, n,
                              lambda pred: pred(np.maximum(norm, 1.0)), points or 1)
-    except NhgeoError as exc:
-        if exc.block:  # the blocks before it may fail a later check
-            sum_over_blocks(K[:exc.block], dK, n, kinds)
-        raise
     return out if points else {kind: v[0] for kind, v in out.items()}
 
 

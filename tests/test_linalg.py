@@ -10,6 +10,7 @@ from nhgeo.biortho import build_biortho
 from nhgeo.errors import (
     DegenerateSpectrum,
     NearDefective,
+    NhgeoError,
     NonConvergence,
     ShapeMismatch,
     SingularMatrix,
@@ -25,12 +26,15 @@ from nhgeo.linalg import (
     _mul,
     _norm,
     _pencil_2x2,
+    _raise_first,
     _sylvester_solver,
     _trace_sum,
     canonical_order,
     eig_general,
+    flagged_blocks,
     inverse,
     load_matrix,
+    lowest_failing_block,
     matrix_from_json,
     norm2,
     solve_sylvester,
@@ -868,6 +872,82 @@ class TestStackedPencil:
         with pytest.raises(SingularPencil) as info:
             _pencil_2x2(a, U, U, b, U, U, np.full(3, 1e-12))
         assert info.value.block == 1
+
+
+def two_checks(first, second, values=np.arange(12.0)):
+    """Two blockwise checks over a stack of blocks that hold ``values``:
+    ShapeMismatch where the mask ``first`` is set, then SingularPencil where
+    ``second`` is."""
+    _raise_first(np.array(first, dtype=bool), ShapeMismatch, lambda i: f"first, {values[i]}")
+    _raise_first(np.array(second, dtype=bool), SingularPencil, lambda i: f"second, {values[i]}")
+
+
+class TestBlockRecord:
+    """The rule of every stacked route: the first check, in run order, that
+    fails at the lowest failing block, as a loop over the blocks finds it."""
+
+    @pytest.mark.parametrize("first, second, error, block", [
+        ([0, 0, 1, 0], [0, 1, 0, 1], SingularPencil, 1),  # the masks cross
+        ([0, 1, 0, 0], [0, 0, 1, 1], ShapeMismatch, 1),
+        ([0, 0, 1, 1], [0, 0, 1, 0], ShapeMismatch, 2),  # a tie: the earlier check
+    ])
+    def test_lowest_block_then_earlier_check(self, first, second, error, block):
+        with pytest.raises(error) as info, lowest_failing_block():
+            two_checks(first, second)
+        assert info.value.block == block
+        name = "first" if error is ShapeMismatch else "second"
+        assert str(info.value) == f"block {block}: {name}, {float(block)}"
+        # outside a record the first failing check raises at its first block
+        with pytest.raises(ShapeMismatch) as info:
+            two_checks(first, second)
+        assert info.value.block == first.index(1)
+
+    def test_errors_of_each_point(self):
+        # three points of four blocks: each reads the error it raises alone,
+        # its block and message counted from the point's start
+        first = [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+        second = [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1]
+        values = np.arange(12.0) ** 2
+        with flagged_blocks() as flags:
+            two_checks(first, second, values)
+        errors = flags.errors(3)
+        assert errors[0] is None
+        for p, got in ((1, errors[1]), (2, errors[2])):
+            part = slice(4 * p, 4 * p + 4)
+            with pytest.raises(NhgeoError) as info, lowest_failing_block():
+                two_checks(first[part], second[part], values[part])
+            want = info.value
+            assert (type(got), str(got), got.block) == (type(want), str(want), want.block)
+        assert str(errors[1]) == "block 1: second, 25.0" and errors[1].block == 1
+        assert str(errors[2]) == "block 3: first, 121.0" and errors[2].block == 3
+
+    def test_later_error_in_the_body(self):
+        # the body runs past a recorded failure, which a raising path would
+        # have stopped at: the recorded error wins over one raised later
+        with pytest.raises(SingularPencil) as info, lowest_failing_block():
+            two_checks([0, 0], [0, 1])
+            raise NonConvergence("later")
+        assert info.value.block == 1
+        with pytest.raises(SingularPencil), lowest_failing_block():
+            two_checks([0, 0], [0, 1])
+            _raise_first(np.True_, NonConvergence, lambda i: "a single matrix")
+        # with nothing recorded it propagates, and a single matrix raises at once
+        with pytest.raises(NonConvergence, match="later"), lowest_failing_block():
+            two_checks([0, 0], [0, 0])
+            raise NonConvergence("later")
+        with pytest.raises(NonConvergence) as info, lowest_failing_block():
+            _raise_first(np.True_, NonConvergence, lambda i: "a single matrix")
+            two_checks([0, 0], [0, 1])
+        assert str(info.value) == "a single matrix" and info.value.block == 0
+
+    def test_a_record_inside_a_pass_joins_it(self):
+        with flagged_blocks() as flags:
+            with lowest_failing_block():
+                two_checks([0, 0, 0, 1], [0, 0, 1, 0])
+            with lowest_failing_block():
+                two_checks([1, 0, 0, 0], [0, 0, 0, 0])
+        assert [str(e) for e in flags.errors(2)] == ["block 0: first, 0.0",
+                                                    "block 0: second, 2.0"]
 
 
 def scaled_stack(seed, L=12):

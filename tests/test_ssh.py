@@ -12,11 +12,12 @@ from nhgeo.errors import (
     NonConvergence,
     OnCriticalLine,
 )
-from nhgeo.linalg import flagged_blocks
+from nhgeo.linalg import flagged_blocks, lowest_failing_block
 from nhgeo.ssh import (
     _DIRECTIONS,
     SSHParams,
     _bloch,
+    _eps,
     _grid_eps,
     band_sums,
     bloch_family,
@@ -144,17 +145,20 @@ class TestBlochSum:
 
 
 def bloch_stack(points):
-    """The ``(P, L, 2, 2)`` Bloch matrices of ``points``, after their grid check."""
+    """The ``(P, L, 2, 2)`` Bloch matrices of ``points``."""
     t = np.array([p.t for p in points])[:, None]
     delta = np.array([p.delta for p in points])[:, None]
-    _grid_eps(eps(t, delta, points[0].k_grid), points[0].k_grid)
     return _bloch(t, delta, points[0].k_grid)
 
 
 def eigensolved(points, n, kinds):
-    """:func:`band_sums` of ``points`` by the eigensolver route:
-    ``sum_over_blocks`` on the stack of their Bloch matrices."""
-    return sum_over_blocks(bloch_stack(points), _DIRECTIONS, n, kinds)
+    """:func:`band_sums` of ``points`` by the eigensolver route: the grid
+    check, then ``sum_over_blocks`` on the stack of their Bloch matrices,
+    both in one record, so a failure is that of the first failing point."""
+    K = bloch_stack(points)
+    with lowest_failing_block():
+        _grid_eps(_eps(K[..., 0, 1], K[..., 1, 0]), points[0].k_grid)
+        return sum_over_blocks(K, _DIRECTIONS, n, kinds)
 
 
 def outcome(route, points, n, kinds=STATE_KINDS):
@@ -211,13 +215,19 @@ class TestClosedFormBandSums:
     @settings(max_examples=100, deadline=None)
     @given(points=passes(), n=st.integers(0, 1))
     def test_flags_the_points_of_the_eigensolver(self, points, n):
-        # in a pass the checks flag the failing points instead of raising
-        flagged = []
+        # in a pass the checks record the failing blocks instead of raising,
+        # and each point reads the error it gets alone from the record
+        errors = []
         for route in (eigensolved, band_sums):
             with flagged_blocks() as flags:
                 outcome(route, points, n)
-            flagged.append(flags.points(len(points)))
-        assert np.array_equal(flagged[1], flagged[0])
+            errors.append([None if e is None else (type(e), str(e), e.block)
+                           for e in flags.errors(len(points))])
+        assert errors[1] == errors[0]
+        for p, e in zip(points, errors[1]):
+            alone = outcome(band_sums, [p], n)
+            assert e == ((type(alone), str(alone), alone.block)
+                         if isinstance(alone, Exception) else None)
 
     @pytest.mark.parametrize("t, delta, L, error", [
         (1.5, 0.5, 8, CriticalKPoint),
@@ -237,6 +247,19 @@ class TestClosedFormBandSums:
                 want, got = outcome(eigensolved, pts, n), outcome(band_sums, pts, n)
                 assert type(want) is error
                 assert type(got) is error and str(got) == str(want) and got.block == want.block
+
+    def test_first_failing_point_raises(self):
+        # point 0 fails the eigenvector condition at block 2; point 1's grid
+        # check fails at its first block (reported at its smallest |eps|, block
+        # 6), later in the pass, though the grid check runs first
+        points = [SSHParams(1e9 + 0.5, 1e9 - 0.5, 4), SSHParams(1.5, 0.5, 4)]
+        for route in (band_sums, eigensolved):
+            with pytest.raises(NearDefective, match="block 2: eigenvector condition") as info:
+                route(points, 0, ["eta"])
+            assert info.value.block == 2
+        with pytest.raises(CriticalKPoint) as info:
+            band_sums(points[::-1], 0, ["eta"])
+        assert info.value.block == 2
 
     def test_overflowing_block_raises(self):
         # |a b| overflows, as the eigensolver's quadratic does (and the grid

@@ -124,17 +124,16 @@ def counted(monkeypatch, name):
 
 class TestFailingPointsInAPass:
     """Five points per pass; the failing points sit at its start, middle or
-    end, or two of them share it.  The pass runs once, its checks flagging
-    the failing points, and each failing point is then evaluated alone: a
-    pass with f failing points runs 1 + f evaluations."""
+    end, or two of them share it.  The pass runs once, its checks recording
+    the failing blocks, and each failing point reads its error from the
+    record: a pass is one evaluation, however many of its points fail."""
 
     @pytest.mark.parametrize("ts, bad, passes", [
-        ([0.5, 0.7, 0.8, 0.9, 1.1], [0], [5, 1]),
-        ([0.7, 0.8, 1.5, 0.9, 1.1], [2], [5, 1]),
-        ([0.7, 0.8, 0.9, 1.1, 1.5], [4], [5, 1]),
-        ([0.7, 0.5, 0.9, 1.5, 1.1], [1, 3], [5, 1, 1]),
-        ([0.5, 1.5, 0.5, 1.5, 0.5, 0.9, 1.5], [0, 1, 2, 3, 4, 6],
-         [5, 1, 1, 1, 1, 1, 2, 1]),
+        ([0.5, 0.7, 0.8, 0.9, 1.1], [0], [5]),
+        ([0.7, 0.8, 1.5, 0.9, 1.1], [2], [5]),
+        ([0.7, 0.8, 0.9, 1.1, 1.5], [4], [5]),
+        ([0.7, 0.5, 0.9, 1.5, 1.1], [1, 3], [5]),
+        ([0.5, 1.5, 0.5, 1.5, 0.5, 0.9, 1.5], [0, 1, 2, 3, 4, 6], [5, 2]),
     ])
     def test_nh_ssh(self, monkeypatch, ts, bad, passes):
         # delta = 0.5, L = 8: eps(pi) vanishes at t = 0.5 and t = 1.5
@@ -146,10 +145,10 @@ class TestFailingPointsInAPass:
         assert all(isinstance(r, dict) for i, r in enumerate(out) if i not in bad)
 
     @pytest.mark.parametrize("hs, bad, passes", [
-        ([1.0, 0.2, 0.4, 0.6, 0.8], [0], [5, 1]),
-        ([0.2, 0.4, 1.0, 0.6, 0.8], [2], [5, 1]),
-        ([0.2, 0.4, 0.6, 0.8, 1.0], [4], [5, 1]),
-        ([0.2, 1.0, 0.6, 1.0, 0.8], [1, 3], [5, 1, 1]),
+        ([1.0, 0.2, 0.4, 0.6, 0.8], [0], [5]),
+        ([0.2, 0.4, 1.0, 0.6, 0.8], [2], [5]),
+        ([0.2, 0.4, 0.6, 0.8, 1.0], [4], [5]),
+        ([0.2, 1.0, 0.6, 1.0, 0.8], [1, 3], [5]),
     ])
     def test_strong_coupling_kitaev(self, monkeypatch, hs, bad, passes):
         # gamma = 1: x(k = 0) is a multiple of the identity at h = 1
@@ -162,16 +161,16 @@ class TestFailingPointsInAPass:
 
     def test_gap_closing_line_is_flagged(self, monkeypatch):
         # delta = 0.5, L = 8: the t axis crosses the gap closings at t = 0.5
-        # and 1.5, which the grid check flags; only those two run again
+        # and 1.5, which the grid check flags; neither runs again
         points = [{"t": t, "delta": 0.5, "L": 8} for t in np.linspace(0.25, 1.75, 7)]
         calls = counted(monkeypatch, "band_sums")
         out = joined_and_alone(cli_mod.SSHAdapter(), points, SSH_KINDS, 0, 7 * 8)
-        assert calls[len(points):] == [7, 1, 1]
+        assert calls[len(points):] == [7]
         assert [i for i, r in enumerate(out) if isinstance(r, CriticalKPoint)] == [1, 5]
 
     def test_pass_over_several_baths(self, monkeypatch):
         # a g axis through g = 0, whose rows are SingularPencil: one read per
-        # bath in the pass, and one more per failing point
+        # bath in the pass, and none more for the failing points
         points = [{"h": h, "g": g, "gamma": 1.0, "L": 8, "weak_coupling": False}
                   for h in (0.3, 0.6) for g in (0.0, 0.2, 0.4)]
         reads, real = [], liouville_mod._momentum_blocks
@@ -183,8 +182,8 @@ class TestFailingPointsInAPass:
         monkeypatch.setattr(liouville_mod, "_momentum_blocks", read)
         calls = counted(monkeypatch, "zeta_ness_k_sums")
         out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 6 * 8)
-        assert calls[len(points):] == [6, 1, 1]
-        assert reads[len(points):] == [2, 2, 2, 1, 1]
+        assert calls[len(points):] == [6]
+        assert reads[len(points):] == [2, 2, 2]
         assert [i for i, r in enumerate(out) if isinstance(r, SingularPencil)] == [0, 3]
 
     def test_error_without_a_block_sends_every_point_alone(self, monkeypatch):
