@@ -68,9 +68,9 @@ from .tensors import (
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 #: momentum blocks per shared Brillouin-zone pass.  A pass joins whole points
-#: of one chain length L until their L-block grids reach this many (a point
-#: with a larger L is a pass of its own).  A pass is read and solved once,
-#: whatever its points do, so per-call overhead favours large passes: on the
+#: of one key (:func:`_in_passes`) until their L-block grids reach this many
+#: (a point with a larger L is a pass of its own).  A pass is read and solved
+#: once, whatever its points do, so per-call overhead favours large passes: on the
 #: 21-point strong-coupling Kitaev sweep at L = 128 (3 passes instead of 6)
 #: an operation took 12.5-13.4 ms against 16-17 ms at 512 blocks, for about
 #: 1 MB more peak memory; 2048 blocks saved nothing more and cost 3.4 MB.
@@ -117,18 +117,20 @@ def _each(evaluate, points):
     return [r for values in points for r in _one_result(lambda ps: [evaluate(ps[0])], [values])]
 
 
-def _in_passes(evaluate, points, shared=lambda p: True):
-    """:func:`_one_result` over consecutive runs of ``points`` (parameter
-    objects with a chain length ``L``) of one L and at most ``PASS_BLOCKS``
-    blocks, or one point; a point for which ``shared`` is false is a pass of
-    its own."""
-    out = []
-    for (L, joins), run in itertools.groupby(points, key=lambda p: (p.L, shared(p))):
-        run = list(run)
-        size = max(1, PASS_BLOCKS // L) if joins else 1
-        for i in range(0, len(run), size):
-            out += _one_result(evaluate, run[i:i + size])
-    return out
+def _in_passes(evaluate, points, key):
+    """:func:`_one_result` over passes of ``points`` (parameter objects with a
+    chain length ``L``), with the results in the order of ``points``: the
+    points of one ``key(p)``, wherever they sit in the grid, share passes of
+    at most ``PASS_BLOCKS`` blocks, in grid order (a point with a larger L
+    is a pass of its own); a point whose key is None is a pass of its own."""
+    passes, out = {}, {}
+    for i, p in enumerate(points):  # object() is a key of its own
+        passes.setdefault(object() if (k := key(p)) is None else k, []).append(i)
+    for at in passes.values():
+        size = max(1, PASS_BLOCKS // points[at[0]].L)
+        for run in (at[j:j + size] for j in range(0, len(at), size)):
+            out.update(zip(run, _one_result(evaluate, [points[i] for i in run])))
+    return [out[i] for i in range(len(points))]
 
 
 class _LatticeModel:
@@ -165,7 +167,7 @@ class SSHAdapter(_LatticeModel):
             sums = band_sums(ps, n, kinds)
             return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
 
-        return _in_passes(evaluate, [self.params(values) for values in points])
+        return _in_passes(evaluate, [self.params(values) for values in points], lambda p: p.L)
 
     def spectrum(self, values) -> dict:
         p = self.params(values)
@@ -192,29 +194,34 @@ class KitaevAdapter(_LatticeModel):
 
     def tensors(self, points, kinds, n, mu_reg) -> list:
         """Strong coupling (``zeta`` only): shared passes of
-        :func:`~nhgeo.liouville.zeta_ness_k_sums` (:func:`_in_passes`) on one
-        model per bath, which reads the blocks of all its points in a pass
-        at once; so any parameter may vary.  Weak coupling:
+        :func:`~nhgeo.liouville.zeta_ness_k_sums` (:func:`_in_passes`), one
+        per bath and L, each on one model that reads the blocks of all its
+        points at once; so any parameter may vary, and the points of each
+        bath share passes wherever they sit in the grid.  Weak coupling:
         :func:`~nhgeo.kitaev.weak_coupling_tensors`, one point per call."""
         params = [self.params(values) for values in points]
         if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
                 "kitaev-dissipative provides only zeta without weak_coupling")
 
-        model = functools.cache(DissipativeKitaevModel)  # one model per bath
-
         def evaluate(ps):
-            if ps[0].weak_coupling:
-                return [weak_coupling_tensors(ps[0], kinds)]
-            points = [(model(p.g, p.mu_plus, p.mu_minus), [p.h, p.gamma]) for p in ps]
-            return [{"zeta": z} for z in zeta_ness_k_sums(points, ps[0].L)]
+            p = ps[0]
+            if p.weak_coupling:
+                return [weak_coupling_tensors(p, kinds)]
+            model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
+            return [{"zeta": z} for z in zeta_ness_k_sums(model, [[q.h, q.gamma] for q in ps], p.L)]
 
-        return _in_passes(evaluate, params, shared=lambda p: not p.weak_coupling)
+        return _in_passes(evaluate, params, lambda p: None if p.weak_coupling
+                          else (p.L, p.g, p.mu_plus, p.mu_minus))  # the bath and L
 
     def spectrum(self, values) -> dict:
+        """The rapidities of x(k) on the grid; NonConvergence at the first non-finite block."""
         p = self.params(values)
         model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-        xs = np.linalg.eigvals(model.x_block(p.k_grid[:, None, None], [p.h, p.gamma]))
+        x = model.x_block(p.k_grid, [p.h, p.gamma])
+        _raise_first(~np.isfinite(x).all(axis=(-2, -1)), NonConvergence,
+                     lambda i: "rapidity block is not finite")
+        xs = np.linalg.eigvals(x)
         return _rapidity_summary(sorted(xs.ravel().tolist(), key=lambda z: (z.real, z.imag)))
 
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchDomainError, CriticalKPoint, OnCriticalLine, UndefinedAngle
-from .liouville import TranslationInvariantModel, gaussian_tensors
+from .liouville import TranslationInvariantModel, _pauli, gaussian_tensors
 from .tensors import GeoTensor, _finite, _integer, _kinds
 
-_S0 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 
@@ -89,20 +88,18 @@ class DissipativeKitaevModel(TranslationInvariantModel):
 
     def h_block(self, k, lam):
         h, gam = lam
-        return 0.5 * gam * np.sin(k) * _SX + 0.5 * (h - np.cos(k)) * _SY
+        return _pauli(0, 0.5 * gam * np.sin(k), 0.5 * (h - np.cos(k)))
 
     def m_block(self, k, lam):
         g2 = self.g ** 2
         p2, m2 = self.mu_plus ** 2, self.mu_minus ** 2
-        return (g2 * (p2 + m2) / 4.0) * _S0 + (g2 * (p2 - m2) / 4.0) * _SY
+        return _pauli(g2 * (p2 + m2) / 4.0, 0, g2 * (p2 - m2) / 4.0)
 
     def dh_block(self, mu, k, lam):
-        if mu == 0:
-            return 0.5 * _SY
-        return 0.5 * np.sin(k) * _SX
+        return _pauli(0, 0, 0.5) if mu == 0 else _pauli(0, 0.5 * np.sin(k), 0)
 
     def dm_block(self, mu, k, lam):
-        return np.zeros((2, 2), dtype=complex)
+        return 0, 0, 0, 0
 
 
 def gamma_k_weak(params: KitaevParams, k: float) -> np.ndarray:

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .linalg import (
     _blocks,
-    _entries,
     _mul,
     _pair_solver_2x2,
     _raise_first,
@@ -312,77 +311,98 @@ def _chain_length(L) -> int:
     return int(L)
 
 
-def _over_k(k, block, lam=()) -> np.ndarray:
-    """``block`` broadcast over the stack axes of ``k`` and of the points of
-    ``lam`` (:meth:`TranslationInvariantModel.x_block`): an ``(L, 1, 1)``
-    column gives ``(L, b, b)``, and with parameters of ``P`` points as
-    ``(P, 1, 1, 1)`` columns ``(P, L, b, b)``; a scalar ``k`` at one point
-    leaves a single block."""
-    shape = np.shape(k)[:-2]
-    if np.ndim(lam) > 1:  # points
-        shape = np.broadcast_shapes(shape, np.shape(lam)[1:-2])
-    shape += np.shape(block)[-2:]
-    return block if np.shape(block) == shape else np.broadcast_to(block, shape).copy()
+#: the entry order of the transpose of a block, ``(a, c, b, d)``
+_T = [0, 2, 1, 3]
+
+
+def _pauli(s0, sx, sy):
+    """The entries ``(a, b, c, d)`` of ``s0 + sx sigma_x + sy sigma_y``."""
+    return s0, sx + sy * -1j, sx + sy * 1j, s0
+
+
+def _entry_stack(E, shape) -> np.ndarray:
+    """The entries ``E = (a, b, c, d)`` of a block method as one complex
+    ``(4, *shape)`` stack, each entry broadcast to ``shape``."""
+    out = np.empty((4, *shape), dtype=complex)
+    for o, e in zip(out, E):
+        o[...] = e
+    return out
 
 
 def _read_xy(model, k, lam, mu=None):
-    """``(x, y(k))``: x at the momenta ``(k, -k)`` on a new leading axis, with
-    ``x(k) = 4i h(k) + m(k) + m(-k)^T`` and ``y(k) = -2 (m(k) - m(-k)^T)``,
-    from one ``h_block`` and one ``m_block`` call at ``(k, -k)``; with a
-    direction ``mu``, their derivatives from ``dh_block`` and ``dm_block``."""
-    kk = np.reshape([k, -k], (2, *(np.shape(k) or (1, 1))))  # a scalar k as a column
-    if mu is None:
-        h, m = model.h_block(kk, lam), model.m_block(kk, lam)
-    else:
-        _direction(mu, model.num_params)
-        h, m = model.dh_block(mu, kk, lam), model.dm_block(mu, kk, lam)
-    on_k = np.ndim(m) >= np.ndim(kk)  # else m does not depend on k
-    mT = np.swapaxes(m[::-1] if on_k else m, -1, -2)  # m(-k)^T at (k, -k)
-    y = -2.0 * (m - mT)
-    return _over_k(kk, 4j * h + m + mT, lam), _over_k(k, y[0] if on_k else y, lam)
+    """``(x, xmT, y)``: the complex entry stacks ``(4, ...)`` of x(k), x(-k)^T
+    and y(k), with ``x(k) = 4i h(k) + m(k) + m(-k)^T`` and ``y(k) = -2 (m(k)
+    - m(-k)^T)``, from one ``h_block`` and one ``m_block`` call at the
+    momenta ``(k, -k)``; with a direction ``mu``, their derivatives from
+    ``dh_block`` and ``dm_block``.
+
+    ``k`` is a scalar or 1-D, ``lam`` one point or ``d`` columns ``(P,
+    1)`` of P points, which put the points' axis before the momenta.  The
+    read runs under ``np.errstate(over="ignore", invalid="ignore")``: a
+    block that overflows is non-finite, and the checks of its caller
+    report it."""
+    kk = np.stack([k, -k])
+    if np.ndim(lam) > 1:  # points
+        kk = kk[:, None]
+    shape = np.broadcast_shapes(kk.shape, np.shape(lam)[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu is None:
+            h, m = model.h_block(kk, lam), model.m_block(kk, lam)
+        else:
+            _direction(mu, model.num_params)
+            h, m = model.dh_block(mu, kk, lam), model.dm_block(mu, kk, lam)
+        h, m = _entry_stack(h, shape), _entry_stack(m, shape)
+        x = 4j * h
+        x += m
+        x += m[_T, ::-1]  # m(-k)^T at (k, -k)
+        y = m[:, 0] - m[_T, 1]
+        y *= -2.0
+        return x[:, 0], x[_T, 1], y
 
 
 class TranslationInvariantModel:
     """Two-band translation-invariant model defined by momentum blocks.
 
     Subclasses provide the 2x2 blocks ``h_block(k, lam)``, ``m_block(k, lam)``
-    and their exact derivatives ``dh_block(mu, k, lam)``, ``dm_block(mu, k, lam)``.
-    Block methods must broadcast over ``k`` and over a leading stack of
-    parameter points: given a column of momenta of shape ``(..., L, 1, 1)``
-    and ``lam`` as one point or as ``num_params`` columns ``(P, 1, 1, 1)``
-    of P points, they return the ``(..., P, L, 2, 2)`` stack or, for a block
-    that depends on neither, a single 2x2 block.  Elementwise numpy
-    arithmetic does both, and gives each point the blocks it gets alone.
+    and their exact derivatives ``dh_block(mu, k, lam)``, ``dm_block(mu, k,
+    lam)``, each as the entry tuple ``(a, b, c, d)`` of ``[[a, b], [c, d]]``.
+    Each entry is a number or an array that broadcasts against the momenta
+    ``k`` and the parameters ``lam``: ``k`` comes as an array of any shape,
+    ``lam`` as one point or as ``num_params`` columns ``(P, 1)`` of P
+    points, and the entries broadcast to the ``(..., P, L)`` stack (numpy
+    arithmetic on ``k`` and the unpacked ``lam`` does both, and gives each
+    point the blocks it gets alone).  An entry that depends on neither may
+    be a number; :func:`_pauli` gives the entries of ``s0 + sx sigma_x + sy
+    sigma_y``.
     """
 
     num_params = 0
-    bands = 2
 
-    def h_block(self, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
+    def h_block(self, k, lam) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def m_block(self, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
+    def m_block(self, k, lam) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def dh_block(self, mu: int, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
+    def dh_block(self, mu: int, k, lam) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def dm_block(self, mu: int, k: float, lam) -> np.ndarray:  # pragma: no cover - interface
+    def dm_block(self, mu: int, k, lam) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # -- derived quantities (one block, or a stack over k and points) --------
+    # -- derived 2x2 blocks, at a scalar k or an (L, 2, 2) stack over a 1-D k --
 
     def x_block(self, k, lam) -> np.ndarray:
-        return _read_xy(self, k, lam)[0][0]
+        return _blocks(_read_xy(self, k, lam)[0])
 
     def y_block(self, k, lam) -> np.ndarray:
-        return _read_xy(self, k, lam)[1]
+        return _blocks(_read_xy(self, k, lam)[2])
 
     def dx_block(self, mu: int, k, lam) -> np.ndarray:
-        return _read_xy(self, k, lam, mu)[0][0]
+        return _blocks(_read_xy(self, k, lam, mu)[0])
 
     def dy_block(self, mu: int, k, lam) -> np.ndarray:
-        return _read_xy(self, k, lam, mu)[1]
+        return _blocks(_read_xy(self, k, lam, mu)[2])
 
 
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
@@ -402,90 +422,56 @@ def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
     one stack (see :func:`_ness_k_sum`)."""
     lam = _params(lam, model.num_params)
     L = _chain_length(L)
-    return GeoTensor("zeta", "ness", zeta_ness_k_sums([(model, lam)], L)[0], lam,
+    return GeoTensor("zeta", "ness", zeta_ness_k_sums(model, [lam], L)[0], lam,
                      {"L": L, "route": "kspace"})
 
 
-def zeta_ness_k_sums(points, L: int) -> np.ndarray:
-    """:func:`zeta_ness_k` at each of ``points``, pairs ``(model, lam)`` of
-    one chain length ``L``, as a ``(P, d, d)`` array from one pass.
+def zeta_ness_k_sums(model: TranslationInvariantModel, lams, L: int) -> np.ndarray:
+    """:func:`zeta_ness_k` of ``model`` at each of the points ``lams``, of one
+    chain length ``L``, as a ``(P, d, d)`` array from one pass; no points
+    give a ``(0, d, d)`` array and read no block.
 
-    The momentum blocks of the points of each model (by identity) are read
-    in one stacked call of its block methods (:func:`_momentum_blocks`),
-    the reads of several models joined in point order (:func:`_joined`),
-    and the ``P * L`` blocks are solved as one stack by :func:`_ness_k_sum`,
-    which sums each point's blocks on their own; so each point gets its
-    one-point tensor bit for bit.  A failure is that of the first failing
-    point, the error it raises alone, and carries ``p * L + k`` as
-    ``exc.block``; inside a pass (:func:`~nhgeo.linalg.flagged_blocks`)
-    the failing blocks are recorded, and a failing point's sums are not its
-    tensor.
+    The momentum blocks of all the points are read in one call of each
+    block method (:func:`_momentum_blocks`), and the ``P * L`` blocks are
+    solved as one stack by :func:`_ness_k_sum`, which sums each point's
+    blocks on their own; so each point gets its one-point tensor bit for
+    bit.  A failure is that of the first failing point, the error it raises
+    alone, and carries ``p * L + k`` as ``exc.block``; inside a pass
+    (:func:`~nhgeo.linalg.flagged_blocks`) the failing blocks are recorded,
+    and a failing point's sums are not its tensor.
     """
-    L = _chain_length(L)
-    ks = 2.0 * np.pi * np.arange(L) / L
-    if len({model.num_params for model, _ in points}) != 1:
-        raise ShapeMismatch("zeta_ness_k_sums needs models of one number of parameters")
-    at = {}  # the points of each model, in order of first appearance
-    for p, (model, _) in enumerate(points):
-        at.setdefault(id(model), []).append(p)
-    reads = []
-    for ps in at.values():
-        model = points[ps[0]][0]
-        lams = np.array([_params(points[p][1], model.num_params) for p in ps])
-        reads.append(_momentum_blocks(model, lams, ks, True))
-    return _ness_k_sum(_joined(reads, list(at.values())), len(points))
+    L, d = _chain_length(L), model.num_params
+    lams = np.array([_params(lam, d) for lam in lams]).reshape(len(lams), d)
+    if not len(lams):
+        return np.zeros((0, d, d), dtype=complex)
+    return _ness_k_sum(_momentum_blocks(model, lams, _k_grid(L), True), len(lams))
 
 
 def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bool):
     """The read step of the momentum drivers at the points ``lams (P, d)``
-    of ``model``: the entry tuples ``(x, xmT, y, (dx, dxmT, dy))`` at the
-    1-D momenta ``ks``, the block of point ``p`` at ``ks[j]`` at the flat
-    index ``p * L + j``.  Each block method is called once (per direction),
-    on every point and momentum: ``lam`` reaches it as ``d`` columns ``(P,
-    1, 1, 1)`` and the momenta ``(ks, -ks)`` as a ``(2, 1, L, 1, 1)``
-    array, and x(k), x(-k)^T and y(k) are formed from that read
-    (:func:`_read_xy`).  With ``derivatives``, every dx_mu and dy_mu too
-    (their entries stacked over directions mu, ``(d, P L)``)."""
-    P, L = len(lams), len(ks)
-    lam = np.reshape(np.transpose(lams), (-1, P, 1, 1, 1))
-    kc = ks[None, :, None, None]  # after the points' axis
-
-    def entries(x, y):  # x (..., 2, P, L, 2, 2), y as entries (..., P L); x(-k) transposed
-        x, y = (tuple(e.reshape(e.shape[:-2] + (P * L,)) for e in _entries(b)) for b in (x, y))
-        return tuple(e[..., 0, :] for e in x), _transpose(tuple(e[..., 1, :] for e in x)), y
-
-    x, xmT, y = entries(*_read_xy(model, kc, lam))
+    of ``model``: the entry stacks ``(x, xmT, y, (dx, dxmT, dy))``, each
+    ``(4, P L)``, at the 1-D momenta ``ks``, the block of point ``p`` at
+    ``ks[j]`` at the flat index ``p * L + j``.  Each block method is called
+    once (per direction), on every point and momentum: ``lam`` reaches it
+    as ``d`` columns ``(P, 1)`` and the momenta ``(ks, -ks)`` as a ``(2, 1,
+    L)`` array (:func:`_read_xy`).  With ``derivatives``, every dx_mu,
+    dx_mu(-k)^T and dy_mu too, the directions mu on the axis after the
+    entries, ``(4, d, P L)``."""
+    P, L, d = len(lams), len(ks), model.num_params
+    lam = np.transpose(lams)[..., None]
+    x, xmT, y = (E.reshape(4, P * L) for E in _read_xy(model, ks, lam))
     if not derivatives:
         return x, xmT, y, None
-    reads = zip(*(_read_xy(model, kc, lam, mu) for mu in range(model.num_params)))
-    # a model without parameters has empty derivative stacks
-    empty = [np.zeros((0, 2, P, L, 2, 2)), np.zeros((0, P, L, 2, 2))]
-    return x, xmT, y, entries(*([np.stack(r) for r in reads] or empty))
-
-
-def _joined(reads, at):
-    """The reads of :func:`_momentum_blocks` at the points ``at[i]`` of a
-    pass (read ``i`` holds the blocks of the points ``at[i]``, in order),
-    joined into one read in point order; one read is returned as it is."""
-    if len(reads) == 1:
-        return reads[0]
-    P = sum(map(len, at))
-
-    def join(parts):
-        if isinstance(parts[0], tuple):
-            return tuple(join(p) for p in zip(*parts))
-        lead, L = parts[0].shape[:-1], parts[0].shape[-1] // len(at[0])
-        out = np.empty(lead + (P, L), dtype=complex)
-        for part, ps in zip(parts, at):
-            out[..., ps, :] = part.reshape(lead + (len(ps), L))
-        return out.reshape(lead + (P * L,))
-
-    return join(reads)
+    dxy = np.empty((3, 4, d, P, L), dtype=complex)
+    for mu in range(d):
+        for out, E in zip(dxy, _read_xy(model, ks, lam, mu)):
+            out[:, mu] = E
+    return x, xmT, y, tuple(dxy.reshape(3, 4, d, P * L))
 
 
 def _gamma_blocks(x, xmT, y):
     """The momentum steady-state driver: Gamma(k) as an entry tuple from the
-    entry tuples of x(k), x(-k)^T and y(k) (:func:`_momentum_blocks`), the
+    entry stacks of x(k), x(-k)^T and y(k) (:func:`_momentum_blocks`), the
     solver of ``x(k) G + G x(-k)^T = Y`` and the eigenpairs ``(a, Ua,
     Ua^-1)`` of x(k) it is built on.  Each check is made per block, into
     the caller's record (:func:`~nhgeo.linalg.lowest_failing_block`)."""
@@ -498,7 +484,7 @@ def _ness_k_sum(blocks, points: int) -> np.ndarray:
     ``points`` runs of equally many consecutive blocks: ``(points, d, d)``.
 
     ``blocks`` is what :func:`_momentum_blocks` reads: x and dx_mu at k and
-    -k, the directions mu stacked along a leading axis.  Every step below is
+    -k, the directions mu on the axis after the entries.  Every step below is
     2x2 entry arithmetic, elementwise per block.  The pencil solver of
     :func:`_gamma_blocks` gives every dGamma_mu(k), its eigenpairs every
     Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
@@ -550,34 +536,38 @@ def _xcal_2x2(x, U, Ui, dX):
     return _mul((u01 * a10, u00 * a01, u11 * a10, u10 * a01), Ui)  # U A U^-1
 
 
-def _k_column(L: int) -> np.ndarray:
-    """The momenta ``2 pi j / L`` of a length-L chain as an ``(L, 1, 1)`` column."""
-    return (2.0 * np.pi * np.arange(L) / L)[:, None, None]
+def _k_grid(L: int) -> np.ndarray:
+    """The momenta ``2 pi j / L`` of a length-L chain."""
+    return 2.0 * np.pi * np.arange(L) / L
 
 
-def _real_space(kc, block) -> np.ndarray:
-    """Fourier assembly of momentum blocks, site-major:
-    ``A[(j, a), (r, b)] = (1/L) sum_k e^{i k (j - r)} block(k)_{ab}``,
-    that is, one inverse FFT over the k column ``kc`` gives ``c[n]`` and
-    the circulant ``A[j, r] = c[(j - r) mod L]``."""
-    c = np.fft.ifft(_over_k(kc, block), axis=0)
-    L, b = c.shape[0], c.shape[-1]
+def _real_space(E) -> np.ndarray:
+    """Fourier assembly of the entry stack ``E (4, L)`` of the blocks at the
+    momenta :func:`_k_grid`, site-major: ``A[(j, a), (r, b)] = (1/L) sum_k
+    e^{i k (j - r)} block(k)_{ab}``, that is, one inverse FFT over k gives
+    ``c[n]`` and the circulant ``A[j, r] = c[(j - r) mod L]``."""
+    c = np.fft.ifft(E, axis=-1)
+    L = c.shape[-1]
     shift = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
-    return c[shift].transpose(0, 2, 1, 3).reshape(b * L, b * L)
+    return c[:, shift].reshape(2, 2, L, L).transpose(2, 0, 3, 1).reshape(2 * L, 2 * L)
 
 
 def assemble_real_space(model: TranslationInvariantModel, lam, L: int) -> QuadraticLiouvillian:
     """Build the length-L real-space Liouvillian from the momentum blocks
-    ``h_block`` and ``m_block``, Fourier-assembled by :func:`_real_space`."""
+    ``h_block`` and ``m_block``, Fourier-assembled by :func:`_real_space`
+    under ``np.errstate(over="ignore", invalid="ignore")``: a block that
+    overflows makes a non-finite matrix, which :func:`build_liouvillian`
+    rejects."""
     lam = _params(lam, model.num_params)
-    kc = _k_column(_chain_length(L))
-    H = _real_space(kc, model.h_block(kc, lam))
-    M = _real_space(kc, model.m_block(kc, lam))
-    # project out Fourier round-off so validation sees clean structure
-    H = (H - H.T) / 2
-    H = (H + H.conj().T) / 2
-    M = (M + M.conj().T) / 2
-    return build_liouvillian(H.shape[0] // 2, H, M=M)
+    ks = _k_grid(_chain_length(L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = _real_space(_entry_stack(model.h_block(ks, lam), ks.shape))
+        M = _real_space(_entry_stack(model.m_block(ks, lam), ks.shape))
+        # project out Fourier round-off so validation sees clean structure
+        H = (H - H.T) / 2
+        H = (H + H.conj().T) / 2
+        M = (M + M.conj().T) / 2
+    return build_liouvillian(L, H, M=M)
 
 
 def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFamily:
@@ -591,16 +581,17 @@ def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFa
     validation.
     """
     L = _chain_length(L)
-    kc = _k_column(L)
+    ks = _k_grid(L)
 
     def dxy(mu, lam):
-        dx, dy = _read_xy(model, kc, lam, mu)
-        dX = _real_space(kc, dx[0]).real.astype(complex)
-        dY = _real_space(kc, dy)
-        return dX, 1j * (dY - dY.T).imag / 2
+        dx, _, dy = _read_xy(model, ks, lam, mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dX = _real_space(dx).real.astype(complex)
+            dY = _real_space(dy)
+            return dX, 1j * (dY - dY.T).imag / 2
 
     return LiouvillianFamily(
-        n=model.bands * L // 2,
+        n=L,
         num_params=model.num_params,
         func=lambda lam: assemble_real_space(model, lam, L),
         deriv_func=dxy,

@@ -152,7 +152,8 @@ BAND_KINDS = ("zeta", *STATE_KINDS)
 def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarray]:
     """The Brillouin-zone sums ``kinds`` over (t, delta) at each of ``points``,
     which share one ``L``, as ``(P, 2, 2)`` arrays: ``zeta``, and ``eta``,
-    ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``.
+    ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``; no points
+    give ``(0, 2, 2)`` arrays.
 
     One pass reads the Bloch off-diagonals of every point once
     (:func:`_hoppings`), forms ``eps = a b`` (:func:`eps`), makes the grid
@@ -166,6 +167,8 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
     (:func:`_bloch`) is the eigensolver route to the same sums, their oracle.
     """
     kinds = _kinds(kinds, BAND_KINDS, "band_sums")
+    if not points:
+        return {kind: np.zeros((0, 2, 2), dtype=complex) for kind in kinds}
     L = points[0].L
     if any(p.L != L for p in points):
         raise ShapeMismatch("band_sums needs points of one chain length L")

@@ -971,6 +971,18 @@ class TestKitaevBures:
         assert result.exit_code == 3
         assert "CriticalKPoint" in result.output
 
+    @pytest.mark.parametrize("command, error", [
+        (["tensor", "--set", "weak_coupling=0"], "ShapeMismatch: block 0: 2x2 block has non-finite"),
+        (["spectrum"], "NonConvergence: block 0: rapidity block is not finite"),
+    ])
+    def test_overflowing_blocks_exit_3(self, runner, command, error):
+        # x(k) overflows at h = 1e308: a RuntimeWarning (an error here) and a
+        # LinAlgError traceback, both exit 1, before
+        result = runner.invoke(main, [*command, "--model", "kitaev-dissipative",
+                                      "--set", "h=1e308", "--set", "L=8"])
+        assert result.exit_code == 3, result.output
+        assert error in result.output
+
     @pytest.mark.parametrize("kinds", ["bures", "zeta,bures", "zeta,zeta_limited"])
     def test_strong_coupling_exit_2_before_evaluation(self, runner, tmp_path, monkeypatch, kinds):
         calls = []

@@ -17,6 +17,7 @@ from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams, gamma_k_weak
 from nhgeo.liouville import (
     LiouvillianFamily,
     TranslationInvariantModel,
+    _pauli,
     agp_quadratic,
     assemble_real_space,
     build_liouvillian,
@@ -34,8 +35,6 @@ from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_l
 from conftest import central_dxy, inside, log_derivative, maxdev, save_matrix
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-S0 = np.eye(2, dtype=complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 
 
@@ -43,20 +42,20 @@ class SymmetricBathModel(TranslationInvariantModel):
     """No parameters, k-independent bath: y(k) vanishes."""
 
     def h_block(self, k, lam):
-        return 0.5 * np.sin(k) * SX
+        return _pauli(0, 0.5 * np.sin(k), 0)
 
     def m_block(self, k, lam):
-        return 0.7 * S0
+        return _pauli(0.7, 0, 0)
 
 
 class ZeroRhsModel(TranslationInvariantModel):
     """No parameters, k-independent bath: Gamma(k) vanishes."""
 
     def h_block(self, k, lam):
-        return 0.5 * (1.2 - np.cos(k)) * SY
+        return _pauli(0, 0, 0.5 * (1.2 - np.cos(k)))
 
     def m_block(self, k, lam):
-        return 0.3 * S0
+        return _pauli(0.3, 0, 0)
 
 
 class DrivenBathModel(TranslationInvariantModel):
@@ -68,17 +67,17 @@ class DrivenBathModel(TranslationInvariantModel):
 
     def h_block(self, k, lam):
         t, d = lam
-        return 0.5 * t * np.sin(k) * SX + 0.5 * (d - np.cos(k)) * SY
+        return _pauli(0, 0.5 * t * np.sin(k), 0.5 * (d - np.cos(k)))
 
     def m_block(self, k, lam):
         t, d = lam
-        return 0.6 * S0 + 0.2 * np.cos(k) * SX + 0.25 * d * SY
+        return _pauli(0.6, 0.2 * np.cos(k), 0.25 * d)
 
     def dh_block(self, mu, k, lam):
-        return 0.5 * np.sin(k) * SX if mu == 0 else 0.5 * SY
+        return _pauli(0, 0.5 * np.sin(k), 0) if mu == 0 else _pauli(0, 0, 0.5)
 
     def dm_block(self, mu, k, lam):
-        return np.zeros((2, 2), dtype=complex) if mu == 0 else 0.25 * SY
+        return _pauli(0, 0, 0) if mu == 0 else _pauli(0, 0, 0.25)
 
 
 def lapack_eigenpairs(x):
@@ -123,46 +122,54 @@ FAULT_MESSAGES = {"nonfinite": "non-finite entries", "degenerate": "degenerate e
 
 def faulty_model(faults, L=4):
     """A one-parameter model, evaluated at lam = 0.3, whose block at ``2 pi j
-    / L`` has the faults ``faults[j]``, joined by ``+``:
+    / L`` has the faults ``faults[j]``, joined by ``+``; a key ``(lam, j)``
+    puts them at that block of the point ``lam`` only:
 
     - ``nonfinite``: a NaN bath entry;
     - ``degenerate``: x(k) = 1, equal eigenvalues;
     - ``pencil``: no bath at +-k, so x(k) = 4i h and x(-k)^T have opposite
       eigenvalues, a vanishing pencil value;
-    - ``rapidities``: the eigenvalues 1 +- 4e-10 of x(k), distinct but
-      degenerate for Xcal, coupled by the derivative 4i sx;
+    - ``rapidities``: the eigenvalues 1 +- 4e-10 of x(k) at lam = 0.3,
+      distinct but degenerate for Xcal, coupled by the derivative 4i sx;
     - ``nonfinite_at_minus_k``: a NaN Hamiltonian at -k, so that x(-k)^T,
       not x(k), is non-finite.
     """
     ks = 2 * np.pi * np.arange(L) / L
 
-    def at(k, fault):
-        """Where the momenta ``k`` are a grid point with ``fault``."""
-        out = np.zeros(np.shape(k), dtype=bool)
-        for j, f in faults.items():
+    def at(k, lam, fault):
+        """Where the momenta ``k`` at ``lam`` are a grid point with ``fault``."""
+        out = np.zeros(np.broadcast_shapes(np.shape(k), np.shape(lam)), dtype=bool)
+        for key, f in faults.items():
+            point, j = key if isinstance(key, tuple) else (lam, key)
             if fault in f.split("+"):
-                out |= np.isclose(k, ks[j])
+                out |= np.isclose(k, ks[j]) & (lam == point)
         return out
 
     class Faulty(TranslationInvariantModel):
         num_params = 1
 
         def h_block(self, k, lam):
-            h = np.where(at(k, "degenerate"), 0.0, (0.5 + 0.1 * lam[0]) * SY)
-            h = np.where(at(-k, "nonfinite_at_minus_k"), np.nan, h)
-            return np.where(at(k, "rapidities"), 1e-10 * SY + (lam[0] - 0.3) * SX, h)
+            lam, = lam
+            rapidities = at(k, lam, "rapidities")
+            s = np.where(at(k, lam, "degenerate"), 0.0, 0.5 + 0.1 * lam)
+            s = np.where(at(-k, lam, "nonfinite_at_minus_k"), np.nan, s)
+            return _pauli(0, np.where(rapidities, lam - 0.3, 0.0), np.where(rapidities, 1e-10, s))
 
         def m_block(self, k, lam):
-            m = np.where(at(np.abs(k), "pencil"), 0.0, 0.5 * S0)
-            return m + np.where(at(k, "nonfinite"), np.nan, 0.0) * S0
+            lam, = lam
+            m = np.where(at(np.abs(k), lam, "pencil"), 0.0, 0.5)
+            return _pauli(np.where(at(k, lam, "nonfinite"), np.nan, m), 0, 0)
 
         def dh_block(self, mu, k, lam):
-            dh = np.where(at(k, "degenerate"), 0.0, 0.1 * SY)
-            dh = np.where(at(-k, "nonfinite_at_minus_k"), np.nan, dh)
-            return np.where(at(k, "rapidities"), SX, dh)
+            lam, = lam
+            rapidities = at(k, lam, "rapidities")
+            s = np.where(at(k, lam, "degenerate"), 0.0, 0.1)
+            s = np.where(at(-k, lam, "nonfinite_at_minus_k"), np.nan, s)
+            return _pauli(0, np.where(rapidities, 1.0, 0.0), np.where(rapidities, 0.0, s))
 
         def dm_block(self, mu, k, lam):
-            return np.where(at(k, "nonfinite"), np.nan, 0.0) * S0
+            lam, = lam
+            return _pauli(np.where(at(k, lam, "nonfinite"), np.nan, 0.0), 0, 0)
 
     return Faulty()
 
@@ -643,17 +650,16 @@ class TestKspace:
 
     @pytest.mark.parametrize("model, lam", BLOCK_MODELS)
     def test_stacked_blocks_equal_per_k_blocks(self, model, lam):
-        # a (L, 1, 1) column of momenta gives the stack of the single blocks,
-        # bit for bit; constant blocks are broadcast to (L, 2, 2)
+        # a 1-D array of momenta gives the stack of the single blocks, bit
+        # for bit; constant entries are broadcast to (L, 2, 2)
         ks = np.concatenate([2 * np.pi * np.arange(7) / 7, -1.3 * np.arange(1, 4)])
-        kc = ks[:, None, None]
         for name in ("x_block", "y_block"):
-            got = getattr(model, name)(kc, lam)
+            got = getattr(model, name)(ks, lam)
             assert got.shape == (len(ks), 2, 2)
             assert np.array_equal(got, np.stack([getattr(model, name)(k, lam) for k in ks]))
         for mu in range(model.num_params):
             for name in ("dx_block", "dy_block"):
-                got = getattr(model, name)(mu, kc, lam)
+                got = getattr(model, name)(mu, ks, lam)
                 want = np.stack([getattr(model, name)(mu, k, lam) for k in ks])
                 assert got.shape == (len(ks), 2, 2)
                 assert np.array_equal(got, want)
@@ -675,6 +681,17 @@ class TestKspace:
         model = DissipativeKitaevModel(0.4, 1.0, 0.6)
         with pytest.raises(ShapeMismatch):
             zeta_ness_k(model, [np.nan, 0.9], 4)
+
+    @pytest.mark.parametrize("call", [
+        lambda model, lam: zeta_ness_k(model, lam, 8),
+        lambda model, lam: gamma_k(model, 0.3, lam),
+        lambda model, lam: assemble_real_space(model, lam, 4),
+    ], ids=["zeta_ness_k", "gamma_k", "assemble_real_space"])
+    def test_overflowing_parameter_raises_its_check(self, call):
+        # x(k) = 4i h(k) + ... overflows at h = 1e308: the blocks are not
+        # finite, which the checks report (warnings are errors here)
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            call(DissipativeKitaevModel(0.1, 1.0, 0.6), [1e308, 1.0])
 
     @pytest.mark.parametrize("L", [0, -3, 2.5, "4", True])
     def test_invalid_length_rejected(self, L):
@@ -748,17 +765,15 @@ class TestKspace:
 def one_point_read(model, lam, ks):
     """The momentum entries of one point from the public block methods at a
     one-point ``lam``, in the layout of ``liouville._momentum_blocks``."""
-    kc = ks[:, None, None]
-
     def E(blocks):
         return tuple(np.ascontiguousarray(e) for e in linalg_mod._entries(blocks))
 
     d = range(model.num_params)
-    return [E(model.x_block(kc, lam)), linalg_mod._transpose(E(model.x_block(-kc, lam))),
-            E(model.y_block(kc, lam)),
-            *(E(model.dx_block(mu, kc, lam)) for mu in d),
-            *(linalg_mod._transpose(E(model.dx_block(mu, -kc, lam))) for mu in d),
-            *(E(model.dy_block(mu, kc, lam)) for mu in d)]
+    return [E(model.x_block(ks, lam)), linalg_mod._transpose(E(model.x_block(-ks, lam))),
+            E(model.y_block(ks, lam)),
+            *(E(model.dx_block(mu, ks, lam)) for mu in d),
+            *(linalg_mod._transpose(E(model.dx_block(mu, -ks, lam))) for mu in d),
+            *(E(model.dy_block(mu, ks, lam)) for mu in d)]
 
 
 class TestStackedRead:
@@ -786,27 +801,36 @@ class TestStackedRead:
 
     def test_pass_over_two_faulty_points(self):
         # each faulty point of one pass gets the error it gets alone, the
-        # others their one-point tensors
+        # others their one-point tensors: one model, whose faults lam picks
         from nhgeo.cli import _one_result
         from nhgeo.liouville import zeta_ness_k_sums
 
-        healthy = faulty_model({})
-        points = [(healthy, [0.3]), (faulty_model({2: "pencil"}), [0.3]), (healthy, [0.5]),
-                  (faulty_model({1: "rapidities", 3: "nonfinite"}), [0.3]), (healthy, [0.7])]
+        model = faulty_model({(0.4, 2): "pencil", (0.3, 1): "rapidities", (0.3, 3): "nonfinite"})
+        lams = [[0.5], [0.4], [0.6], [0.3], [0.7]]
 
         def evaluate(ps):
-            return [{"zeta": z} for z in zeta_ness_k_sums(ps, 4)]
+            return [{"zeta": z} for z in zeta_ness_k_sums(model, ps, 4)]
 
-        joined = _one_result(evaluate, points)
-        for p, result in zip(points, joined):
-            alone, = _one_result(evaluate, [p])
+        joined = _one_result(evaluate, lams)
+        for lam, result in zip(lams, joined):
+            alone, = _one_result(evaluate, [lam])
             if isinstance(alone, Exception):
                 assert type(result) is type(alone) and str(result) == str(alone)
+                assert result.block == alone.block
             else:
                 assert result["zeta"].tobytes() == alone["zeta"].tobytes()
         assert [type(r) for r in joined] == [dict, SingularPencil, dict,
                                              DegenerateRapidities, dict]
         assert "block 1: rapidities 0,1 degenerate" in str(joined[3])
+
+    def test_no_points_read_no_block(self, monkeypatch):
+        from nhgeo.liouville import zeta_ness_k_sums
+
+        monkeypatch.setattr(liouville_mod, "_momentum_blocks", lambda *args: pytest.fail("read"))
+        for model in (DissipativeKitaevModel(0.4, 1.0, 0.6), SymmetricBathModel()):
+            d = model.num_params
+            out = zeta_ness_k_sums(model, [], 8)
+            assert out.shape == (0, d, d) and out.dtype == complex
 
 
 class TestGaussianForms:

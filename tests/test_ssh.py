@@ -271,6 +271,14 @@ class TestClosedFormBandSums:
                 with pytest.raises(NonConvergence, match="block 0: band summand is not finite"):
                     band_sums([p], 0, kinds)
 
+    def test_no_points(self):
+        # the kinds are checked, and no point gives empty sums
+        sums = band_sums([], 0, ["zeta", "eta"])
+        assert list(sums) == ["zeta", "eta"]
+        assert all(v.shape == (0, 2, 2) and v.dtype == complex for v in sums.values())
+        with pytest.raises(ValueError, match="does not provide"):
+            band_sums([], 0, ["bures"])
+
     @settings(max_examples=100, deadline=None)
     @given(points=passes())
     def test_bands_agree(self, points):

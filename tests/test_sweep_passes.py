@@ -116,10 +116,29 @@ class TestRowsDoNotDependOnTheirPass:
 
 
 def counted(monkeypatch, name):
-    """The sizes of the passes that ``cli.<name>`` evaluates from now on."""
+    """The sizes of the passes that ``cli.<name>`` evaluates from now on: the
+    length of its points argument, the first or, after a model, the second."""
     calls, real = [], getattr(cli_mod, name)
-    monkeypatch.setattr(cli_mod, name, lambda points, *a: calls.append(len(points)) or real(points, *a))
+    at = 1 if name == "zeta_ness_k_sums" else 0
+
+    def count(*args):
+        calls.append(len(args[at]))
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, name, count)
     return calls
+
+
+def counted_reads(monkeypatch):
+    """The number of points of each block read from now on."""
+    reads, real = [], liouville_mod._momentum_blocks
+
+    def read(model, lams, *args):
+        reads.append(len(lams))
+        return real(model, lams, *args)
+
+    monkeypatch.setattr(liouville_mod, "_momentum_blocks", read)
+    return reads
 
 
 class TestFailingPointsInAPass:
@@ -169,22 +188,31 @@ class TestFailingPointsInAPass:
         assert [i for i, r in enumerate(out) if isinstance(r, CriticalKPoint)] == [1, 5]
 
     def test_pass_over_several_baths(self, monkeypatch):
-        # a g axis through g = 0, whose rows are SingularPencil: one read per
-        # bath in the pass, and none more for the failing points
+        # a g axis through g = 0, whose rows are SingularPencil: the points
+        # of each bath share a pass across the grid, read once, and the
+        # failing points are read no more
         points = [{"h": h, "g": g, "gamma": 1.0, "L": 8, "weak_coupling": False}
                   for h in (0.3, 0.6) for g in (0.0, 0.2, 0.4)]
-        reads, real = [], liouville_mod._momentum_blocks
-
-        def read(model, lams, *args):
-            reads.append(len(lams))
-            return real(model, lams, *args)
-
-        monkeypatch.setattr(liouville_mod, "_momentum_blocks", read)
+        reads = counted_reads(monkeypatch)
         calls = counted(monkeypatch, "zeta_ness_k_sums")
         out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 6 * 8)
-        assert calls[len(points):] == [6]
+        assert calls[len(points):] == [2, 2, 2]
         assert reads[len(points):] == [2, 2, 2]
         assert [i for i, r in enumerate(out) if isinstance(r, SingularPencil)] == [0, 3]
+
+    def test_bath_on_the_inner_axis(self, monkeypatch):
+        # a 41 x 3 h x g grid at L = 128: each bath's 41 points make passes
+        # of PASS_BLOCKS / L = 8 points wherever they sit in the grid, each
+        # pass one read
+        points = [{"h": h, "g": g, "gamma": 1.0, "L": 128, "weak_coupling": False}
+                  for h in np.linspace(-2, 2, 41) for g in (0.1, 0.2, 0.4)]
+        reads = counted_reads(monkeypatch)
+        calls = counted(monkeypatch, "zeta_ness_k_sums")
+        out = cli_mod.KitaevAdapter().tensors(points, ["zeta"], 0, 0.0)
+        assert calls == [8, 8, 8, 8, 8, 1] * 3
+        assert reads == calls
+        # h = +-1 closes the gap at every bath
+        assert [i // 3 for i, r in enumerate(out) if isinstance(r, SingularPencil)] == [10] * 3 + [30] * 3
 
     def test_error_without_a_block_sends_every_point_alone(self, monkeypatch):
         from nhgeo.errors import NonConvergence
