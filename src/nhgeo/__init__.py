@@ -23,8 +23,8 @@ from .liouville import (
     steady_state_gamma, zeta_ness, zeta_ness_k, zeta_ness_k_sums, zeta_tilde_ness_from_gamma,
 )
 from .kitaev import (
-    DissipativeKitaevModel, KitaevParams, dphi, gamma_k_weak, phi_k, weak_coupling_tensors,
-    zeta_kitaev_sum, zeta_kitaev_thermo,
+    DissipativeKitaevModel, KitaevParams, dphi, gamma_k_weak, phi_k, weak_coupling_sums,
+    weak_coupling_tensors, zeta_kitaev_sum, zeta_kitaev_thermo,
 )
 from .oracle import (
     FockRep, build_fock, build_superop, correlation_from_rho, ness_from_kernel,
@@ -51,7 +51,7 @@ __all__ = [
     "zeta_ness_k_sums", "zeta_tilde_ness_from_gamma",
     # kitaev
     "DissipativeKitaevModel", "KitaevParams", "dphi", "gamma_k_weak", "phi_k",
-    "weak_coupling_tensors", "zeta_kitaev_sum", "zeta_kitaev_thermo",
+    "weak_coupling_sums", "weak_coupling_tensors", "zeta_kitaev_sum", "zeta_kitaev_thermo",
     # oracle
     "FockRep", "build_fock", "build_superop", "correlation_from_rho", "ness_from_kernel",
     "ness_state_index", "quadratic_superop", "superop_family", "third_quant_superops",

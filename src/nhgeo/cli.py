@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NhgeoError, NonConvergence, ShapeMismatch
-from .kitaev import WEAK_KINDS, DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
+from .kitaev import WEAK_KINDS, DissipativeKitaevModel, KitaevParams, weak_coupling_sums
 from .biortho import build_biortho
 from .linalg import (
     _raise_first,
@@ -122,10 +122,10 @@ def _in_passes(evaluate, points, key):
     chain length ``L``), with the results in the order of ``points``: the
     points of one ``key(p)``, wherever they sit in the grid, share passes of
     at most ``PASS_BLOCKS`` blocks, in grid order (a point with a larger L
-    is a pass of its own); a point whose key is None is a pass of its own."""
+    is a pass of its own)."""
     passes, out = {}, {}
-    for i, p in enumerate(points):  # object() is a key of its own
-        passes.setdefault(object() if (k := key(p)) is None else k, []).append(i)
+    for i, p in enumerate(points):
+        passes.setdefault(key(p), []).append(i)
     for at in passes.values():
         size = max(1, PASS_BLOCKS // points[at[0]].L)
         for run in (at[j:j + size] for j in range(0, len(at), size)):
@@ -193,12 +193,11 @@ class KitaevAdapter(_LatticeModel):
     kinds = WEAK_KINDS
 
     def tensors(self, points, kinds, n, mu_reg) -> list:
-        """Strong coupling (``zeta`` only): shared passes of
-        :func:`~nhgeo.liouville.zeta_ness_k_sums` (:func:`_in_passes`), one
-        per bath and L, each on one model that reads the blocks of all its
-        points at once; so any parameter may vary, and the points of each
-        bath share passes wherever they sit in the grid.  Weak coupling:
-        :func:`~nhgeo.kitaev.weak_coupling_tensors`, one point per call."""
+        """Shared passes (:func:`_in_passes`): at weak coupling of
+        :func:`~nhgeo.kitaev.weak_coupling_sums`, per L; at strong coupling
+        (``zeta`` only) of :func:`~nhgeo.liouville.zeta_ness_k_sums`, per bath
+        and L, each on one model that reads the blocks of all its points at
+        once.  Any parameter may vary, wherever the points sit in the grid."""
         params = [self.params(values) for values in points]
         if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
@@ -207,11 +206,12 @@ class KitaevAdapter(_LatticeModel):
         def evaluate(ps):
             p = ps[0]
             if p.weak_coupling:
-                return [weak_coupling_tensors(p, kinds)]
+                sums = weak_coupling_sums(ps, kinds)
+                return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
             model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
             return [{"zeta": z} for z in zeta_ness_k_sums(model, [[q.h, q.gamma] for q in ps], p.L)]
 
-        return _in_passes(evaluate, params, lambda p: None if p.weak_coupling
+        return _in_passes(evaluate, params, lambda p: p.L if p.weak_coupling
                           else (p.L, p.g, p.mu_plus, p.mu_minus))  # the bath and L
 
     def spectrum(self, values) -> dict:

@@ -10,15 +10,22 @@ in the weak-coupling limit.
 The two-argument arctangent fixes the branch; all tensors use the analytic
 derivatives of phi, which are smooth across branch cuts, so the choice
 cannot affect results.
+
+At weak coupling every tensor is a Bloch-angle sum over the k-grid
+(:func:`weak_coupling_sums`); the correlation blocks :func:`gamma_k_weak`
+and :func:`dgamma_k_weak` serve only as its oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BranchDomainError, CriticalKPoint, OnCriticalLine, UndefinedAngle
-from .liouville import TranslationInvariantModel, _pauli, gaussian_tensors
+from .errors import (BranchDomainError, NonConvergence, OnCriticalLine, PureStateSingular,
+                     ShapeMismatch, UndefinedAngle)
+from .linalg import _grid_check, _raise_first, lowest_failing_block
+from .liouville import TranslationInvariantModel, _pauli
 from .tensors import GeoTensor, _finite, _integer, _kinds
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -67,13 +74,26 @@ def phi_k(h: float, gamma: float, k):
     return np.arctan2(y, x)
 
 
-def dphi(h: float, gamma: float, k):
-    """Analytic (d_h phi, d_gamma phi); raises where the angle is undefined."""
+def _bloch_angle(h, gamma, k):
+    """One read of the Bloch vector ``(u, v) = (h - cos k, gamma sin k)``, with
+    ``h``, ``gamma`` broadcast against the momenta ``k``, under ``np.errstate``
+    (an overflow leaves values that are not finite): ``D = u^2 + v^2``,
+    ``(d_h phi, d_gamma phi) = (-v, u sin k) / D``, ``cos^2 phi`` and ``sin^2 phi``."""
     s, c = np.sin(k), np.cos(k)
-    D = (h - c) ** 2 + gamma ** 2 * s ** 2
+    u = h - c
+    with np.errstate(all="ignore"):
+        u2, v2 = u ** 2, gamma ** 2 * s ** 2
+        D = u2 + v2
+        return D, (-gamma * s / D, s * u / D), u2 / D, v2 / D
+
+
+def dphi(h: float, gamma: float, k):
+    """Analytic (d_h phi, d_gamma phi) (:func:`_bloch_angle`); raises where
+    the angle is undefined."""
+    D, d, _, _ = _bloch_angle(h, gamma, k)
     if np.min(D) < 1e-300:
         raise UndefinedAngle("angle undefined: both arctangent arguments vanish")
-    return -gamma * s / D, s * (h - c) / D
+    return d
 
 
 class DissipativeKitaevModel(TranslationInvariantModel):
@@ -117,47 +137,56 @@ def dgamma_k_weak(params: KitaevParams, k: float, mu: int) -> np.ndarray:
     return -params.Lambda * dp * (np.cos(2 * p) * _SX - np.sin(2 * p) * _SY)
 
 
-def _check_grid(params: KitaevParams):
-    ks = params.k_grid
-    s, c = np.sin(ks), np.cos(ks)
-    D = (params.h - c) ** 2 + params.gamma ** 2 * s ** 2
-    if np.min(D) < 1e-12:
-        kbad = ks[int(np.argmin(D))]
-        raise CriticalKPoint(f"band gap closes on the grid at k = {kbad:.6g}")
-    return ks, s, c, D
-
-
-#: tensor kinds that :func:`weak_coupling_tensors` evaluates
+#: tensor kinds that :func:`weak_coupling_sums` evaluates
 WEAK_KINDS = ("zeta", "zeta_limited", "bures")
 
 
 def weak_coupling_tensors(params: KitaevParams, kinds) -> dict[str, np.ndarray]:
-    """Weak-coupling Brillouin-zone sums ``kinds`` over (h, gamma), from one
-    grid check and one set of phi derivatives.
-
-    ``zeta`` is the closed form ``Lambda^2 sum_k sin^2(phi_k) d_mu phi_k
-    d_nu phi_k`` and ``zeta_limited`` the purity-weighted one ``Lambda^2
-    sum_k d_mu phi_k d_nu phi_k / (1 + Lambda^2 cos^2 phi_k)^2``; ``bures`` is
-    :func:`nhgeo.liouville.gaussian_tensors` of :func:`gamma_k_weak` and
-    :func:`dgamma_k_weak` on the ``(L, 2, 2)`` stack of momentum blocks.
-    """
+    """Weak-coupling Brillouin-zone sums ``kinds`` over (h, gamma):
+    :func:`weak_coupling_sums` at one point."""
     kinds = _kinds(kinds, WEAK_KINDS, "weak_coupling_tensors")
-    ks, s, c, D = _check_grid(params)
-    h, gam = params.h, params.gamma
-    dh, dg = dphi(h, gam, ks)
-    lam2 = params.Lambda ** 2
-    out = {}
-    for kind in kinds:
-        if kind == "bures":
-            kc = ks[:, None, None]
-            dG = [dgamma_k_weak(params, kc, mu) for mu in range(2)]
-            out[kind] = gaussian_tensors(gamma_k_weak(params, kc), dG, [kind])[kind] + 0j
-            continue
-        w = (gam ** 2 * s ** 2 / D if kind == "zeta"  # sin^2 phi
-             else 1.0 / (1.0 + lam2 * ((h - c) ** 2 / D)) ** 2)
-        zhh, zgh, zgg = (lam2 * float(np.sum(w * a * b)) for a, b in ((dh, dh), (dg, dh), (dg, dg)))
-        out[kind] = np.array([[zhh, zgh], [zgh, zgg]], dtype=complex)
-    return out
+    return {kind: v[0] for kind, v in weak_coupling_sums([params], kinds).items()}
+
+
+def weak_coupling_sums(points: Sequence[KitaevParams], kinds) -> dict[str, np.ndarray]:
+    """The weak-coupling sums ``kinds`` over (h, gamma) at ``points`` of one
+    ``L``, as ``(P, 2, 2)`` arrays: ``Lambda^2 sum_k w d_mu phi_k d_nu phi_k``
+    with the weight ``w`` ``sin^2 phi`` (``zeta``), ``1 / (1 + Lambda^2
+    cos^2 phi)^2`` (``zeta_limited``) or ``[(1 - cos^2 phi) / (1 - Lambda^2
+    cos^2 phi) + cos^2 phi / (1 + Lambda^2 cos^2 phi)] / 4`` (``bures``).
+
+    One pass reads the Bloch vectors once (:func:`_bloch_angle`) and sums
+    each point over its own k axis, as :func:`~nhgeo.ssh.band_sums` does, so
+    a point gets its one-point sums bit for bit.  The checks go into one
+    record: the grid check on ``D`` (CriticalKPoint); for ``bures``,
+    PureStateSingular where ``|1 - Lambda^2 cos^2 phi| < 1e-10``;
+    NonConvergence where ``D`` or a summand is not finite.  A failure is
+    that of the first failing point, with ``p * L + k`` as ``exc.block``.
+    """
+    kinds = _kinds(kinds, WEAK_KINDS, "weak_coupling_sums")
+    if not points:
+        return {kind: np.zeros((0, 2, 2), dtype=complex) for kind in kinds}
+    if any(p.L != points[0].L for p in points):
+        raise ShapeMismatch("weak_coupling_sums needs points of one chain length L")
+    ks = points[0].k_grid
+    D, (dh, dg), c2, s2 = _bloch_angle(np.array([p.h for p in points])[:, None],
+                                       np.array([p.gamma for p in points])[:, None], ks)
+    lam2 = np.array([p.Lambda ** 2 for p in points])[:, None]
+    terms = {}
+    with lowest_failing_block():  # under np.errstate(all="ignore")
+        for kind in kinds:
+            w = (s2 if kind == "zeta" else 1.0 / (1.0 + lam2 * c2) ** 2 if kind == "zeta_limited"
+                 else ((1.0 - c2) / (1.0 - lam2 * c2) + c2 / (1.0 + lam2 * c2)) / 4)
+            terms[kind] = np.array([w * a * b for a, b in ((dh, dh), (dg, dh), (dg, dg))])
+        _grid_check(D, ks, "band gap closes on the grid")
+        if "bures" in kinds:
+            _raise_first(abs(1.0 - lam2 * c2) < 1e-10, PureStateSingular,
+                         lambda i: "correlation spectrum touches a pure-state direction")
+        finite = np.isfinite(D) & np.isfinite(list(terms.values())).all(axis=(0, 1))
+        _raise_first(~finite, NonConvergence, lambda i: "Bloch-angle summand is not finite")
+    # each point's (hh, gh, gg) summed over its own k axis, as its (P, 2, 2) tensors
+    return {kind: (lam2[:, 0] * t.sum(axis=-1))[[0, 1, 1, 2]].T.reshape(-1, 2, 2).astype(complex)
+            for kind, t in terms.items()}
 
 
 def zeta_kitaev_sum(params: KitaevParams) -> GeoTensor:

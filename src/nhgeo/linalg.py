@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CriticalKPoint,
     NearDefective,
     NonConvergence,
     ShapeMismatch,
@@ -38,11 +39,11 @@ ORDER_TIE_RESOLUTION = 1e-12
 PENCIL_RTOL = 1e-12
 
 
-def as_square(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+def as_square(M, name: str = "matrix") -> np.ndarray:
     """Validate and return ``M`` as a nonempty square complex ndarray with
-    finite entries; with ``stack``, a stack ``(..., n, n)`` of them."""
+    finite entries."""
     A = np.asarray(M, dtype=complex)
-    if (A.ndim < 2 or A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2] or not A.size:
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise ShapeMismatch(f"{name} must be nonempty and square, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ShapeMismatch(f"{name} has non-finite entries")
@@ -365,6 +366,20 @@ def _fail(bad, error) -> None:
         i = int(np.argmax(bad))
         raise error(i, i)
     flags.checks.append((bad.ravel(), error))
+
+
+def _grid_check(magnitude, ks, message: str) -> None:
+    """The grid check: CriticalKPoint ``"<message> at k = ..."`` for each of P
+    points whose gap ``magnitude (P, L)`` on the k-grid ``ks`` falls below
+    1e-12, where every zone sum diverges even if rounding leaves the block a
+    gap.  ``exc.block`` is ``p * L + k`` at the smallest magnitude, but the
+    check fails the point's first block, so it precedes its other checks."""
+    L = len(ks)
+    k = np.argmin(magnitude, axis=-1).tolist()  # each point's smallest magnitude
+    bad = np.zeros(magnitude.shape, dtype=bool)
+    bad[:, 0] = magnitude.min(axis=-1) < 1e-12
+    _fail(bad, lambda i, b: CriticalKPoint(  # i = p * L
+        f"{message} at k = {ks[k[i // L]]:.6g}", block=b + k[i // L]))
 
 
 def _raise_first(bad, exc_type, message):

@@ -603,29 +603,6 @@ def real_space_family(model: TranslationInvariantModel, L: int) -> LiouvillianFa
 # Gaussian-state closed forms
 # ---------------------------------------------------------------------------
 
-def _gamma_eigenbasis(Gamma, *dGammas, pure: bool = False):
-    """Eigenvalues ``g`` and eigenvectors ``V`` of Gamma (one matrix or a stack
-    ``(..., n, n)``) from one ``eigh``, and each of ``dGammas`` in that basis.
-
-    Each block must be Hermitian (ShapeMismatch) and, with ``pure``, have no
-    eigenvalue product ``g_j g_k`` within 1e-10 of 1 (PureStateSingular); in
-    one record, the lowest failing block wins, as a loop over blocks finds it.
-    """
-    Gamma = as_square(Gamma, "Gamma", stack=True)
-    herm_defect = np.abs(Gamma - np.swapaxes(Gamma.conj(), -1, -2)).max(axis=(-2, -1))
-    not_herm = herm_defect > 1e-8 * np.maximum(np.abs(Gamma).max(axis=(-2, -1)), 1.0)
-    g, V = np.linalg.eigh(Gamma)
-    with lowest_failing_block():
-        _raise_first(not_herm, ShapeMismatch,
-                     lambda b: "Gamma must be Hermitian (imaginary antisymmetric)")
-        if pure:
-            at_pure = np.abs(1.0 - g[..., :, None] * g[..., None, :]).min(axis=(-2, -1)) < 1e-10
-            _raise_first(at_pure, PureStateSingular,
-                         lambda b: "correlation spectrum touches a pure-state direction")
-    Vh = np.swapaxes(V.conj(), -1, -2)
-    return g, V, [Vh @ np.asarray(d, dtype=complex) @ V for d in dGammas]
-
-
 #: tensor kinds that :func:`gaussian_tensors` contracts
 GAUSSIAN_KINDS = ("zeta_limited", "bures")
 
@@ -640,18 +617,24 @@ def gaussian_tensors(Gamma, dGammas, kinds: Sequence[str]) -> dict[str, np.ndarr
       ``(1/2) Tr[(1+Gamma^2)^-1 dG_mu (1+Gamma^2)^-1 dG_nu]``: ``w = 1/2``,
       ``den = (1 + g_j^2)(1 + g_k^2)``.
 
-    On a stack ``(..., n, n)`` (each ``dGammas[mu]`` of the same shape) the
-    traces are summed over the blocks; see :func:`_gamma_eigenbasis`.
+    Gamma must be Hermitian (ShapeMismatch).
     """
     kinds = _kinds(kinds, GAUSSIAN_KINDS, "gaussian_tensors")
-    g, _, dG = _gamma_eigenbasis(Gamma, *dGammas, pure="bures" in kinds)
-    gj, gk = g[..., :, None], g[..., None, :]
+    Gamma = as_square(Gamma, "Gamma")
+    not_herm = np.abs(Gamma - Gamma.conj().T).max() > 1e-8 * max(np.abs(Gamma).max(), 1.0)
+    g, V = np.linalg.eigh(Gamma)
+    _raise_first(not_herm, ShapeMismatch,
+                 lambda b: "Gamma must be Hermitian (imaginary antisymmetric)")
+    gj, gk = g[:, None], g[None, :]
+    if "bures" in kinds:
+        _raise_first(np.abs(1.0 - gj * gk).min() < 1e-10, PureStateSingular,
+                     lambda b: "correlation spectrum touches a pure-state direction")
+    dG = [V.conj().T @ np.asarray(d, dtype=complex) @ V for d in dGammas]
     out = {}
     for kind in kinds:
         w, den = (0.125, 1.0 - gj * gk) if kind == "bures" else (
             0.5, (1.0 + gj ** 2) * (1.0 + gk ** 2))
-        out[kind] = np.array([[(w * np.sum(a * np.swapaxes(b, -1, -2) / den)).real
-                               for b in dG] for a in dG])
+        out[kind] = np.array([[(w * np.sum(a * b.T / den)).real for b in dG] for a in dG])
     return out
 
 

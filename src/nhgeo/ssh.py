@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    CriticalKPoint,
     DegenerateSpectrum,
     FSingular,
     NearDefective,
@@ -32,7 +31,7 @@ from .errors import (
     OnCriticalLine,
     ShapeMismatch,
 )
-from .linalg import DEFECTIVE_COND, _fail, _raise_first, lowest_failing_block
+from .linalg import DEFECTIVE_COND, _grid_check, _raise_first, lowest_failing_block
 from .tensors import STATE_KINDS, GeoTensor, OperatorFamily, _finite, _integer, _kinds
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -104,21 +103,6 @@ def eps(t: float, delta: float, k) -> np.ndarray | complex:
     return _eps(*_hoppings(t, delta, k))
 
 
-def _grid_eps(e, ks) -> None:
-    """The grid check of P points from their band functions ``e`` ``(P, L)``
-    on the k-grid ``ks``: CriticalKPoint for a point where ``|eps(k)| <
-    1e-12`` at a grid k, with ``exc.block = p * L + k`` at the smallest
-    ``|eps|``.  The gap closes there and every Brillouin-zone sum diverges,
-    even when rounding leaves the Bloch block a finite gap.  It fails the
-    point's first block, so it comes before the point's other checks."""
-    L, ae = len(ks), np.abs(e)
-    k = np.argmin(ae, axis=-1).tolist()  # each point's smallest |eps|
-    bad = np.zeros(e.shape, dtype=bool)
-    bad[:, 0] = ae.min(axis=-1) < 1e-12
-    _fail(bad, lambda i, b: CriticalKPoint(  # i = p * L
-        f"eps(k) vanishes on the grid at k = {ks[k[i // L]]:.6g}", block=b + k[i // L]))
-
-
 def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
     """The fixed-k Bloch matrix as a two-parameter family over (t, delta).
 
@@ -157,12 +141,12 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
 
     One pass reads the Bloch off-diagonals of every point once
     (:func:`_hoppings`), forms ``eps = a b`` (:func:`eps`), makes the grid
-    check (:func:`_grid_eps`) and sums the closed-form summands of
-    :func:`_state_summands` over each point's own k axis, so a point's sums
-    are those of the point alone, bit for bit.  In one record
-    (:func:`~nhgeo.linalg.lowest_failing_block`), a failure is that of the
-    first failing point, as it raises alone, with ``p * L + k`` as
-    ``exc.block``; in a pass a failing point's sums are not its tensors.
+    check on ``|eps|`` (:func:`~nhgeo.linalg._grid_check`) and sums the
+    closed-form summands of :func:`_state_summands` over each point's own k
+    axis, so a point's sums are those of the point alone, bit for bit.  In
+    one record (:func:`~nhgeo.linalg.lowest_failing_block`), a failure is
+    that of the first failing point, as it raises alone, with ``p * L + k``
+    as ``exc.block``; in a pass a failing point's sums are not its tensors.
     :func:`~nhgeo.tensors.sum_over_blocks` on the Bloch matrices
     (:func:`_bloch`) is the eigensolver route to the same sums, their oracle.
     """
@@ -177,7 +161,7 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
                      np.array([p.delta for p in points])[:, None], ks)
     e = _eps(a, b)
     with lowest_failing_block():
-        _grid_eps(e, ks)
+        _grid_check(abs(e), ks, "eps(k) vanishes on the grid")
         summands = _state_summands(a, b, e, n, kinds)
     # (2, 2, P, L) summed over each point's k axis
     return {kind: np.moveaxis(summands[kind].sum(axis=-1), -1, 0).astype(complex)

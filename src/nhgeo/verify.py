@@ -21,9 +21,12 @@ import numpy as np
 
 from .errors import NhgeoError
 from .kitaev import (
+    WEAK_KINDS,
     DissipativeKitaevModel,
     KitaevParams,
+    dgamma_k_weak,
     gamma_k_weak,
+    weak_coupling_tensors,
     zeta_kitaev_sum,
     zeta_kitaev_thermo,
 )
@@ -435,7 +438,10 @@ def check_kitaev_closed_forms(full: bool = True):
 
 def check_weak_coupling(full: bool = True):
     """Momentum-block correlation converges to the weak-coupling form as g^2,
-    over the whole zone of an L = 16 chain."""
+    over the whole zone of an L = 16 chain; the weak-coupling sums equal the
+    k-sums over the blocks :func:`gamma_k_weak`, :func:`dgamma_k_weak` of
+    :func:`gaussian_tensors` and, for ``zeta``, of ``(1 - Tr(G^2) / (2
+    Lambda^2)) Tr(dG_mu dG_nu) / 2`` (its weight ``sin^2 phi``)."""
     lam = [0.5, 0.8]
     par = KitaevParams(0.5, 0.8, 1e-3, 1.0, 0.6, 16)
     gw = gamma_k_weak(par, par.k_grid[:, None, None])
@@ -445,8 +451,21 @@ def check_weak_coupling(full: bool = True):
         model = DissipativeKitaevModel(g, 1.0, 0.6)
         devs.append(float(np.abs(gamma_k(model, par.k_grid, lam) - gw).max()))
     slopes = np.diff(np.log(devs)) / np.diff(np.log(gs))
-    ok = bool(np.all(np.abs(slopes - 2.0) <= 0.2))
-    return ok, f"deviations {[f'{d:.3e}' for d in devs]}, slopes {np.round(slopes, 3).tolist()}"
+    worst = 0.0  # at |h| < 1 and > 1, Lambda > 0 and < 0
+    for h, gam, mu_minus in ((0.5, 0.8, 0.6), (1.7, 0.6, 0.6), (-1.3, 1.2, 1.5)):
+        p = KitaevParams(h, gam, 1e-3, 1.0, mu_minus, 16)
+        got, ref = weak_coupling_tensors(p, WEAK_KINDS), dict.fromkeys(WEAK_KINDS, 0.0)
+        for k in p.k_grid:
+            G, dG = gamma_k_weak(p, k), [dgamma_k_weak(p, k, mu) for mu in range(2)]
+            forms = gaussian_tensors(G, dG, ["zeta_limited", "bures"])
+            forms["zeta"] = (1 - np.trace(G @ G).real / (2 * p.Lambda ** 2)) * np.array(
+                [[np.trace(a @ b).real / 2 for b in dG] for a in dG])
+            ref = {kind: ref[kind] + forms[kind] for kind in WEAK_KINDS}
+        worst = max(worst, *(float(np.abs(got[k] - ref[k]).max() / np.abs(ref[k]).max())
+                             for k in WEAK_KINDS))
+    ok = bool(np.all(np.abs(slopes - 2.0) <= 0.2)) and worst <= 1e-12
+    return ok, (f"deviations {[f'{d:.3e}' for d in devs]}, slopes {np.round(slopes, 3).tolist()}; "
+                f"Bloch-angle sums vs block forms rel {worst:.2e}")
 
 
 def _scan(tensor_at, grid) -> np.ndarray:

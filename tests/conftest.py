@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nhgeo.errors import CriticalKPoint
-from nhgeo.liouville import _gamma_eigenbasis
+from nhgeo.errors import CriticalKPoint, PureStateSingular
 from nhgeo.ssh import _bloch
 from nhgeo.tensors import central_difference
 
@@ -85,9 +84,11 @@ def log_derivative(Gamma, dGamma) -> np.ndarray:
     dGamma``, solved elementwise in the eigenbasis of Gamma: ``K_{jk} =
     (dGamma)_{jk} / (g_j g_k - 1)``, PureStateSingular where ``g_j g_k``
     reaches 1.  The reference of the Bures contraction."""
-    g, V, (dG,) = _gamma_eigenbasis(Gamma, dGamma, pure=True)
-    den = g[..., :, None] * g[..., None, :] - 1.0
-    return V @ (dG / den) @ np.swapaxes(V.conj(), -1, -2)
+    g, V = np.linalg.eigh(Gamma)
+    den = g[:, None] * g[None, :] - 1.0
+    if np.abs(den).min() < 1e-10:
+        raise PureStateSingular("correlation spectrum touches a pure-state direction")
+    return V @ (V.conj().T @ dGamma @ V / den) @ V.conj().T
 
 
 def ssh_eigenstates(params, k: float):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nhgeo
 import nhgeo.cli as cli_mod
 import nhgeo.ssh as ssh_mod
 from nhgeo.cli import main
@@ -947,17 +951,18 @@ class TestKitaevBures:
                 worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
         assert worst <= 1e-12
 
-    def test_one_batched_eigh_per_point(self, monkeypatch):
-        real, shapes = np.linalg.eigh, []
-
-        def counting(A, *args, **kwargs):
-            shapes.append(np.shape(A))
-            return real(A, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        cli_mod.KitaevAdapter().tensors(
-            [{"L": 128, "h": 0.4}], ["zeta", "zeta_limited", "bures"], None, 0.0)
-        assert shapes == [(128, 2, 2)]
+    def test_weak_sweep_calls_no_eigh(self, monkeypatch):
+        # every kind is a Bloch-angle sum: the 21 points of L = 128 make 3
+        # passes of weak_coupling_sums and no eigensolve
+        calls, real = [], cli_mod.weak_coupling_sums
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli_mod, "weak_coupling_sums",
+                            lambda ps, kinds: calls.append(len(ps)) or real(ps, kinds))
+        out = cli_mod.KitaevAdapter().tensors(
+            [{"L": 128, "h": h} for h in np.linspace(0, 2, 21)],
+            ["zeta", "zeta_limited", "bures"], None, 0.0)
+        assert calls == [8, 8, 5]
+        assert [type(r).__name__ for r in out].count("CriticalKPoint") == 1  # h = 1
 
     def test_pure_state_exit_3(self, runner):
         result = runner.invoke(main, [
@@ -982,6 +987,27 @@ class TestKitaevBures:
                                       "--set", "h=1e308", "--set", "L=8"])
         assert result.exit_code == 3, result.output
         assert error in result.output
+
+    def test_overflowing_weak_coupling_rows(self, runner, tmp_path):
+        # D = (h - cos k)^2 + gamma^2 sin^2 k overflows: both rows were ok,
+        # with NaN in every zeta_limited real part
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["sweep", "--model", "kitaev-dissipative", "--set", "L=8",
+                        "--axis", "h:1e307:1e308:2", "--tensors", "zeta,zeta_limited",
+                        "--output", str(out)])
+        rows = out.read_text().splitlines()[2:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["NonConvergence"] * 2
+
+    def test_overflowing_weak_coupling_tensor_exit_3(self):
+        # a RuntimeWarning traceback with exit 1 before
+        src = os.path.dirname(os.path.dirname(nhgeo.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-W", "error", "-m", "nhgeo.cli", "tensor",
+                            "--model", "kitaev-dissipative", "--set", "h=1e308", "--set", "L=8"],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.startswith("NonConvergence: "), r.stderr
 
     @pytest.mark.parametrize("kinds", ["bures", "zeta,bures", "zeta,zeta_limited"])
     def test_strong_coupling_exit_2_before_evaluation(self, runner, tmp_path, monkeypatch, kinds):

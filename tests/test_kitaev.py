@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhgeo.errors import CriticalKPoint, OnCriticalLine, UndefinedAngle
+from nhgeo.errors import CriticalKPoint, NhgeoError, OnCriticalLine, UndefinedAngle
 from nhgeo.kitaev import (
+    WEAK_KINDS,
     DissipativeKitaevModel,
     KitaevParams,
     dgamma_k_weak,
     dphi,
     gamma_k_weak,
     phi_k,
+    weak_coupling_sums,
     weak_coupling_tensors,
     zeta_kitaev_sum,
     zeta_kitaev_thermo,
 )
+from nhgeo.linalg import flagged_blocks
 from nhgeo.liouville import gaussian_tensors
 
 from conftest import maxdev
@@ -112,6 +117,70 @@ class TestZetaSum:
         z_scaled = z1 / lam1 ** 2 * par2.Lambda ** 2
         z2 = zeta_kitaev_sum(par2).values
         assert maxdev(z2, z_scaled) <= 1e-12 * np.abs(z2).max()
+
+
+def weak_outcome(p, kinds):
+    """``weak_coupling_tensors(p, kinds)``, or the NhgeoError it raises."""
+    try:
+        return weak_coupling_tensors(p, kinds)
+    except NhgeoError as exc:
+        return exc
+
+
+@st.composite
+def weak_passes(draw):
+    """One to four points of one L.  The fields land on the gap closings
+    h = +-1 (and h = 0 with gamma = 0 where L % 4 == 0), or overflow D; a
+    bath with mu_minus = 0 makes the k = 0 block pure."""
+    L = draw(st.integers(1, 64))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(st.sampled_from([-1.0, 0.0, 1.0, 1e160, -1e308]) | st.floats(-3.0, 3.0))
+        gamma = draw(st.sampled_from([0.0, 1.0, 1e200]) | st.floats(-2.0, 2.0))
+        mu_minus = draw(st.sampled_from([0.0, 0.6]) | st.floats(0.0, 1.5))
+        points.append(KitaevParams(h, gamma, 0.1, draw(st.floats(0.1, 1.5)), mu_minus, L))
+    return points
+
+
+class TestWeakCouplingPasses:
+    @settings(max_examples=200, deadline=None)
+    @given(points=weak_passes(),
+           kinds=st.permutations(WEAK_KINDS).flatmap(
+               lambda k: st.integers(1, 3).map(lambda n: k[:n])))
+    def test_pass_gives_each_point_its_own_result(self, points, kinds):
+        # in a pass the checks record the failing blocks instead of raising;
+        # each point reads the error it gets alone from the record, and the
+        # others get their one-point sums bit for bit
+        with flagged_blocks() as flags:
+            sums = weak_coupling_sums(points, kinds)
+        for i, (p, exc) in enumerate(zip(points, flags.errors(len(points)))):
+            alone = weak_outcome(p, kinds)
+            if isinstance(alone, Exception):
+                assert (type(exc), str(exc), exc.block) == (type(alone), str(alone), alone.block)
+            else:
+                assert exc is None
+                for kind in kinds:
+                    assert sums[kind][i].tobytes() == alone[kind].tobytes()
+                    assert np.isfinite(alone[kind]).all()
+
+    def test_first_failing_point_raises(self):
+        # h = -1 closes the gap at k = pi, block 4 of L = 8; in a pass its
+        # error carries p * L + k, like every blockwise check
+        good, bad = (KitaevParams(h, 0.9, 0.1, 1.0, 0.6, 8) for h in (0.5, -1.0))
+        with pytest.raises(CriticalKPoint, match="at k = 3.14159") as info:
+            weak_coupling_tensors(bad, ["zeta"])
+        assert info.value.block == 4
+        with pytest.raises(CriticalKPoint) as info:
+            weak_coupling_sums([good, bad], ["zeta"])
+        assert info.value.block == 12
+
+    def test_no_points_and_one_length(self):
+        sums = weak_coupling_sums([], ["bures", "zeta"])
+        assert list(sums) == ["bures", "zeta"]
+        assert all(v.shape == (0, 2, 2) and v.dtype == complex for v in sums.values())
+        with pytest.raises(NhgeoError, match="one chain length L"):
+            weak_coupling_sums([KitaevParams(0.5, 1.0, 0.1, 1.0, 0.6, L) for L in (8, 16)],
+                               ["zeta"])
 
 
 class TestParams:

@@ -12,13 +12,12 @@ from nhgeo.errors import (
     NonConvergence,
     OnCriticalLine,
 )
-from nhgeo.linalg import flagged_blocks, lowest_failing_block
+from nhgeo.linalg import _grid_check, flagged_blocks, lowest_failing_block
 from nhgeo.ssh import (
     _DIRECTIONS,
     SSHParams,
     _bloch,
     _eps,
-    _grid_eps,
     band_sums,
     bloch_family,
     bloch_sum,
@@ -157,7 +156,8 @@ def eigensolved(points, n, kinds):
     both in one record, so a failure is that of the first failing point."""
     K = bloch_stack(points)
     with lowest_failing_block():
-        _grid_eps(_eps(K[..., 0, 1], K[..., 1, 0]), points[0].k_grid)
+        _grid_check(abs(_eps(K[..., 0, 1], K[..., 1, 0])), points[0].k_grid,
+                    "eps(k) vanishes on the grid")
         return sum_over_blocks(K, _DIRECTIONS, n, kinds)
 
 

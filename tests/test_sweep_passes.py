@@ -266,16 +266,21 @@ class TestFlagsStayInTheirThread:
 class TestSweepRows:
     """The sweep's rows equal the one-point rows at every thread count."""
 
-    SWEEPS = {  # model: fixed parameters, axes (min, max, steps), kinds, state
-        "nh-ssh": ({"L": 8}, {"t": (-2, 2, 17), "delta": (-1, 1, 5)},
+    SWEEPS = {  # sweep: model, fixed parameters, axes (min, max, steps), kinds, state
+        "nh-ssh": ("nh-ssh", {"L": 8}, {"t": (-2, 2, 17), "delta": (-1, 1, 5)},
                    ["eta", "zeta", "zeta_limited_rescaled"], 1),
-        "kitaev-dissipative": ({"L": 16, "weak_coupling": False},
+        "kitaev-dissipative": ("kitaev-dissipative", {"L": 16, "weak_coupling": False},
                                {"h": (-2, 2, 41), "g": (0, 0.4, 3)}, ["zeta"], 0),
+        # h = +-1 close the gap on the grid (CriticalKPoint), and mu_minus = 0
+        # makes the k = 0 block pure (PureStateSingular)
+        "weak-coupling": ("kitaev-dissipative", {"L": 16},
+                          {"h": (-2, 2, 21), "mu_minus": (0, 0.6, 3)},
+                          ["zeta", "zeta_limited", "bures"], 0),
     }
 
-    def one_point_rows(self, model):
+    def one_point_rows(self, sweep):
         """The CSV rows that one-point adapter calls give for the sweep's points."""
-        fixed, axes, kinds, n = self.SWEEPS[model]
+        model, fixed, axes, kinds, n = self.SWEEPS[sweep]
         adapter = cli_mod.MODELS[model]()
         rows = []
         for point in grid(*({name: np.linspace(*a)} for name, a in axes.items())):
@@ -290,12 +295,12 @@ class TestSweepRows:
                                  for c in cells))
         return rows
 
-    @pytest.mark.parametrize("model", list(SWEEPS))
+    @pytest.mark.parametrize("sweep", list(SWEEPS))
     @pytest.mark.parametrize("budget", [None, 40])
-    def test_threads(self, tmp_path, monkeypatch, model, budget):
+    def test_threads(self, tmp_path, monkeypatch, sweep, budget):
         if budget is not None:
             monkeypatch.setattr(cli_mod, "PASS_BLOCKS", budget)
-        fixed, axes, kinds, n = self.SWEEPS[model]
+        model, fixed, axes, kinds, n = self.SWEEPS[sweep]
         args = ["sweep", "--model", model, "--tensors", ",".join(kinds), "--state",
                 str(n) if model == "nh-ssh" else "ness"]
         args += [a for name, v in fixed.items() for a in ("--set", f"{name}={v}")]
@@ -309,6 +314,8 @@ class TestSweepRows:
             texts.append(out.read_text())
         assert texts[1] == texts[0] and texts[2] == texts[0]
         rows = texts[0].splitlines()[2:]
-        assert rows == self.one_point_rows(model)
+        assert rows == self.one_point_rows(sweep)
         statuses = {row.rsplit(",", 1)[1] for row in rows}
         assert "ok" in statuses and len(statuses) > 1  # the grid reaches failing rows
+        if sweep == "weak-coupling":
+            assert statuses == {"ok", "CriticalKPoint", "PureStateSingular"}
