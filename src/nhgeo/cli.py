@@ -79,41 +79,35 @@ PASS_BLOCKS = 1024
 
 def _one_result(evaluate, points):
     """``evaluate(points)`` as a list with one result per point: a dict of
-    arrays, or the NhgeoError (or FloatingPointError) the point raises
-    when it is evaluated alone.
+    arrays, or the NhgeoError the point raises when it is evaluated alone.
 
-    A pass of several points runs once, with its blockwise checks recording
-    the failing blocks instead of raising (:func:`~nhgeo.linalg.flagged_blocks`);
-    a failing point takes its error from that record.  A point with a
-    non-finite sum and no failing block is evaluated alone, and an error
-    that the pass raises (one without a block) sends every point through
-    alone.  So every point gets the result it gets alone, error class,
-    message and block included.  A raised error drops its traceback and
-    context, whose frames would keep the arrays of its pass alive.
+    The pass runs once, for one point or many, its blockwise checks recording
+    the failing blocks (:func:`~nhgeo.linalg.flagged_blocks`), and that
+    record decides every row: a failing point takes its error from it, any
+    other its result.  An error that the pass raises without a block is, in
+    a one-point pass, the recorded error if any, else the raised one (as
+    :func:`~nhgeo.linalg.lowest_failing_block` gives it); in a larger pass
+    it sends every point through alone.  So every point gets the result it
+    gets alone, error class, message and block included.  A raised error
+    drops its traceback and context, which would keep its pass's arrays.
     """
-    if len(points) > 1:
-        with flagged_blocks() as flags:
-            try:
-                results = evaluate(points)
-            except (NhgeoError, FloatingPointError):
+    with flagged_blocks() as flags:
+        try:
+            results = evaluate(points)
+        except NhgeoError as exc:
+            if len(points) > 1:
                 results = None
-        if results is None:
-            return [r for p in points for r in _one_result(evaluate, [p])]
-        return [exc if exc is not None
-                else r if all(np.isfinite(v).all() for v in r.values())
-                else _one_result(evaluate, [p])[0]
-                for p, r, exc in zip(points, results, flags.errors(len(points)))]
-    try:
-        return evaluate(points)
-    except (NhgeoError, FloatingPointError) as exc:
-        failed = exc.with_traceback(None)
-        failed.__context__ = None
-    return [failed]
+            else:
+                results = [exc.with_traceback(None)]
+                results[0].__context__ = None
+    if results is None:
+        return [r for p in points for r in _one_result(evaluate, [p])]
+    return [exc or r for r, exc in zip(results, flags.errors(len(points)))]
 
 
 def _each(evaluate, points):
-    """``evaluate(values)`` at each of ``points``, one point per call; a
-    point's NhgeoError (or FloatingPointError) is its result."""
+    """``evaluate(values)`` at each of ``points``, each a one-point pass of
+    :func:`_one_result`: a point's NhgeoError is its result."""
     return [r for values in points for r in _one_result(lambda ps: [evaluate(ps[0])], [values])]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BranchDomainError, NonConvergence, OnCriticalLine, PureStateSingular,
                      ShapeMismatch, UndefinedAngle)
-from .linalg import _grid_check, _raise_first, lowest_failing_block
+from .linalg import _grid_check, _k_grid, _pow2, _raise_first, lowest_failing_block
 from .liouville import TranslationInvariantModel, _pauli
 from .tensors import GeoTensor, _finite, _integer, _kinds
 
@@ -54,12 +54,13 @@ class KitaevParams:
 
     @property
     def Lambda(self) -> float:
-        p2, m2 = self.mu_plus ** 2, self.mu_minus ** 2
+        s = _pow2(max(self.mu_plus, self.mu_minus))  # an exact scaling: no square overflows
+        p2, m2 = (self.mu_plus * s) ** 2, (self.mu_minus * s) ** 2
         return (p2 - m2) / (p2 + m2)
 
     @property
     def k_grid(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.L) / self.L
+        return _k_grid(self.L)
 
 
 def phi_k(h: float, gamma: float, k):
@@ -110,9 +111,8 @@ class DissipativeKitaevModel(TranslationInvariantModel):
         h, gam = lam
         return _pauli(0, 0.5 * gam * np.sin(k), 0.5 * (h - np.cos(k)))
 
-    def m_block(self, k, lam):
-        g2 = self.g ** 2
-        p2, m2 = self.mu_plus ** 2, self.mu_minus ** 2
+    def m_block(self, k, lam):  # squares of np.float64: an overflow is inf, not OverflowError
+        g2, p2, m2 = (np.float64(v) ** 2 for v in (self.g, self.mu_plus, self.mu_minus))
         return _pauli(g2 * (p2 + m2) / 4.0, 0, g2 * (p2 - m2) / 4.0)
 
     def dh_block(self, mu, k, lam):

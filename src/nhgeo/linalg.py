@@ -368,6 +368,11 @@ def _fail(bad, error) -> None:
     flags.checks.append((bad.ravel(), error))
 
 
+def _k_grid(L: int) -> np.ndarray:
+    """The momenta ``2 pi j / L`` of a length-L chain."""
+    return 2.0 * np.pi * np.arange(L) / L
+
+
 def _grid_check(magnitude, ks, message: str) -> None:
     """The grid check: CriticalKPoint ``"<message> at k = ..."`` for each of P
     points whose gap ``magnitude (P, L)`` on the k-grid ``ks`` falls below

@@ -30,12 +30,14 @@ from .errors import (
     BadBath,
     BadHamiltonian,
     DegenerateRapidities,
+    NonConvergence,
     NonUniqueSteadyState,
     PureStateSingular,
     ShapeMismatch,
 )
 from .linalg import (
     _blocks,
+    _k_grid,
     _mul,
     _pair_solver_2x2,
     _raise_first,
@@ -407,12 +409,13 @@ class TranslationInvariantModel:
 
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
     """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k): one 2x2
-    block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta; a view
-    of :func:`_gamma_blocks` whose error is that of the lowest failing k."""
+    block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta, from
+    the pencil solver :func:`~nhgeo.linalg._pair_solver_2x2` of x(k) and
+    x(-k)^T; the error is that of the lowest failing k."""
     lam = _params(lam, model.num_params)[None]
     x, xmT, y, _ = _momentum_blocks(model, lam, np.ravel(k), False)
     with lowest_failing_block():
-        gk = _gamma_blocks(x, xmT, y)[0]
+        gk = _pair_solver_2x2(x, xmT)[0](y)
     return np.reshape(_blocks(gk), np.shape(k) + (2, 2))
 
 
@@ -469,43 +472,42 @@ def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bo
     return x, xmT, y, tuple(dxy.reshape(3, 4, d, P * L))
 
 
-def _gamma_blocks(x, xmT, y):
-    """The momentum steady-state driver: Gamma(k) as an entry tuple from the
-    entry stacks of x(k), x(-k)^T and y(k) (:func:`_momentum_blocks`), the
-    solver of ``x(k) G + G x(-k)^T = Y`` and the eigenpairs ``(a, Ua,
-    Ua^-1)`` of x(k) it is built on.  Each check is made per block, into
-    the caller's record (:func:`~nhgeo.linalg.lowest_failing_block`)."""
-    solve, eig_x = _pair_solver_2x2(x, xmT)
-    return solve(y), solve, eig_x
-
-
 def _ness_k_sum(blocks, points: int) -> np.ndarray:
     """The per-block steady-state tensor summed over the blocks of each of
     ``points`` runs of equally many consecutive blocks: ``(points, d, d)``.
 
-    ``blocks`` is what :func:`_momentum_blocks` reads: x and dx_mu at k and
-    -k, the directions mu on the axis after the entries.  Every step below is
-    2x2 entry arithmetic, elementwise per block.  The pencil solver of
-    :func:`_gamma_blocks` gives every dGamma_mu(k), its eigenpairs every
+    ``blocks`` is what :func:`_momentum_blocks` reads: x, y and dx_mu, dy_mu
+    at k and -k, the directions mu on the axis after the entries.  Every
+    step below is 2x2 entry arithmetic, elementwise per block.  The pencil
+    solver of x(k) and x(-k)^T (:func:`~nhgeo.linalg._pair_solver_2x2`)
+    gives Gamma(k) and every dGamma_mu(k), the eigenpairs of x(k) every
     Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
     :func:`~nhgeo.linalg._trace_sum`, one matrix product per run.  Every
     check goes into one record (:func:`~nhgeo.linalg.lowest_failing_block`):
-    each block is checked once, and the lowest failing k wins.
+    each block is checked once, and the lowest failing k wins.  The last
+    check is NonConvergence at each block whose summand is not finite; its
+    mask is formed only when a sum is not finite, which every non-finite
+    summand makes its point's sum.
     """
     x, xmT, y, (dx, dxmT, dy) = blocks
+
+    def per_point(E):  # entries (d, points * L) as (d, points, L)
+        return tuple(e.reshape(len(e), points, -1) for e in E)
+
     with lowest_failing_block():
-        gk, solve, (a, Ua, Uai) = _gamma_blocks(x, xmT, y)
+        solve, (a, Ua, Uai) = _pair_solver_2x2(x, xmT)
+        gk = solve(y)
         if not len(dy[0]):  # a model without parameters
             return np.zeros((points, 0, 0), dtype=complex)
         rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
         dg = solve(tuple(rhs))
         # zeta_{mu nu} = sum_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
         terms = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
-
-    def per_point(E):  # entries (d, points * L) as (d, points, L)
-        return tuple(e.reshape(len(e), points, -1) for e in E)
-
-    return _trace_sum(*map(per_point, terms))
+        sums = _trace_sum(*map(per_point, terms))
+        if not np.isfinite(sums).all():
+            _raise_first(~np.isfinite(terms).all(axis=(0, 1, 2)), NonConvergence,
+                         lambda i: "steady-state summand is not finite")
+    return sums
 
 
 def _xcal_2x2(x, U, Ui, dX):
@@ -536,16 +538,11 @@ def _xcal_2x2(x, U, Ui, dX):
     return _mul((u01 * a10, u00 * a01, u11 * a10, u10 * a01), Ui)  # U A U^-1
 
 
-def _k_grid(L: int) -> np.ndarray:
-    """The momenta ``2 pi j / L`` of a length-L chain."""
-    return 2.0 * np.pi * np.arange(L) / L
-
-
 def _real_space(E) -> np.ndarray:
     """Fourier assembly of the entry stack ``E (4, L)`` of the blocks at the
-    momenta :func:`_k_grid`, site-major: ``A[(j, a), (r, b)] = (1/L) sum_k
-    e^{i k (j - r)} block(k)_{ab}``, that is, one inverse FFT over k gives
-    ``c[n]`` and the circulant ``A[j, r] = c[(j - r) mod L]``."""
+    momenta :func:`~nhgeo.linalg._k_grid`, site-major: ``A[(j, a), (r, b)]
+    = (1/L) sum_k e^{i k (j - r)} block(k)_{ab}``, that is, one inverse FFT
+    over k gives ``c[n]`` and the circulant ``A[j, r] = c[(j - r) mod L]``."""
     c = np.fft.ifft(E, axis=-1)
     L = c.shape[-1]
     shift = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L

@@ -31,12 +31,12 @@ from .errors import (
     OnCriticalLine,
     ShapeMismatch,
 )
-from .linalg import DEFECTIVE_COND, _grid_check, _raise_first, lowest_failing_block
+from .linalg import DEFECTIVE_COND, _grid_check, _k_grid, _raise_first, lowest_failing_block
 from .tensors import STATE_KINDS, GeoTensor, OperatorFamily, _finite, _integer, _kinds
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _DX_DDELTA = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-#: d/dt, d/ddelta of every Bloch block, for the eigensolver route of :func:`band_sums`
+#: d/dt, d/ddelta of every Bloch block: the directions of the sum_over_blocks oracle
 _DIRECTIONS = np.stack([_SX, _DX_DDELTA])
 
 
@@ -56,7 +56,7 @@ class SSHParams:
 
     @property
     def k_grid(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.L) / self.L
+        return _k_grid(self.L)
 
 
 @dataclass(frozen=True)

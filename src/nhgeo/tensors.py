@@ -341,7 +341,8 @@ def _generator(num: np.ndarray, w: np.ndarray, mu_reg: float, at_scale) -> np.nd
             )
         elements = num / np.where(off, diff, 1.0)
     else:
-        elements = np.conj(diff) * num / (np.abs(diff) ** 2 + mu_reg ** 2)
+        # the square of np.float64: an overflow is inf, not OverflowError
+        elements = np.conj(diff) * num / (np.abs(diff) ** 2 + np.float64(mu_reg) ** 2)
     return np.where(off, elements, 0.0)
 
 

@@ -362,6 +362,28 @@ class TestTensorCommand:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert calls == []
 
+    def test_overflowing_mu_reg_zero_tensor(self, runner, tmp_path):
+        # mu_reg^2 overflows: the regularized kernel vanishes, where an
+        # OverflowError traceback exited 1 before
+        save_matrix(tmp_path / "K.json", np.array([[1.0, 2.0], [0.0, 3.0]]))
+        save_matrix(tmp_path / "d.json", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        result = run_ok(runner, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--tensors", "zeta", "--mu-reg", "1e200"])
+        assert json.loads(result.output)["tensors"]["zeta"]["components"] == [
+            [{"re": 0.0, "im": 0.0}]]
+
+    def test_overflowing_gap_is_not_a_warning(self, runner, tmp_path):
+        # the eigenvalue gap overflows: a file point runs under the np.errstate
+        # of its one-point pass, where the RuntimeWarning (an error here) exited 1
+        save_matrix(tmp_path / "K.json", 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        save_matrix(tmp_path / "d.json", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        result = run_ok(runner, [
+            "tensor", "--matrix-file", str(tmp_path / "K.json"),
+            "--param-files", str(tmp_path / "d.json"), "--tensors", "zeta"])
+        assert json.loads(result.output)["tensors"]["zeta"]["components"] == [
+            [{"re": 0.0, "im": 0.0}]]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_file_direction_exit_2(self, runner, tmp_path, value):
         save_matrix(tmp_path / "K.json", np.diag([1.0, 2.0]))
@@ -1008,6 +1030,26 @@ class TestKitaevBures:
                            capture_output=True, text=True, env=env)
         assert r.returncode == 3, r.stderr
         assert r.stderr.startswith("NonConvergence: "), r.stderr
+
+    def test_overflowing_bath_rows(self, runner, tmp_path):
+        # g^2 overflows at g = 5e159: an OverflowError traceback, exit 1 and no CSV, before
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["sweep", "--model", "kitaev-dissipative", "--set", "weak_coupling=0",
+                        "--set", "L=4", "--axis", "g:0.1:1e160:3", "--output", str(out)])
+        rows = out.read_text().splitlines()[2:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["ok", "ShapeMismatch", "ShapeMismatch"]
+
+    @pytest.mark.parametrize("sets, kinds, error", [
+        # Lambda = 1 exactly: every Bloch angle is a pure-state direction
+        (["mu_plus=1e300"], "bures", "PureStateSingular: block 0:"),
+        (["weak_coupling=0", "mu_minus=1e200"], "zeta", "ShapeMismatch: block 0:"),
+    ])
+    def test_overflowing_bath_exit_3(self, runner, sets, kinds, error):
+        # mu^2 overflows: an OverflowError traceback with exit 1 before
+        result = runner.invoke(main, ["tensor", "--model", "kitaev-dissipative", "--set", "L=4",
+                                      *(a for s in sets for a in ("--set", s)), "--tensors", kinds])
+        assert result.exit_code == 3, result.output
+        assert error in result.output
 
     @pytest.mark.parametrize("kinds", ["bures", "zeta,bures", "zeta,zeta_limited"])
     def test_strong_coupling_exit_2_before_evaluation(self, runner, tmp_path, monkeypatch, kinds):

@@ -203,6 +203,19 @@ class TestParams:
         want = weak_coupling_tensors(KitaevParams(0.5, 0.8, 0.1, 1, 0.6, 8), ["zeta"])
         assert np.array_equal(got["zeta"], want["zeta"])
 
+    @pytest.mark.parametrize("mu_minus", [0.0, 0.3, 0.6])
+    def test_lambda_keeps_its_bits(self, mu_minus):
+        # the scaled squares are exact: the unscaled form, bit for bit
+        lam = KitaevParams(0.5, 1.0, 0.1, 1.0, mu_minus, 8).Lambda
+        assert lam == (1.0 - mu_minus ** 2) / (1.0 + mu_minus ** 2)
+
+    @pytest.mark.parametrize("mu_plus, mu_minus, expected", [
+        (1e300, 0.6, 1.0), (0.6, 1e300, -1.0), (1e200, 1e200, 0.0), (3e200, 4e200, -7 / 25)])
+    def test_lambda_of_huge_baths(self, mu_plus, mu_minus, expected):
+        # mu^2 overflowed: OverflowError
+        lam = KitaevParams(0.5, 1.0, 0.1, mu_plus, mu_minus, 8).Lambda
+        assert abs(lam - expected) <= 1e-15
+
     @pytest.mark.parametrize("args", [(np.nan, 1.0, 0.5), (0.5, np.inf, 0.5), (2.0, 1.0, np.nan)])
     def test_nonfinite_thermo_point_rejected(self, args):
         with pytest.raises(ValueError, match="must be a finite number"):

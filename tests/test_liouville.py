@@ -8,6 +8,7 @@ from nhgeo.errors import (
     BadBath,
     BadHamiltonian,
     DegenerateRapidities,
+    NonConvergence,
     NonUniqueSteadyState,
     PureStateSingular,
     ShapeMismatch,
@@ -132,7 +133,9 @@ def faulty_model(faults, L=4):
     - ``rapidities``: the eigenvalues 1 +- 4e-10 of x(k) at lam = 0.3,
       distinct but degenerate for Xcal, coupled by the derivative 4i sx;
     - ``nonfinite_at_minus_k``: a NaN Hamiltonian at -k, so that x(-k)^T,
-      not x(k), is non-finite.
+      not x(k), is non-finite;
+    - ``nonfinite_derivative``: a NaN Hamiltonian derivative, which every
+      block check passes.
     """
     ks = 2 * np.pi * np.arange(L) / L
 
@@ -164,7 +167,8 @@ def faulty_model(faults, L=4):
             lam, = lam
             rapidities = at(k, lam, "rapidities")
             s = np.where(at(k, lam, "degenerate"), 0.0, 0.1)
-            s = np.where(at(-k, lam, "nonfinite_at_minus_k"), np.nan, s)
+            s = np.where(at(-k, lam, "nonfinite_at_minus_k") | at(k, lam, "nonfinite_derivative"),
+                         np.nan, s)
             return _pauli(0, np.where(rapidities, 1.0, 0.0), np.where(rapidities, 0.0, s))
 
         def dm_block(self, mu, k, lam):
@@ -822,6 +826,37 @@ class TestStackedRead:
         assert [type(r) for r in joined] == [dict, SingularPencil, dict,
                                              DegenerateRapidities, dict]
         assert "block 1: rapidities 0,1 degenerate" in str(joined[3])
+
+    def test_nonfinite_summand_raises(self):
+        # a NaN derivative block passes every block check: its NaN tensor was
+        # returned as a value
+        model = faulty_model({(0.5, 2): "nonfinite_derivative"})
+        with pytest.raises(NonConvergence) as info:
+            zeta_ness_k(model, [0.5], 4)
+        assert info.value.block == 2
+        assert "block 2: steady-state summand is not finite" in str(info.value)
+        assert np.isfinite(zeta_ness_k(model, [0.3], 4).values).all()
+
+    def test_nonfinite_summand_in_a_pass(self):
+        # the pass runs once, where the point with a NaN derivative ran again
+        # alone to return its NaN sums as a result
+        from nhgeo.cli import _one_result
+        from nhgeo.liouville import zeta_ness_k_sums
+
+        model = faulty_model({(0.5, 2): "nonfinite_derivative"})
+        calls = []
+
+        def evaluate(ps):
+            calls.append(len(ps))
+            return [{"zeta": z} for z in zeta_ness_k_sums(model, ps, 4)]
+
+        joined = _one_result(evaluate, [[0.3], [0.5], [0.7]])
+        assert calls == [3]
+        alone, = _one_result(evaluate, [[0.5]])
+        assert type(joined[1]) is type(alone) is NonConvergence
+        assert str(joined[1]) == str(alone) and joined[1].block == alone.block == 2
+        for lam, result in zip([[0.3], [0.7]], joined[::2]):
+            assert result["zeta"].tobytes() == zeta_ness_k(model, lam, 4).values.tobytes()
 
     def test_no_points_read_no_block(self, monkeypatch):
         from nhgeo.liouville import zeta_ness_k_sums
