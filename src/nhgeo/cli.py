@@ -70,10 +70,12 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 #: momentum blocks per shared Brillouin-zone pass.  A pass joins whole points
 #: of one key (:func:`_in_passes`) until their L-block grids reach this many
 #: (a point with a larger L is a pass of its own).  A pass is read and solved
-#: once, whatever its points do, so per-call overhead favours large passes: on the
-#: 21-point strong-coupling Kitaev sweep at L = 128 (3 passes instead of 6)
-#: an operation took 12.5-13.4 ms against 16-17 ms at 512 blocks, for about
-#: 1 MB more peak memory; 2048 blocks saved nothing more and cost 3.4 MB.
+#: once, whatever its points do, so per-call overhead favours large passes.
+#: A strong-coupling Kitaev point solves only its L // 2 + 1 half-zone
+#: blocks, but counts L here: on the 21-point sweep at L = 128 (3 passes),
+#: with half-zone passes, the median operation took 5.3 ms against 7.4 ms at
+#: 512 blocks (0.9 MB less peak memory) and 6.0 ms at 2048 blocks (0.9 MB
+#: more), 3 alternating 15 s benchmark runs each on a 2-core host.
 PASS_BLOCKS = 1024
 
 

@@ -16,8 +16,12 @@ The steady-state mixed geometric tensor is evaluated at the matrix level,
 
 with ``Xcal^mu`` obtained spectrally from ``d_mu X``; normal-mode operators
 are never materialized.  A translation-invariant variant works per momentum
-block.  Gaussian-state closed forms (Bures metric, purity-weighted
-response) operate directly on ``Gamma`` and its derivatives.
+block.  Since X is real and Y imaginary, the block at -k is the complex
+conjugate of the block at k (Gamma(-k) = -conj Gamma(k)), and so is its
+summand; the momentum sums run over the half zone ``k = 2 pi j / L``, ``j =
+0..L // 2``, and take the real part.  Gaussian-state closed forms (Bures
+metric, purity-weighted response) operate directly on ``Gamma`` and its
+derivatives.
 """
 from __future__ import annotations
 
@@ -376,6 +380,14 @@ class TranslationInvariantModel:
     point the blocks it gets alone).  An entry that depends on neither may
     be a number; :func:`_pauli` gives the entries of ``s0 + sx sigma_x + sy
     sigma_y``.
+
+    The blocks must obey the conjugation rule of a real X and an imaginary
+    Y (:func:`build_liouvillian`): ``x(-k) = conj x(k)`` and ``y(k)``
+    Hermitian, at every k and lam, and the same for ``dx_mu`` and
+    ``dy_mu``.  The momentum sums (:func:`zeta_ness_k_sums`) read only the
+    half zone and rely on it, as :func:`assemble_real_space` does when it
+    projects H and M onto their physical parts; a model that breaks it gets
+    other numbers from each route.
     """
 
     num_params = 0
@@ -421,8 +433,10 @@ def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
 
 def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
     """Steady-state tensor as a Brillouin-zone sum of per-block traces:
-    :func:`zeta_ness_k_sums` at one point, all L momentum blocks solved as
-    one stack (see :func:`_ness_k_sum`)."""
+    :func:`zeta_ness_k_sums` at one point, the ``L // 2 + 1`` blocks of the
+    half zone solved as one stack (see :func:`_ness_k_sum`); its values are
+    real.  A failure carries the block ``j`` of ``2 pi j / L`` as
+    ``exc.block``."""
     lam = _params(lam, model.num_params)
     L = _chain_length(L)
     return GeoTensor("zeta", "ness", zeta_ness_k_sums(model, [lam], L)[0], lam,
@@ -434,12 +448,19 @@ def zeta_ness_k_sums(model: TranslationInvariantModel, lams, L: int) -> np.ndarr
     chain length ``L``, as a ``(P, d, d)`` array from one pass; no points
     give a ``(0, d, d)`` array and read no block.
 
-    The momentum blocks of all the points are read in one call of each
-    block method (:func:`_momentum_blocks`), and the ``P * L`` blocks are
-    solved as one stack by :func:`_ness_k_sum`, which sums each point's
-    blocks on their own; so each point gets its one-point tensor bit for
-    bit.  A failure is that of the first failing point, the error it raises
-    alone, and carries ``p * L + k`` as ``exc.block``; inside a pass
+    Only the half zone is read: the momenta ``2 pi j / L`` for ``j =
+    0..L // 2``, whose summands ``t_j`` give each point's zone sum as ``Re
+    sum_j w_j t_j``, ``w_j = 1`` at k = 0 and k = pi and 2 elsewhere (the
+    summand at -k is ``conj t_j`` by the conjugation rule of
+    :class:`TranslationInvariantModel`), so the imaginary parts are exactly
+    0.  The momentum blocks of all the points are read in one call of each
+    block method (:func:`_momentum_blocks`), and the ``P * (L // 2 + 1)``
+    blocks are solved as one stack by :func:`_ness_k_sum`, which sums each
+    point's blocks on their own; so each point gets its one-point tensor
+    bit for bit.  A block and its mirror fail together, so a point's
+    lowest failing block lies in the half zone.  A failure is that of the
+    first failing point, the error it raises alone, and carries ``p * (L //
+    2 + 1) + j`` as ``exc.block``; inside a pass
     (:func:`~nhgeo.linalg.flagged_blocks`) the failing blocks are recorded,
     and a failing point's sums are not its tensor.
     """
@@ -447,7 +468,9 @@ def zeta_ness_k_sums(model: TranslationInvariantModel, lams, L: int) -> np.ndarr
     lams = np.array([_params(lam, d) for lam in lams]).reshape(len(lams), d)
     if not len(lams):
         return np.zeros((0, d, d), dtype=complex)
-    return _ness_k_sum(_momentum_blocks(model, lams, _k_grid(L), True), len(lams))
+    j = np.arange(L // 2 + 1)
+    weights = np.where((j == 0) | (2 * j == L), 1.0, 2.0)
+    return _ness_k_sum(_momentum_blocks(model, lams, _k_grid(L)[j], True), weights)
 
 
 def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bool):
@@ -472,9 +495,10 @@ def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bo
     return x, xmT, y, tuple(dxy.reshape(3, 4, d, P * L))
 
 
-def _ness_k_sum(blocks, points: int) -> np.ndarray:
-    """The per-block steady-state tensor summed over the blocks of each of
-    ``points`` runs of equally many consecutive blocks: ``(points, d, d)``.
+def _ness_k_sum(blocks, weights) -> np.ndarray:
+    """The real part of the per-block steady-state tensor summed, with the
+    ``weights (n,)``, over the blocks of each run of n consecutive blocks,
+    one run per point: ``(points, d, d)``, of complex dtype.
 
     ``blocks`` is what :func:`_momentum_blocks` reads: x, y and dx_mu, dy_mu
     at k and -k, the directions mu on the axis after the entries.  Every
@@ -482,16 +506,18 @@ def _ness_k_sum(blocks, points: int) -> np.ndarray:
     solver of x(k) and x(-k)^T (:func:`~nhgeo.linalg._pair_solver_2x2`)
     gives Gamma(k) and every dGamma_mu(k), the eigenpairs of x(k) every
     Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
-    :func:`~nhgeo.linalg._trace_sum`, one matrix product per run.  Every
-    check goes into one record (:func:`~nhgeo.linalg.lowest_failing_block`):
-    each block is checked once, and the lowest failing k wins.  The last
-    check is NonConvergence at each block whose summand is not finite; its
-    mask is formed only when a sum is not finite, which every non-finite
-    summand makes its point's sum.
+    :func:`~nhgeo.linalg._trace_sum`, one matrix product per run, whose
+    second operand carries the weights.  Every check goes into one record
+    (:func:`~nhgeo.linalg.lowest_failing_block`): each block is checked
+    once, and the lowest failing k wins.  The last check is NonConvergence
+    at each block whose summand is not finite; its mask is formed only when
+    a sum is not finite, which every non-finite summand makes its point's
+    sum (the test precedes the real part).
     """
     x, xmT, y, (dx, dxmT, dy) = blocks
+    points = len(x[0]) // len(weights)
 
-    def per_point(E):  # entries (d, points * L) as (d, points, L)
+    def per_point(E):  # entries (d, points * n) as (d, points, n)
         return tuple(e.reshape(len(e), points, -1) for e in E)
 
     with lowest_failing_block():
@@ -501,13 +527,13 @@ def _ness_k_sum(blocks, points: int) -> np.ndarray:
             return np.zeros((points, 0, 0), dtype=complex)
         rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
         dg = solve(tuple(rhs))
-        # zeta_{mu nu} = sum_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
+        # zeta_{mu nu} = sum_k w_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
         terms = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
-        sums = _trace_sum(*map(per_point, terms))
+        sums = _trace_sum(per_point(terms[0]), tuple(g * weights for g in per_point(dg)))
         if not np.isfinite(sums).all():
             _raise_first(~np.isfinite(terms).all(axis=(0, 1, 2)), NonConvergence,
                          lambda i: "steady-state summand is not finite")
-    return sums
+    return sums.real.astype(complex)
 
 
 def _xcal_2x2(x, U, Ui, dX):

@@ -375,7 +375,8 @@ def check_steady_state(full: bool = True):
 
 
 def check_zeta_ness_triple(full: bool = True):
-    """Real-space, momentum-space and dense-generator routes agree."""
+    """Real-space, momentum-space and dense-generator routes agree; the
+    momentum route sums the half zone, of an even L = 2 and an odd L = 3."""
     model = DissipativeKitaevModel(0.4, 1.0, 0.6)
     worst = 0.0
     pts = [(0.3, 0.8), (0.7, 1.1), (1.3, 0.6), (1.9, 1.4), (0.5, 0.9)]

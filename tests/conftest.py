@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nhgeo.errors import CriticalKPoint, PureStateSingular
+from nhgeo.errors import CriticalKPoint, NonConvergence, PureStateSingular
+from nhgeo.linalg import _mul, _pair_solver_2x2, _raise_first, _trace_sum, lowest_failing_block
+from nhgeo.liouville import _momentum_blocks, _xcal_2x2
 from nhgeo.ssh import _bloch
 from nhgeo.tensors import central_difference
 
@@ -115,3 +117,32 @@ def ssh_eigenstates(params, k: float):
         np.array([-1.0, a / se]).conj() / np.sqrt(2.0),
     )
     return psi_r, psi_l
+
+
+def full_zone_sums(model, lams, L) -> np.ndarray:
+    """The steady-state zone sums of the TranslationInvariantModel ``model``
+    at the points ``lams`` over all L momenta ``2 pi j / L``, ``(P, d, d)``,
+    each block's complex summand added as it is: the oracle of the
+    half-zone sums of :func:`nhgeo.liouville.zeta_ness_k_sums`, the same
+    per-block steps without the weights and the real part.  A failure is
+    that of the first failing point at its lowest failing block, with ``p *
+    L + j`` as ``exc.block``."""
+    P, d = len(lams), model.num_params
+    lams = np.array(lams, dtype=float).reshape(P, d)
+    x, xmT, y, (dx, dxmT, dy) = _momentum_blocks(model, lams, 2 * np.pi * np.arange(L) / L, True)
+
+    def per_point(E):
+        return tuple(e.reshape(len(e), P, L) for e in E)
+
+    with lowest_failing_block():
+        solve, (a, Ua, Uai) = _pair_solver_2x2(x, xmT)
+        gk = solve(y)
+        if not d:
+            return np.zeros((P, 0, 0), dtype=complex)
+        dg = solve(tuple(y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT))))
+        terms = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
+        sums = _trace_sum(*map(per_point, terms))
+        if not np.isfinite(sums).all():
+            _raise_first(~np.isfinite(terms).all(axis=(0, 1, 2)), NonConvergence,
+                         lambda i: "steady-state summand is not finite")
+    return sums

@@ -8,6 +8,7 @@ from nhgeo.errors import (
     BadBath,
     BadHamiltonian,
     DegenerateRapidities,
+    NhgeoError,
     NonConvergence,
     NonUniqueSteadyState,
     PureStateSingular,
@@ -29,11 +30,12 @@ from nhgeo.liouville import (
     steady_state_gamma,
     zeta_ness,
     zeta_ness_k,
+    zeta_ness_k_sums,
 )
 from nhgeo.linalg import eig_general, norm2, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
-from conftest import central_dxy, inside, log_derivative, maxdev, save_matrix
+from conftest import central_dxy, full_zone_sums, inside, log_derivative, maxdev, save_matrix
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -764,6 +766,105 @@ class TestKspace:
         model = DissipativeKitaevModel(0.4, 0.8, 0.8)  # Lambda = 0
         z = zeta_ness_k(model, [0.7, 0.9], 4)
         assert np.abs(z.values).max() < 1e-12
+
+
+class TestConjugationRule:
+    """Every built-in and test model obeys the conjugation rule of
+    TranslationInvariantModel, on which the half-zone sums rest: x(-k) =
+    conj x(k) and y(k) Hermitian, and the same for dx_mu and dy_mu, to
+    rounding at random k and lam.  :func:`faulty_model` is left out: it
+    breaks the rule by design, placing its faults at single momenta."""
+
+    @pytest.mark.parametrize("model", [m for m, _ in BLOCK_MODELS] + [
+        DissipativeKitaevModel(1.3, 0.2, 0.9)], ids=lambda m: type(m).__name__)
+    def test_blocks_obey_the_rule(self, rng, model):
+        ks = rng.uniform(-4 * np.pi, 4 * np.pi, 16)
+        for lam in rng.uniform(-2.0, 2.0, (4, model.num_params)):
+            pairs = [(model.x_block, model.y_block)] + [
+                (lambda k, l, mu=mu: model.dx_block(mu, k, l),
+                 lambda k, l, mu=mu: model.dy_block(mu, k, l)) for mu in range(model.num_params)]
+            for x_of, y_of in pairs:
+                x, y = x_of(ks, lam), y_of(ks, lam)
+                scale = max(1.0, np.abs(x).max(), np.abs(y).max())
+                assert maxdev(x_of(-ks, lam), x.conj()) <= 1e-14 * scale
+                assert maxdev(y, np.swapaxes(y, -1, -2).conj()) <= 1e-14 * scale
+
+
+#: the models of the half-zone oracle test, each with a draw of its parameters
+HALF_ZONE_MODELS = {
+    "kitaev": (DissipativeKitaevModel(0.3, 1.0, 0.6),
+               lambda rng: [rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.5)]),
+    "kitaev-gain": (DissipativeKitaevModel(0.8, 0.4, 1.1),
+                    lambda rng: [rng.uniform(-2.0, 2.0), rng.uniform(-1.5, -0.3)]),
+    "driven-bath": (DrivenBathModel(), lambda rng: rng.uniform(-1.5, 1.5, 2)),
+    "symmetric-bath": (SymmetricBathModel(), lambda rng: []),
+    "zero-rhs": (ZeroRhsModel(), lambda rng: []),
+}
+
+
+class TestHalfZone:
+    """zeta_ness_k_sums reads the momenta 2 pi j / L for j = 0..L // 2 only and
+    sums Re w_j t_j (w_j = 1 at k = 0 and pi, else 2); the sum of every
+    block of the full zone (:func:`conftest.full_zone_sums`) is its oracle."""
+
+    @staticmethod
+    def per_point(sums, model, lams, L):
+        """``sums(model, lams, L)`` in one pass: each point's ``(d, d)`` sums or
+        the error it raises alone."""
+        with linalg_mod.flagged_blocks() as flags:
+            out = sums(model, lams, L)
+        return [e or v for v, e in zip(out, flags.errors(len(lams)))]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 8, 33, 64])
+    @pytest.mark.parametrize("name", list(HALF_ZONE_MODELS))
+    def test_matches_the_full_zone(self, rng, name, L):
+        # the symmetric bath fails at k = 0, where x(0) is a multiple of 1
+        model, draw = HALF_ZONE_MODELS[name]
+        lams = [draw(rng) for _ in range(3)]
+        got = self.per_point(zeta_ness_k_sums, model, lams, L)
+        want = self.per_point(full_zone_sums, model, lams, L)
+        for g, w in zip(got, want):
+            if isinstance(w, Exception):
+                assert (type(g), str(g), g.block) == (type(w), str(w), w.block)
+                continue
+            assert g.shape == w.shape and g.dtype == complex
+            assert not g.imag.any()  # exactly 0
+            if w.size:
+                scale = np.abs(w).max()
+                assert maxdev(g.real, w.real) <= 1e-13 * scale
+                assert np.abs(w.imag).max() <= 1e-13 * scale  # the mirrors cancel
+
+    @pytest.mark.parametrize("L", [4, 7])
+    @pytest.mark.parametrize("fault", ["nonfinite", "degenerate", "pencil", "rapidities",
+                                       "nonfinite_at_minus_k", "nonfinite_derivative"])
+    def test_mirrored_faults_fail_as_in_the_full_zone(self, fault, L):
+        # the fault at j and at L - j, the block's mirror: the full zone reads
+        # both and fails at j, the lowest, which the half zone reads too
+        for j in range(L // 2 + 1):
+            model = faulty_model({j: fault, (L - j) % L: fault}, L)
+            with pytest.raises(NhgeoError) as half:
+                zeta_ness_k(model, [0.3], L)
+            with pytest.raises(NhgeoError) as full:
+                full_zone_sums(model, [[0.3]], L)
+            got, want = half.value, full.value
+            assert (type(got), str(got), got.block) == (type(want), str(want), want.block)
+            assert got.block == j
+
+    def test_multi_point_call_counts_half_zone_blocks(self):
+        # outside a pass, a call over several points raises the error of its
+        # first failing point at the flat block p * (L // 2 + 1) + j, where
+        # the full zone counts p * L + j
+        L = 6
+        model = faulty_model({(0.4, 2): "pencil", (0.6, 1): "degenerate"}, L)
+        lams = [[0.5], [0.4], [0.6]]
+        with pytest.raises(SingularPencil) as half:
+            zeta_ness_k_sums(model, lams, L)
+        with pytest.raises(SingularPencil) as full:
+            full_zone_sums(model, lams, L)
+        assert half.value.block == 1 * (L // 2 + 1) + 2 == 6
+        assert full.value.block == 1 * L + 2 == 8
+        assert str(half.value).startswith("block 6: min |a_i + b_j|")
+        assert str(full.value) == str(half.value).replace("block 6", "block 8")
 
 
 def one_point_read(model, lam, ks):

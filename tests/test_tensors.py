@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +512,16 @@ class TestSumOverStates:
         )
         with pytest.raises(NearDefective):
             sum_over_states(fam, [0.0], 0, SOS_KINDS)
+
+    def test_overflowing_mu_reg_is_not_a_warning(self):
+        # mu_reg^2 overflows to inf, which leaves the regularized kernel 0: a
+        # library call, outside any pass, returns the zero tensor that the
+        # tensor command prints, with no RuntimeWarning
+        fam = block_family(np.array([[1.0, 2.0], [0.0, 3.0]]), [SX])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeta = sum_over_states(fam, [0.0], 0, ["zeta"], mu_reg=1e200)["zeta"]
+        assert zeta.values.shape == (1, 1) and not zeta.values.any()
 
     def test_invalid_arguments_rejected(self, nh6):
         with pytest.raises(ValueError, match="does not provide"):
