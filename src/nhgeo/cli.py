@@ -67,16 +67,17 @@ from .tensors import (
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-#: momentum blocks per shared Brillouin-zone pass.  A pass joins whole points
-#: of one key (:func:`_in_passes`) until their L-block grids reach this many
-#: (a point with a larger L is a pass of its own).  A pass is read and solved
-#: once, whatever its points do, so per-call overhead favours large passes.
-#: A strong-coupling Kitaev point solves only its L // 2 + 1 half-zone
-#: blocks, but counts L here: on the 21-point sweep at L = 128 (3 passes),
-#: with half-zone passes, the median operation took 5.3 ms against 7.4 ms at
-#: 512 blocks (0.9 MB less peak memory) and 6.0 ms at 2048 blocks (0.9 MB
-#: more), 3 alternating 15 s benchmark runs each on a 2-core host.
-PASS_BLOCKS = 1024
+#: half-zone momentum blocks per shared Brillouin-zone pass: a pass joins
+#: whole points of one key (:func:`_in_passes`), L // 2 + 1 blocks each, up
+#: to this many, and is read and solved once, so per-call overhead favours
+#: large passes and peak memory small ones (a strong-coupling block holds
+#: about 1.7 kB at the peak of its pass).  In process on a 2-core host, at
+#: 512 / 1026 / 2048: 20 nh-ssh points at L = 64 make 2 / 1 / 1 passes, 1.43
+#: / 1.29 / 1.27 ms; 21 strong-coupling Kitaev points at L = 128 make 3 / 2 /
+#: 1 passes, 3.8-5.2 / 4.3 / 4.0-4.3 ms (15 s benchmark runs read 0.5-0.8 MB
+#: more peak memory at 2048); a 41x41 nh-ssh grid at L = 1024 makes 1681 at
+#: 1024 / 841 / 561 passes, 0.35-0.66 / 0.21-0.43 / 0.21-0.35 s, 37.7 MB.
+PASS_BLOCKS = 1026
 
 
 def _one_result(evaluate, points):
@@ -117,13 +118,13 @@ def _in_passes(evaluate, points, key):
     """:func:`_one_result` over passes of ``points`` (parameter objects with a
     chain length ``L``), with the results in the order of ``points``: the
     points of one ``key(p)``, wherever they sit in the grid, share passes of
-    at most ``PASS_BLOCKS`` blocks, in grid order (a point with a larger L
-    is a pass of its own)."""
+    at most ``PASS_BLOCKS`` half-zone blocks, ``L // 2 + 1`` per point, in
+    grid order (a point with more is a pass of its own)."""
     passes, out = {}, {}
     for i, p in enumerate(points):
         passes.setdefault(key(p), []).append(i)
     for at in passes.values():
-        size = max(1, PASS_BLOCKS // points[at[0]].L)
+        size = max(1, PASS_BLOCKS // (points[at[0]].L // 2 + 1))
         for run in (at[j:j + size] for j in range(0, len(at), size)):
             out.update(zip(run, _one_result(evaluate, [points[i] for i in run])))
     return [out[i] for i in range(len(points))]
@@ -154,11 +155,9 @@ class SSHAdapter(_LatticeModel):
 
     def tensors(self, points, kinds, n, mu_reg) -> list:
         """Every kind at every point from shared passes of :func:`~nhgeo.ssh.band_sums`
-        (:func:`_in_passes`): each pass checks the grids of its points and
-        sums the closed-form summands of every kind, with no eigensolve.  A
-        point's grid check comes before its other checks, so whichever kind
-        comes first, a failing point's error is that of the first check it
-        fails."""
+        (:func:`_in_passes`), in closed form with no eigensolve; a failing
+        point's error is that of the first check it fails, whatever kind
+        comes first."""
         def evaluate(ps):
             sums = band_sums(ps, n, kinds)
             return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
@@ -192,8 +191,7 @@ class KitaevAdapter(_LatticeModel):
         """Shared passes (:func:`_in_passes`): at weak coupling of
         :func:`~nhgeo.kitaev.weak_coupling_sums`, per L; at strong coupling
         (``zeta`` only) of :func:`~nhgeo.liouville.zeta_ness_k_sums`, per bath
-        and L, each on one model that reads the blocks of all its points at
-        once.  Any parameter may vary, wherever the points sit in the grid."""
+        and L, on one model.  Any parameter may vary, wherever in the grid."""
         params = [self.params(values) for values in points]
         if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
@@ -681,16 +679,16 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     else:
         results = evaluate(points)
 
-    def row(idx, mats):
-        cells = [float(grid[i]) for grid, i in zip(grids, idx)]
-        if isinstance(mats, Exception):
-            return cells + [np.nan] * (2 * len(kinds) * len(dirs) ** 2) + [type(mats).__name__]
-        for kind in kinds:
-            for z in mats[kind].ravel():  # row-major: (a, b) as in the columns
-                cells += [z.real, z.imag]
-        return cells + ["ok"]
-
-    rows = [row(idx, mats) for idx, mats in zip(points, results)]
+    # one float table of the axis values and each kind's re and im cells, NaN
+    # on an error row, and the status column beside it
+    table = np.full((len(points), len(columns) - 1), np.nan)
+    table[:, :len(names)] = [[grid[i] for grid, i in zip(grids, idx)] for idx in points]
+    ok = [r for r, mats in enumerate(results) if not isinstance(mats, Exception)]
+    if ok:  # each kind's (a, b) row-major as in the columns, z as (re, im)
+        cells = np.array([[results[r][kind] for kind in kinds] for r in ok], dtype=complex)
+        table[ok, len(names):] = cells.reshape(len(ok), -1).view(float)
+    statuses = [type(r).__name__ if isinstance(r, Exception) else "ok" for r in results]
+    rows = table.tolist()
 
     meta_items = [f"model={model}"]
     meta_items += [f"{k}={v}" for k, v in sorted(fixed.items())]
@@ -699,10 +697,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     header = f"# nhgeo v{__version__} " + " ".join(meta_items)
 
     if fmt == "csv":
-        lines = [header, ",".join(columns)]
-        for row in rows:
-            cells = [format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
-            lines.append(",".join(cells))
+        line = ",".join(["%.17g"] * table.shape[1] + ["%s"])
+        lines = [header, ",".join(columns)] + [line % (*r, s) for r, s in zip(rows, statuses)]
         with open(output, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
@@ -710,8 +706,8 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             "meta": {"version": __version__, "model": model, "params": fixed,
                      "axes": axes, "tensors": kinds, "state": state, "mu_reg": mu_reg},
             "columns": columns,
-            "rows": [[None if isinstance(v, float) and np.isnan(v) else v for v in row]
-                     for row in rows],
+            "rows": [[None if v != v else v for v in row] + [status]  # NaN as null
+                     for row, status in zip(rows, statuses)],
         }
         with open(output, "w") as fh:
             json.dump(payload, fh, indent=1, allow_nan=False)

@@ -11,9 +11,9 @@ The two-argument arctangent fixes the branch; all tensors use the analytic
 derivatives of phi, which are smooth across branch cuts, so the choice
 cannot affect results.
 
-At weak coupling every tensor is a Bloch-angle sum over the k-grid
-(:func:`weak_coupling_sums`); the correlation blocks :func:`gamma_k_weak`
-and :func:`dgamma_k_weak` serve only as its oracle.
+At weak coupling every tensor is a Bloch-angle sum over the half zone of
+the k-grid (:func:`weak_coupling_sums`); the correlation blocks
+:func:`gamma_k_weak` and :func:`dgamma_k_weak` serve only as its oracle.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BranchDomainError, NonConvergence, OnCriticalLine, PureStateSingular,
                      ShapeMismatch, UndefinedAngle)
-from .linalg import _grid_check, _k_grid, _pow2, _raise_first, lowest_failing_block
+from .linalg import _grid_check, _k_grid, _pow2, _raise_first, _zone_sums
 from .liouville import TranslationInvariantModel, _pauli
 from .tensors import GeoTensor, _finite, _integer, _kinds
 
@@ -155,38 +155,42 @@ def weak_coupling_sums(points: Sequence[KitaevParams], kinds) -> dict[str, np.nd
     cos^2 phi)^2`` (``zeta_limited``) or ``[(1 - cos^2 phi) / (1 - Lambda^2
     cos^2 phi) + cos^2 phi / (1 + Lambda^2 cos^2 phi)] / 4`` (``bures``).
 
-    One pass reads the Bloch vectors once (:func:`_bloch_angle`) and sums
-    each point over its own k axis, as :func:`~nhgeo.ssh.band_sums` does, so
-    a point gets its one-point sums bit for bit.  The checks go into one
-    record: the grid check on ``D`` (CriticalKPoint); for ``bures``,
-    PureStateSingular where ``|1 - Lambda^2 cos^2 phi| < 1e-10``;
-    NonConvergence where ``D`` or a summand is not finite.  A failure is
-    that of the first failing point, with ``p * L + k`` as ``exc.block``.
+    ``d_mu phi`` is odd in k, and ``cos^2 phi`` and ``sin^2 phi`` are even, so
+    the sums run on the half zone (:func:`~nhgeo.linalg._zone_sums`) from one
+    read of the Bloch vectors (:func:`_bloch_angle`).  The checks: the grid
+    check on ``D``; for ``bures``, PureStateSingular where ``|1 - Lambda^2
+    cos^2 phi| < 1e-10``; NonConvergence where ``D`` or a summand is not
+    finite.  A failure is that of the first failing point, with ``p * (L //
+    2 + 1) + j`` as ``exc.block``.
     """
     kinds = _kinds(kinds, WEAK_KINDS, "weak_coupling_sums")
     if not points:
         return {kind: np.zeros((0, 2, 2), dtype=complex) for kind in kinds}
     if any(p.L != points[0].L for p in points):
         raise ShapeMismatch("weak_coupling_sums needs points of one chain length L")
-    ks = points[0].k_grid
-    D, (dh, dg), c2, s2 = _bloch_angle(np.array([p.h for p in points])[:, None],
-                                       np.array([p.gamma for p in points])[:, None], ks)
     lam2 = np.array([p.Lambda ** 2 for p in points])[:, None]
-    terms = {}
-    with lowest_failing_block():  # under np.errstate(all="ignore")
+
+    def read(ks):
+        return ks, _bloch_angle(np.array([p.h for p in points])[:, None],
+                                np.array([p.gamma for p in points])[:, None], ks)
+
+    def summand(blocks):
+        ks, (D, (dh, dg), c2, s2) = blocks
+        terms = {}
         for kind in kinds:
             w = (s2 if kind == "zeta" else 1.0 / (1.0 + lam2 * c2) ** 2 if kind == "zeta_limited"
-                 else ((1.0 - c2) / (1.0 - lam2 * c2) + c2 / (1.0 + lam2 * c2)) / 4)
-            terms[kind] = np.array([w * a * b for a, b in ((dh, dh), (dg, dh), (dg, dg))])
+                 else ((1.0 - c2) / (1.0 - lam2 * c2) + c2 / (1.0 + lam2 * c2)) / 4) * lam2
+            hh, gh, gg = w * dh * dh, w * dg * dh, w * dg * dg
+            terms[kind] = np.array([[hh, gh], [gh, gg]])
         _grid_check(D, ks, "band gap closes on the grid")
         if "bures" in kinds:
             _raise_first(abs(1.0 - lam2 * c2) < 1e-10, PureStateSingular,
                          lambda i: "correlation spectrum touches a pure-state direction")
-        finite = np.isfinite(D) & np.isfinite(list(terms.values())).all(axis=(0, 1))
+        finite = np.isfinite(D) & np.isfinite(list(terms.values())).all(axis=(0, 1, 2))
         _raise_first(~finite, NonConvergence, lambda i: "Bloch-angle summand is not finite")
-    # each point's (hh, gh, gg) summed over its own k axis, as its (P, 2, 2) tensors
-    return {kind: (lam2[:, 0] * t.sum(axis=-1))[[0, 1, 1, 2]].T.reshape(-1, 2, 2).astype(complex)
-            for kind, t in terms.items()}
+        return terms
+
+    return _zone_sums(points[0].L, read, summand)
 
 
 def zeta_kitaev_sum(params: KitaevParams) -> GeoTensor:

@@ -375,16 +375,36 @@ def _k_grid(L: int) -> np.ndarray:
 
 def _grid_check(magnitude, ks, message: str) -> None:
     """The grid check: CriticalKPoint ``"<message> at k = ..."`` for each of P
-    points whose gap ``magnitude (P, L)`` on the k-grid ``ks`` falls below
+    points whose gap ``magnitude (P, n)`` on the n momenta ``ks`` falls below
     1e-12, where every zone sum diverges even if rounding leaves the block a
-    gap.  ``exc.block`` is ``p * L + k`` at the smallest magnitude, but the
+    gap.  ``exc.block`` is ``p * n + j`` at the smallest magnitude, but the
     check fails the point's first block, so it precedes its other checks."""
-    L = len(ks)
+    n = len(ks)
     k = np.argmin(magnitude, axis=-1).tolist()  # each point's smallest magnitude
     bad = np.zeros(magnitude.shape, dtype=bool)
     bad[:, 0] = magnitude.min(axis=-1) < 1e-12
-    _fail(bad, lambda i, b: CriticalKPoint(  # i = p * L
-        f"{message} at k = {ks[k[i // L]]:.6g}", block=b + k[i // L]))
+    _fail(bad, lambda i, b: CriticalKPoint(  # i = p * n
+        f"{message} at k = {ks[k[i // n]]:.6g}", block=b + k[i // n]))
+
+
+def _zone_sums(L: int, read, summand) -> dict:
+    """The Brillouin-zone sums of P points of chain length ``L`` from the half
+    zone ``ks = 2 pi j / L``, ``j = 0..L // 2``: ``read(ks)`` reads every
+    point's blocks, and ``summand(blocks)`` checks them in one record
+    (:func:`lowest_failing_block`) and returns each kind's terms ``t_j (d, d,
+    P, L // 2 + 1)``.  A kind's sums are the complex ``(P, d, d)`` ``Re sum_j
+    w_j t_j``, ``w_j = 1`` at k = 0 and k = pi and 2 elsewhere: the full-zone
+    sums of terms conjugate at -k, with imaginary parts 0.  Each point sums
+    its own row with elementwise weights, so bit for bit as alone (a matrix
+    product is not).  Block ``j`` of point ``p`` is the flat block ``p * (L //
+    2 + 1) + j``; a block and its mirror fail together."""
+    j = np.arange(L // 2 + 1)
+    blocks = read(2.0 * np.pi * j / L)
+    with lowest_failing_block():
+        terms = summand(blocks)
+    w = np.where((j == 0) | (2 * j == L), 1.0, 2.0)
+    return {kind: (t * w).sum(axis=-1).real.transpose(2, 0, 1).astype(complex)
+            for kind, t in terms.items()}
 
 
 def _raise_first(bad, exc_type, message):
@@ -429,10 +449,10 @@ def _mul(A, B):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _transpose(A):
-    """Blockwise transpose."""
+def _adjoint(A):
+    """Blockwise conjugate transpose."""
     a, b, c, d = A
-    return a, c, b, d
+    return a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()
 
 
 def _inv(A):
@@ -559,16 +579,16 @@ def _pair_solver_2x2(A, B):
     return _pencil_2x2(a, Ua, Uai, b, Ub, _inv(Ub), tol), (a, Ua, Uai)
 
 
-def _trace_sum(A, B) -> np.ndarray:
-    """``out[..., i, j]``, the sum over the blocks of ``Tr(A_i B_j)``, for
-    entry tuples whose entries are ``(d, L)`` stacks over directions and
-    blocks: one matrix product.  Entries ``(d, P, L)`` give ``(P, d, d)``,
-    each point's sum over its own L blocks by a matrix product of its own."""
-    def per_point(E):  # (..., d, 4 L), the four entries of every block of a point side by side
-        E = np.moveaxis(np.stack(E, axis=-2), 0, -3)
-        return E.reshape(E.shape[:-2] + (-1,))
-
-    return per_point(A) @ np.swapaxes(per_point(_transpose(B)), -1, -2)
+def _lyapunov_2x2(a, U, norm):
+    """The solver of ``A G + G A^H = Y`` (:func:`_pencil_2x2`, checked per block
+    against ``PENCIL_RTOL * max(1, ||A||_2)``) from the closed-form eigenpairs
+    ``a``, ``U`` and norms of ``A`` (:func:`_eig_2x2`), and ``(a, U, U^-1)``:
+    ``A^H = U^-H diag(conj a) U^H``, so one eigendecomposition serves both
+    sides, ``G = U [(U^-1 Y U^-H)_ij / (a_i + conj a_j)] U^H``."""
+    Ui = _inv(U)
+    solve = _pencil_2x2(a, U, Ui, tuple(w.conjugate() for w in a), _adjoint(Ui), _adjoint(U),
+                        PENCIL_RTOL * np.maximum(norm, 1.0))
+    return solve, (a, U, Ui)
 
 
 def _pencil(a, Ua, Uai, b, Ub, Ubi, *decs):

@@ -17,9 +17,8 @@ The steady-state mixed geometric tensor is evaluated at the matrix level,
 with ``Xcal^mu`` obtained spectrally from ``d_mu X``; normal-mode operators
 are never materialized.  A translation-invariant variant works per momentum
 block.  Since X is real and Y imaginary, the block at -k is the complex
-conjugate of the block at k (Gamma(-k) = -conj Gamma(k)), and so is its
-summand; the momentum sums run over the half zone ``k = 2 pi j / L``, ``j =
-0..L // 2``, and take the real part.  Gaussian-state closed forms (Bures
+conjugate of the block at k, and so is its summand: the momentum sums run
+over the half zone.  Gaussian-state closed forms (Bures
 metric, purity-weighted response) operate directly on ``Gamma`` and its
 derivatives.
 """
@@ -40,15 +39,16 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _adjoint,
     _blocks,
+    _eig_2x2,
     _k_grid,
+    _lyapunov_2x2,
     _mul,
-    _pair_solver_2x2,
     _raise_first,
     _scale_verdict,
     _sylvester_solver,
-    _trace_sum,
-    _transpose,
+    _zone_sums,
     as_square,
     eig_general,
     lowest_failing_block,
@@ -385,9 +385,9 @@ class TranslationInvariantModel:
     Y (:func:`build_liouvillian`): ``x(-k) = conj x(k)`` and ``y(k)``
     Hermitian, at every k and lam, and the same for ``dx_mu`` and
     ``dy_mu``.  The momentum sums (:func:`zeta_ness_k_sums`) read only the
-    half zone and rely on it, as :func:`assemble_real_space` does when it
-    projects H and M onto their physical parts; a model that breaks it gets
-    other numbers from each route.
+    half zone and solve x(-k)^T = x(k)^H from the decomposition of x(k), and
+    :func:`assemble_real_space` projects H and M onto their physical parts;
+    a model that breaks the rule gets other numbers from each route.
     """
 
     num_params = 0
@@ -420,23 +420,19 @@ class TranslationInvariantModel:
 
 
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
-    """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k): one 2x2
-    block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta, from
-    the pencil solver :func:`~nhgeo.linalg._pair_solver_2x2` of x(k) and
-    x(-k)^T; the error is that of the lowest failing k."""
+    """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k) (:func:`_ness_solver`):
+    one 2x2 block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta."""
     lam = _params(lam, model.num_params)[None]
     x, xmT, y, _ = _momentum_blocks(model, lam, np.ravel(k), False)
     with lowest_failing_block():
-        gk = _pair_solver_2x2(x, xmT)[0](y)
+        gk = _ness_solver(x, xmT)[0](y)
     return np.reshape(_blocks(gk), np.shape(k) + (2, 2))
 
 
 def zeta_ness_k(model: TranslationInvariantModel, lam, L: int) -> GeoTensor:
     """Steady-state tensor as a Brillouin-zone sum of per-block traces:
-    :func:`zeta_ness_k_sums` at one point, the ``L // 2 + 1`` blocks of the
-    half zone solved as one stack (see :func:`_ness_k_sum`); its values are
-    real.  A failure carries the block ``j`` of ``2 pi j / L`` as
-    ``exc.block``."""
+    :func:`zeta_ness_k_sums` at one point, whose failure carries the block
+    ``j`` of ``2 pi j / L`` as ``exc.block``."""
     lam = _params(lam, model.num_params)
     L = _chain_length(L)
     return GeoTensor("zeta", "ness", zeta_ness_k_sums(model, [lam], L)[0], lam,
@@ -448,92 +444,75 @@ def zeta_ness_k_sums(model: TranslationInvariantModel, lams, L: int) -> np.ndarr
     chain length ``L``, as a ``(P, d, d)`` array from one pass; no points
     give a ``(0, d, d)`` array and read no block.
 
-    Only the half zone is read: the momenta ``2 pi j / L`` for ``j =
-    0..L // 2``, whose summands ``t_j`` give each point's zone sum as ``Re
-    sum_j w_j t_j``, ``w_j = 1`` at k = 0 and k = pi and 2 elsewhere (the
-    summand at -k is ``conj t_j`` by the conjugation rule of
-    :class:`TranslationInvariantModel`), so the imaginary parts are exactly
-    0.  The momentum blocks of all the points are read in one call of each
-    block method (:func:`_momentum_blocks`), and the ``P * (L // 2 + 1)``
-    blocks are solved as one stack by :func:`_ness_k_sum`, which sums each
-    point's blocks on their own; so each point gets its one-point tensor
-    bit for bit.  A block and its mirror fail together, so a point's
-    lowest failing block lies in the half zone.  A failure is that of the
-    first failing point, the error it raises alone, and carries ``p * (L //
-    2 + 1) + j`` as ``exc.block``; inside a pass
-    (:func:`~nhgeo.linalg.flagged_blocks`) the failing blocks are recorded,
-    and a failing point's sums are not its tensor.
+    By the conjugation rule of :class:`TranslationInvariantModel` the
+    summand at -k is the conjugate of the one at k, so the sums run on the
+    half zone (:func:`~nhgeo.linalg._zone_sums`), with imaginary parts
+    exactly 0: one read of all the points (:func:`_momentum_blocks`), and
+    their ``P * (L // 2 + 1)`` blocks solved as one stack
+    (:func:`_ness_k_terms`).  A failure is that of the first failing point,
+    the error it raises alone, with ``p * (L // 2 + 1) + j`` as
+    ``exc.block``; in a pass a failing point's sums are not its tensor.
     """
     L, d = _chain_length(L), model.num_params
     lams = np.array([_params(lam, d) for lam in lams]).reshape(len(lams), d)
     if not len(lams):
         return np.zeros((0, d, d), dtype=complex)
-    j = np.arange(L // 2 + 1)
-    weights = np.where((j == 0) | (2 * j == L), 1.0, 2.0)
-    return _ness_k_sum(_momentum_blocks(model, lams, _k_grid(L)[j], True), weights)
+    return _zone_sums(L, lambda ks: _momentum_blocks(model, lams, ks, True), _ness_k_terms)["zeta"]
 
 
 def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bool):
-    """The read step of the momentum drivers at the points ``lams (P, d)``
-    of ``model``: the entry stacks ``(x, xmT, y, (dx, dxmT, dy))``, each
-    ``(4, P L)``, at the 1-D momenta ``ks``, the block of point ``p`` at
-    ``ks[j]`` at the flat index ``p * L + j``.  Each block method is called
-    once (per direction), on every point and momentum: ``lam`` reaches it
-    as ``d`` columns ``(P, 1)`` and the momenta ``(ks, -ks)`` as a ``(2, 1,
-    L)`` array (:func:`_read_xy`).  With ``derivatives``, every dx_mu,
-    dx_mu(-k)^T and dy_mu too, the directions mu on the axis after the
-    entries, ``(4, d, P L)``."""
-    P, L, d = len(lams), len(ks), model.num_params
+    """The read of the momentum drivers at the points ``lams (P, d)`` of
+    ``model``: the entry stacks ``(x, xmT, y, (dx, dxmT, dy))``, each ``(4,
+    P, L)``, at the 1-D momenta ``ks``, from one call of each block method
+    (per direction) on ``(P, 1)`` parameter columns (:func:`_read_xy`); with
+    ``derivatives``, every dx_mu, dx_mu(-k)^T and dy_mu, ``(4, d, P, L)``."""
+    d = model.num_params
     lam = np.transpose(lams)[..., None]
-    x, xmT, y = (E.reshape(4, P * L) for E in _read_xy(model, ks, lam))
+    x, xmT, y = _read_xy(model, ks, lam)
     if not derivatives:
         return x, xmT, y, None
-    dxy = np.empty((3, 4, d, P, L), dtype=complex)
+    dxy = np.empty((3, 4, d, len(lams), len(ks)), dtype=complex)
     for mu in range(d):
         for out, E in zip(dxy, _read_xy(model, ks, lam, mu)):
             out[:, mu] = E
-    return x, xmT, y, tuple(dxy.reshape(3, 4, d, P * L))
+    return x, xmT, y, tuple(dxy)
 
 
-def _ness_k_sum(blocks, weights) -> np.ndarray:
-    """The real part of the per-block steady-state tensor summed, with the
-    ``weights (n,)``, over the blocks of each run of n consecutive blocks,
-    one run per point: ``(points, d, d)``, of complex dtype.
+def _ness_solver(x, xmT):
+    """The solver of ``x(k) G + G x(-k)^T = Y`` and the eigenpairs ``(a, U,
+    U^-1)`` of x(k): ``x(-k)^T = x(k)^H`` by the conjugation rule, so one
+    eigendecomposition serves (:func:`~nhgeo.linalg._lyapunov_2x2`).  Its
+    checks, per block: the eigenpairs of x(k), then ShapeMismatch where
+    x(-k)^T is not finite, then the pencil ``a_i + conj a_j``."""
+    eig = _eig_2x2(x)
+    _raise_first(~np.isfinite(xmT).all(axis=0), ShapeMismatch,
+                 lambda i: "2x2 block has non-finite entries")
+    return _lyapunov_2x2(*eig)
 
-    ``blocks`` is what :func:`_momentum_blocks` reads: x, y and dx_mu, dy_mu
-    at k and -k, the directions mu on the axis after the entries.  Every
-    step below is 2x2 entry arithmetic, elementwise per block.  The pencil
-    solver of x(k) and x(-k)^T (:func:`~nhgeo.linalg._pair_solver_2x2`)
-    gives Gamma(k) and every dGamma_mu(k), the eigenpairs of x(k) every
-    Xcal_mu(k) (:func:`_xcal_2x2`), and the zone sums are one
-    :func:`~nhgeo.linalg._trace_sum`, one matrix product per run, whose
-    second operand carries the weights.  Every check goes into one record
-    (:func:`~nhgeo.linalg.lowest_failing_block`): each block is checked
-    once, and the lowest failing k wins.  The last check is NonConvergence
-    at each block whose summand is not finite; its mask is formed only when
-    a sum is not finite, which every non-finite summand makes its point's
-    sum (the test precedes the real part).
-    """
-    x, xmT, y, (dx, dxmT, dy) = blocks
-    points = len(x[0]) // len(weights)
 
-    def per_point(E):  # entries (d, points * n) as (d, points, n)
-        return tuple(e.reshape(len(e), points, -1) for e in E)
-
-    with lowest_failing_block():
-        solve, (a, Ua, Uai) = _pair_solver_2x2(x, xmT)
-        gk = solve(y)
-        if not len(dy[0]):  # a model without parameters
-            return np.zeros((points, 0, 0), dtype=complex)
-        rhs = (y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT)))
-        dg = solve(tuple(rhs))
-        # zeta_{mu nu} = sum_k w_k Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
-        terms = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
-        sums = _trace_sum(per_point(terms[0]), tuple(g * weights for g in per_point(dg)))
-        if not np.isfinite(sums).all():
-            _raise_first(~np.isfinite(terms).all(axis=(0, 1, 2)), NonConvergence,
-                         lambda i: "steady-state summand is not finite")
-    return sums.real.astype(complex)
+def _ness_k_terms(blocks) -> dict:
+    """The summand of :func:`zeta_ness_k_sums`: ``{"zeta": t}``, the tensor
+    ``t (d, d, P, n)`` of each block that :func:`_momentum_blocks` reads, in
+    2x2 entry arithmetic.  The solver of :func:`_ness_solver` gives Gamma(k)
+    and every dGamma_mu(k), whose right-hand side ``dy - dx Gamma - Gamma
+    dx^H`` takes ``Gamma dx^H = (dx Gamma)^H`` (Gamma is Hermitian), and the
+    eigenpairs of x(k) every Xcal_mu(k) (:func:`_xcal_2x2`).  Each block is
+    checked once, the last check NonConvergence where its tensor is not
+    finite."""
+    x, xmT, y, (dx, _, dy) = blocks
+    solve, (a, U, Ui) = _ness_solver(x, xmT)
+    if not len(dy[0]):  # a model without parameters
+        return {"zeta": np.zeros((0, 0) + np.shape(y[0]))}
+    gk = solve(y)
+    xg = _mul(dx, gk)
+    dg = solve(tuple(e - p - q for e, p, q in zip(dy, xg, _adjoint(xg))))
+    # zeta_{mu nu}(k) = Tr[(1/2 dGamma_mu + Xcal_mu Gamma) dGamma_nu]
+    p0, p1, p2, p3 = (0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, U, Ui, dx), gk)))
+    q0, q1, q2, q3 = dg
+    t = p0[:, None] * q0 + p1[:, None] * q2 + p2[:, None] * q1 + p3[:, None] * q3
+    _raise_first(~np.isfinite(t).all(axis=(0, 1)), NonConvergence,
+                 lambda i: "steady-state summand is not finite")
+    return {"zeta": t}
 
 
 def _xcal_2x2(x, U, Ui, dX):

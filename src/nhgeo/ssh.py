@@ -8,9 +8,9 @@ plane, and the corresponding thermodynamic-limit expressions.
 
 All computations are on 2x2 Bloch blocks, no real-space Hamiltonian (open
 boundaries and skin-effect physics are out of scope).  :func:`band_sums`
-gives every sum on the k-grids of many points at once, in closed form from
-one read of ``a``, ``b`` and :func:`eps`, the one expression of the band
-function: no eigensolve runs.  :func:`zeta_finite_sum` and
+gives every sum on the half k-grids of many points at once, in closed form
+from one read of ``a``, ``b`` and :func:`eps`, the one expression of the
+band function: no eigensolve runs.  :func:`zeta_finite_sum` and
 :func:`bloch_sum` are its one-point views.  Two oracles check it:
 :func:`~nhgeo.tensors.sum_over_blocks` on the stack of Bloch matrices
 (:func:`_bloch`), and the finite-difference stencil on
@@ -31,7 +31,7 @@ from .errors import (
     OnCriticalLine,
     ShapeMismatch,
 )
-from .linalg import DEFECTIVE_COND, _grid_check, _k_grid, _raise_first, lowest_failing_block
+from .linalg import DEFECTIVE_COND, _grid_check, _k_grid, _raise_first, _zone_sums
 from .tensors import STATE_KINDS, GeoTensor, OperatorFamily, _finite, _integer, _kinds
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -139,16 +139,14 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
     ``zeta_limited`` and ``zeta_limited_rescaled`` of band ``n``; no points
     give ``(0, 2, 2)`` arrays.
 
-    One pass reads the Bloch off-diagonals of every point once
-    (:func:`_hoppings`), forms ``eps = a b`` (:func:`eps`), makes the grid
-    check on ``|eps|`` (:func:`~nhgeo.linalg._grid_check`) and sums the
-    closed-form summands of :func:`_state_summands` over each point's own k
-    axis, so a point's sums are those of the point alone, bit for bit.  In
-    one record (:func:`~nhgeo.linalg.lowest_failing_block`), a failure is
-    that of the first failing point, as it raises alone, with ``p * L + k``
-    as ``exc.block``; in a pass a failing point's sums are not its tensors.
+    For real t and delta, ``a(-k) = conj a(k)`` and ``b(-k) = conj b(k)``,
+    so the sums run on the half zone (:func:`~nhgeo.linalg._zone_sums`) from
+    one read of ``a``, ``b`` and ``eps = a b`` (:func:`_hoppings`): the grid
+    check on ``|eps|`` first, then the summands of :func:`_state_summands`.
+    A failure is that of the first failing point, as it raises alone, with
+    ``p * (L // 2 + 1) + j`` as ``exc.block``.  The eigensolver route,
     :func:`~nhgeo.tensors.sum_over_blocks` on the Bloch matrices
-    (:func:`_bloch`) is the eigensolver route to the same sums, their oracle.
+    (:func:`_bloch`), is their oracle.
     """
     kinds = _kinds(kinds, BAND_KINDS, "band_sums")
     if not points:
@@ -156,16 +154,18 @@ def band_sums(points: Sequence[SSHParams], n: int, kinds) -> dict[str, np.ndarra
     L = points[0].L
     if any(p.L != L for p in points):
         raise ShapeMismatch("band_sums needs points of one chain length L")
-    ks = points[0].k_grid
-    a, b = _hoppings(np.array([p.t for p in points])[:, None],
-                     np.array([p.delta for p in points])[:, None], ks)
-    e = _eps(a, b)
-    with lowest_failing_block():
+
+    def read(ks):
+        a, b = _hoppings(np.array([p.t for p in points])[:, None],
+                         np.array([p.delta for p in points])[:, None], ks)
+        return ks, a, b, _eps(a, b)
+
+    def summand(blocks):
+        ks, a, b, e = blocks
         _grid_check(abs(e), ks, "eps(k) vanishes on the grid")
-        summands = _state_summands(a, b, e, n, kinds)
-    # (2, 2, P, L) summed over each point's k axis
-    return {kind: np.moveaxis(summands[kind].sum(axis=-1), -1, 0).astype(complex)
-            for kind in kinds}
+        return _state_summands(a, b, e, n, kinds)
+
+    return _zone_sums(L, read, summand)
 
 
 def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
@@ -184,7 +184,8 @@ def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
 
     The eigenvalues ``+-sqrt(eps)`` enter only through ``eps``: no square
     root, and the two bands agree.  The imaginary part that ``zeta`` drops
-    is odd in k and cancels between k and -k.  The ratios ``w / eps`` and
+    is odd in k and cancels between k and -k, so ``zeta`` takes the summand
+    of ``zeta_limited_rescaled``, whose zone sum is real.  The ratios ``w / eps`` and
     ``|a|^2 / |eps|`` overflow only where the eigensolver does.
 
     Where a state kind is asked for, the checks of
@@ -195,7 +196,7 @@ def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
     below ``1e-10 * max(|a|, |b|, 1)`` (the block's 2-norm, at least 1).
     Every kind then raises NonConvergence where a summand or ``eps`` is not
     finite.  Each check is one :func:`~nhgeo.linalg._raise_first` over the
-    blocks (flat index ``p * L + k``), for the record of :func:`band_sums`.
+    blocks (flat index point-major), for the record of :func:`band_sums`.
     """
     state = [kind for kind in kinds if kind != "zeta"]
     if state and not 0 <= n < 2:
@@ -226,8 +227,6 @@ def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
     for kind in kinds:
         if kind == "eta":
             out[kind] = -(x[:, None] * x)
-        elif kind == "zeta":
-            out[kind] = s.real
         else:
             out[kind] = s * ((ra + 1) * (rb + 1) / 4) if kind == "zeta_limited" else s
     return out
@@ -251,7 +250,7 @@ def zeta_summand(t: float, delta: float, k) -> np.ndarray:
     ``(2, 2, ...)`` over the broadcast shape of ``t``, ``delta`` and ``k``:
     the real part of the per-k ``zeta_limited_rescaled`` (:func:`_state_summands`)."""
     a, b = _hoppings(t, delta, k)
-    return _state_summands(a, b, _eps(a, b), 0, ["zeta"])["zeta"]
+    return _state_summands(a, b, _eps(a, b), 0, ["zeta"])["zeta"].real
 
 
 def zeta_finite_sum(params: SSHParams) -> GeoTensor:

@@ -68,6 +68,7 @@ from .errors import (
 from .linalg import (
     DEFECTIVE_COND,
     EigDecomposition,
+    _adjoint,
     _blocks,
     _cond_inv,
     _eig_2x2,
@@ -75,7 +76,6 @@ from .linalg import (
     _mul,
     _raise_first,
     _scale_verdict,
-    _transpose,
     as_square,
     canonical_order,
     lowest_failing_block,
@@ -548,7 +548,7 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
                      lambda i: f"eigenvector condition number {cond[i]:.3e} above 1e12")
         # <m_L| is row m of R^-1; entries of shape (d, B), one per direction and block
         num = _mul(_mul(Rinv, tuple(e[:, None] for e in _entries(dK))), R)
-        C = _mul(_transpose(tuple(e.conj() for e in R)), R)
+        C = _mul(_adjoint(R), R)
         lnln = abs(Rinv[2 * n]) ** 2 + abs(Rinv[2 * n + 1]) ** 2
         out = _state_tensors(kinds, _blocks(num), np.stack(w, axis=-1), _blocks(C), lnln, n,
                              lambda pred: pred(np.maximum(norm, 1.0)), points or 1)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from nhgeo.errors import CriticalKPoint, NonConvergence, PureStateSingular
-from nhgeo.linalg import _mul, _pair_solver_2x2, _raise_first, _trace_sum, lowest_failing_block
-from nhgeo.liouville import _momentum_blocks, _xcal_2x2
+import nhgeo.kitaev as kitaev_mod
+import nhgeo.liouville as liouville_mod
+import nhgeo.ssh as ssh_mod
+from nhgeo.errors import CriticalKPoint, PureStateSingular
+from nhgeo.linalg import flagged_blocks, lowest_failing_block
 from nhgeo.ssh import _bloch
 from nhgeo.tensors import central_difference
 
@@ -119,30 +121,102 @@ def ssh_eigenstates(params, k: float):
     return psi_r, psi_l
 
 
-def full_zone_sums(model, lams, L) -> np.ndarray:
-    """The steady-state zone sums of the TranslationInvariantModel ``model``
-    at the points ``lams`` over all L momenta ``2 pi j / L``, ``(P, d, d)``,
-    each block's complex summand added as it is: the oracle of the
-    half-zone sums of :func:`nhgeo.liouville.zeta_ness_k_sums`, the same
-    per-block steps without the weights and the real part.  A failure is
-    that of the first failing point at its lowest failing block, with ``p *
-    L + j`` as ``exc.block``."""
-    P, d = len(lams), model.num_params
-    lams = np.array(lams, dtype=float).reshape(P, d)
-    x, xmT, y, (dx, dxmT, dy) = _momentum_blocks(model, lams, 2 * np.pi * np.arange(L) / L, True)
-
-    def per_point(E):
-        return tuple(e.reshape(len(e), P, L) for e in E)
-
+def full_zone(L, read, summand, how="sum") -> dict:
+    """The full-zone counterpart of :func:`nhgeo.linalg._zone_sums`, the oracle
+    of its half-zone reduction: the same ``read`` and per-block ``summand`` at
+    all L momenta ``2 pi j / L``, each kind as a ``(P, d, d)`` array summed
+    with no weights and no real part: by ``how``, of the terms ``t_j``
+    (``"sum"``), of their magnitudes (``"size"``), or of ``|t_j - conj
+    t_{L-j}|`` (``"mirror"``), how far the terms of mirrored momenta are
+    from conjugate in the rounding of their momenta.  A failure is that of
+    the first failing point at its lowest failing block, with ``p * L + j``
+    as ``exc.block``."""
+    blocks = read(2 * np.pi * np.arange(L) / L)
     with lowest_failing_block():
-        solve, (a, Ua, Uai) = _pair_solver_2x2(x, xmT)
-        gk = solve(y)
-        if not d:
-            return np.zeros((P, 0, 0), dtype=complex)
-        dg = solve(tuple(y - xg - gx for y, xg, gx in zip(dy, _mul(dx, gk), _mul(gk, dxmT))))
-        terms = tuple(0.5 * g + xg for g, xg in zip(dg, _mul(_xcal_2x2(a, Ua, Uai, dx), gk))), dg
-        sums = _trace_sum(*map(per_point, terms))
-        if not np.isfinite(sums).all():
-            _raise_first(~np.isfinite(terms).all(axis=(0, 1, 2)), NonConvergence,
-                         lambda i: "steady-state summand is not finite")
-    return sums
+        terms = summand(blocks)
+    reduce = {"sum": lambda t: t, "size": abs,
+              "mirror": lambda t: abs(t - t[..., -np.arange(L) % L].conj())}[how]
+    return {kind: np.moveaxis(reduce(t).sum(axis=-1), -1, 0).astype(complex)
+            for kind, t in terms.items()}
+
+
+def on_the_full_zone(module, sums, *args, how="sum"):
+    """``sums(*args)``, an engine of ``module``, with its zone-sum driver
+    replaced by :func:`full_zone`: the engine's own read and summand, summed
+    over the full zone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_zone_sums",
+                   lambda L, read, summand: full_zone(L, read, summand, how))
+        return sums(*args)
+
+
+def full_zone_sums(model, lams, L) -> np.ndarray:
+    """:func:`nhgeo.liouville.zeta_ness_k_sums` over the full zone, its oracle."""
+    return on_the_full_zone(liouville_mod, liouville_mod.zeta_ness_k_sums, model, lams, L)
+
+
+def full_band_sums(points, n, kinds, how="sum") -> dict:
+    """:func:`nhgeo.ssh.band_sums` over the full zone, its oracle."""
+    return on_the_full_zone(ssh_mod, ssh_mod.band_sums, points, n, kinds, how=how)
+
+
+def full_weak_sums(points, kinds, how="sum") -> dict:
+    """:func:`nhgeo.kitaev.weak_coupling_sums` over the full zone, its oracle."""
+    return on_the_full_zone(kitaev_mod, kitaev_mod.weak_coupling_sums, points, kinds, how=how)
+
+
+def half_zone_error(exc, L):
+    """``(class, message, block)`` of the error that a half-zone sum over a
+    pass of points raises where the full zone of length ``L`` raises
+    ``exc``, at the flat block ``p * L + j``: block ``j`` of point ``p`` is
+    ``p * (L // 2 + 1) + j`` in the half zone, which holds the lowest failing
+    block of a point when a block and its mirror fail together."""
+    p, j = divmod(exc.block, L)
+    assert j <= L // 2, (exc, L)
+    block = p * (L // 2 + 1) + j
+    return type(exc), str(exc).replace(f"block {exc.block}:", f"block {block}:"), block
+
+
+#: the chain lengths of the half-zone oracle tests: odd and even, k = pi on
+#: the grid or not, down to the two-block zone
+HALF_ZONE_LENGTHS = [2, 3, 4, 7, 8, 33, 64]
+
+
+def zone_outcomes(sums, points, *args) -> list:
+    """``sums(points, *args)`` in one pass: each point's sums per kind, or the
+    error it raises alone, read from the pass's record."""
+    with flagged_blocks() as flags:
+        out = sums(points, *args)
+    return [e or {kind: v[p] for kind, v in out.items()}
+            for p, e in enumerate(flags.errors(len(points)))]
+
+
+def assert_matches_full_zone(got, full) -> None:
+    """Each point's half-zone outcome ``got`` against its full-zone outcome
+    ``full("sum")`` (:func:`zone_outcomes`, with ``full(how)`` the outcomes of
+    :func:`full_zone`): the same error class, message and block; else every
+    kind with imaginary part exactly 0 and within 1e-13 of the largest
+    component of the full-zone sums of the terms' magnitudes, ``full("size")``,
+    plus the distance of the full zone's mirrored terms from conjugate,
+    ``full("mirror")``, which is the full zone's own rounding.
+
+    Where the terms do not cancel, the first bound is 1e-13 of the largest
+    component of the sums; where they do, it is the scale of their rounding
+    (the full-zone ``eta`` at t = delta = 8, L = 3 is 8.2e-4 from terms whose
+    magnitudes sum to 0.19, and its own imaginary part is 5.6e-17).  The
+    second is of the order of rounding but near a gap closing at a mirrored
+    pair: at h = cos(2 pi / 3) and gamma = 0.002 (weak coupling, L = 3)
+    ``h - cos k`` rounds to 0 at k = 2 pi / 3 and to 6.7e-16 at 4 pi / 3, and
+    the full zone's gamma-h component, -1.2e-7, is that rounding amplified
+    by 1 / gamma, 1.7e-13 of its largest component (the half zone's is 0).
+    """
+    want, sizes, mirrors = (full(how) for how in ("sum", "size", "mirror"))
+    for g, w, size, mirror in zip(got, want, sizes, mirrors, strict=True):
+        if isinstance(w, Exception) or isinstance(g, Exception):
+            assert (type(g), str(g), getattr(g, "block", None)) == (type(w), str(w), w.block)
+            continue
+        assert list(g) == list(w)
+        for kind in w:
+            assert g[kind].dtype == complex and not g[kind].imag.any()
+            bound = 1e-13 * np.abs(size[kind]).max() + np.abs(mirror[kind])
+            assert (np.abs(g[kind] - w[kind]) <= bound).all(), kind

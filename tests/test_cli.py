@@ -537,7 +537,11 @@ class TestSSHTensors:
         ref = sum(sum_over_states(bloch_family(p, k), [t, 0.5], state, ["eta"])["eta"].values
                   for k in p.k_grid)
         got = tensor_values(json.loads(result.output), "eta")
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the full-zone reference carries the rounding of its mirrored terms
+        # as an imaginary part (15.3 on real parts of 6.25e10 at |t - 1.5| =
+        # 1e-6); the half-zone sum is real
+        assert np.abs(got.real - ref.real).max() <= 1e-12 * np.abs(ref).max()
+        assert not got.imag.any()
 
 
 class TestFileFamilyDirections:
@@ -798,6 +802,34 @@ class TestSweepCommand:
                 if np.isfinite(v):
                     assert format(v, ".17g") == cell
 
+    def test_rows_cell_by_cell(self, runner, tmp_path, monkeypatch):
+        # NaN, -0, tiny and 17-digit cells, and error rows: each CSV cell is
+        # format(float, ".17g") of the axis value or the re/im part, NaN on an
+        # error row, and JSON writes NaN as null and keeps -0
+        from nhgeo.errors import CriticalKPoint, SingularPencil
+        mats = np.empty((2, 2), dtype=complex)
+        mats.real, mats.imag = [[-0.0, np.nan], [1e-300, 0.1]], [[0.0, -0.0], [-0.0, 2 / 3]]
+        errors = {1: CriticalKPoint("gap"), 4: SingularPencil("pencil")}
+        results = [errors.get(i) or (-mats if i % 2 else mats) for i in range(6)]
+        monkeypatch.setattr(cli_mod.SSHAdapter, "tensors", lambda self, points, kinds, n, mu_reg: [
+            r if isinstance(r, Exception) else {kind: r for kind in kinds} for r in results])
+        args = ["sweep", "--model", "nh-ssh", "--axis", "t:-0.0:1:6", "--tensors", "zeta,eta"]
+        run_ok(runner, args + ["--output", str(tmp_path / "s.csv")])
+        run_ok(runner, args + ["--output", str(tmp_path / "s.json"), "--format", "json"])
+        want = []
+        for t, r in zip(np.linspace(-0.0, 1.0, 6), results):
+            if isinstance(r, Exception):
+                want.append([float(t)] + [np.nan] * 16 + [type(r).__name__])
+            else:
+                want.append([float(t)] + [float(v) for z in r.ravel() for v in (z.real, z.imag)] * 2
+                            + ["ok"])
+        lines = (tmp_path / "s.csv").read_text().splitlines()[2:]
+        assert lines == [",".join([format(v, ".17g") for v in row[:-1]] + row[-1:]) for row in want]
+        assert lines[0].startswith("0,-0,0,nan,-0,1e-300,-0,0.10000000000000001,0.66666666666666663,")
+        assert lines[1] == "0.20000000000000001" + ",nan" * 16 + ",CriticalKPoint"
+        rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert json.dumps(rows) == json.dumps([[None if v != v else v for v in row] for row in want])
+
     def test_config_file_and_json_format(self, runner, tmp_path):
         cfg = {
             "model": "nh-ssh",
@@ -974,8 +1006,9 @@ class TestKitaevBures:
         assert worst <= 1e-12
 
     def test_weak_sweep_calls_no_eigh(self, monkeypatch):
-        # every kind is a Bloch-angle sum: the 21 points of L = 128 make 3
-        # passes of weak_coupling_sums and no eigensolve
+        # every kind is a Bloch-angle sum: the 21 points of L = 128, 65
+        # half-zone blocks each, make 2 passes of weak_coupling_sums and no
+        # eigensolve
         calls, real = [], cli_mod.weak_coupling_sums
         monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
         monkeypatch.setattr(cli_mod, "weak_coupling_sums",
@@ -983,7 +1016,7 @@ class TestKitaevBures:
         out = cli_mod.KitaevAdapter().tensors(
             [{"L": 128, "h": h} for h in np.linspace(0, 2, 21)],
             ["zeta", "zeta_limited", "bures"], None, 0.0)
-        assert calls == [8, 8, 5]
+        assert calls == [15, 6]
         assert [type(r).__name__ for r in out].count("CriticalKPoint") == 1  # h = 1
 
     def test_pure_state_exit_3(self, runner):

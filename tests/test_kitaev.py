@@ -8,6 +8,7 @@ from nhgeo.kitaev import (
     WEAK_KINDS,
     DissipativeKitaevModel,
     KitaevParams,
+    _bloch_angle,
     dgamma_k_weak,
     dphi,
     gamma_k_weak,
@@ -20,7 +21,13 @@ from nhgeo.kitaev import (
 from nhgeo.linalg import flagged_blocks
 from nhgeo.liouville import gaussian_tensors
 
-from conftest import maxdev
+from conftest import (
+    HALF_ZONE_LENGTHS,
+    assert_matches_full_zone,
+    full_weak_sums,
+    maxdev,
+    zone_outcomes,
+)
 
 
 def bz_average(f, L=2 ** 14):
@@ -128,14 +135,16 @@ def weak_outcome(p, kinds):
 
 
 @st.composite
-def weak_passes(draw):
+def weak_passes(draw, lengths=st.integers(1, 64)):
     """One to four points of one L.  The fields land on the gap closings
-    h = +-1 (and h = 0 with gamma = 0 where L % 4 == 0), or overflow D; a
-    bath with mu_minus = 0 makes the k = 0 block pure."""
-    L = draw(st.integers(1, 64))
+    h = +-1 (and, with gamma = 0, h = cos k at a grid momentum k, a gap
+    closing at the mirrored pair +-k), or overflow D; a bath with mu_minus =
+    0 makes the k = 0 block pure."""
+    L = draw(lengths)
     points = []
     for _ in range(draw(st.integers(1, 4))):
-        h = draw(st.sampled_from([-1.0, 0.0, 1.0, 1e160, -1e308]) | st.floats(-3.0, 3.0))
+        grid = st.integers(0, L - 1).map(lambda j: float(np.cos(2 * np.pi * j / L)))
+        h = draw(st.sampled_from([-1.0, 0.0, 1.0, 1e160, -1e308]) | grid | st.floats(-3.0, 3.0))
         gamma = draw(st.sampled_from([0.0, 1.0, 1e200]) | st.floats(-2.0, 2.0))
         mu_minus = draw(st.sampled_from([0.0, 0.6]) | st.floats(0.0, 1.5))
         points.append(KitaevParams(h, gamma, 0.1, draw(st.floats(0.1, 1.5)), mu_minus, L))
@@ -165,14 +174,14 @@ class TestWeakCouplingPasses:
 
     def test_first_failing_point_raises(self):
         # h = -1 closes the gap at k = pi, block 4 of L = 8; in a pass its
-        # error carries p * L + k, like every blockwise check
+        # error carries p * (L // 2 + 1) + j, like every blockwise check
         good, bad = (KitaevParams(h, 0.9, 0.1, 1.0, 0.6, 8) for h in (0.5, -1.0))
         with pytest.raises(CriticalKPoint, match="at k = 3.14159") as info:
             weak_coupling_tensors(bad, ["zeta"])
         assert info.value.block == 4
         with pytest.raises(CriticalKPoint) as info:
             weak_coupling_sums([good, bad], ["zeta"])
-        assert info.value.block == 12
+        assert info.value.block == 9
 
     def test_no_points_and_one_length(self):
         sums = weak_coupling_sums([], ["bures", "zeta"])
@@ -181,6 +190,67 @@ class TestWeakCouplingPasses:
         with pytest.raises(NhgeoError, match="one chain length L"):
             weak_coupling_sums([KitaevParams(0.5, 1.0, 0.1, 1.0, 0.6, L) for L in (8, 16)],
                                ["zeta"])
+
+
+class TestHalfZone:
+    """weak_coupling_sums reads the momenta 2 pi j / L for j = 0..L // 2 only
+    and sums Re w_j t_j (w_j = 1 at k = 0 and pi, else 2); the full-zone sum
+    of the same summands (:func:`conftest.full_weak_sums`) is its oracle."""
+
+    def test_bloch_angle_obeys_the_rule(self, rng):
+        # d_mu phi is odd in k, and cos^2 phi and sin^2 phi are even: every
+        # summand is even
+        ks = rng.uniform(-4 * np.pi, 4 * np.pi, 64)
+        for h, gamma in rng.uniform(-2.0, 2.0, (8, 2)):
+            D, (dh, dg), c2, s2 = _bloch_angle(h, gamma, ks)
+            Dm, (dhm, dgm), c2m, s2m = _bloch_angle(h, gamma, -ks)
+            for odd, odd_m in ((dh, dhm), (dg, dgm)):
+                assert maxdev(odd_m, -odd) <= 1e-14 * np.abs(odd).max()
+            for even, even_m in ((D, Dm), (c2, c2m), (s2, s2m)):
+                assert maxdev(even_m, even) <= 1e-14 * np.abs(even).max()
+
+    @staticmethod
+    def full_zone(points, kinds, how):
+        """Each point's full-zone outcome, a gap closing reported at its lowest
+        momentum: at gamma = 0 the gap closes at a mirrored pair +-k, and
+        where rounding leaves the full zone's smallest D at the mirror L - j
+        of the block j it reports that block and momentum."""
+        L = points[0].L
+        out = zone_outcomes(full_weak_sums, points, kinds, how)
+        for p, exc in enumerate(out):
+            if isinstance(exc, CriticalKPoint) and exc.block > L // 2:
+                j = L - exc.block
+                k = 2 * np.pi * j / L
+                out[p] = CriticalKPoint(f"band gap closes on the grid at k = {k:.6g}", block=j)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=weak_passes(st.sampled_from(HALF_ZONE_LENGTHS)),
+           kinds=st.permutations(WEAK_KINDS).flatmap(
+               lambda k: st.integers(1, 3).map(lambda n: k[:n])))
+    def test_matches_the_full_zone(self, points, kinds):
+        assert_matches_full_zone(
+            zone_outcomes(weak_coupling_sums, points, kinds),
+            lambda how: self.full_zone(points, kinds, how))
+
+    @pytest.mark.parametrize("L", HALF_ZONE_LENGTHS)
+    def test_mirrored_gap_closings(self, L):
+        # gamma = 0 and h = cos k at each grid momentum k = 2 pi j / L, |h| < 1:
+        # the gap closes at j and at L - j, and the half zone reports the
+        # lower, min(j, L - j), with its momentum
+        for j in range(L):
+            h = float(np.cos(2 * np.pi * j / L))
+            if abs(h) == 1.0:
+                continue
+            point = KitaevParams(h, 0.0, 0.1, 1.0, 0.6, L)
+            with pytest.raises(CriticalKPoint) as info:
+                weak_coupling_tensors(point, ["zeta"])
+            lowest = min(j, L - j)
+            assert info.value.block == lowest
+            assert str(info.value) == (
+                f"band gap closes on the grid at k = {2 * np.pi * lowest / L:.6g}")
+            full, = zone_outcomes(full_weak_sums, [point], ["zeta"])
+            assert type(full) is CriticalKPoint and full.block in (j, L - j)
 
 
 class TestParams:

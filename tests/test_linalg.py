@@ -18,17 +18,19 @@ from nhgeo.errors import (
 )
 from nhgeo.linalg import (
     DEFECTIVE_COND,
+    _adjoint,
     _blocks,
     _cond_inv,
     _eig_2x2,
     _entries,
     _inv,
+    _lyapunov_2x2,
     _mul,
     _norm,
+    _pair_solver_2x2,
     _pencil_2x2,
     _raise_first,
     _sylvester_solver,
-    _trace_sum,
     canonical_order,
     eig_general,
     flagged_blocks,
@@ -968,16 +970,35 @@ class TestBlockAlgebra:
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
-    def test_product_and_trace_sum(self, seed):
+    def test_product(self, seed):
         A, B = scaled_stack(seed), scaled_stack(seed + 1)
         assert np.array_equal(_blocks(_entries(A)), A)
         sizes = np.linalg.norm(A, 2, axis=(-2, -1)) * np.linalg.norm(B, 2, axis=(-2, -1))
         assert per_block(_blocks(_mul(_entries(A), _entries(B))) - A @ B, 1e-15 * sizes)
-        # unit-size blocks: the sum of traces is not dominated by one block
-        A, B = (M / np.abs(M).max(axis=(-2, -1), keepdims=True) for M in (A, B))
-        got = _trace_sum(_entries(np.stack([A, B])), _entries(B[None]))
-        ref = [np.einsum("kij,kji->", M, B) for M in (A, B)]
-        assert maxdev(got[:, 0], ref) <= 1e-14 * len(A)
+        assert np.array_equal(_blocks(_adjoint(_entries(A))), A.conj().swapaxes(-1, -2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_lyapunov_step_against_the_pair_solver(self, seed):
+        # blocks that obey the conjugation rule, x(-k)^T = x(k)^H, shifted
+        # into the right half plane by a tenth of their norm, with Hermitian
+        # right-hand sides: the solver on the one decomposition of x solves
+        # what the pair solver solves on the decompositions of x and x^H
+        rng = np.random.default_rng(seed)
+
+        def stack():  # scaled by 2^-20, 1 or 2^500, above the degeneracy floor 1e-14
+            A = rng.normal(size=(12, 2, 2)) + 1j * rng.normal(size=(12, 2, 2))
+            return A * np.ldexp(1.0, rng.choice([-20, 0, 500], size=12))[:, None, None]
+
+        X, Y = stack(), stack()
+        norms = np.linalg.norm(X, 2, axis=(-2, -1))
+        X += (abs(np.linalg.eigvals(X).real).max(axis=-1) + norms / 10)[:, None, None] * np.eye(2)
+        x, y = _entries(X), _entries(Y + Y.conj().swapaxes(-1, -2))
+        got = _blocks(_lyapunov_2x2(*_eig_2x2(x))[0](y))
+        want = _blocks(_pair_solver_2x2(x, _adjoint(x))[0](y))
+        bound = 1e-13 * np.linalg.norm(want, 2, axis=(-2, -1))
+        assert per_block(got - want, bound)
+        assert per_block(got - got.conj().swapaxes(-1, -2), bound)  # Hermitian, as Y
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

@@ -874,16 +874,17 @@ def one_point_read(model, lam, ks):
         return tuple(np.ascontiguousarray(e) for e in linalg_mod._entries(blocks))
 
     d = range(model.num_params)
-    return [E(model.x_block(ks, lam)), linalg_mod._transpose(E(model.x_block(-ks, lam))),
+    return [E(model.x_block(ks, lam)), E(np.swapaxes(model.x_block(-ks, lam), -1, -2)),
             E(model.y_block(ks, lam)),
             *(E(model.dx_block(mu, ks, lam)) for mu in d),
-            *(linalg_mod._transpose(E(model.dx_block(mu, -ks, lam))) for mu in d),
+            *(E(np.swapaxes(model.dx_block(mu, -ks, lam), -1, -2)) for mu in d),
             *(E(model.dy_block(mu, ks, lam)) for mu in d)]
 
 
 class TestStackedRead:
     """One read of the blocks of P points of a model, with their parameters as
-    (P, 1, 1, 1) columns, holds every point's one-point blocks bit for bit."""
+    (P, 1) columns, holds every point's one-point blocks bit for bit, point p
+    at index p of the (P, L) entries."""
 
     @pytest.mark.parametrize("model, lams", [
         (DissipativeKitaevModel(0.3, 1.0, 0.6), [[0.7, 0.9], [1.0, 1.0], [-0.4, 0.2]]),
@@ -902,7 +903,7 @@ class TestStackedRead:
             assert len(alone) == len(read)
             for joined, single in zip(read, alone):
                 for a, b in zip(joined, single):
-                    assert a[p * L:(p + 1) * L].tobytes() == b.tobytes()
+                    assert a[p].tobytes() == b.tobytes()
 
     def test_pass_over_two_faulty_points(self):
         # each faulty point of one pass gets the error it gets alone, the

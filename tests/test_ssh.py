@@ -15,9 +15,11 @@ from nhgeo.errors import (
 from nhgeo.linalg import _grid_check, flagged_blocks, lowest_failing_block
 from nhgeo.ssh import (
     _DIRECTIONS,
+    BAND_KINDS,
     SSHParams,
     _bloch,
     _eps,
+    _hoppings,
     band_sums,
     bloch_family,
     bloch_sum,
@@ -29,7 +31,16 @@ from nhgeo.ssh import (
 )
 from nhgeo.tensors import STATE_KINDS, stencil_tensors, sum_over_blocks, zeta_tensor
 
-from conftest import bloch, maxdev, ssh_eigenstates
+from conftest import (
+    HALF_ZONE_LENGTHS,
+    assert_matches_full_zone,
+    bloch,
+    full_band_sums,
+    half_zone_error,
+    maxdev,
+    ssh_eigenstates,
+    zone_outcomes,
+)
 
 
 class TestParams:
@@ -175,18 +186,31 @@ hopping = st.sampled_from(np.linspace(-2.0, 2.0, 25).tolist()) | st.floats(-1e6,
 
 
 @st.composite
-def passes(draw):
+def passes(draw, lengths=st.integers(2, 64)):
     """One to four points of one L.  Half of them put t - delta or t + delta
     at +-1 in floating point, where a Bloch block at k = 0 or pi is (nearly)
     exceptional: a grid gap closing, or, at large |t| where rounding hides
     the gap from the grid check, a near-defective or degenerate block."""
-    L = draw(st.integers(2, 64))
+    L = draw(lengths)
     points = []
     for _ in range(draw(st.integers(1, 4))):
         t = draw(hopping)
         edges = st.sampled_from([t - 1, t + 1, 1 - t, -1 - t])
         points.append(SSHParams(t, draw(edges if draw(st.booleans()) else hopping), L))
     return points
+
+
+#: points where the eigensolver route fails, with its verdict
+ENGINE_VERDICTS = [
+    (1.5, 0.5, 8, CriticalKPoint),
+    # t - delta = -1 exactly: a = 0 at k = 0, so eps = a b = 0 there and
+    # the gap closes on the grid (the expanded 1 + t^2 - delta^2 + ...
+    # rounded to |eps| ~ 2e-5 and let the block fail as NearDefective)
+    (1e6 + 0.3, 1e6 + 1.3, 4, CriticalKPoint),
+    # t - delta = 1: |a| = 1.2e-16 at k = pi (the rounding of e^{i pi})
+    (1e9 + 0.5, 1e9 - 0.5, 4, NearDefective),
+    (5e4 + 0.5, 5e4 - 0.5, 8, DegenerateSpectrum),
+]
 
 
 class TestClosedFormBandSums:
@@ -199,8 +223,10 @@ class TestClosedFormBandSums:
     def test_matches_eigensolver(self, points, n):
         want, got = outcome(eigensolved, points, n), outcome(band_sums, points, n)
         if isinstance(want, Exception) or isinstance(got, Exception):
-            assert type(got) is type(want) and str(got) == str(want)
-            assert got.block == want.block
+            # the eigensolver route runs the full zone: its block p * L + j
+            # is p * (L // 2 + 1) + j on the half zone of band_sums
+            assert isinstance(want, Exception), got
+            assert (type(got), str(got), got.block) == half_zone_error(want, points[0].L)
             return
         # each block's tensors alone: the k-terms of the sums, whose
         # magnitudes set the rounding of any sum of them (terms ~ 0.06 sum
@@ -229,16 +255,7 @@ class TestClosedFormBandSums:
             assert e == ((type(alone), str(alone), alone.block)
                          if isinstance(alone, Exception) else None)
 
-    @pytest.mark.parametrize("t, delta, L, error", [
-        (1.5, 0.5, 8, CriticalKPoint),
-        # t - delta = -1 exactly: a = 0 at k = 0, so eps = a b = 0 there and
-        # the gap closes on the grid (the expanded 1 + t^2 - delta^2 + ...
-        # rounded to |eps| ~ 2e-5 and let the block fail as NearDefective)
-        (1e6 + 0.3, 1e6 + 1.3, 4, CriticalKPoint),
-        # t - delta = 1: |a| = 1.2e-16 at k = pi (the rounding of e^{i pi})
-        (1e9 + 0.5, 1e9 - 0.5, 4, NearDefective),
-        (5e4 + 0.5, 5e4 - 0.5, 8, DegenerateSpectrum),
-    ])
+    @pytest.mark.parametrize("t, delta, L, error", ENGINE_VERDICTS)
     def test_engine_verdicts(self, t, delta, L, error):
         p = SSHParams(t, delta, L)
         points = [SSHParams(0.3, 0.2, L), p, SSHParams(0.7, -0.4, L)]
@@ -246,12 +263,17 @@ class TestClosedFormBandSums:
             for pts in ([p], points):
                 want, got = outcome(eigensolved, pts, n), outcome(band_sums, pts, n)
                 assert type(want) is error
-                assert type(got) is error and str(got) == str(want) and got.block == want.block
+                # one point: the same block; in the pass, the full zone's
+                # block L + j of point 1 is L // 2 + 1 + j on the half zone
+                assert (type(got), str(got), got.block) == half_zone_error(want, L)
+                if len(pts) == 1:
+                    assert str(got) == str(want) and got.block == want.block
 
     def test_first_failing_point_raises(self):
         # point 0 fails the eigenvector condition at block 2; point 1's grid
         # check fails at its first block (reported at its smallest |eps|, block
-        # 6), later in the pass, though the grid check runs first
+        # 5 = 1 * (L // 2 + 1) + 2 of the half zones), later in the pass,
+        # though the grid check runs first
         points = [SSHParams(1e9 + 0.5, 1e9 - 0.5, 4), SSHParams(1.5, 0.5, 4)]
         for route in (band_sums, eigensolved):
             with pytest.raises(NearDefective, match="block 2: eigenvector condition") as info:
@@ -286,6 +308,42 @@ class TestClosedFormBandSums:
         if not isinstance(bands[0], Exception):
             for kind in STATE_KINDS:
                 assert bands[1][kind].tobytes() == bands[0][kind].tobytes()
+
+
+class TestHalfZone:
+    """band_sums reads the momenta 2 pi j / L for j = 0..L // 2 only and sums
+    Re w_j t_j (w_j = 1 at k = 0 and pi, else 2); the full-zone sum of the
+    same summands (:func:`conftest.full_band_sums`) is its oracle."""
+
+    def test_hoppings_obey_the_rule(self, rng):
+        # a(-k) = conj a(k) and b(-k) = conj b(k) for real t and delta: each
+        # summand at -k is the conjugate of its value at k
+        ks = rng.uniform(-4 * np.pi, 4 * np.pi, 64)
+        for t, delta in rng.uniform(-3.0, 3.0, (8, 2)):
+            a, b = _hoppings(t, delta, ks)
+            am, bm = _hoppings(t, delta, -ks)
+            assert maxdev(am, a.conj()) <= 1e-15 * np.abs(a).max()
+            assert maxdev(bm, b.conj()) <= 1e-15 * np.abs(b).max()
+
+    @staticmethod
+    def compare(points, n):
+        """The half-zone sums of every kind at ``points`` against the full zone's."""
+        got = zone_outcomes(band_sums, points, n, BAND_KINDS)
+        assert_matches_full_zone(
+            got, lambda how: zone_outcomes(full_band_sums, points, n, BAND_KINDS, how))
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=passes(st.sampled_from(HALF_ZONE_LENGTHS)), n=st.integers(0, 1))
+    def test_matches_the_full_zone(self, points, n):
+        # the landing axes put |t -+ delta| = 1 on the gap closings
+        self.compare(points, n)
+
+    @pytest.mark.parametrize("t, delta, L, error", ENGINE_VERDICTS)
+    def test_engine_verdicts_in_a_pass(self, t, delta, L, error):
+        points = [SSHParams(0.3, 0.2, L), SSHParams(t, delta, L), SSHParams(0.7, -0.4, L)]
+        for n in (0, 1):
+            assert type(self.compare(points, n)[1]) is error
 
 
 class TestOneBandFunction:

@@ -142,10 +142,11 @@ def counted_reads(monkeypatch):
 
 
 class TestFailingPointsInAPass:
-    """Five points per pass; the failing points sit at its start, middle or
-    end, or two of them share it.  The pass runs once, its checks recording
-    the failing blocks, and each failing point reads its error from the
-    record: a pass is one evaluation, however many of its points fail."""
+    """Five points per pass (a budget of 5 * (L // 2 + 1) blocks); the failing
+    points sit at its start, middle or end, or two of them share it.  The
+    pass runs once, its checks recording the failing blocks, and each failing
+    point reads its error from the record: a pass is one evaluation, however
+    many of its points fail."""
 
     @pytest.mark.parametrize("ts, bad, passes", [
         ([0.5, 0.7, 0.8, 0.9, 1.1], [0], [5]),
@@ -158,7 +159,7 @@ class TestFailingPointsInAPass:
         # delta = 0.5, L = 8: eps(pi) vanishes at t = 0.5 and t = 1.5
         points = [{"t": t, "delta": 0.5, "L": 8} for t in ts]
         calls = counted(monkeypatch, "band_sums")
-        out = joined_and_alone(cli_mod.SSHAdapter(), points, SSH_KINDS, 1, 5 * 8)
+        out = joined_and_alone(cli_mod.SSHAdapter(), points, SSH_KINDS, 1, 5 * 5)
         assert calls[len(points):] == passes  # after the one-point calls
         assert [i for i, r in enumerate(out) if isinstance(r, CriticalKPoint)] == bad
         assert all(isinstance(r, dict) for i, r in enumerate(out) if i not in bad)
@@ -173,7 +174,7 @@ class TestFailingPointsInAPass:
         # gamma = 1: x(k = 0) is a multiple of the identity at h = 1
         points = [{"h": h, "gamma": 1.0, "L": 8, "weak_coupling": False} for h in hs]
         calls = counted(monkeypatch, "zeta_ness_k_sums")
-        out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 5 * 8)
+        out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 5 * 5)
         assert calls[len(points):] == passes
         assert [i for i, r in enumerate(out) if isinstance(r, SingularPencil)] == bad
         assert all(isinstance(r, dict) for i, r in enumerate(out) if i not in bad)
@@ -183,7 +184,7 @@ class TestFailingPointsInAPass:
         # and 1.5, which the grid check flags; neither runs again
         points = [{"t": t, "delta": 0.5, "L": 8} for t in np.linspace(0.25, 1.75, 7)]
         calls = counted(monkeypatch, "band_sums")
-        out = joined_and_alone(cli_mod.SSHAdapter(), points, SSH_KINDS, 0, 7 * 8)
+        out = joined_and_alone(cli_mod.SSHAdapter(), points, SSH_KINDS, 0, 7 * 5)
         assert calls[len(points):] == [7]
         assert [i for i, r in enumerate(out) if isinstance(r, CriticalKPoint)] == [1, 5]
 
@@ -195,24 +196,34 @@ class TestFailingPointsInAPass:
                   for h in (0.3, 0.6) for g in (0.0, 0.2, 0.4)]
         reads = counted_reads(monkeypatch)
         calls = counted(monkeypatch, "zeta_ness_k_sums")
-        out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 6 * 8)
+        out = joined_and_alone(cli_mod.KitaevAdapter(), points, ["zeta"], 0, 6 * 5)
         assert calls[len(points):] == [2, 2, 2]
         assert reads[len(points):] == [2, 2, 2]
         assert [i for i, r in enumerate(out) if isinstance(r, SingularPencil)] == [0, 3]
 
     def test_bath_on_the_inner_axis(self, monkeypatch):
         # a 41 x 3 h x g grid at L = 128: each bath's 41 points make passes
-        # of PASS_BLOCKS / L = 8 points wherever they sit in the grid, each
-        # pass one read
+        # of PASS_BLOCKS // (L // 2 + 1) = 15 points wherever they sit in the
+        # grid, each pass one read
         points = [{"h": h, "g": g, "gamma": 1.0, "L": 128, "weak_coupling": False}
                   for h in np.linspace(-2, 2, 41) for g in (0.1, 0.2, 0.4)]
         reads = counted_reads(monkeypatch)
         calls = counted(monkeypatch, "zeta_ness_k_sums")
         out = cli_mod.KitaevAdapter().tensors(points, ["zeta"], 0, 0.0)
-        assert calls == [8, 8, 8, 8, 8, 1] * 3
+        assert calls == [15, 15, 11] * 3
         assert reads == calls
         # h = +-1 closes the gap at every bath
         assert [i // 3 for i, r in enumerate(out) if isinstance(r, SingularPencil)] == [10] * 3 + [30] * 3
+
+    @pytest.mark.parametrize("L, passes", [(64, [31, 10]), (128, [15, 15, 11]),
+                                           (1024, [2] * 20 + [1]), (2048, [1] * 41)])
+    def test_passes_count_half_zone_blocks(self, L, passes):
+        # 41 points of L // 2 + 1 blocks each in passes of at most PASS_BLOCKS
+        # blocks: two points share a pass at L = 1024
+        sizes = []
+        cli_mod._in_passes(lambda ps: sizes.append(len(ps)) or [{}] * len(ps),
+                           [cli_mod.SSHParams(0.5, 0.2, L)] * 41, lambda p: p.L)
+        assert sizes == passes
 
     def test_error_without_a_block_sends_every_point_alone(self, monkeypatch):
         from nhgeo.errors import NonConvergence
