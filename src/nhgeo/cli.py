@@ -10,10 +10,12 @@ Every model adapter declares its ``name``, tensor ``kinds``, component
 ``directions``, ``defaults`` (each settable parameter, typed by its default),
 the ``sweepable`` ones and ``states``, the number of eigenstates ``--state``
 may name (None for a steady-state model, whose one state is ``ness``).
-``tensors(points, kinds, n, mu_reg)`` (``n`` the state index) evaluates at
-``params(values)`` for each ``values`` of the list ``points`` and returns one
-result per point: a dict of tensors, or the error that point gets when it is
-evaluated alone.  ``spectrum(values)`` evaluates at one point.
+``params(values)`` checks a point's ``--set`` and axis values and builds its
+parameter object, once per point: a command hands these objects to the
+adapter.  ``tensors(params, kinds, n, mu_reg)`` (``n`` the state index)
+evaluates at each object of the list ``params`` and returns one result per
+point: a dict of tensors, or the error that point gets when it is evaluated
+alone.  ``spectrum(p)`` evaluates at one parameter object.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .errors import NhgeoError, NonConvergence, ShapeMismatch
 from .kitaev import WEAK_KINDS, DissipativeKitaevModel, KitaevParams, weak_coupling_sums
 from .biortho import build_biortho
 from .linalg import (
+    _blocks,
     _raise_first,
     as_square,
     complex_pairs,
@@ -46,6 +49,7 @@ from .liouville import (
     NESS_KINDS,
     LiouvillianFamily,
     _hamiltonian_matrix,
+    _read_xy,
     bath_matrix,
     build_liouvillian,
     ness_tensors,
@@ -108,25 +112,25 @@ def _one_result(evaluate, points):
     return [exc or r for r, exc in zip(results, flags.errors(len(points)))]
 
 
-def _each(evaluate, points):
-    """``evaluate(values)`` at each of ``points``, each a one-point pass of
-    :func:`_one_result`: a point's NhgeoError is its result."""
-    return [r for values in points for r in _one_result(lambda ps: [evaluate(ps[0])], [values])]
-
-
 def _in_passes(evaluate, points, key):
     """:func:`_one_result` over passes of ``points`` (parameter objects with a
     chain length ``L``), with the results in the order of ``points``: the
     points of one ``key(p)``, wherever they sit in the grid, share passes of
     at most ``PASS_BLOCKS`` half-zone blocks, ``L // 2 + 1`` per point, in
-    grid order (a point with more is a pass of its own)."""
+    grid order (a point with more is a pass of its own).  ``evaluate(ps)``
+    returns each kind's ``(P, d, d)`` sums over the P points ``ps``, which
+    are split here into one dict per point (empty with no kinds)."""
+    def rows(ps):
+        sums = evaluate(ps)
+        return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
+
     passes, out = {}, {}
     for i, p in enumerate(points):
         passes.setdefault(key(p), []).append(i)
     for at in passes.values():
         size = max(1, PASS_BLOCKS // (points[at[0]].L // 2 + 1))
         for run in (at[j:j + size] for j in range(0, len(at), size)):
-            out.update(zip(run, _one_result(evaluate, [points[i] for i in run])))
+            out.update(zip(run, _one_result(rows, [points[i] for i in run])))
     return [out[i] for i in range(len(points))]
 
 
@@ -153,19 +157,14 @@ class SSHAdapter(_LatticeModel):
     states = 2  # the two bands, for every kind
     kinds = ("zeta", "eta", "zeta_limited", "zeta_limited_rescaled")
 
-    def tensors(self, points, kinds, n, mu_reg) -> list:
+    def tensors(self, params, kinds, n, mu_reg) -> list:
         """Every kind at every point from shared passes of :func:`~nhgeo.ssh.band_sums`
         (:func:`_in_passes`), in closed form with no eigensolve; a failing
         point's error is that of the first check it fails, whatever kind
         comes first."""
-        def evaluate(ps):
-            sums = band_sums(ps, n, kinds)
-            return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
+        return _in_passes(lambda ps: band_sums(ps, n, kinds), params, lambda p: p.L)
 
-        return _in_passes(evaluate, [self.params(values) for values in points], lambda p: p.L)
-
-    def spectrum(self, values) -> dict:
-        p = self.params(values)
+    def spectrum(self, p) -> dict:
         se = np.sqrt(eps(p.t, p.delta, p.k_grid))
         _raise_first(~np.isfinite(se), NonConvergence, lambda i: "band value is not finite")
         pairs = np.stack([se, -se], axis=-1).tolist()  # (+sqrt(eps), -sqrt(eps)) per k
@@ -187,12 +186,11 @@ class KitaevAdapter(_LatticeModel):
     states = None  # the steady state
     kinds = WEAK_KINDS
 
-    def tensors(self, points, kinds, n, mu_reg) -> list:
+    def tensors(self, params, kinds, n, mu_reg) -> list:
         """Shared passes (:func:`_in_passes`): at weak coupling of
         :func:`~nhgeo.kitaev.weak_coupling_sums`, per L; at strong coupling
         (``zeta`` only) of :func:`~nhgeo.liouville.zeta_ness_k_sums`, per bath
         and L, on one model.  Any parameter may vary, wherever in the grid."""
-        params = [self.params(values) for values in points]
         if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
                 "kitaev-dissipative provides only zeta without weak_coupling")
@@ -200,19 +198,17 @@ class KitaevAdapter(_LatticeModel):
         def evaluate(ps):
             p = ps[0]
             if p.weak_coupling:
-                sums = weak_coupling_sums(ps, kinds)
-                return [{kind: v[i] for kind, v in sums.items()} for i in range(len(ps))]
+                return weak_coupling_sums(ps, kinds)
             model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-            return [{"zeta": z} for z in zeta_ness_k_sums(model, [[q.h, q.gamma] for q in ps], p.L)]
+            return {"zeta": zeta_ness_k_sums(model, [[q.h, q.gamma] for q in ps], p.L)}
 
         return _in_passes(evaluate, params, lambda p: p.L if p.weak_coupling
                           else (p.L, p.g, p.mu_plus, p.mu_minus))  # the bath and L
 
-    def spectrum(self, values) -> dict:
+    def spectrum(self, p) -> dict:
         """The rapidities of x(k) on the grid; NonConvergence at the first non-finite block."""
-        p = self.params(values)
         model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-        x = model.x_block(p.k_grid, [p.h, p.gamma])
+        x = _blocks(_read_xy(model, p.k_grid, [p.h, p.gamma])[0])
         _raise_first(~np.isfinite(x).all(axis=(-2, -1)), NonConvergence,
                      lambda i: "rapidity block is not finite")
         xs = np.linalg.eigvals(x)
@@ -241,12 +237,6 @@ class _FileFamily:
         for name in self.directions:  # exit 2, not 3 on the non-finite matrix it makes
             _usage(_finite, name, p[name])
         return np.array([float(p[name]) for name in self.directions])
-
-    def point(self, values: dict) -> np.ndarray:
-        """``params(values)`` for a tensor evaluation, which needs a direction."""
-        if not self.parts:
-            raise click.UsageError(f"tensor evaluation needs at least one {self.part_option}")
-        return self.params(values)
 
     def matrix(self, lam) -> np.ndarray:
         return self.base + sum(lam[m] * self.parts[m] for m in range(len(self.parts)))
@@ -287,18 +277,20 @@ class QuadLiouvilleAdapter(_FileFamily):
 
         return LiouvillianFamily(self.n, len(self.parts), make, dxy, name=self.name)
 
-    def tensors(self, points, kinds, n, mu_reg) -> list:
-        def evaluate(values):
-            lam = self.point(values)
+    def tensors(self, params, kinds, n, mu_reg) -> list:
+        if not self.parts:  # a tensor needs a direction
+            raise click.UsageError(f"tensor evaluation needs at least one {self.part_option}")
+
+        def evaluate(ps):
+            lam, = ps
             fam = self.family()
             # one eigensolve serves every kind and the spectrum
             dec = self.decomposition(lam, lambda: eig_general(fam(lam).X))
-            return {kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=dec).items()}
+            return [{kind: t.values for kind, t in ness_tensors(fam, lam, kinds, dec=dec).items()}]
 
-        return _each(evaluate, points)
+        return _one_result(evaluate, params)
 
-    def spectrum(self, values) -> dict:
-        lam = self.params(values)
+    def spectrum(self, lam) -> dict:
         dec = self.decomposition(lam, lambda: eig_general(self.family()(lam).X))
         return _rapidity_summary(dec.eigenvalues)
 
@@ -321,11 +313,13 @@ class MatrixFamilyAdapter(_FileFamily):
         return OperatorFamily(self.base.shape[0], len(self.parts), self.matrix,
                               lambda mu, lam: self.parts[mu], name=self.name)
 
-    def tensors(self, points, kinds, n, mu_reg) -> list:
+    def tensors(self, params, kinds, n, mu_reg) -> list:
+        if not self.parts:  # a tensor needs a direction
+            raise click.UsageError(f"tensor evaluation needs at least one {self.part_option}")
         sos_kinds = [k for k in kinds if k != "chi"]
 
-        def evaluate(values):
-            lam = self.point(values)
+        def evaluate(ps):
+            lam, = ps
             fam = self.family()
             out = {}
             if sos_kinds:  # one eigensolve serves every non-Hermitian kind and the spectrum
@@ -334,12 +328,11 @@ class MatrixFamilyAdapter(_FileFamily):
                 out = {kind: t.values for kind, t in sos.items()}
             if "chi" in kinds:
                 out["chi"] = chi_hermitian(fam, lam, n).values
-            return {kind: out[kind] for kind in kinds}
+            return [{kind: out[kind] for kind in kinds}]
 
-        return _each(evaluate, points)
+        return _one_result(evaluate, params)
 
-    def spectrum(self, values) -> dict:
-        lam = self.params(values)
+    def spectrum(self, lam) -> dict:
         dec = self.decomposition(lam, lambda: eig_general(self.matrix(lam)))
         return {
             "eigenvalues": [_c(z) for z in dec.eigenvalues],
@@ -536,7 +529,9 @@ def main():
 def cmd_tensor(adapter, values, tensors, state, mu_reg):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
     kinds = _parse_kinds(tensors, adapter)
-    mats, = adapter.tensors([values], kinds, _state_index(state, adapter), mu_reg)
+    n = _state_index(state, adapter)
+    p = adapter.params(values)
+    mats, = adapter.tensors([p], kinds, n, mu_reg)
     if isinstance(mats, Exception):
         raise mats
     _echo_json({
@@ -546,7 +541,7 @@ def cmd_tensor(adapter, values, tensors, state, mu_reg):
         "tensors": {kind: {"directions": list(adapter.directions),
                            "components": [[_c(z) for z in row] for row in mat]}
                     for kind, mat in mats.items()},
-        "eigenvalue_summary": adapter.spectrum(values),
+        "eigenvalue_summary": adapter.spectrum(p),
         "metadata": {"version": __version__, "mu_reg": mu_reg},
     })
 
@@ -555,7 +550,7 @@ def cmd_tensor(adapter, values, tensors, state, mu_reg):
 @_model_command
 def cmd_spectrum(adapter, values):
     """Eigenvalue / relaxation-rate summary; JSON to stdout."""
-    _echo_json({"model": adapter.name, "spectrum": adapter.spectrum(values)})
+    _echo_json({"model": adapter.name, "spectrum": adapter.spectrum(adapter.params(values))})
 
 
 def _load_config(path) -> dict:
@@ -636,11 +631,14 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     if not 1 <= len(axes) <= 2:
         raise click.UsageError("need one or two axes")
     grids = [_axis_points(a) for a in axes]
-    for a in axes:
-        if a["name"] not in adapter.sweepable:
-            raise click.UsageError(f"axis {a['name']!r} not sweepable for {model}")
-        if a["name"] in fixed:
-            raise click.UsageError(f"axis {a['name']!r} also set as fixed parameter")
+    names = [a["name"] for a in axes]
+    for i, name in enumerate(names):
+        if name not in adapter.sweepable:
+            raise click.UsageError(f"axis {name!r} not sweepable for {model}")
+        if name in fixed:
+            raise click.UsageError(f"axis {name!r} also set as fixed parameter")
+        if name in names[:i]:  # a point would take the last axis's value under both labels
+            raise click.UsageError(f"axis {name!r} given twice")
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
     state = state if state is not None else spec.get("state")
     mu_reg = mu_reg if mu_reg is not None else _usage(_mu_reg, spec.get("mu_reg", 0.0))
@@ -651,17 +649,15 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     if fmt not in ("csv", "json"):
         raise click.UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
 
-    names = [a["name"] for a in axes]
     points = list(itertools.product(*(range(len(grid)) for grid in grids)))
     dirs = adapter.directions
     columns = [*names, *(f"{kind}_{a}{b}_{part}" for kind in kinds for a in dirs
                          for b in dirs for part in ("re", "im")), "status"]
 
-    def point_values(idx):
-        return {**fixed, **{name: float(grid[i]) for name, grid, i in zip(names, grids, idx)}}
-
-    for idx in points:  # an invalid grid point fails once here, before any evaluation
-        adapter.params(point_values(idx))
+    # each grid point's parameters, checked once here, before any evaluation
+    params = [adapter.params({**fixed, **{name: float(grid[i])
+                                          for name, grid, i in zip(names, grids, idx)}})
+              for idx in points]
     with _failures_exit_3():  # as does a malformed or out-of-range state
         n = _state_index(state, adapter)
     folder = os.path.dirname(os.path.abspath(output))
@@ -669,15 +665,15 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
         raise click.UsageError(f"cannot write output {output}: not a file in a writable directory")
 
     def evaluate(chunk):  # one adapter call: the points share its passes
-        return adapter.tensors([point_values(idx) for idx in chunk], kinds, n, mu_reg)
+        return adapter.tensors(chunk, kinds, n, mu_reg)
 
     if threads > 1:  # contiguous chunks, one adapter call each
-        chunks = [points[i * len(points) // threads:(i + 1) * len(points) // threads]
+        chunks = [params[i * len(params) // threads:(i + 1) * len(params) // threads]
                   for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = [r for part in pool.map(evaluate, [c for c in chunks if c]) for r in part]
     else:
-        results = evaluate(points)
+        results = evaluate(params)
 
     # one float table of the axis values and each kind's re and im cells, NaN
     # on an error row, and the status column beside it

@@ -186,7 +186,9 @@ def weak_coupling_sums(points: Sequence[KitaevParams], kinds) -> dict[str, np.nd
         if "bures" in kinds:
             _raise_first(abs(1.0 - lam2 * c2) < 1e-10, PureStateSingular,
                          lambda i: "correlation spectrum touches a pure-state direction")
-        finite = np.isfinite(D) & np.isfinite(list(terms.values())).all(axis=(0, 1, 2))
+        finite = np.isfinite(D)
+        for t in terms.values():  # no kinds leave the check on D alone
+            finite &= np.isfinite(t).all(axis=(0, 1))
         _raise_first(~finite, NonConvergence, lambda i: "Bloch-angle summand is not finite")
         return terms
 

@@ -389,17 +389,18 @@ def _grid_check(magnitude, ks, message: str) -> None:
 
 def _zone_sums(L: int, read, summand) -> dict:
     """The Brillouin-zone sums of P points of chain length ``L`` from the half
-    zone ``ks = 2 pi j / L``, ``j = 0..L // 2``: ``read(ks)`` reads every
-    point's blocks, and ``summand(blocks)`` checks them in one record
-    (:func:`lowest_failing_block`) and returns each kind's terms ``t_j (d, d,
-    P, L // 2 + 1)``.  A kind's sums are the complex ``(P, d, d)`` ``Re sum_j
-    w_j t_j``, ``w_j = 1`` at k = 0 and k = pi and 2 elsewhere: the full-zone
-    sums of terms conjugate at -k, with imaginary parts 0.  Each point sums
-    its own row with elementwise weights, so bit for bit as alone (a matrix
-    product is not).  Block ``j`` of point ``p`` is the flat block ``p * (L //
-    2 + 1) + j``; a block and its mirror fail together."""
+    zone ``ks``, the momenta ``j = 0..L // 2`` of :func:`_k_grid`:
+    ``read(ks)`` reads every point's blocks, and ``summand(blocks)`` checks
+    them in one record (:func:`lowest_failing_block`) and returns each kind's
+    terms ``t_j (d, d, P, L // 2 + 1)``.  A kind's sums are the complex ``(P,
+    d, d)`` ``Re sum_j w_j t_j``, ``w_j = 1`` at k = 0 and k = pi and 2
+    elsewhere: the full-zone sums of terms conjugate at -k, with imaginary
+    parts 0.  Each point sums its own row with elementwise weights, so bit
+    for bit as alone (a matrix product is not).  Block ``j`` of point ``p``
+    is the flat block ``p * (L // 2 + 1) + j``; a block and its mirror fail
+    together."""
     j = np.arange(L // 2 + 1)
-    blocks = read(2.0 * np.pi * j / L)
+    blocks = read(_k_grid(L)[:L // 2 + 1])
     with lowest_failing_block():
         terms = summand(blocks)
     w = np.where((j == 0) | (2 * j == L), 1.0, 2.0)

@@ -381,6 +381,11 @@ class TranslationInvariantModel:
     be a number; :func:`_pauli` gives the entries of ``s0 + sx sigma_x + sy
     sigma_y``.
 
+    These four methods are the whole interface.  The engines read them
+    through :func:`_read_xy`, which forms x(k), x(-k)^T and y(k), or with a
+    direction their derivatives; :func:`assemble_real_space` reads ``h_block``
+    and ``m_block`` alone.
+
     The blocks must obey the conjugation rule of a real X and an imaginary
     Y (:func:`build_liouvillian`): ``x(-k) = conj x(k)`` and ``y(k)``
     Hermitian, at every k and lam, and the same for ``dx_mu`` and
@@ -404,26 +409,12 @@ class TranslationInvariantModel:
     def dm_block(self, mu: int, k, lam) -> tuple:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # -- derived 2x2 blocks, at a scalar k or an (L, 2, 2) stack over a 1-D k --
-
-    def x_block(self, k, lam) -> np.ndarray:
-        return _blocks(_read_xy(self, k, lam)[0])
-
-    def y_block(self, k, lam) -> np.ndarray:
-        return _blocks(_read_xy(self, k, lam)[2])
-
-    def dx_block(self, mu: int, k, lam) -> np.ndarray:
-        return _blocks(_read_xy(self, k, lam, mu)[0])
-
-    def dy_block(self, mu: int, k, lam) -> np.ndarray:
-        return _blocks(_read_xy(self, k, lam, mu)[2])
-
 
 def gamma_k(model: TranslationInvariantModel, k, lam) -> np.ndarray:
     """Momentum-block correlation solving x(k) g + g x(-k)^T = y(k) (:func:`_ness_solver`):
     one 2x2 block at a scalar ``k``, the ``(L, 2, 2)`` stack at ``L`` momenta."""
-    lam = _params(lam, model.num_params)[None]
-    x, xmT, y, _ = _momentum_blocks(model, lam, np.ravel(k), False)
+    lam = _params(lam, model.num_params)[:, None, None]  # a (d, 1, 1) column
+    x, xmT, y = _read_xy(model, np.ravel(k), lam)
     with lowest_failing_block():
         gk = _ness_solver(x, xmT)[0](y)
     return np.reshape(_blocks(gk), np.shape(k) + (2, 2))
@@ -457,24 +448,20 @@ def zeta_ness_k_sums(model: TranslationInvariantModel, lams, L: int) -> np.ndarr
     lams = np.array([_params(lam, d) for lam in lams]).reshape(len(lams), d)
     if not len(lams):
         return np.zeros((0, d, d), dtype=complex)
-    return _zone_sums(L, lambda ks: _momentum_blocks(model, lams, ks, True), _ness_k_terms)["zeta"]
+    return _zone_sums(L, lambda ks: _momentum_blocks(model, lams, ks), _ness_k_terms)["zeta"]
 
 
-def _momentum_blocks(model: TranslationInvariantModel, lams, ks, derivatives: bool):
+def _momentum_blocks(model: TranslationInvariantModel, lams, ks):
     """The read of the momentum drivers at the points ``lams (P, d)`` of
-    ``model``: the entry stacks ``(x, xmT, y, (dx, dxmT, dy))``, each ``(4,
-    P, L)``, at the 1-D momenta ``ks``, from one call of each block method
-    (per direction) on ``(P, 1)`` parameter columns (:func:`_read_xy`); with
-    ``derivatives``, every dx_mu, dx_mu(-k)^T and dy_mu, ``(4, d, P, L)``."""
-    d = model.num_params
+    ``model``: the entry stacks ``(x, xmT, y, (dx, dy))`` at the 1-D momenta
+    ``ks``, x, x(-k)^T and y ``(4, P, L)``, every dx_mu and dy_mu ``(4, d,
+    P, L)``, from one call of each block method (per direction, after the
+    value) on ``(P, 1)`` parameter columns (:func:`_read_xy`)."""
     lam = np.transpose(lams)[..., None]
     x, xmT, y = _read_xy(model, ks, lam)
-    if not derivatives:
-        return x, xmT, y, None
-    dxy = np.empty((3, 4, d, len(lams), len(ks)), dtype=complex)
-    for mu in range(d):
-        for out, E in zip(dxy, _read_xy(model, ks, lam, mu)):
-            out[:, mu] = E
+    dxy = np.empty((2, 4, model.num_params, len(lams), len(ks)), dtype=complex)
+    for mu in range(model.num_params):
+        dxy[0, :, mu], _, dxy[1, :, mu] = _read_xy(model, ks, lam, mu)
     return x, xmT, y, tuple(dxy)
 
 
@@ -499,7 +486,7 @@ def _ness_k_terms(blocks) -> dict:
     eigenpairs of x(k) every Xcal_mu(k) (:func:`_xcal_2x2`).  Each block is
     checked once, the last check NonConvergence where its tensor is not
     finite."""
-    x, xmT, y, (dx, _, dy) = blocks
+    x, xmT, y, (dx, dy) = blocks
     solve, (a, U, Ui) = _ness_solver(x, xmT)
     if not len(dy[0]):  # a model without parameters
         return {"zeta": np.zeros((0, 0) + np.shape(y[0]))}

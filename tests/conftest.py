@@ -7,7 +7,7 @@ import nhgeo.kitaev as kitaev_mod
 import nhgeo.liouville as liouville_mod
 import nhgeo.ssh as ssh_mod
 from nhgeo.errors import CriticalKPoint, PureStateSingular
-from nhgeo.linalg import flagged_blocks, lowest_failing_block
+from nhgeo.linalg import _blocks, flagged_blocks, lowest_failing_block
 from nhgeo.ssh import _bloch
 from nhgeo.tensors import central_difference
 
@@ -119,6 +119,19 @@ def ssh_eigenstates(params, k: float):
         np.array([-1.0, a / se]).conj() / np.sqrt(2.0),
     )
     return psi_r, psi_l
+
+
+def x_block(model, k, lam, mu=None) -> np.ndarray:
+    """The 2x2 block x(k) of a ``TranslationInvariantModel``, or with a
+    direction ``mu`` dx_mu(k), as the momentum read
+    (:func:`nhgeo.liouville._read_xy`) forms it: ``(2, 2)`` at a scalar
+    ``k``, ``(L, 2, 2)`` over a 1-D ``k``."""
+    return _blocks(liouville_mod._read_xy(model, k, lam, mu)[0])
+
+
+def y_block(model, k, lam, mu=None) -> np.ndarray:
+    """y(k), or dy_mu(k), as :func:`x_block` gives x(k)."""
+    return _blocks(liouville_mod._read_xy(model, k, lam, mu)[2])
 
 
 def full_zone(L, read, summand, how="sum") -> dict:

@@ -11,10 +11,10 @@ import nhgeo
 import nhgeo.cli as cli_mod
 import nhgeo.ssh as ssh_mod
 from nhgeo.cli import main
-from nhgeo.kitaev import DissipativeKitaevModel
+from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams
 from nhgeo.ssh import eps
 
-from conftest import central_dxy, maxdev, save_matrix
+from conftest import central_dxy, maxdev, save_matrix, x_block
 
 
 @pytest.fixture
@@ -596,6 +596,19 @@ class TestFileFamilyDirections:
         result = runner.invoke(main, ["spectrum", "--model", model, given[0], path(given[1])])
         assert result.exit_code == 2 and f"model {model} needs --" in result.output
 
+    @pytest.mark.parametrize("model, base, option", [
+        ("matrix-file", "K", "--param-files"),
+        ("quad-liouville", "H", "--dhmat-files"),
+    ])
+    def test_tensor_without_directions_exit_2(self, runner, path, model, base, option):
+        # a family of no direction has a spectrum but no tensor
+        args = self.family(path, model, base)
+        args = args[:args.index(option)]
+        run_ok(runner, ["spectrum", *args])
+        result = runner.invoke(main, ["tensor", *args])
+        assert result.exit_code == 2
+        assert f"tensor evaluation needs at least one {option}" in result.output
+
     @pytest.mark.parametrize("model, base, option, part", [
         ("matrix-file", "K", "--param-files", "dH0"),  # 4x4 beside a 5x5 base
         ("quad-liouville", "H", "--dhmat-files", "dK0"),  # 5x5 beside a 4x4 base
@@ -738,7 +751,7 @@ class TestSpectrumCommand:
             # bit for bit the per-k loop
             loop = []
             for k in 2.0 * np.pi * np.arange(L) / L:
-                loop.extend(np.linalg.eigvals(model.x_block(k, [0.0, 1.0])))
+                loop.extend(np.linalg.eigvals(x_block(model, k, [0.0, 1.0])))
             loop.sort(key=lambda z: (z.real, z.imag))
             assert spec["rapidities"] == [cli_mod._c(z) for z in loop]
             assert spec["min_re"] == min(z.real for z in loop)
@@ -944,6 +957,60 @@ class TestSweepCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("second", ["flag", "config"])
+    def test_repeated_axis_exit_2(self, runner, tmp_path, monkeypatch, second):
+        # a second t axis would evaluate every point at its own t, under the
+        # labels of both: rejected before any evaluation
+        calls = []
+        monkeypatch.setattr(cli_mod.SSHAdapter, "tensors", lambda self, *args: calls.append(args))
+        args = ["sweep", "--model", "nh-ssh", "--set", "L=8", "--axis", "t:0:2:3",
+                "--output", str(tmp_path / "x.csv")]
+        if second == "flag":
+            args += ["--axis", "t:0:1:3"]
+        else:
+            config = tmp_path / "scan.json"
+            config.write_text(json.dumps({"axes": [{"name": "t", "min": 0, "max": 1, "steps": 3}]}))
+            args += ["--config", str(config)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "axis 't' given twice" in result.output
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("model, params, args", [
+        ("nh-ssh", ssh_mod.SSHParams, ["--set", "delta=0.5", "--axis", "t:0.05:1.95:20"]),
+        ("kitaev-dissipative", KitaevParams, ["--set", "weak_coupling=0", "--axis", "h:0:2:21"]),
+        ("kitaev-dissipative", KitaevParams, ["--axis", "h:0:2:7", "--axis", "gamma:0.5:1:3"]),
+    ])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_parameter_object_per_point(self, runner, tmp_path, monkeypatch, model,
+                                            params, args, threads):
+        # each grid point is checked once, building the parameter object
+        # that its adapter evaluates
+        built, check = [], params.__post_init__
+        monkeypatch.setattr(params, "__post_init__", lambda p: built.append(p) or check(p))
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["sweep", "--model", model, "--set", "L=8", *args,
+                        "--output", str(out), "--threads", threads])
+        assert len(built) == len(out.read_text().splitlines()) - 2
+
+    @pytest.mark.parametrize("model, args", [
+        ("nh-ssh", ["--axis", "t:0:2:5", "--set", "delta=0"]),
+        ("kitaev-dissipative", ["--axis", "h:0:2:5"]),
+        ("kitaev-dissipative", ["--axis", "h:0:2:5", "--set", "weak_coupling=0"]),
+    ])
+    def test_no_kinds_writes_status_rows(self, runner, tmp_path, model, args):
+        # t = 1 and h = 1 close the gap on the grid: the status column is
+        # all a row holds
+        out = tmp_path / "x.csv"
+        run_ok(runner, ["sweep", "--model", model, "--set", "L=8", *args, "--tensors", ",",
+                        "--output", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows[0] == [args[1].split(":")[0], "status"]
+        error = "SingularPencil" if "weak_coupling=0" in args else "CriticalKPoint"
+        assert rows[1:] == [[v, s] for v, s in zip(["0", "0.5", "1", "1.5", "2"],
+                                                  ["ok", "ok", error, "ok", "ok"])]
+
 
 class TestVerifyCommand:
     def test_quick_subset_passes(self, runner):
@@ -1013,8 +1080,9 @@ class TestKitaevBures:
         monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
         monkeypatch.setattr(cli_mod, "weak_coupling_sums",
                             lambda ps, kinds: calls.append(len(ps)) or real(ps, kinds))
-        out = cli_mod.KitaevAdapter().tensors(
-            [{"L": 128, "h": h} for h in np.linspace(0, 2, 21)],
+        adapter = cli_mod.KitaevAdapter()
+        out = adapter.tensors(
+            [adapter.params({"L": 128, "h": h}) for h in np.linspace(0, 2, 21)],
             ["zeta", "zeta_limited", "bures"], None, 0.0)
         assert calls == [15, 6]
         assert [type(r).__name__ for r in out].count("CriticalKPoint") == 1  # h = 1

@@ -35,7 +35,16 @@ from nhgeo.liouville import (
 from nhgeo.linalg import eig_general, norm2, solve_sylvester, solve_sylvester_pair
 from nhgeo.verify import kitaev_bath_vectors, random_bath, random_hmat, random_liouvillian_family
 
-from conftest import central_dxy, full_zone_sums, inside, log_derivative, maxdev, save_matrix
+from conftest import (
+    central_dxy,
+    full_zone_sums,
+    inside,
+    log_derivative,
+    maxdev,
+    save_matrix,
+    x_block,
+    y_block,
+)
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -100,13 +109,13 @@ def per_k_loop(model, lam, L, eigenpairs=lapack_eigenpairs):
     d = model.num_params
     ref = np.zeros((d, d), dtype=complex)
     for k in 2 * np.pi * np.arange(L) / L:
-        x, xmT = model.x_block(k, lam), model.x_block(-k, lam).T
+        x, xmT = x_block(model, k, lam), x_block(model, -k, lam).T
         w, U = eigenpairs(x)
-        gk = solve_sylvester_pair(x, xmT, model.y_block(k, lam))
+        gk = solve_sylvester_pair(x, xmT, y_block(model, k, lam))
         dgs, xcals = [], []
         for mu in range(d):
-            dx = model.dx_block(mu, k, lam)
-            rhs = model.dy_block(mu, k, lam) - dx @ gk - gk @ model.dx_block(mu, -k, lam).T
+            dx = x_block(model, k, lam, mu)
+            rhs = y_block(model, k, lam, mu) - dx @ gk - gk @ x_block(model, -k, lam, mu).T
             dgs.append(solve_sylvester_pair(x, xmT, rhs))
             xcals.append(liouville_mod._xcal(w, U, dx, np.linalg.inv(U)))
         for mu in range(d):
@@ -557,15 +566,21 @@ class TestZetaNess:
 
 
 class TestKspace:
+    def test_model_interface_is_the_four_block_methods(self):
+        # x, y and their derivatives are formed by the one momentum read
+        # (liouville._read_xy), not by methods of the model
+        methods = {name for name, v in vars(TranslationInvariantModel).items() if callable(v)}
+        assert methods == {"h_block", "m_block", "dh_block", "dm_block"}
+
     def test_symmetric_bath_no_drive(self):
-        y = SymmetricBathModel().y_block(1.1, [])
+        y = y_block(SymmetricBathModel(), 1.1, [])
         assert np.abs(y).max() == 0.0
 
     def test_kitaev_blocks_match_definitions(self):
         model = DissipativeKitaevModel(0.3, 1.0, 0.6)
         lam = [0.7, 0.9]
         k = 1.3
-        x, y = model.x_block(k, lam), model.y_block(k, lam)
+        x, y = x_block(model, k, lam), y_block(model, k, lam)
         g2 = 0.09
         expect_x = (
             g2 * (1.0 + 0.36) / 2 * np.eye(2)
@@ -587,8 +602,8 @@ class TestKspace:
                 for j in range(L):
                     for r in range(L):
                         ph = np.exp(1j * ks * (j - r))
-                        xa = sum(p * model.x_block(k, lam) for p, k in zip(ph, ks)) / L
-                        ya = sum(p * model.y_block(k, lam) for p, k in zip(ph, ks)) / L
+                        xa = sum(p * x_block(model, k, lam) for p, k in zip(ph, ks)) / L
+                        ya = sum(p * y_block(model, k, lam) for p, k in zip(ph, ks)) / L
                         blk = np.s_[2 * j : 2 * j + 2, 2 * r : 2 * r + 2]
                         assert maxdev(liou.X[blk], xa) < 1e-13, (L, j, r)
                         assert maxdev(liou.Y[blk], ya) < 1e-13, (L, j, r)
@@ -610,8 +625,8 @@ class TestKspace:
         scale = max(1.0, np.abs(got).max())
         for k, g in zip(ks, got):
             assert maxdev(g, gamma_k(model, k, lam)) <= 1e-15 * scale
-            ref = solve_sylvester_pair(model.x_block(k, lam), model.x_block(-k, lam).T,
-                                       model.y_block(k, lam))
+            ref = solve_sylvester_pair(x_block(model, k, lam), x_block(model, -k, lam).T,
+                                       y_block(model, k, lam))
             assert maxdev(g, ref) <= 1e-13 * scale
 
     def test_gamma_k_zero_rhs(self):
@@ -622,9 +637,9 @@ class TestKspace:
         lam = [0.6, 1.2]
         k = 2.0
         g = gamma_k(model, k, lam)
-        x = model.x_block(k, lam)
-        xmT = model.x_block(-k, lam).T
-        y = model.y_block(k, lam)
+        x = x_block(model, k, lam)
+        xmT = x_block(model, -k, lam).T
+        y = y_block(model, k, lam)
         assert np.linalg.norm(x @ g + g @ xmT - y) <= 1e-10 * np.linalg.norm(y)
 
     @pytest.mark.parametrize("model, lam", [
@@ -659,16 +674,11 @@ class TestKspace:
         # a 1-D array of momenta gives the stack of the single blocks, bit
         # for bit; constant entries are broadcast to (L, 2, 2)
         ks = np.concatenate([2 * np.pi * np.arange(7) / 7, -1.3 * np.arange(1, 4)])
-        for name in ("x_block", "y_block"):
-            got = getattr(model, name)(ks, lam)
-            assert got.shape == (len(ks), 2, 2)
-            assert np.array_equal(got, np.stack([getattr(model, name)(k, lam) for k in ks]))
-        for mu in range(model.num_params):
-            for name in ("dx_block", "dy_block"):
-                got = getattr(model, name)(mu, ks, lam)
-                want = np.stack([getattr(model, name)(mu, k, lam) for k in ks])
+        for mu in [None, *range(model.num_params)]:
+            for block in (x_block, y_block):
+                got = block(model, ks, lam, mu)
                 assert got.shape == (len(ks), 2, 2)
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, np.stack([block(model, k, lam, mu) for k in ks]))
 
     def test_gap_closing_k_point_raises(self):
         # h = 1, gamma = 1 closes the gap at k = 0: x(0) is a multiple of 1
@@ -780,13 +790,10 @@ class TestConjugationRule:
     def test_blocks_obey_the_rule(self, rng, model):
         ks = rng.uniform(-4 * np.pi, 4 * np.pi, 16)
         for lam in rng.uniform(-2.0, 2.0, (4, model.num_params)):
-            pairs = [(model.x_block, model.y_block)] + [
-                (lambda k, l, mu=mu: model.dx_block(mu, k, l),
-                 lambda k, l, mu=mu: model.dy_block(mu, k, l)) for mu in range(model.num_params)]
-            for x_of, y_of in pairs:
-                x, y = x_of(ks, lam), y_of(ks, lam)
+            for mu in [None, *range(model.num_params)]:
+                x, y = x_block(model, ks, lam, mu), y_block(model, ks, lam, mu)
                 scale = max(1.0, np.abs(x).max(), np.abs(y).max())
-                assert maxdev(x_of(-ks, lam), x.conj()) <= 1e-14 * scale
+                assert maxdev(x_block(model, -ks, lam, mu), x.conj()) <= 1e-14 * scale
                 assert maxdev(y, np.swapaxes(y, -1, -2).conj()) <= 1e-14 * scale
 
 
@@ -868,17 +875,17 @@ class TestHalfZone:
 
 
 def one_point_read(model, lam, ks):
-    """The momentum entries of one point from the public block methods at a
-    one-point ``lam``, in the layout of ``liouville._momentum_blocks``."""
+    """The momentum entries of one point from reads at a one-point ``lam``
+    (:func:`conftest.x_block`), in the layout of
+    ``liouville._momentum_blocks``."""
     def E(blocks):
         return tuple(np.ascontiguousarray(e) for e in linalg_mod._entries(blocks))
 
     d = range(model.num_params)
-    return [E(model.x_block(ks, lam)), E(np.swapaxes(model.x_block(-ks, lam), -1, -2)),
-            E(model.y_block(ks, lam)),
-            *(E(model.dx_block(mu, ks, lam)) for mu in d),
-            *(E(np.swapaxes(model.dx_block(mu, -ks, lam), -1, -2)) for mu in d),
-            *(E(model.dy_block(mu, ks, lam)) for mu in d)]
+    return [E(x_block(model, ks, lam)), E(np.swapaxes(x_block(model, -ks, lam), -1, -2)),
+            E(y_block(model, ks, lam)),
+            *(E(x_block(model, ks, lam, mu)) for mu in d),
+            *(E(y_block(model, ks, lam, mu)) for mu in d)]
 
 
 class TestStackedRead:
@@ -894,7 +901,7 @@ class TestStackedRead:
     def test_stack_equals_one_point_reads(self, model, lams):
         L, lams = 6, np.array(lams, dtype=float)
         ks = 2 * np.pi * np.arange(L) / L
-        x, xmT, y, derivatives = liouville_mod._momentum_blocks(model, lams, ks, True)
+        x, xmT, y, derivatives = liouville_mod._momentum_blocks(model, lams, ks)
         # the read's entries in the order of one_point_read, directions split
         read = [x, xmT, y, *(tuple(e[mu] for e in E) for E in derivatives
                              for mu in range(model.num_params))]

@@ -34,8 +34,10 @@ def same(a, b) -> bool:
 
 
 def joined_and_alone(adapter, points, kinds, n, budget):
-    """The adapter's results at ``points`` in passes of ``budget`` blocks, after
-    asserting that each equals the point's one-point result."""
+    """The adapter's results at ``points`` (value dicts) in passes of
+    ``budget`` blocks, after asserting that each equals the point's one-point
+    result."""
+    points = [adapter.params(values) for values in points]
     alone = [adapter.tensors([p], kinds, n, 0.0) for p in points]
     assert all(len(r) == 1 for r in alone)
     with pytest.MonkeyPatch.context() as mp:
@@ -45,6 +47,12 @@ def joined_and_alone(adapter, points, kinds, n, budget):
     for p, (a,), b in zip(points, alone, joined):
         assert same(a, b), (p, a, b)
     return joined
+
+
+def evaluate(adapter, points, kinds, n):
+    """The adapter's results at ``points``, value dicts that it checks first,
+    as a command does."""
+    return adapter.tensors([adapter.params(values) for values in points], kinds, n, 0.0)
 
 
 def grid(*axes):
@@ -105,11 +113,12 @@ class TestRowsDoNotDependOnTheirPass:
 
     def test_grids_reach_the_failing_rows(self):
         # the landing axes put failing points among ok ones, on both models
-        ssh = cli_mod.SSHAdapter().tensors(
-            grid({"t": np.linspace(-2, 2, 9)}, {"delta": [0.5]}), SSH_KINDS, 0, 0.0)
-        kitaev = cli_mod.KitaevAdapter().tensors(
-            [{**p, "weak_coupling": False, "L": 8}
-             for p in grid({"h": np.linspace(-2, 2, 9)}, {"gamma": [1.0]})], ["zeta"], 0, 0.0)
+        ssh = evaluate(cli_mod.SSHAdapter(), grid({"t": np.linspace(-2, 2, 9)}, {"delta": [0.5]}),
+                       SSH_KINDS, 0)
+        kitaev = evaluate(cli_mod.KitaevAdapter(),
+                          [{**p, "weak_coupling": False, "L": 8}
+                           for p in grid({"h": np.linspace(-2, 2, 9)}, {"gamma": [1.0]})],
+                          ["zeta"], 0)
         for results, error in ((ssh, CriticalKPoint), (kitaev, SingularPencil)):
             kinds = {type(r) for r in results}
             assert dict in kinds and error in kinds
@@ -209,7 +218,7 @@ class TestFailingPointsInAPass:
                   for h in np.linspace(-2, 2, 41) for g in (0.1, 0.2, 0.4)]
         reads = counted_reads(monkeypatch)
         calls = counted(monkeypatch, "zeta_ness_k_sums")
-        out = cli_mod.KitaevAdapter().tensors(points, ["zeta"], 0, 0.0)
+        out = evaluate(cli_mod.KitaevAdapter(), points, ["zeta"], 0)
         assert calls == [15, 15, 11] * 3
         assert reads == calls
         # h = +-1 closes the gap at every bath
@@ -221,7 +230,7 @@ class TestFailingPointsInAPass:
         # 41 points of L // 2 + 1 blocks each in passes of at most PASS_BLOCKS
         # blocks: two points share a pass at L = 1024
         sizes = []
-        cli_mod._in_passes(lambda ps: sizes.append(len(ps)) or [{}] * len(ps),
+        cli_mod._in_passes(lambda ps: sizes.append(len(ps)) or {},
                            [cli_mod.SSHParams(0.5, 0.2, L)] * 41, lambda p: p.L)
         assert sizes == passes
 
@@ -239,7 +248,7 @@ class TestFailingPointsInAPass:
 
         monkeypatch.setattr(cli_mod, "band_sums", failing)
         points = [{"t": t, "delta": 0.5, "L": 8} for t in (0.7, 1.5, 0.9)]
-        out = cli_mod.SSHAdapter().tensors(points, ["zeta"], 0, 0.0)
+        out = evaluate(cli_mod.SSHAdapter(), points, ["zeta"], 0)
         assert calls == [3, 1, 1, 1]
         assert [type(r) for r in out] == [dict, CriticalKPoint, dict]
 
@@ -250,7 +259,8 @@ class TestFlagsStayInTheirThread:
         # point evaluated alone must still raise: the flag record belongs
         # to the pass and its thread
         adapter = cli_mod.SSHAdapter()
-        passes = [{"t": t, "delta": 0.5, "L": 64} for t in np.linspace(0.25, 1.75, 7)]
+        passes = [adapter.params({"t": t, "delta": 0.5, "L": 64})
+                  for t in np.linspace(0.25, 1.75, 7)]
         expected = adapter.tensors(passes, SSH_KINDS, 0, 0.0)
         assert sum(isinstance(r, CriticalKPoint) for r in expected) == 2
 
@@ -295,7 +305,7 @@ class TestSweepRows:
         adapter = cli_mod.MODELS[model]()
         rows = []
         for point in grid(*({name: np.linspace(*a)} for name, a in axes.items())):
-            (mats,) = adapter.tensors([{**fixed, **point}], kinds, n, 0.0)
+            (mats,) = evaluate(adapter, [{**fixed, **point}], kinds, n)
             cells = list(point.values())
             if isinstance(mats, Exception):
                 cells += [np.nan] * (8 * len(kinds)) + [type(mats).__name__]

@@ -48,7 +48,7 @@ from nhgeo.verify import (
     random_liouvillian_family,
 )
 
-from conftest import maxdev, save_matrix, ssh_eigenstates
+from conftest import maxdev, save_matrix, ssh_eigenstates, x_block, y_block
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -794,8 +794,8 @@ def test_direction_out_of_range_before_eigensolve(rng, monkeypatch, engine, past
 @pytest.mark.parametrize("call", [
     lambda mu: bloch_family(SSHParams(0.5, 0.1, 8), 0.3).derivative(mu, [0.5, 0.1]),
     lambda mu: random_family(np.random.default_rng(1)).derivative(mu, [0.0, 0.0]),
-    lambda mu: DissipativeKitaevModel(0.4, 1.0, 0.6).dx_block(mu, 0.3, [0.7, 0.9]),
-    lambda mu: DissipativeKitaevModel(0.4, 1.0, 0.6).dy_block(mu, 0.3, [0.7, 0.9]),
+    lambda mu: x_block(DissipativeKitaevModel(0.4, 1.0, 0.6), 0.3, [0.7, 0.9], mu),
+    lambda mu: y_block(DissipativeKitaevModel(0.4, 1.0, 0.6), 0.3, [0.7, 0.9], mu),
     lambda mu: real_space_family(DissipativeKitaevModel(0.4, 1.0, 0.6), 4).dxy(mu, [0.7, 0.9]),
 ], ids=["bloch_family", "random_family", "dx_block", "dy_block", "real_space_family"])
 def test_derivative_direction_out_of_range(call, mu):
