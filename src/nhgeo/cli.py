@@ -10,22 +10,26 @@ Every model adapter declares its ``name``, tensor ``kinds``, component
 ``directions``, ``defaults`` (each settable parameter, typed by its default),
 the ``sweepable`` ones and ``states``, the number of eigenstates ``--state``
 may name (None for a steady-state model, whose one state is ``ness``).
+Its constructor names the file options it reads (a built-in model none), and
+a command that is given any other input file exits 2.
 ``params(values)`` checks a point's ``--set`` and axis values and builds its
 parameter object, once per point: a command hands these objects to the
 adapter.  ``tensors(params, kinds, n, mu_reg)`` (``n`` the state index)
 evaluates at each object of the list ``params`` and returns one result per
 point: a dict of tensors, or the error that point gets when it is evaluated
-alone.  ``spectrum(p)`` evaluates at one parameter object.
+alone; a sweep is one such call, run serially.  ``spectrum(p)`` evaluates at
+one parameter object.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
+import inspect
 import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (only what perfbench patches)
 
 import click
 import numpy as np
@@ -135,11 +139,8 @@ def _in_passes(evaluate, points, key):
 
 
 class _LatticeModel:
-    """A built-in model: ``params`` builds ``param_type``, which checks every
-    value, from ``defaults`` and the values that :func:`_typed` typed."""
-
-    def __init__(self, **files):  # a built-in model reads no file
-        pass
+    """A built-in model, reading no file: ``params`` builds ``param_type``, which
+    checks every value, from ``defaults`` and the values that :func:`_typed` typed."""
 
     def params(self, values: dict):
         try:
@@ -188,9 +189,10 @@ class KitaevAdapter(_LatticeModel):
 
     def tensors(self, params, kinds, n, mu_reg) -> list:
         """Shared passes (:func:`_in_passes`): at weak coupling of
-        :func:`~nhgeo.kitaev.weak_coupling_sums`, per L; at strong coupling
-        (``zeta`` only) of :func:`~nhgeo.liouville.zeta_ness_k_sums`, per bath
-        and L, on one model.  Any parameter may vary, wherever in the grid."""
+        :func:`~nhgeo.kitaev.weak_coupling_sums`, per L; at strong coupling of
+        :func:`~nhgeo.liouville.zeta_ness_k_sums`, per bath and L, on one model
+        (``zeta`` only; with no kinds the pass runs for its checks alone).  Any
+        parameter may vary, wherever in the grid."""
         if set(kinds) - {"zeta"} and not all(p.weak_coupling for p in params):  # checked first
             raise click.UsageError(
                 "kitaev-dissipative provides only zeta without weak_coupling")
@@ -200,7 +202,7 @@ class KitaevAdapter(_LatticeModel):
             if p.weak_coupling:
                 return weak_coupling_sums(ps, kinds)
             model = DissipativeKitaevModel(p.g, p.mu_plus, p.mu_minus)
-            return {"zeta": zeta_ness_k_sums(model, [[q.h, q.gamma] for q in ps], p.L)}
+            return dict.fromkeys(kinds, zeta_ness_k_sums(model, [[q.h, q.gamma] for q in ps], p.L))
 
         return _in_passes(evaluate, params, lambda p: p.L if p.weak_coupling
                           else (p.L, p.g, p.mu_plus, p.mu_minus))  # the bath and L
@@ -256,7 +258,7 @@ class QuadLiouvilleAdapter(_FileFamily):
     states = None  # the steady state
     kinds = NESS_KINDS
 
-    def __init__(self, hmat_file=None, bath_file=None, dhmat_files=(), **files):
+    def __init__(self, hmat_file=None, bath_file=None, dhmat_files=()):
         if hmat_file is None or bath_file is None:
             raise click.UsageError("model quad-liouville needs --hmat-file and --bath-file")
         # every shape is checked here, so malformed input exits 2 before any evaluation
@@ -302,7 +304,7 @@ class MatrixFamilyAdapter(_FileFamily):
     part_option = "--param-files"
     kinds = ("chi", *SOS_KINDS)
 
-    def __init__(self, matrix_file=None, param_files=(), **files):
+    def __init__(self, matrix_file=None, param_files=()):
         if matrix_file is None:
             raise click.UsageError("model matrix-file needs --matrix-file")
         K0 = as_square(load_matrix(matrix_file), matrix_file)
@@ -416,9 +418,10 @@ def _parse_sets(sets, defaults: dict) -> dict:
     return out
 
 
-def _parse_kinds(tensors, adapter) -> list:
+def _parse_kinds(tensors, adapter, mu_reg) -> list:
     """Tensor kinds from a comma-separated string or a list of names; each one
-    must be among ``adapter.kinds`` and none may repeat."""
+    must be among ``adapter.kinds`` and none may repeat.  A nonzero ``mu_reg``
+    must have a kind that reads it: only the ``zeta`` of ``matrix-file`` does."""
     if not isinstance(tensors, (str, list)):
         raise click.UsageError("tensors must be a comma-separated string or a list")
     names = tensors.split(",") if isinstance(tensors, str) else tensors
@@ -429,6 +432,9 @@ def _parse_kinds(tensors, adapter) -> list:
                                    f"available: {', '.join(adapter.kinds)}")
         if k in kinds[:i]:
             raise click.UsageError(f"tensor kind {k!r} requested twice")
+    if mu_reg and not (adapter.name == MatrixFamilyAdapter.name and "zeta" in kinds):
+        raise click.UsageError(f"mu_reg={mu_reg} is read only by the zeta of model matrix-file, "
+                               f"not by model {adapter.name} with tensors {kinds}")
     return kinds
 
 
@@ -459,13 +465,17 @@ def _state_index(state, adapter) -> int:
 
 
 def _make_adapter(model, files: dict):
-    """The adapter of ``model`` (``matrix-file`` whenever ``--matrix-file`` is
-    given); an unknown model or an unreadable or malformed input file exits 2."""
-    if files["matrix_file"] is not None:
+    """The adapter of ``model`` (``matrix-file`` when only ``--matrix-file`` is
+    given) from the file options given, ``files``; an unknown model, a file option
+    it does not read (before any file is read) or a bad input file exits 2."""
+    if model is None and "matrix_file" in files:
         model = MatrixFamilyAdapter.name
     if model not in MODELS:
         raise click.UsageError(f"pass --matrix-file or --model, one of: {', '.join(MODELS)} "
                                f"(got {model!r})")
+    unread = [name for name in files if name not in inspect.signature(MODELS[model]).parameters]
+    if unread:
+        raise click.UsageError(f"model {model} reads no --{unread[0].replace('_', '-')}")
     try:
         return MODELS[model](**files)
     except (NhgeoError, OSError) as exc:
@@ -498,7 +508,8 @@ def _model_command(command):
     (NhgeoError) in it exits 3."""
     @functools.wraps(command)
     def run(model, sets, **options):
-        adapter = _make_adapter(model, {name: options.pop(name) for name in _FILE_OPTIONS})
+        given = {name: v for name in _FILE_OPTIONS if (v := options.pop(name))}  # unset: None or ()
+        adapter = _make_adapter(model, given)
         values = _parse_sets(sets, adapter.defaults)
         with _failures_exit_3():
             command(adapter, values, **options)
@@ -528,7 +539,7 @@ def main():
               help="regularization cutoff of zeta (>= 0)")
 def cmd_tensor(adapter, values, tensors, state, mu_reg):
     """Evaluate tensors at a single parameter point; JSON to stdout."""
-    kinds = _parse_kinds(tensors, adapter)
+    kinds = _parse_kinds(tensors, adapter, mu_reg)
     n = _state_index(state, adapter)
     p = adapter.params(values)
     mats, = adapter.tensors([p], kinds, n, mu_reg)
@@ -614,9 +625,7 @@ def _axis_points(axis) -> np.ndarray:
 @click.option("--mu-reg", type=float, default=None, callback=_mu_reg_flag)
 @click.option("--output", default=None, type=click.Path())
 @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]))
-@click.option("--threads", default=1, type=click.IntRange(min=1),
-              help="worker threads (default 1: serial)")
-def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt, threads):
+def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt):
     """Grid sweep over one or two named parameters; deterministic CSV/JSON."""
     spec = _load_config(config) if config else {}
     model = model or spec.get("model")
@@ -639,9 +648,9 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {name!r} also set as fixed parameter")
         if name in names[:i]:  # a point would take the last axis's value under both labels
             raise click.UsageError(f"axis {name!r} given twice")
-    kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter)
-    state = state if state is not None else spec.get("state")
     mu_reg = mu_reg if mu_reg is not None else _usage(_mu_reg, spec.get("mu_reg", 0.0))
+    kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter, mu_reg)
+    state = state if state is not None else spec.get("state")
     output = output or spec.get("output")
     if not isinstance(output, str):
         raise click.UsageError("sweep needs --output (or a string 'output' in the config)")
@@ -663,17 +672,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
     folder = os.path.dirname(os.path.abspath(output))
     if os.path.isdir(output) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise click.UsageError(f"cannot write output {output}: not a file in a writable directory")
-
-    def evaluate(chunk):  # one adapter call: the points share its passes
-        return adapter.tensors(chunk, kinds, n, mu_reg)
-
-    if threads > 1:  # contiguous chunks, one adapter call each
-        chunks = [params[i * len(params) // threads:(i + 1) * len(params) // threads]
-                  for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [r for part in pool.map(evaluate, [c for c in chunks if c]) for r in part]
-    else:
-        results = evaluate(params)
+    results = adapter.tensors(params, kinds, n, mu_reg)  # one call: the points share its passes
 
     # one float table of the axis values and each kind's re and im cells, NaN
     # on an error row, and the status column beside it

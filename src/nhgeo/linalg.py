@@ -294,7 +294,8 @@ def inverse(A) -> np.ndarray:
     return Ai
 
 
-#: the record of this thread's open pass (:func:`flagged_blocks`), if any
+#: the record of this thread's open pass (:func:`flagged_blocks`), if any; per
+#: thread, so a library caller's thread never joins another's and loses its error
 _PASS = threading.local()
 
 

@@ -305,8 +305,7 @@ def _stencil(fam: OperatorFamily, lam, needed: Sequence[int], *,
         """Matched, phase-fixed [right; left] columns of the system at ``lamp``."""
         sysp = build_biortho(fam(lamp))
         cols, phases = _match(bras, sysp.right_vectors, needed)
-        # from Python scalars: numpy indexing per column costs more at small
-        # N, and fancy indexing (right[:, cols]) made 2-thread sweeps ~1.5x slower
+        # from Python scalars: numpy indexing per column costs more at small N
         rows = sysp.right_vectors.tolist() + sysp.left_vectors.tolist()
         block = np.array([[row[m] * p for m, p in zip(cols, phases)] for row in rows])
         if gauge is not None:

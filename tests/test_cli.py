@@ -596,6 +596,84 @@ class TestFileFamilyDirections:
         result = runner.invoke(main, ["spectrum", "--model", model, given[0], path(given[1])])
         assert result.exit_code == 2 and f"model {model} needs --" in result.output
 
+    @classmethod
+    def model_args(cls, path, model):
+        """The arguments that select ``model`` with its files, directions included."""
+        if model in ("matrix-file", "quad-liouville"):
+            return cls.family(path, model, "K" if model == "matrix-file" else "H")
+        return ["--model", model]
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The input files that the command reads."""
+        reads = []
+        for name in ("load_matrix", "load_json"):
+            real = getattr(cli_mod, name)
+            monkeypatch.setattr(cli_mod, name, lambda f, *a, _f=real: reads.append(f) or _f(f, *a))
+        return reads
+
+    @pytest.mark.parametrize("model, option, file", [
+        ("nh-ssh", "--hmat-file", "H"),
+        ("nh-ssh", "--param-files", "dK0"),
+        ("kitaev-dissipative", "--bath-file", "bath"),
+        ("kitaev-dissipative", "--dhmat-files", "dH0"),
+        ("matrix-file", "--bath-file", "bath"),
+        ("matrix-file", "--dhmat-files", "dH0"),
+        ("quad-liouville", "--param-files", "dK0"),
+    ])
+    @pytest.mark.parametrize("command", ["tensor", "spectrum"])
+    def test_file_option_the_model_does_not_read_exit_2(self, runner, path, reads, model,
+                                                        option, file, command):
+        # an input the model would drop exits 2, before any file is read
+        args = self.model_args(path, model)
+        result = runner.invoke(main, [command, *args, option, path(file)])
+        assert result.exit_code == 2, result.output
+        assert f"model {model} reads no {option}" in result.output
+        assert reads == []
+
+    @pytest.mark.parametrize("model", ["nh-ssh", "kitaev-dissipative", "quad-liouville"])
+    def test_model_beside_matrix_file_exit_2(self, runner, path, reads, model):
+        # --matrix-file no longer turns another --model into matrix-file
+        files = ["--matrix-file", path("K"), "--param-files", path("dK0")]
+        for command in ("tensor", "spectrum"):
+            result = runner.invoke(main, [command, "--model", model, *files])
+            assert result.exit_code == 2, result.output
+            assert f"model {model} reads no --matrix-file" in result.output
+        assert reads == []
+        alone, named = (run_ok(runner, ["tensor", *m, *files, "--tensors", "eta"]).output
+                        for m in ([], ["--model", "matrix-file"]))
+        assert alone == named and json.loads(alone)["model"] == "matrix-file"
+
+    @pytest.mark.parametrize("model, tensor_args", [
+        ("nh-ssh", []),
+        ("kitaev-dissipative", ["--tensors", "zeta,bures"]),
+        ("kitaev-dissipative", ["--set", "weak_coupling=0"]),
+        ("quad-liouville", []),
+        ("matrix-file", ["--tensors", "eta,zeta_limited"]),
+    ])
+    @pytest.mark.parametrize("mu_reg", ["0.5", "1e-300"])
+    def test_mu_reg_no_kind_reads_exit_2(self, runner, path, monkeypatch, model, tensor_args,
+                                         mu_reg):
+        # only the zeta of matrix-file reads mu_reg: elsewhere a nonzero value
+        # exits 2 before any evaluation
+        calls = []
+        for cls in cli_mod.MODELS.values():
+            monkeypatch.setattr(cls, "tensors", lambda *a: calls.append(a))
+        args = self.model_args(path, model)
+        result = runner.invoke(main, ["tensor", *args, *tensor_args, "--mu-reg", mu_reg])
+        assert result.exit_code == 2, result.output
+        assert f"mu_reg={float(mu_reg)} is read only by the zeta of model matrix-file" \
+            in result.output
+        assert calls == []
+
+    def test_mu_reg_read_by_matrix_file_zeta(self, runner, path):
+        args = ["tensor", *self.family(path, "matrix-file", "K"), "--tensors", "eta,zeta"]
+        plain, zero, reg = (json.loads(run_ok(runner, args + extra).output) for extra in (
+            [], ["--mu-reg", "0"], ["--mu-reg", "0.5"]))
+        assert plain == zero and reg["metadata"]["mu_reg"] == 0.5
+        assert reg["tensors"]["eta"] == plain["tensors"]["eta"]
+        assert reg["tensors"]["zeta"] != plain["tensors"]["zeta"]
+
     @pytest.mark.parametrize("model, base, option", [
         ("matrix-file", "K", "--param-files"),
         ("quad-liouville", "H", "--dhmat-files"),
@@ -776,8 +854,7 @@ class TestSweepCommand:
         run_ok(
             runner,
             ["sweep", "--model", "nh-ssh", "--set", "delta=0.5", "--set", "L=512",
-             "--axis", "t:0:2:201", "--tensors", "zeta", "--output", str(out),
-             "--threads", "2"],
+             "--axis", "t:0:2:201", "--tensors", "zeta", "--output", str(out)],
         )
         rows = out.read_text().splitlines()
         assert rows[0].startswith("# nhgeo v")
@@ -804,8 +881,8 @@ class TestSweepCommand:
         base = ["sweep", "--model", "kitaev-dissipative", "--set", "gamma=1",
                 "--set", "L=128", "--axis", "h:0:2:41", "--tensors", "zeta"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_ok(runner, base + ["--output", str(a), "--threads", "3"])
-        run_ok(runner, base + ["--output", str(b), "--threads", "1"])
+        run_ok(runner, base + ["--output", str(a)])
+        run_ok(runner, base + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
         # 17 significant digits round-trip bit-exactly
         for line in a.read_text().splitlines()[2:]:
@@ -878,22 +955,22 @@ class TestSweepCommand:
                         "--set", "delta=0.4"])
         assert "delta=0.4" in (tmp_path / "o.csv").read_text().splitlines()[0]
 
-    def test_serial_by_default(self, runner, tmp_path, monkeypatch):
-        pools = []
+    @pytest.mark.parametrize("model, args", [
+        ("nh-ssh", ["--axis", "t:0:1:4", "--axis", "delta:0:0.5:3"]),
+        ("kitaev-dissipative", ["--axis", "h:0:2:5", "--tensors", "zeta,bures"]),
+        ("kitaev-dissipative", ["--set", "weak_coupling=0", "--axis", "h:0:2:5"]),
+    ])
+    def test_sweep_starts_no_thread(self, runner, tmp_path, monkeypatch, model, args):
+        import threading
 
-        class CountingPool(cli_mod.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", CountingPool)
-        base = ["sweep", "--model", "nh-ssh", "--set", "delta=0.3", "--set", "L=16",
-                "--axis", "t:0:1:4", "--tensors", "zeta"]
-        run_ok(runner, base + ["--output", str(tmp_path / "serial.csv")])
-        assert pools == []
-        run_ok(runner, base + ["--output", str(tmp_path / "pool.csv"), "--threads", "2"])
-        assert pools == [2]
-        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+        started = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or real(self))
+        run_ok(runner, ["sweep", "--model", model, "--set", "L=16", *args,
+                        "--output", str(tmp_path / "x.csv")])
+        assert started == []
+        assert "--threads" not in run_ok(runner, ["sweep", "--help"]).output
 
     def test_ssh_sweep_points_share_passes(self, runner, tmp_path, monkeypatch):
         # 20 points at L = 64: one adapter call, whose band sums are closed
@@ -919,14 +996,6 @@ class TestSweepCommand:
         assert engine_calls == []
         assert len(out.read_text().splitlines()) == 22
 
-    @pytest.mark.parametrize("threads", ["-4", "0"])
-    def test_invalid_thread_count_exit_2(self, runner, tmp_path, threads):
-        result = runner.invoke(main, [
-            "sweep", "--model", "nh-ssh", "--set", "L=16", "--axis", "t:0:1:3",
-            "--output", str(tmp_path / "x.csv"), "--threads", threads])
-        assert result.exit_code == 2, result.output
-        assert not (tmp_path / "x.csv").exists()
-
     def test_axis_into_invalid_region_exit_2(self, runner, tmp_path, monkeypatch):
         # the last grid point has mu_minus < 0: rejected before any evaluation
         calls = []
@@ -934,7 +1003,7 @@ class TestSweepCommand:
                             lambda self, *args: calls.append(args))
         result = runner.invoke(main, [
             "sweep", "--model", "kitaev-dissipative", "--set", "L=8",
-            "--axis", "mu_minus:1:-0.5:4", "--threads", "2",
+            "--axis", "mu_minus:1:-0.5:4",
             "--output", str(tmp_path / "x.csv")])
         assert result.exit_code == 2, result.output
         assert "bath amplitudes" in result.output
@@ -982,16 +1051,15 @@ class TestSweepCommand:
         ("kitaev-dissipative", KitaevParams, ["--set", "weak_coupling=0", "--axis", "h:0:2:21"]),
         ("kitaev-dissipative", KitaevParams, ["--axis", "h:0:2:7", "--axis", "gamma:0.5:1:3"]),
     ])
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_one_parameter_object_per_point(self, runner, tmp_path, monkeypatch, model,
-                                            params, args, threads):
+                                            params, args):
         # each grid point is checked once, building the parameter object
         # that its adapter evaluates
         built, check = [], params.__post_init__
         monkeypatch.setattr(params, "__post_init__", lambda p: built.append(p) or check(p))
         out = tmp_path / "x.csv"
         run_ok(runner, ["sweep", "--model", model, "--set", "L=8", *args,
-                        "--output", str(out), "--threads", threads])
+                        "--output", str(out)])
         assert len(built) == len(out.read_text().splitlines()) - 2
 
     @pytest.mark.parametrize("model, args", [
@@ -1201,6 +1269,20 @@ class TestTensorKinds:
         assert result.exit_code == 2 and "requested twice" in result.output
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("args, critical, error", [
+        (["--model", "nh-ssh", "--set", "t=0.25", "--set", "delta=0.5"], "t=1.5", "CriticalKPoint"),
+        (["--model", "kitaev-dissipative", "--set", "h=0.4"], "h=1", "CriticalKPoint"),
+        (["--model", "kitaev-dissipative", "--set", "h=0.4", "--set", "weak_coupling=0"], "h=1",
+         "SingularPencil"),
+    ], ids=["nh-ssh", "weak-coupling", "strong-coupling"])
+    def test_no_kinds_prints_no_tensor(self, runner, args, critical, error):
+        # every model returns only the kinds asked for; with none, its pass
+        # still runs for its checks, so a gap closing on the grid exits 3
+        base = ["tensor", *args, "--set", "L=16", "--tensors", ","]
+        assert json.loads(run_ok(runner, base).output)["tensors"] == {}
+        result = runner.invoke(main, base + ["--set", critical])
+        assert result.exit_code == 3 and error in result.output, result.output
+
 
 class TestMalformedSweepInput:
     @pytest.mark.parametrize("axis", ["t:0:1:3.5", "t:x:1:3", "t:0:1", "t:0:1:3:4",
@@ -1331,6 +1413,27 @@ class TestMalformedSweepInput:
         assert result.exit_code == 2 and "--mu-reg" in result.output, result.output
         result = runner.invoke(main, args + ["--output", str(tmp_path / "x.csv")])
         assert result.exit_code == 2 and "--mu-reg" in result.output, result.output
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("model", ["nh-ssh", "kitaev-dissipative"])
+    def test_mu_reg_no_kind_reads_exit_2(self, runner, tmp_path, monkeypatch, source, model):
+        # no sweepable model reads mu_reg: a nonzero value exits 2 before any evaluation
+        calls = []
+        monkeypatch.setattr(cli_mod.MODELS[model], "tensors", lambda *a: calls.append(a))
+        args = ["sweep", "--model", model, "--set", "L=8", "--axis",
+                "t:0.1:0.9:3" if model == "nh-ssh" else "h:0:2:3",
+                "--output", str(tmp_path / "x.csv")]
+        if source == "flag":
+            args += ["--mu-reg", "0.5"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"mu_reg": 0.5}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"mu_reg=0.5 is read only by the zeta of model matrix-file, not by model {model}" \
+            in result.output
+        assert calls == []
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

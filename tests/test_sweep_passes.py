@@ -2,8 +2,9 @@
 
 A row must not depend on its pass: every point's tensors equal its one-point
 evaluation bit for bit, and a failing point gets the error class (and
-message) it gets alone, whatever points share its pass, wherever it sits in
-the pass and however many threads split the sweep.
+message) it gets alone, whatever points share its pass and wherever it sits
+in the pass.  A sweep runs serially, but the engines are public: a pass in
+one of a library caller's threads never changes what another thread gets.
 """
 import itertools
 import sys
@@ -285,7 +286,7 @@ class TestFlagsStayInTheirThread:
 
 
 class TestSweepRows:
-    """The sweep's rows equal the one-point rows at every thread count."""
+    """The sweep's rows equal the one-point rows at every pass budget."""
 
     SWEEPS = {  # sweep: model, fixed parameters, axes (min, max, steps), kinds, state
         "nh-ssh": ("nh-ssh", {"L": 8}, {"t": (-2, 2, 17), "delta": (-1, 1, 5)},
@@ -318,7 +319,7 @@ class TestSweepRows:
 
     @pytest.mark.parametrize("sweep", list(SWEEPS))
     @pytest.mark.parametrize("budget", [None, 40])
-    def test_threads(self, tmp_path, monkeypatch, sweep, budget):
+    def test_rows_equal_one_point_rows(self, tmp_path, monkeypatch, sweep, budget):
         if budget is not None:
             monkeypatch.setattr(cli_mod, "PASS_BLOCKS", budget)
         model, fixed, axes, kinds, n = self.SWEEPS[sweep]
@@ -326,15 +327,10 @@ class TestSweepRows:
                 str(n) if model == "nh-ssh" else "ness"]
         args += [a for name, v in fixed.items() for a in ("--set", f"{name}={v}")]
         args += [a for name, v in axes.items() for a in ("--axis", f"{name}:{v[0]}:{v[1]}:{v[2]}")]
-        texts = []
-        for threads in (1, 2, 3):
-            out = tmp_path / f"{threads}.csv"
-            result = CliRunner().invoke(main, [*args, "--output", str(out),
-                                               "--threads", str(threads)])
-            assert result.exit_code == 0, result.output
-            texts.append(out.read_text())
-        assert texts[1] == texts[0] and texts[2] == texts[0]
-        rows = texts[0].splitlines()[2:]
+        out = tmp_path / "x.csv"
+        result = CliRunner().invoke(main, [*args, "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = out.read_text().splitlines()[2:]
         assert rows == self.one_point_rows(sweep)
         statuses = {row.rsplit(",", 1)[1] for row in rows}
         assert "ok" in statuses and len(statuses) > 1  # the grid reaches failing rows
