@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .biortho import build_biortho
 from .linalg import (
-    EigDecomposition, eig_general, inverse, load_matrix, matrix_from_json, solve_sylvester,
+    EigDecomposition, eig_general, load_matrix, matrix_from_json, solve_sylvester,
     solve_sylvester_pair,
 )
 from .tensors import (
@@ -35,7 +35,7 @@ __all__ = [
     # biortho
     "build_biortho",
     # linalg
-    "EigDecomposition", "eig_general", "inverse", "load_matrix", "matrix_from_json",
+    "EigDecomposition", "eig_general", "load_matrix", "matrix_from_json",
     "solve_sylvester", "solve_sylvester_pair",
     # tensors
     "GeoTensor", "OperatorFamily", "agp_elements", "chi_hermitian", "eta_tensor",

@@ -59,7 +59,7 @@ from .liouville import (
     ness_tensors,
     zeta_ness_k_sums,
 )
-from .ssh import SSHParams, band_sums, eps
+from .ssh import BAND_KINDS, SSHParams, band_sums, eps
 from .tensors import (
     SOS_KINDS,
     OperatorFamily,
@@ -148,6 +148,10 @@ class _LatticeModel:
         except (TypeError, ValueError) as exc:
             raise click.UsageError(f"invalid parameters: {exc}") from None
 
+    def check_sweep(self, given) -> None:
+        """Exit 2 if a sweep's tensors do not read a parameter in ``given`` (its
+        fixed values and axis names); here every parameter is read."""
+
 
 class SSHAdapter(_LatticeModel):
     name = "nh-ssh"
@@ -156,7 +160,7 @@ class SSHAdapter(_LatticeModel):
     defaults = {"t": 0.0, "delta": 0.0, "L": 64}
     sweepable = ("t", "delta")
     states = 2  # the two bands, for every kind
-    kinds = ("zeta", "eta", "zeta_limited", "zeta_limited_rescaled")
+    kinds = BAND_KINDS
 
     def tensors(self, params, kinds, n, mu_reg) -> list:
         """Every kind at every point from shared passes of :func:`~nhgeo.ssh.band_sums`
@@ -186,6 +190,13 @@ class KitaevAdapter(_LatticeModel):
     sweepable = ("h", "gamma", "g", "mu_plus", "mu_minus")
     states = None  # the steady state
     kinds = WEAK_KINDS
+
+    def check_sweep(self, given) -> None:
+        """At weak coupling no tensor reads ``g`` (only the rapidities of
+        ``spectrum`` do), so a sweep that sets or sweeps it exits 2."""
+        if "g" in given and given.get("weak_coupling", self.defaults["weak_coupling"]):
+            raise click.UsageError("the weak-coupling tensors of kitaev-dissipative read no g; "
+                                   "set weak_coupling=0 to vary it")
 
     def tensors(self, params, kinds, n, mu_reg) -> list:
         """Shared passes (:func:`_in_passes`): at weak coupling of
@@ -564,9 +575,22 @@ def cmd_spectrum(adapter, values):
     _echo_json({"model": adapter.name, "spectrum": adapter.spectrum(adapter.params(values))})
 
 
+#: the keys of a ``--config`` object, and of each of its axes
+_CONFIG_KEYS = ("model", "params", "axes", "tensors", "state", "mu_reg", "output", "format")
+_AXIS_KEYS = ("name", "min", "max", "steps")
+
+
+def _unread_key(obj: dict, keys, what: str) -> None:
+    """Exit 2 naming the first key of ``obj`` that is not among ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise click.UsageError(f"{what} has unknown key {key!r}; known: {', '.join(keys)}")
+
+
 def _load_config(path) -> dict:
-    """The ``--config`` scan specification: a readable JSON object whose
-    ``params`` (when given) is an object and ``axes`` a list; anything else exits 2."""
+    """The ``--config`` scan specification: a readable JSON object whose keys
+    are among ``_CONFIG_KEYS``, whose ``params`` (when given) is an object and
+    ``axes`` a list; anything else exits 2."""
     try:
         with open(path) as fh:
             spec = json.load(fh)
@@ -577,6 +601,7 @@ def _load_config(path) -> dict:
     if not (isinstance(spec, dict) and isinstance(spec.get("params", {}), dict)
             and isinstance(spec.get("axes", []), list)):
         raise click.UsageError(f"config {path} is not an object with object 'params', list 'axes'")
+    _unread_key(spec, _CONFIG_KEYS, f"config {path}")
     return spec
 
 
@@ -594,7 +619,8 @@ def _axis_flag(text: str) -> dict:
 
 
 def _axis_points(axis) -> np.ndarray:
-    """The grid of an axis ``{"name", "min", "max", "steps"}``; a malformed one exits 2."""
+    """The grid of an axis ``{"name", "min", "max", "steps"}``; a malformed one,
+    or one with any other key, exits 2."""
     try:
         steps = int(axis["steps"])
         if steps != float(axis["steps"]) or "name" not in axis:
@@ -606,6 +632,7 @@ def _axis_points(axis) -> np.ndarray:
         raise click.UsageError(
             f"axis {axis!r} needs a name, finite numbers min and max and an integer steps"
         ) from None
+    _unread_key(axis, _AXIS_KEYS, f"axis {axis['name']!r}")
     if steps < 2:
         raise click.UsageError("axis steps must be >= 2")
     if not np.isfinite(hi - lo):  # linspace would turn the overflow into NaN points
@@ -648,6 +675,7 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {name!r} also set as fixed parameter")
         if name in names[:i]:  # a point would take the last axis's value under both labels
             raise click.UsageError(f"axis {name!r} given twice")
+    adapter.check_sweep({**dict.fromkeys(names), **fixed})
     mu_reg = mu_reg if mu_reg is not None else _usage(_mu_reg, spec.get("mu_reg", 0.0))
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter, mu_reg)
     state = state if state is not None else spec.get("state")

@@ -30,10 +30,6 @@ class NearDefective(NhgeoError):
     """Eigenvector matrix is too ill-conditioned to trust (near a defective point)."""
 
 
-class SingularMatrix(NhgeoError):
-    """Matrix inverse requested for a (numerically) singular matrix."""
-
-
 class SingularPencil(NhgeoError):
     """Some eigenvalue pair x_i + x_j vanishes: the continuous-Lyapunov-type
     equation has no unique solution (non-unique steady state)."""

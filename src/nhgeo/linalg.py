@@ -1,9 +1,8 @@
 """Dense complex matrix primitives.
 
 General (non-Hermitian) eigendecomposition with a canonical eigenvalue
-order, matrix inverse with conditioning guard, continuous-Lyapunov /
-Sylvester solves by the spectral method, and the JSON on-disk matrix format
-used by the command line tools.
+order, continuous-Lyapunov / Sylvester solves by the spectral method, and
+the JSON on-disk matrix format used by the command line tools.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from .errors import (
     NearDefective,
     NonConvergence,
     ShapeMismatch,
-    SingularMatrix,
     SingularPencil,
 )
 
@@ -282,16 +280,6 @@ def eig_general(K) -> EigDecomposition:
                 f"eigenpair residual {1e-10 * resid.max() / tol:.3e}*||K|| exceeds 1e-10*||K||")
     Rinv = _inverse(R)
     return EigDecomposition(w, R, Rinv is not None, Rinv, (frob / s / root, frob / s), K)
-
-
-def inverse(A) -> np.ndarray:
-    """Matrix inverse, guarded by a bound of 1e12 on the 2-norm condition
-    number (:func:`_inverse`: the SVD runs only near the bound)."""
-    A = as_square(A, "A")
-    Ai = _inverse(A)
-    if Ai is None:
-        raise SingularMatrix(f"condition number {np.linalg.cond(A, 2):.3e} above 1e12")
-    return Ai
 
 
 #: the record of this thread's open pass (:func:`flagged_blocks`), if any; per
@@ -570,17 +558,6 @@ def _pencil_2x2(a, Ua, Uai, b, Ub, Ubi, tol):
     return solve
 
 
-def _pair_solver_2x2(A, B):
-    """The solver of ``A G + G B = Y`` (:func:`_pencil_2x2`, checked per block
-    against ``PENCIL_RTOL * max(1, ||A||_2, ||B||_2)``) for entry tuples ``A``
-    and ``B``, and the closed-form eigenpairs ``(a, Ua, Ua^-1)`` of ``A``."""
-    a, Ua, na = _eig_2x2(A)
-    b, Ub, nb = _eig_2x2(B)
-    Uai = _inv(Ua)
-    tol = PENCIL_RTOL * np.maximum(np.maximum(na, nb), 1.0)
-    return _pencil_2x2(a, Ua, Uai, b, Ub, _inv(Ub), tol), (a, Ua, Uai)
-
-
 def _lyapunov_2x2(a, U, norm):
     """The solver of ``A G + G A^H = Y`` (:func:`_pencil_2x2`, checked per block
     against ``PENCIL_RTOL * max(1, ||A||_2)``) from the closed-form eigenpairs
@@ -612,9 +589,7 @@ def solve_sylvester_pair(A, B, Y) -> np.ndarray:
     """Solve ``A G + G B = Y`` by diagonalizing both coefficient matrices.
 
     With ``A = Ua Da Ua^-1`` and ``B = Ub Db Ub^-1`` the solution is
-    ``G = Ua [ (Ua^-1 Y Ub)_{ij} / (a_i + b_j) ] Ub^-1``.  2x2 blocks use a
-    closed-form eigendecomposition so that the pencil sums ``a_i + b_j`` are
-    formed without cancellation.
+    ``G = Ua [ (Ua^-1 Y Ub)_{ij} / (a_i + b_j) ] Ub^-1``, at every size.
 
     Raises
     ------
@@ -626,8 +601,6 @@ def solve_sylvester_pair(A, B, Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=complex)
     if Y.shape != (A.shape[0], B.shape[0]):
         raise ShapeMismatch(f"right-hand side shape {Y.shape} incompatible")
-    if A.shape[0] == 2 and B.shape[0] == 2:
-        return _blocks(_pair_solver_2x2(_entries(A), _entries(B))[0](_entries(Y)))
     da = eig_general(A)
     db = eig_general(B)
     if not (da.is_diagonalizable_estimate and db.is_diagonalizable_estimate):

@@ -34,8 +34,9 @@ assumption.
 Tensor kinds
 ------------
 ``chi``
-    Hermitian reference tensor (Fubini-Study metric + curvature), computed
-    through an independent Hermitian eigensolver path.
+    Hermitian reference tensor (Fubini-Study metric + curvature), the exact
+    sum over states on one Hermitian eigensolve (:func:`chi_hermitian`),
+    independent of both engines.
 ``eta``
     Left-right generalization; vanishes identically on Liouvillian steady
     states because their left eigenvector is the identity.
@@ -561,34 +562,29 @@ def sum_over_blocks(K, dK, n: int, kinds: Sequence[str]) -> dict[str, np.ndarray
 def chi_hermitian(fam: OperatorFamily, lam, n: int) -> GeoTensor:
     """Geometric tensor of eigenstate ``n`` of a Hermitian family.
 
-    Computed through an independent Hermitian eigensolver path (not the
-    biorthogonal machinery), so it can serve as the reference in Hermitian
-    collapse checks.  Real part is the Fubini-Study metric; the curvature is
-    ``-1/2`` of the imaginary part (``GeoTensor.berry_curvature``).
+    The exact sum over states ``chi_{mu nu} = sum_{m != n} <n|d_mu K|m>
+    <m|d_nu K|n> / (E_n - E_m)^2`` on one Hermitian eigensolve (``eigh``,
+    not the biorthogonal machinery), so it can serve as the reference in
+    Hermitian collapse checks.  Real part is the Fubini-Study metric; the
+    curvature is ``-1/2`` of the imaginary part (``GeoTensor.berry_curvature``).
+    Raises NotHermitian unless ``K`` is Hermitian within ``1e-12 * scale``,
+    and DegenerateSpectrum if a gap at ``n`` is below ``1e-10 * scale``, with
+    ``scale = max(||K||_2, 1)``.
     """
     lam = _checked(fam, lam, n)
-    d = fam.num_params
-    meta = {"fd_step": [_step(lam, mu) for mu in range(d)]}
     K = fam(lam)
     scale = max(norm2(K), 1.0)
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("family is not Hermitian at this parameter point")
-    _, V0 = np.linalg.eigh(K)
-    bras = V0.conj().T
-
-    def matched(lamp):
-        Kp = fam(lamp)
-        if np.abs(Kp - Kp.conj().T).max() > 1e-12 * scale:
-            raise NotHermitian("family leaves the Hermitian domain inside the stencil")
-        _, V = np.linalg.eigh(Kp)
-        cols, phases = _match(bras, V, range(fam.dim))
-        return np.column_stack([V[:, m] for m in cols]) * phases
-
-    # rows |d_mu v>: chi = <d_mu v|d_nu v> - <d_mu v|v><v|d_nu v>
-    dv = np.array([central_difference(matched, lam, mu)[:, n] for mu in range(d)])
-    v = V0[:, n]
-    vals = dv.conj() @ dv.T - np.multiply.outer(dv.conj() @ v, dv @ v.conj())
-    return GeoTensor("chi", n, vals, lam, meta)
+    E, V = np.linalg.eigh(K)
+    _require_gaps(E, [n], lambda pred: pred(scale))
+    others = np.arange(fam.dim) != n
+    # rows <n|d_mu K|m> and columns <m|d_mu K|n>, each over m != n, divided by E_n - E_m
+    gap = E[n] - E[others]
+    dK = [V.conj().T @ fam.derivative(mu, lam) @ V for mu in range(fam.num_params)]
+    rows = np.array([dk[n, others] / gap for dk in dK])
+    cols = np.array([dk[others, n] / gap for dk in dK])
+    return GeoTensor("chi", n, rows @ cols.T, lam, {})
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,19 @@ class TestTensorCommand:
         result = runner.invoke(main, args + ["--tensors", "zeta"])
         assert result.exit_code == 3 and "DegenerateSpectrum" in result.output
 
+    def test_matrix_file_chi_at_degenerate_state_exit_3(self, runner, tmp_path):
+        # state 0 is in a degenerate pair, where chi would depend on the solver's basis
+        save_matrix(tmp_path / "K.json", np.diag([1.0, 1.0, 2.0]))
+        save_matrix(tmp_path / "d.json", np.array([[0.0, 0.3, 1.0], [0.3, 0.0, 0.5],
+                                                    [1.0, 0.5, 0.0]]))
+        args = ["tensor", "--matrix-file", str(tmp_path / "K.json"),
+                "--param-files", str(tmp_path / "d.json"), "--tensors", "chi"]
+        result = runner.invoke(main, args + ["--state", "0"])
+        assert result.exit_code == 3, result.output
+        assert "DegenerateSpectrum: eigenvalue 0 degenerate" in result.output
+        chi = json.loads(run_ok(runner, args + ["--state", "2"]).output)["tensors"]["chi"]
+        assert chi["components"][0][0]["re"] == pytest.approx(1.25)  # 1^2 + 0.5^2, gap 1
+
     @pytest.mark.parametrize("command", ["tensor", "spectrum"])
     @pytest.mark.parametrize("bad", ["K", "d"])
     @pytest.mark.parametrize("content", [
@@ -1369,6 +1382,11 @@ class TestMalformedSweepInput:
         ({"params": {"L": 8, "delta": 10 ** 400}}, "delta must be a finite number"),
         ({"params": {"L": 8.7}}, "L=8.7: expected int"),
         ({"params": {"L": True}}, "L=True: expected int"),
+        ({"tensor": "eta"}, "unknown key 'tensor'"),
+        ({"bogus": 1}, "unknown key 'bogus'"),
+        ({"threads": 2}, "unknown key 'threads'"),
+        ({"axes": [{"name": "t", "min": 0.1, "max": 0.9, "steps": 3, "step": 2}]},
+         "axis 't' has unknown key 'step'"),
     ])
     def test_config_value_exit_2(self, runner, tmp_path, extra, message):
         cfg = {"model": "nh-ssh", "params": {"L": 8},
@@ -1435,6 +1453,29 @@ class TestMalformedSweepInput:
             in result.output
         assert calls == []
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("source", ["axis", "set", "config"])
+    def test_weak_coupling_g_exit_2(self, runner, tmp_path, monkeypatch, source):
+        # the weak-coupling tensors read no g, so every row of such a sweep would be equal
+        calls = []
+        monkeypatch.setattr(cli_mod.KitaevAdapter, "tensors", lambda *a: calls.append(a))
+        args = {"axis": ["--axis", "g:0.1:0.9:3", "--set", "h=0.5"],
+                "set": ["--axis", "h:0.1:0.9:3", "--set", "g=0.1"],
+                "config": ["--axis", "h:0.1:0.9:3", "--config", str(tmp_path / "cfg.json")]}[source]
+        (tmp_path / "cfg.json").write_text(json.dumps({"params": {"g": 0.3}}))
+        result = runner.invoke(main, ["sweep", "--model", "kitaev-dissipative", "--set", "L=16",
+                                      *args, "--output", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2, result.output
+        assert "read no g" in result.output and "weak_coupling=0" in result.output
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_tensor_reads_weak_coupling_g(self, runner):
+        # its weak-coupling tensors do not, but the rapidities of its summary do
+        out = [json.loads(run_ok(runner, ["tensor", "--model", "kitaev-dissipative", "--set", "L=8",
+                                          "--set", f"g={g}"]).output) for g in (0.1, 0.3)]
+        assert out[0]["tensors"] == out[1]["tensors"]
+        assert out[0]["eigenvalue_summary"] != out[1]["eigenvalue_summary"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_mu_reg_flag_exit_2(self, runner, tmp_path, value):

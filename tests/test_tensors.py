@@ -147,10 +147,32 @@ class TestChiHermitian:
         with pytest.raises(NotHermitian):
             chi_hermitian(nh6, [0.0, 0.0], 0)
 
-    @pytest.mark.parametrize("theta", [0.3, -40.0])
-    def test_fd_step_reported(self, qubit, theta):
-        assert chi_hermitian(qubit, [theta], 0).meta["fd_step"] == [
-            _EPS_THIRD * max(1.0, abs(theta))]
+    def test_qubit_quarter_exact(self, qubit):
+        for th in (0.0, 0.3, 1.1, 2.7, -40.0):
+            assert abs(chi_hermitian(qubit, [th], 0).values[0, 0] - 0.25) <= 1e-14, th
+
+    def test_equals_sum_over_states(self, rng):
+        # on a Hermitian family zeta_limited is the same sum over states
+        for _ in range(5):
+            fam = random_hermitian_family(rng)
+            lam = rng.uniform(-0.1, 0.1, size=2)
+            chi = chi_hermitian(fam, lam, 3).values
+            ref = sum_over_states(fam, lam, 3, ["zeta_limited"])["zeta_limited"].values
+            assert maxdev(chi, ref) <= 1e-13 * np.abs(ref).max()
+
+    def test_degenerate_state_raises(self, rng):
+        D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        fam = OperatorFamily(3, 1, lambda l: np.diag([1.0, 1.0, 2.0]) + l[0] * (D + D.conj().T),
+                             lambda mu, l: D + D.conj().T)
+        with pytest.raises(DegenerateSpectrum, match="eigenvalue 0 degenerate"):
+            chi_hermitian(fam, [0.0], 0)
+        chi_hermitian(fam, [0.0], 2)  # the gaps at state 2 are open
+
+    def test_no_central_difference(self, rng, monkeypatch):
+        import nhgeo.tensors as tensors_mod
+        monkeypatch.setattr(tensors_mod, "central_difference",
+                            lambda *a, **kw: pytest.fail("chi took a central difference"))
+        chi_hermitian(random_hermitian_family(rng), [0.03, -0.06], 0)
 
 
 def agp_residual(fam, lam, mu_dir):
