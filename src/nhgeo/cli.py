@@ -142,15 +142,13 @@ class _LatticeModel:
     """A built-in model, reading no file: ``params`` builds ``param_type``, which
     checks every value, from ``defaults`` and the values that :func:`_typed` typed."""
 
+    unread_at_weak = ()  # parameters that no tensor reads at weak_coupling, which sweep rejects
+
     def params(self, values: dict):
         try:
             return self.param_type(**{**self.defaults, **values})
         except (TypeError, ValueError) as exc:
             raise click.UsageError(f"invalid parameters: {exc}") from None
-
-    def check_sweep(self, given) -> None:
-        """Exit 2 if a sweep's tensors do not read a parameter in ``given`` (its
-        fixed values and axis names); here every parameter is read."""
 
 
 class SSHAdapter(_LatticeModel):
@@ -190,13 +188,7 @@ class KitaevAdapter(_LatticeModel):
     sweepable = ("h", "gamma", "g", "mu_plus", "mu_minus")
     states = None  # the steady state
     kinds = WEAK_KINDS
-
-    def check_sweep(self, given) -> None:
-        """At weak coupling no tensor reads ``g`` (only the rapidities of
-        ``spectrum`` do), so a sweep that sets or sweeps it exits 2."""
-        if "g" in given and given.get("weak_coupling", self.defaults["weak_coupling"]):
-            raise click.UsageError("the weak-coupling tensors of kitaev-dissipative read no g; "
-                                   "set weak_coupling=0 to vary it")
+    unread_at_weak = ("g",)  # only the rapidities of spectrum read it
 
     def tensors(self, params, kinds, n, mu_reg) -> list:
         """Shared passes (:func:`_in_passes`): at weak coupling of
@@ -675,7 +667,11 @@ def cmd_sweep(config, model, sets, axes_opt, tensors, state, mu_reg, output, fmt
             raise click.UsageError(f"axis {name!r} also set as fixed parameter")
         if name in names[:i]:  # a point would take the last axis's value under both labels
             raise click.UsageError(f"axis {name!r} given twice")
-    adapter.check_sweep({**dict.fromkeys(names), **fixed})
+    if fixed.get("weak_coupling", adapter.defaults.get("weak_coupling")):
+        for name in adapter.unread_at_weak:
+            if name in fixed or name in names:
+                raise click.UsageError(f"the weak-coupling tensors of {model} read no {name}; "
+                                       "set weak_coupling=0 to vary it")
     mu_reg = mu_reg if mu_reg is not None else _usage(_mu_reg, spec.get("mu_reg", 0.0))
     kinds = _parse_kinds(tensors or spec.get("tensors", "zeta"), adapter, mu_reg)
     state = state if state is not None else spec.get("state")

@@ -567,8 +567,9 @@ def chi_hermitian(fam: OperatorFamily, lam, n: int) -> GeoTensor:
     not the biorthogonal machinery), so it can serve as the reference in
     Hermitian collapse checks.  Real part is the Fubini-Study metric; the
     curvature is ``-1/2`` of the imaginary part (``GeoTensor.berry_curvature``).
-    Raises NotHermitian unless ``K`` is Hermitian within ``1e-12 * scale``,
-    and DegenerateSpectrum if a gap at ``n`` is below ``1e-10 * scale``, with
+    Raises NotHermitian unless ``K`` is Hermitian within ``1e-12 * scale``
+    and each ``d_mu K`` within ``1e-12 * max(||d_mu K||_2, 1)``, and
+    DegenerateSpectrum if a gap at ``n`` is below ``1e-10 * scale``, with
     ``scale = max(||K||_2, 1)``.
     """
     lam = _checked(fam, lam, n)
@@ -576,15 +577,17 @@ def chi_hermitian(fam: OperatorFamily, lam, n: int) -> GeoTensor:
     scale = max(norm2(K), 1.0)
     if np.abs(K - K.conj().T).max() > 1e-12 * scale:
         raise NotHermitian("family is not Hermitian at this parameter point")
+    dK = [fam.derivative(mu, lam) for mu in range(fam.num_params)]
+    for mu, dk in enumerate(dK):
+        if np.abs(dk - dk.conj().T).max() > 1e-12 * max(norm2(dk), 1.0):
+            raise NotHermitian(f"derivative along direction {mu} is not Hermitian")
     E, V = np.linalg.eigh(K)
     _require_gaps(E, [n], lambda pred: pred(scale))
     others = np.arange(fam.dim) != n
-    # rows <n|d_mu K|m> and columns <m|d_mu K|n>, each over m != n, divided by E_n - E_m
-    gap = E[n] - E[others]
-    dK = [V.conj().T @ fam.derivative(mu, lam) @ V for mu in range(fam.num_params)]
-    rows = np.array([dk[n, others] / gap for dk in dK])
-    cols = np.array([dk[others, n] / gap for dk in dK])
-    return GeoTensor("chi", n, rows @ cols.T, lam, {})
+    # rows <n|d_mu K|m> over m != n, divided by E_n - E_m; <m|d_mu K|n> is their conjugate
+    bra = V[:, n].conj()
+    rows = np.array([(bra @ dk @ V)[others] for dk in dK]) / (E[n] - E[others])
+    return GeoTensor("chi", n, rows @ rows.conj().T, lam, {})
 
 
 # ---------------------------------------------------------------------------

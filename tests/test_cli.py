@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -291,6 +293,16 @@ class TestTensorCommand:
         assert "DegenerateSpectrum: eigenvalue 0 degenerate" in result.output
         chi = json.loads(run_ok(runner, args + ["--state", "2"]).output)["tensors"]["chi"]
         assert chi["components"][0][0]["re"] == pytest.approx(1.25)  # 1^2 + 0.5^2, gap 1
+
+    def test_matrix_file_chi_non_hermitian_direction_exit_3(self, runner, tmp_path):
+        # a Hermitian K with a non-Hermitian direction is not a Hermitian family
+        save_matrix(tmp_path / "K.json", np.diag([0.0, 1.0]))
+        save_matrix(tmp_path / "d.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        result = runner.invoke(main, ["tensor", "--matrix-file", str(tmp_path / "K.json"),
+                                      "--param-files", str(tmp_path / "d.json"),
+                                      "--tensors", "chi"])
+        assert result.exit_code == 3, result.output
+        assert "NotHermitian: derivative along direction 0 is not Hermitian" in result.output
 
     @pytest.mark.parametrize("command", ["tensor", "spectrum"])
     @pytest.mark.parametrize("bad", ["K", "d"])
@@ -1397,6 +1409,14 @@ class TestMalformedSweepInput:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "o.csv").exists()
+
+    def test_config_keys_are_the_keys_sweep_reads(self):
+        # a key read but not declared would exit 2 on a valid config, and one
+        # declared but no longer read would be accepted and ignored
+        src = inspect.getsource(cli_mod.cmd_sweep.callback) + inspect.getsource(cli_mod._load_config)
+        assert set(re.findall(r"spec\.get\(\"(\w+)\"", src)) == set(cli_mod._CONFIG_KEYS)
+        axis_src = inspect.getsource(cli_mod._axis_points)
+        assert set(re.findall(r"axis\[[\"'](\w+)[\"']\]", axis_src)) == set(cli_mod._AXIS_KEYS)
 
     def test_config_string_parses_as_set(self, runner, tmp_path):
         # a config string means what it means after --set: "false" is false

@@ -743,7 +743,7 @@ class TestSylvester:
         G = solve_sylvester_pair(A, B, Y)
         assert np.linalg.norm(A @ G + G @ B - Y) <= 1e-9 * np.linalg.norm(Y)
 
-    def test_pair_solver_2x2_closed_form(self, rng):
+    def test_pair_solver_2x2(self, rng):
         A = random_stable(rng, 2)
         B = random_stable(rng, 2)
         Y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

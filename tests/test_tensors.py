@@ -147,6 +147,13 @@ class TestChiHermitian:
         with pytest.raises(NotHermitian):
             chi_hermitian(nh6, [0.0, 0.0], 0)
 
+    def test_non_hermitian_direction_rejected(self):
+        # K(0) is Hermitian, but the family leaves the Hermitian domain along lambda_0
+        D = np.array([[0.0, 1.0], [0.0, 0.0]])
+        fam = OperatorFamily(2, 1, lambda l: np.diag([0.0, 1.0]) + l[0] * D, lambda mu, l: D)
+        with pytest.raises(NotHermitian, match="direction 0 is not Hermitian"):
+            chi_hermitian(fam, [0.0], 0)
+
     def test_qubit_quarter_exact(self, qubit):
         for th in (0.0, 0.3, 1.1, 2.7, -40.0):
             assert abs(chi_hermitian(qubit, [th], 0).values[0, 0] - 0.25) <= 1e-14, th
