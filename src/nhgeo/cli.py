@@ -143,6 +143,7 @@ class _LatticeModel:
     checks every value, from ``defaults`` and the values that :func:`_typed` typed."""
 
     unread_at_weak = ()  # parameters that no tensor reads at weak_coupling, which sweep rejects
+    unread_by_spectrum = ()  # parameters that spectrum does not read, which it rejects
 
     def params(self, values: dict):
         try:
@@ -189,6 +190,7 @@ class KitaevAdapter(_LatticeModel):
     states = None  # the steady state
     kinds = WEAK_KINDS
     unread_at_weak = ("g",)  # only the rapidities of spectrum read it
+    unread_by_spectrum = ("weak_coupling",)  # the rapidities of x(k) are those of any coupling
 
     def tensors(self, params, kinds, n, mu_reg) -> list:
         """Shared passes (:func:`_in_passes`): at weak coupling of
@@ -228,6 +230,7 @@ class _FileFamily:
 
     part_option: str  # the option that names the direction files
     sweepable = ()
+    unread_by_spectrum = ()
 
     def __init__(self, base, parts):
         if any(m.shape != base.shape for m in parts):
@@ -564,6 +567,9 @@ def cmd_tensor(adapter, values, tensors, state, mu_reg):
 @_model_command
 def cmd_spectrum(adapter, values):
     """Eigenvalue / relaxation-rate summary; JSON to stdout."""
+    for name in adapter.unread_by_spectrum:
+        if name in values:
+            raise click.UsageError(f"the spectrum of {adapter.name} reads no {name}")
     _echo_json({"model": adapter.name, "spectrum": adapter.spectrum(adapter.params(values))})
 
 

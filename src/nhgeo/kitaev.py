@@ -141,13 +141,6 @@ def dgamma_k_weak(params: KitaevParams, k: float, mu: int) -> np.ndarray:
 WEAK_KINDS = ("zeta", "zeta_limited", "bures")
 
 
-def weak_coupling_tensors(params: KitaevParams, kinds) -> dict[str, np.ndarray]:
-    """Weak-coupling Brillouin-zone sums ``kinds`` over (h, gamma):
-    :func:`weak_coupling_sums` at one point."""
-    kinds = _kinds(kinds, WEAK_KINDS, "weak_coupling_tensors")
-    return {kind: v[0] for kind, v in weak_coupling_sums([params], kinds).items()}
-
-
 def weak_coupling_sums(points: Sequence[KitaevParams], kinds) -> dict[str, np.ndarray]:
     """The weak-coupling sums ``kinds`` over (h, gamma) at ``points`` of one
     ``L``, as ``(P, 2, 2)`` arrays: ``Lambda^2 sum_k w d_mu phi_k d_nu phi_k``
@@ -193,15 +186,6 @@ def weak_coupling_sums(points: Sequence[KitaevParams], kinds) -> dict[str, np.nd
         return terms
 
     return _zone_sums(points[0].L, read, summand)
-
-
-def zeta_kitaev_sum(params: KitaevParams) -> GeoTensor:
-    """Steady-state tensor over (h, gamma):
-    ``Lambda^2 sum_k sin^2(phi_k) d_mu phi_k d_nu phi_k``."""
-    return GeoTensor(
-        "zeta", "ness", weak_coupling_tensors(params, ["zeta"])["zeta"],
-        np.array([params.h, params.gamma]), {"L": params.L, "Lambda": params.Lambda},
-    )
 
 
 def _thermo_gg_outer(ah: float, g: float) -> float:

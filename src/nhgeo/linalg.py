@@ -540,33 +540,25 @@ def _eig_2x2(A, *, distinct: bool = True):
             tuple(u.reshape(shape) for u in (u0[0], u0[1], u1[0], u1[1])), scale.reshape(shape))
 
 
-def _pencil_2x2(a, Ua, Uai, b, Ub, Ubi, tol):
-    """:func:`_pencil` on 2x2 blocks: the solver of ``A G + G B = Y`` from
-    the eigenvalues ``a = (a0, a1)``, ``b`` and the entry tuples ``Ua``,
-    ``Uai = Ua^-1``, ``Ub``, ``Ubi``.  The pencil ``a_i + b_j`` is checked
-    once, per block against ``tol``; the returned function maps the entry
-    tuple of any right-hand side to that of its solution."""
+def _lyapunov_2x2(a, U, norm):
+    """The solver of ``A G + G A^H = Y``, which maps the entry tuple of any
+    right-hand side to that of its solution, from the closed-form eigenpairs
+    ``a``, ``U`` and norms of ``A`` (:func:`_eig_2x2`), and ``(a, U, U^-1)``:
+    ``A^H = U^-H diag(conj a) U^H``, so ``G = U [(U^-1 Y U^-H)_ij / (a_i +
+    conj a_j)] U^H``.  The pencil is checked once, per block against
+    ``PENCIL_RTOL * max(1, ||A||_2)``."""
+    Ui = _inv(U)
+    b, Ub, Ubi = tuple(w.conjugate() for w in a), _adjoint(Ui), _adjoint(U)
+    tol = PENCIL_RTOL * np.maximum(norm, 1.0)
     D = (a[0] + b[0], a[0] + b[1], a[1] + b[0], a[1] + b[1])
     small = np.abs(D).min(axis=0)
     _raise_first(small < tol, SingularPencil,
                  lambda i: f"min |a_i + b_j| = {np.ravel(small)[i]:.3e} below tolerance")
 
     def solve(Y):
-        T = _mul(_mul(Uai, Y), Ub)
-        return _mul(_mul(Ua, tuple(t / s for t, s in zip(T, D))), Ubi)
+        T = _mul(_mul(Ui, Y), Ub)
+        return _mul(_mul(U, tuple(t / s for t, s in zip(T, D))), Ubi)
 
-    return solve
-
-
-def _lyapunov_2x2(a, U, norm):
-    """The solver of ``A G + G A^H = Y`` (:func:`_pencil_2x2`, checked per block
-    against ``PENCIL_RTOL * max(1, ||A||_2)``) from the closed-form eigenpairs
-    ``a``, ``U`` and norms of ``A`` (:func:`_eig_2x2`), and ``(a, U, U^-1)``:
-    ``A^H = U^-H diag(conj a) U^H``, so one eigendecomposition serves both
-    sides, ``G = U [(U^-1 Y U^-H)_ij / (a_i + conj a_j)] U^H``."""
-    Ui = _inv(U)
-    solve = _pencil_2x2(a, U, Ui, tuple(w.conjugate() for w in a), _adjoint(Ui), _adjoint(U),
-                        PENCIL_RTOL * np.maximum(norm, 1.0))
     return solve, (a, U, Ui)
 
 

@@ -68,22 +68,6 @@ class QuadraticLiouvillian:
 
 
 @dataclass(frozen=True)
-class MajoranaCorrelation:
-    """Steady-state two-point matrix: Gamma_{ij} = <[w_i, w_j]> / 2."""
-
-    Gamma: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real occupancy eigenvalues (Gamma is Hermitian)."""
-        return np.linalg.eigvalsh(self.Gamma)
-
-    def physicality_defect(self) -> float:
-        """How far the spectrum leaves [-1, 1]."""
-        ev = self.eigenvalues()
-        return float(max(0.0, ev.max() - 1.0, -1.0 - ev.min()))
-
-
-@dataclass(frozen=True)
 class AGPQuadratic:
     """Quadratic transport generator: real ``Xcal`` and imaginary antisymmetric ``Ycal``."""
 
@@ -142,21 +126,22 @@ def build_liouvillian(n: int, H_mat, bath_vectors=None, *, M=None) -> QuadraticL
     return QuadraticLiouvillian(n, H_mat, M, X, Y)
 
 
-def rapidities(liou: QuadraticLiouvillian):
-    """Eigenvalues of X (canonical order) and the diagonalizing transform U."""
-    dec = eig_general(liou.X)
-    return dec.eigenvalues, dec.right_vectors
-
-
-def steady_state_gamma(liou: QuadraticLiouvillian) -> MajoranaCorrelation:
-    """Unique steady-state correlation matrix from the Sylvester equation.
+def steady_state_gamma(liou: QuadraticLiouvillian) -> np.ndarray:
+    """The unique steady-state Majorana correlation matrix ``Gamma_ij = <[w_i,
+    w_j]> / 2``, from the Sylvester equation.
 
     Raises
     ------
     NonUniqueSteadyState
         If min Re(x_j) is not strictly positive (kernel not one-dimensional).
     """
-    return MajoranaCorrelation(_steady_state(liou)[2])
+    return _steady_state(liou)[2]
+
+
+def physicality_defect(Gamma) -> float:
+    """How far the spectrum of the correlation matrix ``Gamma`` leaves [-1, 1]."""
+    ev = np.linalg.eigvalsh(Gamma)
+    return float(max(0.0, ev.max() - 1.0, -1.0 - ev.min()))
 
 
 def _steady_state(liou: QuadraticLiouvillian, dec=None):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateKernel, ShapeMismatch, TooLarge
-from .liouville import LiouvillianFamily, MajoranaCorrelation
+from .liouville import LiouvillianFamily
 from .tensors import OperatorFamily
 
 MAX_MODES = 4
@@ -158,8 +158,8 @@ def _kernel_index(ev) -> int:
 def ness_from_kernel(fock: FockRep, superop: np.ndarray):
     """Steady state from the kernel eigenvector of the generator.
 
-    Returns ``(rho, MajoranaCorrelation)`` with rho Hermitized, positive
-    semidefinite within tolerance and trace-normalized.
+    Returns ``(rho, Gamma)``: rho Hermitized, positive semidefinite within
+    tolerance and trace-normalized, and :func:`correlation_from_rho` of it.
 
     Raises
     ------
@@ -176,7 +176,7 @@ def ness_from_kernel(fock: FockRep, superop: np.ndarray):
     rho = rho / tr
     if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise DegenerateKernel("kernel state not positive semidefinite")
-    return rho, MajoranaCorrelation(correlation_from_rho(fock, rho))
+    return rho, correlation_from_rho(fock, rho)
 
 
 def correlation_from_rho(fock: FockRep, rho: np.ndarray) -> np.ndarray:

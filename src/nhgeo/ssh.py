@@ -10,8 +10,8 @@ All computations are on 2x2 Bloch blocks, no real-space Hamiltonian (open
 boundaries and skin-effect physics are out of scope).  :func:`band_sums`
 gives every sum on the half k-grids of many points at once, in closed form
 from one read of ``a``, ``b`` and :func:`eps`, the one expression of the
-band function: no eigensolve runs.  :func:`zeta_finite_sum` and
-:func:`bloch_sum` are its one-point views.  Two oracles check it:
+band function: no eigensolve runs.  :func:`zeta_finite_sum` is its
+one-point view of ``zeta``.  Two oracles check it:
 :func:`~nhgeo.tensors.sum_over_blocks` on the stack of Bloch matrices
 (:func:`_bloch`), and the finite-difference stencil on
 :func:`bloch_family`, the fixed-k block as an operator family.
@@ -57,17 +57,6 @@ class SSHParams:
     @property
     def k_grid(self) -> np.ndarray:
         return _k_grid(self.L)
-
-
-@dataclass(frozen=True)
-class SSHPhase:
-    """Region labels: s1 = '+' iff |t - delta| > 1, s2 = '+' iff |t + delta| > 1."""
-
-    s1: str
-    s2: str
-
-    def astuple(self) -> tuple[str, str]:
-        return (self.s1, self.s2)
 
 
 def _hoppings(t, delta, k):
@@ -117,16 +106,6 @@ def bloch_family(params: SSHParams, k: float) -> OperatorFamily:
         return _SX if mu == 0 else _DX_DDELTA
 
     return OperatorFamily(2, 2, f, df, name=f"nh-ssh(k={k:.6g})")
-
-
-def bloch_sum(params: SSHParams, n: int, kinds) -> dict[str, GeoTensor]:
-    """Brillouin-zone sums over the k-grid of the tensors ``kinds`` of band
-    ``n`` (``eta``, ``zeta_limited``, ``zeta_limited_rescaled``) over
-    (t, delta): :func:`band_sums` at one point."""
-    kinds = _kinds(kinds, STATE_KINDS, "bloch_sum")
-    lam = np.array([params.t, params.delta])
-    return {kind: GeoTensor(kind, n, v[0], lam, {"L": params.L, "route": "closed-form"})
-            for kind, v in band_sums([params], n, kinds).items()}
 
 
 #: tensor kinds that :func:`band_sums` evaluates
@@ -232,17 +211,15 @@ def _state_summands(a, b, e, n: int, kinds) -> dict[str, np.ndarray]:
     return out
 
 
-def classify_phase(t: float, delta: float) -> SSHPhase:
-    """Phase labels (s1, s2) from |t - delta| and |t + delta| vs 1."""
+def classify_phase(t: float, delta: float) -> tuple[str, str]:
+    """Phase labels ``(s1, s2)``: s1 = '+' iff |t - delta| > 1, s2 = '+' iff
+    |t + delta| > 1."""
     _finite("t", t)
     _finite("delta", delta)
     for v in (abs(t - delta), abs(t + delta)):
         if abs(v - 1.0) < 1e-12:
             raise OnCriticalLine(f"|t -+ delta| = {v} is on a gap-closing line")
-    return SSHPhase(
-        "+" if abs(t - delta) > 1 else "-",
-        "+" if abs(t + delta) > 1 else "-",
-    )
+    return ("+" if abs(t - delta) > 1 else "-", "+" if abs(t + delta) > 1 else "-")
 
 
 def zeta_summand(t: float, delta: float, k) -> np.ndarray:
@@ -266,7 +243,7 @@ def phase_function(t: float, delta: float) -> float:
     Piecewise over the (s1, s2) regions; has poles at delta = 0 and
     delta = -+t inside the phases where it is nonzero.
     """
-    ph = classify_phase(t, delta).astuple()
+    ph = classify_phase(t, delta)
     if ph == ("-", "-"):
         return 0.0
     if ph == ("+", "+"):

@@ -26,16 +26,17 @@ from .kitaev import (
     KitaevParams,
     dgamma_k_weak,
     gamma_k_weak,
-    weak_coupling_tensors,
-    zeta_kitaev_sum,
+    weak_coupling_sums,
     zeta_kitaev_thermo,
 )
 from .liouville import (
     LiouvillianFamily,
+    agp_quadratic,
     build_liouvillian,
     gamma_k,
     gaussian_tensors,
     ness_tensors,
+    physicality_defect,
     real_space_family,
     steady_state_dgamma,
     steady_state_gamma,
@@ -58,7 +59,6 @@ from .ssh import (
     _bloch,
     band_sums,
     bloch_family,
-    bloch_sum,
     zeta_finite_sum,
     zeta_summand,
     zeta_thermodynamic,
@@ -67,6 +67,8 @@ from .tensors import (
     SOS_KINDS,
     STATE_KINDS,
     OperatorFamily,
+    _stencil,
+    agp_elements,
     central_difference,
     chi_hermitian,
     stencil_tensors,
@@ -154,8 +156,7 @@ def kitaev_bath_vectors(n, g, mu_plus, mu_minus):
 
 def brute_ness_rho(fock, famL, baths, lam):
     sup = build_superop(fock, famL(lam).H_mat, baths)
-    rho, corr = ness_from_kernel(fock, sup)
-    return rho, corr
+    return ness_from_kernel(fock, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +196,11 @@ def check_gauge_invariance(full: bool = True):
 
 
 def check_zeta_routes(full: bool = True):
-    """Projector, generator and overlap routes agree, and every sum-over-states
-    kind agrees with the stencil."""
+    """Projector, generator and overlap routes agree; every sum-over-states
+    kind, and the transport generator :func:`agp_elements` as the off-diagonal
+    of ``R^-1 d_mu R`` over every state, agree with the stencil."""
     rng = np.random.default_rng(303)
-    worst = 0.0
+    worst, worst_agp = 0.0, 0.0
     for _ in range(50 if full else 10):
         fam = random_family(rng)
         lam = rng.uniform(-0.1, 0.1, size=2)
@@ -210,7 +212,14 @@ def check_zeta_routes(full: bool = True):
         pairs += [(stencil["zeta"].values, z_pr), (z_pr, sos["zeta"].values)]
         for ref, T in pairs:
             worst = max(worst, float(np.abs(T - ref).max() / max(np.abs(ref).max(), 1e-12)))
-    return worst <= 1e-8, f"max relative route disagreement {worst:.2e}"
+        sys0, dR, _ = _stencil(fam, lam, range(fam.dim))
+        off = ~np.eye(fam.dim, dtype=bool)
+        for mu in range(fam.num_params):
+            A = agp_elements(fam, lam, mu)
+            dev = (sys0.right_inverse @ dR[mu] - A)[off]
+            worst_agp = max(worst_agp, float(np.abs(dev).max() / np.abs(A).max()))
+    return worst <= 1e-8 and worst_agp <= 1e-7, (
+        f"max relative route disagreement {worst:.2e}; generator vs stencil rel {worst_agp:.2e}")
 
 
 def check_nh_ssh(full: bool = True):
@@ -284,8 +293,8 @@ def check_nh_ssh(full: bool = True):
         for n in (0, 1):
             per_k = [stencil_tensors(bloch_family(p, k), [p.t, p.delta], n, STATE_KINDS)
                      for k in p.k_grid]
-            for kind, T in bloch_sum(p, n, STATE_KINDS).items():
-                worst_e = max(worst_e, rel(T.values, sum(st[kind].values for st in per_k)))
+            for kind, v in band_sums([p], n, STATE_KINDS).items():
+                worst_e = max(worst_e, rel(v[0], sum(st[kind].values for st in per_k)))
     ok &= worst_e <= 1e-6
     msgs.append(f"stacked vs stencil sums rel {worst_e:.2e}")
 
@@ -339,7 +348,7 @@ def check_steady_state(full: bool = True):
     g, mup, mum = 1.0, 0.9, 0.5
     baths = kitaev_bath_vectors(n, g, mup, mum)
     liou = build_liouvillian(n, np.zeros((2, 2), dtype=complex), baths)
-    G = steady_state_gamma(liou).Gamma
+    G = steady_state_gamma(liou)
     lam_exp = (mup ** 2 - mum ** 2) / (mup ** 2 + mum ** 2)
     dev = float(abs(G[0, 1] - 1j * lam_exp))
     ok &= dev <= 1e-12
@@ -352,10 +361,9 @@ def check_steady_state(full: bool = True):
         baths = random_bath(rng, 2)
         liou = build_liouvillian(2, random_hmat(rng, 2), baths)
         sup = build_superop(fock2, liou.H_mat, baths)
-        _, corr = ness_from_kernel(fock2, sup)
-        G = steady_state_gamma(liou).Gamma
-        worst = max(worst, float(np.abs(G - corr.Gamma).max()))
-        worst = max(worst, steady_state_gamma(liou).physicality_defect())
+        _, G_kernel = ness_from_kernel(fock2, sup)
+        G = steady_state_gamma(liou)
+        worst = max(worst, float(np.abs(G - G_kernel).max()), physicality_defect(G))
     ok &= worst <= 1e-8
     msgs.append(f"random n=2 {worst:.2e}")
 
@@ -367,8 +375,8 @@ def check_steady_state(full: bool = True):
         baths3 = kitaev_bath_vectors(3, 0.1, 1.0, 0.6)
         fock3 = build_fock(3)
         sup3 = build_superop(fock3, liou3.H_mat, baths3)
-        _, corr3 = ness_from_kernel(fock3, sup3)
-        dev3 = float(np.abs(steady_state_gamma(liou3).Gamma - corr3.Gamma).max())
+        _, G_kernel3 = ness_from_kernel(fock3, sup3)
+        dev3 = float(np.abs(steady_state_gamma(liou3) - G_kernel3).max())
         ok &= dev3 <= 1e-8
         msgs.append(f"n=3 chain {dev3:.2e}")
     return bool(ok), "; ".join(msgs)
@@ -407,7 +415,7 @@ def check_kitaev_closed_forms(full: bool = True):
     ok = True
     # (a) exact trigonometric point
     par = KitaevParams(0.0, 1.0, 0.1, 1.0, 0.6, 64)
-    z = zeta_kitaev_sum(par).values
+    z = weak_coupling_sums([par], ["zeta"])["zeta"][0]
     expect = (3.0 / 8.0) * par.Lambda ** 2 * par.L
     dev_a = float(abs(z[0, 0] - expect) / expect)
     ok &= dev_a <= 1e-12
@@ -418,7 +426,7 @@ def check_kitaev_closed_forms(full: bool = True):
     worst_b = 0.0
     for (h, g) in [(0.0, 1.0), (0.5, 0.7), (2.0, 1.0)]:
         par = KitaevParams(h, g, 0.1, 1.0, 0.6, L)
-        zs = zeta_kitaev_sum(par).values / L
+        zs = weak_coupling_sums([par], ["zeta"])["zeta"][0] / L
         th = zeta_kitaev_thermo(h, g, par.Lambda).values
         worst_b = max(worst_b, float(np.abs(zs - th).max() / np.abs(th).max()))
         if (h, g) == (2.0, 1.0):
@@ -431,7 +439,7 @@ def check_kitaev_closed_forms(full: bool = True):
     worst_c = 0.0
     for (h, g) in [(0.5, 0.7), (0.3, 1.2)]:
         par = KitaevParams(h, g, 0.1, 1.0, 0.6, L)
-        worst_c = max(worst_c, float(abs(zeta_kitaev_sum(par).values[0, 1])))
+        worst_c = max(worst_c, float(abs(weak_coupling_sums([par], ["zeta"])["zeta"][0, 0, 1])))
     ok &= worst_c <= 1e-10
     msgs.append(f"cross component |h|<1 {worst_c:.2e}")
     return bool(ok), "; ".join(msgs)
@@ -455,14 +463,14 @@ def check_weak_coupling(full: bool = True):
     worst = 0.0  # at |h| < 1 and > 1, Lambda > 0 and < 0
     for h, gam, mu_minus in ((0.5, 0.8, 0.6), (1.7, 0.6, 0.6), (-1.3, 1.2, 1.5)):
         p = KitaevParams(h, gam, 1e-3, 1.0, mu_minus, 16)
-        got, ref = weak_coupling_tensors(p, WEAK_KINDS), dict.fromkeys(WEAK_KINDS, 0.0)
+        got, ref = weak_coupling_sums([p], WEAK_KINDS), dict.fromkeys(WEAK_KINDS, 0.0)
         for k in p.k_grid:
             G, dG = gamma_k_weak(p, k), [dgamma_k_weak(p, k, mu) for mu in range(2)]
             forms = gaussian_tensors(G, dG, ["zeta_limited", "bures"])
             forms["zeta"] = (1 - np.trace(G @ G).real / (2 * p.Lambda ** 2)) * np.array(
                 [[np.trace(a @ b).real / 2 for b in dG] for a in dG])
             ref = {kind: ref[kind] + forms[kind] for kind in WEAK_KINDS}
-        worst = max(worst, *(float(np.abs(got[k] - ref[k]).max() / np.abs(ref[k]).max())
+        worst = max(worst, *(float(np.abs(got[k][0] - ref[k]).max() / np.abs(ref[k]).max())
                              for k in WEAK_KINDS))
     ok = bool(np.all(np.abs(slopes - 2.0) <= 0.2)) and worst <= 1e-12
     return ok, (f"deviations {[f'{d:.3e}' for d in devs]}, slopes {np.round(slopes, 3).tolist()}; "
@@ -470,13 +478,13 @@ def check_weak_coupling(full: bool = True):
 
 
 def _scan(tensor_at, grid) -> np.ndarray:
-    """The real (0, 0) component of ``tensor_at(x)`` at each grid point ``x``;
+    """The real (0, 0) component of the array ``tensor_at(x)`` at each grid point ``x``;
     NaN where it raises NhgeoError (a gap closing on the k-grid raises
     CriticalKPoint)."""
     vals = np.full(len(grid), np.nan)
     for i, x in enumerate(grid):
         try:
-            vals[i] = tensor_at(x).values[0, 0].real
+            vals[i] = tensor_at(x)[0, 0].real
         except NhgeoError:
             pass
     return vals
@@ -491,7 +499,8 @@ def check_criticality_detection(full: bool = True):
 
     # pairing chain: argmax of the field-field component near h = 1
     hgrid = np.linspace(0.0, 2.0, npts)
-    vals = _scan(lambda h: zeta_kitaev_sum(KitaevParams(h, 1.0, 0.1, 1.0, 0.6, L)), hgrid)
+    chain = [KitaevParams(h, 1.0, 0.1, 1.0, 0.6, L) for h in hgrid]
+    vals = _scan(lambda p: weak_coupling_sums([p], ["zeta"])["zeta"][0], chain)
     imax = int(np.nanargmax(vals))
     step = hgrid[1] - hgrid[0]
     ok &= abs(hgrid[imax] - 1.0) <= step + 1e-12
@@ -499,7 +508,7 @@ def check_criticality_detection(full: bool = True):
 
     # asymmetric-hopping chain: peaks near both |t +- delta| = 1 lines
     tgrid = np.linspace(0.0, 2.0, npts)
-    vals = _scan(lambda t: zeta_finite_sum(SSHParams(t, 0.5, L)), tgrid)
+    vals = _scan(lambda t: zeta_finite_sum(SSHParams(t, 0.5, L)).values, tgrid)
     for tc in (0.5, 1.5):
         window = (tgrid > tc - 0.25) & (tgrid < tc + 0.25)
         sub = np.where(window)[0]
@@ -512,7 +521,8 @@ def check_criticality_detection(full: bool = True):
     peaks = []
     for Ls in sizes:
         tg = 1.5 + np.arange(-16, 17) * (2.56 / Ls)
-        peaks.append(np.nanmax(_scan(lambda t: zeta_finite_sum(SSHParams(t, 0.5, Ls)), tg)) / Ls)
+        peaks.append(np.nanmax(_scan(lambda t: zeta_finite_sum(SSHParams(t, 0.5, Ls)).values, tg))
+                     / Ls)
     ok &= peaks[0] < peaks[1] < peaks[2]
     msgs.append(f"scaled peaks {[f'{p:.3f}' for p in peaks]}")
     return bool(ok), "; ".join(msgs)
@@ -533,21 +543,32 @@ def check_eta_ness(full: bool = True):
 
 
 def check_gaussian_forms(full: bool = True):
-    """Correlation-matrix closed forms vs brute-force density-matrix values."""
+    """Correlation-matrix closed forms vs brute-force density-matrix values,
+    and the quadratic transport generator (:func:`agp_quadratic`) vs ``U
+    offdiag(-U^-1 d_mu U) U^-1`` from the stencil on the family X."""
     rng = np.random.default_rng(808)
     fock = build_fock(2)
-    worst_bures, worst_zt, worst_zt_printed = 0.0, 0.0, 0.0
+    worst_bures, worst_zt, worst_zt_printed, worst_agp = 0.0, 0.0, 0.0, 0.0
     npts = 10 if full else 3
     for _ in range(npts):
         fam, baths = random_liouvillian_family(rng, n=2)
         lam = rng.uniform(-0.3, 0.3, size=2)
         G, dG = steady_state_dgamma(fam, lam)
 
-        rho, corr = brute_ness_rho(fock, fam, baths, lam)
+        xfam = OperatorFamily(2 * fam.n, fam.num_params, lambda l: fam(l).X,
+                              lambda mu, l: fam.dxy(mu, l)[0])
+        sysX, dU, _ = _stencil(xfam, lam, range(xfam.dim))
+        off = ~np.eye(xfam.dim, dtype=bool)
+        for mu in range(fam.num_params):
+            Xcal = agp_quadratic(fam, lam, mu).Xcal
+            A = np.where(off, -sysX.right_inverse @ dU[mu], 0.0)
+            ref = sysX.right_vectors @ A @ sysX.right_inverse
+            worst_agp = max(worst_agp, float(np.abs(Xcal - ref).max() / np.abs(Xcal).max()))
+
+        rho, G_kernel = brute_ness_rho(fock, fam, baths, lam)
 
         def rho_gamma_at(l):  # rho and Gamma are both 4x4 at n = 2: one solve gives both
-            rho_l, corr_l = brute_ness_rho(fock, fam, baths, l)
-            return np.stack([rho_l, corr_l.Gamma])
+            return np.stack(brute_ness_rho(fock, fam, baths, l))
 
         drho, dG_brute = zip(*(central_difference(rho_gamma_at, lam, mu, h=1e-5)
                                for mu in range(2)))
@@ -562,7 +583,7 @@ def check_gaussian_forms(full: bool = True):
         D = fock.dim
         forms = {kind: t.values.real
                  for kind, t in ness_tensors(fam, lam, ["bures", "zeta_limited"]).items()}
-        printed = gaussian_tensors(corr.Gamma, dG_brute, ["zeta_limited"])["zeta_limited"]
+        printed = gaussian_tensors(G_kernel, dG_brute, ["zeta_limited"])["zeta_limited"]
         for mu in range(2):
             for nu in range(2):
                 b_rho = 0.5 * np.trace(rho @ (Gs[mu] @ Gs[nu] + Gs[nu] @ Gs[mu])).real
@@ -573,10 +594,12 @@ def check_gaussian_forms(full: bool = True):
                 # printed closed form: route consistency sylvester vs kernel inputs
                 zp = forms["zeta_limited"][mu, nu] - printed[mu, nu]
                 worst_zt_printed = max(worst_zt_printed, abs(zp))
-    ok = worst_bures <= 1e-8 and worst_zt <= 1e-8 and worst_zt_printed <= 1e-8
+    ok = (worst_bures <= 1e-8 and worst_zt <= 1e-8 and worst_zt_printed <= 1e-8
+          and worst_agp <= 1e-7)
     return bool(ok), (
         f"bures {worst_bures:.2e}; purity-weighted exact form {worst_zt:.2e}; "
-        f"printed form route consistency {worst_zt_printed:.2e}"
+        f"printed form route consistency {worst_zt_printed:.2e}; "
+        f"transport generator vs stencil rel {worst_agp:.2e}"
     )
 
 

@@ -6,7 +6,8 @@ pass/fail line with the measured worst-case deviations.  Stated budgets:
 
  1. hermitian-collapse      |zeta-chi|, |eta-chi|, |ztilde-chi| <= 1e-9, < 5 s
  2. gauge-invariance        relative change <= 1e-9,                   < 10 s
- 3. zeta-route-equivalence  three routes within 1e-8 relative,         < 10 s
+ 3. zeta-route-equivalence  three routes within 1e-8 relative;
+                            agp_elements vs stencil 1e-7,              < 10 s
  4. nh-ssh                  summands 1e-8; L/8 point 1e-12; thermo 0.5%;
                             rescaled limited == zeta 1e-9,             < 60 s
  5. third-quantization      CAR 1e-12; reconstruction 1e-10,           < 60 s
@@ -17,7 +18,8 @@ pass/fail line with the measured worst-case deviations.  Stated budgets:
  9. weak-coupling           log-log slope 2 +- 0.2,                    < 30 s
 10. criticality-detection   argmax within one grid step; peak growth,  < 120 s
 11. eta-ness                |eta| <= 1e-9 on steady states,            < 30 s
-12. gaussian-forms          closed forms vs brute force <= 1e-8,       < 60 s
+12. gaussian-forms          closed forms vs brute force <= 1e-8;
+                            agp_quadratic vs stencil 1e-7,             < 60 s
 """
 import time
 

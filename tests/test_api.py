@@ -11,13 +11,17 @@ from nhgeo import biortho, errors, kitaev, liouville, linalg, oracle, ssh, tenso
 #: blocks, the second eigensystem type, replaced by EigDecomposition, and
 #: names that no production or verify path reaches, now test references
 #: (the SSH closed-form eigenstates and Bloch matrix, the Gaussian
-#: logarithmic derivative and the writer of the JSON matrix format), and
-#: the public inverse with its error and the 2x2 fork of the pair solver
+#: logarithmic derivative and the writer of the JSON matrix format), the
+#: public inverse with its error and the 2x2 fork of the pair solver, and
+#: the one-point views, unwrapped records and general 2x2 pencil that every
+#: caller replaced by band_sums, weak_coupling_sums, eig_general, the Gamma
+#: array, the phase tuple and _lyapunov_2x2
 DELETED = ("berry_connection", "bures_metric", "gauge_rescale", "kspace_blocks",
            "projector_deformation", "projector_fd", "zeta_tilde_gaussian",
            "zeta_tilde_kitaev_sum", "BiorthogonalSystem", "ssh_eigenstates",
            "log_derivative", "save_matrix", "matrix_to_json", "bloch", "inverse",
-           "SingularMatrix", "_pair_solver_2x2")
+           "SingularMatrix", "_pair_solver_2x2", "bloch_sum", "weak_coupling_tensors",
+           "zeta_kitaev_sum", "rapidities", "MajoranaCorrelation", "SSHPhase", "_pencil_2x2")
 
 
 def test_written_public_names():
@@ -26,7 +30,7 @@ def test_written_public_names():
         assert not isinstance(getattr(nhgeo, name), types.ModuleType), name
     for name in DELETED:
         assert name not in nhgeo.__all__
-        for mod in (nhgeo, biortho, errors, kitaev, liouville, linalg, ssh, tensors):
+        for mod in (nhgeo, biortho, errors, kitaev, liouville, linalg, oracle, ssh, tensors):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 

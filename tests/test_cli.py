@@ -223,12 +223,7 @@ class TestTensorCommand:
     def test_quad_liouville_tensors_from_one_eigensolve(self, runner, tmp_path, monkeypatch):
         import nhgeo.linalg as linalg_mod
         import nhgeo.liouville as liouville_mod
-        from nhgeo.liouville import (
-            gaussian_tensors,
-            rapidities,
-            steady_state_dgamma,
-            zeta_ness,
-        )
+        from nhgeo.liouville import gaussian_tensors, steady_state_dgamma, zeta_ness
         from nhgeo.verify import random_bath, random_hmat
 
         rng = np.random.default_rng(9)
@@ -266,7 +261,7 @@ class TestTensorCommand:
         for kind, ref in refs.items():
             got = [[complex(c["re"], c["im"]) for c in row] for row in tensors[kind]["components"]]
             assert np.array_equal(got, ref), kind
-        x, _ = rapidities(fam(lam))
+        x = real(fam(lam).X).eigenvalues
         assert payload["eigenvalue_summary"]["rapidities"] == [
             {"re": z.real, "im": z.imag} for z in x.tolist()]
 
@@ -872,6 +867,18 @@ class TestSpectrumCommand:
         payload = json.loads(result.output)
         assert payload["spectrum"]["unique_steady_state"] is False
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_spectrum_weak_coupling_exit_2(self, runner, monkeypatch, value):
+        # the rapidities of x(k) are those of either regime: whatever its value,
+        # weak_coupling would not change the spectrum printed
+        calls = []
+        monkeypatch.setattr(cli_mod.KitaevAdapter, "spectrum", lambda *a: calls.append(a))
+        result = runner.invoke(main, ["spectrum", "--model", "kitaev-dissipative", "--set", "L=8",
+                                      "--set", f"weak_coupling={value}"])
+        assert result.exit_code == 2, result.output
+        assert "reads no weak_coupling" in result.output
+        assert calls == []
+
 
 class TestSweepCommand:
     def test_peaks_near_critical_lines(self, runner, tmp_path):
@@ -1146,7 +1153,7 @@ class TestKitaevBures:
         assert not got.imag.any()
 
     def test_matches_closed_form(self):
-        from nhgeo.kitaev import KitaevParams, weak_coupling_tensors
+        from nhgeo.kitaev import KitaevParams, weak_coupling_sums
 
         worst = 0.0
         for h in np.linspace(0.0, 2.0, 21):
@@ -1161,7 +1168,7 @@ class TestKitaevBures:
                 lam2 = p.Lambda ** 2
                 w = (1.0 - cos2) / (1.0 - lam2 * cos2) + cos2 / (1.0 + lam2 * cos2)
                 ref = lam2 / 4 * np.array([[np.sum(w * a * b) for b in dphis] for a in dphis])
-                got = weak_coupling_tensors(p, ["bures"])["bures"]
+                got = weak_coupling_sums([p], ["bures"])["bures"][0]
                 worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
         assert worst <= 1e-12
 

@@ -14,8 +14,6 @@ from nhgeo.kitaev import (
     gamma_k_weak,
     phi_k,
     weak_coupling_sums,
-    weak_coupling_tensors,
-    zeta_kitaev_sum,
     zeta_kitaev_thermo,
 )
 from nhgeo.linalg import flagged_blocks
@@ -46,8 +44,8 @@ class TestPhi:
     def test_zero_pairing_outside(self):
         ks = np.linspace(0, 2 * np.pi, 9, endpoint=False)
         assert np.abs(phi_k(1.5, 0.0, ks)).max() == 0.0
-        z = zeta_kitaev_sum(KitaevParams(1.5, 0.0, 0.1, 1.0, 0.6, 16))
-        assert np.abs(z.values).max() == 0.0
+        z = weak_coupling_sums([KitaevParams(1.5, 0.0, 0.1, 1.0, 0.6, 16)], ["zeta"])["zeta"]
+        assert np.abs(z).max() == 0.0
 
     def test_derivatives_vanish_at_k0(self):
         dh, dg = dphi(0.7, 0.9, 0.0)
@@ -73,22 +71,22 @@ class TestPhi:
                     f(k)
         # the grid check runs first: the weak-coupling sums raise CriticalKPoint
         with pytest.raises(CriticalKPoint):
-            weak_coupling_tensors(p, ["zeta", "bures"])
+            weak_coupling_sums([p], ["zeta", "bures"])
 
 
 class TestZetaSum:
     def test_exact_trigonometric_point(self):
         par = KitaevParams(0.0, 1.0, 0.1, 1.0, 0.6, 64)
-        z = zeta_kitaev_sum(par).values
+        z = weak_coupling_sums([par], ["zeta"])["zeta"][0]
         assert abs(z[0, 0] - 0.375 * par.Lambda ** 2 * 64) < 1e-12 * 64
 
     def test_balanced_bath_zero(self):
-        z = zeta_kitaev_sum(KitaevParams(0.7, 0.9, 0.1, 0.8, 0.8, 32))
-        assert np.abs(z.values).max() == 0.0
+        z = weak_coupling_sums([KitaevParams(0.7, 0.9, 0.1, 0.8, 0.8, 32)], ["zeta"])["zeta"][0]
+        assert np.abs(z).max() == 0.0
 
     def test_matches_thermodynamic(self):
         par = KitaevParams(0.6, 0.9, 0.1, 1.0, 0.6, 2048)
-        z = zeta_kitaev_sum(par).values / par.L
+        z = weak_coupling_sums([par], ["zeta"])["zeta"][0] / par.L
         th = zeta_kitaev_thermo(0.6, 0.9, par.Lambda).values
         assert maxdev(z, th) < 0.005 * np.abs(th).max()
 
@@ -96,7 +94,8 @@ class TestZetaSum:
         for _ in range(5):
             h, g = rng.uniform(-1.8, 1.8), rng.uniform(0.2, 1.5)
             try:
-                z = zeta_kitaev_sum(KitaevParams(h, g, 0.1, 1.0, 0.6, 128)).values
+                p = KitaevParams(h, g, 0.1, 1.0, 0.6, 128)
+                z = weak_coupling_sums([p], ["zeta"])["zeta"][0]
             except CriticalKPoint:
                 continue
             assert np.abs(z.imag).max() == 0.0
@@ -109,27 +108,27 @@ class TestZetaSum:
 
         model = DissipativeKitaevModel(1e-3, 1.0, 0.6)
         zk = zeta_ness_k(model, [0.7, 0.9], 6).values
-        assert maxdev(zk, zeta_kitaev_sum(par).values) <= 1e-8 * max(
+        assert maxdev(zk, weak_coupling_sums([par], ["zeta"])["zeta"][0]) <= 1e-8 * max(
             1.0, np.abs(zk).max()
         )
 
     def test_critical_k_point(self):
         with pytest.raises(CriticalKPoint):
-            zeta_kitaev_sum(KitaevParams(1.0, 0.9, 0.1, 1.0, 0.6, 16))  # D(k=0) = 0
+            weak_coupling_sums([KitaevParams(1.0, 0.9, 0.1, 1.0, 0.6, 16)], ["zeta"])  # D(k=0) = 0
 
     def test_lambda_factorization(self):
-        z1 = zeta_kitaev_sum(KitaevParams(0.7, 0.9, 0.1, 1.0, 0.6, 32)).values
+        z1 = weak_coupling_sums([KitaevParams(0.7, 0.9, 0.1, 1.0, 0.6, 32)], ["zeta"])["zeta"][0]
         par2 = KitaevParams(0.7, 0.9, 0.1, 1.3321, 0.6, 32)
         lam1 = KitaevParams(0.7, 0.9, 0.1, 1.0, 0.6, 32).Lambda
         z_scaled = z1 / lam1 ** 2 * par2.Lambda ** 2
-        z2 = zeta_kitaev_sum(par2).values
+        z2 = weak_coupling_sums([par2], ["zeta"])["zeta"][0]
         assert maxdev(z2, z_scaled) <= 1e-12 * np.abs(z2).max()
 
 
 def weak_outcome(p, kinds):
-    """``weak_coupling_tensors(p, kinds)``, or the NhgeoError it raises."""
+    """The sums ``kinds`` at the one point ``p``, or the NhgeoError it raises."""
     try:
-        return weak_coupling_tensors(p, kinds)
+        return {kind: v[0] for kind, v in weak_coupling_sums([p], kinds).items()}
     except NhgeoError as exc:
         return exc
 
@@ -177,7 +176,7 @@ class TestWeakCouplingPasses:
         # error carries p * (L // 2 + 1) + j, like every blockwise check
         good, bad = (KitaevParams(h, 0.9, 0.1, 1.0, 0.6, 8) for h in (0.5, -1.0))
         with pytest.raises(CriticalKPoint, match="at k = 3.14159") as info:
-            weak_coupling_tensors(bad, ["zeta"])
+            weak_coupling_sums([bad], ["zeta"])
         assert info.value.block == 4
         with pytest.raises(CriticalKPoint) as info:
             weak_coupling_sums([good, bad], ["zeta"])
@@ -244,7 +243,7 @@ class TestHalfZone:
                 continue
             point = KitaevParams(h, 0.0, 0.1, 1.0, 0.6, L)
             with pytest.raises(CriticalKPoint) as info:
-                weak_coupling_tensors(point, ["zeta"])
+                weak_coupling_sums([point], ["zeta"])
             lowest = min(j, L - j)
             assert info.value.block == lowest
             assert str(info.value) == (
@@ -269,8 +268,8 @@ class TestParams:
             KitaevParams(*args)
 
     def test_numpy_integer_length_accepted(self):
-        got = weak_coupling_tensors(KitaevParams(0.5, 0.8, 0.1, 1, 0.6, np.int64(8)), ["zeta"])
-        want = weak_coupling_tensors(KitaevParams(0.5, 0.8, 0.1, 1, 0.6, 8), ["zeta"])
+        got, want = (weak_coupling_sums([KitaevParams(0.5, 0.8, 0.1, 1, 0.6, L)], ["zeta"])
+                     for L in (np.int64(8), 8))
         assert np.array_equal(got["zeta"], want["zeta"])
 
     @pytest.mark.parametrize("mu_minus", [0.0, 0.3, 0.6])
@@ -345,7 +344,7 @@ class TestZetaTilde:
         h_, g_ = 0.6, 0.9
         L = 64
         par = KitaevParams(h_, g_, 0.1, 1.0, 0.999, L)
-        zt = weak_coupling_tensors(par, ["zeta_limited"])["zeta_limited"] / par.Lambda ** 2
+        zt = weak_coupling_sums([par], ["zeta_limited"])["zeta_limited"][0] / par.Lambda ** 2
         ks = par.k_grid
         dh, dg = dphi(h_, g_, ks)
         bare = np.array(
@@ -371,7 +370,7 @@ class TestZetaTilde:
                         sum(p * dgamma_k_weak(par, k, mu) for p, k in zip(ph, ks)) / L
                     )
         full = gaussian_tensors(G, dG, ["zeta_limited"])["zeta_limited"]
-        assert maxdev(full, weak_coupling_tensors(par, ["zeta_limited"])["zeta_limited"]) <= 1e-8
+        assert maxdev(full, weak_coupling_sums([par], ["zeta_limited"])["zeta_limited"][0]) <= 1e-8
 
     def test_sandwich_bounds(self):
         par = KitaevParams(0.6, 0.8, 0.1, 1.0, 0.4, 128)
@@ -380,7 +379,7 @@ class TestZetaTilde:
         dh, dg = dphi(par.h, par.gamma, ks)
         for comp, dd in ((0, dh), (1, dg)):
             unweighted = lam2 * np.sum(dd * dd)
-            zt = weak_coupling_tensors(par, ["zeta_limited"])["zeta_limited"][comp, comp].real
+            zt = weak_coupling_sums([par], ["zeta_limited"])["zeta_limited"][0, comp, comp].real
             assert unweighted / (1 + lam2) ** 2 - 1e-12 <= zt <= unweighted + 1e-12
 
 
@@ -394,9 +393,8 @@ class TestSingularSet:
         for i, h in enumerate(hs):
             for j, g in enumerate(gs):
                 try:
-                    vals[i, j] = zeta_kitaev_sum(
-                        KitaevParams(h, g, 0.1, 1.0, 0.6, L)
-                    ).values[0, 0].real / L
+                    z = weak_coupling_sums([KitaevParams(h, g, 0.1, 1.0, 0.6, L)], ["zeta"])["zeta"]
+                    vals[i, j] = z[0, 0, 0].real / L
                 except CriticalKPoint:
                     vals[i, j] = np.inf
         dh = hs[1] - hs[0]
@@ -415,6 +413,6 @@ class TestSingularSet:
     def test_finite_size_peak_growth(self):
         peaks = []
         for L in (256, 512, 1024, 2048):
-            v = zeta_kitaev_sum(KitaevParams(1.0 - 1.0 / L, 1.0, 0.1, 1.0, 0.6, L))
-            peaks.append(v.values[0, 0].real / L)
+            v = weak_coupling_sums([KitaevParams(1.0 - 1.0 / L, 1.0, 0.1, 1.0, 0.6, L)], ["zeta"])
+            peaks.append(v["zeta"][0, 0, 0].real / L)
         assert peaks[0] < peaks[1] < peaks[2] < peaks[3]

@@ -27,7 +27,6 @@ from nhgeo.linalg import (
     _lyapunov_2x2,
     _mul,
     _norm,
-    _pencil_2x2,
     _raise_first,
     _sylvester_solver,
     canonical_order,
@@ -845,26 +844,24 @@ class TestStackedEig2x2:
 
 
 class TestStackedPencil:
+    """The pencil check of :func:`_lyapunov_2x2`, made per block."""
+
     def test_tolerance_per_block(self, rng):
         # pencil minimum 1e-10 in a unit-norm block passes its own test, though
         # it is below 1e-12 times the norm of the big block beside it
         A = mixed_stack(rng)
-        A[1] = np.diag([1.0, 2.0])
-        B = np.stack([A[0].T + 1e6 * np.eye(2), np.diag([-1.0 + 1e-10, 0.5]), A[2] + 5 * np.eye(2)])
+        A[1] = np.diag([5e-11 + 1j, 5e-11 - 1j])
         Y = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-        (a, Ua, _), (b, Ub, _) = _eig_2x2(_entries(A)), _eig_2x2(_entries(B))
-        scale = np.maximum(np.linalg.norm(A, 2, axis=(-2, -1)), np.linalg.norm(B, 2, axis=(-2, -1)))
-        G = _pencil_2x2(a, Ua, _inv(Ua), b, Ub, _inv(Ub),
-                        1e-12 * np.maximum(scale, 1.0))(_entries(Y))
-        for Ai, Bi, Yi, Gi in zip(A, B, Y, _blocks(G)):
-            assert maxdev(Gi, solve_sylvester_pair(Ai, Bi, Yi)) <= 1e-12 * np.abs(Gi).max()
+        G = _lyapunov_2x2(*_eig_2x2(_entries(A)))[0](_entries(Y))
+        for Ai, Yi, Gi in zip(A, Y, _blocks(G)):
+            assert maxdev(Gi, solve_sylvester_pair(Ai, Ai.conj().T, Yi)) <= 1e-12 * np.abs(Gi).max()
 
-    def test_singular_block_located(self, rng):
-        a = (np.array([1.0, 1.0, 1.0]), np.array([2.0, 3.0, 2.0]))
-        b = (np.array([0.5, -3.0, 0.5]), np.array([1.0, 2.0, 0.5]))
+    def test_singular_block_located(self):
+        # the eigenvalue 1j of the second block has Re a = 0: a_0 + conj a_0 = 0
+        a = (np.array([1.0, 1j, 1.0]), np.array([2.0, 3.0, 2.0]))
         U = _entries(np.broadcast_to(np.eye(2), (3, 2, 2)))
         with pytest.raises(SingularPencil) as info:
-            _pencil_2x2(a, U, U, b, U, U, np.full(3, 1e-12))
+            _lyapunov_2x2(a, U, np.ones(3))
         assert info.value.block == 1
 
 

@@ -24,7 +24,7 @@ from nhgeo.liouville import (
     assemble_real_space,
     build_liouvillian,
     gamma_k,
-    rapidities,
+    physicality_defect,
     real_space_family,
     steady_state_dgamma,
     steady_state_gamma,
@@ -255,12 +255,12 @@ class TestSteadyState:
         g, mup, mum = 0.5, 1.0, 0.6
         liou = build_liouvillian(1, np.zeros((2, 2)), single_mode_baths(g, mup, mum))
         lam = (mup ** 2 - mum ** 2) / (mup ** 2 + mum ** 2)
-        G = steady_state_gamma(liou).Gamma
+        G = steady_state_gamma(liou)
         assert abs(G[0, 1] - 1j * lam) < 1e-12
 
     def test_balanced_bath_maximally_mixed(self):
         liou = build_liouvillian(1, np.zeros((2, 2)), single_mode_baths(0.5, 0.8, 0.8))
-        assert np.abs(steady_state_gamma(liou).Gamma).max() < 1e-14
+        assert np.abs(steady_state_gamma(liou)).max() < 1e-14
 
     def test_non_unique_rejected(self):
         liou = build_liouvillian(1, np.zeros((2, 2)), M=np.zeros((2, 2)))
@@ -299,21 +299,22 @@ class TestSteadyState:
     def test_physical_spectrum(self, rng):
         for _ in range(5):
             liou = build_liouvillian(3, random_hmat(rng, 3), random_bath(rng, 3))
-            corr = steady_state_gamma(liou)
-            assert corr.physicality_defect() <= 1e-9
-            assert maxdev(corr.Gamma, -corr.Gamma.T) < 1e-10
+            G = steady_state_gamma(liou)
+            assert physicality_defect(G) <= 1e-9
+            assert maxdev(G, -G.T) < 1e-10
 
 
 class TestRapidities:
     def test_scalar_matrix(self):
         liou = build_liouvillian(1, np.zeros((2, 2)), single_mode_baths(0.5, 1.0, 0.6))
-        x, U = rapidities(liou)
+        x = eig_general(liou.X).eigenvalues
         expect = 0.25 * (1.0 + 0.36) / 2
         assert maxdev(x, [expect, expect]) < 1e-14
 
     def test_residual(self, rng):
         liou = build_liouvillian(2, random_hmat(rng, 2), random_bath(rng, 2))
-        x, U = rapidities(liou)
+        dec = eig_general(liou.X)
+        x, U = dec.eigenvalues, dec.right_vectors
         assert maxdev(liou.X @ U, U * x[None, :]) < 1e-9 * np.linalg.norm(liou.X)
 
 
@@ -997,7 +998,7 @@ class TestGaussianForms:
 
     def test_bures_zero_derivative(self, rng):
         fam, _ = random_liouvillian_family(rng, n=2)
-        G = steady_state_gamma(fam([0.0, 0.0])).Gamma
+        G = steady_state_gamma(fam([0.0, 0.0]))
         zero = np.zeros((4, 4))
         assert not liouville_mod.gaussian_tensors(G, [zero, zero], ["bures"])["bures"].any()
 
@@ -1032,7 +1033,7 @@ class TestGaussianForms:
         from nhgeo.oracle import build_fock
         from nhgeo.verify import brute_ness_rho
 
-        G = steady_state_gamma(fam([0.0, 0.0])).Gamma
+        G = steady_state_gamma(fam([0.0, 0.0]))
         rho, _ = brute_ness_rho(build_fock(2), fam, baths, [0.0, 0.0])
         S = np.sqrt(np.linalg.det(np.eye(4) + G @ G).real)
         assert abs(S - 4 * np.trace(rho @ rho).real) < 1e-10

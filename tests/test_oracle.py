@@ -140,11 +140,11 @@ class TestNessFromKernel:
         mup, mum = 0.9, 0.5
         fock = build_fock(1)
         L = build_superop(fock, np.zeros((2, 2)), kitaev_bath_vectors(1, 1.0, mup, mum))
-        rho, corr = ness_from_kernel(fock, L)
+        rho, G = ness_from_kernel(fock, L)
         occ = mup ** 2 / (mup ** 2 + mum ** 2)
         lam = (mup ** 2 - mum ** 2) / (mup ** 2 + mum ** 2)
         assert abs(rho[1, 1].real - occ) < 1e-12
-        assert abs(corr.Gamma[0, 1] - 1j * lam) < 1e-12
+        assert abs(G[0, 1] - 1j * lam) < 1e-12
 
     def test_balanced_bath_infinite_temperature(self):
         fock = build_fock(2)
@@ -184,8 +184,8 @@ class TestNessFromKernel:
         baths = random_bath(rng, 3)
         liou = build_liouvillian(3, random_hmat(rng, 3), baths)
         L = build_superop(fock, liou.H_mat, baths)
-        _, corr = ness_from_kernel(fock, L)
-        assert maxdev(corr.Gamma, steady_state_gamma(liou).Gamma) <= 1e-8
+        _, G = ness_from_kernel(fock, L)
+        assert maxdev(G, steady_state_gamma(liou)) <= 1e-8
 
 
 class TestSuperopFamily:

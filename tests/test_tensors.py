@@ -14,7 +14,7 @@ from nhgeo.errors import (
     NonConvergence,
     ShapeMismatch,
 )
-from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams, weak_coupling_tensors
+from nhgeo.kitaev import DissipativeKitaevModel, KitaevParams, weak_coupling_sums
 from nhgeo.liouville import (
     LiouvillianFamily,
     gaussian_tensors,
@@ -875,8 +875,8 @@ def _never(*args):
     ("ness_tensors",
      lambda kinds: ness_tensors(LiouvillianFamily(1, 1, _never, _never), [0.0], kinds)),
     ("gaussian_tensors", lambda kinds: gaussian_tensors(None, [], kinds)),
-    ("weak_coupling_tensors",  # h = 1 closes the gap on the grid (CriticalKPoint)
-     lambda kinds: weak_coupling_tensors(KitaevParams(1.0, 1.0, 0.1, 1.0, 0.6, 8), kinds)),
+    ("weak_coupling_sums",  # h = 1 closes the gap on the grid (CriticalKPoint)
+     lambda kinds: weak_coupling_sums([KitaevParams(1.0, 1.0, 0.1, 1.0, 0.6, 8)], kinds)),
 ])
 def test_unknown_kind_rejected_before_evaluation(engine, call):
     # one check and one wording for every engine: the engine and the unknown kinds

@@ -1,4 +1,6 @@
 """The verification checks themselves: what they catch and what they cost."""
+import dataclasses
+
 import pytest
 
 from nhgeo import verify
@@ -27,3 +29,16 @@ def test_gaussian_forms_solves_each_point_once(monkeypatch):
     monkeypatch.setattr(verify, "brute_ness_rho", lambda *a: calls.append(a) or real(*a))
     ok, _ = verify.check_gaussian_forms(full=False)
     assert ok and len(calls) == 3 * 5
+
+
+
+@pytest.mark.parametrize("check, engine, wrong", [
+    (verify.check_zeta_routes, "agp_elements", lambda real: lambda *a: real(*a).T),
+    (verify.check_gaussian_forms, "agp_quadratic",
+     lambda real: lambda *a: dataclasses.replace(real(*a), Xcal=real(*a).Xcal.T)),
+])
+def test_generator_checks_catch_a_wrong_generator(monkeypatch, check, engine, wrong):
+    # only the generator sub-check reads the generator: a transposed one fails it
+    monkeypatch.setattr(verify, engine, wrong(getattr(verify, engine)))
+    ok, detail = check(full=False)
+    assert not ok and "vs stencil rel" in detail
